@@ -130,8 +130,12 @@ def _write_json(path: Optional[str], payload: dict):
     if path in (None, "-"):
         print(body)
     else:
-        with open(path, "w") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json file {path!r}: "
+                             f"{exc.strerror or exc}") from exc
 
 
 def cmd_verify(args) -> int:
@@ -157,7 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    value = compute_expression(args.expr, args.n or 3)
+    value = compute_expression(args.expr, args.n)
     print(value)
     if args.json:
         _write_json(args.json, {"expr": args.expr, "element": value.to_json()})
@@ -280,8 +284,8 @@ def cmd_toy(args) -> int:
 
 
 def cmd_export(args) -> int:
-    value = compute_expression(args.expr, args.n or 3)
-    _write_json(args.json, {"expr": args.expr, "n": args.n or 3,
+    value = compute_expression(args.expr, args.n)
+    _write_json(args.json, {"expr": args.expr, "n": args.n,
                             "element": value.to_json()})
     return 0
 

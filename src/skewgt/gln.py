@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from .polys import Context, Poly, shifted_vandermonde, vandermonde
+from .polys import Context, Poly, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, is_invariant
 
@@ -50,6 +50,9 @@ def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
 
 def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:
     """Ladder element X_k^sign = sum_i d_ki^sign a(k,i,sign)."""
+    if not (1 <= k <= ctx.n - 1):
+        raise ValueError(f"X{k}{'+' if sign > 0 else '-'} out of range for "
+                         f"n={ctx.n}: needs 1 <= k <= n-1 = {ctx.n - 1}")
     terms = {}
     for i in range(1, k + 1):
         key = [0] * ctx.shift_rank
@@ -60,6 +63,9 @@ def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:
 
 def gen_A(ctx: Context, k: int, i: int, sign: int) -> SkewElement:
     """Single-shift summand A_ki^sign = d_ki^sign a(k,i,sign)."""
+    if not (1 <= i <= k <= ctx.n - 1):
+        raise ValueError(f"A{k}{i}{'+' if sign > 0 else '-'} out of range for "
+                         f"n={ctx.n}: needs 1 <= i <= k <= n-1 = {ctx.n - 1}")
     key = [0] * ctx.shift_rank
     key[ctx.shift_pos((k, i))] = sign
     return SkewElement.from_right(ctx, {tuple(key): a_coeff(ctx, k, i, sign)})
@@ -80,16 +86,6 @@ def gen_V(ctx: Context, k: int) -> SkewElement:
     if not (2 <= k <= ctx.n):
         raise ValueError(f"V{k} out of range for n={ctx.n}")
     return SkewElement.from_coeff(vandermonde(ctx, k))
-
-
-def gen_V_shifted(ctx: Context, k: int, offsets) -> SkewElement:
-    return SkewElement.from_coeff(shifted_vandermonde(ctx, k, offsets))
-
-
-def gen_Xtilde(ctx: Context, sign: int) -> SkewElement:
-    """The difference A_21^sign - A_22^sign (the row-2 commutator defect
-    of X_2^sign against V_2)."""
-    return gen_A(ctx, 2, 1, sign) - gen_A(ctx, 2, 2, sign)
 
 
 def matrix_unit_image(ctx: Context, i: int, j: int) -> SkewElement:

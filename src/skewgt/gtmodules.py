@@ -106,7 +106,8 @@ def weyl_dim(top: Sequence[int]) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             dim *= Fraction(top[i] - top[j] + j - i, j - i)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise ValueError(f"Weyl dimension of {top} is not an integer: {dim}")
     return int(dim)
 
 
@@ -380,9 +381,12 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     in a nontrivial way hold (and are checked) for the all-plus choice,
     which is the construction the classification produces.
     """
+    n = mod.n
+    if n < 2:
+        raise ValueError(f"the relation report needs a top row of length "
+                         f"n >= 2 (got n={n})")
     rep = VerificationReport(f"module:{'-'.join(map(str, mod.top or ()))}")
     M = mod.matrices
-    n = mod.n
     dim = mod.dim
 
     def chk(key, anchor, residual):

@@ -8,9 +8,14 @@ is a :class:`fractions.Fraction`; there is no floating point anywhere.
 
 Representation: ``terms`` maps a dense exponent tuple (one slot per
 context variable, row-major order) to a nonzero coefficient.  The zero
-polynomial is the empty map.  The term order used throughout is graded
-lexicographic with row-major variable precedence, which fixes a unique
-printed form for every polynomial.
+polynomial is the empty map.  Graded lexicographic order with row-major
+variable precedence fixes a unique printed form (and the sign of the
+primitive part) for every polynomial; division does not depend on it.
+
+Division is only ever by an affine-linear factor (x_a - x_b + c) or
+(x_a + c), monic of degree one in x_a.  Quotient and remainder are
+therefore unique, the remainder being the substitution x_a := x_b - c,
+and one Horner pass over the powers of x_a computes both.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class Context:
     @staticmethod
     def triangle(n: int) -> "Context":
         if n < 1:
-            raise ValueError("triangle context needs n >= 1")
+            raise ValueError(f"triangle context needs n >= 1 (got n={n})")
         vars = tuple((k, i) for k in range(1, n + 1) for i in range(1, k + 1))
         shift_vars = tuple(v for v in vars if v[0] <= n - 1)
         return Context("triangle", n, vars, shift_vars)
@@ -95,6 +100,14 @@ class Context:
 
 def _grlex_key(exps: Tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _add_into(dst: dict, src: dict) -> dict:
+    """Add the term map `src` into `dst` in place; zero sums are kept."""
+    for e, v in src.items():
+        t = dst.get(e)
+        dst[e] = v if t is None else t + v
+    return dst
 
 
 def _as_fraction(x) -> Fraction:
@@ -325,39 +338,44 @@ class Poly:
     def divmod_linear(self, a: VarId, b: Optional[VarId], c: Fraction):
         """Divide by (x_a - x_b + c) or (x_a + c); returns (quotient, remainder).
 
-        Requires a < b in row-major order when b is present, so the
-        divisor's graded-lex leading term is x_a with coefficient one.
+        The divisor is x_a - s with s = x_b - c (or s = -c), monic of
+        degree one in x_a, so p = q*(x_a - s) + r has exactly one
+        solution with r free of x_a: r = p(x_a := s).  One Horner pass
+        finds it.  Write p = sum_k p_k x_a^k with every p_k free of x_a;
+        walking k down from the top degree, q_{k-1} = p_k + s*q_k, and
+        the k = 0 row p_0 + s*q_0 is the remainder.
+
+        Requires a < b in row-major order when b is present, the
+        canonical orientation of ``ratfunc.linear_factor``.
         """
         ctx = self.ctx
         pa = ctx.var_pos(a)
         pb = ctx.var_pos(b) if b is not None else None
         if pb is not None and pb <= pa:
             raise ValueError("divisor not in canonical orientation")
-        c = _as_fraction(c)
-        work = dict(self.terms)
+        neg_c = -_as_fraction(c)
+        # rows[k] = p_k, keyed by exponent tuples with the x_a slot zeroed
+        rows: dict = {}
+        for exps, coeff in self.terms.items():
+            row = rows.setdefault(exps[pa], {})
+            row[exps[:pa] + (0,) + exps[pa + 1:]] = coeff
         quot: dict = {}
-        rem: dict = {}
-        while work:
-            lead = max(work, key=_grlex_key)
-            coeff = work.pop(lead)
-            if lead[pa] >= 1:
-                qexp = lead[:pa] + (lead[pa] - 1,) + lead[pa + 1:]
-                quot[qexp] = quot.get(qexp, Fraction(0)) + coeff
+        carry: dict = {}  # s * q_k
+        for k in range(max(rows, default=0), 0, -1):
+            q = _add_into(rows.get(k, {}), carry)
+            carry = {}
+            for e, v in q.items():
+                if not v:
+                    continue
+                quot[e[:pa] + (k - 1,) + e[pa + 1:]] = v
                 if pb is not None:
-                    key = qexp[:pb] + (qexp[pb] + 1,) + qexp[pb + 1:]
-                    t = work.get(key, Fraction(0)) + coeff
-                    if t:
-                        work[key] = t
-                    else:
-                        work.pop(key, None)
-                if c:
-                    t = work.get(qexp, Fraction(0)) - coeff * c
-                    if t:
-                        work[qexp] = t
-                    else:
-                        work.pop(qexp, None)
-            else:
-                rem[lead] = coeff
+                    key = e[:pb] + (e[pb] + 1,) + e[pb + 1:]
+                    t = carry.get(key)
+                    carry[key] = v if t is None else t + v
+                if neg_c:
+                    t = carry.get(e)
+                    carry[e] = v * neg_c if t is None else t + v * neg_c
+        rem = _add_into(rows.get(0, {}), carry)
         return Poly(ctx, quot), Poly(ctx, rem)
 
     def exact_div_linear(self, a: VarId, b: Optional[VarId], c: Fraction) -> Optional["Poly"]:

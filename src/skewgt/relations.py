@@ -87,7 +87,7 @@ def suite_gl2(n: int = 2) -> VerificationReport:
     combination, the generalized Weyl algebra presentation, and the
     sign action of the row-2 swap."""
     if n < 2:
-        raise ValueError("rank-2 suite needs n >= 2")
+        raise ValueError(f"suite gl2 needs n >= 2 (got n={n})")
     ctx = gln.triangle(n)
     rep = VerificationReport("gl2")
     x = lambda k, i: Poly.var(ctx, (k, i))
@@ -370,7 +370,7 @@ def suite_localized() -> VerificationReport:
 
 
 SUITES: dict = {
-    "gl2": lambda n=2: suite_gl2(n if n and n >= 2 else 2),
+    "gl2": lambda n=None: suite_gl2(2 if n is None else n),
     "gl3": lambda n=3: suite_gl3(),
     "invariants": lambda n=3: suite_invariants(),
     "localized": lambda n=3: suite_localized(),

@@ -39,6 +39,9 @@ def test_verify_usage_error(capsys):
     assert code == 2
     code, _, err = run(capsys, ["verify", "--suite", "gl3", "--n", "4"])
     assert code == 2 and "n=3" in err
+    code, out, err = run(capsys, ["verify", "--suite", "gl2", "--n", "1"])
+    assert code == 2 and out == ""
+    assert "suite gl2 needs n >= 2 (got n=1)" in err
 
 
 def test_compute_commutator(capsys):
@@ -61,6 +64,9 @@ def test_compute_expression_grammar():
 def test_compute_bad_expression(capsys):
     code, _, err = run(capsys, ["compute", "--expr", "X9+"])
     assert code == 2 and "error" in err
+    assert "X9+ out of range for n=3" in err
+    code, _, err = run(capsys, ["compute", "--expr", "A91-", "--n", "4"])
+    assert code == 2 and "A91- out of range for n=4" in err
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -94,6 +100,10 @@ def test_gt_bad_inputs(capsys):
     assert code == 2 and "regular" in err
     code, _, err = run(capsys, ["gt"])
     assert code == 2
+    code, _, err = run(capsys, ["gt", "--top", "0", "--check"])
+    assert code == 2 and "top row of length n >= 2 (got n=1)" in err
+    code, out, _ = run(capsys, ["gt", "--top", "0"])
+    assert code == 0 and "dimension: 1" in out
 
 
 def test_gt_generic(capsys):
@@ -127,3 +137,19 @@ def test_export_stdout_deterministic(capsys):
     code1, out1, _ = run(capsys, ["export", "--expr", "c22", "--n", "2"])
     code2, out2, _ = run(capsys, ["export", "--expr", "c22", "--n", "2"])
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_rank_must_be_positive(capsys):
+    for cmd in ("compute", "export"):
+        code, out, err = run(capsys, [cmd, "--expr", "X11", "--n", "0"])
+        assert code == 2 and out == ""
+        assert "needs n >= 1 (got n=0)" in err
+
+
+def test_unwritable_json_path(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "out.json")
+    for argv in (["verify", "--suite", "gl2"], ["compute", "--expr", "X11"],
+                 ["export", "--expr", "X11"]):
+        code, _, err = run(capsys, argv + ["--json", path])
+        assert code == 2
+        assert f"cannot write --json file {path!r}" in err

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewgt.polys import (Poly, elementary_symmetric, shifted_vandermonde,
-                          vandermonde)
+from skewgt.polys import (Context, Poly, elementary_symmetric,
+                          shifted_vandermonde, vandermonde)
 
 from conftest import rand_poly
 
@@ -52,6 +53,133 @@ def test_divmod_random_roundtrip(ctx2):
         q, r = p.divmod_linear(*fac)
         assert q * fac_poly + r == p
         assert (p * fac_poly).exact_div_linear(*fac) == p
+
+
+# -- division oracles ------------------------------------------------
+#
+# A factor (x_a - x_b + c) or (x_a + c) is monic of degree one in x_a, so
+# p = q*f + r with r free of x_a has exactly one solution.  The checks
+# below hold for any correct division, whatever its algorithm.
+
+CONTEXTS = {2: Context.triangle(2), 3: Context.triangle(3)}
+FACTOR_SHAPES = [(with_b, integral_c) for with_b in (True, False)
+                 for integral_c in (True, False)]
+
+
+def factor_poly(ctx, a, b, c):
+    f = Poly.var(ctx, a) + c
+    return f - Poly.var(ctx, b) if b is not None else f
+
+
+def check_division(p, a, b, c):
+    f = factor_poly(p.ctx, a, b, c)
+    q, r = p.divmod_linear(a, b, c)
+    assert q * f + r == p
+    pa = p.ctx.var_pos(a)
+    assert all(exps[pa] == 0 for exps in r.terms)
+    assert (p * f).exact_div_linear(a, b, c) == p
+    return q, r
+
+
+@st.composite
+def factors(draw, ctx, with_b, integral_c):
+    nv = len(ctx.vars)
+    ia = draw(st.integers(0, nv - 2 if with_b else nv - 1))
+    b = ctx.vars[draw(st.integers(ia + 1, nv - 1))] if with_b else None
+    num = draw(st.integers(-4, 4))
+    den = 1 if integral_c else draw(st.sampled_from([2, 3, 5]))
+    if not integral_c and num % den == 0:
+        num += 1
+    return ctx.vars[ia], b, Fraction(num, den)
+
+
+@st.composite
+def sparse_polys(draw, ctx, strip=None):
+    """Sparse polynomials of degree <= 4 per variable; `strip` names a
+    variable whose exponent is forced to zero."""
+    nv = len(ctx.vars)
+    exps = st.tuples(*[st.integers(0, 4)] * nv)
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    if strip is not None:
+        pos = ctx.var_pos(strip)
+        terms = {e[:pos] + (0,) + e[pos + 1:]: v for e, v in terms.items()}
+    return Poly(ctx, terms)
+
+
+@pytest.mark.parametrize("n", sorted(CONTEXTS))
+@pytest.mark.parametrize("with_b,integral_c", FACTOR_SHAPES)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_divmod_oracle(n, with_b, integral_c, data):
+    ctx = CONTEXTS[n]
+    a, b, c = data.draw(factors(ctx, with_b, integral_c))
+    strip = a if data.draw(st.booleans()) else None
+    check_division(data.draw(sparse_polys(ctx, strip)), a, b, c)
+
+
+@pytest.mark.parametrize("n", sorted(CONTEXTS))
+@pytest.mark.parametrize("with_b,integral_c", FACTOR_SHAPES)
+def test_divmod_edge_polys(n, with_b, integral_c):
+    ctx = CONTEXTS[n]
+    a = ctx.vars[0]
+    b = ctx.vars[-1] if with_b else None
+    c = Fraction(-2) if integral_c else Fraction(3, 2)
+    q, r = check_division(Poly.zero(ctx), a, b, c)
+    assert q.is_zero and r.is_zero
+    # a polynomial free of x_a is its own remainder
+    p = Poly.var(ctx, ctx.vars[-1]) ** 2 * 3 - Fraction(1, 2)
+    q, r = check_division(p, a, b, c)
+    assert q.is_zero and r == p
+    # the remainder is p evaluated on the hyperplane x_a = x_b - c
+    p = Poly.var(ctx, a) ** 3 - Poly.var(ctx, ctx.vars[1]) * Poly.var(ctx, a)
+    s = -c if b is None else Poly.var(ctx, b) - c
+    xv = Poly.var(ctx, ctx.vars[1])
+    q, r = check_division(p, a, b, c)
+    assert r == s ** 3 - xv * s
+
+
+def test_divmod_orientation_check(ctx2):
+    with pytest.raises(ValueError):
+        Poly.one(ctx2).divmod_linear((2, 2), (2, 1), Fraction(0))
+    with pytest.raises(ValueError):
+        Poly.one(ctx2).divmod_linear((2, 1), (2, 1), Fraction(0))
+
+
+def _sympy_division_cases(seed, count):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(poly, syms):
+        return sum((sympy.Rational(v.numerator, v.denominator)
+                    * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                    for e, v in poly.terms.items()), sympy.Integer(0))
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = CONTEXTS[rng.choice(sorted(CONTEXTS))]
+        syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+        ia = rng.randrange(len(ctx.vars))
+        b = None
+        if ia + 1 < len(ctx.vars) and rng.random() < 0.7:
+            b = ctx.vars[rng.randrange(ia + 1, len(ctx.vars))]
+        c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        p = rand_poly(rng, ctx, max_terms=6, max_deg=5)
+        f = factor_poly(ctx, ctx.vars[ia], b, c)
+        # lex order with x_a first: the leading term of f is x_a
+        gens = [syms[ia]] + syms[:ia] + syms[ia + 1:]
+        sq, sr = sympy.div(to_sympy(p, syms), to_sympy(f, syms), *gens)
+        q, r = p.divmod_linear(ctx.vars[ia], b, c)
+        assert sympy.expand(to_sympy(q, syms) - sq) == 0
+        assert sympy.expand(to_sympy(r, syms) - sr) == 0
+
+
+def test_divmod_matches_sympy():
+    _sympy_division_cases(seed=17, count=40)
+
+
+@pytest.mark.slow
+def test_divmod_matches_sympy_long():
+    _sympy_division_cases(seed=29, count=3000)
 
 
 def test_shift_substitution(ctx2):
