@@ -30,5 +30,5 @@ print()
 
 print("the glued two-dimensional module:")
 ns = gt.example_nonsemisimple(1)
-print("V2 matrix:", ns.matrices["V2"])
+print("V2 matrix:", [[row[j] for j in range(ns.dim)] for row in ns.matrices["V2"]])
 print(gt.nonsemisimple_report(ns).table())

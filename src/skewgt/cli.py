@@ -117,9 +117,20 @@ class _Parser:
         return gln.element(self.ctx, tok)
 
 
+# Largest exponent `^N` accepted.  Powers are repeated skew products
+# whose coefficients grow with every factor (X2+^4 at n=3 already takes
+# seconds), so a larger exponent is refused before anything is computed.
+MAX_POWER = 8
+
+
 def compute_expression(text: str, n: int) -> SkewElement:
+    tokens = _tokenize(text)
+    for op, arg in zip(tokens, tokens[1:]):
+        if op == "^" and arg.isdigit() and int(arg) > MAX_POWER:
+            raise ValueError(f"power ^{arg} exceeds the exponent budget "
+                             f"of {MAX_POWER}")
     ctx = gln.triangle(n)
-    return _Parser(_tokenize(text), ctx).parse()
+    return _Parser(tokens, ctx).parse()
 
 
 # ----------------------------------------------------------------------
@@ -138,12 +149,18 @@ def _write_json(path: Optional[str], payload: dict):
                              f"{exc.strerror or exc}") from exc
 
 
+# Suites built on gln.triangle(3) whatever --n says.
+RANK3_SUITES = ("gl3", "invariants", "localized")
+
+
 def cmd_verify(args) -> int:
     names = ["gl2", "gl3", "invariants", "localized"] if args.suite == "all" \
         else [args.suite]
-    if "gl3" in names and args.n not in (None, 3):
-        print(f"suite gl3 runs at n=3 only (got --n {args.n})", file=sys.stderr)
-        return 2
+    for name in names:
+        if name in RANK3_SUITES and args.n not in (None, 3):
+            print(f"suite {name} runs at n=3 only (got --n {args.n})",
+                  file=sys.stderr)
+            return 2
     reports = relations.run_suites(names, args.n)
     all_ok = True
     for rep in reports:
@@ -237,6 +254,8 @@ def cmd_gt(args) -> int:
         print("gt needs --top or --generic", file=sys.stderr)
         return 2
     top = tuple(int(v) for v in args.top.split(","))
+    # the sign parser already enumerates row fillings
+    gtmodules.check_module_dim(gtmodules.weyl_dim(top))
     signs = _parse_signs(args.signs, top)
     mod = gtmodules.build_module(top, signs)
     print(f"top row: {','.join(map(str, top))}")

@@ -17,6 +17,14 @@ eigenvalue on a row is the product of the staircase-shifted differences
 lambda_ki - lambda_kj + j - i over i < j; its square always agrees with
 the evaluated square of the Vandermonde polynomial.
 
+Matrices are exact and sparse: a list of rows, each a dict from column
+to its nonzero `Fraction` entry.  A ladder matrix has at most k nonzeros
+per column, so products, sums and the relation reports cost time in
+proportion to the stored entries, not to dim^2.  No operation stores a
+zero, so a zero matrix is a list of empty rows.  The JSON export still
+writes every row in full.  Builders refuse modules whose dimension
+exceeds `MAX_MODULE_DIM` before enumerating a basis.
+
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
 of the row read by the numerator are killed by it); the classical
@@ -36,7 +44,20 @@ from .relations import ALPHA, IdentityResult, VerificationReport, verify_predica
 from . import gln
 
 Pattern = Tuple[Tuple[Fraction, ...], ...]
-Matrix = List[List[Fraction]]
+Matrix = List["Row"]
+
+# Largest module the builders accept.  The dimension is known from the
+# input alone (Weyl formula, window size), so a larger module is refused
+# before any pattern is enumerated.  The cap also bounds `gt --json`,
+# which writes every matrix densely: about 25 matrices of dim^2 cells at
+# rank 4.
+MAX_MODULE_DIM = 500
+
+
+def check_module_dim(dim: int) -> None:
+    if dim > MAX_MODULE_DIM:
+        raise ValueError(f"module dimension {dim} exceeds the budget "
+                         f"of {MAX_MODULE_DIM}")
 
 
 def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
@@ -223,50 +244,89 @@ def _moved(p: Pattern, k: int, i: int, delta: int) -> Pattern:
 
 
 # ----------------------------------------------------------------------
-# exact dense matrices
+# exact sparse matrices: one dict {column: nonzero entry} per row
+
+class Row(dict):
+    """One matrix row holding only its nonzero entries; an absent column
+    reads as zero.  No operation below ever stores a zero, so an empty
+    row is a zero row."""
+
+    __slots__ = ()
+
+    def __missing__(self, column):
+        return Fraction(0)
+
 
 def zeros(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
+    return [Row() for _ in range(n)]
 
 
 def eye(n: int) -> Matrix:
-    m = zeros(n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return diagonal([Fraction(1)] * n)
+
+
+def diagonal(values: Sequence[Fraction]) -> Matrix:
+    return [Row({i: v}) if v else Row() for i, v in enumerate(values)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = zeros(n)
-    for i in range(n):
-        ai = a[i]
-        for k in range(n):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(n):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
+    out = []
+    for ai in a:
+        if len(ai) == 1:
+            # most rows of a module matrix hold one entry; products of
+            # nonzeros cannot cancel
+            (k, c), = ai.items()
+            out.append(Row({j: c * x for j, x in b[k].items()}))
+            continue
+        row = Row()
+        for k, c in ai.items():
+            for j, x in b[k].items():
+                if j in row:
+                    v = row[j] + c * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                else:
+                    row[j] = c * x
+        out.append(row)
+    return out
+
+
+def _combine(a: Matrix, b: Matrix, negate: bool) -> Matrix:
+    out = []
+    for ra, rb in zip(a, b):
+        row = Row(ra)
+        for j, x in rb.items():
+            if negate:
+                x = -x
+            if j in row:
+                x += row[j]
+                if not x:
+                    del row[j]
+                    continue
+            row[j] = x
+        out.append(row)
     return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return _combine(a, b, False)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return _combine(a, b, True)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
     c = Fraction(c)
-    return [[c * x for x in row] for row in a]
+    if not c:
+        return zeros(len(a))
+    return [Row({j: c * x for j, x in row.items()}) for row in a]
 
 
 def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
+    return not any(a)
 
 
 def mat_comm(a: Matrix, b: Matrix) -> Matrix:
@@ -302,7 +362,7 @@ class ModuleRealization:
             "n": self.n,
             "dim": self.dim,
             "basis": [[[str(v) for v in row] for row in p] for p in self.basis],
-            "matrices": {name: [[str(v) for v in row] for row in m]
+            "matrices": {name: [_dense_strings(row, self.dim) for row in m]
                          for name, m in sorted(self.matrices.items())},
         }
         if self.top is not None:
@@ -312,9 +372,17 @@ class ModuleRealization:
         return body
 
 
+def _dense_strings(row: Row, dim: int) -> List[str]:
+    cells = ["0"] * dim
+    for j, v in row.items():
+        cells[j] = str(v)
+    return cells
+
+
 def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> ModuleRealization:
     """Finite-dimensional module on the interlacing patterns below `top`."""
     top = _check_dominant(top)
+    check_module_dim(weyl_dim(top))
     n = len(top)
     if signs is None:
         signs = SignData.all_plus(top)
@@ -324,15 +392,10 @@ def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> Module
     matrices: Dict[str, Matrix] = {}
 
     for k in range(1, n + 1):
-        m = zeros(dim)
-        for j, p in enumerate(basis):
-            m[j][j] = _xkk_value(k, p)
-        matrices[f"X{k}{k}"] = m
+        matrices[f"X{k}{k}"] = diagonal([_xkk_value(k, p) for p in basis])
     for k in range(2, n + 1):
-        m = zeros(dim)
-        for j, p in enumerate(basis):
-            m[j][j] = act_vandermonde(k, p, signs)
-        matrices[f"V{k}"] = m
+        matrices[f"V{k}"] = diagonal([act_vandermonde(k, p, signs)
+                                      for p in basis])
 
     ctx = gln.triangle(n)
     for k in range(1, n):
@@ -478,6 +541,12 @@ def is_regular_point(rows: Sequence[Sequence], n: int) -> bool:
     return True
 
 
+def generic_dim(n: int, radius: int) -> int:
+    """Size of the window of shifts with entries in [-radius, radius]:
+    one entry per variable of rows 1..n-1."""
+    return (2 * radius + 1) ** (n * (n - 1) // 2)
+
+
 def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealization:
     """Module on the window of lattice shifts around a regular point.
 
@@ -491,6 +560,7 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
     n = len(p)
     if radius < 0:
         raise ValueError("window radius must be nonnegative")
+    check_module_dim(generic_dim(n, radius))
     if not is_regular_point(rows, n):
         raise ValueError("point is not regular: some staircase row "
                          "difference is an integer")
@@ -512,16 +582,12 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
         poly = gln.gen_Xkk(ctx, k).identity_coefficient()
-        m = zeros(dim)
-        for j, w in enumerate(offsets):
-            m[j][j] = poly.evaluate(point_at(w))
-        matrices[f"X{k}{k}"] = m
+        matrices[f"X{k}{k}"] = diagonal([poly.evaluate(point_at(w))
+                                         for w in offsets])
     for k in range(2, n + 1):
         vk = vandermonde(ctx, k)
-        m = zeros(dim)
-        for j, w in enumerate(offsets):
-            m[j][j] = vk.evaluate(point_at(w))
-        matrices[f"V{k}"] = m
+        matrices[f"V{k}"] = diagonal([vk.evaluate(point_at(w))
+                                      for w in offsets])
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
             total = zeros(dim)
@@ -554,11 +620,15 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
 
 
 def columns_zero(m: Matrix, cols: Sequence[int]) -> bool:
-    return all(not m[r][c] for c in cols for r in range(len(m)))
+    cols = set(cols)
+    return not any(cols.intersection(row) for row in m)
 
 
 def generic_module_report(mod: ModuleRealization) -> VerificationReport:
     """Ladder commutators against Cartan differences on interior columns."""
+    if mod.n < 2:
+        raise ValueError(f"the generic relation report needs a point with "
+                         f"n >= 2 rows (got n={mod.n})")
     rep = VerificationReport("generic-module")
     M = mod.matrices
     cols = mod.interior or []
@@ -593,7 +663,7 @@ def example_nonsemisimple(alpha) -> ModuleRealization:
     matrices = {
         "X1+": zeros(2), "X1-": zeros(2),
         "X11": zeros(2), "X22": zeros(2),
-        "V2": [[Fraction(1), alpha], [Fraction(0), Fraction(-1)]],
+        "V2": [Row({0: Fraction(1), 1: alpha}), Row({1: Fraction(-1)})],
     }
     return ModuleRealization(n=2, basis=[trivial, trivial], matrices=matrices,
                              top=(0, 0))

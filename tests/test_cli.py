@@ -1,6 +1,6 @@
 import json
 
-from skewgt import cli, gln
+from skewgt import cli, gln, gtmodules
 from skewgt.skew import commutator
 
 
@@ -42,6 +42,12 @@ def test_verify_usage_error(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "gl2", "--n", "1"])
     assert code == 2 and out == ""
     assert "suite gl2 needs n >= 2 (got n=1)" in err
+    for suite, n in (("invariants", "7"), ("localized", "2"), ("all", "4")):
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--n", n])
+        assert code == 2 and out == ""
+        assert f"runs at n=3 only (got --n {n})" in err
+    code, _, _ = run(capsys, ["verify", "--suite", "invariants", "--n", "3"])
+    assert code == 0
 
 
 def test_compute_commutator(capsys):
@@ -104,6 +110,29 @@ def test_gt_bad_inputs(capsys):
     assert code == 2 and "top row of length n >= 2 (got n=1)" in err
     code, out, _ = run(capsys, ["gt", "--top", "0"])
     assert code == 0 and "dimension: 1" in out
+
+
+def test_gt_generic_rank_one_check(capsys):
+    code, _, err = run(capsys, ["gt", "--generic", "1/3", "--check"])
+    assert code == 2
+    assert "needs a point with n >= 2 rows (got n=1)" in err
+    code, out, _ = run(capsys, ["gt", "--generic", "1/3"])
+    assert code == 0 and "dimension: 1" in out
+
+
+def test_size_budgets(capsys):
+    # refused from the dimension or exponent alone, before any work
+    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "1000"])
+    assert code == 2 and out == ""
+    assert "module dimension 2001 exceeds the budget" in err
+    code, out, err = run(capsys, ["gt", "--top", "1000,0,0", "--signs", "all-minus"])
+    assert code == 2 and out == ""
+    assert f"module dimension {gtmodules.weyl_dim((1000, 0, 0))} exceeds" in err
+    code, out, err = run(capsys, ["compute", "--expr", "X1+^100000", "--n", "2"])
+    assert code == 2 and out == ""
+    assert f"power ^100000 exceeds the exponent budget of {cli.MAX_POWER}" in err
+    code, out, _ = run(capsys, ["compute", "--expr", f"X11^{cli.MAX_POWER}", "--n", "2"])
+    assert code == 0
 
 
 def test_gt_generic(capsys):

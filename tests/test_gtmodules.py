@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,115 @@ def test_module_json():
     body = m.to_json()
     assert body["dim"] == 2
     assert body["matrices"]["V2"] == [["2", "0"], ["0", "2"]]
+
+
+# -- sparse matrix ops against a plain list-of-lists reference ----------
+
+def dense_mul(a, b):
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def to_sparse(dense):
+    m = gt.zeros(len(dense))
+    for i, row in enumerate(dense):
+        for j, v in enumerate(row):
+            if v:
+                m[i][j] = v
+    return m
+
+
+def to_dense(m):
+    """Dense copy of a sparse matrix, after checking that it stores no
+    zero and no column outside the matrix."""
+    n = len(m)
+    for row in m:
+        assert all(v for v in row.values()), row
+        assert all(0 <= j < n for j in row), row
+    return [[row[j] for j in range(n)] for row in m]
+
+
+# small values, so that sums and products cancel often
+ENTRIES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def random_dense(rng, n, density):
+    return [[rng.choice(ENTRIES) if rng.random() < density else Fraction(0)
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_sparse_ops_match_dense_reference():
+    rng = random.Random(20261018)
+    for case in range(120):
+        n = rng.randint(1, 12)
+        da, db = (random_dense(rng, n, rng.choice([0.0, 0.1, 0.3, 1.0]))
+                  for _ in range(2))
+        if case % 5 == 0:
+            db = [[-v for v in row] for row in da]   # a + b cancels exactly
+        a, b = to_sparse(da), to_sparse(db)
+        assert to_dense(a) == da and to_dense(b) == db
+        assert to_dense(gt.mat_mul(a, b)) == dense_mul(da, db)
+        assert to_dense(gt.mat_add(a, b)) == [[x + y for x, y in zip(ra, rb)]
+                                              for ra, rb in zip(da, db)]
+        assert to_dense(gt.mat_sub(a, b)) == dense_sub(da, db)
+        assert to_dense(gt.mat_sub(a, a)) == [[0] * n for _ in range(n)]
+        c = rng.choice(ENTRIES)
+        assert to_dense(gt.mat_scale(c, a)) == [[c * x for x in row] for row in da]
+        assert to_dense(gt.mat_scale(0, a)) == [[0] * n for _ in range(n)]
+        comm = dense_sub(dense_mul(da, db), dense_mul(db, da))
+        assert to_dense(gt.mat_comm(a, b)) == comm
+        for m, dm in ((a, da), (gt.mat_comm(a, b), comm)):
+            assert gt.mat_is_zero(m) == all(not x for row in dm for x in row)
+            cols = rng.sample(range(n), rng.randint(0, n))
+            assert gt.columns_zero(m, cols) == all(not dm[r][c]
+                                                   for c in cols for r in range(n))
+        # inputs are left untouched
+        assert to_dense(a) == da and to_dense(b) == db
+
+
+def test_identity_and_zero_matrices():
+    for n in range(1, 5):
+        assert to_dense(gt.eye(n)) == [[Fraction(int(i == j)) for j in range(n)]
+                                       for i in range(n)]
+        assert gt.mat_is_zero(gt.zeros(n)) and not gt.mat_is_zero(gt.eye(n))
+
+
+def test_ladder_matrices_match_per_pattern_action():
+    """Every built ladder and diagonal matrix of the (2,1,0) module,
+    column by column, against the independent per-pattern action."""
+    mod = gt.build_module((2, 1, 0))
+    index = {p: i for i, p in enumerate(mod.basis)}
+    names = [f"X{k}{tag}" for k in (1, 2) for tag in "+-"] + ["X11", "X22", "X33"]
+    for name in names:
+        m = mod.matrices[name]
+        to_dense(m)
+        for j, p in enumerate(mod.basis):
+            column = {i: row[j] for i, row in enumerate(m) if j in row}
+            expected = {index[target]: c for c, target in gt.act_generator(name, p)
+                        if c}
+            assert column == expected, (name, p)
+
+
+def test_module_size_budget():
+    # dimension arithmetic only: nothing this large is ever built
+    assert gt.weyl_dim((4, 2, 1, 0)) <= gt.MAX_MODULE_DIM
+    assert gt.generic_dim(3, 2) <= gt.MAX_MODULE_DIM
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        gt.build_module((100, 0, 0, 0))
+    with pytest.raises(ValueError, match="module dimension 2001 exceeds"):
+        gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=1000)
+
+
+def test_generic_report_needs_rank_two():
+    m = gt.build_generic_module([(Fraction(1, 3),)], radius=2)
+    with pytest.raises(ValueError, match="n >= 2"):
+        gt.generic_module_report(m)
