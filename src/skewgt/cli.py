@@ -120,15 +120,47 @@ class _Parser:
 # Largest exponent `^N` accepted.  Powers are repeated skew products
 # whose coefficients grow with every factor (X2+^4 at n=3 already takes
 # seconds), so a larger exponent is refused before anything is computed.
+# An exponent applied to a bracketed group multiplies every exponent
+# inside it: (X11^8)^8 counts as ^64.
 MAX_POWER = 8
+
+# Largest --n accepted by compute, export and verify.  Generator names
+# address rows 1-9 only, and a context builds all n(n+1)/2 variables
+# before the expression is parsed.
+MAX_RANK = 9
+
+
+def _check_rank(n: Optional[int]) -> None:
+    if n is not None and n > MAX_RANK:
+        raise ValueError(f"--n {n} exceeds the rank budget of {MAX_RANK}")
+
+
+def _check_powers(tokens: List[str]) -> None:
+    """Refuse any power whose exponent, times the exponents of the groups
+    around it, exceeds MAX_POWER.  Scans right to left, so a group's own
+    exponent is read before its contents."""
+    scales = [1]
+    for pos in range(len(tokens) - 1, -1, -1):
+        tok, after = tokens[pos], tokens[pos + 1:pos + 3]
+        if tok == "^" and after and after[0].isdigit():
+            power = int(after[0]) * scales[-1]
+            if power > MAX_POWER:
+                nested = "" if scales[-1] == 1 else \
+                    f" (^{power} with its enclosing powers)"
+                raise ValueError(f"power ^{after[0]}{nested} exceeds the "
+                                 f"exponent budget of {MAX_POWER}")
+        elif tok in (")", "]"):
+            raised = len(after) == 2 and after[0] == "^" and after[1].isdigit()
+            # a group raised to ^0 still computes its contents once
+            scales.append(scales[-1] * max(int(after[1]) if raised else 1, 1))
+        elif tok in ("(", "[") and len(scales) > 1:
+            scales.pop()
 
 
 def compute_expression(text: str, n: int) -> SkewElement:
+    _check_rank(n)
     tokens = _tokenize(text)
-    for op, arg in zip(tokens, tokens[1:]):
-        if op == "^" and arg.isdigit() and int(arg) > MAX_POWER:
-            raise ValueError(f"power ^{arg} exceeds the exponent budget "
-                             f"of {MAX_POWER}")
+    _check_powers(tokens)
     ctx = gln.triangle(n)
     return _Parser(tokens, ctx).parse()
 
@@ -154,6 +186,7 @@ RANK3_SUITES = ("gl3", "invariants", "localized")
 
 
 def cmd_verify(args) -> int:
+    _check_rank(args.n)
     names = ["gl2", "gl3", "invariants", "localized"] if args.suite == "all" \
         else [args.suite]
     for name in names:

@@ -17,13 +17,19 @@ eigenvalue on a row is the product of the staircase-shifted differences
 lambda_ki - lambda_kj + j - i over i < j; its square always agrees with
 the evaluated square of the Vandermonde polynomial.
 
-Matrices are exact and sparse: a list of rows, each a dict from column
-to its nonzero `Fraction` entry.  A ladder matrix has at most k nonzeros
-per column, so products, sums and the relation reports cost time in
-proportion to the stored entries, not to dim^2.  No operation stores a
-zero, so a zero matrix is a list of empty rows.  The JSON export still
-writes every row in full.  Builders refuse modules whose dimension
+Both kinds of module come from one builder over a basis of patterns:
+the interlacing patterns under a top row, or a regular pattern moved by
+every shift in a window.  Builders refuse modules whose dimension
 exceeds `MAX_MODULE_DIM` before enumerating a basis.
+
+Matrices are exact and sparse: a `Matrix` is a list of rows, each a dict
+from column to its nonzero `Fraction` entry, with the operators `*`,
+`+`, `-` and `c * a` of skew elements, so the rank-3 report runs the
+same `relations.gl3_catalogue` as the gl3 suite.  A ladder matrix has at
+most k nonzeros per column, so products, sums and the relation reports
+cost time in proportion to the stored entries, not to dim^2.  No
+operation stores a zero, so a zero matrix is a list of empty rows.  The
+JSON export still writes every row in full.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -40,11 +46,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polys import VarId, vandermonde
-from .relations import ALPHA, IdentityResult, VerificationReport, verify_predicate
+from .relations import IdentityResult, VerificationReport, gl3_catalogue, verify_predicate
 from . import gln
 
 Pattern = Tuple[Tuple[Fraction, ...], ...]
-Matrix = List["Row"]
 
 # Largest module the builders accept.  The dimension is known from the
 # input alone (Weyl formula, window size), so a larger module is refused
@@ -185,11 +190,12 @@ class SignData:
         return all(s == 1 for row in self.rows.values() for s in row.values())
 
 
-def act_vandermonde(k: int, p: Pattern, signs: SignData) -> Fraction:
+def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
     """Diagonal Vandermonde eigenvalue on a pattern: the chosen sign for
-    the row filling times prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
+    the row filling (+1 without sign data) times
+    prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
     row = p[k - 1]
-    val = Fraction(signs.sign(k, row))
+    val = Fraction(1 if signs is None else signs.sign(k, row))
     for i in range(len(row)):
         for j in range(i + 1, len(row)):
             val *= row[i] - row[j] + (j - i)
@@ -257,8 +263,29 @@ class Row(dict):
         return Fraction(0)
 
 
+class Matrix(list):
+    """A list of `Row`s with `a * b`, `a + b`, `a - b` and `c * a`.  Each
+    operator calls the module-level `mat_*` function, looked up at call
+    time, so a wrapper installed on those names sees every call.  `+=`
+    is the list's own (it extends); write `a = a + b`."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return mat_mul(self, other)
+
+    def __rmul__(self, c):
+        return mat_scale(c, self)
+
+    def __add__(self, other):
+        return mat_add(self, other)
+
+    def __sub__(self, other):
+        return mat_sub(self, other)
+
+
 def zeros(n: int) -> Matrix:
-    return [Row() for _ in range(n)]
+    return Matrix(Row() for _ in range(n))
 
 
 def eye(n: int) -> Matrix:
@@ -266,11 +293,11 @@ def eye(n: int) -> Matrix:
 
 
 def diagonal(values: Sequence[Fraction]) -> Matrix:
-    return [Row({i: v}) if v else Row() for i, v in enumerate(values)]
+    return Matrix(Row({i: v}) if v else Row() for i, v in enumerate(values))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    out = []
+    out = Matrix()
     for ai in a:
         if len(ai) == 1:
             # most rows of a module matrix hold one entry; products of
@@ -294,7 +321,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _combine(a: Matrix, b: Matrix, negate: bool) -> Matrix:
-    out = []
+    out = Matrix()
     for ra, rb in zip(a, b):
         row = Row(ra)
         for j, x in rb.items():
@@ -322,7 +349,7 @@ def mat_scale(c, a: Matrix) -> Matrix:
     c = Fraction(c)
     if not c:
         return zeros(len(a))
-    return [Row({j: c * x for j, x in row.items()}) for row in a]
+    return Matrix(Row({j: c * x for j, x in row.items()}) for row in a)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -343,8 +370,6 @@ class ModuleRealization:
     top: Optional[Tuple[int, ...]] = None
     signs: Optional[SignData] = None
     interior: Optional[List[int]] = None
-    base_point: Optional[Dict[VarId, Fraction]] = None
-    radius: Optional[int] = None
 
     @property
     def dim(self) -> int:
@@ -379,18 +404,15 @@ def _dense_strings(row: Row, dim: int) -> List[str]:
     return cells
 
 
-def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> ModuleRealization:
-    """Finite-dimensional module on the interlacing patterns below `top`."""
-    top = _check_dominant(top)
-    check_module_dim(weyl_dim(top))
-    n = len(top)
-    if signs is None:
-        signs = SignData.all_plus(top)
-    basis = enumerate_patterns(top)
-    index = {p: i for i, p in enumerate(basis)}
-    dim = len(basis)
+def _realize(n: int, basis: List[Pattern],
+             signs: Optional[SignData]) -> Dict[str, Matrix]:
+    """Exact matrices of every generator on a basis of patterns.  Each
+    ladder summand A_ki moves entry (k, i) by one, with its coefficient
+    evaluated at the source's staircase point; targets outside the basis
+    are dropped."""
+    index = {p: j for j, p in enumerate(basis)}
+    points = [pattern_point(p) for p in basis]
     matrices: Dict[str, Matrix] = {}
-
     for k in range(1, n + 1):
         matrices[f"X{k}{k}"] = diagonal([_xkk_value(k, p) for p in basis])
     for k in range(2, n + 1):
@@ -400,22 +422,32 @@ def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> Module
     ctx = gln.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
-            total = zeros(dim)
+            total = zeros(len(basis))
             for i in range(1, k + 1):
-                single = zeros(dim)
+                single = zeros(len(basis))
                 coeff_fn = gln.a_coeff(ctx, k, i, sign)
                 for j, p in enumerate(basis):
-                    target = _moved(p, k, i, sign)
-                    ti = index.get(target)
+                    ti = index.get(_moved(p, k, i, sign))
                     if ti is None:
                         continue
-                    c = coeff_fn.evaluate(pattern_point(p))
+                    c = coeff_fn.evaluate(points[j])
                     if c:
                         single[ti][j] = c
                 matrices[f"A{k}{i}{tag}"] = single
-                total = mat_add(total, single)
+                total = total + single
             matrices[f"X{k}{tag}"] = total
-    return ModuleRealization(n=n, basis=basis, matrices=matrices,
+    return matrices
+
+
+def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> ModuleRealization:
+    """Finite-dimensional module on the interlacing patterns below `top`."""
+    top = _check_dominant(top)
+    check_module_dim(weyl_dim(top))
+    n = len(top)
+    if signs is None:
+        signs = SignData.all_plus(top)
+    basis = enumerate_patterns(top)
+    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, signs),
                              top=top, signs=signs)
 
 
@@ -493,36 +525,8 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     rep.results.extend(_vandermonde_consistency(mod))
 
     if n == 3 and mod.signs is not None and mod.signs.is_all_plus:
-        cartan = ["X11", "X22", "X33", "V2", "V3"]
-        for (k, i), row in ALPHA.items():
-            for sign, tag in ((1, "+"), (-1, "-")):
-                A = M[f"A{k}{i}{tag}"]
-                for h in cartan:
-                    chk(f"weight:{h}:A{k}{i}{tag}",
-                        f"[{h}, A{k}{i}{tag}] = {sign * row[h]} A{k}{i}{tag}",
-                        mat_sub(mat_comm(M[h], A), mat_scale(sign * row[h], A)))
-        for sign, tag in ((1, "+"), (-1, "-")):
-            other = "-" if tag == "+" else "+"
-            chk(f"opposite:A21{tag}:A22{other}", "opposite-sign summands commute",
-                mat_comm(M[f"A21{tag}"], M[f"A22{other}"]))
-            for i in (1, 2):
-                chk(f"opposite:A11{tag}:A2{i}{other}", "opposite-sign summands commute",
-                    mat_comm(M[f"A11{tag}"], M[f"A2{i}{other}"]))
-                A1 = M[f"A11{tag}"]
-                chk(f"serre:A11{tag}:A2{i}{tag}",
-                    f"[A11{tag}, [A11{tag}, A2{i}{tag}]] = 0",
-                    mat_comm(A1, mat_comm(A1, M[f"A2{i}{tag}"])))
-            chk(f"braid:V2:{tag}",
-                f"A22{tag} V2 A21{tag} = A21{tag} V2 A22{tag}",
-                mat_sub(mat_mul(mat_mul(M[f"A22{tag}"], M["V2"]), M[f"A21{tag}"]),
-                        mat_mul(mat_mul(M[f"A21{tag}"], M["V2"]), M[f"A22{tag}"])))
-        chk("ladder:A11", "[A11+, A11-] = X11 - X22",
-            mat_sub(mat_comm(M["A11+"], M["A11-"]),
-                    mat_sub(M["X11"], M["X22"])))
-        chk("ladder:row2", "[A21+, A21-] + [A22+, A22-] = X22 - X33",
-            mat_sub(mat_add(mat_comm(M["A21+"], M["A21-"]),
-                            mat_comm(M["A22+"], M["A22-"])),
-                    mat_sub(M["X22"], M["X33"])))
+        for _, key, anchor, lhs, rhs in gl3_catalogue(M, zeros(dim)):
+            chk(key, anchor, lhs - rhs)
     return rep
 
 
@@ -564,59 +568,19 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
     if not is_regular_point(rows, n):
         raise ValueError("point is not regular: some staircase row "
                          "difference is an integer")
-    ctx = gln.triangle(n)
-    base = pattern_point(p)
-    rank = ctx.shift_rank
-    offsets = sorted(itertools.product(range(-radius, radius + 1), repeat=rank))
-    index = {w: i for i, w in enumerate(offsets)}
-    dim = len(offsets)
-
-    def point_at(w) -> Dict[VarId, Fraction]:
-        out = dict(base)
-        for pos, m in enumerate(w):
-            if m:
-                v = ctx.shift_vars[pos]
-                out[v] = out[v] + m
-        return out
-
-    matrices: Dict[str, Matrix] = {}
-    for k in range(1, n + 1):
-        poly = gln.gen_Xkk(ctx, k).identity_coefficient()
-        matrices[f"X{k}{k}"] = diagonal([poly.evaluate(point_at(w))
-                                         for w in offsets])
-    for k in range(2, n + 1):
-        vk = vandermonde(ctx, k)
-        matrices[f"V{k}"] = diagonal([vk.evaluate(point_at(w))
-                                      for w in offsets])
-    for k in range(1, n):
-        for sign, tag in ((1, "+"), (-1, "-")):
-            total = zeros(dim)
-            for i in range(1, k + 1):
-                single = zeros(dim)
-                coeff_fn = gln.a_coeff(ctx, k, i, sign)
-                pos = ctx.shift_pos((k, i))
-                for j, w in enumerate(offsets):
-                    target = list(w)
-                    target[pos] += sign
-                    ti = index.get(tuple(target))
-                    if ti is None:
-                        continue
-                    c = coeff_fn.evaluate(point_at(w))
-                    if c:
-                        single[ti][j] = c
-                matrices[f"A{k}{i}{tag}"] = single
-                total = mat_add(total, single)
-            matrices[f"X{k}{tag}"] = total
-
-    interior = [i for i, w in enumerate(offsets)
-                if all(abs(m) <= radius - 1 for m in w)] if radius >= 1 else []
+    shift_vars = gln.triangle(n).shift_vars
+    offsets = sorted(itertools.product(range(-radius, radius + 1),
+                                       repeat=len(shift_vars)))
     basis = []
     for w in offsets:
-        moved = point_at(w)
-        basis.append(tuple(tuple(moved[(k, i)] + i - 1 for i in range(1, k + 1))
-                           for k in range(1, n + 1)))
-    return ModuleRealization(n=n, basis=basis, matrices=matrices,
-                             interior=interior, base_point=base, radius=radius)
+        q = p
+        for (k, i), m in zip(shift_vars, w):
+            q = _moved(q, k, i, m)
+        basis.append(q)
+    interior = [i for i, w in enumerate(offsets)
+                if all(abs(m) <= radius - 1 for m in w)] if radius >= 1 else []
+    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, None),
+                             interior=interior)
 
 
 def columns_zero(m: Matrix, cols: Sequence[int]) -> bool:
@@ -663,7 +627,7 @@ def example_nonsemisimple(alpha) -> ModuleRealization:
     matrices = {
         "X1+": zeros(2), "X1-": zeros(2),
         "X11": zeros(2), "X22": zeros(2),
-        "V2": [Row({0: Fraction(1), 1: alpha}), Row({1: Fraction(-1)})],
+        "V2": Matrix([Row({0: Fraction(1), 1: alpha}), Row({1: Fraction(-1)})]),
     }
     return ModuleRealization(n=2, basis=[trivial, trivial], matrices=matrices,
                              top=(0, 0))

@@ -128,10 +128,6 @@ class RatFunc:
     def const(ctx: Context, value) -> "RatFunc":
         return RatFunc(Poly.const(ctx, value))
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
     # -- structure ----------------------------------------------------
 
     @property

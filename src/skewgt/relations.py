@@ -4,6 +4,11 @@ Each identity is an exact equality of skew-ring elements; a check
 either passes or fails with the nonzero difference attached as a
 witness.  Suites are pure functions and their reports are rendered in a
 fixed order, so output is reproducible byte for byte.
+
+The rank-3 relation families iii-ix are written once, in
+`gl3_catalogue`, over any elements with `*`, `+`, `-` and scalar
+multiples: `suite_gl3` runs them on skew elements and
+`gtmodules.module_relation_report` on the matrices of a module.
 """
 
 from __future__ import annotations
@@ -148,8 +153,9 @@ def suite_gl2(n: int = 2) -> VerificationReport:
 # ----------------------------------------------------------------------
 # rank 3
 
-# weight of A_ij under the commutative elements, as displayed column order
-# (X11, X22, X33, V2, V3)
+# the commutative elements, in display order, and the weight of A_ij
+# under each of them
+CARTAN = ("X11", "X22", "X33", "V2", "V3")
 ALPHA = {
     (1, 1): {"X11": 1, "X22": -1, "X33": 0, "V2": 0, "V3": 0},
     (2, 1): {"X11": 0, "X22": 1, "X33": -1, "V2": 1, "V3": 0},
@@ -171,6 +177,51 @@ def _gl3_elements(ctx: Context):
     return elems
 
 
+def gl3_catalogue(E, zero):
+    """Families iii-ix of the rank-3 catalogue over a name -> element
+    map, as `(family, key, anchor, lhs, rhs)`; the entries use only
+    `a * b`, `a + b`, `a - b` and `c * a`."""
+    signs = ((+1, "+"), (-1, "-"))
+    for (k, i), row in ALPHA.items():
+        for sign, tag in signs:
+            A = E[f"A{k}{i}{tag}"]
+            for h in CARTAN:
+                yield ("iii", f"weight:{h}:A{k}{i}{tag}",
+                       f"[{h}, A{k}{i}{tag}] = {sign * row[h]} A{k}{i}{tag}",
+                       commutator(E[h], A), Fraction(sign * row[h]) * A)
+
+    for sign, tag in signs:
+        other = "-" if tag == "+" else "+"
+        yield ("iv", f"opposite:A21{tag}:A22{other}",
+               f"A21{tag} commutes with A22{other}",
+               commutator(E[f"A21{tag}"], E[f"A22{other}"]), zero)
+    for i in (1, 2):
+        for sign, tag in signs:
+            other = "-" if tag == "+" else "+"
+            yield ("v", f"opposite:A11{tag}:A2{i}{other}",
+                   f"A11{tag} commutes with A2{i}{other}",
+                   commutator(E[f"A11{tag}"], E[f"A2{i}{other}"]), zero)
+
+    yield ("vi", "ladder:A11", "[A11+, A11-] = X11 - X22",
+           commutator(E["A11+"], E["A11-"]), E["X11"] - E["X22"])
+    yield ("vii", "ladder:row2", "[A21+, A21-] + [A22+, A22-] = X22 - X33",
+           commutator(E["A21+"], E["A21-"]) + commutator(E["A22+"], E["A22-"]),
+           E["X22"] - E["X33"])
+
+    for i in (1, 2):
+        for sign, tag in signs:
+            A1 = E[f"A11{tag}"]
+            yield ("viii", f"serre:A11{tag}:A2{i}{tag}",
+                   f"[A11{tag}, [A11{tag}, A2{i}{tag}]] = 0",
+                   commutator(A1, commutator(A1, E[f"A2{i}{tag}"])), zero)
+
+    for sign, tag in signs:
+        yield ("ix", f"braid:V2:{tag}",
+               f"A22{tag} V2 A21{tag} = A21{tag} V2 A22{tag}",
+               E[f"A22{tag}"] * E["V2"] * E[f"A21{tag}"],
+               E[f"A21{tag}"] * E["V2"] * E[f"A22{tag}"])
+
+
 def suite_gl3() -> VerificationReport:
     """The rank-3 catalogue: all nine relation families among the
     single-shift generators, both signs and all indices, plus the
@@ -179,8 +230,6 @@ def suite_gl3() -> VerificationReport:
     rep = VerificationReport("gl3")
     zero = SkewElement.zero(ctx)
     E = _gl3_elements(ctx)
-    cartan = ["X11", "X22", "X33", "V2", "V3"]
-    signs = ((+1, "+"), (-1, "-"))
 
     gen_order = ["X11", "X22", "X33", "A11+", "A11-", "A21+", "A21-",
                  "A22+", "A22-", "V2", "V3"]
@@ -189,59 +238,16 @@ def suite_gl3() -> VerificationReport:
             f"i:central:V3:{name}", f"V3 commutes with {name}",
             commutator(E["V3"], E[name]), zero))
 
-    for aidx, a in enumerate(cartan):
-        for b in cartan[aidx + 1:]:
+    for aidx, a in enumerate(CARTAN):
+        for b in CARTAN[aidx + 1:]:
             rep.add(verify_identity(
                 f"ii:cartan:{a}:{b}", f"{a} and {b} commute",
                 commutator(E[a], E[b]), zero))
 
-    for (k, i), row in ALPHA.items():
-        for sign, tag in signs:
-            A = E[f"A{k}{i}{tag}"]
-            for h in cartan:
-                rep.add(verify_identity(
-                    f"iii:weight:{h}:A{k}{i}{tag}",
-                    f"[{h}, A{k}{i}{tag}] = {sign * row[h]} A{k}{i}{tag}",
-                    commutator(E[h], A), Fraction(sign * row[h]) * A))
+    for family, key, anchor, lhs, rhs in gl3_catalogue(E, zero):
+        rep.add(verify_identity(f"{family}:{key}", anchor, lhs, rhs))
 
-    for sign, tag in signs:
-        other = "-" if tag == "+" else "+"
-        rep.add(verify_identity(
-            f"iv:opposite:A21{tag}:A22{other}",
-            f"A21{tag} commutes with A22{other}",
-            commutator(E[f"A21{tag}"], E[f"A22{other}"]), zero))
-    for i in (1, 2):
-        for sign, tag in signs:
-            other = "-" if tag == "+" else "+"
-            rep.add(verify_identity(
-                f"v:opposite:A11{tag}:A2{i}{other}",
-                f"A11{tag} commutes with A2{i}{other}",
-                commutator(E[f"A11{tag}"], E[f"A2{i}{other}"]), zero))
-
-    rep.add(verify_identity(
-        "vi:ladder:A11", "[A11+, A11-] = X11 - X22",
-        commutator(E["A11+"], E["A11-"]), E["X11"] - E["X22"]))
-    rep.add(verify_identity(
-        "vii:ladder:row2", "[A21+, A21-] + [A22+, A22-] = X22 - X33",
-        commutator(E["A21+"], E["A21-"]) + commutator(E["A22+"], E["A22-"]),
-        E["X22"] - E["X33"]))
-
-    for i in (1, 2):
-        for sign, tag in signs:
-            A1 = E[f"A11{tag}"]
-            rep.add(verify_identity(
-                f"viii:serre:A11{tag}:A2{i}{tag}",
-                f"[A11{tag}, [A11{tag}, A2{i}{tag}]] = 0",
-                commutator(A1, commutator(A1, E[f"A2{i}{tag}"])), zero))
-
-    for sign, tag in signs:
-        rep.add(verify_identity(
-            f"ix:braid:V2:{tag}",
-            f"A22{tag} V2 A21{tag} = A21{tag} V2 A22{tag}",
-            E[f"A22{tag}"] * E["V2"] * E[f"A21{tag}"],
-            E[f"A21{tag}"] * E["V2"] * E[f"A22{tag}"]))
-
-    for sign, tag in signs:
+    for sign, tag in ((+1, "+"), (-1, "-")):
         X2 = gln.gen_X(ctx, 2, sign)
         rep.add(verify_identity(
             f"ladder-defect:X2{tag}",

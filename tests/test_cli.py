@@ -120,8 +120,8 @@ def test_gt_generic_rank_one_check(capsys):
     assert code == 0 and "dimension: 1" in out
 
 
-def test_size_budgets(capsys):
-    # refused from the dimension or exponent alone, before any work
+def test_size_budgets(capsys, monkeypatch):
+    # refused from the dimension, exponent or rank alone, before any work
     code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "1000"])
     assert code == 2 and out == ""
     assert "module dimension 2001 exceeds the budget" in err
@@ -133,6 +133,24 @@ def test_size_budgets(capsys):
     assert f"power ^100000 exceeds the exponent budget of {cli.MAX_POWER}" in err
     code, out, _ = run(capsys, ["compute", "--expr", f"X11^{cli.MAX_POWER}", "--n", "2"])
     assert code == 0
+    # an exponent on a group multiplies every exponent inside it
+    for expr, power in (("(X11^8)^8", 64), ("((X11^2)^2)^4", 16)):
+        code, out, err = run(capsys, ["compute", "--expr", expr, "--n", "2"])
+        assert code == 2 and out == ""
+        assert f"(^{power} with its enclosing powers) exceeds the exponent budget" in err
+    for expr in ("(X11^2)^4", "X11^8*X11^8"):
+        code, out, _ = run(capsys, ["compute", "--expr", expr, "--n", "2"])
+        assert code == 0 and out
+    # a rank over the budget never reaches a context
+    def no_context(n):
+        raise AssertionError(f"context of rank {n} built")
+    monkeypatch.setattr(gln, "triangle", no_context)
+    for n in ("10", "100000"):
+        for argv in (["compute", "--expr", "X11"], ["export", "--expr", "X11"],
+                     ["verify", "--suite", "gl2"]):
+            code, out, err = run(capsys, argv + ["--n", n])
+            assert code == 2 and out == ""
+            assert f"--n {n} exceeds the rank budget of {cli.MAX_RANK}" in err
 
 
 def test_gt_generic(capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to the end."""
+"""Smoke test: every narrative demo runs to the end and prints no failing
+check."""
 
 import os
 import subprocess
@@ -21,3 +22,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert "[fail]" not in proc.stdout

@@ -6,6 +6,8 @@ import pytest
 
 from skewgt import gln, gtmodules as gt
 from skewgt.polys import vandermonde
+from skewgt.relations import gl3_catalogue, suite_gl3
+from skewgt.skew import commutator
 
 
 def brute_force_patterns(top):
@@ -146,6 +148,25 @@ def test_module_relation_reports_across_tops():
         assert rep.ok, (top, [r.key for r in rep.failures])
 
 
+def test_rank3_module_report_runs_the_gl3_catalogue():
+    """The all-plus (2,1,0) report adds exactly the catalogue entries, in
+    catalogue order, to the checks every sign choice gets; the gl3 suite
+    checks the same entries under their family prefixes."""
+    mod = gt.build_module((2, 1, 0))
+    entries = [(family, key) for family, key, *_ in
+               gl3_catalogue(mod.matrices, gt.zeros(mod.dim))]
+    assert len(entries) == 44
+    mixed = gt.SignData.from_vectors((2, 1, 0), {2: [1, -1, -1, 1]})
+    common = {r.key for r in gt.module_relation_report(
+        gt.build_module((2, 1, 0), mixed)).results}
+    report = gt.module_relation_report(mod)
+    assert report.ok
+    assert [r.key for r in report.results if r.key not in common] == \
+        [key for _, key in entries]
+    suite = {r.key: r.ok for r in suite_gl3().results}
+    assert all(suite[f"{family}:{key}"] for family, key in entries)
+
+
 def test_module_report_mixed_signs():
     signs = gt.SignData.from_vectors((2, 1, 0), {2: [1, -1, -1, 1]})
     rep = gt.module_relation_report(gt.build_module((2, 1, 0), signs))
@@ -180,6 +201,23 @@ def test_generic_module_gl3_v2_moves():
     m = gt.build_generic_module(point, radius=1)
     assert gt.generic_module_report(m).ok
     assert len(set(m.spectrum("V2"))) > 1
+
+
+def test_generic_diagonals_match_polynomial_evaluation():
+    """The generic builder reads its diagonals off the moved patterns;
+    they must equal the diagonal generators and Vandermondes evaluated
+    as polynomials at each staircase point."""
+    point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
+    m = gt.build_generic_module(point, radius=1)
+    ctx = gln.triangle(3)
+    for k in range(1, 4):
+        poly = gln.gen_Xkk(ctx, k).identity_coefficient()
+        assert m.spectrum(f"X{k}{k}") == [poly.evaluate(gt.pattern_point(p))
+                                          for p in m.basis]
+    for k in (2, 3):
+        vk = vandermonde(ctx, k)
+        assert m.spectrum(f"V{k}") == [vk.evaluate(gt.pattern_point(p))
+                                       for p in m.basis]
 
 
 def test_generic_module_radius_zero():
@@ -278,9 +316,16 @@ def test_sparse_ops_match_dense_reference():
         assert to_dense(gt.mat_sub(a, a)) == [[0] * n for _ in range(n)]
         c = rng.choice(ENTRIES)
         assert to_dense(gt.mat_scale(c, a)) == [[c * x for x in row] for row in da]
+        # the operators are the same ops
+        assert to_dense(a * b) == dense_mul(da, db)
+        assert to_dense(a + b) == [[x + y for x, y in zip(ra, rb)]
+                                   for ra, rb in zip(da, db)]
+        assert to_dense(a - b) == dense_sub(da, db)
+        assert to_dense(c * a) == [[c * x for x in row] for row in da]
         assert to_dense(gt.mat_scale(0, a)) == [[0] * n for _ in range(n)]
         comm = dense_sub(dense_mul(da, db), dense_mul(db, da))
         assert to_dense(gt.mat_comm(a, b)) == comm
+        assert to_dense(commutator(a, b)) == comm
         for m, dm in ((a, da), (gt.mat_comm(a, b), comm)):
             assert gt.mat_is_zero(m) == all(not x for row in dm for x in row)
             cols = rng.sample(range(n), rng.randint(0, n))
