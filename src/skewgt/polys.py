@@ -3,14 +3,21 @@
 Polynomials live in a small fixed variable universe described by a
 :class:`Context`.  Two universes are used: the triangular family
 ``x_{ki}`` (one variable per index pair ``1 <= i <= k <= n``) and a
-single variable ``x`` for rank-one shift algebras.  Every coefficient
-is a :class:`fractions.Fraction`; there is no floating point anywhere.
+single variable ``x`` for rank-one shift algebras.  Coefficients are
+exact rationals: every stored coefficient is an ``int`` when it is
+integral and a :class:`fractions.Fraction` with denominator > 1
+otherwise.  There is no floating point anywhere.
 
 Representation: ``terms`` maps a dense exponent tuple (one slot per
 context variable, row-major order) to a nonzero coefficient.  The zero
 polynomial is the empty map.  Graded lexicographic order with row-major
 variable precedence fixes a unique printed form (and the sign of the
 primitive part) for every polynomial; division does not depend on it.
+
+Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
+``str``, storing ints shows in no printed form; it only spares integer
+arithmetic the cost of Fraction.  Never divide two coefficients with
+``/`` unless one of them is a Fraction: ``int / int`` is a float.
 
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
@@ -22,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from operator import add
+from typing import Mapping, Optional, Tuple, Union
 
 VarId = Tuple[int, int]
 
@@ -110,6 +118,16 @@ def _add_into(dst: dict, src: dict) -> dict:
     return dst
 
 
+def _coeff(x):
+    """Normalize an exact rational: an int when integral, else a Fraction.
+    Anything else, a float included, raises TypeError."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -125,10 +143,14 @@ class Poly:
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         self.ctx = ctx
+        nvars = len(ctx.vars)
         clean = {}
         for exps, coeff in terms.items():
+            if len(exps) != nvars:
+                raise ValueError(f"exponent tuple {exps!r} has {len(exps)} slots; "
+                                 f"the context has {nvars} variables")
             if coeff:
-                clean[exps] = _as_fraction(coeff)
+                clean[exps] = coeff if type(coeff) is int else _coeff(coeff)
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -139,7 +161,7 @@ class Poly:
 
     @staticmethod
     def const(ctx: Context, value) -> "Poly":
-        value = _as_fraction(value)
+        value = _coeff(value)
         if value == 0:
             return Poly.zero(ctx)
         return Poly(ctx, {(0,) * len(ctx.vars): value})
@@ -152,7 +174,7 @@ class Poly:
     def var(ctx: Context, v: VarId) -> "Poly":
         exps = [0] * len(ctx.vars)
         exps[ctx.var_pos(v)] = 1
-        return Poly(ctx, {tuple(exps): Fraction(1)})
+        return Poly(ctx, {tuple(exps): 1})
 
     # -- structure ---------------------------------------------------
 
@@ -166,36 +188,33 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> Tuple[Tuple[int, ...], Fraction]:
+    def leading(self) -> Tuple[Tuple[int, ...], Union[int, Fraction]]:
+        """The grlex-largest term as (exponents, coefficient); the
+        coefficient is an int or a Fraction."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ctx.vars), Fraction(0))
+    def constant_term(self) -> Union[int, Fraction]:
+        """The coefficient of the empty monomial, an int or a Fraction."""
+        return self.terms.get((0,) * len(self.ctx.vars), 0)
 
     def content_primitive(self) -> Tuple[Fraction, "Poly"]:
         """Split into content * primitive part.
 
-        The primitive part has coprime integer coefficients and a
-        positive leading coefficient, so it is a canonical representative
-        of the polynomial up to rational scaling.
+        The primitive part has coprime int coefficients and a positive
+        leading coefficient, so it is a canonical representative of the
+        polynomial up to rational scaling.  The content is a Fraction.
         """
         if not self.terms:
             return Fraction(0), self
-        denom_lcm = 1
-        for c in self.terms.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        numer_gcd = 0
-        for c in self.terms.values():
-            numer_gcd = math.gcd(numer_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        content = Fraction(numer_gcd, denom_lcm)
+        lcm = math.lcm(*[c.denominator for c in self.terms.values()])
+        scaled = {e: c.numerator * (lcm // c.denominator) for e, c in self.terms.items()}
+        g = math.gcd(*scaled.values())
         if self.leading()[1] < 0:
-            content = -content
-        inv = 1 / content
-        prim = Poly(self.ctx, {e: c * inv for e, c in self.terms.items()})
-        return content, prim
+            g = -g
+        return Fraction(g, lcm), Poly(self.ctx, {e: v // g for e, v in scaled.items()})
 
     # -- arithmetic --------------------------------------------------
 
@@ -217,7 +236,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -240,7 +259,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
+            q = _coeff(other)
             if q == 0:
                 return Poly.zero(self.ctx)
             return Poly(self.ctx, {e: c * q for e, c in self.terms.items()})
@@ -250,8 +269,8 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -297,13 +316,13 @@ class Poly:
         for exps, coeff in self.terms.items():
             e = exps[pos]
             if e == 0:
-                out[exps] = out.get(exps, Fraction(0)) + coeff
+                out[exps] = out.get(exps, 0) + coeff
                 continue
             # (x - s)^e expanded exactly
             for j in range(e + 1):
-                c = coeff * math.comb(e, j) * Fraction(-s) ** (e - j)
+                c = coeff * math.comb(e, j) * (-s) ** (e - j)
                 key = exps[:pos] + (j,) + exps[pos + 1:]
-                t = out.get(key, Fraction(0)) + c
+                t = out.get(key, 0) + c
                 if t:
                     out[key] = t
                 else:
@@ -353,7 +372,7 @@ class Poly:
         pb = ctx.var_pos(b) if b is not None else None
         if pb is not None and pb <= pa:
             raise ValueError("divisor not in canonical orientation")
-        neg_c = -_as_fraction(c)
+        neg_c = -_coeff(c)
         # rows[k] = p_k, keyed by exponent tuples with the x_a slot zeroed
         rows: dict = {}
         for exps, coeff in self.terms.items():

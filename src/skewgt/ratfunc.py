@@ -7,9 +7,10 @@ reduction never needs a general multivariate gcd: cancelling a factor is
 one exact linear division.
 
 A :class:`RatFunc` is stored fully reduced as ``scale * num / prod(den)``
-with ``num`` primitive (coprime integer coefficients, positive leading
-coefficient) and ``den`` a sorted multiset of canonical factors, which
-makes structural equality coincide with mathematical equality.
+with ``num`` primitive (coprime coefficients, each stored as an ``int``,
+positive leading coefficient), ``scale`` a ``Fraction`` and ``den`` a
+sorted multiset of canonical factors, which makes structural equality
+coincide with mathematical equality.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from skewgt import cli, gln, gtmodules
 from skewgt.skew import commutator
@@ -200,3 +203,24 @@ def test_unwritable_json_path(capsys, tmp_path):
         code, _, err = run(capsys, argv + ["--json", path])
         assert code == 2
         assert f"cannot write --json file {path!r}" in err
+
+
+# sha256 of stdout, recorded while every polynomial coefficient was still
+# stored as a Fraction: the int/Fraction storage rule must not change a
+# printed form or a JSON body by one byte.
+PRINTED_FORM_DIGESTS = [
+    (["verify", "--suite", "gl3", "--json", "-"],
+     "d259f6ef4f94b7e7981deeffd4a72c28a97e44cd892b7da055430b0abc8ab8a8"),
+    (["compute", "--expr", "c32", "--json", "-"],
+     "06baf516ed1e2d048aa70795c27459056c497acfdac7ab54644503dfa77522d8"),
+    (["toy", "--f", "3x^3+x+5", "--target", "1/(x-2)"],
+     "ad1315232c7a4bc138702a34f542033f67c069b5f36963c1e5fdd0b048e05912"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PRINTED_FORM_DIGESTS,
+                         ids=[argv[0] for argv, _ in PRINTED_FORM_DIGESTS])
+def test_printed_forms_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -292,3 +292,84 @@ def test_evaluate(ctx2):
 def test_str_deterministic(ctx2):
     p = x(ctx2, 2, 2) - 2 * x(ctx2, 1, 1) ** 2 + Fraction(1, 2)
     assert str(p) == "-2*x11^2 + x22 + 1/2"
+
+
+# -- coefficient storage ----------------------------------------------
+#
+# A stored coefficient is an int when integral and a Fraction with
+# denominator > 1 otherwise; never 0, never Fraction(k, 1), never a float.
+
+def assert_normalized(p):
+    for v in p.terms.values():
+        assert v != 0
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+
+
+scalars = st.one_of(st.integers(-5, 5),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def row_permutations(draw, ctx):
+    mapping = {}
+    for row in ctx.rows.values():
+        images = draw(st.permutations(row))
+        mapping.update(zip(row, images))
+    return mapping
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_operations_store_normalized_coefficients(data):
+    ctx = CONTEXTS[3]
+    p = data.draw(sparse_polys(ctx))
+    q = data.draw(sparse_polys(ctx))
+    k = data.draw(scalars)
+    a, b, c = data.draw(factors(ctx, data.draw(st.booleans()), data.draw(st.booleans())))
+    shift = {v: data.draw(st.integers(-2, 2)) for v in ctx.shift_vars}
+    exact = p * factor_poly(ctx, a, b, c)
+    results = [p, p + q, p - q, p * q, p * k, k * p, p + k, p - k,
+               p.subs_shift(shift), p.permute(data.draw(row_permutations(ctx))),
+               *p.divmod_linear(a, b, c), *exact.divmod_linear(a, b, c),
+               p.content_primitive()[1]]
+    for r in results:
+        assert_normalized(r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=sparse_polys(CONTEXTS[3]))
+def test_primitive_part_has_int_coefficients(p):
+    content, prim = p.content_primitive()
+    assert type(content) is Fraction
+    assert all(type(v) is int for v in prim.terms.values())
+    assert content * prim == p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(-9, 9), exps=st.tuples(*[st.integers(0, 3)] * 3))
+def test_integral_fraction_and_int_build_the_same_poly(k, exps):
+    ctx = CONTEXTS[2]
+    p = Poly(ctx, {exps: Fraction(k), (0, 0, 0): Fraction(2 * k, 2)})
+    q = Poly(ctx, {exps: k, (0, 0, 0): k})
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    assert p.terms == q.terms
+    assert_normalized(p)
+    p, q = Poly.const(ctx, Fraction(k)), Poly.const(ctx, k)
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+
+
+def test_float_coefficients_are_refused(ctx2):
+    with pytest.raises(TypeError):
+        Poly.const(ctx2, 0.5)
+    with pytest.raises(TypeError):
+        Poly(ctx2, {(1, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        x(ctx2, 1, 1) * 0.5
+
+
+def test_exponent_tuple_length_is_checked(ctx2):
+    with pytest.raises(ValueError, match="has 2 slots; the context has 3 variables"):
+        Poly(ctx2, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(ctx2, {(0, 0, 0): 1, (0, 0, 0, 1): 2})
+    assert Poly(ctx2, {(0, 1, 0): 1}) == x(ctx2, 2, 1)

@@ -113,3 +113,51 @@ def test_json_roundtrip(ctx3):
     for _ in range(20):
         r = rand_ratfunc(rng, ctx3)
         assert RatFunc.from_json(ctx3, r.to_json()) == r
+
+
+# -- differential oracle against sympy ----------------------------------
+
+def _sympy_ratfunc_cases(seed, count):
+    """RatFunc +, * and shifted at n=3 against sympy's rational functions.
+
+    Each result must agree with sympy in value (the numerator of the
+    combined difference expands to 0) and be stored in normal form: int
+    numerator coefficients, a Fraction scale."""
+    sympy = pytest.importorskip("sympy")
+    ctx = Context.triangle(3)
+    syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
+
+    def rational(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    def to_sympy(r):
+        num = sum((rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
+                   for e, c in r.num.terms.items()), sympy.Integer(0))
+        den = sympy.Mul(*[syms[f.a] - (syms[f.b] if f.b is not None else 0) + rational(f.c)
+                          for f in r.den])
+        return rational(r.scale) * num / den
+
+    def agrees(expr, r):
+        assert all(type(c) is int for c in r.num.terms.values())
+        assert type(r.scale) is Fraction
+        num, _ = sympy.fraction(sympy.together(expr - to_sympy(r)))
+        return sympy.expand(num) == 0
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
+        shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert agrees(sa + sb, a + b)
+        assert agrees(sa * sb, a * b)
+        moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
+        assert agrees(moved, a.shifted(shift))
+
+
+def test_ratfunc_matches_sympy():
+    _sympy_ratfunc_cases(seed=43, count=40)
+
+
+@pytest.mark.slow
+def test_ratfunc_matches_sympy_long():
+    _sympy_ratfunc_cases(seed=47, count=1000)
