@@ -168,8 +168,38 @@ def compute_expression(text: str, n: int) -> SkewElement:
 # ----------------------------------------------------------------------
 # subcommands
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    ``json.dumps`` with an indent falls back to the pure-Python encoder;
+    this renderer keeps the same layout but encodes a list of strings
+    (the bulk of a module payload) in one join of the C string encoder.
+    Dict keys must be strings; every other scalar goes to ``json.dumps``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(_encode_str(k) + ": " + _render_json(v, inner)
+                                    for k, v in sorted(value.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is str for v in value):
+            items = map(_encode_str, value)
+        else:
+            items = (_render_json(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _write_json(path: Optional[str], payload: dict):
-    body = json.dumps(payload, indent=2, sort_keys=True)
+    body = _render_json(payload)
     if path in (None, "-"):
         print(body)
     else:

@@ -11,10 +11,28 @@ with ``num`` primitive (coprime coefficients, each stored as an ``int``,
 positive leading coefficient), ``scale`` a ``Fraction`` and ``den`` a
 sorted multiset of canonical factors, which makes structural equality
 coincide with mathematical equality.
+
+Canonical factors are monic of degree one in ``x_a``, so two distinct
+ones are non-associate primes.  Hence a reduced operand already proves
+most factors cannot cancel, and each operation tries only the rest
+(Henrici's rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP
+vol. 2, 4.5.1):
+
+* ``*`` tries the factors of each denominator against the other
+  operand's numerator only;
+* ``+`` tries only the factors with equal multiplicity in both
+  denominators;
+* ``shifted`` and ``permuted`` are ring automorphisms over the integers
+  and try none.
+
+:class:`RatFunc` itself runs the full reduction, every factor against
+the numerator, and is the constructor for outside input.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
@@ -84,32 +102,59 @@ def linear_factor(a: VarId, b: Optional[VarId] = None, c=0) -> Tuple[LinearFacto
     return LinearFactor(b, a, -c), -1
 
 
+def _cancel(prim: Poly, factors, scale: Fraction):
+    """Divide the primitive ``prim`` by each of ``factors`` that divides it.
+
+    ``factors`` lists equal factors next to each other; once a copy
+    fails, the rest of its run is kept untried (a factor that does not
+    divide ``prim`` does not divide a quotient of it either).  Returns
+    ``(scale, prim, kept)`` with the contents of the quotients folded
+    into ``scale`` and the factors that did not cancel in ``kept``.
+    """
+    kept = []
+    missed = None
+    for f in factors:
+        if f != missed:
+            q = prim.exact_div_linear(f.a, f.b, f.c)
+            if q is not None:
+                content, prim = q.content_primitive()
+                scale *= content
+                continue
+            missed = f
+        kept.append(f)
+    return scale, prim, kept
+
+
 class RatFunc:
     """Reduced rational function with factored denominator."""
 
     __slots__ = ("num", "den", "scale")
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
+        """Full reduction of outside input: every factor of ``den`` is
+        tried against the numerator."""
         scale = _as_fraction(scale)
-        den = list(den)
         if num.is_zero or scale == 0:
             self.num = Poly.zero(num.ctx)
             self.den = ()
             self.scale = Fraction(0)
             return
         content, prim = num.content_primitive()
-        scale *= content
-        kept = []
-        for f in den:
-            q = prim.exact_div_linear(f.a, f.b, f.c)
-            if q is None:
-                kept.append(f)
-            else:
-                content, prim = q.content_primitive()
-                scale *= content
-        self.num = prim
-        self.den = tuple(sorted(kept, key=LinearFactor.sort_key))
-        self.scale = scale
+        den = sorted(den, key=LinearFactor.sort_key)
+        self.scale, self.num, kept = _cancel(prim, den, scale * content)
+        self.den = tuple(kept)
+
+    @staticmethod
+    def _reduced(num: Poly, den: Iterable[LinearFactor], scale: Fraction) -> "RatFunc":
+        """Trusted constructor for a value already in normal form but for
+        the order of ``den``: ``num`` is primitive with a positive
+        leading coefficient, no factor of ``den`` divides it and
+        ``scale`` is a Fraction.  Only sorts ``den``."""
+        out = object.__new__(RatFunc)
+        out.num = num
+        out.den = tuple(sorted(den, key=LinearFactor.sort_key))
+        out.scale = scale
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -180,6 +225,16 @@ class RatFunc:
         return None
 
     def __add__(self, other):
+        """Sum over the lcm of the denominators.
+
+        Only a factor f with the same multiplicity m in both
+        denominators is tried, at most m times.  If f has multiplicity
+        m1 > m2 (m2 possibly 0), the lcm carries f^m1, so the cofactor
+        of the second numerator holds f and the sum is congruent mod f
+        to the first numerator times a product of other factors; f
+        divides neither, since the first operand is reduced and distinct
+        canonical factors are non-associate primes.
+        """
         other = self._promote(other)
         if other is None:
             return NotImplemented
@@ -187,29 +242,37 @@ class RatFunc:
             return other
         if other.is_zero:
             return self
-        from collections import Counter
+        ctx = self.ctx
         d1, d2 = Counter(self.den), Counter(other.den)
-        common = d1 | d2
-        n1 = self.num * self.scale
-        n2 = other.num * other.scale
-        for f, m in (common - d1).items():
-            fp = f.to_poly(self.ctx)
+        # integer scales over the common denominator g of the two scales
+        s1, s2 = self.scale, other.scale
+        g = math.lcm(s1.denominator, s2.denominator)
+        k1 = s1.numerator * (g // s1.denominator)
+        k2 = s2.numerator * (g // s2.denominator)
+        n1 = self.num if k1 == 1 else self.num * k1
+        n2 = other.num if k2 == 1 else other.num * k2
+        for f, m in (d2 - d1).items():
+            fp = f.to_poly(ctx)
             for _ in range(m):
                 n1 = n1 * fp
-        for f, m in (common - d2).items():
-            fp = f.to_poly(self.ctx)
+        for f, m in (d1 - d2).items():
+            fp = f.to_poly(ctx)
             for _ in range(m):
                 n2 = n2 * fp
-        return RatFunc(n1 + n2, common.elements())
+        total = n1 + n2
+        if total.is_zero:
+            return RatFunc.zero(ctx)
+        content, prim = total.content_primitive()
+        # self.den is sorted, so the copies of each tried factor are adjacent
+        tried = [f for f in self.den if d1[f] == d2[f]]
+        rest = [f for f in (d1 | d2).elements() if d1[f] != d2[f]]
+        scale, prim, kept = _cancel(prim, tried, content / g)
+        return RatFunc._reduced(prim, rest + kept, scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RatFunc)
-        out.num = self.num
-        out.den = self.den
-        out.scale = -self.scale
-        return out
+        return RatFunc._reduced(self.num, self.den, -self.scale)
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -221,13 +284,24 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        """Cross-cancel, then multiply the numerators.
+
+        The factors of ``other.den`` are tried against ``self.num`` only,
+        and those of ``self.den`` against ``other.num`` only: each
+        operand is reduced and a linear factor is prime, so no factor
+        divides the numerator over its own denominator.  The two
+        primitive quotients multiply to a primitive numerator (Gauss's
+        lemma) whose leading coefficient is positive (grlex is a
+        monomial order), so the product itself is never divided.
+        """
         other = self._promote(other)
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatFunc.zero(self.ctx)
-        return RatFunc(self.num * other.num, self.den + other.den,
-                       self.scale * other.scale)
+        scale, n1, kept1 = _cancel(self.num, other.den, self.scale * other.scale)
+        scale, n2, kept2 = _cancel(other.num, self.den, scale)
+        return RatFunc._reduced(n1 * n2, kept1 + kept2, scale)
 
     __rmul__ = __mul__
 
@@ -242,24 +316,42 @@ class RatFunc:
     # -- actions --------------------------------------------------------
 
     def shifted(self, shift: Mapping[VarId, int]) -> "RatFunc":
-        """Apply x_v -> x_v - shift[v]; the factor class is closed under this."""
-        if self.is_zero:
+        """Apply x_v -> x_v - shift[v]; the factor class is closed under this.
+
+        An integer shift is a ring automorphism of Z[x] that keeps the
+        top-degree part, so the shifted numerator is still primitive
+        with the same leading term, and no shifted factor divides it.
+        Nothing is divided; the shifted factors are only re-sorted.
+        """
+        if self.is_zero or not shift:
             return self
         num = self.num.subs_shift(shift)
         den = [f.shifted(shift) for f in self.den]
-        return RatFunc(num, den, self.scale)
+        return RatFunc._reduced(num, den, self.scale)
 
     def permuted(self, mapping: Mapping[VarId, VarId]) -> "RatFunc":
+        """Rename variables by ``mapping``, a bijection within rows.
+
+        A renaming is a ring automorphism that keeps the coefficients,
+        so the numerator stays primitive and no factor divides it;
+        nothing is divided.  It can move the leading term, so the sign
+        is renormalized: a negative leading coefficient negates the
+        numerator and the scale.
+        """
         if self.is_zero:
             return self
         num = self.num.permute(mapping)
-        sign = 1
+        scale = self.scale
         den = []
         for f in self.den:
             g, s = f.permuted(mapping)
             den.append(g)
-            sign *= s
-        return RatFunc(num, den, self.scale * sign)
+            if s < 0:
+                scale = -scale
+        if num.leading()[1] < 0:
+            num = -num
+            scale = -scale
+        return RatFunc._reduced(num, den, scale)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
         if self.is_zero:

@@ -224,3 +224,31 @@ def test_printed_forms_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_PAYLOAD_JOBS = [
+    ["gt", "--top", "2,1,0", "--check", "--json", "-"],
+    ["verify", "--suite", "gl3", "--json", "-"],
+    ["compute", "--expr", "c32", "--json", "-"],
+    ["toy", "--f", "3x^3+x+5", "--target", "1/(x-2)", "--json", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_PAYLOAD_JOBS, ids=[argv[0] for argv in JSON_PAYLOAD_JOBS])
+def test_json_renderer_matches_json_dumps(capsys, monkeypatch, argv):
+    payloads = []
+    monkeypatch.setattr(cli, "_write_json", lambda path, payload: payloads.append(payload))
+    code, _, _ = run(capsys, argv)
+    assert code == 0 and len(payloads) == 1
+    assert cli._render_json(payloads[0]) == json.dumps(payloads[0], indent=2, sort_keys=True)
+
+
+def test_json_renderer_edge_cases():
+    cases = [
+        {}, [], "", 0, -7, True, False, None, 2.5, "naïve ∑ \"q\"\n",
+        {"b": [], "a": {}, "c": [[], {}], "d": [1, "x", None, [True]]},
+        {"z": {"y": {"x": ["p", "q"]}}, "e": ["é", "\t", " "]},
+        [["a", "b"], ["c"], [1, 2], [{"k": "v"}], ("t", "u")],
+    ]
+    for value in cases:
+        assert cli._render_json(value) == json.dumps(value, indent=2, sort_keys=True)

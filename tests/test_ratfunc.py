@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
-from skewgt import gln
+from skewgt import cli, gln
 
-from conftest import rand_ratfunc
+from conftest import rand_factor, rand_poly, rand_ratfunc, rand_rowperm
 
 
 def x(ctx, k, i):
@@ -115,10 +116,142 @@ def test_json_roundtrip(ctx3):
         assert RatFunc.from_json(ctx3, r.to_json()) == r
 
 
+# -- canonical form: each operation against the full reduction ----------
+#
+# +, *, shifted and permuted try only the factors that can cancel.  Each
+# result must be structurally equal to RatFunc.__init__'s full reduction
+# of the same unreduced fraction, which tries every factor; a result
+# that is right in value but not fully reduced fails here.
+
+def _full_sum(a, b):
+    num = a.num * a.scale * b.den_poly() + b.num * b.scale * a.den_poly()
+    return RatFunc(num, a.den + b.den)
+
+
+def _full_product(a, b):
+    return RatFunc(a.num * b.num, a.den + b.den, a.scale * b.scale)
+
+
+def _full_shift(a, shift):
+    return RatFunc(a.num.subs_shift(shift), [f.shifted(shift) for f in a.den], a.scale)
+
+
+def _full_permute(a, mapping):
+    den, sign = [], 1
+    for f in a.den:
+        g, s = f.permuted(mapping)
+        den.append(g)
+        sign *= s
+    return RatFunc(a.num.permute(mapping), den, a.scale * sign)
+
+
+def _assert_canonical(result, expected):
+    assert result == expected
+    assert type(result.scale) is Fraction
+    assert all(type(c) is int for c in result.num.terms.values())
+    assert result.den == tuple(sorted(result.den, key=LinearFactor.sort_key))
+
+
+def _nonzero_poly(rng, ctx):
+    p = rand_poly(rng, ctx)
+    return Poly.one(ctx) if p.is_zero else p
+
+
+def _cancelling_pairs(rng, ctx):
+    """Operand pairs whose sum or product must cancel a factor."""
+    f, g = rand_factor(rng, ctx), rand_factor(rng, ctx)
+    fp, gp = f.to_poly(ctx), g.to_poly(ctx)
+    p, q, r = (_nonzero_poly(rng, ctx) for _ in range(3))
+    s, t = (Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(2))
+    extra = [rand_factor(rng, ctx) for _ in range(rng.randint(0, 1))]
+    m = rng.randint(1, 2)
+    # each numerator carries a factor of the other operand's denominator
+    yield RatFunc(p * fp, [g], s), RatFunc(q * gp, [f], t)
+    # a shared factor with equal multiplicity, then with unequal multiplicity
+    yield RatFunc(p, [f] * m + extra, s), RatFunc(q, [f] * m, t)
+    yield RatFunc(p, [f] * (m + 1), s), RatFunc(q, [f] * m + extra, t)
+    # the summed numerator vanishes on the shared factor f^m, to order
+    # k <= m, and to order m + 1 beside a second factor
+    k = rng.randint(1, m)
+    yield RatFunc(p, [f] * m, s), RatFunc(r * fp ** k - p, [f] * m, s)
+    yield RatFunc(p, [f] * m + [g], s), RatFunc(r * fp ** (m + 1) - p, [f] * m + [g], s)
+
+
+def _check_canonical_forms(seed, count):
+    ctx = Context.triangle(3)
+    rng = random.Random(seed)
+    for _ in range(count):
+        pairs = [(rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx))]
+        pairs += _cancelling_pairs(rng, ctx)
+        shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
+        mapping = rand_rowperm(rng, ctx).var_mapping(ctx)
+        for a, b in pairs:
+            for u, v in ((a, b), (b, a), (a, -a)):
+                _assert_canonical(u + v, _full_sum(u, v))
+                _assert_canonical(u * v, _full_product(u, v))
+            for u in (a, b, a + b, a * b):
+                _assert_canonical(u.shifted(shift), _full_shift(u, shift))
+                _assert_canonical(u.permuted(mapping), _full_permute(u, mapping))
+
+
+def test_operations_return_the_full_reduction():
+    _check_canonical_forms(seed=53, count=60)
+
+
+@pytest.mark.slow
+def test_operations_return_the_full_reduction_long():
+    _check_canonical_forms(seed=59, count=1500)
+
+
+def test_cancelling_pairs_do_cancel():
+    """The generated pairs reach the cancelling branches of + and *."""
+    ctx = Context.triangle(3)
+    rng = random.Random(61)
+    sums = products = 0
+    for _ in range(40):
+        for a, b in _cancelling_pairs(rng, ctx):
+            lcm = Counter(a.den) | Counter(b.den)
+            sums += len((a + b).den) < sum(lcm.values())
+            products += len((a * b).den) < len(a.den) + len(b.den)
+    assert sums >= 70 and products >= 30
+
+
+# -- linear divisions tried by two CLI jobs ------------------------------
+
+# (calls, hits) of Poly.divmod_linear per job.  Every operation reducing
+# all factors of its result made 470 and 395 calls; the hits are the
+# cancellations themselves, so they may never change, and the calls may
+# only go down.
+DIVISION_COUNTS = {
+    ("compute", "--expr", "c33"): (320, 24),
+    ("verify", "--suite", "gl3"): (245, 27),
+}
+
+
+def test_division_counts(monkeypatch, capsys):
+    counts = {"calls": 0, "hits": 0}
+    divmod_linear = Poly.divmod_linear
+
+    def counted(self, a, b, c):
+        q, r = divmod_linear(self, a, b, c)
+        counts["calls"] += 1
+        counts["hits"] += r.is_zero
+        return q, r
+
+    monkeypatch.setattr(Poly, "divmod_linear", counted)
+    for argv, (calls, hits) in DIVISION_COUNTS.items():
+        counts.update(calls=0, hits=0)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert counts["hits"] == hits, argv
+        assert counts["calls"] <= calls, argv
+
+
 # -- differential oracle against sympy ----------------------------------
 
 def _sympy_ratfunc_cases(seed, count):
-    """RatFunc +, * and shifted at n=3 against sympy's rational functions.
+    """RatFunc +, *, shifted and permuted at n=3 against sympy's rational
+    functions.
 
     Each result must agree with sympy in value (the numerator of the
     combined difference expands to 0) and be stored in normal form: int
@@ -144,6 +277,7 @@ def _sympy_ratfunc_cases(seed, count):
         return sympy.expand(num) == 0
 
     rng = random.Random(seed)
+    perm_rng = random.Random(-seed)
     for _ in range(count):
         a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
         shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
@@ -152,6 +286,9 @@ def _sympy_ratfunc_cases(seed, count):
         assert agrees(sa * sb, a * b)
         moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
         assert agrees(moved, a.shifted(shift))
+        mapping = rand_rowperm(perm_rng, ctx).var_mapping(ctx)
+        renamed = sa.xreplace({syms[v]: syms[w] for v, w in mapping.items()})
+        assert agrees(renamed, a.permuted(mapping))
 
 
 def test_ratfunc_matches_sympy():
