@@ -284,10 +284,25 @@ def _parse_signs(text: str, top) -> gtmodules.SignData:
     return gtmodules.SignData.from_vectors(top, vectors)
 
 
+# One coordinate of a --generic point: an integer, a/b or a plain
+# decimal.  Exponent notation is refused: Fraction("1e9999999") builds a
+# ten-million-digit integer.
+_POINT_ENTRY_RE = re.compile(r"[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
+
+
 def _parse_point(text: str):
     rows = []
     for row in text.split(";"):
-        rows.append([Fraction(v.strip()) for v in row.split(",") if v.strip()])
+        entries = []
+        for v in row.split(","):
+            v = v.strip()
+            if not v:
+                continue
+            if not _POINT_ENTRY_RE.fullmatch(v):
+                raise ValueError(f"bad point entry {v!r}: expected an integer, "
+                                 f"a/b or a plain decimal")
+            entries.append(Fraction(v))
+        rows.append(entries)
     return rows
 
 
@@ -295,6 +310,8 @@ def cmd_gt(args) -> int:
     if args.generic:
         rows = _parse_point(args.generic)
         mod = gtmodules.build_generic_module(rows, args.window)
+        # the report runs before any output, so a refused report prints nothing
+        rep = gtmodules.generic_module_report(mod) if args.check else None
         print(f"generic point rows: {args.generic}")
         print(f"window radius: {args.window}")
         print(f"dimension: {mod.dim} ({len(mod.interior)} interior)")
@@ -303,7 +320,6 @@ def cmd_gt(args) -> int:
             print(f"V{k} values: " + ", ".join(map(str, distinct)))
         ok = True
         if args.check:
-            rep = gtmodules.generic_module_report(mod)
             print(rep.table())
             ok = rep.ok
         if args.json:
@@ -321,6 +337,7 @@ def cmd_gt(args) -> int:
     gtmodules.check_module_dim(gtmodules.weyl_dim(top))
     signs = _parse_signs(args.signs, top)
     mod = gtmodules.build_module(top, signs)
+    rep = gtmodules.module_relation_report(mod) if args.check else None
     print(f"top row: {','.join(map(str, top))}")
     print(f"dimension: {mod.dim}")
     fills = ", ".join(f"r[{k}] = {gtmodules.count_row_fillings(top, k)}"
@@ -330,7 +347,6 @@ def cmd_gt(args) -> int:
         print(f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}"))))
     ok = True
     if args.check:
-        rep = gtmodules.module_relation_report(mod)
         print(rep.table())
         ok = rep.ok
     if args.json:

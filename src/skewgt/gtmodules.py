@@ -17,6 +17,13 @@ eigenvalue on a row is the product of the staircase-shifted differences
 lambda_ki - lambda_kj + j - i over i < j; its square always agrees with
 the evaluated square of the Vandermonde polynomial.
 
+Pattern entries are exact rationals stored like polynomial coefficients:
+an `int` when integral (every entry of a finite module, the top row of a
+generic one) and a `Fraction` otherwise.  Moves, basis lookups and
+staircase points then run on ints, and `Poly.evaluate` evaluates at an
+integral point without building a Fraction per coordinate.  Matrix
+entries and diagonal eigenvalues are always `Fraction`.
+
 Both kinds of module come from one builder over a basis of patterns:
 the interlacing patterns under a top row, or a regular pattern moved by
 every shift in a window.  Builders refuse modules whose dimension
@@ -43,13 +50,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polys import VarId, vandermonde
+from .polys import VarId, _coeff, vandermonde
 from .relations import IdentityResult, VerificationReport, gl3_catalogue, verify_predicate
 from . import gln
 
-Pattern = Tuple[Tuple[Fraction, ...], ...]
+Pattern = Tuple[Tuple[Union[int, Fraction], ...], ...]
 
 # Largest module the builders accept.  The dimension is known from the
 # input alone (Weyl formula, window size), so a larger module is refused
@@ -66,11 +73,13 @@ def check_module_dim(dim: int) -> None:
 
 
 def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
+    """Rows as tuples of exact rationals: an int when integral, else a
+    Fraction."""
     out = []
     for k, row in enumerate(rows, start=1):
         if len(row) != k:
             raise ValueError("pattern rows must have lengths 1, 2, ..., n")
-        out.append(tuple(Fraction(v) for v in row))
+        out.append(tuple(_coeff(Fraction(v)) for v in row))
     return tuple(out)
 
 
@@ -84,7 +93,7 @@ def is_interlaced(p: Pattern) -> bool:
     return True
 
 
-def pattern_point(p: Pattern) -> Dict[VarId, Fraction]:
+def pattern_point(p: Pattern) -> Dict[VarId, Union[int, Fraction]]:
     """Staircase evaluation point x_ki = lambda_ki - i + 1."""
     return {(k, i): p[k - 1][i - 1] - i + 1
             for k in range(1, len(p) + 1) for i in range(1, k + 1)}
@@ -183,7 +192,7 @@ class SignData:
         return data
 
     def sign(self, k: int, filling: Tuple[int, ...]) -> int:
-        return self.rows[k][tuple(int(v) for v in filling)]
+        return self.rows[k][tuple(filling)]
 
     @property
     def is_all_plus(self) -> bool:
@@ -195,18 +204,18 @@ def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
     the row filling (+1 without sign data) times
     prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
     row = p[k - 1]
-    val = Fraction(1 if signs is None else signs.sign(k, row))
+    val = 1 if signs is None else signs.sign(k, row)
     for i in range(len(row)):
         for j in range(i + 1, len(row)):
             val *= row[i] - row[j] + (j - i)
-    return val
+    return Fraction(val)
 
 
 def _xkk_value(k: int, p: Pattern) -> Fraction:
-    total = sum(p[k - 1], Fraction(0))
+    total = sum(p[k - 1])
     if k >= 2:
-        total -= sum(p[k - 2], Fraction(0))
-    return total
+        total -= sum(p[k - 2])
+    return Fraction(total)
 
 
 def act_generator(name: str, p: Pattern) -> List[Tuple[Fraction, Pattern]]:
@@ -456,11 +465,12 @@ def _vandermonde_consistency(mod: ModuleRealization) -> List[IdentityResult]:
     Vandermonde polynomial squared, evaluated at the staircase points."""
     out = []
     ctx = gln.triangle(mod.n)
+    points = [pattern_point(p) for p in mod.basis]
     for k in range(2, mod.n + 1):
         vk = vandermonde(ctx, k)
         spectrum = mod.spectrum(f"V{k}")
-        ok = all(spectrum[j] ** 2 == vk.evaluate(pattern_point(p)) ** 2
-                 for j, p in enumerate(mod.basis))
+        ok = all(spectrum[j] ** 2 == vk.evaluate(point) ** 2
+                 for j, point in enumerate(points))
         out.append(verify_predicate(
             f"module:V{k}sq-consistency",
             f"V{k} eigenvalue squares match the evaluated squared Vandermonde",

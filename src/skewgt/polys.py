@@ -19,6 +19,11 @@ Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
 arithmetic the cost of Fraction.  Never divide two coefficients with
 ``/`` unless one of them is a Fraction: ``int / int`` is a float.
 
+Evaluation at a point of exact rationals runs in integer arithmetic:
+the coordinates are brought over the lcm L of their denominators (L = 1
+at the integral staircase points of finite modules), the terms are
+summed as ints scaled by powers of L, and the one result is a Fraction.
+
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
 therefore unique, the remainder being the substitution x_a := x_b - c,
@@ -342,15 +347,32 @@ class Poly:
         return Poly(self.ctx, out)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
-        pos_vals = {self.ctx.var_pos(v): _as_fraction(q) for v, q in point.items()}
-        total = Fraction(0)
+        """The value at a point of exact rationals, always a Fraction.
+
+        Every coordinate is written as a_v / L over the lcm L of the
+        coordinates' denominators, so p(point) = N / L^deg with
+        N = sum_e c_e * prod_v a_v^e_v * L^(deg - |e|) summed in integer
+        arithmetic; only the result is a Fraction.  A coordinate that is
+        not an int or a Fraction raises TypeError, a variable the
+        polynomial needs and the point lacks raises KeyError.
+        """
+        vals = {self.ctx.var_pos(v): q if type(q) is int else _coeff(q)
+                for v, q in point.items()}
+        lcm = math.lcm(*[q.denominator for q in vals.values()])
+        deg = 0
+        if lcm != 1:
+            deg = max(self.degree(), 0)
+            vals = {pos: q.numerator * (lcm // q.denominator)
+                    for pos, q in vals.items()}
+        total = 0
         for exps, coeff in self.terms.items():
-            val = coeff
             for pos, e in enumerate(exps):
                 if e:
-                    val *= pos_vals[pos] ** e
-            total += val
-        return total
+                    coeff *= vals[pos] ** e
+            if deg:
+                coeff *= lcm ** (deg - sum(exps))
+            total += coeff
+        return Fraction(total, lcm ** deg)
 
     # -- division by affine-linear factors ----------------------------
 

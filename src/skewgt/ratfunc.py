@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .polys import Context, Poly, VarId, _as_fraction
+from .polys import Context, Poly, VarId, _as_fraction, _coeff
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class LinearFactor:
         return linear_factor(a, b, self.c)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
-        val = _as_fraction(point[self.a]) + self.c
+        val = _coeff(point[self.a])
         if self.b is not None:
-            val = val - _as_fraction(point[self.b])
-        return val
+            val -= _coeff(point[self.b])
+        return val + self.c
 
     def render(self, ctx: Context) -> str:
         s = ctx.var_name(self.a)
@@ -354,16 +354,22 @@ class RatFunc:
         return RatFunc._reduced(num, den, scale)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
+        """The value at a point, a Fraction: the numerators and the
+        denominators of the scale, the numerator value and the factor
+        values are multiplied as ints and divided once."""
         if self.is_zero:
             return Fraction(0)
-        val = self.scale * self.num.evaluate(point)
+        val = self.num.evaluate(point)
+        num = self.scale.numerator * val.numerator
+        den = self.scale.denominator * val.denominator
         for f in self.den:
             d = f.evaluate(point)
             if d == 0:
                 raise ZeroDivisionError(
                     f"denominator factor {f.render(self.ctx)} vanishes at the point")
-            val /= d
-        return val
+            num *= d.denominator
+            den *= d.numerator
+        return Fraction(num, den)
 
     # -- i/o --------------------------------------------------------------
 

@@ -25,6 +25,14 @@ from .skew import SkewElement
 
 X_VAR = (1, 1)
 
+# Largest exponent of x in `f` and largest |c| in a target 1/(x+c) the
+# parsers accept; a larger value is refused before any work starts.
+# A witness multiplies |c| shifted copies of f, so its cost grows with
+# the product: f = x^24 + x + 1 with c = 24 takes 2.6 s, with 32 and 32
+# 13 s, with 64 and 64 over a minute (2-core VM, Python 3.11).
+MAX_DEGREE = 24
+MAX_TRANSLATE = 24
+
 
 def line_context() -> Context:
     return Context.line()
@@ -183,7 +191,7 @@ def parse_univariate(ctx: Context, text: str) -> Poly:
         raise ValueError("empty polynomial")
     if s[0] not in "+-":
         s = "+" + s
-    out = Poly.zero(ctx)
+    terms: dict = {}
     i = 0
     while i < len(s):
         sign = 1 if s[i] == "+" else -1
@@ -205,9 +213,12 @@ def parse_univariate(ctx: Context, text: str) -> Poly:
                 if j == i:
                     raise ValueError(f"missing exponent in {text!r}")
                 power = int(s[i:j])
+                if power > MAX_DEGREE:
+                    raise ValueError(f"power x^{power} exceeds the degree "
+                                     f"budget of {MAX_DEGREE}")
                 i = j
-        out = out + sign * coeff * Poly.var(ctx, X_VAR) ** power
-    return out
+        terms[(power,)] = terms.get((power,), 0) + sign * coeff
+    return Poly(ctx, terms)
 
 
 def parse_inverse_target(text: str) -> int:
@@ -220,5 +231,9 @@ def parse_inverse_target(text: str) -> int:
         if body == "":
             return 0
         if body[0] in "+-":
-            return int(body)
+            c = int(body)
+            if abs(c) > MAX_TRANSLATE:
+                raise ValueError(f"target translate {c:+d} exceeds the "
+                                 f"budget of |c| <= {MAX_TRANSLATE}")
+            return c
     raise ValueError(f"cannot parse inverse target {text!r}")

@@ -31,6 +31,19 @@ def rand_poly(rng: random.Random, ctx: Context, max_terms=3, max_deg=2) -> Poly:
     return Poly(ctx, terms)
 
 
+def rand_point(rng: random.Random, ctx: Context) -> dict:
+    """A point with coordinates in [-4, 4] over mixed denominators, zero
+    and negative ones included; integral coordinates are ints or
+    Fractions at random, and about a third of the points are all
+    integral."""
+    dens = [1] if rng.random() < 0.3 else [1, 1, 2, 3, 4, 6, 7]
+    point = {}
+    for v in ctx.vars:
+        q = Fraction(rng.randint(-4, 4), rng.choice(dens))
+        point[v] = q.numerator if q.denominator == 1 and rng.random() < 0.5 else q
+    return point
+
+
 def rand_factor(rng: random.Random, ctx: Context) -> LinearFactor:
     c = Fraction(rng.randint(-2, 2))
     if len(ctx.vars) == 1 or rng.random() < 0.3:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from skewgt import cli, gln, gtmodules
+from skewgt import cli, gln, gtmodules, toy
 from skewgt.skew import commutator
 
 
@@ -109,16 +109,30 @@ def test_gt_bad_inputs(capsys):
     assert code == 2 and "regular" in err
     code, _, err = run(capsys, ["gt"])
     assert code == 2
-    code, _, err = run(capsys, ["gt", "--top", "0", "--check"])
-    assert code == 2 and "top row of length n >= 2 (got n=1)" in err
+    code, out, err = run(capsys, ["gt", "--top", "0", "--check"])
+    assert code == 2 and out == ""
+    assert "top row of length n >= 2 (got n=1)" in err
     code, out, _ = run(capsys, ["gt", "--top", "0"])
     assert code == 0 and "dimension: 1" in out
+    # only integers, a/b and plain decimals: exponent notation is refused
+    # before Fraction expands it
+    for entry in ("1e9999999", "1e400", "1E3", "2.5e-3", "0x10", "1_000", "inf"):
+        code, out, err = run(capsys, ["gt", f"--generic=1/3; 1/5, 2/7; {entry}, 1, 1",
+                                      "--window", "0"])
+        assert code == 2 and out == ""
+        assert f"bad point entry {entry!r}: expected an integer, a/b or a plain decimal" in err
+    for entry in ("-3", "+1", "0.3", ".25", "-1.5"):
+        code, out, _ = run(capsys, ["gt", f"--generic=1/3; 1/5, {entry}; 1, 1, 1",
+                                    "--window", "0"])
+        assert code == 0 and "dimension: 1" in out
 
 
 def test_gt_generic_rank_one_check(capsys):
-    code, _, err = run(capsys, ["gt", "--generic", "1/3", "--check"])
-    assert code == 2
-    assert "needs a point with n >= 2 rows (got n=1)" in err
+    for window in ("2", "0"):
+        code, out, err = run(capsys, ["gt", "--generic", "1/3", "--window", window,
+                                      "--check"])
+        assert code == 2 and out == ""
+        assert "needs a point with n >= 2 rows (got n=1)" in err
     code, out, _ = run(capsys, ["gt", "--generic", "1/3"])
     assert code == 0 and "dimension: 1" in out
 
@@ -144,6 +158,23 @@ def test_size_budgets(capsys, monkeypatch):
     for expr in ("(X11^2)^4", "X11^8*X11^8"):
         code, out, _ = run(capsys, ["compute", "--expr", expr, "--n", "2"])
         assert code == 0 and out
+    # toy degrees and translates over the budget never reach a witness
+    assert toy.parse_univariate(toy.line_context(), f"x^{toy.MAX_DEGREE} + 1").degree() \
+        == toy.MAX_DEGREE
+    assert toy.parse_inverse_target(f"1/(x-{toy.MAX_TRANSLATE})") == -toy.MAX_TRANSLATE
+    with monkeypatch.context() as m:
+        def no_witness(spec, c):
+            raise AssertionError(f"witness for c={c} started")
+        m.setattr(toy, "witness_inverse", no_witness)
+        for f in (f"x^{toy.MAX_DEGREE + 1}+1", "x^99999999+1", "2x^3 - x^100000 + 5"):
+            code, out, err = run(capsys, ["toy", f"--f={f}", "--target=1/x"])
+            assert code == 2 and out == ""
+            assert f"exceeds the degree budget of {toy.MAX_DEGREE}" in err
+        for c in (toy.MAX_TRANSLATE + 1, -toy.MAX_TRANSLATE - 1, 99999999999999999999):
+            code, out, err = run(capsys, ["toy", "--f=x+1", f"--target=1/(x{c:+d})"])
+            assert code == 2 and out == ""
+            assert f"target translate {c:+d} exceeds the budget of " \
+                f"|c| <= {toy.MAX_TRANSLATE}" in err
     # a rank over the budget never reaches a context
     def no_context(n):
         raise AssertionError(f"context of rank {n} built")

@@ -220,6 +220,33 @@ def test_generic_diagonals_match_polynomial_evaluation():
                                        for p in m.basis]
 
 
+def test_module_layer_types():
+    """Integral pattern entries are ints and non-integral ones Fractions;
+    every stored matrix entry is a Fraction, and the diagonals equal the
+    per-pattern actions and the Vandermonde polynomials evaluated at each
+    staircase point."""
+    assert gt.normalize_pattern([(Fraction(2),), (3, Fraction(-4, 2))]) == ((2,), (3, -2))
+    assert [type(v) for v in gt.normalize_pattern([(Fraction(1, 2),), (3, 0)])[0]] \
+        == [Fraction]
+    finite = gt.build_module((2, 1, 0))
+    assert all(type(v) is int for p in finite.basis for row in p for v in row)
+    point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
+    generic = gt.build_generic_module(point, radius=1)
+    for p in generic.basis:
+        assert all(type(v) is Fraction for row in p[:-1] for v in row)
+        assert all(type(v) is int for v in p[-1])
+    ctx = gln.triangle(3)
+    for mod in (finite, generic):
+        for name, m in mod.matrices.items():
+            assert all(type(v) is Fraction for row in m for v in row.values()), name
+        for k in range(1, 4):
+            assert mod.spectrum(f"X{k}{k}") == [gt.act_generator(f"X{k}{k}", p)[0][0]
+                                                for p in mod.basis]
+        for k in (2, 3):
+            assert mod.spectrum(f"V{k}") == [vandermonde(ctx, k).evaluate(gt.pattern_point(p))
+                                             for p in mod.basis]
+
+
 def test_generic_module_radius_zero():
     m = gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=0)
     assert m.dim == 1 and m.interior == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skewgt.polys import (Context, Poly, elementary_symmetric,
                           shifted_vandermonde, vandermonde)
 
-from conftest import rand_poly
+from conftest import rand_point, rand_poly
 
 
 def x(ctx, k, i):
@@ -146,14 +146,15 @@ def test_divmod_orientation_check(ctx2):
         Poly.one(ctx2).divmod_linear((2, 1), (2, 1), Fraction(0))
 
 
+def to_sympy(poly, syms):
+    sympy = pytest.importorskip("sympy")
+    return sum((sympy.Rational(v.numerator, v.denominator)
+                * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                for e, v in poly.terms.items()), sympy.Integer(0))
+
+
 def _sympy_division_cases(seed, count):
     sympy = pytest.importorskip("sympy")
-
-    def to_sympy(poly, syms):
-        return sum((sympy.Rational(v.numerator, v.denominator)
-                    * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
-                    for e, v in poly.terms.items()), sympy.Integer(0))
-
     rng = random.Random(seed)
     for _ in range(count):
         ctx = CONTEXTS[rng.choice(sorted(CONTEXTS))]
@@ -287,6 +288,48 @@ def test_evaluate(ctx2):
     p = x(ctx2, 2, 1) ** 2 + x(ctx2, 1, 1)
     val = p.evaluate({(2, 1): Fraction(3), (1, 1): Fraction(1, 2)})
     assert val == Fraction(19, 2)
+    assert type(p.evaluate({(2, 1): 3, (1, 1): 1})) is Fraction
+    with pytest.raises(TypeError):
+        p.evaluate({(2, 1): 3, (1, 1): 0.5})
+    # every coordinate is checked, also one the polynomial does not read
+    with pytest.raises(TypeError):
+        p.evaluate({(2, 1): 3, (1, 1): 1, (2, 2): 0.5})
+    with pytest.raises(KeyError):
+        p.evaluate({(2, 1): 3})
+
+
+def _sympy_evaluation_cases(seed, count):
+    """Poly.evaluate against sympy's subs at rational points with mixed
+    denominators (see conftest.rand_point), on int and Fraction
+    coefficients, the zero and the constant polynomials included."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for case in range(count):
+        ctx = CONTEXTS[rng.choice(sorted(CONTEXTS))]
+        syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+        p = rand_poly(rng, ctx, max_terms=6, max_deg=5)
+        if case % 10 == 0:
+            p = Poly.zero(ctx)
+        elif case % 10 == 1:
+            p = Poly.const(ctx, Fraction(rng.randint(-9, 9), rng.choice([1, 4])))
+        elif rng.random() < 0.4:
+            p = p.content_primitive()[1]  # int coefficients only
+        point = rand_point(rng, ctx)
+        val = p.evaluate(point)
+        assert type(val) is Fraction
+        expected = to_sympy(p, syms).subs(
+            {s: sympy.Rational(point[v].numerator, point[v].denominator)
+             for s, v in zip(syms, ctx.vars)})
+        assert sympy.Rational(val.numerator, val.denominator) == expected, (p, point)
+
+
+def test_evaluate_matches_sympy():
+    _sympy_evaluation_cases(seed=53, count=60)
+
+
+@pytest.mark.slow
+def test_evaluate_matches_sympy_long():
+    _sympy_evaluation_cases(seed=59, count=3000)
 
 
 def test_str_deterministic(ctx2):

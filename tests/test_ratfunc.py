@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt import cli, gln
 
-from conftest import rand_factor, rand_poly, rand_ratfunc, rand_rowperm
+from conftest import rand_factor, rand_point, rand_poly, rand_ratfunc, rand_rowperm
 
 
 def x(ctx, k, i):
@@ -105,8 +106,13 @@ def test_evaluate_and_pole(ctx2):
     r = RatFunc(x(ctx2, 1, 1), [f])
     point = {(1, 1): Fraction(2), (2, 1): Fraction(5), (2, 2): Fraction(3)}
     assert r.evaluate(point) == 1
-    with pytest.raises(ZeroDivisionError):
+    assert type(r.evaluate({(1, 1): 2, (2, 1): 5, (2, 2): 3})) is Fraction
+    assert type(RatFunc.zero(ctx2).evaluate(point)) is Fraction
+    with pytest.raises(ZeroDivisionError, match=re.escape(
+            "denominator factor (x21 - x22) vanishes at the point")):
         r.evaluate({(1, 1): Fraction(2), (2, 1): Fraction(3), (2, 2): Fraction(3)})
+    with pytest.raises(TypeError):
+        r.evaluate({(1, 1): 2, (2, 1): 5.0, (2, 2): 3})
 
 
 def test_json_roundtrip(ctx3):
@@ -249,6 +255,24 @@ def test_division_counts(monkeypatch, capsys):
 
 # -- differential oracle against sympy ----------------------------------
 
+def rational(q):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def factor_to_sympy(f, syms):
+    return syms[f.a] - (syms[f.b] if f.b is not None else 0) + rational(f.c)
+
+
+def to_sympy(r, syms):
+    sympy = pytest.importorskip("sympy")
+    ctx = r.ctx
+    num = sum((rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
+               for e, c in r.num.terms.items()), sympy.Integer(0))
+    den = sympy.Mul(*[factor_to_sympy(f, syms) for f in r.den])
+    return rational(r.scale) * num / den
+
+
 def _sympy_ratfunc_cases(seed, count):
     """RatFunc +, *, shifted and permuted at n=3 against sympy's rational
     functions.
@@ -260,20 +284,10 @@ def _sympy_ratfunc_cases(seed, count):
     ctx = Context.triangle(3)
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
 
-    def rational(q):
-        return sympy.Rational(q.numerator, q.denominator)
-
-    def to_sympy(r):
-        num = sum((rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
-                   for e, c in r.num.terms.items()), sympy.Integer(0))
-        den = sympy.Mul(*[syms[f.a] - (syms[f.b] if f.b is not None else 0) + rational(f.c)
-                          for f in r.den])
-        return rational(r.scale) * num / den
-
     def agrees(expr, r):
         assert all(type(c) is int for c in r.num.terms.values())
         assert type(r.scale) is Fraction
-        num, _ = sympy.fraction(sympy.together(expr - to_sympy(r)))
+        num, _ = sympy.fraction(sympy.together(expr - to_sympy(r, syms)))
         return sympy.expand(num) == 0
 
     rng = random.Random(seed)
@@ -281,7 +295,7 @@ def _sympy_ratfunc_cases(seed, count):
     for _ in range(count):
         a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
         shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-        sa, sb = to_sympy(a), to_sympy(b)
+        sa, sb = to_sympy(a, syms), to_sympy(b, syms)
         assert agrees(sa + sb, a + b)
         assert agrees(sa * sb, a * b)
         moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
@@ -298,3 +312,38 @@ def test_ratfunc_matches_sympy():
 @pytest.mark.slow
 def test_ratfunc_matches_sympy_long():
     _sympy_ratfunc_cases(seed=47, count=1000)
+
+
+def _sympy_evaluation_cases(seed, count):
+    """RatFunc.evaluate at n=3 against sympy's subs at rational points
+    with mixed denominators; at a pole, the first vanishing factor (found
+    by sympy) must be named in the ZeroDivisionError."""
+    sympy = pytest.importorskip("sympy")
+    ctx = Context.triangle(3)
+    syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
+    rng = random.Random(seed)
+    poles = 0
+    for _ in range(count):
+        r = rand_ratfunc(rng, ctx)
+        point = rand_point(rng, ctx)
+        values = {syms[v]: rational(q) for v, q in point.items()}
+        vanishing = [f for f in r.den if factor_to_sympy(f, syms).subs(values) == 0]
+        if vanishing:
+            poles += 1
+            message = f"denominator factor {vanishing[0].render(ctx)} vanishes at the point"
+            with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+                r.evaluate(point)
+            continue
+        val = r.evaluate(point)
+        assert type(val) is Fraction
+        assert rational(val) == to_sympy(r, syms).subs(values), (r, point)
+    assert poles
+
+
+def test_evaluate_matches_sympy():
+    _sympy_evaluation_cases(seed=61, count=80)
+
+
+@pytest.mark.slow
+def test_evaluate_matches_sympy_long():
+    _sympy_evaluation_cases(seed=67, count=3000)
