@@ -3,7 +3,6 @@ evaluation, supports, and the lattice generation test.
 """
 
 from skewgt import Context, Poly, RatFunc, SkewElement, commutator, supports_generate_group
-from skewgt.skew import convert_coefficients
 
 ctx = Context.triangle(2)
 x11 = Poly.var(ctx, (1, 1))
@@ -14,8 +13,8 @@ print("u = x11 * d11 squared twists the coefficient:")
 print("  u^2 =", u * u)
 
 print("left vs right coefficient form of u:")
-print("  left :", dict(convert_coefficients(u, 'left')))
-print("  right:", dict(convert_coefficients(u, 'right')))
+print("  left :", dict(u.terms))
+print("  right:", u.right_coefficients())
 
 print()
 print("evaluation applies shifted right coefficients:")

@@ -2,6 +2,6 @@
 
 from skewgt import relations
 
-for report in relations.run_suites(["gl2", "gl3", "invariants", "localized"]):
+for report in relations.run_suites(list(relations.SUITES)):
     print(report.table())
     print()

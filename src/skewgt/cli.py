@@ -124,6 +124,11 @@ class _Parser:
 # inside it: (X11^8)^8 counts as ^64.
 MAX_POWER = 8
 
+# Deepest nesting of ( ) and [ ] groups accepted.  The parser descends
+# one level per group, so a deeper expression is refused before it is
+# parsed.
+MAX_DEPTH = 16
+
 # Largest --n accepted by compute, export and verify.  Generator names
 # address rows 1-9 only, and a context builds all n(n+1)/2 variables
 # before the expression is parsed.
@@ -136,9 +141,19 @@ def _check_rank(n: Optional[int]) -> None:
 
 
 def _check_powers(tokens: List[str]) -> None:
-    """Refuse any power whose exponent, times the exponents of the groups
-    around it, exceeds MAX_POWER.  Scans right to left, so a group's own
+    """Refuse groups nested deeper than MAX_DEPTH, and any power whose
+    exponent, times the exponents of the groups around it, exceeds
+    MAX_POWER.  Powers are scanned right to left, so a group's own
     exponent is read before its contents."""
+    depth = 0
+    for tok in tokens:
+        if tok in ("(", "["):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ValueError(f"groups nested {depth} deep exceed the "
+                                 f"nesting budget of {MAX_DEPTH}")
+        elif tok in (")", "]"):
+            depth -= 1
     scales = [1]
     for pos in range(len(tokens) - 1, -1, -1):
         tok, after = tokens[pos], tokens[pos + 1:pos + 3]
@@ -211,19 +226,9 @@ def _write_json(path: Optional[str], payload: dict):
                              f"{exc.strerror or exc}") from exc
 
 
-# Suites built on gln.triangle(3) whatever --n says.
-RANK3_SUITES = ("gl3", "invariants", "localized")
-
-
 def cmd_verify(args) -> int:
     _check_rank(args.n)
-    names = ["gl2", "gl3", "invariants", "localized"] if args.suite == "all" \
-        else [args.suite]
-    for name in names:
-        if name in RANK3_SUITES and args.n not in (None, 3):
-            print(f"suite {name} runs at n=3 only (got --n {args.n})",
-                  file=sys.stderr)
-            return 2
+    names = list(relations.SUITES) if args.suite == "all" else [args.suite]
     reports = relations.run_suites(names, args.n)
     all_ok = True
     for rep in reports:
@@ -308,53 +313,40 @@ def _parse_point(text: str):
 
 def cmd_gt(args) -> int:
     if args.generic:
-        rows = _parse_point(args.generic)
-        mod = gtmodules.build_generic_module(rows, args.window)
-        # the report runs before any output, so a refused report prints nothing
-        rep = gtmodules.generic_module_report(mod) if args.check else None
-        print(f"generic point rows: {args.generic}")
-        print(f"window radius: {args.window}")
-        print(f"dimension: {mod.dim} ({len(mod.interior)} interior)")
-        for k in range(2, mod.n + 1):
-            distinct = sorted(set(mod.spectrum(f"V{k}")))
-            print(f"V{k} values: " + ", ".join(map(str, distinct)))
-        ok = True
-        if args.check:
-            print(rep.table())
-            ok = rep.ok
-        if args.json:
-            payload = mod.to_json()
-            if args.check:
-                payload["report"] = rep.to_json()
-            _write_json(args.json, payload)
-        return 0 if ok else 1
-
-    if not args.top:
+        mod = gtmodules.build_generic_module(_parse_point(args.generic), args.window)
+        report = gtmodules.generic_module_report
+        lines = [f"generic point rows: {args.generic}",
+                 f"window radius: {args.window}",
+                 f"dimension: {mod.dim} ({len(mod.interior)} interior)"]
+        lines += [f"V{k} values: "
+                  + ", ".join(map(str, sorted(set(mod.spectrum(f"V{k}")))))
+                  for k in range(2, mod.n + 1)]
+    elif args.top:
+        top = tuple(int(v) for v in args.top.split(","))
+        # the sign parser already enumerates row fillings
+        gtmodules.check_module_dim(gtmodules.weyl_dim(top))
+        mod = gtmodules.build_module(top, _parse_signs(args.signs, top))
+        report = gtmodules.module_relation_report
+        fills = ", ".join(f"r[{k}] = {gtmodules.count_row_fillings(top, k)}"
+                          for k in range(2, mod.n + 1))
+        lines = [f"top row: {','.join(map(str, top))}", f"dimension: {mod.dim}",
+                 f"row fillings: {fills}"]
+        lines += [f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}")))
+                  for k in range(2, mod.n + 1)]
+    else:
         print("gt needs --top or --generic", file=sys.stderr)
         return 2
-    top = tuple(int(v) for v in args.top.split(","))
-    # the sign parser already enumerates row fillings
-    gtmodules.check_module_dim(gtmodules.weyl_dim(top))
-    signs = _parse_signs(args.signs, top)
-    mod = gtmodules.build_module(top, signs)
-    rep = gtmodules.module_relation_report(mod) if args.check else None
-    print(f"top row: {','.join(map(str, top))}")
-    print(f"dimension: {mod.dim}")
-    fills = ", ".join(f"r[{k}] = {gtmodules.count_row_fillings(top, k)}"
-                      for k in range(2, len(top) + 1))
-    print(f"row fillings: {fills}")
-    for k in range(2, len(top) + 1):
-        print(f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}"))))
-    ok = True
-    if args.check:
+    # the report runs before any output, so a refused report prints nothing
+    rep = report(mod) if args.check else None
+    print("\n".join(lines))
+    if rep is not None:
         print(rep.table())
-        ok = rep.ok
     if args.json:
         payload = mod.to_json()
-        if args.check:
+        if rep is not None:
             payload["report"] = rep.to_json()
         _write_json(args.json, payload)
-    return 0 if ok else 1
+    return 0 if rep is None or rep.ok else 1
 
 
 def cmd_toy(args) -> int:
@@ -395,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("--suite", choices=["gl2", "gl3", "invariants", "localized", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*relations.SUITES, "all"], default="all")
     p.add_argument("--n", type=int, default=None, help="context size (gl2 suite)")
     p.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
     p.set_defaults(func=cmd_verify)

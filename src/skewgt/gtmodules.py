@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polys import VarId, _coeff, vandermonde
 from .relations import IdentityResult, VerificationReport, gl3_catalogue, verify_predicate
+from .skew import commutator
 from . import gln
 
 Pattern = Tuple[Tuple[Union[int, Fraction], ...], ...]
@@ -81,16 +82,6 @@ def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
             raise ValueError("pattern rows must have lengths 1, 2, ..., n")
         out.append(tuple(_coeff(Fraction(v)) for v in row))
     return tuple(out)
-
-
-def is_interlaced(p: Pattern) -> bool:
-    """Integral interlacing: upper[i] >= lower[i] >= upper[i+1]."""
-    for k in range(len(p) - 1):
-        lower, upper = p[k], p[k + 1]
-        for i in range(len(lower)):
-            if not (upper[i] >= lower[i] >= upper[i + 1]):
-                return False
-    return True
 
 
 def pattern_point(p: Pattern) -> Dict[VarId, Union[int, Fraction]]:
@@ -218,40 +209,6 @@ def _xkk_value(k: int, p: Pattern) -> Fraction:
     return Fraction(total)
 
 
-def act_generator(name: str, p: Pattern) -> List[Tuple[Fraction, Pattern]]:
-    """Formal sum produced by a named generator on one pattern.
-
-    Ladder generators return evaluated coefficients toward patterns with
-    one entry moved by one; targets outside the interlacing polytope are
-    dropped.  Diagonal generators return the pattern itself with its
-    eigenvalue.  Vandermonde actions carry sign data and live in
-    :func:`act_vandermonde`.
-    """
-    n = len(p)
-    ctx = gln.triangle(n)
-    point = pattern_point(p)
-    if name.startswith("X") and name[-1] in "+-":
-        k = int(name[1:-1])
-        sign = 1 if name[-1] == "+" else -1
-        out = []
-        for i in range(1, k + 1):
-            target = _moved(p, k, i, sign)
-            if not is_interlaced(target):
-                continue
-            try:
-                coeff = gln.a_coeff(ctx, k, i, sign).evaluate(point)
-            except ZeroDivisionError as exc:
-                raise ZeroDivisionError(
-                    f"{name} at pattern {p}: {exc}") from exc
-            if coeff:
-                out.append((coeff, target))
-        return out
-    if name.startswith("X") and name[1:] and name[1] == name[-1] and len(name) == 3:
-        k = int(name[1])
-        return [(_xkk_value(k, p), p)]
-    raise ValueError(f"unknown generator action {name!r}")
-
-
 def _moved(p: Pattern, k: int, i: int, delta: int) -> Pattern:
     row = list(p[k - 1])
     row[i - 1] += delta
@@ -365,10 +322,6 @@ def mat_is_zero(a: Matrix) -> bool:
     return not any(a)
 
 
-def mat_comm(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 @dataclass
 class ModuleRealization:
     """A basis of patterns plus exact matrices for every generator."""
@@ -383,9 +336,6 @@ class ModuleRealization:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def matrix(self, name: str) -> Matrix:
-        return self.matrices[name]
 
     def spectrum(self, name: str) -> List[Fraction]:
         m = self.matrices[name]
@@ -478,6 +428,20 @@ def _vandermonde_consistency(mod: ModuleRealization) -> List[IdentityResult]:
     return out
 
 
+def _weight_family(M: Dict[str, Matrix], n: int):
+    """The diagonal weights of the ladder generators as
+    `(bracket, anchor, residual)`: the residual of
+    [X_kk, X_l±] = ±w X_l±, where w is +1 for k = l, -1 for k = l + 1
+    and 0 otherwise.  Both module reports run this family."""
+    for k in range(1, n + 1):
+        for l in range(1, n):
+            for sign, tag in ((1, "+"), (-1, "-")):
+                weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
+                X = M[f"X{l}{tag}"]
+                yield (f"[X{k}{k},X{l}{tag}]", f"diagonal commutation with X{l}{tag}",
+                       commutator(M[f"X{k}{k}"], X) - Fraction(sign * weight) * X)
+
+
 def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     """Exact matrix checks of the defining relations on a finite module.
 
@@ -499,20 +463,14 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
 
     for k in range(1, n):
         for l in range(1, n):
-            res = mat_comm(M[f"X{k}+"], M[f"X{l}-"])
+            res = commutator(M[f"X{k}+"], M[f"X{l}-"])
             if k == l:
-                res = mat_sub(res, mat_sub(M[f"X{k}{k}"], M[f"X{k + 1}{k + 1}"]))
+                res = res - (M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
             chk(f"chevalley:[X{k}+,X{l}-]",
                 f"[X{k}+, X{l}-] is {'the Cartan difference' if k == l else 'zero'}",
                 res)
-    for k in range(1, n + 1):
-        for l in range(1, n):
-            for sign, tag in ((1, "+"), (-1, "-")):
-                weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
-                res = mat_sub(mat_comm(M[f"X{k}{k}"], M[f"X{l}{tag}"]),
-                              mat_scale(sign * weight, M[f"X{l}{tag}"]))
-                chk(f"chevalley:[X{k}{k},X{l}{tag}]",
-                    f"diagonal commutation with X{l}{tag}", res)
+    for bracket, anchor, res in _weight_family(M, n):
+        chk(f"chevalley:{bracket}", anchor, res)
     for k in range(1, n):
         for l in range(1, n):
             if abs(k - l) == 1:
@@ -520,17 +478,16 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                     a, b = M[f"X{k}{tag}"], M[f"X{l}{tag}"]
                     chk(f"serre:X{k}{tag}:X{l}{tag}",
                         f"[X{k}{tag}, [X{k}{tag}, X{l}{tag}]] = 0",
-                        mat_comm(a, mat_comm(a, b)))
+                        commutator(a, commutator(a, b)))
             elif k != l:
                 for tag in "+-":
                     chk(f"commute:X{k}{tag}:X{l}{tag}",
                         f"[X{k}{tag}, X{l}{tag}] = 0",
-                        mat_comm(M[f"X{k}{tag}"], M[f"X{l}{tag}"]))
+                        commutator(M[f"X{k}{tag}"], M[f"X{l}{tag}"]))
 
-    gen_names = sorted(M)
-    for name in gen_names:
+    for name in sorted(M):
         chk(f"central:V{n}:{name}", f"top Vandermonde commutes with {name}",
-            mat_comm(M[f"V{n}"], M[name]))
+            commutator(M[f"V{n}"], M[name]))
 
     rep.results.extend(_vandermonde_consistency(mod))
 
@@ -607,22 +564,15 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
     M = mod.matrices
     cols = mod.interior or []
     for k in range(1, mod.n):
-        res = mat_sub(mat_comm(M[f"X{k}+"], M[f"X{k}-"]),
-                      mat_sub(M[f"X{k}{k}"], M[f"X{k + 1}{k + 1}"]))
+        res = commutator(M[f"X{k}+"], M[f"X{k}-"]) \
+            - (M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
         rep.add(verify_predicate(
             f"generic:[X{k}+,X{k}-]",
             f"[X{k}+, X{k}-] = X{k}{k} - X{k + 1}{k + 1} on interior vectors",
             columns_zero(res, cols)))
-    for k in range(1, mod.n + 1):
-        for l in range(1, mod.n):
-            for sign, tag in ((1, "+"), (-1, "-")):
-                weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
-                res = mat_sub(mat_comm(M[f"X{k}{k}"], M[f"X{l}{tag}"]),
-                              mat_scale(sign * weight, M[f"X{l}{tag}"]))
-                rep.add(verify_predicate(
-                    f"generic:[X{k}{k},X{l}{tag}]",
-                    f"diagonal commutation with X{l}{tag} on interior vectors",
-                    columns_zero(res, cols)))
+    for bracket, anchor, res in _weight_family(M, mod.n):
+        rep.add(verify_predicate(f"generic:{bracket}", f"{anchor} on interior vectors",
+                                 columns_zero(res, cols)))
     return rep
 
 
@@ -648,7 +598,7 @@ def nonsemisimple_report(mod: ModuleRealization) -> VerificationReport:
     v2 = mod.matrices["V2"]
     rep.add(verify_predicate(
         "v2-squared-identity", "the glued Vandermonde action squares to the identity",
-        mat_is_zero(mat_sub(mat_mul(v2, v2), eye(2)))))
+        mat_is_zero(v2 * v2 - eye(2))))
     closed = all(mod.matrices[name][1][0] == 0 for name in sorted(mod.matrices))
     rep.add(verify_predicate(
         "first-line-submodule", "the first coordinate line is closed under all generators",

@@ -184,11 +184,6 @@ class RatFunc:
     def is_poly(self) -> bool:
         return not self.den
 
-    def as_poly(self) -> Poly:
-        if self.den:
-            raise ValueError("nontrivial denominator; not a polynomial")
-        return self.num * self.scale
-
     def den_poly(self) -> Poly:
         out = Poly.one(self.ctx)
         for f in self.den:

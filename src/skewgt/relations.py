@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .polys import Context, Poly, elementary_symmetric, vandermonde
 from .ratfunc import RatFunc, linear_factor
@@ -163,20 +163,6 @@ ALPHA = {
 }
 
 
-def _gl3_elements(ctx: Context):
-    elems = {
-        "X11": gln.gen_Xkk(ctx, 1),
-        "X22": gln.gen_Xkk(ctx, 2),
-        "X33": gln.gen_Xkk(ctx, 3),
-        "V2": gln.gen_V(ctx, 2),
-        "V3": gln.gen_V(ctx, 3),
-    }
-    for (k, i) in ((1, 1), (2, 1), (2, 2)):
-        for sign, tag in ((+1, "+"), (-1, "-")):
-            elems[f"A{k}{i}{tag}"] = gln.gen_A(ctx, k, i, sign)
-    return elems
-
-
 def gl3_catalogue(E, zero):
     """Families iii-ix of the rank-3 catalogue over a name -> element
     map, as `(family, key, anchor, lhs, rhs)`; the entries use only
@@ -229,10 +215,10 @@ def suite_gl3() -> VerificationReport:
     ctx = gln.triangle(3)
     rep = VerificationReport("gl3")
     zero = SkewElement.zero(ctx)
-    E = _gl3_elements(ctx)
-
     gen_order = ["X11", "X22", "X33", "A11+", "A11-", "A21+", "A21-",
                  "A22+", "A22-", "V2", "V3"]
+    E = {name: gln.element(ctx, name) for name in gen_order}
+
     for name in gen_order:
         rep.add(verify_identity(
             f"i:central:V3:{name}", f"V3 commutes with {name}",
@@ -375,18 +361,26 @@ def suite_localized() -> VerificationReport:
     return rep
 
 
-SUITES: dict = {
-    "gl2": lambda n=None: suite_gl2(2 if n is None else n),
-    "gl3": lambda n=3: suite_gl3(),
-    "invariants": lambda n=3: suite_invariants(),
-    "localized": lambda n=3: suite_localized(),
+# Every suite by name, with the rank it is fixed at; None marks gl2,
+# which runs at any n >= 2 (default 2).  `run_suites` looks up
+# `suite_<name>` at call time, so a wrapper installed on a suite
+# function sees every run.
+SUITES: Dict[str, Optional[int]] = {
+    "gl2": None, "gl3": 3, "invariants": 3, "localized": 3,
 }
 
 
 def run_suites(names, n: Optional[int] = None) -> List[VerificationReport]:
-    reports = []
+    """Run the named suites in order.  Every name and its rank are
+    checked against `n` before any suite runs."""
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        reports.append(SUITES[name](n) if name == "gl2" else SUITES[name]())
+        rank = SUITES[name]
+        if rank is not None and n not in (None, rank):
+            raise ValueError(f"suite {name} runs at n={rank} only (got --n {n})")
+    reports = []
+    for name in names:
+        suite = globals()[f"suite_{name}"]
+        reports.append(suite() if SUITES[name] else suite(2 if n is None else n))
     return reports

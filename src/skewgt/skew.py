@@ -83,15 +83,6 @@ class RowPermutation:
                              for i in range(1, size + 1))
         return RowPermutation(out)
 
-    def inverse(self) -> "RowPermutation":
-        out = {}
-        for row, images in self.perms.items():
-            inv = [0] * len(images)
-            for i, img in enumerate(images, start=1):
-                inv[img - 1] = i
-            out[row] = tuple(inv)
-        return RowPermutation(out)
-
     def row_parity(self, row: int) -> int:
         """0 for even, 1 for odd."""
         images = self.perms.get(row)
@@ -388,19 +379,6 @@ def _coerce_ratfunc(ctx: Context, a) -> RatFunc:
 
 def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
     return a * b - b * a
-
-
-def convert_coefficients(u: SkewElement, side: str) -> Dict[ShiftKey, RatFunc]:
-    """Coefficient view of an element on the chosen side of the shifts.
-
-    The stored convention is left; "right" re-expresses each term as
-    mu * alpha.  Converting back with `from_right` is the identity.
-    """
-    if side == "left":
-        return dict(u.terms)
-    if side == "right":
-        return u.right_coefficients()
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def is_invariant(u: SkewElement, group: str) -> bool:

@@ -15,6 +15,7 @@ exact arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -184,40 +185,36 @@ def degree_zero_form(u: SkewElement) -> Optional[RatFunc]:
     return coeff
 
 
+# One signed term of `parse_univariate`: a coefficient (an integer or
+# a/b), `x` or `x^k`, or a coefficient times one of those, optionally
+# written with `*`.
+_TERM_RE = re.compile(r"([+-])(?:([0-9]+(?:/[0-9]+)?)(?:\*(?=x))?)?(x(?:\^([0-9]+))?)?")
+
+
 def parse_univariate(ctx: Context, text: str) -> Poly:
-    """Parse '3x^3 + x + 5' style univariate polynomials (also with '*')."""
-    s = text.replace(" ", "").replace("**", "^").replace("*", "")
+    """Parse '3x^3 + x + 5' style univariate polynomials (also with '*'
+    before x and '**' for '^').  Input that is not a sum of such terms
+    is refused, never reread."""
+    s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty polynomial")
     if s[0] not in "+-":
         s = "+" + s
     terms: dict = {}
-    i = 0
-    while i < len(s):
-        sign = 1 if s[i] == "+" else -1
-        i += 1
-        j = i
-        while j < len(s) and (s[j].isdigit() or s[j] == "/"):
-            j += 1
-        coeff = Fraction(s[i:j]) if j > i else Fraction(1)
-        i = j
-        power = 0
-        if i < len(s) and s[i] == "x":
-            power = 1
-            i += 1
-            if i < len(s) and s[i] == "^":
-                i += 1
-                j = i
-                while j < len(s) and s[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ValueError(f"missing exponent in {text!r}")
-                power = int(s[i:j])
-                if power > MAX_DEGREE:
-                    raise ValueError(f"power x^{power} exceeds the degree "
-                                     f"budget of {MAX_DEGREE}")
-                i = j
-        terms[(power,)] = terms.get((power,), 0) + sign * coeff
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not (m and (m.group(2) or m.group(3))):
+            raise ValueError(f"cannot parse polynomial {text!r}: "
+                             f"bad term at {s[pos:]!r}")
+        sign, coeff, xpart, exponent = m.groups()
+        power = int(exponent) if exponent else (1 if xpart else 0)
+        if power > MAX_DEGREE:
+            raise ValueError(f"power x^{power} exceeds the degree "
+                             f"budget of {MAX_DEGREE}")
+        value = Fraction(coeff) if coeff else Fraction(1)
+        terms[(power,)] = terms.get((power,), 0) + (value if sign == "+" else -value)
+        pos = m.end()
     return Poly(ctx, terms)
 
 

@@ -13,7 +13,7 @@ from skewgt import gln, gtmodules as gt, relations, toy
 from skewgt.lattice import supports_generate_group
 from skewgt.polys import Context, Poly, elementary_symmetric, vandermonde
 from skewgt.ratfunc import RatFunc
-from skewgt.skew import RowPermutation, SkewElement, is_invariant
+from skewgt.skew import RowPermutation, SkewElement, commutator, is_invariant
 
 from conftest import rand_poly, rand_ratfunc, rand_rowperm, rand_skew
 
@@ -112,8 +112,7 @@ def test_criterion_7_generic_window():
     start = time.monotonic()
     mod = gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=2)
     M = mod.matrices
-    residual = gt.mat_sub(gt.mat_comm(M["X1+"], M["X1-"]),
-                          gt.mat_sub(M["X11"], M["X22"]))
+    residual = commutator(M["X1+"], M["X1-"]) - (M["X11"] - M["X22"])
     assert mod.interior and gt.columns_zero(residual, mod.interior)
     _report("criterion 7: generic rank-2 window commutator", start, 10.0)
 

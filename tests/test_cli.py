@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from skewgt import cli, gln, gtmodules, toy
+from skewgt import cli, gln, gtmodules, relations, toy
 from skewgt.skew import commutator
 
 
@@ -187,6 +187,50 @@ def test_size_budgets(capsys, monkeypatch):
             assert f"--n {n} exceeds the rank budget of {cli.MAX_RANK}" in err
 
 
+def test_nesting_budget(capsys):
+    # groups nested to the budget parse; one past it, and the deep or
+    # unbalanced nesting that used to exhaust the parser's recursion, are
+    # refused before parsing
+    depth = cli.MAX_DEPTH
+    for open_, close, inner in (("(", ")", "X11"), ("[X11, ", "]", "X11")):
+        for cmd in ("compute", "export"):
+            expr = open_ * depth + inner + close * depth
+            code, out, _ = run(capsys, [cmd, "--expr", expr, "--n", "2"])
+            assert code == 0 and out
+            for expr in (open_ * (depth + 1) + inner + close * (depth + 1),
+                         open_ * 250 + inner + close * 250, open_ * 300 + inner):
+                code, out, err = run(capsys, [cmd, "--expr", expr, "--n", "2"])
+                assert code == 2 and out == ""
+                assert f"groups nested {depth + 1} deep exceed the nesting budget " \
+                    f"of {depth}" in err
+
+
+def test_toy_refuses_malformed_f(capsys):
+    for f in ("x^2x^3", "x^2*3", "2x3", "x^2 + + 1"):
+        code, out, err = run(capsys, ["toy", f"--f={f}", "--target=1/x"])
+        assert code == 2 and out == ""
+        assert f"cannot parse polynomial {f!r}" in err
+
+
+def test_verify_suite_registry(capsys, monkeypatch):
+    # every name in the registry is a choice, and `all` runs them in order
+    code, out, _ = run(capsys, ["verify", "--suite", "all"])
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("suite ")] == [f"suite {name}" for name in
+                                              relations.SUITES]
+    # a conflicting --n is refused for every requested suite before any runs
+    def never(*args):
+        raise AssertionError("a suite ran")
+    for name in relations.SUITES:
+        monkeypatch.setattr(relations, f"suite_{name}", never)
+    with pytest.raises(ValueError, match="suite gl3 runs at n=3 only"):
+        relations.run_suites(["gl2", "gl3"], 4)
+    # suite functions are looked up when they run
+    monkeypatch.setattr(relations, "suite_localized", lambda: "stub")
+    assert relations.run_suites(["localized"], 3) == ["stub"]
+
+
 def test_gt_generic(capsys):
     code, out, _ = run(capsys, ["gt", "--generic", "1/3; 1,0",
                                 "--window", "2", "--check"])
@@ -238,7 +282,8 @@ def test_unwritable_json_path(capsys, tmp_path):
 
 # sha256 of stdout, recorded while every polynomial coefficient was still
 # stored as a Fraction: the int/Fraction storage rule must not change a
-# printed form or a JSON body by one byte.
+# printed form or a JSON body by one byte.  The `gt` digests were recorded
+# while the finite and generic module reports were still written apart.
 PRINTED_FORM_DIGESTS = [
     (["verify", "--suite", "gl3", "--json", "-"],
      "d259f6ef4f94b7e7981deeffd4a72c28a97e44cd892b7da055430b0abc8ab8a8"),
@@ -246,6 +291,13 @@ PRINTED_FORM_DIGESTS = [
      "06baf516ed1e2d048aa70795c27459056c497acfdac7ab54644503dfa77522d8"),
     (["toy", "--f", "3x^3+x+5", "--target", "1/(x-2)"],
      "ad1315232c7a4bc138702a34f542033f67c069b5f36963c1e5fdd0b048e05912"),
+    (["gt", "--top", "2,1,0", "--signs", "all-minus", "--check"],
+     "65e8ab828be382e0be0b2312fcd53fe67518791c7b3734e3180d5b40e023d354"),
+    (["gt", "--top", "2,1,0,0", "--check"],
+     "c2cac5920a3b68f95a52949fa244346cb3b9bcd7bf01e9ee07e05db972f6d38a"),
+    (["gt", "--generic=1/3; 2/5, 3/7; 1,0,0", "--window", "1", "--check",
+      "--json", "-"],
+     "b380052ac7eb685c4055193af64530d7cdad634f62bb7a97a8e578ff82e920f9"),
 ]
 
 

@@ -83,18 +83,25 @@ def test_non_dominant_rejected():
         gt.build_module((1, 2, 0))
 
 
+def column(m, j):
+    """Column j of a sparse matrix as {row: entry}."""
+    return {i: row[j] for i, row in enumerate(m) if j in row}
+
+
 def test_highest_weight_eigenvalues():
-    hi = gt.normalize_pattern([(1,), (1, 0)])
-    assert gt.act_generator("X11", hi) == [(Fraction(1), hi)]
-    assert gt.act_generator("X22", hi) == [(Fraction(0), hi)]
+    m = gt.build_module((1, 0))
+    hi = m.basis.index(gt.normalize_pattern([(1,), (1, 0)]))
+    assert column(m.matrices["X11"], hi) == {hi: Fraction(1)}
+    assert column(m.matrices["X22"], hi) == {}
 
 
 def test_ladder_round_trip_on_standard_module():
-    hi = gt.normalize_pattern([(1,), (1, 0)])
-    lo = gt.normalize_pattern([(0,), (1, 0)])
-    assert gt.act_generator("X1-", hi) == [(Fraction(1), lo)]
-    assert gt.act_generator("X1+", lo) == [(Fraction(1), hi)]
-    assert gt.act_generator("X1+", hi) == []
+    m = gt.build_module((1, 0))
+    hi = m.basis.index(gt.normalize_pattern([(1,), (1, 0)]))
+    lo = m.basis.index(gt.normalize_pattern([(0,), (1, 0)]))
+    assert column(m.matrices["X1-"], hi) == {lo: Fraction(1)}
+    assert column(m.matrices["X1+"], lo) == {hi: Fraction(1)}
+    assert column(m.matrices["X1+"], hi) == {}
 
 
 def test_trivial_module_acts_by_zero():
@@ -138,7 +145,7 @@ def test_standard_module_matches_defining_representation():
     assert sorted(m.spectrum("X22")) == [0, 1]
     assert gt.mat_is_zero(gt.mat_mul(e, e))
     assert gt.mat_is_zero(gt.mat_mul(f, f))
-    ef = gt.mat_comm(e, f)
+    ef = commutator(e, f)
     assert ef == gt.mat_sub(h1, m.matrices["X22"])
 
 
@@ -240,8 +247,7 @@ def test_module_layer_types():
         for name, m in mod.matrices.items():
             assert all(type(v) is Fraction for row in m for v in row.values()), name
         for k in range(1, 4):
-            assert mod.spectrum(f"X{k}{k}") == [gt.act_generator(f"X{k}{k}", p)[0][0]
-                                                for p in mod.basis]
+            assert mod.spectrum(f"X{k}{k}") == [diagonal_oracle(k, p) for p in mod.basis]
         for k in (2, 3):
             assert mod.spectrum(f"V{k}") == [vandermonde(ctx, k).evaluate(gt.pattern_point(p))
                                              for p in mod.basis]
@@ -351,9 +357,8 @@ def test_sparse_ops_match_dense_reference():
         assert to_dense(c * a) == [[c * x for x in row] for row in da]
         assert to_dense(gt.mat_scale(0, a)) == [[0] * n for _ in range(n)]
         comm = dense_sub(dense_mul(da, db), dense_mul(db, da))
-        assert to_dense(gt.mat_comm(a, b)) == comm
         assert to_dense(commutator(a, b)) == comm
-        for m, dm in ((a, da), (gt.mat_comm(a, b), comm)):
+        for m, dm in ((a, da), (commutator(a, b), comm)):
             assert gt.mat_is_zero(m) == all(not x for row in dm for x in row)
             cols = rng.sample(range(n), rng.randint(0, n))
             assert gt.columns_zero(m, cols) == all(not dm[r][c]
@@ -369,20 +374,56 @@ def test_identity_and_zero_matrices():
         assert gt.mat_is_zero(gt.zeros(n)) and not gt.mat_is_zero(gt.eye(n))
 
 
+def ladder_oracle(p, k, i, s):
+    """Closed-form a(k, i, s) at the pattern p, from its entries alone:
+    -s * prod_{j <= k+s} (l_{k+s,j} - l_ki) / prod_{j != i} (l_kj - l_ki)
+    with l_ki = lambda_ki - i + 1."""
+    l = lambda r, j: Fraction(p[r - 1][j - 1]) - j + 1
+    num = Fraction(-s)
+    for j in range(1, k + s + 1):
+        num *= l(k + s, j) - l(k, i)
+    den = Fraction(1)
+    for j in range(1, k + 1):
+        if j != i:
+            den *= l(k, j) - l(k, i)
+    return num / den
+
+
+def diagonal_oracle(k, p):
+    """X_kk on a pattern: row sum k minus row sum k-1."""
+    return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
+
+
 def test_ladder_matrices_match_per_pattern_action():
-    """Every built ladder and diagonal matrix of the (2,1,0) module,
-    column by column, against the independent per-pattern action."""
-    mod = gt.build_module((2, 1, 0))
-    index = {p: i for i, p in enumerate(mod.basis)}
-    names = [f"X{k}{tag}" for k in (1, 2) for tag in "+-"] + ["X11", "X22", "X33"]
-    for name in names:
-        m = mod.matrices[name]
-        to_dense(m)
+    """Every built ladder summand, ladder and diagonal matrix of the
+    (1,0), (2,1,0) and (2,1,0,0) modules, column by column, against
+    the closed-form coefficients evaluated with Fractions on the pattern
+    entries: A_ki(+-) sends p to p with entry (k, i) moved by +-1 when
+    that target is a basis pattern."""
+    for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]:
+        mod = gt.build_module(top)
+        n = len(top)
+        index = {p: j for j, p in enumerate(mod.basis)}
+        for m in mod.matrices.values():
+            to_dense(m)
         for j, p in enumerate(mod.basis):
-            column = {i: row[j] for i, row in enumerate(m) if j in row}
-            expected = {index[target]: c for c, target in gt.act_generator(name, p)
-                        if c}
-            assert column == expected, (name, p)
+            for k in range(1, n + 1):
+                d = diagonal_oracle(k, p)
+                assert column(mod.matrices[f"X{k}{k}"], j) == ({j: d} if d else {})
+            for k in range(1, n):
+                for s, tag in ((1, "+"), (-1, "-")):
+                    total = {}
+                    for i in range(1, k + 1):
+                        row = list(p[k - 1])
+                        row[i - 1] += s
+                        target = index.get(p[:k - 1] + (tuple(row),) + p[k:])
+                        c = ladder_oracle(p, k, i, s) if target is not None else 0
+                        expected = {target: c} if c else {}
+                        assert column(mod.matrices[f"A{k}{i}{tag}"], j) == expected, \
+                            (top, f"A{k}{i}{tag}", p)
+                        total.update(expected)
+                    assert column(mod.matrices[f"X{k}{tag}"], j) == total, \
+                        (top, f"X{k}{tag}", p)
 
 
 def test_module_size_budget():

@@ -6,7 +6,7 @@ import pytest
 from skewgt.polys import Context, Poly, vandermonde
 from skewgt.ratfunc import RatFunc
 from skewgt.skew import (RowPermutation, SkewElement, alt_generators,
-                         commutator, convert_coefficients, is_invariant,
+                         commutator, is_invariant,
                          sym_generators)
 from skewgt.lattice import lattice_spans_ambient, supports_generate_group
 from skewgt import gln
@@ -73,10 +73,6 @@ def test_right_left_roundtrip_random(ctx3):
     for _ in range(30):
         u = rand_skew(rng, ctx3)
         assert SkewElement.from_right(ctx3, u.right_coefficients()) == u
-        assert convert_coefficients(u, "left") == u.terms
-        assert convert_coefficients(u, "right") == u.right_coefficients()
-    with pytest.raises(ValueError):
-        convert_coefficients(SkewElement.zero(ctx3), "middle")
 
 
 def test_support(ctx3):
@@ -170,8 +166,6 @@ def test_rowperm_group_axioms(ctx3):
         h = rand_rowperm(rng, ctx3)
         k = rand_rowperm(rng, ctx3)
         assert g.compose(h).compose(k) == g.compose(h.compose(k))
-        assert g.compose(g.inverse()) == RowPermutation.identity()
-        assert g.inverse().compose(g) == RowPermutation.identity()
 
 
 def test_action_composition(ctx3):

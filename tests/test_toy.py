@@ -141,8 +141,14 @@ def test_parsers(ctx):
     assert toy.parse_univariate(ctx, "x^2 + 1") == x ** 2 + 1
     assert toy.parse_univariate(ctx, "-2x + 1/2") == -2 * x + Fraction(1, 2)
     assert toy.parse_univariate(ctx, "3*x^2") == 3 * x ** 2
+    assert toy.parse_univariate(ctx, "x**2+1") == x ** 2 + 1
+    assert toy.parse_univariate(ctx, "1/2x+1") == Fraction(1, 2) * x + 1
     with pytest.raises(ValueError):
         toy.parse_univariate(ctx, "")
+    # malformed input is refused, never reread as another polynomial
+    for text in ("x^2x^3", "x^2*3", "2x3", "x^2 + + 1", "x^", "*x", "3*", "x - -1"):
+        with pytest.raises(ValueError, match="cannot parse polynomial"):
+            toy.parse_univariate(ctx, text)
     assert toy.parse_inverse_target("1/x") == 0
     assert toy.parse_inverse_target("1/(x-2)") == -2
     assert toy.parse_inverse_target("1/(x+3)") == 3
