@@ -129,15 +129,17 @@ MAX_POWER = 8
 # parsed.
 MAX_DEPTH = 16
 
-# Largest --n accepted by compute, export and verify.  Generator names
-# address rows 1-9 only, and a context builds all n(n+1)/2 variables
-# before the expression is parsed.
+# Largest --n accepted by compute, export and verify, and largest top
+# row or generic point accepted by gt.  Generator and matrix names
+# address rows 1-9 only, a context builds all n(n+1)/2 variables before
+# the expression is parsed, and a module builds every a(k,i,+/-), whose
+# numerator expands to about 2^(k+1) terms whatever the dimension.
 MAX_RANK = 9
 
 
-def _check_rank(n: Optional[int]) -> None:
+def _check_rank(n: Optional[int], name: str = "--n") -> None:
     if n is not None and n > MAX_RANK:
-        raise ValueError(f"--n {n} exceeds the rank budget of {MAX_RANK}")
+        raise ValueError(f"{name} {n} exceeds the rank budget of {MAX_RANK}")
 
 
 def _check_powers(tokens: List[str]) -> None:
@@ -313,7 +315,9 @@ def _parse_point(text: str):
 
 def cmd_gt(args) -> int:
     if args.generic:
-        mod = gtmodules.build_generic_module(_parse_point(args.generic), args.window)
+        rows = _parse_point(args.generic)
+        _check_rank(len(rows), "rank")
+        mod = gtmodules.build_generic_module(rows, args.window)
         report = gtmodules.generic_module_report
         lines = [f"generic point rows: {args.generic}",
                  f"window radius: {args.window}",
@@ -323,6 +327,7 @@ def cmd_gt(args) -> int:
                   for k in range(2, mod.n + 1)]
     elif args.top:
         top = tuple(int(v) for v in args.top.split(","))
+        _check_rank(len(top), "rank")
         # the sign parser already enumerates row fillings
         gtmodules.check_module_dim(gtmodules.weyl_dim(top))
         mod = gtmodules.build_module(top, _parse_signs(args.signs, top))

@@ -53,12 +53,8 @@ def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:
     if not (1 <= k <= ctx.n - 1):
         raise ValueError(f"X{k}{'+' if sign > 0 else '-'} out of range for "
                          f"n={ctx.n}: needs 1 <= k <= n-1 = {ctx.n - 1}")
-    terms = {}
-    for i in range(1, k + 1):
-        key = [0] * ctx.shift_rank
-        key[ctx.shift_pos((k, i))] = sign
-        terms[tuple(key)] = a_coeff(ctx, k, i, sign)
-    return SkewElement.from_right(ctx, terms)
+    return sum((gen_A(ctx, k, i, sign) for i in range(1, k + 1)),
+               SkewElement.zero(ctx))
 
 
 def gen_A(ctx: Context, k: int, i: int, sign: int) -> SkewElement:

@@ -560,9 +560,12 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
     if mod.n < 2:
         raise ValueError(f"the generic relation report needs a point with "
                          f"n >= 2 rows (got n={mod.n})")
+    if not mod.interior:
+        raise ValueError("the generic relation report needs a window with "
+                         "interior vectors (radius >= 1)")
     rep = VerificationReport("generic-module")
     M = mod.matrices
-    cols = mod.interior or []
+    cols = mod.interior
     for k in range(1, mod.n):
         res = commutator(M[f"X{k}+"], M[f"X{k}-"]) \
             - (M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])

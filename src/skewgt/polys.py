@@ -10,9 +10,15 @@ otherwise.  There is no floating point anywhere.
 
 Representation: ``terms`` maps a dense exponent tuple (one slot per
 context variable, row-major order) to a nonzero coefficient.  The zero
-polynomial is the empty map.  Graded lexicographic order with row-major
+polynomial is the empty map.  The constructor is the only place that
+drops zero coefficients: sums, products and shifts accumulate into a
+plain map and hand it over.  Graded lexicographic order with row-major
 variable precedence fixes a unique printed form (and the sign of the
 primitive part) for every polynomial; division does not depend on it.
+
+The operators ``-``, reflected ``-`` and ``**`` are written once, on
+:class:`Ring`, from each type's own ``+``, unary ``-``, ``*`` and
+``one``; :class:`Poly`, ``RatFunc`` and ``SkewElement`` inherit them.
 
 Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
 ``str``, storing ints shows in no printed form; it only spares integer
@@ -141,7 +147,35 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class Poly:
+class Ring:
+    """``-``, reflected ``-`` and ``**`` built from a subclass's own
+    ``_promote`` (the operand in its type, or None), ``+``, unary ``-``,
+    ``*``, ``ctx`` and ``one(ctx)``.  They apply ``+`` and ``*`` as
+    operators, so a wrapper installed on the subclass sees every call.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, k: int):
+        """``one * self * ... * self`` with k factors, left to right."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("powers must be nonnegative integers")
+        out = type(self).one(self.ctx)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ("ctx", "terms")
@@ -166,10 +200,7 @@ class Poly:
 
     @staticmethod
     def const(ctx: Context, value) -> "Poly":
-        value = _coeff(value)
-        if value == 0:
-            return Poly.zero(ctx)
-        return Poly(ctx, {(0,) * len(ctx.vars): value})
+        return Poly(ctx, {(0,) * len(ctx.vars): _coeff(value)})
 
     @staticmethod
     def one(ctx: Context) -> "Poly":
@@ -239,34 +270,16 @@ class Poly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _coeff(other)
-            if q == 0:
-                return Poly.zero(self.ctx)
             return Poly(self.ctx, {e: c * q for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -275,26 +288,10 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.ctx, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -327,11 +324,7 @@ class Poly:
             for j in range(e + 1):
                 c = coeff * math.comb(e, j) * (-s) ** (e - j)
                 key = exps[:pos] + (j,) + exps[pos + 1:]
-                t = out.get(key, 0) + c
-                if t:
-                    out[key] = t
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c
         return Poly(self.ctx, out)
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":

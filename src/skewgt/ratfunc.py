@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .polys import Context, Poly, VarId, _as_fraction, _coeff
+from .polys import Context, Poly, Ring, VarId, _as_fraction, _coeff
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _cancel(prim: Poly, factors, scale: Fraction):
     return scale, prim, kept
 
 
-class RatFunc:
+class RatFunc(Ring):
     """Reduced rational function with factored denominator."""
 
     __slots__ = ("num", "den", "scale")
@@ -269,15 +269,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc._reduced(self.num, self.den, -self.scale)
 
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """Cross-cancel, then multiply the numerators.
 
@@ -299,14 +290,6 @@ class RatFunc:
         return RatFunc._reduced(n1 * n2, kept1 + kept2, scale)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = RatFunc.one(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- actions --------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
-from .polys import Context, Poly, VarId
+from .polys import Context, Poly, Ring, VarId
 from .ratfunc import RatFunc
 
 ShiftKey = Tuple[int, ...]
@@ -46,10 +46,7 @@ class RowPermutation:
 
     @staticmethod
     def transposition(ctx: Context, row: int, i: int, j: int) -> "RowPermutation":
-        size = len(ctx.rows[row])
-        images = list(range(1, size + 1))
-        images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-        return RowPermutation({row: tuple(images)})
+        return RowPermutation.cycle(ctx, row, (i, j))
 
     @staticmethod
     def cycle(ctx: Context, row: int, cycle: Tuple[int, ...]) -> "RowPermutation":
@@ -134,7 +131,7 @@ def alt_generators(ctx: Context):
     return gens
 
 
-class SkewElement:
+class SkewElement(Ring):
     """Finite sum of shifts with left rational-function coefficients."""
 
     __slots__ = ("ctx", "terms")
@@ -235,15 +232,6 @@ class SkewElement:
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._promote(other)
         if other is None:
@@ -263,14 +251,6 @@ class SkewElement:
         if other is None:
             return NotImplemented
         return other * self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = SkewElement.one(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._promote(other)

@@ -135,6 +135,11 @@ def test_gt_generic_rank_one_check(capsys):
         assert "needs a point with n >= 2 rows (got n=1)" in err
     code, out, _ = run(capsys, ["gt", "--generic", "1/3"])
     assert code == 0 and "dimension: 1" in out
+    # a radius-0 window has no interior vector, so the report has no data
+    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "0",
+                                  "--check"])
+    assert code == 2 and out == ""
+    assert "needs a window with interior vectors" in err
 
 
 def test_size_budgets(capsys, monkeypatch):
@@ -175,6 +180,29 @@ def test_size_budgets(capsys, monkeypatch):
             assert code == 2 and out == ""
             assert f"target translate {c:+d} exceeds the budget of " \
                 f"|c| <= {toy.MAX_TRANSLATE}" in err
+    # a gt rank over the budget never reaches the Weyl formula or a build;
+    # the budget itself lets rank MAX_RANK through to them
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached(args)
+
+    with monkeypatch.context() as m:
+        for attr in ("weyl_dim", "build_module", "build_generic_module"):
+            m.setattr(gtmodules, attr, reached)
+        for n in (cli.MAX_RANK + 1, cli.MAX_RANK):
+            top = ["--top", ",".join(["0"] * n)]
+            generic = ["--generic", "; ".join(", ".join(["1/3"] * k)
+                                              for k in range(1, n + 1)), "--window", "0"]
+            for argv in (top, generic, top + ["--check"], generic + ["--check"]):
+                if n > cli.MAX_RANK:
+                    code, out, err = run(capsys, ["gt", *argv])
+                    assert code == 2 and out == ""
+                    assert f"rank {n} exceeds the rank budget of {cli.MAX_RANK}" in err
+                else:
+                    with pytest.raises(Reached):
+                        cli.main(["gt", *argv])
     # a rank over the budget never reaches a context
     def no_context(n):
         raise AssertionError(f"context of rank {n} built")

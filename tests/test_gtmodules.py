@@ -440,3 +440,8 @@ def test_generic_report_needs_rank_two():
     m = gt.build_generic_module([(Fraction(1, 3),)], radius=2)
     with pytest.raises(ValueError, match="n >= 2"):
         gt.generic_module_report(m)
+    # rank two at radius 0: one basis vector and no interior, so no data
+    m = gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=0)
+    assert m.dim == 1 and m.interior == []
+    with pytest.raises(ValueError, match="interior vectors"):
+        gt.generic_module_report(m)

@@ -375,7 +375,13 @@ def test_operations_store_normalized_coefficients(data):
                p.subs_shift(shift), p.permute(data.draw(row_permutations(ctx))),
                *p.divmod_linear(a, b, c), *exact.divmod_linear(a, b, c),
                p.content_primitive()[1]]
-    for r in results:
+    # sums that cancel: every zero is dropped by the constructor alone
+    back = {v: -m for v, m in shift.items()}
+    cancelling = [(p - p, 0), (p * q - q * p, 0), ((p + q) - q, p),
+                  (p.subs_shift(shift).subs_shift(back), p)]
+    for r, expected in cancelling:
+        assert r == expected
+    for r in results + [r for r, _ in cancelling]:
         assert_normalized(r)
 
 
