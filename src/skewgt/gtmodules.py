@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polys import VarId, _coeff, vandermonde
+from .polys import VarId, _as_fraction, _coeff, vandermonde
 from .relations import IdentityResult, VerificationReport, gl3_catalogue, verify_predicate
 from .skew import commutator
 from . import gln
@@ -75,12 +75,13 @@ def check_module_dim(dim: int) -> None:
 
 def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
     """Rows as tuples of exact rationals: an int when integral, else a
-    Fraction."""
+    Fraction.  An entry that is not an int or a Fraction, a float
+    included, raises TypeError."""
     out = []
     for k, row in enumerate(rows, start=1):
         if len(row) != k:
             raise ValueError("pattern rows must have lengths 1, 2, ..., n")
-        out.append(tuple(_coeff(Fraction(v)) for v in row))
+        out.append(tuple(_coeff(v) for v in row))
     return tuple(out)
 
 
@@ -230,10 +231,10 @@ class Row(dict):
 
 
 class Matrix(list):
-    """A list of `Row`s with `a * b`, `a + b`, `a - b` and `c * a`.  Each
-    operator calls the module-level `mat_*` function, looked up at call
-    time, so a wrapper installed on those names sees every call.  `+=`
-    is the list's own (it extends); write `a = a + b`."""
+    """A list of `Row`s with `a * b`, `a + b`, `a += b`, `a - b` and
+    `c * a`.  Each operator calls the module-level `mat_*` function,
+    looked up at call time, so a wrapper installed on those names sees
+    every call."""
 
     __slots__ = ()
 
@@ -245,6 +246,8 @@ class Matrix(list):
 
     def __add__(self, other):
         return mat_add(self, other)
+
+    __iadd__ = __add__
 
     def __sub__(self, other):
         return mat_sub(self, other)
@@ -312,7 +315,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
+    c = _as_fraction(c)
     if not c:
         return zeros(len(a))
     return Matrix(Row({j: c * x for j, x in row.items()}) for row in a)
@@ -583,7 +586,7 @@ def example_nonsemisimple(alpha) -> ModuleRealization:
     """Two copies of the trivial rank-2 module glued by a nondiagonal
     Vandermonde action [[1, alpha], [0, -1]]; its square is the identity
     and the first coordinate line is a submodule."""
-    alpha = Fraction(alpha)
+    alpha = _as_fraction(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero; zero gives the split action")
     trivial = normalize_pattern([(0,), (0, 0)])

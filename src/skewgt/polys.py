@@ -16,9 +16,11 @@ plain map and hand it over.  Graded lexicographic order with row-major
 variable precedence fixes a unique printed form (and the sign of the
 primitive part) for every polynomial; division does not depend on it.
 
-The operators ``-``, reflected ``-`` and ``**`` are written once, on
-:class:`Ring`, from each type's own ``+``, unary ``-``, ``*`` and
-``one``; :class:`Poly`, ``RatFunc`` and ``SkewElement`` inherit them.
+The operators ``+``, ``*``, ``-``, their reflections and ``**`` are
+written once, on :class:`Ring`: it promotes the other operand into the
+type, then calls the type's own ``_add`` or ``_mul``.  :class:`Poly`,
+``RatFunc`` and ``SkewElement`` inherit them; only :class:`Poly` keeps
+its own ``*``, whose scalar case skips promotion.
 
 Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
 ``str``, storing ints shows in no printed form; it only spares integer
@@ -148,13 +150,37 @@ def _as_fraction(x) -> Fraction:
 
 
 class Ring:
-    """``-``, reflected ``-`` and ``**`` built from a subclass's own
-    ``_promote`` (the operand in its type, or None), ``+``, unary ``-``,
-    ``*``, ``ctx`` and ``one(ctx)``.  They apply ``+`` and ``*`` as
-    operators, so a wrapper installed on the subclass sees every call.
+    """The arithmetic operators of an exact ring type, built from the
+    subclass's own ``_promote`` (the operand in its type, or None),
+    ``_add`` and ``_mul`` (on an operand already promoted), unary ``-``,
+    ``ctx`` and ``one(ctx)``.  An operand that does not promote gives
+    ``NotImplemented``.  Addition commutes, so reflected ``+`` is ``+``;
+    the skew product does not, so reflected ``*`` is ``other * self``.
+    ``-``, reflected ``*`` and ``**`` apply ``+`` and ``*`` as operators,
+    so a wrapper installed on the subclass sees every call.
     """
 
     __slots__ = ()
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._add(other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._mul(other)
+
+    def __rmul__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return other * self
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -188,8 +214,10 @@ class Poly(Ring):
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps!r} has {len(exps)} slots; "
                                  f"the context has {nvars} variables")
+            if type(coeff) is not int:
+                coeff = _coeff(coeff)
             if coeff:
-                clean[exps] = coeff if type(coeff) is int else _coeff(coeff)
+                clean[exps] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -266,13 +294,8 @@ class Poly(Ring):
             return Poly.const(self.ctx, other)
         return None
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+    def _add(self, other: "Poly") -> "Poly":
         return Poly(self.ctx, _add_into(dict(self.terms), other.terms))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
@@ -470,26 +493,20 @@ def elementary_symmetric(ctx: Context, k: int, i: int) -> Poly:
 
 def vandermonde(ctx: Context, k: int) -> Poly:
     """prod_{i<j} (x_ki - x_kj) over the row-k variables."""
-    row = ctx.rows.get(k)
-    if row is None:
-        raise ValueError(f"row {k} not in context")
-    out = Poly.one(ctx)
-    for i in range(len(row)):
-        for j in range(i + 1, len(row)):
-            out = out * (Poly.var(ctx, row[i]) - Poly.var(ctx, row[j]))
-    return out
+    return shifted_vandermonde(ctx, k, [0] * (len(ctx.rows.get(k, ())) - 1))
 
 
 def shifted_vandermonde(ctx: Context, k: int, offsets) -> Poly:
     """Vandermonde of row k with consecutive differences offset by `offsets`.
 
     The factor on positions (i, j) picks up offsets[i] + ... + offsets[j-1],
-    so any row shift of the plain Vandermonde is of this form.
+    so any row shift of the plain Vandermonde is of this form.  An offset
+    that is not an int or a Fraction, a float included, raises TypeError.
     """
     row = ctx.rows.get(k)
     if row is None:
         raise ValueError(f"row {k} not in context")
-    offsets = [Fraction(o) for o in offsets]
+    offsets = [_as_fraction(o) for o in offsets]
     if len(offsets) != len(row) - 1:
         raise ValueError("need one offset per consecutive pair in the row")
     out = Poly.one(ctx)

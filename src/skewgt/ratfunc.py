@@ -219,7 +219,7 @@ class RatFunc(Ring):
             return RatFunc.const(self.ctx, other)
         return None
 
-    def __add__(self, other):
+    def _add(self, other: "RatFunc") -> "RatFunc":
         """Sum over the lcm of the denominators.
 
         Only a factor f with the same multiplicity m in both
@@ -230,9 +230,6 @@ class RatFunc(Ring):
         divides neither, since the first operand is reduced and distinct
         canonical factors are non-associate primes.
         """
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
         if self.is_zero:
             return other
         if other.is_zero:
@@ -264,12 +261,10 @@ class RatFunc(Ring):
         scale, prim, kept = _cancel(prim, tried, content / g)
         return RatFunc._reduced(prim, rest + kept, scale)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc._reduced(self.num, self.den, -self.scale)
 
-    def __mul__(self, other):
+    def _mul(self, other: "RatFunc") -> "RatFunc":
         """Cross-cancel, then multiply the numerators.
 
         The factors of ``other.den`` are tried against ``self.num`` only,
@@ -280,16 +275,11 @@ class RatFunc(Ring):
         lemma) whose leading coefficient is positive (grlex is a
         monomial order), so the product itself is never divided.
         """
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
         if self.is_zero or other.is_zero:
             return RatFunc.zero(self.ctx)
         scale, n1, kept1 = _cancel(self.num, other.den, self.scale * other.scale)
         scale, n2, kept2 = _cancel(other.num, self.den, scale)
         return RatFunc._reduced(n1 * n2, kept1 + kept2, scale)
-
-    __rmul__ = __mul__
 
     # -- actions --------------------------------------------------------
 

@@ -17,9 +17,10 @@ shift exponents within each row.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Optional, Tuple
 
-from .polys import Context, Poly, Ring, VarId
+from .polys import Context, Poly, Ring, VarId, _add_into
 from .ratfunc import RatFunc
 
 ShiftKey = Tuple[int, ...]
@@ -109,26 +110,23 @@ class RowPermutation:
         return f"RowPermutation({body})"
 
 
+def _consecutive_cycles(ctx: Context, length: int):
+    """The cycles (i, i+1, ..., i+length-1) of each row, rows in order."""
+    return [RowPermutation.cycle(ctx, row, tuple(range(i, i + length)))
+            for row in sorted(ctx.rows)
+            for i in range(1, len(ctx.rows[row]) - length + 2)]
+
+
 def sym_generators(ctx: Context):
     """Adjacent transpositions per row: they generate the product of
     symmetric groups acting on the rows."""
-    gens = []
-    for row in sorted(ctx.rows):
-        size = len(ctx.rows[row])
-        for i in range(1, size):
-            gens.append(RowPermutation.transposition(ctx, row, i, i + 1))
-    return gens
+    return _consecutive_cycles(ctx, 2)
 
 
 def alt_generators(ctx: Context):
     """Consecutive 3-cycles per row: they generate the product of
     alternating groups (rows of size < 3 contribute nothing)."""
-    gens = []
-    for row in sorted(ctx.rows):
-        size = len(ctx.rows[row])
-        for i in range(1, size - 1):
-            gens.append(RowPermutation.cycle(ctx, row, (i, i + 1, i + 2)))
-    return gens
+    return _consecutive_cycles(ctx, 3)
 
 
 class SkewElement(Ring):
@@ -217,40 +215,20 @@ class SkewElement(Ring):
             return SkewElement.from_coeff(other, self.ctx)
         return None
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-        return SkewElement(self.ctx, out)
-
-    __radd__ = __add__
+    def _add(self, other: "SkewElement") -> "SkewElement":
+        return SkewElement(self.ctx, _add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other: "SkewElement") -> "SkewElement":
         out: Dict[ShiftKey, RatFunc] = {}
         for k1, a1 in self.terms.items():
             smap = _shift_map(self.ctx, k1)
-            for k2, a2 in other.terms.items():
-                coeff = a1 * a2.shifted(smap)
-                key = tuple(x + y for x, y in zip(k1, k2))
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
+            # distinct right keys give distinct sums: one merge per left term
+            _add_into(out, {tuple(map(add, k1, k2)): a1 * a2.shifted(smap)
+                            for k2, a2 in other.terms.items()})
         return SkewElement(self.ctx, out)
-
-    def __rmul__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return other * self
 
     def __eq__(self, other):
         other = self._promote(other)
@@ -285,7 +263,8 @@ class SkewElement(Ring):
     def act(self, g: RowPermutation) -> "SkewElement":
         """Automorphism induced by a row permutation: coefficients are
         permuted and each shift is conjugated (its exponents move within
-        their row)."""
+        their row).  Conjugation is a bijection on shift keys, so no two
+        terms meet."""
         mapping = g.var_mapping(self.ctx)
         out: Dict[ShiftKey, RatFunc] = {}
         for key, coeff in self.terms.items():
@@ -295,10 +274,8 @@ class SkewElement(Ring):
                 if m:
                     v = self.ctx.shift_vars[pos]
                     w = mapping.get(v, v)
-                    new_key[self.ctx.shift_pos(w)] += m
-            cur = out.get(tuple(new_key))
-            moved = coeff.permuted(mapping)
-            out[tuple(new_key)] = moved if cur is None else cur + moved
+                    new_key[self.ctx.shift_pos(w)] = m
+            out[tuple(new_key)] = coeff.permuted(mapping)
         return SkewElement(self.ctx, out)
 
     # -- i/o ------------------------------------------------------------------

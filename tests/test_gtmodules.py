@@ -279,6 +279,48 @@ def test_nonsemisimple_example():
     assert v2[0][0] * v2[1][1] - v2[0][1] * v2[1][0] == -1   # determinant
     with pytest.raises(ValueError):
         gt.example_nonsemisimple(0)
+    alpha = gt.example_nonsemisimple(Fraction(1, 2)).matrices["V2"][0][1]
+    assert alpha == Fraction(1, 2) and type(alpha) is Fraction
+
+
+def test_module_layer_refuses_floats():
+    """A float would enter through its binary expansion (0.3 reads as
+    5404319552844595/18014398509481984), so the module layer refuses
+    it wherever it takes a rational, as `Poly` does."""
+    for bad in (0.3, 0.5, 1.0, 0.0, -0.0):
+        with pytest.raises(TypeError):
+            gt.normalize_pattern([(bad,), (1, 0)])
+        with pytest.raises(TypeError):
+            gt.normalize_pattern([(0,), (1, bad)])
+        with pytest.raises(TypeError):
+            gt.is_regular_point([(bad,), (1, 0)], 2)
+        with pytest.raises(TypeError):
+            gt.build_generic_module([(bad,), (1, 0)], radius=1)
+        with pytest.raises(TypeError):
+            gt.mat_scale(bad, gt.eye(2))
+        with pytest.raises(TypeError):
+            bad * gt.eye(2)
+        with pytest.raises(TypeError):
+            gt.example_nonsemisimple(bad)
+    half = gt.mat_scale(Fraction(1, 2), gt.eye(2))
+    assert half == gt.diagonal([Fraction(1, 2)] * 2)
+    assert gt.mat_scale(3, gt.eye(2)) == gt.diagonal([Fraction(3)] * 2)
+    assert all(type(v) is Fraction for row in half for v in row.values())
+
+
+def test_iadd_adds_matrices():
+    """`+=` is `+`: it adds entrywise and leaves the left operand as it
+    was, instead of extending the row list."""
+    mod = gt.build_module((2, 1, 0))
+    a, b = mod.matrices["X1+"], mod.matrices["X2-"]
+    before = [dict(row) for row in a]
+    m = a
+    m += b
+    assert m == a + b and len(m) == mod.dim
+    assert [dict(row) for row in a] == before
+    z = gt.zeros(2)
+    z += gt.eye(2)
+    assert z == gt.eye(2) and len(z) == 2
 
 
 def test_module_json():

@@ -414,6 +414,17 @@ def test_float_coefficients_are_refused(ctx2):
         Poly(ctx2, {(1, 0, 0): 0.5})
     with pytest.raises(TypeError):
         x(ctx2, 1, 1) * 0.5
+    for zero in (0.0, -0.0):
+        with pytest.raises(TypeError):
+            Poly(ctx2, {(0, 0, 0): zero})
+        with pytest.raises(TypeError):
+            Poly(ctx2, {(1, 0, 0): 1, (0, 0, 0): zero})
+        with pytest.raises(TypeError):
+            Poly.const(ctx2, zero)
+        with pytest.raises(TypeError):
+            shifted_vandermonde(ctx2, 2, [zero])
+    with pytest.raises(TypeError):
+        shifted_vandermonde(ctx2, 2, [0.3])
 
 
 def test_exponent_tuple_length_is_checked(ctx2):

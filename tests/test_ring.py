@@ -1,6 +1,7 @@
-"""The operators `Ring` derives for every exact ring type: `-`,
-reflected `-` and `**`, checked against `+`, unary `-` and `*` on
-seeded `Poly`, `RatFunc` and `SkewElement` values."""
+"""The operators `Ring` writes for every exact ring type: `+`, `*`,
+`-`, their reflections and `**`, checked against each other and against
+the types' own `_add`, `_mul` and unary `-` on seeded `Poly`, `RatFunc`
+and `SkewElement` values."""
 
 import random
 from fractions import Fraction
@@ -9,9 +10,9 @@ import pytest
 
 from skewgt.polys import Context, Poly, Ring
 from skewgt.ratfunc import RatFunc
-from skewgt.skew import SkewElement
+from skewgt.skew import RowPermutation, SkewElement
 
-from conftest import rand_poly, rand_ratfunc, rand_skew
+from conftest import rand_poly, rand_ratfunc, rand_rowperm, rand_skew
 
 
 def _cases(seed, count):
@@ -25,8 +26,13 @@ def _cases(seed, count):
 def test_types_share_one_protocol():
     for cls in (Poly, RatFunc, SkewElement):
         assert issubclass(cls, Ring)
-        for op in ("__sub__", "__rsub__", "__pow__"):
+        for op in ("__sub__", "__rsub__", "__pow__", "__add__", "__radd__"):
             assert op not in vars(cls) and getattr(cls, op) is vars(Ring)[op]
+        own = ("__mul__", "__rmul__") if cls is Poly else ()
+        for op in ("__mul__", "__rmul__"):
+            assert (op in vars(cls)) == (op in own)
+            if op not in own:
+                assert getattr(cls, op) is vars(Ring)[op]
 
 
 def test_derived_operators_agree_with_the_primitive_ones():
@@ -37,6 +43,9 @@ def test_derived_operators_agree_with_the_primitive_ones():
         for c in (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice([2, 5]))):
             assert c - a == -(a - c)
             assert a - c == a + (-c)
+            assert c + a == a + c
+            if isinstance(a, SkewElement):
+                assert c * a == a * c
         assert a ** 3 == a * a * a
         assert a ** 1 == one * a
         assert a ** 0 == one
@@ -49,3 +58,43 @@ def test_derived_operators_agree_with_the_primitive_ones():
             a - "x"
         with pytest.raises(TypeError):
             "x" - a
+        for op in (lambda: a + "x", lambda: "x" + a,
+                   lambda: a * "x", lambda: "x" * a):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_skew_products_promote_coefficients():
+    """A coefficient times a skew element is the product with the
+    coefficient embedded at the identity shift, on either side; the
+    left and right products differ in general."""
+    rng = random.Random(72)
+    for _ in range(30):
+        ctx = Context.triangle(rng.choice([2, 3]))
+        u, p = rand_skew(rng, ctx), rand_poly(rng, ctx)
+        e = SkewElement.from_coeff(p)
+        assert p * u == e * u
+        assert u * p == u * e
+        r = rand_ratfunc(rng, ctx)
+        assert r * u == SkewElement.from_coeff(r) * u
+        assert u + p == p + u == u + e
+
+
+def test_act_keeps_terms_and_cycles_have_their_order():
+    """Conjugation by a row permutation is a bijection on shift keys, so
+    `act` keeps the number of terms; a 3-cycle applied three times and
+    a transposition applied twice give the element back."""
+    rng = random.Random(73)
+    for _ in range(30):
+        ctx = Context.triangle(rng.choice([3, 4]))
+        u = rand_skew(rng, ctx, max_terms=4)
+        g = rand_rowperm(rng, ctx)
+        assert len(u.act(g).terms) == len(u.terms)
+        row = rng.choice([k for k in ctx.rows if k >= 3])
+        i = rng.randint(1, len(ctx.rows[row]) - 2)
+        c3 = RowPermutation.cycle(ctx, row, (i, i + 1, i + 2))
+        assert u.act(c3).act(c3).act(c3) == u
+        row = rng.choice([k for k in ctx.rows if k >= 2])
+        i, j = sorted(rng.sample(range(1, len(ctx.rows[row]) + 1), 2))
+        t = RowPermutation.transposition(ctx, row, i, j)
+        assert u.act(t).act(t) == u

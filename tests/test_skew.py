@@ -196,6 +196,19 @@ def test_alt_generators_are_even():
     assert any(not g.is_even_product for g in sym_generators(ctx))
 
 
+def test_generator_lists():
+    """Consecutive transpositions and 3-cycles, row by row and in order."""
+    ctx = Context.triangle(4)
+    assert sym_generators(ctx) == [
+        RowPermutation.transposition(ctx, row, i, i + 1)
+        for row in (2, 3, 4) for i in range(1, row)]
+    assert alt_generators(ctx) == [
+        RowPermutation.cycle(ctx, 3, (1, 2, 3)),
+        RowPermutation.cycle(ctx, 4, (1, 2, 3)),
+        RowPermutation.cycle(ctx, 4, (2, 3, 4))]
+    assert sym_generators(Context.line()) == alt_generators(Context.line()) == []
+
+
 def test_lattice_span_examples():
     assert supports_generate_group({(1,), (-1,)}, 1)
     assert not supports_generate_group({(2,), (-2,)}, 1)
