@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -443,7 +444,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry():  # console script
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush
+        # at exit cannot fail again, and exit as SIGPIPE would (128 + 13),
+        # so that 1 keeps meaning a failed check.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

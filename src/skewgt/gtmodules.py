@@ -92,13 +92,11 @@ def pattern_point(p: Pattern) -> Dict[VarId, Union[int, Fraction]]:
 
 
 def _check_dominant(top: Sequence[int]) -> Tuple[int, ...]:
-    top = tuple(top)
+    top = tuple(_coeff(v) for v in top)
     if not top:
         raise ValueError("empty top row")
-    for v in top:
-        if int(v) != v:
-            raise ValueError("top row must be integral")
-    top = tuple(int(v) for v in top)
+    if any(type(v) is not int for v in top):
+        raise ValueError("top row must be integral")
     if any(top[i] < top[i + 1] for i in range(len(top) - 1)):
         raise ValueError(f"top row {top} is not weakly decreasing")
     return top
@@ -231,18 +229,20 @@ class Row(dict):
 
 
 class Matrix(list):
-    """A list of `Row`s with `a * b`, `a + b`, `a += b`, `a - b` and
-    `c * a`.  Each operator calls the module-level `mat_*` function,
-    looked up at call time, so a wrapper installed on those names sees
-    every call."""
+    """A list of `Row`s with `a * b`, `a + b`, `a += b`, `a - b` and the
+    scalar multiples `c * a` and `a * c`; operands of different sizes
+    raise ValueError.  Each operator calls the module-level `mat_*`
+    function, looked up at call time, so a wrapper installed on those
+    names sees every call."""
 
     __slots__ = ()
 
     def __mul__(self, other):
-        return mat_mul(self, other)
+        if isinstance(other, Matrix):
+            return mat_mul(self, other)
+        return mat_scale(other, self)
 
-    def __rmul__(self, c):
-        return mat_scale(c, self)
+    __rmul__ = __mul__
 
     def __add__(self, other):
         return mat_add(self, other)
@@ -266,6 +266,8 @@ def diagonal(values: Sequence[Fraction]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(a) != len(b):
+        raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
     out = Matrix()
     for ai in a:
         if len(ai) == 1:
@@ -290,6 +292,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _combine(a: Matrix, b: Matrix, negate: bool) -> Matrix:
+    if len(a) != len(b):
+        raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
     out = Matrix()
     for ra, rb in zip(a, b):
         row = Row(ra)

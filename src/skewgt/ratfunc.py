@@ -184,12 +184,6 @@ class RatFunc(Ring):
     def is_poly(self) -> bool:
         return not self.den
 
-    def den_poly(self) -> Poly:
-        out = Poly.one(self.ctx)
-        for f in self.den:
-            out = out * f.to_poly(self.ctx)
-        return out
-
     def __eq__(self, other):
         other = self._promote(other)
         if other is None:
@@ -199,12 +193,6 @@ class RatFunc(Ring):
 
     def __hash__(self):
         return hash((self.scale, self.den, self.num))
-
-    def eq_cross(self, other: "RatFunc") -> bool:
-        """Equality by cross multiplication, independent of normalization."""
-        lhs = self.num * self.scale * other.den_poly()
-        rhs = other.num * other.scale * self.den_poly()
-        return lhs == rhs
 
     # -- arithmetic -----------------------------------------------------
 

@@ -13,7 +13,6 @@ multiples: `suite_gl3` runs them on skew elements and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -30,7 +29,6 @@ class IdentityResult:
     anchor: str
     ok: bool
     witness: Optional[SkewElement] = None
-    seconds: float = 0.0
 
     @property
     def status(self) -> str:
@@ -73,11 +71,9 @@ class VerificationReport:
 
 def verify_identity(key: str, anchor: str, lhs: SkewElement, rhs: SkewElement) -> IdentityResult:
     """Decide lhs == rhs exactly; a failure carries lhs - rhs."""
-    start = time.monotonic()
     diff = lhs - rhs
     ok = diff.is_zero
-    return IdentityResult(key, anchor, ok, None if ok else diff,
-                          time.monotonic() - start)
+    return IdentityResult(key, anchor, ok, None if ok else diff)
 
 
 def verify_predicate(key: str, anchor: str, ok: bool) -> IdentityResult:

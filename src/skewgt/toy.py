@@ -18,9 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .polys import Context, Poly
+from .polys import Context, Poly, _coeff
 from .ratfunc import LinearFactor, RatFunc
 from .skew import SkewElement
 
@@ -61,21 +61,25 @@ def build_toy(spec: ToySpec) -> Tuple[SkewElement, SkewElement]:
     return X, Y
 
 
+def _translate(c) -> int:
+    """The integer translate c of a target 1/(x+c).  A float raises
+    TypeError and a non-integral rational ValueError."""
+    c = _coeff(c)
+    if type(c) is not int:
+        raise ValueError(f"target translate {c} is not an integer")
+    return c
+
+
 def target_ratfunc(ctx: Context, c: int) -> RatFunc:
     """1/(x + c)."""
-    return RatFunc(Poly.one(ctx), [LinearFactor(X_VAR, None, Fraction(c))])
-
-
-def _shift_f(spec: ToySpec, j: int) -> Poly:
-    """f(x + j)."""
-    return spec.f.subs_shift({X_VAR: -j})
+    return RatFunc(Poly.one(ctx), [LinearFactor(X_VAR, None, Fraction(_translate(c)))])
 
 
 def _multiplicity(p: Poly, c: int) -> int:
     """Multiplicity of (x + c) in p."""
     m = 0
     while True:
-        q = p.exact_div_linear(X_VAR, None, Fraction(c))
+        q = p.exact_div_linear(X_VAR, None, c)
         if q is None:
             return m
         p = q
@@ -84,13 +88,12 @@ def _multiplicity(p: Poly, c: int) -> int:
 
 @dataclass
 class WitnessTrace:
-    """How an inverse was extracted: the word, its identity coefficient,
-    the clearing polynomial, the division data, and the verified result."""
+    """How an inverse was extracted: the word, the clearing polynomial,
+    the division data, and the verified result."""
 
     target_c: int
     word: str
     multiplicity: int
-    word_element: SkewElement
     clear_poly: Poly
     quotient: Poly
     constant: Fraction
@@ -105,53 +108,38 @@ class WitnessTrace:
 def witness_inverse(spec: ToySpec, c: int) -> WitnessTrace:
     """Produce 1/(x+c) as an explicit algebra element and verify it.
 
-    c = 0 uses the identity coefficient of YX, c = -1 that of XY; other
-    integers use the balanced words Y^{k+1}(XY)^m X^{k+1} (c = k >= 1)
-    and X^k (YX)^m Y^k (c = -k <= -2), where m is the exact multiplicity
-    of the target factor in the accumulated product of shifted f's.
+    The word is Y^{c+1}(XY)^m X^{c+1} for c >= 0 and X^{-c}(YX)^m Y^{-c}
+    for c <= -1 (printed YX for c = 0 and XY for c = -1).  Over the
+    shifts j in range(c), or range(c+1, 0) when c < 0, the clearing
+    polynomial is the product of the (x+j) and m is the exact
+    multiplicity of (x+c) in the product of the f(x+j).
     """
+    c = _translate(c)
     ctx = spec.f.ctx
     X, Y = build_toy(spec)
-    one = Poly.one(ctx)
-
-    if c == 0:
-        word, element, m = "YX", Y * X, 0
-        clear = one
-    elif c == -1:
-        word, element, m = "XY", X * Y, 0
-        clear = one
-    elif c >= 1:
-        k = c
-        aux = one
-        for j in range(0, k):
-            aux = aux * _shift_f(spec, j)
-        m = _multiplicity(aux, k)
-        word = f"Y^{k + 1}(XY)^{m}X^{k + 1}"
-        element = (Y ** (k + 1)) * ((X * Y) ** m) * (X ** (k + 1))
-        clear = one
-        for j in range(0, k):
-            clear = clear * (Poly.var(ctx, X_VAR) + j)
+    x = Poly.var(ctx, X_VAR)
+    aux = clear = Poly.one(ctx)
+    for j in (range(c) if c >= 0 else range(c + 1, 0)):
+        aux = aux * spec.f.subs_shift({X_VAR: -j})  # f(x + j)
+        clear = clear * (x + j)
+    m = _multiplicity(aux, c)
+    if c >= 0:
+        word = "YX" if c == 0 else f"Y^{c + 1}(XY)^{m}X^{c + 1}"
+        element = (Y ** (c + 1)) * ((X * Y) ** m) * (X ** (c + 1))
     else:
-        k = -c
-        aux = one
-        for j in range(1, k):
-            aux = aux * _shift_f(spec, -j)
-        m = _multiplicity(aux, -k)
-        word = f"X^{k}(YX)^{m}Y^{k}"
-        element = (X ** k) * ((Y * X) ** m) * (Y ** k)
-        clear = one
-        for j in range(1, k):
-            clear = clear * (Poly.var(ctx, X_VAR) - j)
+        word = "XY" if c == -1 else f"X^{-c}(YX)^{m}Y^{-c}"
+        element = (X ** -c) * ((Y * X) ** m) * (Y ** -c)
 
+    target = target_ratfunc(ctx, c)
     cleared = SkewElement.from_coeff(clear) * element
     if cleared.support() != frozenset({(0,)}):
         raise ArithmeticError("witness word is not a pure coefficient")
     coeff = cleared.identity_coefficient()
-    if tuple(coeff.den) != (LinearFactor(X_VAR, None, Fraction(c)),):
+    if coeff.den != target.den:
         raise ArithmeticError(
             f"cleared coefficient should have exactly one factor x{c:+d} "
             f"below, got {coeff}")
-    quotient, remainder = coeff.num.divmod_linear(X_VAR, None, Fraction(c))
+    quotient, remainder = coeff.num.divmod_linear(X_VAR, None, c)
     if remainder.degree() > 0:
         raise ArithmeticError("division remainder is not a constant")
     constant = coeff.scale * remainder.constant_term()
@@ -161,28 +149,9 @@ def witness_inverse(spec: ToySpec, c: int) -> WitnessTrace:
     witness = Fraction(1, 1) / constant * (
         cleared - SkewElement.from_coeff(quotient_poly))
 
-    expected = SkewElement.from_coeff(target_ratfunc(ctx, c))
-    if witness != expected:
+    if witness != SkewElement.from_coeff(target):
         raise ArithmeticError(f"witness for 1/(x+{c}) failed to verify")
-    return WitnessTrace(c, word, m, element, clear, quotient_poly,
-                        constant, witness)
-
-
-def degree_zero_form(u: SkewElement) -> Optional[RatFunc]:
-    """The identity coefficient of an element supported only at the
-    identity shift, or None.  Asserts the coefficient's denominator
-    factors are integer translates of x, the shape every balanced word
-    in X and Y produces."""
-    if u.is_zero:
-        return RatFunc.zero(u.ctx)
-    if u.support() != frozenset({(0,)}):
-        return None
-    coeff = u.identity_coefficient()
-    for f in coeff.den:
-        if f.b is not None or f.c.denominator != 1:
-            raise ValueError(f"denominator factor {f} is outside the "
-                             "integer-translate class")
-    return coeff
+    return WitnessTrace(c, word, m, clear, quotient_poly, constant, witness)
 
 
 # One signed term of `parse_univariate`: a coefficient (an integer or

@@ -18,6 +18,20 @@ def ctx3():
     return Context.triangle(3)
 
 
+def den_poly(r: RatFunc) -> Poly:
+    """The product of the denominator factors of r, expanded."""
+    out = Poly.one(r.ctx)
+    for f in r.den:
+        out = out * f.to_poly(r.ctx)
+    return out
+
+
+def eq_cross(a: RatFunc, b: RatFunc) -> bool:
+    """Equality by cross multiplication of num * scale against the
+    expanded denominators, independent of normalization."""
+    return a.num * a.scale * den_poly(b) == b.num * b.scale * den_poly(a)
+
+
 def rand_poly(rng: random.Random, ctx: Context, max_terms=3, max_deg=2) -> Poly:
     terms = {}
     nv = len(ctx.vars)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,25 @@ def test_rank_must_be_positive(capsys):
         code, out, err = run(capsys, [cmd, "--expr", "X11", "--n", "0"])
         assert code == 2 and out == ""
         assert "needs n >= 1 (got n=0)" in err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early (`skewgt gt ... | head -1`)
+    gets no traceback: the console entry point exits with 141, the
+    status of a process ended by SIGPIPE, so 1 keeps meaning a failed
+    check."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewgt.cli", "gt", "--top", "3,2,1,0", "--check"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=root, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_unwritable_json_path(capsys, tmp_path):

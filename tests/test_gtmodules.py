@@ -81,6 +81,8 @@ def test_non_dominant_rejected():
         gt.enumerate_patterns((0, 1))
     with pytest.raises(ValueError):
         gt.build_module((1, 2, 0))
+    with pytest.raises(ValueError, match="integral"):
+        gt.build_module((Fraction(3, 2), 1, 0))
 
 
 def column(m, j):
@@ -301,11 +303,30 @@ def test_module_layer_refuses_floats():
         with pytest.raises(TypeError):
             bad * gt.eye(2)
         with pytest.raises(TypeError):
+            gt.eye(2) * bad
+        with pytest.raises(TypeError):
+            gt.build_module((2, 1, bad))
+        with pytest.raises(TypeError):
             gt.example_nonsemisimple(bad)
     half = gt.mat_scale(Fraction(1, 2), gt.eye(2))
     assert half == gt.diagonal([Fraction(1, 2)] * 2)
     assert gt.mat_scale(3, gt.eye(2)) == gt.diagonal([Fraction(3)] * 2)
     assert all(type(v) is Fraction for row in half for v in row.values())
+    assert gt.build_module((Fraction(2), 1, 0)).dim == 8
+
+
+def test_matrix_scalar_on_either_side_and_sizes():
+    """`m * c` scales as `c * m` does, and operands of different sizes
+    are refused instead of cut to the shorter one."""
+    assert gt.eye(2) * 2 == gt.diagonal([Fraction(2)] * 2) == 2 * gt.eye(2)
+    assert gt.eye(2) * Fraction(1, 2) == gt.diagonal([Fraction(1, 2)] * 2)
+    for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.eye(2))):
+        for op in (gt.mat_mul, gt.mat_add, gt.mat_sub):
+            with pytest.raises(ValueError, match="sizes differ"):
+                op(a, b)
+        m = a
+        with pytest.raises(ValueError, match="sizes differ"):
+            m += b
 
 
 def test_iadd_adds_matrices():

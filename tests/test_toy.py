@@ -20,6 +20,23 @@ def xvar(ctx):
     return Poly.var(ctx, toy.X_VAR)
 
 
+def degree_zero_form(u: SkewElement):
+    """The identity coefficient of an element supported only at the
+    identity shift, or None.  Asserts the coefficient's denominator
+    factors are integer translates of x, the shape every balanced word
+    in X and Y produces."""
+    if u.is_zero:
+        return RatFunc.zero(u.ctx)
+    if u.support() != frozenset({(0,)}):
+        return None
+    coeff = u.identity_coefficient()
+    for f in coeff.den:
+        if f.b is not None or f.c.denominator != 1:
+            raise ValueError(f"denominator factor {f} is outside the "
+                             "integer-translate class")
+    return coeff
+
+
 def test_spec_validation(ctx):
     x = xvar(ctx)
     with pytest.raises(ValueError):
@@ -97,15 +114,31 @@ def test_witnesses_random_polynomials(ctx):
         done += 1
 
 
+def test_translate_must_be_an_integer(ctx):
+    """The translate c of 1/(x+c) is read as an exact integer: a float
+    is refused rather than read through its binary expansion, and a
+    non-integral rational is refused."""
+    spec = toy.ToySpec(xvar(ctx) + 2)
+    for bad, error in ((0.5, TypeError), (1.0, TypeError), (-2.0, TypeError),
+                       (Fraction(1, 2), ValueError), (Fraction(-7, 3), ValueError)):
+        with pytest.raises(error):
+            toy.target_ratfunc(ctx, bad)
+        with pytest.raises(error):
+            toy.witness_inverse(spec, bad)
+    assert toy.target_ratfunc(ctx, Fraction(-2)) == toy.target_ratfunc(ctx, -2)
+    assert toy.witness_inverse(spec, Fraction(3)).witness == \
+        toy.witness_inverse(spec, 3).witness
+
+
 def test_degree_zero_form(ctx):
     x = xvar(ctx)
     spec = toy.ToySpec(x + 2)
     X, Y = toy.build_toy(spec)
-    d0 = toy.degree_zero_form(Y * X)
+    d0 = degree_zero_form(Y * X)
     assert d0 is not None and len(d0.den) == 1
-    assert toy.degree_zero_form(X) is None
+    assert degree_zero_form(X) is None
     prod = (X * Y) * (Y * X)
-    d1 = toy.degree_zero_form(prod)
+    d1 = degree_zero_form(prod)
     assert d1 is not None
     assert all(f.b is None and f.c.denominator == 1 for f in d1.den)
 
@@ -122,7 +155,7 @@ def test_balanced_words_stay_in_integer_translate_class(ctx):
             u = SkewElement.one(ctx)
             for letter in word:
                 u = u * (X if letter == "X" else Y)
-            coeff = toy.degree_zero_form(u)
+            coeff = degree_zero_form(u)
             assert coeff is not None
             checked += 1
     assert checked > 20
