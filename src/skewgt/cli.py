@@ -256,8 +256,8 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _parse_signs(text: str, top) -> gtmodules.SignData:
-    if text in ("all-plus", "+", "plus"):
+def _parse_signs(text: Optional[str], top) -> gtmodules.SignData:
+    if text in (None, "all-plus", "+", "plus"):
         return gtmodules.SignData.all_plus(top)
     if text in ("all-minus", "-", "minus"):
         vectors = {k: [-1] * gtmodules.count_row_fillings(top, k)
@@ -315,18 +315,22 @@ def _parse_point(text: str):
 
 
 def cmd_gt(args) -> int:
-    if args.generic:
+    for flag, base in (("signs", "generic"), ("window", "top")):
+        if getattr(args, flag) is not None and getattr(args, base) is not None:
+            raise ValueError(f"--{flag} does not apply to --{base}")
+    if args.generic is not None:
         rows = _parse_point(args.generic)
         _check_rank(len(rows), "rank")
-        mod = gtmodules.build_generic_module(rows, args.window)
+        window = 2 if args.window is None else args.window
+        mod = gtmodules.build_generic_module(rows, window)
         report = gtmodules.generic_module_report
         lines = [f"generic point rows: {args.generic}",
-                 f"window radius: {args.window}",
+                 f"window radius: {window}",
                  f"dimension: {mod.dim} ({len(mod.interior)} interior)"]
         lines += [f"V{k} values: "
                   + ", ".join(map(str, sorted(set(mod.spectrum(f"V{k}")))))
                   for k in range(2, mod.n + 1)]
-    elif args.top:
+    else:
         top = tuple(int(v) for v in args.top.split(","))
         _check_rank(len(top), "rank")
         # the sign parser already enumerates row fillings
@@ -339,9 +343,6 @@ def cmd_gt(args) -> int:
                  f"row fillings: {fills}"]
         lines += [f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}")))
                   for k in range(2, mod.n + 1)]
-    else:
-        print("gt needs --top or --generic", file=sys.stderr)
-        return 2
     # the report runs before any output, so a refused report prints nothing
     rep = report(mod) if args.check else None
     print("\n".join(lines))
@@ -406,12 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("gt", help="build pattern modules")
-    p.add_argument("--top", help="dominant top row, e.g. 2,1,0")
-    p.add_argument("--signs", default="all-plus",
-                   help="all-plus, all-minus, or comma list per sorted row filling")
-    p.add_argument("--generic", metavar="ROWS",
-                   help="semicolon-separated rows of a regular point, e.g. '1/3; 1,0'")
-    p.add_argument("--window", type=int, default=2, help="generic window radius")
+    base = p.add_mutually_exclusive_group(required=True)
+    base.add_argument("--top", help="dominant top row, e.g. 2,1,0")
+    base.add_argument("--generic", metavar="ROWS",
+                      help="semicolon-separated rows of a regular point, e.g. '1/3; 1,0'")
+    p.add_argument("--signs", help="with --top: all-plus (default), all-minus, "
+                   "or comma list per sorted row filling")
+    p.add_argument("--window", type=int,
+                   help="with --generic: window radius (default 2)")
     p.add_argument("--check", action="store_true", help="run the relation report")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_gt)

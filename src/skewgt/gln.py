@@ -17,6 +17,7 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from .polys import Context, Poly, vandermonde
@@ -102,14 +103,22 @@ def matrix_unit_image(ctx: Context, i: int, j: int) -> SkewElement:
                       matrix_unit_image(ctx, i - 1, j))
 
 
+# Most index tuples a Gelfand image may sum: c_{rank,k} sums rank^k
+# products of k matrix-unit images, so c43 fits and c99 (9^9) does not.
+MAX_GELFAND_TUPLES = 64
+
+
 def gelfand_invariant_image(ctx: Context, rank: int, k: int) -> SkewElement:
     """Image of the degree-k Gelfand invariant of gl_rank: the sum of
-    E_{i1 i2} E_{i2 i3} ... E_{ik i1} over all index tuples in [rank]^k."""
+    E_{i1 i2} E_{i2 i3} ... E_{ik i1} over all index tuples in [rank]^k,
+    refused before any work if there are over MAX_GELFAND_TUPLES."""
     if rank > ctx.n:
         raise ValueError(f"rank {rank} exceeds context n={ctx.n}")
     if k < 1:
         raise ValueError("invariant degree must be >= 1")
-    import itertools
+    if rank ** k > MAX_GELFAND_TUPLES:
+        raise ValueError(f"c{rank}{k} sums {rank}^{k} = {rank ** k} index tuples, "
+                         f"over the budget of {MAX_GELFAND_TUPLES}")
     units = {}
     for a in range(1, rank + 1):
         for b in range(1, rank + 1):

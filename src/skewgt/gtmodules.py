@@ -31,12 +31,12 @@ exceeds `MAX_MODULE_DIM` before enumerating a basis.
 
 Matrices are exact and sparse: a `Matrix` is a list of rows, each a dict
 from column to its nonzero `Fraction` entry, with the operators `*`,
-`+`, `-` and `c * a` of skew elements, so the rank-3 report runs the
-same `relations.gl3_catalogue` as the gl3 suite.  A ladder matrix has at
-most k nonzeros per column, so products, sums and the relation reports
-cost time in proportion to the stored entries, not to dim^2.  No
-operation stores a zero, so a zero matrix is a list of empty rows.  The
-JSON export still writes every row in full.
+`+`, `-` and `c * a` of skew elements, so the reports run the relation
+catalogues of `relations` and hold no relation of their own.  A ladder
+matrix has at most k nonzeros per column, so products, sums and the
+relation reports cost time in proportion to the stored entries, not to
+dim^2.  No operation stores a zero, so a zero matrix is a list of empty
+rows.  The JSON export still writes every row in full.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -53,7 +53,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polys import VarId, _as_fraction, _coeff, vandermonde
-from .relations import IdentityResult, VerificationReport, gl3_catalogue, verify_predicate
+from .relations import (VerificationReport, gl3_catalogue, gln_catalogue, gln_weights,
+                        verify_predicate)
 from .skew import commutator
 from . import gln
 
@@ -417,45 +418,13 @@ def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> Module
                              top=top, signs=signs)
 
 
-def _vandermonde_consistency(mod: ModuleRealization) -> List[IdentityResult]:
-    """Squares of the diagonal Vandermonde actions must equal the
-    Vandermonde polynomial squared, evaluated at the staircase points."""
-    out = []
-    ctx = gln.triangle(mod.n)
-    points = [pattern_point(p) for p in mod.basis]
-    for k in range(2, mod.n + 1):
-        vk = vandermonde(ctx, k)
-        spectrum = mod.spectrum(f"V{k}")
-        ok = all(spectrum[j] ** 2 == vk.evaluate(point) ** 2
-                 for j, point in enumerate(points))
-        out.append(verify_predicate(
-            f"module:V{k}sq-consistency",
-            f"V{k} eigenvalue squares match the evaluated squared Vandermonde",
-            ok))
-    return out
-
-
-def _weight_family(M: Dict[str, Matrix], n: int):
-    """The diagonal weights of the ladder generators as
-    `(bracket, anchor, residual)`: the residual of
-    [X_kk, X_l±] = ±w X_l±, where w is +1 for k = l, -1 for k = l + 1
-    and 0 otherwise.  Both module reports run this family."""
-    for k in range(1, n + 1):
-        for l in range(1, n):
-            for sign, tag in ((1, "+"), (-1, "-")):
-                weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
-                X = M[f"X{l}{tag}"]
-                yield (f"[X{k}{k},X{l}{tag}]", f"diagonal commutation with X{l}{tag}",
-                       commutator(M[f"X{k}{k}"], X) - Fraction(sign * weight) * X)
-
-
 def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     """Exact matrix checks of the defining relations on a finite module.
 
-    The staircase/ladder relations of the enveloping algebra are checked
-    for every sign choice; the relations that involve row Vandermondes
-    in a nontrivial way hold (and are checked) for the all-plus choice,
-    which is the construction the classification produces.
+    `gln_catalogue` and V_k^2 = the evaluated squared Vandermonde run
+    for every sign choice; `gl3_catalogue`, whose families involve the
+    row Vandermondes nontrivially, holds (and runs) for the all-plus
+    choice, which is the construction the classification produces.
     """
     n = mod.n
     if n < 2:
@@ -463,44 +432,20 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                          f"n >= 2 (got n={n})")
     rep = VerificationReport(f"module:{'-'.join(map(str, mod.top or ()))}")
     M = mod.matrices
-    dim = mod.dim
-
-    def chk(key, anchor, residual):
-        rep.add(verify_predicate(key, anchor, mat_is_zero(residual)))
-
-    for k in range(1, n):
-        for l in range(1, n):
-            res = commutator(M[f"X{k}+"], M[f"X{l}-"])
-            if k == l:
-                res = res - (M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
-            chk(f"chevalley:[X{k}+,X{l}-]",
-                f"[X{k}+, X{l}-] is {'the Cartan difference' if k == l else 'zero'}",
-                res)
-    for bracket, anchor, res in _weight_family(M, n):
-        chk(f"chevalley:{bracket}", anchor, res)
-    for k in range(1, n):
-        for l in range(1, n):
-            if abs(k - l) == 1:
-                for tag in "+-":
-                    a, b = M[f"X{k}{tag}"], M[f"X{l}{tag}"]
-                    chk(f"serre:X{k}{tag}:X{l}{tag}",
-                        f"[X{k}{tag}, [X{k}{tag}, X{l}{tag}]] = 0",
-                        commutator(a, commutator(a, b)))
-            elif k != l:
-                for tag in "+-":
-                    chk(f"commute:X{k}{tag}:X{l}{tag}",
-                        f"[X{k}{tag}, X{l}{tag}] = 0",
-                        commutator(M[f"X{k}{tag}"], M[f"X{l}{tag}"]))
-
-    for name in sorted(M):
-        chk(f"central:V{n}:{name}", f"top Vandermonde commutes with {name}",
-            commutator(M[f"V{n}"], M[name]))
-
-    rep.results.extend(_vandermonde_consistency(mod))
-
-    if n == 3 and mod.signs is not None and mod.signs.is_all_plus:
-        for _, key, anchor, lhs, rhs in gl3_catalogue(M, zeros(dim)):
-            chk(key, anchor, lhs - rhs)
+    zero = zeros(mod.dim)
+    points = [pattern_point(p) for p in mod.basis]
+    squares = (("module", f"module:V{k}sq-consistency",
+                f"V{k} eigenvalue squares match the evaluated squared Vandermonde",
+                M[f"V{k}"] * M[f"V{k}"],
+                diagonal([Fraction(v ** 2)
+                          for v in map(vandermonde(gln.triangle(n), k).evaluate, points)]))
+               for k in range(2, n + 1))
+    rank3 = gl3_catalogue(M, zero) if n == 3 and mod.signs is not None \
+        and mod.signs.is_all_plus else ()
+    for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
+                                                    squares, rank3):
+        # lhs - zero would only copy lhs
+        rep.add(verify_predicate(key, anchor, mat_is_zero(lhs if rhs is zero else lhs - rhs)))
     return rep
 
 
@@ -580,9 +525,9 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
             f"generic:[X{k}+,X{k}-]",
             f"[X{k}+, X{k}-] = X{k}{k} - X{k + 1}{k + 1} on interior vectors",
             columns_zero(res, cols)))
-    for bracket, anchor, res in _weight_family(M, mod.n):
+    for bracket, anchor, lhs, rhs in gln_weights(mod.n, M):
         rep.add(verify_predicate(f"generic:{bracket}", f"{anchor} on interior vectors",
-                                 columns_zero(res, cols)))
+                                 columns_zero(lhs - rhs, cols)))
     return rep
 
 

@@ -5,14 +5,15 @@ either passes or fails with the nonzero difference attached as a
 witness.  Suites are pure functions and their reports are rendered in a
 fixed order, so output is reproducible byte for byte.
 
-The rank-3 relation families iii-ix are written once, in
-`gl3_catalogue`, over any elements with `*`, `+`, `-` and scalar
-multiples: `suite_gl3` runs them on skew elements and
-`gtmodules.module_relation_report` on the matrices of a module.
+The defining relations are written once, over any elements with `*`,
+`+`, `-` and scalar multiples: the rank-n ones in `gln_catalogue`, the
+rank-3 families iii-ix in `gl3_catalogue`.  Both run on skew elements
+and on the matrices of a module (`gtmodules.module_relation_report`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -144,6 +145,48 @@ def suite_gl2(n: int = 2) -> VerificationReport:
     rep.add(verify_identity(
         "swap-negates:V2", "row-2 swap negates V2", V2.act(swap), -V2))
     return rep
+
+
+# ----------------------------------------------------------------------
+# rank n
+
+def gln_weights(n: int, E):
+    """The diagonal weights of the ladder generators as
+    `(bracket, anchor, lhs, rhs)`: [X_kk, X_l±] = ±w X_l±, where w is
+    +1 for k = l, -1 for k = l + 1 and 0 otherwise."""
+    for k in range(1, n + 1):
+        for l in range(1, n):
+            for sign, tag in ((1, "+"), (-1, "-")):
+                weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
+                X = E[f"X{l}{tag}"]
+                yield (f"[X{k}{k},X{l}{tag}]", f"diagonal commutation with X{l}{tag}",
+                       commutator(E[f"X{k}{k}"], X), Fraction(sign * weight) * X)
+
+
+def gln_catalogue(n: int, E, zero):
+    """The rank-n relations over a name -> element map, as
+    `(family, key, anchor, lhs, rhs)` like `gl3_catalogue`: [X_k+, X_l-],
+    the weights, Serre and far commutation, and V_n central over E."""
+    for k, l in itertools.product(range(1, n), repeat=2):
+        yield ("chevalley", f"chevalley:[X{k}+,X{l}-]",
+               f"[X{k}+, X{l}-] is {'the Cartan difference' if k == l else 'zero'}",
+               commutator(E[f"X{k}+"], E[f"X{l}-"]),
+               E[f"X{k}{k}"] - E[f"X{k + 1}{k + 1}"] if k == l else zero)
+    for bracket, anchor, lhs, rhs in gln_weights(n, E):
+        yield ("chevalley", f"chevalley:{bracket}", anchor, lhs, rhs)
+    for k, l in itertools.permutations(range(1, n), 2):
+        for tag in "+-":
+            a, b = E[f"X{k}{tag}"], E[f"X{l}{tag}"]
+            if abs(k - l) == 1:
+                yield ("serre", f"serre:X{k}{tag}:X{l}{tag}",
+                       f"[X{k}{tag}, [X{k}{tag}, X{l}{tag}]] = 0",
+                       commutator(a, commutator(a, b)), zero)
+            else:
+                yield ("commute", f"commute:X{k}{tag}:X{l}{tag}",
+                       f"[X{k}{tag}, X{l}{tag}] = 0", commutator(a, b), zero)
+    for name in sorted(E):
+        yield ("central", f"central:V{n}:{name}", f"top Vandermonde commutes with {name}",
+               commutator(E[f"V{n}"], E[name]), zero)
 
 
 # ----------------------------------------------------------------------

@@ -345,10 +345,9 @@ def is_invariant(u: SkewElement, group: str) -> bool:
     alternating groups).  Generator checks suffice because the action is
     by automorphisms.
     """
-    name = group.split("-")[0].upper()
-    if name == "S":
+    if group == "S":
         gens = sym_generators(u.ctx)
-    elif name == "A":
+    elif group == "A":
         gens = alt_generators(u.ctx)
     else:
         raise ValueError(f"unknown group {group!r}; expected 'S' or 'A'")

@@ -219,6 +219,42 @@ def test_size_budgets(capsys, monkeypatch):
             assert f"--n {n} exceeds the rank budget of {cli.MAX_RANK}" in err
 
 
+def test_gelfand_budget(capsys, monkeypatch):
+    # an image over the tuple budget is refused before any matrix-unit
+    # image is built; c43, at the budget, reaches the builders
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(gln, "matrix_unit_image", reached)
+    for expr, n, rank, k in (("c99", "9", 9, 9), ("c44", "4", 4, 4)):
+        code, out, err = run(capsys, ["compute", "--expr", expr, "--n", n])
+        assert code == 2 and out == ""
+        assert f"c{rank}{k} sums {rank}^{k} = {rank ** k} index tuples, over the " \
+            f"budget of {gln.MAX_GELFAND_TUPLES}" in err
+    assert 4 ** 3 == gln.MAX_GELFAND_TUPLES
+    with pytest.raises(Reached):
+        cli.main(["compute", "--expr", "c43", "--n", "4"])
+
+
+def test_gt_refuses_unused_flags(capsys):
+    # --top and --generic exclude each other, and one of them is required;
+    # --signs belongs to --top and --window to --generic
+    for argv in (["--top", "2,1,0", "--generic", "1/3; 1,0"], []):
+        code, out, err = run(capsys, ["gt", *argv, "--check"])
+        assert code == 2 and out == ""
+        assert "--top" in err and "--generic" in err
+    for argv, flag in ((["--generic", "1/3; 1,0", "--signs", "all-minus"], "--signs"),
+                       (["--generic", "1/3; 1,0", "--signs", "all-plus"], "--signs"),
+                       (["--top", "2,1,0", "--window", "1"], "--window"),
+                       (["--top", "2,1,0", "--window", "2"], "--window")):
+        code, out, err = run(capsys, ["gt", *argv, "--check"])
+        assert code == 2 and out == ""
+        assert f"{flag} does not apply to --{argv[0][2:]}" in err
+
+
 def test_nesting_budget(capsys):
     # groups nested to the budget parse; one past it, and the deep or
     # unbalanced nesting that used to exhaust the parser's recursion, are

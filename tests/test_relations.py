@@ -1,6 +1,8 @@
 import json
 
-from skewgt import gln, relations
+import pytest
+
+from skewgt import gln, gtmodules, relations
 from skewgt.skew import SkewElement
 
 
@@ -36,6 +38,22 @@ def test_suite_gl3_passes():
                   "viii:serre:A11-:A21-", "ix:braid:V2:-",
                   "ladder-defect:X2+", "cross:e13-e31"):
         assert probe in keys
+
+
+@pytest.mark.parametrize("n, count", [
+    (2, 12), (3, 35), pytest.param(4, 70, marks=pytest.mark.slow)])
+def test_gln_catalogue_holds_on_skew_elements(n, count):
+    """The rank-n catalogue the module report runs on matrices holds on
+    the skew elements of the same names, entry for entry."""
+    ctx = gln.triangle(n)
+    mod = gtmodules.build_module((1,) + (0,) * (n - 1))
+    E = {name: gln.element(ctx, name) for name in mod.matrices}
+    entries = list(relations.gln_catalogue(n, E, SkewElement.zero(ctx)))
+    assert len(entries) == count
+    assert [key for _, key, _, lhs, rhs in entries if not (lhs - rhs).is_zero] == []
+    report = gtmodules.module_relation_report(mod)
+    assert [r.key for r in report.results[:count]] == [key for _, key, *_ in entries]
+    assert report.ok
 
 
 def test_suite_invariants_passes():

@@ -185,8 +185,9 @@ def test_invariance(ctx3):
     assert is_invariant(V2, "A") and not is_invariant(V2, "S")
     A21p = gln.gen_A(ctx3, 2, 1, +1)
     assert not is_invariant(A21p, "S")
-    with pytest.raises(ValueError):
-        is_invariant(V2, "Q")
+    for group in ("Q", "s", "a", "A-whatever", "S-", ""):
+        with pytest.raises(ValueError, match="expected 'S' or 'A'"):
+            is_invariant(V2, group)
 
 
 def test_alt_generators_are_even():
