@@ -30,5 +30,6 @@ print()
 
 print("the glued two-dimensional module:")
 ns = gt.example_nonsemisimple(1)
-print("V2 matrix:", [[row[j] for j in range(ns.dim)] for row in ns.matrices["V2"]])
+v2 = ns.matrices["V2"]
+print("V2 matrix:", [[str(v2.entry(i, j)) for j in range(ns.dim)] for i in range(ns.dim)])
 print(gt.nonsemisimple_report(ns).table())

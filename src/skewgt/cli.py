@@ -193,9 +193,11 @@ def _render_json(value, indent: str = "") -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
 
     ``json.dumps`` with an indent falls back to the pure-Python encoder;
-    this renderer keeps the same layout but encodes a list of strings
-    (the bulk of a module payload) in one join of the C string encoder.
-    Dict keys must be strings; every other scalar goes to ``json.dumps``.
+    this renderer keeps the same layout but writes a list of strings (the
+    bulk of a module payload) in one join: when no item needs escaping,
+    each item is its own text in quotes, else the C string encoder
+    encodes each.  Dict keys must be strings; every other scalar goes to
+    ``json.dumps``.
     """
     if isinstance(value, dict):
         if not value:
@@ -208,11 +210,18 @@ def _render_json(value, indent: str = "") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if all(type(v) is str for v in value):
-            items = map(_encode_str, value)
+        sep = ",\n" + inner
+        if set(map(type, value)) != {str}:
+            body = sep.join(_render_json(v, inner) for v in value)
         else:
-            items = (_render_json(v, inner) for v in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+            plain = "".join(value)
+            # escaping lengthens the text, so equal lengths mean no item
+            # holds a character that needs it
+            if len(_encode_str(plain)) == len(plain) + 2:
+                body = '"' + ('"' + sep + '"').join(value) + '"'
+            else:
+                body = sep.join(map(_encode_str, value))
+        return "[\n" + inner + body + "\n" + indent + "]"
     return json.dumps(value)
 
 
@@ -257,6 +266,9 @@ def cmd_compute(args) -> int:
 
 
 def _parse_signs(text: Optional[str], top) -> gtmodules.SignData:
+    if text is not None and len(top) == 1:
+        raise ValueError("--signs does not apply to a top row of length 1: "
+                         "signs are chosen on rows 2..n")
     if text in (None, "all-plus", "+", "plus"):
         return gtmodules.SignData.all_plus(top)
     if text in ("all-minus", "-", "minus"):
@@ -442,7 +454,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -21,8 +21,9 @@ Pattern entries are exact rationals stored like polynomial coefficients:
 an `int` when integral (every entry of a finite module, the top row of a
 generic one) and a `Fraction` otherwise.  Moves, basis lookups and
 staircase points then run on ints, and `Poly.evaluate` evaluates at an
-integral point without building a Fraction per coordinate.  Matrix
-entries and diagonal eigenvalues are always `Fraction`.
+integral point without building a Fraction per coordinate.  Diagonal
+eigenvalues and every matrix value read through `Matrix.entry` are
+`Fraction`.
 
 Both kinds of module come from one builder over a basis of patterns:
 the interlacing patterns under a top row, or a regular pattern moved by
@@ -30,13 +31,14 @@ every shift in a window.  Builders refuse modules whose dimension
 exceeds `MAX_MODULE_DIM` before enumerating a basis.
 
 Matrices are exact and sparse: a `Matrix` is a list of rows, each a dict
-from column to its nonzero `Fraction` entry, with the operators `*`,
-`+`, `-` and `c * a` of skew elements, so the reports run the relation
-catalogues of `relations` and hold no relation of their own.  A ladder
-matrix has at most k nonzeros per column, so products, sums and the
-relation reports cost time in proportion to the stored entries, not to
-dim^2.  No operation stores a zero, so a zero matrix is a list of empty
-rows.  The JSON export still writes every row in full.
+from column to a nonzero `int` numerator, over one `int` denominator in
+lowest terms (as a `RatFunc` keeps an `int` numerator), so products and
+sums run on ints with one gcd pass per result.  They have the operators
+`*`, `+`, `-` and `c * a` of skew elements, so the reports run the
+relation catalogues of `relations` and hold no relation of their own.
+A ladder matrix has at most k nonzeros per column, so products, sums
+and the relation reports cost time in proportion to the stored entries,
+not to dim^2.  The JSON export still writes every row in full.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -50,7 +52,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polys import VarId, _as_fraction, _coeff, vandermonde
 from .relations import (VerificationReport, gl3_catalogue, gln_catalogue, gln_weights,
@@ -216,27 +219,40 @@ def _moved(p: Pattern, k: int, i: int, delta: int) -> Pattern:
 
 
 # ----------------------------------------------------------------------
-# exact sparse matrices: one dict {column: nonzero entry} per row
+# exact sparse matrices: int numerators over one denominator per matrix
 
 class Row(dict):
-    """One matrix row holding only its nonzero entries; an absent column
-    reads as zero.  No operation below ever stores a zero, so an empty
-    row is a zero row."""
+    """One matrix row: {column: nonzero int numerator over the `den` of
+    its matrix}; an absent column is a zero entry."""
 
     __slots__ = ()
-
-    def __missing__(self, column):
-        return Fraction(0)
 
 
 class Matrix(list):
-    """A list of `Row`s with `a * b`, `a + b`, `a += b`, `a - b` and the
-    scalar multiples `c * a` and `a * c`; operands of different sizes
-    raise ValueError.  Each operator calls the module-level `mat_*`
-    function, looked up at call time, so a wrapper installed on those
-    names sees every call."""
+    """`Row`s of int numerators over one positive int denominator `den`,
+    in lowest terms: gcd(den, every entry) = 1, no zero is stored, and
+    the zero matrix has den 1, so `==` compares `den` and the rows.
+    `m.entry(i, j)` reads one value as a Fraction.  Operators: `a * b`,
+    `a + b`, `a += b`, `a - b`, `c * a` and `a * c`; operands of
+    different sizes raise ValueError.  Each operator calls the
+    module-level `mat_*` function, looked up at call time, so a wrapper
+    installed on those names sees every call."""
 
-    __slots__ = ()
+    __slots__ = ("den",)
+
+    def __init__(self, rows=(), den: int = 1):
+        super().__init__(rows)
+        self.den = den
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self[i].get(j, 0), self.den)
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.den == other.den \
+            and list.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -254,29 +270,55 @@ class Matrix(list):
         return mat_sub(self, other)
 
 
+def from_values(rows: Iterable[Dict[int, Union[int, Fraction]]]) -> Matrix:
+    """The matrix of one {column: exact rational} dict per row.  Over
+    the lcm of the denominators it is already in lowest terms."""
+    rows = list(rows)
+    try:
+        den = lcm(*(v.denominator for row in rows for v in row.values()))
+    except AttributeError:
+        # a float has no exact denominator; refuse it as `Poly` does
+        raise TypeError("matrix values must be int or Fraction") from None
+    out = Matrix((), den)
+    for row in rows:
+        numerators = Row()
+        for j, v in row.items():
+            if v:
+                numerators[j] = v.numerator * (den // v.denominator)
+        out.append(numerators)
+    return out
+
+
+def _lowest(rows: List[Row], den: int) -> Matrix:
+    """Freshly built rows over den, divided in place by their gcd with
+    den; zero gets den 1."""
+    if den != 1:
+        g = gcd(den, *itertools.chain.from_iterable(map(dict.values, rows)))
+        if g != 1:
+            den //= g
+            for row in rows:
+                for j in row:
+                    row[j] //= g
+    return Matrix(rows, den)
+
+
 def zeros(n: int) -> Matrix:
     return Matrix(Row() for _ in range(n))
 
 
 def eye(n: int) -> Matrix:
-    return diagonal([Fraction(1)] * n)
+    return diagonal([1] * n)
 
 
-def diagonal(values: Sequence[Fraction]) -> Matrix:
-    return Matrix(Row({i: v}) if v else Row() for i, v in enumerate(values))
+def diagonal(values: Sequence[Union[int, Fraction]]) -> Matrix:
+    return from_values({i: v} for i, v in enumerate(values))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b):
         raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
-    out = Matrix()
+    rows = []
     for ai in a:
-        if len(ai) == 1:
-            # most rows of a module matrix hold one entry; products of
-            # nonzeros cannot cancel
-            (k, c), = ai.items()
-            out.append(Row({j: c * x for j, x in b[k].items()}))
-            continue
         row = Row()
         for k, c in ai.items():
             for j, x in b[k].items():
@@ -288,27 +330,34 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                         del row[j]
                 else:
                     row[j] = c * x
-        out.append(row)
-    return out
+        rows.append(row)
+    return _lowest(rows, a.den * b.den)
 
 
 def _combine(a: Matrix, b: Matrix, negate: bool) -> Matrix:
     if len(a) != len(b):
         raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
-    out = Matrix()
+    # both operands over the lcm of their denominators
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    if negate:
+        sb = -sb
+    rows = []
     for ra, rb in zip(a, b):
         row = Row(ra)
+        if sa != 1:
+            for j in row:
+                row[j] *= sa
         for j, x in rb.items():
-            if negate:
-                x = -x
+            x *= sb
             if j in row:
                 x += row[j]
                 if not x:
                     del row[j]
                     continue
             row[j] = x
-        out.append(row)
-    return out
+        rows.append(row)
+    return _lowest(rows, den)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -323,7 +372,9 @@ def mat_scale(c, a: Matrix) -> Matrix:
     c = _as_fraction(c)
     if not c:
         return zeros(len(a))
-    return Matrix(Row({j: c * x for j, x in row.items()}) for row in a)
+    num = c.numerator
+    return _lowest([Row({j: num * x for j, x in row.items()}) for row in a],
+                   a.den * c.denominator)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -347,14 +398,14 @@ class ModuleRealization:
 
     def spectrum(self, name: str) -> List[Fraction]:
         m = self.matrices[name]
-        return [m[i][i] for i in range(self.dim)]
+        return [m.entry(i, i) for i in range(self.dim)]
 
     def to_json(self) -> dict:
         body = {
             "n": self.n,
             "dim": self.dim,
             "basis": [[[str(v) for v in row] for row in p] for p in self.basis],
-            "matrices": {name: [_dense_strings(row, self.dim) for row in m]
+            "matrices": {name: [_dense_strings(row, m.den, self.dim) for row in m]
                          for name, m in sorted(self.matrices.items())},
         }
         if self.top is not None:
@@ -364,10 +415,10 @@ class ModuleRealization:
         return body
 
 
-def _dense_strings(row: Row, dim: int) -> List[str]:
+def _dense_strings(row: Row, den: int, dim: int) -> List[str]:
     cells = ["0"] * dim
     for j, v in row.items():
-        cells[j] = str(v)
+        cells[j] = str(Fraction(v, den))
     return cells
 
 
@@ -391,16 +442,13 @@ def _realize(n: int, basis: List[Pattern],
         for sign, tag in ((1, "+"), (-1, "-")):
             total = zeros(len(basis))
             for i in range(1, k + 1):
-                single = zeros(len(basis))
+                rows = [{} for _ in basis]
                 coeff_fn = gln.a_coeff(ctx, k, i, sign)
                 for j, p in enumerate(basis):
                     ti = index.get(_moved(p, k, i, sign))
-                    if ti is None:
-                        continue
-                    c = coeff_fn.evaluate(points[j])
-                    if c:
-                        single[ti][j] = c
-                matrices[f"A{k}{i}{tag}"] = single
+                    if ti is not None:
+                        rows[ti][j] = coeff_fn.evaluate(points[j])
+                single = matrices[f"A{k}{i}{tag}"] = from_values(rows)
                 total = total + single
             matrices[f"X{k}{tag}"] = total
     return matrices
@@ -542,7 +590,7 @@ def example_nonsemisimple(alpha) -> ModuleRealization:
     matrices = {
         "X1+": zeros(2), "X1-": zeros(2),
         "X11": zeros(2), "X22": zeros(2),
-        "V2": Matrix([Row({0: Fraction(1), 1: alpha}), Row({1: Fraction(-1)})]),
+        "V2": from_values([{0: 1, 1: alpha}, {1: -1}]),
     }
     return ModuleRealization(n=2, basis=[trivial, trivial], matrices=matrices,
                              top=(0, 0))
@@ -554,7 +602,7 @@ def nonsemisimple_report(mod: ModuleRealization) -> VerificationReport:
     rep.add(verify_predicate(
         "v2-squared-identity", "the glued Vandermonde action squares to the identity",
         mat_is_zero(v2 * v2 - eye(2))))
-    closed = all(mod.matrices[name][1][0] == 0 for name in sorted(mod.matrices))
+    closed = all(mod.matrices[name].entry(1, 0) == 0 for name in sorted(mod.matrices))
     rep.add(verify_predicate(
         "first-line-submodule", "the first coordinate line is closed under all generators",
         closed))

@@ -80,6 +80,10 @@ def test_compute_bad_expression(capsys):
     assert "X9+ out of range for n=3" in err
     code, _, err = run(capsys, ["compute", "--expr", "A91-", "--n", "4"])
     assert code == 2 and "A91- out of range for n=4" in err
+    # a KeyError's message is printed as it is, not as its repr
+    code, out, err = run(capsys, ["compute", "--expr", "Foo"])
+    assert code == 2 and out == ""
+    assert err == "error: unknown element name 'Foo'\n"
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -118,6 +122,13 @@ def test_gt_bad_inputs(capsys):
     assert "top row of length n >= 2 (got n=1)" in err
     code, out, _ = run(capsys, ["gt", "--top", "0"])
     assert code == 0 and "dimension: 1" in out
+    # a rank-1 top row has no row to sign: "+,-" used to print the bare
+    # KeyError "error: 1", and "+" and "all-minus" were accepted
+    for signs in ("+,-", "+", "all-minus", "all-plus", "-1"):
+        code, out, err = run(capsys, ["gt", "--top", "0", "--signs", signs])
+        assert code == 2 and out == ""
+        assert err == "error: --signs does not apply to a top row of length 1: " \
+            "signs are chosen on rows 2..n\n"
     # only integers, a/b and plain decimals: exponent notation is refused
     # before Fraction expands it
     for entry in ("1e9999999", "1e400", "1E3", "2.5e-3", "0x10", "1_000", "inf"):
@@ -419,6 +430,9 @@ def test_json_renderer_edge_cases():
         {"b": [], "a": {}, "c": [[], {}], "d": [1, "x", None, [True]]},
         {"z": {"y": {"x": ["p", "q"]}}, "e": ["é", "\t", " "]},
         [["a", "b"], ["c"], [1, 2], [{"k": "v"}], ("t", "u")],
+        # string lists with and without a character that needs escaping
+        ["", ""], ["0", "1/3", "-2"], ["a", "b\x7f"], ["a", "b\\c"], ["x", "\x00"],
+        ["a", 'q"'], ["é"], ["a", 1], ["a", None],
     ]
     for value in cases:
         assert cli._render_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgt import gln, gtmodules as gt
 from skewgt.polys import vandermonde
@@ -86,8 +88,9 @@ def test_non_dominant_rejected():
 
 
 def column(m, j):
-    """Column j of a sparse matrix as {row: entry}."""
-    return {i: row[j] for i, row in enumerate(m) if j in row}
+    """Column j of a sparse matrix as {row: value}, read through the
+    accessor."""
+    return {i: m.entry(i, j) for i, row in enumerate(m) if j in row}
 
 
 def test_highest_weight_eigenvalues():
@@ -231,7 +234,8 @@ def test_generic_diagonals_match_polynomial_evaluation():
 
 def test_module_layer_types():
     """Integral pattern entries are ints and non-integral ones Fractions;
-    every stored matrix entry is a Fraction, and the diagonals equal the
+    every matrix holds int numerators over one denominator in lowest
+    terms, every value read is a Fraction, and the diagonals equal the
     per-pattern actions and the Vandermonde polynomials evaluated at each
     staircase point."""
     assert gt.normalize_pattern([(Fraction(2),), (3, Fraction(-4, 2))]) == ((2,), (3, -2))
@@ -247,7 +251,9 @@ def test_module_layer_types():
     ctx = gln.triangle(3)
     for mod in (finite, generic):
         for name, m in mod.matrices.items():
-            assert all(type(v) is Fraction for row in m for v in row.values()), name
+            assert_lowest_terms(m)
+            assert all(type(m.entry(i, j)) is Fraction
+                       for i, row in enumerate(m) for j in row), name
         for k in range(1, 4):
             assert mod.spectrum(f"X{k}{k}") == [diagonal_oracle(k, p) for p in mod.basis]
         for k in (2, 3):
@@ -276,13 +282,16 @@ def test_nonsemisimple_example():
     m = gt.example_nonsemisimple(1)
     rep = gt.nonsemisimple_report(m)
     assert rep.ok
-    v2 = m.matrices["V2"]
-    assert v2[0][0] + v2[1][1] == 0          # trace
-    assert v2[0][0] * v2[1][1] - v2[0][1] * v2[1][0] == -1   # determinant
+    v2 = m.matrices["V2"].entry
+    assert v2(0, 0) + v2(1, 1) == 0          # trace
+    assert v2(0, 0) * v2(1, 1) - v2(0, 1) * v2(1, 0) == -1   # determinant
     with pytest.raises(ValueError):
         gt.example_nonsemisimple(0)
-    alpha = gt.example_nonsemisimple(Fraction(1, 2)).matrices["V2"][0][1]
-    assert alpha == Fraction(1, 2) and type(alpha) is Fraction
+    v2 = gt.example_nonsemisimple(Fraction(1, 2)).matrices["V2"]
+    assert v2.entry(0, 1) == Fraction(1, 2) and type(v2.entry(0, 1)) is Fraction
+    assert [v2.entry(i, j) for i in (0, 1) for j in (0, 1)] == \
+        [1, Fraction(1, 2), 0, -1]
+    assert v2.den == 2 and [dict(row) for row in v2] == [{0: 2, 1: 1}, {1: -2}]
 
 
 def test_module_layer_refuses_floats():
@@ -308,10 +317,15 @@ def test_module_layer_refuses_floats():
             gt.build_module((2, 1, bad))
         with pytest.raises(TypeError):
             gt.example_nonsemisimple(bad)
+        with pytest.raises(TypeError):
+            gt.diagonal([1, bad])
+        with pytest.raises(TypeError):
+            gt.from_values([{0: Fraction(1, 3)}, {0: bad}])
     half = gt.mat_scale(Fraction(1, 2), gt.eye(2))
     assert half == gt.diagonal([Fraction(1, 2)] * 2)
     assert gt.mat_scale(3, gt.eye(2)) == gt.diagonal([Fraction(3)] * 2)
-    assert all(type(v) is Fraction for row in half for v in row.values())
+    assert half.den == 2 and [dict(row) for row in half] == [{0: 1}, {1: 1}]
+    assert half.entry(1, 1) == Fraction(1, 2) and half.entry(0, 1) == 0
     assert gt.build_module((Fraction(2), 1, 0)).dim == 8
 
 
@@ -320,6 +334,8 @@ def test_matrix_scalar_on_either_side_and_sizes():
     are refused instead of cut to the shorter one."""
     assert gt.eye(2) * 2 == gt.diagonal([Fraction(2)] * 2) == 2 * gt.eye(2)
     assert gt.eye(2) * Fraction(1, 2) == gt.diagonal([Fraction(1, 2)] * 2)
+    # same numerators, other denominator
+    assert gt.eye(2) * Fraction(1, 2) != gt.eye(2)
     for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.eye(2))):
         for op in (gt.mat_mul, gt.mat_add, gt.mat_sub):
             with pytest.raises(ValueError, match="sizes differ"):
@@ -334,11 +350,11 @@ def test_iadd_adds_matrices():
     was, instead of extending the row list."""
     mod = gt.build_module((2, 1, 0))
     a, b = mod.matrices["X1+"], mod.matrices["X2-"]
-    before = [dict(row) for row in a]
+    before = ([dict(row) for row in a], a.den)
     m = a
     m += b
     assert m == a + b and len(m) == mod.dim
-    assert [dict(row) for row in a] == before
+    assert ([dict(row) for row in a], a.den) == before
     z = gt.zeros(2)
     z += gt.eye(2)
     assert z == gt.eye(2) and len(z) == 2
@@ -368,22 +384,27 @@ def dense_sub(a, b):
 
 
 def to_sparse(dense):
-    m = gt.zeros(len(dense))
-    for i, row in enumerate(dense):
-        for j, v in enumerate(row):
-            if v:
-                m[i][j] = v
-    return m
+    return gt.from_values(dict(enumerate(row)) for row in dense)
+
+
+def assert_lowest_terms(m):
+    """m holds int numerators over a positive int denominator with no
+    common factor, stores no zero and no column outside the matrix, and
+    the zero matrix has denominator 1."""
+    n = len(m)
+    assert type(m.den) is int and m.den > 0
+    for row in m:
+        assert type(row) is gt.Row
+        assert all(type(v) is int and v for v in row.values()), row
+        assert all(0 <= j < n for j in row), row
+    assert math.gcd(m.den, *(v for row in m for v in row.values())) == 1, m.den
 
 
 def to_dense(m):
-    """Dense copy of a sparse matrix, after checking that it stores no
-    zero and no column outside the matrix."""
-    n = len(m)
-    for row in m:
-        assert all(v for v in row.values()), row
-        assert all(0 <= j < n for j in row), row
-    return [[row[j] for j in range(n)] for row in m]
+    """Dense copy of a sparse matrix, read through the accessor, after
+    checking that it is in lowest terms."""
+    assert_lowest_terms(m)
+    return [[m.entry(i, j) for j in range(len(m))] for i in range(len(m))]
 
 
 # small values, so that sums and products cancel often
@@ -428,6 +449,48 @@ def test_sparse_ops_match_dense_reference():
                                                    for c in cols for r in range(n))
         # inputs are left untouched
         assert to_dense(a) == da and to_dense(b) == db
+
+
+# denominators of the generic points (3, 5, 7 and their products), so
+# that operands over coprime denominators meet
+PROPERTY_DENS = (1, 2, 3, 5, 7, 15, 21, 35, 105)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(PROPERTY_DENS))
+
+
+@st.composite
+def sparse_dense_pairs(draw):
+    """Two n x n Fraction matrices, about half their cells zero; the
+    second is sometimes the first, or its negative."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(Fraction(0)), rationals)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    da = draw(square)
+    db = draw(st.one_of(square, st.just(da), st.just([[-v for v in row] for row in da])))
+    return da, db
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sparse_dense_pairs(), rationals)
+def test_matrix_ops_property(pair, c):
+    """`*`, `+`, `-` and `c * a` agree with a dense Fraction reference,
+    every result is in lowest terms (checked by to_dense), and `==`
+    agrees with dense equality."""
+    da, db = pair
+    a, b = to_sparse(da), to_sparse(db)
+    assert to_dense(a) == da and to_dense(b) == db
+    add = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+    scaled = [[c * x for x in row] for row in da]
+    for got, want in ((a * b, dense_mul(da, db)), (a + b, add),
+                      (a - b, dense_sub(da, db)), (c * a, scaled), (a * c, scaled)):
+        assert to_dense(got) == want
+        # one normal form per value: a result equals the matrix built
+        # directly from its dense values
+        assert got == to_sparse(want) and not got != to_sparse(want)
+    assert (a == b) == (da == db) and (a != b) == (da != db)
+    # c * a has the numerators of a over another denominator when c = 1/k
+    assert (c * a == a) == (scaled == da)
+    assert (a - b == gt.zeros(len(da))) == (da == db)
+    assert (a + b) - b == a
 
 
 def test_identity_and_zero_matrices():
