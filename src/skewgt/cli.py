@@ -98,7 +98,11 @@ class _Parser:
         value = self.primary()
         if self.peek() == "^":
             self.take()
-            value = value ** int(self.take())
+            power = self.take()
+            if not power.isdigit():
+                raise ValueError(f"bad exponent {power!r}: expected a "
+                                 f"nonnegative integer after '^'")
+            value = value ** int(power)
         return -value if negate else value
 
     def primary(self) -> SkewElement:
@@ -265,43 +269,38 @@ def cmd_compute(args) -> int:
     return 0
 
 
+_SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _parse_signs(text: Optional[str], top) -> gtmodules.SignData:
     if text is not None and len(top) == 1:
         raise ValueError("--signs does not apply to a top row of length 1: "
                          "signs are chosen on rows 2..n")
-    if text in (None, "all-plus", "+", "plus"):
-        return gtmodules.SignData.all_plus(top)
-    if text in ("all-minus", "-", "minus"):
-        vectors = {k: [-1] * gtmodules.count_row_fillings(top, k)
-                   for k in range(2, len(top) + 1)}
-        return gtmodules.SignData.from_vectors(top, vectors)
-    raw = [s.strip() for s in text.split(",")]
-    signs = []
-    for s in raw:
-        if s in ("+", "+1", "1"):
-            signs.append(1)
-        elif s in ("-", "-1"):
-            signs.append(-1)
-        else:
-            raise ValueError(f"bad sign token {s!r}")
+    fillings = gtmodules.row_fillings(top)
     n = len(top)
-    counts = {k: gtmodules.count_row_fillings(top, k) for k in range(2, n + 1)}
-    full = sum(counts.values())
-    inner = full - counts[n]
-    if len(signs) == full:
-        rows = range(2, n + 1)
-    elif len(signs) == inner:
-        rows = range(2, n)  # top-row sign defaults to +1
+    counts = [len(fillings[k]) for k in range(2, n + 1)]
+    full = sum(counts)
+    if text in (None, "all-plus", "+", "plus"):
+        signs = [1] * full
+    elif text in ("all-minus", "-", "minus"):
+        signs = [-1] * full
     else:
+        signs = []
+        for s in map(str.strip, text.split(",")):
+            if s not in _SIGN_TOKENS:
+                raise ValueError(f"bad sign token {s!r}")
+            signs.append(_SIGN_TOKENS[s])
+    # the top row has one filling, whose sign defaults to +1
+    if len(signs) == full - 1:
+        signs.append(1)
+    elif len(signs) != full:
         raise ValueError(
-            f"need {full} signs (rows 2..{n}) or {inner} (top row defaulted), "
+            f"need {full} signs (rows 2..{n}) or {full - 1} (top row defaulted), "
             f"got {len(signs)}")
     vectors = {}
-    at = 0
-    for k in rows:
-        vectors[k] = signs[at:at + counts[k]]
-        at += counts[k]
-    return gtmodules.SignData.from_vectors(top, vectors)
+    for k, count in enumerate(counts, start=2):
+        vectors[k], signs = signs[:count], signs[count:]
+    return gtmodules.SignData.from_vectors(fillings, vectors)
 
 
 # One coordinate of a --generic point: an integer, a/b or a plain
@@ -321,7 +320,11 @@ def _parse_point(text: str):
             if not _POINT_ENTRY_RE.fullmatch(v):
                 raise ValueError(f"bad point entry {v!r}: expected an integer, "
                                  f"a/b or a plain decimal")
-            entries.append(Fraction(v))
+            try:
+                entries.append(Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"bad point entry {v!r}: expected a nonzero "
+                                 f"denominator") from None
         rows.append(entries)
     return rows
 
@@ -343,13 +346,15 @@ def cmd_gt(args) -> int:
                   + ", ".join(map(str, sorted(set(mod.spectrum(f"V{k}")))))
                   for k in range(2, mod.n + 1)]
     else:
-        top = tuple(int(v) for v in args.top.split(","))
+        entries = [v.strip() for v in args.top.split(",")]
+        for v in entries:
+            if not re.fullmatch(r"[+-]?\d+", v):
+                raise ValueError(f"bad top row entry {v!r}: expected an integer")
+        top = tuple(map(int, entries))
         _check_rank(len(top), "rank")
-        # the sign parser already enumerates row fillings
-        gtmodules.check_module_dim(gtmodules.weyl_dim(top))
         mod = gtmodules.build_module(top, _parse_signs(args.signs, top))
         report = gtmodules.module_relation_report
-        fills = ", ".join(f"r[{k}] = {gtmodules.count_row_fillings(top, k)}"
+        fills = ", ".join(f"r[{k}] = {len(mod.signs.rows[k])}"
                           for k in range(2, mod.n + 1))
         lines = [f"top row: {','.join(map(str, top))}", f"dimension: {mod.dim}",
                  f"row fillings: {fills}"]

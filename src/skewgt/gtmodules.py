@@ -108,9 +108,8 @@ def _check_dominant(top: Sequence[int]) -> Tuple[int, ...]:
 
 def _rows_below(row: Tuple[int, ...]):
     """All integral rows interlacing directly under the given row."""
-    ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
-    for choice in itertools.product(*ranges):
-        yield tuple(choice)
+    return itertools.product(*(range(row[i + 1], row[i] + 1)
+                               for i in range(len(row) - 1)))
 
 
 def enumerate_patterns(top: Sequence[int]) -> List[Pattern]:
@@ -121,9 +120,8 @@ def enumerate_patterns(top: Sequence[int]) -> List[Pattern]:
     for _ in range(len(top) - 1):
         chains = [(lower,) + chain for chain in chains
                   for lower in _rows_below(chain[0])]
-    pats = [normalize_pattern(chain) for chain in chains]
-    pats.sort(key=lambda p: sum(p, ()))
-    return pats
+    chains.sort(key=lambda p: sum(p, ()))
+    return chains
 
 
 def weyl_dim(top: Sequence[int]) -> int:
@@ -140,53 +138,49 @@ def weyl_dim(top: Sequence[int]) -> int:
     return int(dim)
 
 
-def row_fillings(top: Sequence[int], k: int) -> List[Tuple[int, ...]]:
-    """Distinct possible row-k vectors under the top row, sorted."""
+def row_fillings(top: Sequence[int]) -> Dict[int, List[Tuple[int, ...]]]:
+    """{k: the distinct possible row-k vectors under the dominant top
+    row, sorted} for every row k = 1..n, from one walk down the rows.
+    A top row whose module exceeds the budget is refused before the
+    walk; no row has more fillings than the module has patterns."""
     top = _check_dominant(top)
-    n = len(top)
-    if not (1 <= k <= n):
-        raise ValueError(f"row {k} out of range for n={n}")
+    check_module_dim(weyl_dim(top))
     frontier = {top}
-    for size in range(n - 1, k - 1, -1):
+    fillings = {len(top): [top]}
+    for k in range(len(top) - 1, 0, -1):
         frontier = {lower for row in frontier for lower in _rows_below(row)}
-    return sorted(frontier)
-
-
-def count_row_fillings(top: Sequence[int], k: int) -> int:
-    return len(row_fillings(top, k))
+        fillings[k] = sorted(frontier)
+    return fillings
 
 
 @dataclass
 class SignData:
-    """One sign per distinct row filling, for every row 2..n."""
+    """One sign per distinct row filling, for every row 2..n:
+    `rows[k][filling]` is +1 or -1."""
 
-    top: Tuple[int, ...]
     rows: Dict[int, Dict[Tuple[int, ...], int]]
 
     @staticmethod
-    def all_plus(top: Sequence[int]) -> "SignData":
-        top = _check_dominant(top)
-        rows = {k: {f: 1 for f in row_fillings(top, k)}
-                for k in range(2, len(top) + 1)}
-        return SignData(top, rows)
-
-    @staticmethod
-    def from_vectors(top: Sequence[int], vectors: Dict[int, Sequence[int]]) -> "SignData":
-        """Signs per row as vectors aligned with the sorted fillings."""
-        top = _check_dominant(top)
-        data = SignData.all_plus(top)
-        for k, vec in vectors.items():
-            fillings = row_fillings(top, k)
-            if len(vec) != len(fillings):
+    def from_vectors(fillings: Dict[int, List[Tuple[int, ...]]],
+                     vectors: Optional[Dict[int, Sequence[int]]] = None) -> "SignData":
+        """Signs per row k = 2..n as vectors aligned with the sorted
+        `fillings[k]` of `row_fillings`; a row without one gets all plus.
+        No V_k reads a row outside 2..n, so a vector there is refused."""
+        n = len(fillings)
+        vectors = vectors or {}
+        if set(vectors) - set(range(2, n + 1)):
+            raise ValueError(f"signs are chosen on rows 2..{n}, got rows "
+                             f"{sorted(vectors)}")
+        rows = {}
+        for k in range(2, n + 1):
+            vec = vectors.get(k, [1] * len(fillings[k]))
+            if len(vec) != len(fillings[k]):
                 raise ValueError(
-                    f"row {k} needs {len(fillings)} signs, got {len(vec)}")
+                    f"row {k} needs {len(fillings[k])} signs, got {len(vec)}")
             if any(s not in (1, -1) for s in vec):
                 raise ValueError("signs must be +1 or -1")
-            data.rows[k] = dict(zip(fillings, vec))
-        return data
-
-    def sign(self, k: int, filling: Tuple[int, ...]) -> int:
-        return self.rows[k][tuple(filling)]
+            rows[k] = dict(zip(fillings[k], vec))
+        return SignData(rows)
 
     @property
     def is_all_plus(self) -> bool:
@@ -198,7 +192,7 @@ def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
     the row filling (+1 without sign data) times
     prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
     row = p[k - 1]
-    val = 1 if signs is None else signs.sign(k, row)
+    val = 1 if signs is None else signs.rows[k][row]
     for i in range(len(row)):
         for j in range(i + 1, len(row)):
             val *= row[i] - row[j] + (j - i)
@@ -455,12 +449,11 @@ def _realize(n: int, basis: List[Pattern],
 
 
 def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> ModuleRealization:
-    """Finite-dimensional module on the interlacing patterns below `top`."""
+    """Finite-dimensional module on the interlacing patterns below `top`;
+    without sign data every V_k takes the plus sign."""
     top = _check_dominant(top)
     check_module_dim(weyl_dim(top))
     n = len(top)
-    if signs is None:
-        signs = SignData.all_plus(top)
     basis = enumerate_patterns(top)
     return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, signs),
                              top=top, signs=signs)
@@ -488,8 +481,8 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                 diagonal([Fraction(v ** 2)
                           for v in map(vandermonde(gln.triangle(n), k).evaluate, points)]))
                for k in range(2, n + 1))
-    rank3 = gl3_catalogue(M, zero) if n == 3 and mod.signs is not None \
-        and mod.signs.is_all_plus else ()
+    rank3 = gl3_catalogue(M, zero) if n == 3 and (mod.signs is None
+                                                  or mod.signs.is_all_plus) else ()
     for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
                                                     squares, rank3):
         # lhs - zero would only copy lhs

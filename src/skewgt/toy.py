@@ -196,10 +196,11 @@ def parse_inverse_target(text: str) -> int:
         body = s[4:-1]
         if body == "":
             return 0
-        if body[0] in "+-":
+        if body[0] in "+-" and body[1:].isdecimal():
             c = int(body)
             if abs(c) > MAX_TRANSLATE:
                 raise ValueError(f"target translate {c:+d} exceeds the "
                                  f"budget of |c| <= {MAX_TRANSLATE}")
             return c
-    raise ValueError(f"cannot parse inverse target {text!r}")
+    raise ValueError(f"cannot parse inverse target {text!r}: expected 1/x "
+                     f"or 1/(x+c) with an integer c")

@@ -84,6 +84,10 @@ def test_compute_bad_expression(capsys):
     code, out, err = run(capsys, ["compute", "--expr", "Foo"])
     assert code == 2 and out == ""
     assert err == "error: unknown element name 'Foo'\n"
+    # an exponent is a nonnegative integer; '-' used to reach int()
+    code, out, err = run(capsys, ["compute", "--expr", "X11^-1", "--n", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: bad exponent '-': expected a nonnegative integer after '^'\n"
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -107,6 +111,39 @@ def test_gt_signs_variants(capsys):
     assert code == 0
     code, _, err = run(capsys, ["gt", "--top", "2,1,0", "--signs", "+,+"])
     assert code == 2
+    assert "need 5 signs (rows 2..3) or 4 (top row defaulted), got 2" in err
+
+
+def test_flat_signs_match_per_row_vectors():
+    """A flat --signs list is the rows 2..n in order, each over its
+    sorted fillings; without its last sign the top row takes +1."""
+    top = (3, 2, 1, 0)
+    fillings = gtmodules.row_fillings(top)
+    counts = [len(fillings[k]) for k in (2, 3, 4)]
+    assert counts == [8, 8, 1]
+    vec2 = [(-1) ** i for i in range(8)]
+    vec3 = [1 if i % 3 else -1 for i in range(8)]
+    flat = ",".join("+" if s == 1 else "-" for s in vec2 + vec3)
+    for text, top_sign in ((flat + ",-", -1), (flat + ",+1", 1), (flat, 1)):
+        assert cli._parse_signs(text, top) == gtmodules.SignData.from_vectors(
+            fillings, {2: vec2, 3: vec3, 4: [top_sign]}), text
+    for text, sign in (("all-minus", -1), ("-", -1), ("all-plus", 1), (None, 1)):
+        assert cli._parse_signs(text, top) == gtmodules.SignData.from_vectors(
+            fillings, {k: [sign] * c for k, c in zip((2, 3, 4), counts)}), text
+
+
+def test_gt_walks_the_rows_once(capsys, monkeypatch):
+    calls = []
+    row_fillings = gtmodules.row_fillings
+
+    def counted(top):
+        calls.append(top)
+        return row_fillings(top)
+
+    monkeypatch.setattr(gtmodules, "row_fillings", counted)
+    code, out, _ = run(capsys, ["gt", "--top", "2,1,0", "--signs", "all-minus", "--check"])
+    assert code == 0 and "row fillings: r[2] = 4, r[3] = 1" in out
+    assert calls == [(2, 1, 0)]
 
 
 def test_gt_bad_inputs(capsys):
@@ -117,6 +154,15 @@ def test_gt_bad_inputs(capsys):
     assert code == 2 and "regular" in err
     code, _, err = run(capsys, ["gt"])
     assert code == 2
+    # a conversion error names the entry: int() and Fraction() used to
+    # print "invalid literal ..." and "Fraction(1, 0)"
+    for top, entry in (("2.5,1", "2.5"), ("2,,0", ""), ("1_000,0", "1_000")):
+        code, out, err = run(capsys, ["gt", "--top", top])
+        assert code == 2 and out == ""
+        assert err == f"error: bad top row entry {entry!r}: expected an integer\n"
+    code, out, err = run(capsys, ["gt", "--generic", "1/0; 1,0"])
+    assert code == 2 and out == ""
+    assert err == "error: bad point entry '1/0': expected a nonzero denominator\n"
     code, out, err = run(capsys, ["gt", "--top", "0", "--check"])
     assert code == 2 and out == ""
     assert "top row of length n >= 2 (got n=1)" in err
@@ -324,6 +370,11 @@ def test_toy_cli(capsys):
     assert "verified: exact equality holds" in out
     code, _, err = run(capsys, ["toy", "--f", "x^2+x", "--target", "1/x"])
     assert code == 2 and "f(0)" in err
+    for target in ("1/(x+)", "1/(x-2.5)", "1/(x+-1)", "1/y"):
+        code, out, err = run(capsys, ["toy", "--f", "x+1", "--target", target])
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse inverse target {target!r}: " \
+            "expected 1/x or 1/(x+c) with an integer c\n"
 
 
 def test_export_roundtrip(capsys, tmp_path):

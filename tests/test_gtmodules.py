@@ -69,13 +69,32 @@ def test_dimension_matches_weyl_formula():
 
 
 def test_row_fillings():
-    assert gt.count_row_fillings((2, 1, 0), 2) == 4
-    assert gt.row_fillings((2, 1, 0), 2) == [(1, 0), (1, 1), (2, 0), (2, 1)]
-    assert gt.count_row_fillings((0, 0), 2) == 1
-    assert gt.count_row_fillings((1, 0), 1) == 2
-    # oracle: distinct row-2 vectors among brute-force patterns
-    brute = brute_force_patterns((2, 1, 0))
-    assert {p[1] for p in brute} == set(gt.row_fillings((2, 1, 0), 2))
+    assert len(gt.row_fillings((2, 1, 0))[2]) == 4
+    assert gt.row_fillings((2, 1, 0))[2] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert len(gt.row_fillings((0, 0))[2]) == 1
+    assert len(gt.row_fillings((1, 0))[1]) == 2
+    assert gt.row_fillings((4,)) == {1: [(4,)]}
+    # oracle: distinct row-k vectors among brute-force patterns, every row
+    for top in [(2, 1, 0), (3, 2, 1, 0), (2, 1, 0, 0)]:
+        brute = brute_force_patterns(top)
+        fillings = gt.row_fillings(top)
+        assert sorted(fillings) == list(range(1, len(top) + 1)), top
+        for k in fillings:
+            assert fillings[k] == sorted({p[k - 1] for p in brute}), (top, k)
+
+
+def test_row_fillings_refuses_over_budget_before_walking(monkeypatch):
+    top = (1000, 0, 0)
+    assert gt.weyl_dim(top) > gt.MAX_MODULE_DIM
+
+    def no_walk(row):
+        raise AssertionError(f"walked below {row}")
+
+    monkeypatch.setattr(gt, "_rows_below", no_walk)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        gt.row_fillings(top)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        gt.row_fillings((0, 1))
 
 
 def test_non_dominant_rejected():
@@ -118,19 +137,20 @@ def test_trivial_module_acts_by_zero():
 
 
 def test_vandermonde_action():
-    signs = gt.SignData.all_plus((1, 0))
+    signs = gt.SignData.from_vectors(gt.row_fillings((1, 0)))
     hi = gt.normalize_pattern([(1,), (1, 0)])
     assert gt.act_vandermonde(2, hi, signs) == 2
-    flipped = gt.SignData.from_vectors((1, 0), {2: [-1]})
+    assert gt.act_vandermonde(2, hi, None) == 2
+    flipped = gt.SignData.from_vectors(gt.row_fillings((1, 0)), {2: [-1]})
     assert gt.act_vandermonde(2, hi, flipped) == -2
     same = gt.normalize_pattern([(3,), (3, 3)])
-    s33 = gt.SignData.all_plus((3, 3))
+    s33 = gt.SignData.from_vectors(gt.row_fillings((3, 3)))
     assert gt.act_vandermonde(2, same, s33) == 1
 
 
 def test_vandermonde_squares_match_evaluation():
     for top in [(1, 0), (2, 1, 0), (2, 2, 0)]:
-        signs = gt.SignData.all_plus(top)
+        signs = gt.SignData.from_vectors(gt.row_fillings(top))
         ctx = gln.triangle(len(top))
         for k in range(2, len(top) + 1):
             vk = vandermonde(ctx, k)
@@ -168,7 +188,7 @@ def test_rank3_module_report_runs_the_gl3_catalogue():
     entries = [(family, key) for family, key, *_ in
                gl3_catalogue(mod.matrices, gt.zeros(mod.dim))]
     assert len(entries) == 44
-    mixed = gt.SignData.from_vectors((2, 1, 0), {2: [1, -1, -1, 1]})
+    mixed = gt.SignData.from_vectors(gt.row_fillings((2, 1, 0)), {2: [1, -1, -1, 1]})
     common = {r.key for r in gt.module_relation_report(
         gt.build_module((2, 1, 0), mixed)).results}
     report = gt.module_relation_report(mod)
@@ -180,7 +200,7 @@ def test_rank3_module_report_runs_the_gl3_catalogue():
 
 
 def test_module_report_mixed_signs():
-    signs = gt.SignData.from_vectors((2, 1, 0), {2: [1, -1, -1, 1]})
+    signs = gt.SignData.from_vectors(gt.row_fillings((2, 1, 0)), {2: [1, -1, -1, 1]})
     rep = gt.module_relation_report(gt.build_module((2, 1, 0), signs))
     assert rep.ok
 
@@ -188,15 +208,27 @@ def test_module_report_mixed_signs():
 def test_restriction_spectrum():
     top = (2, 1, 0)
     m = gt.build_module(top)
-    expected = {Fraction(b1 - b2 + 1) for (b1, b2) in gt.row_fillings(top, 2)}
+    expected = {Fraction(b1 - b2 + 1) for (b1, b2) in gt.row_fillings(top)[2]}
     assert set(m.spectrum("V2")) == expected
 
 
 def test_sign_data_validation():
     with pytest.raises(ValueError):
-        gt.SignData.from_vectors((1, 0), {2: [1, 1]})
+        gt.SignData.from_vectors(gt.row_fillings((1, 0)), {2: [1, 1]})
     with pytest.raises(ValueError):
-        gt.SignData.from_vectors((1, 0), {2: [2]})
+        gt.SignData.from_vectors(gt.row_fillings((1, 0)), {2: [2]})
+    # no V_k reads a sign outside rows 2..n
+    fillings = gt.row_fillings((2, 1, 0))
+    for row in (1, 0, 4, -2):
+        with pytest.raises(ValueError, match=r"signs are chosen on rows 2\.\.3"):
+            gt.SignData.from_vectors(fillings, {row: [1] * 3, 2: [1] * 4})
+    with pytest.raises(ValueError, match=r"rows 2\.\.1"):
+        gt.SignData.from_vectors(gt.row_fillings((0,)), {2: [1]})
+    # a row without a vector gets all plus
+    signs = gt.SignData.from_vectors(fillings, {3: [-1]})
+    assert signs.rows == {2: dict.fromkeys(fillings[2], 1), 3: {(2, 1, 0): -1}}
+    assert not signs.is_all_plus
+    assert gt.SignData.from_vectors(fillings).is_all_plus
 
 
 def test_generic_module_gl2():
