@@ -142,9 +142,25 @@ MAX_DEPTH = 16
 MAX_RANK = 9
 
 
+# Longest run of digits accepted in a number of any flag.  Python refuses
+# to convert more than 4 300 digits with a message that names no entry,
+# and far shorter numbers already make exact arithmetic slow.
+MAX_DIGITS = 100
+
+
 def _check_rank(n: Optional[int], name: str = "--n") -> None:
     if n is not None and n > MAX_RANK:
         raise ValueError(f"{name} {n} exceeds the rank budget of {MAX_RANK}")
+
+
+def _check_digits(text: str, name: str) -> None:
+    """Refuse a number in ``text`` longer than MAX_DIGITS digits, before
+    any parser converts it."""
+    for m in re.finditer(r"\d+", text):
+        if len(m.group()) > MAX_DIGITS:
+            raise ValueError(f"{name} number {m.group()[:12]}... has "
+                             f"{len(m.group())} digits, over the digit budget "
+                             f"of {MAX_DIGITS}")
 
 
 def _check_powers(tokens: List[str]) -> None:
@@ -181,6 +197,7 @@ def _check_powers(tokens: List[str]) -> None:
 
 def compute_expression(text: str, n: int) -> SkewElement:
     _check_rank(n)
+    _check_digits(text, "--expr")
     tokens = _tokenize(text)
     _check_powers(tokens)
     ctx = gln.triangle(n)
@@ -334,6 +351,7 @@ def cmd_gt(args) -> int:
         if getattr(args, flag) is not None and getattr(args, base) is not None:
             raise ValueError(f"--{flag} does not apply to --{base}")
     if args.generic is not None:
+        _check_digits(args.generic, "--generic")
         rows = _parse_point(args.generic)
         _check_rank(len(rows), "rank")
         window = 2 if args.window is None else args.window
@@ -346,6 +364,7 @@ def cmd_gt(args) -> int:
                   + ", ".join(map(str, sorted(set(mod.spectrum(f"V{k}")))))
                   for k in range(2, mod.n + 1)]
     else:
+        _check_digits(args.top, "--top")
         entries = [v.strip() for v in args.top.split(",")]
         for v in entries:
             if not re.fullmatch(r"[+-]?\d+", v):
@@ -374,6 +393,8 @@ def cmd_gt(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    _check_digits(args.f, "--f")
+    _check_digits(args.target, "--target")
     ctx = toy.line_context()
     spec = toy.ToySpec(toy.parse_univariate(ctx, args.f))
     c = toy.parse_inverse_target(args.target)

@@ -8,13 +8,25 @@ exact rationals: every stored coefficient is an ``int`` when it is
 integral and a :class:`fractions.Fraction` with denominator > 1
 otherwise.  There is no floating point anywhere.
 
-Representation: ``terms`` maps a dense exponent tuple (one slot per
-context variable, row-major order) to a nonzero coefficient.  The zero
-polynomial is the empty map.  The constructor is the only place that
-drops zero coefficients: sums, products and shifts accumulate into a
-plain map and hand it over.  Graded lexicographic order with row-major
-variable precedence fixes a unique printed form (and the sign of the
-primitive part) for every polynomial; division does not depend on it.
+Representation: ``terms`` maps a packed monomial to a nonzero
+coefficient (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  With v context
+variables in row-major order and B = 2^16, the exponents (e_0, ...,
+e_{v-1}) of total degree d pack into the int
+``d*B^v + sum_i e_i*B^(v-1-i)``: one 16-bit field per variable below a
+field for the total degree, the first variable most significant.  The
+product of two monomials is the sum of their keys, and int order on keys
+is graded lexicographic order with row-major variable precedence, which
+fixes a unique printed form (and the sign of the primitive part) for
+every polynomial; division does not depend on it.  The guard: no total
+degree reaches B, so no field ever carries into its neighbour.  The
+public constructor refuses such an exponent tuple, and ``*`` refuses a
+product of that degree before it multiplies.  ``Context.pack`` and
+``Context.unpack`` convert between keys and exponent tuples, and
+``sorted_terms`` reads the terms as tuples.  The zero polynomial is the
+empty map.  ``Poly._from_packed`` is the only place that drops zero
+coefficients: sums, products, shifts and the public constructor
+accumulate into a plain packed map and hand it over.
 
 The operators ``+``, ``*``, ``-``, their reflections and ``**`` are
 written once, on :class:`Ring`: it promotes the other operand into the
@@ -42,10 +54,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Optional, Tuple, Union
 
 VarId = Tuple[int, int]
+
+# Bits per field of a packed monomial, and the bound on total degree.
+_WIDTH = 16
+DEGREE_BOUND = 1 << _WIDTH
+_MASK = DEGREE_BOUND - 1
 
 
 class Context:
@@ -56,7 +72,8 @@ class Context:
     single variable x, which is itself shiftable.
     """
 
-    __slots__ = ("kind", "n", "vars", "shift_vars", "rows", "_vpos", "_spos")
+    __slots__ = ("kind", "n", "vars", "shift_vars", "rows", "_vpos", "_spos",
+                 "_offsets", "_units", "_deg_offset", "_key_limit")
 
     def __init__(self, kind: str, n: int, vars: Tuple[VarId, ...],
                  shift_vars: Tuple[VarId, ...]):
@@ -71,6 +88,14 @@ class Context:
         self.rows = rows
         self._vpos = {v: i for i, v in enumerate(vars)}
         self._spos = {v: i for i, v in enumerate(shift_vars)}
+        # packed monomials: bit offset of each variable's field, the key
+        # of each variable, and the offset of the total-degree field; a
+        # key reaches _key_limit exactly when its degree reaches the bound
+        nv = len(vars)
+        self._offsets = tuple(_WIDTH * (nv - 1 - i) for i in range(nv))
+        self._deg_offset = _WIDTH * nv
+        self._units = tuple((1 << self._deg_offset) + (1 << o) for o in self._offsets)
+        self._key_limit = DEGREE_BOUND << self._deg_offset
 
     @staticmethod
     def triangle(n: int) -> "Context":
@@ -108,6 +133,31 @@ class Context:
         """Stable string key "k,i" used in JSON payloads."""
         return "%d,%d" % v
 
+    def pack(self, exps) -> int:
+        """The packed key of an exponent tuple, one int exponent per
+        variable.  A wrong length, a negative or non-int exponent, or a
+        total degree of DEGREE_BOUND or more raises ValueError."""
+        if len(exps) != len(self.vars):
+            raise ValueError(f"exponent tuple {exps!r} has {len(exps)} slots; "
+                             f"the context has {len(self.vars)} variables")
+        key = 0
+        for e, offset in zip(exps, self._offsets):
+            if type(e) is not int:
+                raise ValueError(f"exponent tuple {exps!r} has a non-integer "
+                                 f"exponent {e!r}")
+            if e < 0:
+                raise ValueError(f"exponent tuple {exps!r} has a negative exponent")
+            key += e << offset
+        deg = sum(exps)
+        if deg >= DEGREE_BOUND:
+            raise ValueError(f"exponent tuple {exps!r} has total degree {deg}; "
+                             f"degrees stay below {DEGREE_BOUND}")
+        return key + (deg << self._deg_offset)
+
+    def unpack(self, key: int) -> Tuple[int, ...]:
+        """The exponent tuple of a packed key."""
+        return tuple((key >> offset) & _MASK for offset in self._offsets)
+
     def __eq__(self, other):
         return (isinstance(other, Context)
                 and self.kind == other.kind and self.n == other.n)
@@ -117,10 +167,6 @@ class Context:
 
     def __repr__(self):
         return f"Context({self.kind!r}, n={self.n})"
-
-
-def _grlex_key(exps: Tuple[int, ...]):
-    return (sum(exps), exps)
 
 
 def _add_into(dst: dict, src: dict) -> dict:
@@ -204,31 +250,48 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_sparse")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
+        """Outside input: ``terms`` maps exponent tuples to exact
+        rationals.  Each tuple is validated and packed (``Context.pack``)
+        and each coefficient normalized (``_coeff``)."""
+        self._own(ctx, {ctx.pack(exps): coeff if type(coeff) is int else _coeff(coeff)
+                        for exps, coeff in terms.items()})
+
+    @staticmethod
+    def _from_packed(ctx: Context, terms: dict) -> "Poly":
+        """Trusted constructor: ``terms``, a fresh map that the new
+        polynomial may keep, takes packed keys of ``ctx`` to exact
+        rationals, zeros allowed."""
+        out = object.__new__(Poly)
+        out._own(ctx, terms)
+        return out
+
+    def _own(self, ctx: Context, terms: dict):
+        # The only zero filter of the polynomial layer.  A product or sum
+        # of Fractions can be integral and is stored as an int.  A map of
+        # ints only (most maps: primitive numerators) is scanned in C and
+        # kept as it is when it holds no zero.
         self.ctx = ctx
-        nvars = len(ctx.vars)
-        clean = {}
-        for exps, coeff in terms.items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps!r} has {len(exps)} slots; "
-                                 f"the context has {nvars} variables")
-            if type(coeff) is not int:
-                coeff = _coeff(coeff)
-            if coeff:
-                clean[exps] = coeff
-        self.terms = clean
+        values = terms.values()
+        if not set(map(type, values)) <= {int}:
+            terms = {e: c if type(c) is int else _coeff(c)
+                     for e, c in terms.items() if c}
+        elif 0 in values:
+            terms = {e: c for e, c in terms.items() if c}
+        self.terms = terms
+        self._sparse = None
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero(ctx: Context) -> "Poly":
-        return Poly(ctx, {})
+        return Poly._from_packed(ctx, {})
 
     @staticmethod
     def const(ctx: Context, value) -> "Poly":
-        return Poly(ctx, {(0,) * len(ctx.vars): _coeff(value)})
+        return Poly._from_packed(ctx, {0: _coeff(value)})
 
     @staticmethod
     def one(ctx: Context) -> "Poly":
@@ -236,9 +299,7 @@ class Poly(Ring):
 
     @staticmethod
     def var(ctx: Context, v: VarId) -> "Poly":
-        exps = [0] * len(ctx.vars)
-        exps[ctx.var_pos(v)] = 1
-        return Poly(ctx, {tuple(exps): 1})
+        return Poly._from_packed(ctx, {ctx._units[ctx.var_pos(v)]: 1})
 
     # -- structure ---------------------------------------------------
 
@@ -250,19 +311,19 @@ class Poly(Ring):
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.ctx._deg_offset
 
     def leading(self) -> Tuple[Tuple[int, ...], Union[int, Fraction]]:
         """The grlex-largest term as (exponents, coefficient); the
         coefficient is an int or a Fraction."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        key = max(self.terms)
+        return self.ctx.unpack(key), self.terms[key]
 
     def constant_term(self) -> Union[int, Fraction]:
         """The coefficient of the empty monomial, an int or a Fraction."""
-        return self.terms.get((0,) * len(self.ctx.vars), 0)
+        return self.terms.get(0, 0)
 
     def content_primitive(self) -> Tuple[Fraction, "Poly"]:
         """Split into content * primitive part.
@@ -271,14 +332,16 @@ class Poly(Ring):
         leading coefficient, so it is a canonical representative of the
         polynomial up to rational scaling.  The content is a Fraction.
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return Fraction(0), self
-        lcm = math.lcm(*[c.denominator for c in self.terms.values()])
-        scaled = {e: c.numerator * (lcm // c.denominator) for e, c in self.terms.items()}
-        g = math.gcd(*scaled.values())
-        if self.leading()[1] < 0:
+        lcm = math.lcm(*[c.denominator for c in terms.values()])
+        if lcm != 1:
+            terms = {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
+        g = math.gcd(*terms.values())
+        if terms[max(terms)] < 0:
             g = -g
-        return Fraction(g, lcm), Poly(self.ctx, {e: v // g for e, v in scaled.items()})
+        return Fraction(g, lcm), Poly._from_packed(self.ctx, {e: v // g for e, v in terms.items()})
 
     # -- arithmetic --------------------------------------------------
 
@@ -295,24 +358,33 @@ class Poly(Ring):
         return None
 
     def _add(self, other: "Poly") -> "Poly":
-        return Poly(self.ctx, _add_into(dict(self.terms), other.terms))
+        return Poly._from_packed(self.ctx, _add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
-        return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Poly._from_packed(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = _coeff(other)
-            return Poly(self.ctx, {e: c * q for e, c in self.terms.items()})
+            return Poly._from_packed(self.ctx, {e: c * q for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
+        ctx = self.ctx
+        a, b = self.terms, other.terms
+        # packed keys add without carries while the degree stays in bounds
+        if a and b and max(a) + max(b) >= ctx._key_limit:
+            deg = (max(a) >> ctx._deg_offset) + (max(b) >> ctx._deg_offset)
+            raise ValueError(f"product of degree {deg}: degrees stay below "
+                             f"{DEGREE_BOUND}")
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.ctx, out)
+        get = out.get
+        right = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return Poly._from_packed(ctx, out)
 
     __rmul__ = __mul__
 
@@ -337,30 +409,54 @@ class Poly(Ring):
         return out
 
     def _shift_one(self, pos: int, s: int) -> "Poly":
+        offset, unit, mask = self.ctx._offsets[pos], self.ctx._units[pos], _MASK
+        # expansions[e]: (x - s)^e as (key decrement, coefficient) pairs,
+        # x^j taking j*unit off the key of x^e
+        expansions: dict = {}
         out: dict = {}
-        for exps, coeff in self.terms.items():
-            e = exps[pos]
+        get = out.get
+        for key, coeff in self.terms.items():
+            e = (key >> offset) & mask
             if e == 0:
-                out[exps] = out.get(exps, 0) + coeff
+                out[key] = get(key, 0) + coeff
                 continue
-            # (x - s)^e expanded exactly
-            for j in range(e + 1):
-                c = coeff * math.comb(e, j) * (-s) ** (e - j)
-                key = exps[:pos] + (j,) + exps[pos + 1:]
-                out[key] = out.get(key, 0) + c
-        return Poly(self.ctx, out)
+            expansion = expansions.get(e)
+            if expansion is None:
+                expansion = expansions[e] = [((e - j) * unit, math.comb(e, j) * (-s) ** (e - j))
+                                             for j in range(e + 1)]
+            for drop, c in expansion:
+                k = key - drop
+                out[k] = get(k, 0) + coeff * c
+        return Poly._from_packed(self.ctx, out)
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":
         """Rename variables; the mapping must be a bijection within rows."""
-        pos_map = {self.ctx.var_pos(a): self.ctx.var_pos(b)
-                   for a, b in mapping.items()}
+        ctx = self.ctx
+        moves = [(ctx._offsets[ctx.var_pos(a)], ctx._offsets[ctx.var_pos(b)])
+                 for a, b in mapping.items()]
+        # clear every target field, then copy each source field into its
+        # target; a renaming keeps the total degree
+        cleared = 0
+        for _, dst in moves:
+            cleared |= _MASK << dst
+        keep = ~cleared
         out: dict = {}
-        for exps, coeff in self.terms.items():
-            new = list(exps)
-            for src, dst in pos_map.items():
-                new[dst] = exps[src]
-            out[tuple(new)] = coeff
-        return Poly(self.ctx, out)
+        for key, coeff in self.terms.items():
+            new = key & keep
+            for src, dst in moves:
+                new |= ((key >> src) & _MASK) << dst
+            out[new] = coeff
+        return Poly._from_packed(ctx, out)
+
+    def _sparse_terms(self):
+        """The terms as (coefficient, ((pos, e), ...) over the nonzero
+        exponents, total degree), unpacked on first use and kept."""
+        if self._sparse is None:
+            unpack, top = self.ctx.unpack, self.ctx._deg_offset
+            self._sparse = [(coeff, tuple((pos, e) for pos, e in enumerate(unpack(key)) if e),
+                             key >> top)
+                            for key, coeff in self.terms.items()]
+        return self._sparse
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """The value at a point of exact rationals, always a Fraction.
@@ -381,12 +477,11 @@ class Poly(Ring):
             vals = {pos: q.numerator * (lcm // q.denominator)
                     for pos, q in vals.items()}
         total = 0
-        for exps, coeff in self.terms.items():
-            for pos, e in enumerate(exps):
-                if e:
-                    coeff *= vals[pos] ** e
+        for coeff, powers, d in self._sparse_terms():
+            for pos, e in powers:
+                coeff *= vals[pos] ** e
             if deg:
-                coeff *= lcm ** (deg - sum(exps))
+                coeff *= lcm ** (deg - d)
             total += coeff
         return Fraction(total, lcm ** deg)
 
@@ -400,7 +495,9 @@ class Poly(Ring):
         solution with r free of x_a: r = p(x_a := s).  One Horner pass
         finds it.  Write p = sum_k p_k x_a^k with every p_k free of x_a;
         walking k down from the top degree, q_{k-1} = p_k + s*q_k, and
-        the k = 0 row p_0 + s*q_0 is the remainder.
+        the k = 0 row p_0 + s*q_0 is the remainder.  No key leaves the
+        degree bound: every quotient and remainder term has degree at
+        most deg p.
 
         Requires a < b in row-major order when b is present, the
         canonical orientation of ``ratfunc.linear_factor``.
@@ -411,29 +508,34 @@ class Poly(Ring):
         if pb is not None and pb <= pa:
             raise ValueError("divisor not in canonical orientation")
         neg_c = -_coeff(c)
-        # rows[k] = p_k, keyed by exponent tuples with the x_a slot zeroed
+        offset, unit_a = ctx._offsets[pa], ctx._units[pa]
+        unit_b = ctx._units[pb] if pb is not None else 0
+        # rows[k] = p_k, keyed by the packed keys with x_a^k divided out
         rows: dict = {}
-        for exps, coeff in self.terms.items():
-            row = rows.setdefault(exps[pa], {})
-            row[exps[:pa] + (0,) + exps[pa + 1:]] = coeff
+        mask = _MASK
+        for key, coeff in self.terms.items():
+            k = (key >> offset) & mask
+            rows.setdefault(k, {})[key - k * unit_a] = coeff
         quot: dict = {}
-        carry: dict = {}  # s * q_k
         for k in range(max(rows, default=0), 0, -1):
-            q = _add_into(rows.get(k, {}), carry)
-            carry = {}
+            q = rows.get(k)
+            if q is None:
+                continue
+            # q is q_{k-1} = p_k + s*q_k: add s*q_{k-1} into row k-1
+            below = rows.setdefault(k - 1, {})
+            up = (k - 1) * unit_a
             for e, v in q.items():
                 if not v:
                     continue
-                quot[e[:pa] + (k - 1,) + e[pa + 1:]] = v
-                if pb is not None:
-                    key = e[:pb] + (e[pb] + 1,) + e[pb + 1:]
-                    t = carry.get(key)
-                    carry[key] = v if t is None else t + v
+                quot[e + up] = v
+                if unit_b:
+                    key = e + unit_b
+                    t = below.get(key)
+                    below[key] = v if t is None else t + v
                 if neg_c:
-                    t = carry.get(e)
-                    carry[e] = v * neg_c if t is None else t + v * neg_c
-        rem = _add_into(rows.get(0, {}), carry)
-        return Poly(ctx, quot), Poly(ctx, rem)
+                    t = below.get(e)
+                    below[e] = v * neg_c if t is None else t + v * neg_c
+        return Poly._from_packed(ctx, quot), Poly._from_packed(ctx, rows.get(0, {}))
 
     def exact_div_linear(self, a: VarId, b: Optional[VarId], c: Fraction) -> Optional["Poly"]:
         """Quotient when (x_a - x_b + c) divides exactly, else None."""
@@ -443,7 +545,10 @@ class Poly(Ring):
     # -- rendering ----------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        """The terms as (exponent tuple, coefficient), grlex-largest
+        first."""
+        unpack = self.ctx.unpack
+        return [(unpack(key), self.terms[key]) for key in sorted(self.terms, reverse=True)]
 
     def _monomial_str(self, exps) -> str:
         parts = []

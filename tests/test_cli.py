@@ -88,6 +88,17 @@ def test_compute_bad_expression(capsys):
     code, out, err = run(capsys, ["compute", "--expr", "X11^-1", "--n", "2"])
     assert code == 2 and out == ""
     assert err == "error: bad exponent '-': expected a nonnegative integer after '^'\n"
+    # numbers past the digit budget, in an exponent or a coefficient
+    for expr in ("X11^{}", "{}*X11", "(X11^2)^{}"):
+        for digits in (cli.MAX_DIGITS + 1, 5000):
+            for cmd in ("compute", "export"):
+                code, out, err = run(capsys, [cmd, "--expr", expr.format("2" * digits),
+                                              "--n", "2"])
+                assert code == 2 and out == ""
+                assert err == f"error: --expr number 222222222222... has {digits} " \
+                    f"digits, over the digit budget of {cli.MAX_DIGITS}\n"
+    code, out, _ = run(capsys, ["compute", "--expr", "2" * cli.MAX_DIGITS + "*X11", "--n", "2"])
+    assert code == 0 and out.startswith("[" + "2" * cli.MAX_DIGITS + "*(x11)]")
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -186,6 +197,17 @@ def test_gt_bad_inputs(capsys):
         code, out, _ = run(capsys, ["gt", f"--generic=1/3; 1/5, {entry}; 1, 1, 1",
                                     "--window", "0"])
         assert code == 0 and "dimension: 1" in out
+    # a number longer than the digit budget is named before int() or
+    # Fraction() sees it (past 4 300 digits they printed Python's own limit)
+    for flag, text in (("--top", "{},0"), ("--generic", "1/3; {},0"),
+                       ("--generic", "1/{}; 1,0"), ("--generic", "1/3; 0.{}, 0")):
+        for digits in (cli.MAX_DIGITS + 1, 5000):
+            code, out, err = run(capsys, ["gt", flag, text.format("1" * digits)])
+            assert code == 2 and out == ""
+            assert err == f"error: {flag} number 111111111111... has {digits} digits, " \
+                f"over the digit budget of {cli.MAX_DIGITS}\n"
+    code, out, _ = run(capsys, ["gt", "--top", "0" * (cli.MAX_DIGITS - 1) + "1,0"])
+    assert code == 0 and "top row: 1,0" in out
 
 
 def test_gt_generic_rank_one_check(capsys):
@@ -375,6 +397,18 @@ def test_toy_cli(capsys):
         assert code == 2 and out == ""
         assert err == f"error: cannot parse inverse target {target!r}: " \
             "expected 1/x or 1/(x+c) with an integer c\n"
+    # numbers past the digit budget: a translate, a coefficient, a
+    # denominator and an exponent of f
+    many = "3" * 5000
+    for flag, f, target in (("--target", "x+1", f"1/(x+{many})"),
+                            ("--target", "x+1", f"1/(x-{many})"),
+                            ("--f", f"{many}x+1", "1/x"),
+                            ("--f", f"x+1/{many}", "1/x"),
+                            ("--f", f"x^{many}+1", "1/x")):
+        code, out, err = run(capsys, ["toy", "--f", f, "--target", target])
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} number 333333333333... has 5000 digits, " \
+            f"over the digit budget of {cli.MAX_DIGITS}\n"
 
 
 def test_export_roundtrip(capsys, tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgt.polys import (Context, Poly, elementary_symmetric,
+from skewgt import cli, toy
+from skewgt.polys import (DEGREE_BOUND, Context, Poly, elementary_symmetric,
                           shifted_vandermonde, vandermonde)
 
 from conftest import rand_point, rand_poly
@@ -76,7 +77,7 @@ def check_division(p, a, b, c):
     q, r = p.divmod_linear(a, b, c)
     assert q * f + r == p
     pa = p.ctx.var_pos(a)
-    assert all(exps[pa] == 0 for exps in r.terms)
+    assert all(exps[pa] == 0 for exps, _ in r.sorted_terms())
     assert (p * f).exact_div_linear(a, b, c) == p
     return q, r
 
@@ -150,7 +151,7 @@ def to_sympy(poly, syms):
     sympy = pytest.importorskip("sympy")
     return sum((sympy.Rational(v.numerator, v.denominator)
                 * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
-                for e, v in poly.terms.items()), sympy.Integer(0))
+                for e, v in poly.sorted_terms()), sympy.Integer(0))
 
 
 def _sympy_division_cases(seed, count):
@@ -433,3 +434,114 @@ def test_exponent_tuple_length_is_checked(ctx2):
     with pytest.raises(ValueError):
         Poly(ctx2, {(0, 0, 0): 1, (0, 0, 0, 1): 2})
     assert Poly(ctx2, {(0, 1, 0): 1}) == x(ctx2, 2, 1)
+
+
+def test_exponent_tuples_are_validated(ctx2):
+    for exps, why in (((-1, 0, 0), "has a negative exponent"),
+                      ((0, 1.5, 0), "has a non-integer exponent 1.5"),
+                      ((0, 0, "1"), "has a non-integer exponent '1'"),
+                      ((DEGREE_BOUND, 0, 0), f"has total degree {DEGREE_BOUND}"),
+                      ((DEGREE_BOUND - 1, 0, 1), f"has total degree {DEGREE_BOUND}")):
+        with pytest.raises(ValueError) as err:
+            Poly(ctx2, {(0, 0, 0): 1, exps: 1})
+        assert str(err.value).startswith(f"exponent tuple {exps!r} {why}")
+    top = Poly(ctx2, {(0, DEGREE_BOUND - 1, 0): 3})
+    assert top.degree() == DEGREE_BOUND - 1
+    assert top.sorted_terms() == [((0, DEGREE_BOUND - 1, 0), 3)]
+
+
+def test_product_degree_is_bounded(ctx2):
+    half = Poly(ctx2, {(DEGREE_BOUND // 2 - 2, 1, 0): 1, (0, 0, 0): 2})
+    # degree B - 2: every field sum stays in its field
+    assert (half * half).sorted_terms() == [((DEGREE_BOUND - 4, 2, 0), 1),
+                                            ((DEGREE_BOUND // 2 - 2, 1, 0), 4),
+                                            ((0, 0, 0), 4)]
+    top = Poly(ctx2, {(0, 0, DEGREE_BOUND - 1): 1})
+    for a, b in ((top, x(ctx2, 1, 1)), (x(ctx2, 2, 2), top), (half, half * half)):
+        with pytest.raises(ValueError, match=f"product of degree {a.degree() + b.degree()}: "
+                                             f"degrees stay below {DEGREE_BOUND}"):
+            a * b
+    assert (top * 2).degree() == DEGREE_BOUND - 1
+    assert (top * Poly.zero(ctx2)).is_zero
+
+
+def test_exponent_bound_through_the_cli(capsys, monkeypatch):
+    # toy's degree budget keeps outside input far below the bound; lifted,
+    # the constructor's refusal reaches the user as a usage error
+    monkeypatch.setattr(toy, "MAX_DEGREE", 10 * DEGREE_BOUND)
+    code = cli.main(["toy", "--f", f"x^{DEGREE_BOUND}+1", "--target", "1/(x+1)"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: exponent tuple ({DEGREE_BOUND},) has total degree "
+                   f"{DEGREE_BOUND}; degrees stay below {DEGREE_BOUND}\n")
+
+
+# -- packed kernels against sympy --------------------------------------
+#
+# Every kernel on packed keys, on random polynomials over triangle(3) and
+# triangle(4) with int and Fraction coefficients, against sympy's own
+# arithmetic on the same polynomials read through sorted_terms().
+
+def grlex_key(exps):
+    """Graded lexicographic order with row-major variable precedence, the
+    order of the printed form, written on exponent tuples."""
+    return (sum(exps), exps)
+
+
+ORACLE_CONTEXTS = {3: Context.triangle(3), 4: Context.triangle(4)}
+
+
+@st.composite
+def oracle_monomials(draw, ctx):
+    """Exponent tuples with up to three nonzero exponents of at most 3."""
+    exps = [0] * len(ctx.vars)
+    for pos, e in draw(st.dictionaries(st.integers(0, len(ctx.vars) - 1),
+                                       st.integers(1, 3), max_size=3)).items():
+        exps[pos] = e
+    return tuple(exps)
+
+
+@st.composite
+def oracle_polys(draw, ctx):
+    return Poly(ctx, draw(st.dictionaries(oracle_monomials(ctx), scalars, max_size=5)))
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_CONTEXTS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_packed_kernels_match_sympy(n, data):
+    sympy = pytest.importorskip("sympy")
+    ctx = ORACLE_CONTEXTS[n]
+    syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+    sym = dict(zip(ctx.vars, syms))
+
+    def same(poly, expr):
+        return sympy.expand(to_sympy(poly, syms) - expr) == 0
+
+    p, q = data.draw(oracle_polys(ctx)), data.draw(oracle_polys(ctx))
+    sp, sq = to_sympy(p, syms), to_sympy(q, syms)
+    assert same(p * q, sp * sq) and same(p + q, sp + sq) and same(p - q, sp - sq)
+    a, b, c = data.draw(factors(ctx, data.draw(st.booleans()), data.draw(st.booleans())))
+    ia = ctx.var_pos(a)
+    quot, rem = p.divmod_linear(a, b, c)
+    squot, srem = sympy.div(sp, to_sympy(factor_poly(ctx, a, b, c), syms),
+                            syms[ia], *syms[:ia], *syms[ia + 1:])
+    assert same(quot, squot) and same(rem, srem)
+    shift = {v: data.draw(st.integers(-2, 2)) for v in ctx.shift_vars}
+    assert same(p.subs_shift(shift), sp.xreplace({sym[v]: sym[v] - s for v, s in shift.items()}))
+    mapping = data.draw(row_permutations(ctx))
+    assert same(p.permute(mapping), sp.xreplace({sym[u]: sym[v] for u, v in mapping.items()}))
+    point = {v: data.draw(scalars) for v in ctx.vars}
+    value = sp.xreplace({sym[v]: sympy.Rational(k.numerator, k.denominator)
+                         for v, k in point.items()})
+    assert p.evaluate(point) == Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
+    # int order on keys is grlex order on the unpacked tuples, so the
+    # leading term and the printed order are those of the tuples
+    for r in (p, p * q, quot, rem):
+        tuples = [ctx.unpack(k) for k in sorted(r.terms)]
+        assert tuples == sorted(tuples, key=grlex_key)
+        assert [ctx.pack(e) for e in tuples] == sorted(r.terms)
+        assert [e for e, _ in r.sorted_terms()] == tuples[::-1]
+        if tuples:
+            assert r.leading()[0] == max(tuples, key=grlex_key)
+            assert r.degree() == max(map(sum, tuples))

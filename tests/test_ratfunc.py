@@ -269,7 +269,7 @@ def to_sympy(r, syms):
     sympy = pytest.importorskip("sympy")
     ctx = r.ctx
     num = sum((rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
-               for e, c in r.num.terms.items()), sympy.Integer(0))
+               for e, c in r.num.sorted_terms()), sympy.Integer(0))
     den = sympy.Mul(*[factor_to_sympy(f, syms) for f in r.den])
     return rational(r.scale) * num / den
 
