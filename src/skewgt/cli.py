@@ -163,6 +163,16 @@ def _check_digits(text: str, name: str) -> None:
                              f"of {MAX_DIGITS}")
 
 
+def integer(text: str) -> int:
+    """The `type=` of the int flags: a number longer than MAX_DIGITS is
+    refused before int() converts it or argparse echoes all of it."""
+    try:
+        _check_digits(text, "the")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
 def _check_powers(tokens: List[str]) -> None:
     """Refuse groups nested deeper than MAX_DEPTH, and any power whose
     exponent, times the exponents of the groups around it, exceeds
@@ -433,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", choices=[*relations.SUITES, "all"], default="all")
-    p.add_argument("--n", type=int, default=None, help="context size (gl2 suite)")
+    p.add_argument("--n", type=integer, default=None, help="context size (gl2 suite)")
     p.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compute", help="evaluate a registry expression")
     p.add_argument("--expr", required=True,
                    help="e.g. \"[V2, A21+]\" or \"X1+*X1- - X1-*X1+\"")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=integer, default=3)
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cmd_compute)
 
@@ -451,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="semicolon-separated rows of a regular point, e.g. '1/3; 1,0'")
     p.add_argument("--signs", help="with --top: all-plus (default), all-minus, "
                    "or comma list per sorted row filling")
-    p.add_argument("--window", type=int,
+    p.add_argument("--window", type=integer,
                    help="with --generic: window radius (default 2)")
     p.add_argument("--check", action="store_true", help="run the relation report")
     p.add_argument("--json", metavar="PATH")
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="JSON form of a registry expression")
     p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=integer, default=3)
     p.add_argument("--json", metavar="PATH", default="-")
     p.set_defaults(func=cmd_export)
     return parser

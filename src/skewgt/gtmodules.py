@@ -56,7 +56,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polys import VarId, _as_fraction, _coeff, vandermonde
-from .relations import (VerificationReport, gl3_catalogue, gln_catalogue, gln_weights,
+from .relations import (VerificationReport, gln_catalogue, gln_weights, single_shift_catalogue,
                         verify_predicate)
 from .skew import commutator
 from . import gln
@@ -115,11 +115,17 @@ def _rows_below(row: Tuple[int, ...]):
 def enumerate_patterns(top: Sequence[int]) -> List[Pattern]:
     """All integral interlacing patterns under the dominant top row,
     in a fixed canonical order."""
-    top = _check_dominant(top)
-    chains = [(top,)]
-    for _ in range(len(top) - 1):
-        chains = [(lower,) + chain for chain in chains
-                  for lower in _rows_below(chain[0])]
+    return _chains(row_fillings(top))
+
+
+def _chains(fillings: Dict[int, List[Tuple[int, ...]]]) -> List[Pattern]:
+    """The patterns of `row_fillings`' walk, in a fixed canonical order:
+    each chain of rows grows by the next row's fillings that interlace
+    its lowest row, so no row is expanded again."""
+    chains = [(row,) for row in fillings[len(fillings)]]
+    for k in range(len(fillings) - 1, 0, -1):
+        chains = [(lower,) + chain for chain in chains for lower in fillings[k]
+                  if all(hi >= v >= lo for v, hi, lo in zip(lower, chain[0], chain[0][1:]))]
     chains.sort(key=lambda p: sum(p, ()))
     return chains
 
@@ -130,9 +136,8 @@ def weyl_dim(top: Sequence[int]) -> int:
     top = _check_dominant(top)
     n = len(top)
     dim = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dim *= Fraction(top[i] - top[j] + j - i, j - i)
+    for i, j in itertools.combinations(range(n), 2):
+        dim *= Fraction(top[i] - top[j] + j - i, j - i)
     if dim.denominator != 1:
         raise ValueError(f"Weyl dimension of {top} is not an integer: {dim}")
     return int(dim)
@@ -156,9 +161,11 @@ def row_fillings(top: Sequence[int]) -> Dict[int, List[Tuple[int, ...]]]:
 @dataclass
 class SignData:
     """One sign per distinct row filling, for every row 2..n:
-    `rows[k][filling]` is +1 or -1."""
+    `rows[k][filling]` is +1 or -1.  `fillings` is the `row_fillings`
+    walk the signs were chosen on, which the module's basis comes from."""
 
     rows: Dict[int, Dict[Tuple[int, ...], int]]
+    fillings: Dict[int, List[Tuple[int, ...]]]
 
     @staticmethod
     def from_vectors(fillings: Dict[int, List[Tuple[int, ...]]],
@@ -180,7 +187,7 @@ class SignData:
             if any(s not in (1, -1) for s in vec):
                 raise ValueError("signs must be +1 or -1")
             rows[k] = dict(zip(fillings[k], vec))
-        return SignData(rows)
+        return SignData(rows, fillings)
 
     @property
     def is_all_plus(self) -> bool:
@@ -193,17 +200,13 @@ def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
     prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
     row = p[k - 1]
     val = 1 if signs is None else signs.rows[k][row]
-    for i in range(len(row)):
-        for j in range(i + 1, len(row)):
-            val *= row[i] - row[j] + (j - i)
+    for i, j in itertools.combinations(range(len(row)), 2):
+        val *= row[i] - row[j] + (j - i)
     return Fraction(val)
 
 
 def _xkk_value(k: int, p: Pattern) -> Fraction:
-    total = sum(p[k - 1])
-    if k >= 2:
-        total -= sum(p[k - 2])
-    return Fraction(total)
+    return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
 
 
 def _moved(p: Pattern, k: int, i: int, delta: int) -> Pattern:
@@ -450,11 +453,14 @@ def _realize(n: int, basis: List[Pattern],
 
 def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> ModuleRealization:
     """Finite-dimensional module on the interlacing patterns below `top`;
-    without sign data every V_k takes the plus sign."""
+    without sign data every V_k takes the plus sign.  The basis comes
+    from the row walk the sign data was chosen on, or else a new one."""
     top = _check_dominant(top)
-    check_module_dim(weyl_dim(top))
+    fillings = row_fillings(top) if signs is None else signs.fillings
     n = len(top)
-    basis = enumerate_patterns(top)
+    if fillings[len(fillings)] != [top]:
+        raise ValueError(f"sign data chosen under another top row than {top}")
+    basis = _chains(fillings)
     return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, signs),
                              top=top, signs=signs)
 
@@ -463,9 +469,10 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     """Exact matrix checks of the defining relations on a finite module.
 
     `gln_catalogue` and V_k^2 = the evaluated squared Vandermonde run
-    for every sign choice; `gl3_catalogue`, whose families involve the
-    row Vandermondes nontrivially, holds (and runs) for the all-plus
-    choice, which is the construction the classification produces.
+    for every sign choice; `single_shift_catalogue` for the all-plus
+    choice, the construction the classification produces, and at rank 3
+    only: it holds at ranks 4 and 5 too, but its keys would change the
+    `gt --top` outputs recorded in `perfbench/reference.json`.
     """
     n = mod.n
     if n < 2:
@@ -481,8 +488,8 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                 diagonal([Fraction(v ** 2)
                           for v in map(vandermonde(gln.triangle(n), k).evaluate, points)]))
                for k in range(2, n + 1))
-    rank3 = gl3_catalogue(M, zero) if n == 3 and (mod.signs is None
-                                                  or mod.signs.is_all_plus) else ()
+    all_plus = mod.signs is None or mod.signs.is_all_plus
+    rank3 = single_shift_catalogue(3, M, zero) if n == 3 and all_plus else ()
     for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
                                                     squares, rank3):
         # lhs - zero would only copy lhs
@@ -494,15 +501,9 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
 # generic modules on a shifted lattice window
 
 def is_regular_point(rows: Sequence[Sequence], n: int) -> bool:
-    p = normalize_pattern(rows)
-    point = pattern_point(p)
-    for k in range(1, n):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                diff = point[(k, i)] - point[(k, j)]
-                if diff.denominator == 1:
-                    return False
-    return True
+    point = pattern_point(normalize_pattern(rows))
+    return all((point[(k, i)] - point[(k, j)]).denominator != 1 for k in range(1, n)
+               for i, j in itertools.combinations(range(1, k + 1), 2))
 
 
 def generic_dim(n: int, radius: int) -> int:

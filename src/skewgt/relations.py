@@ -5,10 +5,11 @@ either passes or fails with the nonzero difference attached as a
 witness.  Suites are pure functions and their reports are rendered in a
 fixed order, so output is reproducible byte for byte.
 
-The defining relations are written once, over any elements with `*`,
-`+`, `-` and scalar multiples: the rank-n ones in `gln_catalogue`, the
-rank-3 families iii-ix in `gl3_catalogue`.  Both run on skew elements
-and on the matrices of a module (`gtmodules.module_relation_report`).
+The defining relations are written once for every rank, over any
+elements with `*`, `+`, `-` and scalar multiples: the ladder relations
+in `gln_catalogue`, the families iii-ix among the single-shift summands
+A_ki± in `single_shift_catalogue`.  Both run on skew elements and on
+the matrices of a module (`gtmodules.module_relation_report`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .polys import Context, Poly, elementary_symmetric, vandermonde
+from .polys import Poly, elementary_symmetric, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import RowPermutation, SkewElement, commutator, sym_generators
 from . import gln
@@ -164,9 +165,9 @@ def gln_weights(n: int, E):
 
 
 def gln_catalogue(n: int, E, zero):
-    """The rank-n relations over a name -> element map, as
-    `(family, key, anchor, lhs, rhs)` like `gl3_catalogue`: [X_k+, X_l-],
-    the weights, Serre and far commutation, and V_n central over E."""
+    """The rank-n relations over a name -> element map, as `(family,
+    key, anchor, lhs, rhs)`: [X_k+, X_l-], the weights, Serre and far
+    commutation, and V_n central over E."""
     for k, l in itertools.product(range(1, n), repeat=2):
         yield ("chevalley", f"chevalley:[X{k}+,X{l}-]",
                f"[X{k}+, X{l}-] is {'the Cartan difference' if k == l else 'zero'}",
@@ -189,63 +190,61 @@ def gln_catalogue(n: int, E, zero):
                commutator(E[f"V{n}"], E[name]), zero)
 
 
+def cartan_names(n: int) -> List[str]:
+    """What family iii weighs the A_ki under: X11..Xnn, V2 and V_n."""
+    return [f"X{j}{j}" for j in range(1, n + 1)] + list(dict.fromkeys(("V2", f"V{n}")))
+
+
+def single_shift_catalogue(n: int, E, zero):
+    """Families iii-ix among the A_ki±, over the cells 1 <= i <= k <= n-1
+    in row-major order, as `(family, key, anchor, lhs, rhs)` like
+    `gln_catalogue`: iii the weights (under X_jj, δ_jk - δ_j,k+1; under
+    V2, ±1 for A21/A22; under V_n, 0), iv/v opposite signs commute on
+    distinct cells of one row / of two rows, vi/vii sum_i [A_ki+, A_ki-]
+    = X_kk - X_k+1,k+1, viii Serre between rows k-1 and k, and ix the
+    V2 braid (with V_k, k >= 3, it fails)."""
+    cells = [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+    for k, i in cells:
+        for sign, tag in ((+1, "+"), (-1, "-")):
+            A = E[f"A{k}{i}{tag}"]
+            for h in cartan_names(n):
+                if h[0] == "X":
+                    w = sign * ((h == f"X{k}{k}") - (h == f"X{k + 1}{k + 1}"))
+                else:
+                    w = sign * (3 - 2 * i) if h == "V2" and k == 2 else 0
+                yield ("iii", f"weight:{h}:A{k}{i}{tag}",
+                       f"[{h}, A{k}{i}{tag}] = {w} A{k}{i}{tag}",
+                       commutator(E[h], A), Fraction(w) * A)
+
+    for family, same_row in (("iv", True), ("v", False)):
+        for (l, i), (k, j) in itertools.combinations(cells, 2):
+            if (l == k) == same_row:
+                for a, b in ((f"A{l}{i}+", f"A{k}{j}-"), (f"A{l}{i}-", f"A{k}{j}+")):
+                    yield (family, f"opposite:{a}:{b}", f"{a} commutes with {b}",
+                           commutator(E[a], E[b]), zero)
+
+    for k in range(1, n):
+        brackets = [commutator(E[f"A{k}{i}+"], E[f"A{k}{i}-"]) for i in range(1, k + 1)]
+        yield ("vi" if k == 1 else "vii", "ladder:A11" if k == 1 else f"ladder:row{k}",
+               " + ".join(f"[A{k}{i}+, A{k}{i}-]" for i in range(1, k + 1))
+               + f" = X{k}{k} - X{k + 1}{k + 1}",
+               sum(brackets[1:], brackets[0]), E[f"X{k}{k}"] - E[f"X{k + 1}{k + 1}"])
+
+    for k in range(2, n):
+        for i, j, tag in itertools.product(range(1, k), range(1, k + 1), "+-"):
+            a, b = f"A{k - 1}{i}{tag}", f"A{k}{j}{tag}"
+            yield ("viii", f"serre:{a}:{b}", f"[{a}, [{a}, {b}]] = 0",
+                   commutator(E[a], commutator(E[a], E[b])), zero)
+
+    if n >= 3:
+        for tag in "+-":
+            a, b = E[f"A21{tag}"], E[f"A22{tag}"]
+            yield ("ix", f"braid:V2:{tag}", f"A22{tag} V2 A21{tag} = A21{tag} V2 A22{tag}",
+                   b * E["V2"] * a, a * E["V2"] * b)
+
+
 # ----------------------------------------------------------------------
 # rank 3
-
-# the commutative elements, in display order, and the weight of A_ij
-# under each of them
-CARTAN = ("X11", "X22", "X33", "V2", "V3")
-ALPHA = {
-    (1, 1): {"X11": 1, "X22": -1, "X33": 0, "V2": 0, "V3": 0},
-    (2, 1): {"X11": 0, "X22": 1, "X33": -1, "V2": 1, "V3": 0},
-    (2, 2): {"X11": 0, "X22": 1, "X33": -1, "V2": -1, "V3": 0},
-}
-
-
-def gl3_catalogue(E, zero):
-    """Families iii-ix of the rank-3 catalogue over a name -> element
-    map, as `(family, key, anchor, lhs, rhs)`; the entries use only
-    `a * b`, `a + b`, `a - b` and `c * a`."""
-    signs = ((+1, "+"), (-1, "-"))
-    for (k, i), row in ALPHA.items():
-        for sign, tag in signs:
-            A = E[f"A{k}{i}{tag}"]
-            for h in CARTAN:
-                yield ("iii", f"weight:{h}:A{k}{i}{tag}",
-                       f"[{h}, A{k}{i}{tag}] = {sign * row[h]} A{k}{i}{tag}",
-                       commutator(E[h], A), Fraction(sign * row[h]) * A)
-
-    for sign, tag in signs:
-        other = "-" if tag == "+" else "+"
-        yield ("iv", f"opposite:A21{tag}:A22{other}",
-               f"A21{tag} commutes with A22{other}",
-               commutator(E[f"A21{tag}"], E[f"A22{other}"]), zero)
-    for i in (1, 2):
-        for sign, tag in signs:
-            other = "-" if tag == "+" else "+"
-            yield ("v", f"opposite:A11{tag}:A2{i}{other}",
-                   f"A11{tag} commutes with A2{i}{other}",
-                   commutator(E[f"A11{tag}"], E[f"A2{i}{other}"]), zero)
-
-    yield ("vi", "ladder:A11", "[A11+, A11-] = X11 - X22",
-           commutator(E["A11+"], E["A11-"]), E["X11"] - E["X22"])
-    yield ("vii", "ladder:row2", "[A21+, A21-] + [A22+, A22-] = X22 - X33",
-           commutator(E["A21+"], E["A21-"]) + commutator(E["A22+"], E["A22-"]),
-           E["X22"] - E["X33"])
-
-    for i in (1, 2):
-        for sign, tag in signs:
-            A1 = E[f"A11{tag}"]
-            yield ("viii", f"serre:A11{tag}:A2{i}{tag}",
-                   f"[A11{tag}, [A11{tag}, A2{i}{tag}]] = 0",
-                   commutator(A1, commutator(A1, E[f"A2{i}{tag}"])), zero)
-
-    for sign, tag in signs:
-        yield ("ix", f"braid:V2:{tag}",
-               f"A22{tag} V2 A21{tag} = A21{tag} V2 A22{tag}",
-               E[f"A22{tag}"] * E["V2"] * E[f"A21{tag}"],
-               E[f"A21{tag}"] * E["V2"] * E[f"A22{tag}"])
-
 
 def suite_gl3() -> VerificationReport:
     """The rank-3 catalogue: all nine relation families among the
@@ -263,13 +262,11 @@ def suite_gl3() -> VerificationReport:
             f"i:central:V3:{name}", f"V3 commutes with {name}",
             commutator(E["V3"], E[name]), zero))
 
-    for aidx, a in enumerate(CARTAN):
-        for b in CARTAN[aidx + 1:]:
-            rep.add(verify_identity(
-                f"ii:cartan:{a}:{b}", f"{a} and {b} commute",
-                commutator(E[a], E[b]), zero))
+    for a, b in itertools.combinations(cartan_names(3), 2):
+        rep.add(verify_identity(f"ii:cartan:{a}:{b}", f"{a} and {b} commute",
+                                commutator(E[a], E[b]), zero))
 
-    for family, key, anchor, lhs, rhs in gl3_catalogue(E, zero):
+    for family, key, anchor, lhs, rhs in single_shift_catalogue(3, E, zero):
         rep.add(verify_identity(f"{family}:{key}", anchor, lhs, rhs))
 
     for sign, tag in ((+1, "+"), (-1, "-")):
@@ -286,27 +283,15 @@ def suite_gl3() -> VerificationReport:
 
     # the same ladder identities recomputed purely from matrix-unit images
     Eij = lambda i, j: gln.matrix_unit_image(ctx, i, j)
-    rep.add(verify_identity(
-        "cross:e12-e21", "[E12, E21] = E11 - E22 from unit images",
-        commutator(Eij(1, 2), Eij(2, 1)), Eij(1, 1) - Eij(2, 2)))
-    rep.add(verify_identity(
-        "cross:e23-e32", "[E23, E32] = E22 - E33 from unit images",
-        commutator(Eij(2, 3), Eij(3, 2)), Eij(2, 2) - Eij(3, 3)))
-    rep.add(verify_identity(
-        "cross:e13-e31", "[E13, E31] = E11 - E33 from unit images",
-        commutator(Eij(1, 3), Eij(3, 1)), Eij(1, 1) - Eij(3, 3)))
-    rep.add(verify_identity(
-        "cross:serre:+", "[E12, [E12, E23]] = 0 from unit images",
-        commutator(Eij(1, 2), commutator(Eij(1, 2), Eij(2, 3))), zero))
-    rep.add(verify_identity(
-        "cross:serre:-", "[E21, [E21, E32]] = 0 from unit images",
-        commutator(Eij(2, 1), commutator(Eij(2, 1), Eij(3, 2))), zero))
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        rep.add(verify_identity(
+            f"cross:e{i}{j}-e{j}{i}", f"[E{i}{j}, E{j}{i}] = E{i}{i} - E{j}{j} from unit images",
+            commutator(Eij(i, j), Eij(j, i)), Eij(i, i) - Eij(j, j)))
+    for tag, (i, j), (k, l) in (("+", (1, 2), (2, 3)), ("-", (2, 1), (3, 2))):
+        rep.add(verify_identity(
+            f"cross:serre:{tag}", f"[E{i}{j}, [E{i}{j}, E{k}{l}]] = 0 from unit images",
+            commutator(Eij(i, j), commutator(Eij(i, j), Eij(k, l))), zero))
     return rep
-
-
-def _fourfold(ctx: Context) -> SkewElement:
-    return (gln.gen_A(ctx, 2, 1, +1) * gln.gen_A(ctx, 2, 1, -1)
-            * gln.gen_A(ctx, 2, 2, +1) * gln.gen_A(ctx, 2, 2, -1))
 
 
 def suite_invariants() -> VerificationReport:
@@ -336,7 +321,8 @@ def suite_invariants() -> VerificationReport:
         "product:in-localized", "A21+ A21- lies in the localized coefficient ring",
         gln.membership(prod, "S_localized")))
 
-    four = _fourfold(ctx)
+    four = (gln.gen_A(ctx, 2, 1, +1) * gln.gen_A(ctx, 2, 1, -1)
+            * gln.gen_A(ctx, 2, 2, +1) * gln.gen_A(ctx, 2, 2, -1))
     numf = Poly.one(ctx)
     for w in ((2, 1), (2, 2)):
         for j in range(1, 4):

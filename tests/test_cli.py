@@ -99,6 +99,20 @@ def test_compute_bad_expression(capsys):
                     f"digits, over the digit budget of {cli.MAX_DIGITS}\n"
     code, out, _ = run(capsys, ["compute", "--expr", "2" * cli.MAX_DIGITS + "*X11", "--n", "2"])
     assert code == 0 and out.startswith("[" + "2" * cli.MAX_DIGITS + "*(x11)]")
+    # an int flag past the digit budget is refused before int(), in a
+    # message that quotes only its first digits
+    for cmd in ("compute", "export", "verify"):
+        extra = [] if cmd == "verify" else ["--expr", "X11"]
+        for digits in (cli.MAX_DIGITS + 1, 5000):
+            code, out, err = run(capsys, [cmd, *extra, "--n", "1" * digits])
+            assert code == 2 and out == "" and len(err.encode()) < 300
+            assert f"argument --n: the number 111111111111... has {digits} digits, " \
+                f"over the digit budget of {cli.MAX_DIGITS}\n" in err
+        code, out, err = run(capsys, [cmd, *extra, "--n", "1" * cli.MAX_DIGITS])
+        assert code == 2 and out == ""
+        assert err.endswith(f"exceeds the rank budget of {cli.MAX_RANK}\n")
+    code, _, err = run(capsys, ["compute", "--expr", "X11", "--n", "two"])
+    assert code == 2 and "argument --n: invalid integer value: 'two'" in err
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -144,17 +158,29 @@ def test_flat_signs_match_per_row_vectors():
 
 
 def test_gt_walks_the_rows_once(capsys, monkeypatch):
-    calls = []
-    row_fillings = gtmodules.row_fillings
+    calls, expanded = [], []
+    row_fillings, rows_below = gtmodules.row_fillings, gtmodules._rows_below
 
     def counted(top):
         calls.append(top)
         return row_fillings(top)
 
+    def counted_below(row):
+        expanded.append(row)
+        return rows_below(row)
+
     monkeypatch.setattr(gtmodules, "row_fillings", counted)
+    monkeypatch.setattr(gtmodules, "_rows_below", counted_below)
     code, out, _ = run(capsys, ["gt", "--top", "2,1,0", "--signs", "all-minus", "--check"])
     assert code == 0 and "row fillings: r[2] = 4, r[3] = 1" in out
     assert calls == [(2, 1, 0)]
+    # the basis comes from the same walk: each distinct row above the
+    # bottom is expanded once (the top row and the 4 row-2 fillings)
+    assert len(expanded) == len(set(expanded)) == 5
+    for top, count in (("3,2,1,0", 17), ("4,2,1,0", 24)):
+        expanded.clear()
+        code, _, _ = run(capsys, ["gt", "--top", top])
+        assert code == 0 and len(expanded) == len(set(expanded)) == count, top
 
 
 def test_gt_bad_inputs(capsys):
@@ -208,6 +234,14 @@ def test_gt_bad_inputs(capsys):
                 f"over the digit budget of {cli.MAX_DIGITS}\n"
     code, out, _ = run(capsys, ["gt", "--top", "0" * (cli.MAX_DIGITS - 1) + "1,0"])
     assert code == 0 and "top row: 1,0" in out
+    for digits in (cli.MAX_DIGITS + 1, 5000):
+        code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "1" * digits])
+        assert code == 2 and out == "" and len(err.encode()) < 300
+        assert f"argument --window: the number 111111111111... has {digits} digits, " \
+            f"over the digit budget of {cli.MAX_DIGITS}\n" in err
+    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0",
+                                  "--window", "1" * cli.MAX_DIGITS])
+    assert code == 2 and out == "" and "exceeds the budget" in err
 
 
 def test_gt_generic_rank_one_check(capsys):

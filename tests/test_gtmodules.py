@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewgt import gln, gtmodules as gt
 from skewgt.polys import vandermonde
-from skewgt.relations import gl3_catalogue, suite_gl3
+from skewgt.relations import single_shift_catalogue, suite_gl3
 from skewgt.skew import commutator
 
 
@@ -186,7 +186,7 @@ def test_rank3_module_report_runs_the_gl3_catalogue():
     checks the same entries under their family prefixes."""
     mod = gt.build_module((2, 1, 0))
     entries = [(family, key) for family, key, *_ in
-               gl3_catalogue(mod.matrices, gt.zeros(mod.dim))]
+               single_shift_catalogue(3, mod.matrices, gt.zeros(mod.dim))]
     assert len(entries) == 44
     mixed = gt.SignData.from_vectors(gt.row_fillings((2, 1, 0)), {2: [1, -1, -1, 1]})
     common = {r.key for r in gt.module_relation_report(
@@ -229,6 +229,11 @@ def test_sign_data_validation():
     assert signs.rows == {2: dict.fromkeys(fillings[2], 1), 3: {(2, 1, 0): -1}}
     assert not signs.is_all_plus
     assert gt.SignData.from_vectors(fillings).is_all_plus
+    # the basis comes from the walk the signs were chosen on, so signs
+    # chosen under another top row are refused
+    for top in ((1, 1, 0), (2, 1), (2, 1, 0, 0)):
+        with pytest.raises(ValueError, match="another top row"):
+            gt.build_module(top, signs)
 
 
 def test_generic_module_gl2():

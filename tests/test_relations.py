@@ -56,6 +56,56 @@ def test_gln_catalogue_holds_on_skew_elements(n, count):
     assert report.ok
 
 
+def single_shift_names(n):
+    return relations.cartan_names(n) + [f"A{k}{i}{tag}" for k in range(1, n)
+                                        for i in range(1, k + 1) for tag in "+-"]
+
+
+@pytest.mark.parametrize("n, count", [
+    (2, 7), (3, 44), (4, 123), pytest.param(5, 276, marks=pytest.mark.slow)])
+def test_single_shift_catalogue_holds_on_skew_elements(n, count):
+    """Families iii-ix, written once for every rank, hold entry for entry
+    on the skew elements; at n = 3 they are suite gl3's families."""
+    ctx = gln.triangle(n)
+    E = {name: gln.element(ctx, name) for name in single_shift_names(n)}
+    entries = list(relations.single_shift_catalogue(n, E, SkewElement.zero(ctx)))
+    assert len(entries) == len({key for _, key, *_ in entries}) == count
+    assert [key for _, key, _, lhs, rhs in entries if not (lhs - rhs).is_zero] == []
+    if n == 3:
+        suite = {r.key: r.ok for r in relations.suite_gl3().results}
+        assert all(suite[f"{family}:{key}"] for family, key, *_ in entries)
+
+
+@pytest.mark.parametrize("top", [(2, 1, 0, 0), (3, 2, 1, 0), (2, 1, 0, 0, 0)])
+def test_single_shift_catalogue_holds_on_module_matrices(top):
+    """The all-plus modules of rank 4 and 5 satisfy every entry, which
+    the module report checks only at rank 3."""
+    mod = gtmodules.build_module(top)
+    entries = list(relations.single_shift_catalogue(len(top), mod.matrices,
+                                                    gtmodules.zeros(mod.dim)))
+    assert [key for _, key, _, lhs, rhs in entries
+            if not gtmodules.mat_is_zero(lhs - rhs)] == []
+
+
+def test_v3_braid_is_refused():
+    """A planted false relation: the braid of family ix with V3 in place
+    of V2, A32± V3 A31± = A31± V3 A32± at n = 4, is refused on skew
+    elements and on module matrices.  This is why ix stops at k = 2."""
+    ctx = gln.triangle(4)
+
+    def braids(E):
+        return [(E[f"A32{t}"] * E["V3"] * E[f"A31{t}"],
+                 E[f"A31{t}"] * E["V3"] * E[f"A32{t}"]) for t in "+-"]
+
+    E = {name: gln.element(ctx, name) for name in ("V3", "A31+", "A31-", "A32+", "A32-")}
+    for lhs, rhs in braids(E):
+        result = relations.verify_identity("braid:V3", "planted", lhs, rhs)
+        assert not result.ok and not result.witness.is_zero
+    for top in [(2, 1, 0, 0), (3, 2, 1, 0)]:
+        for lhs, rhs in braids(gtmodules.build_module(top).matrices):
+            assert not gtmodules.mat_is_zero(lhs - rhs), top
+
+
 def test_suite_invariants_passes():
     rep = relations.suite_invariants()
     assert rep.ok
