@@ -1,21 +1,27 @@
 """Command-line front end: verify, compute, gt, toy, export.
 
-Output is deterministic for fixed flags: tables are printed in the
-suites' fixed order and JSON bodies carry no timestamps.  Exit codes:
-0 all requested checks pass, 1 verification failure, 2 usage error.
+Every command and flag is an entry of COMMANDS, from which `parse_args`
+reads argv and `-h` is rendered.  A flag is named exactly or by a unique
+prefix (`--gen` for `--generic`), takes its value as `--flag value` or
+`--flag=value` (the value may start with '-'), and the last of a repeated
+flag wins.  Output is deterministic for fixed flags: tables are printed
+in the suites' fixed order and JSON bodies carry no timestamps.  Exit
+codes: 0 all requested checks pass, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional
 
 from . import gln, gtmodules, relations, toy
+from .polys import quote
 from .skew import SkewElement, commutator
 
 
@@ -33,7 +39,7 @@ def _tokenize(text: str) -> List[str]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            raise ValueError(f"cannot tokenize {quote(text[pos:])}")
         if m.group("name"):
             name = m.group("name")
             # a trailing +/- belongs to the name only when it does not
@@ -64,14 +70,14 @@ class _Parser:
         if tok is None:
             raise ValueError("unexpected end of expression")
         if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
+            raise ValueError(f"expected {expected!r}, found {quote(tok)}")
         self.pos += 1
         return tok
 
     def parse(self) -> SkewElement:
         value = self.expr()
         if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
+            raise ValueError(f"trailing input at {quote(self.peek())}")
         return value
 
     def expr(self) -> SkewElement:
@@ -100,7 +106,7 @@ class _Parser:
             self.take()
             power = self.take()
             if not power.isdigit():
-                raise ValueError(f"bad exponent {power!r}: expected a "
+                raise ValueError(f"bad exponent {quote(power)}: expected a "
                                  f"nonnegative integer after '^'")
             value = value ** int(power)
         return -value if negate else value
@@ -164,13 +170,14 @@ def _check_digits(text: str, name: str) -> None:
 
 
 def integer(text: str) -> int:
-    """The `type=` of the int flags: a number longer than MAX_DIGITS is
-    refused before int() converts it or argparse echoes all of it."""
+    """The kind of the int flags: a number longer than MAX_DIGITS is
+    refused before int() converts it, and other refused text is quoted
+    through `quote`, so the message stays short whatever the input."""
+    _check_digits(text, "the")
     try:
-        _check_digits(text, "the")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(text)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid integer value: {quote(text)}") from None
 
 
 def _check_powers(tokens: List[str]) -> None:
@@ -315,7 +322,7 @@ def _parse_signs(text: Optional[str], top) -> gtmodules.SignData:
         signs = []
         for s in map(str.strip, text.split(",")):
             if s not in _SIGN_TOKENS:
-                raise ValueError(f"bad sign token {s!r}")
+                raise ValueError(f"bad sign token {quote(s)}")
             signs.append(_SIGN_TOKENS[s])
     # the top row has one filling, whose sign defaults to +1
     if len(signs) == full - 1:
@@ -345,12 +352,12 @@ def _parse_point(text: str):
             if not v:
                 continue
             if not _POINT_ENTRY_RE.fullmatch(v):
-                raise ValueError(f"bad point entry {v!r}: expected an integer, "
+                raise ValueError(f"bad point entry {quote(v)}: expected an integer, "
                                  f"a/b or a plain decimal")
             try:
                 entries.append(Fraction(v))
             except ZeroDivisionError:
-                raise ValueError(f"bad point entry {v!r}: expected a nonzero "
+                raise ValueError(f"bad point entry {quote(v)}: expected a nonzero "
                                  f"denominator") from None
         rows.append(entries)
     return rows
@@ -378,7 +385,7 @@ def cmd_gt(args) -> int:
         entries = [v.strip() for v in args.top.split(",")]
         for v in entries:
             if not re.fullmatch(r"[+-]?\d+", v):
-                raise ValueError(f"bad top row entry {v!r}: expected an integer")
+                raise ValueError(f"bad top row entry {quote(v)}: expected an integer")
         top = tuple(map(int, entries))
         _check_rank(len(top), "rank")
         mod = gtmodules.build_module(top, _parse_signs(args.signs, top))
@@ -435,50 +442,113 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skewgt",
-        description="exact computations in shift skew rings attached to gl_n")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ----------------------------------------------------------------------
+# command table: {command: (handler, help, {flag: Flag})}, which
+# `parse_args` reads argv from and -h renders.  A flag's kind converts its
+# value: `str`, `integer`, a tuple of choices, or `bool` for a switch (no
+# value; True when given).  Of the flags sharing a nonempty `need`,
+# exactly one must be given.
 
-    p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("--suite", choices=[*relations.SUITES, "all"], default="all")
-    p.add_argument("--n", type=integer, default=None, help="context size (gl2 suite)")
-    p.add_argument("--json", metavar="PATH", help="write a JSON report ('-' for stdout)")
-    p.set_defaults(func=cmd_verify)
+Flag = namedtuple("Flag", "kind default need help", defaults=(str, None, "", ""))
+_SUITES = (*relations.SUITES, "all")
+_JSON = Flag(help="write a JSON report to this path ('-' for stdout)")
+_EXPR = Flag(need="expr", help="required; e.g. \"[V2, A21+]\" or \"X1+*X1- - X1-*X1+\"")
+_RANK = Flag(integer, 3, help="rank n of the context (default 3)")
 
-    p = sub.add_parser("compute", help="evaluate a registry expression")
-    p.add_argument("--expr", required=True,
-                   help="e.g. \"[V2, A21+]\" or \"X1+*X1- - X1-*X1+\"")
-    p.add_argument("--n", type=integer, default=3)
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_compute)
+COMMANDS = {
+    "verify": (cmd_verify, "run identity suites", {
+        "--suite": Flag(_SUITES, "all", help=f"one of {', '.join(_SUITES)} (default all)"),
+        "--n": Flag(integer, help="context size (gl2 suite)"),
+        "--json": _JSON}),
+    "compute": (cmd_compute, "evaluate a registry expression",
+                {"--expr": _EXPR, "--n": _RANK, "--json": _JSON}),
+    "gt": (cmd_gt, "build pattern modules", {
+        "--top": Flag(need="base", help="dominant top row, e.g. 2,1,0 (or --generic)"),
+        "--generic": Flag(need="base", help="rows split by ';', e.g. '1/3; 1,0' (or --top)"),
+        "--signs": Flag(help="with --top: all-plus (default), all-minus or signs per row filling"),
+        "--window": Flag(integer, help="with --generic: window radius (default 2)"),
+        "--check": Flag(bool, False, help="run the relation report"),
+        "--json": _JSON}),
+    "toy": (cmd_toy, "rank-one shift algebra witnesses", {
+        "--f": Flag(need="f", help="required; a polynomial with nonzero constant term"),
+        "--target": Flag(need="target", help="required; 1/x, 1/(x-2), 1/(x+3), ..."),
+        "--json": _JSON}),
+    "export": (cmd_export, "JSON form of a registry expression", {
+        "--expr": _EXPR, "--n": _RANK,
+        "--json": _JSON._replace(default="-", help="output path (default '-', stdout)")}),
+}
 
-    p = sub.add_parser("gt", help="build pattern modules")
-    base = p.add_mutually_exclusive_group(required=True)
-    base.add_argument("--top", help="dominant top row, e.g. 2,1,0")
-    base.add_argument("--generic", metavar="ROWS",
-                      help="semicolon-separated rows of a regular point, e.g. '1/3; 1,0'")
-    p.add_argument("--signs", help="with --top: all-plus (default), all-minus, "
-                   "or comma list per sorted row filling")
-    p.add_argument("--window", type=integer,
-                   help="with --generic: window radius (default 2)")
-    p.add_argument("--check", action="store_true", help="run the relation report")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_gt)
 
-    p = sub.add_parser("toy", help="rank-one shift algebra witnesses")
-    p.add_argument("--f", required=True, help="polynomial with nonzero constant term")
-    p.add_argument("--target", required=True, help="1/x, 1/(x-2), 1/(x+3), ...")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_toy)
+def _help(command: Optional[str]):
+    """Print the help of one command, or of all with None, and exit 0."""
+    if command is None:
+        head = ["usage: skewgt COMMAND [-h] [--flag VALUE ...]",
+                "exact computations in shift skew rings attached to gl_n"]
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        head = [f"usage: skewgt {command} [-h] [--flag VALUE ...]", COMMANDS[command][1]]
+        rows = [(name, f.help) for name, f in COMMANDS[command][2].items()]
+    print("\n".join(head + [f"  {left:9}  {text}" for left, text in rows]))
+    raise SystemExit(0)
 
-    p = sub.add_parser("export", help="JSON form of a registry expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=integer, default=3)
-    p.add_argument("--json", metavar="PATH", default="-")
-    p.set_defaults(func=cmd_export)
-    return parser
+
+def _fail(command: Optional[str], message: str):
+    prog = "skewgt" if command is None else f"skewgt {command}"
+    print(f"{prog}: error: {message}\n(see '{prog} -h')", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: Optional[List[str]] = None) -> SimpleNamespace:
+    """Read argv against COMMANDS, in the syntax of the module docstring.
+    A usage error raises SystemExit(2) after one message on stderr; -h
+    prints the help and raises SystemExit(0)."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        what = "no command" if command is None else f"invalid choice: {quote(command)}"
+        _fail(None, f"{what} (choose from {', '.join(COMMANDS)})")
+    func, _, flags = COMMANDS[command]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        name, eq, value = token.partition("=")
+        match = [name] if name in flags else [
+            n for n in flags if name.startswith("--") and n.startswith(name)]
+        if len(match) != 1:
+            _fail(command, f"unrecognized or ambiguous flag: {quote(token)}")
+        name, f = match[0], flags[match[0]]
+        if f.kind is bool:
+            if eq:
+                _fail(command, f"argument {name}: ignored explicit argument {quote(value)}")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                _fail(command, f"argument {name}: expected one argument")
+        try:
+            if isinstance(f.kind, tuple) and value not in f.kind:
+                raise ValueError(f"invalid choice: {quote(value)} "
+                                 f"(choose from {', '.join(f.kind)})")
+            given[name] = f.kind(value) if callable(f.kind) else value
+        except ValueError as exc:
+            _fail(command, f"argument {name}: {exc}")
+    for need in dict.fromkeys(f.need for f in flags.values() if f.need):
+        group = [name for name, f in flags.items() if f.need == need]
+        if len(given.keys() & group) != 1:
+            _fail(command, f"argument {group[0]} is required" if len(group) == 1 else
+                  f"exactly one of {', '.join(group)} is required")
+    return SimpleNamespace(command=command, func=func, **{
+        name[2:]: given.get(name, f.default) for name, f in flags.items()})
+
+
+def build_parser() -> SimpleNamespace:
+    """The object `main` parses with: its `parse_args` is an instance
+    attribute, which perfbench/tracer.py rebinds as the `cli.parse` span."""
+    return SimpleNamespace(parse_args=parse_args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -486,7 +556,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, ArithmeticError) as exc:

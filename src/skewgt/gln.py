@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from .polys import Context, Poly, vandermonde
+from .polys import Context, Poly, quote, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, is_invariant
 
@@ -147,13 +147,13 @@ def element(ctx: Context, name: str) -> SkewElement:
     """Look up a named element; raises KeyError for unknown names."""
     m = _NAME_RE.match(name)
     if not m:
-        raise KeyError(f"unknown element name {name!r}")
+        raise KeyError(f"unknown element name {quote(name)}")
     d = m.groupdict()
     if d["xk"] is not None:
         return gen_X(ctx, int(d["xk"]), +1 if d["xsign"] == "+" else -1)
     if d["dk1"] is not None:
         if d["dk1"] != d["dk2"]:
-            raise KeyError(f"{name!r}: only diagonal X_kk elements are named")
+            raise KeyError(f"{quote(name)}: only diagonal X_kk elements are named")
         return gen_Xkk(ctx, int(d["dk1"]))
     if d["vk"] is not None:
         return gen_V(ctx, int(d["vk"]))

@@ -63,6 +63,20 @@ _WIDTH = 16
 DEGREE_BOUND = 1 << _WIDTH
 _MASK = DEGREE_BOUND - 1
 
+# Longest entry a refusal message quotes whole.  A longer one is quoted
+# by a prefix and its length, so a refused entry of any size gives a
+# message of bounded size.
+QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """How every parser of outside text (the command line, `gln.element`,
+    `toy`) names a refused entry: ``repr(text)``, or past QUOTE_LIMIT
+    characters the repr of a prefix then ``... (N characters)``."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT // 2]!r}... ({len(text)} characters)"
+
 
 class Context:
     """A fixed, ordered variable universe plus its shiftable subset.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .polys import Context, Poly, _coeff
+from .polys import Context, Poly, _coeff, quote
 from .ratfunc import LinearFactor, RatFunc
 from .skew import SkewElement
 
@@ -174,8 +174,8 @@ def parse_univariate(ctx: Context, text: str) -> Poly:
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not (m and (m.group(2) or m.group(3))):
-            raise ValueError(f"cannot parse polynomial {text!r}: "
-                             f"bad term at {s[pos:]!r}")
+            raise ValueError(f"cannot parse polynomial {quote(text)}: "
+                             f"bad term at {quote(s[pos:])}")
         sign, coeff, xpart, exponent = m.groups()
         power = int(exponent) if exponent else (1 if xpart else 0)
         if power > MAX_DEGREE:
@@ -202,5 +202,5 @@ def parse_inverse_target(text: str) -> int:
                 raise ValueError(f"target translate {c:+d} exceeds the "
                                  f"budget of |c| <= {MAX_TRANSLATE}")
             return c
-    raise ValueError(f"cannot parse inverse target {text!r}: expected 1/x "
+    raise ValueError(f"cannot parse inverse target {quote(text)}: expected 1/x "
                      f"or 1/(x+c) with an integer c")
