@@ -227,59 +227,108 @@ def compute_expression(text: str, n: int) -> SkewElement:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _render_json(value, indent: str = "") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+def _render_json(value, indent: str = ""):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, as
+    chunks: the text is never held whole, and no chunk holds more than
+    one dense matrix row.
 
-    ``json.dumps`` with an indent falls back to the pure-Python encoder;
-    this renderer keeps the same layout but writes a list of strings (the
-    bulk of a module payload) in one join: when no item needs escaping,
-    each item is its own text in quotes, else the C string encoder
-    encodes each.  Dict keys must be strings; every other scalar goes to
+    A `gtmodules.Matrix` is written as its list of dense rows of value
+    strings ("0" for an absent entry), one row per chunk, from the
+    matrix's sparse rows (`_matrix_rows`).  Dict keys must be strings; a
+    string goes to the C string encoder, any other scalar to
     ``json.dumps``.
     """
+    if isinstance(value, gtmodules.Matrix):
+        yield from _matrix_rows(value, indent)
+        return
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(_encode_str(k) + ": " + _render_json(v, inner)
-                                    for k, v in sorted(value.items()))
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if set(map(type, value)) != {str}:
-            body = sep.join(_render_json(v, inner) for v in value)
-        else:
-            plain = "".join(value)
-            # escaping lengthens the text, so equal lengths mean no item
-            # holds a character that needs it
-            if len(_encode_str(plain)) == len(plain) + 2:
-                body = '"' + ('"' + sep + '"').join(value) + '"'
-            else:
-                body = sep.join(map(_encode_str, value))
-        return "[\n" + inner + body + "\n" + indent + "]"
-    return json.dumps(value)
-
-
-def _write_json(path: Optional[str], payload: dict):
-    body = _render_json(payload)
-    if path in (None, "-"):
-        print(body)
+        brackets = "{}"
+        items = [(_encode_str(k) + ": ", v) for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [("", v) for v in value]
     else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(body + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --json file {path!r}: "
-                             f"{exc.strerror or exc}") from exc
+        yield _scalar(value)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = indent + "  "
+    sep = brackets[0] + "\n" + inner
+    for key, v in items:
+        if isinstance(v, (dict, list, tuple)):
+            yield sep + key
+            yield from _render_json(v, inner)
+        else:
+            yield sep + key + _scalar(v)
+        sep = ",\n" + inner
+    yield "\n" + indent + brackets[1]
+
+
+def _scalar(value) -> str:
+    return _encode_str(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _matrix_rows(m: gtmodules.Matrix, indent: str):
+    """The chunks of `_render_json` for a matrix: one dense row each.
+    Every row is sliced from one all-"0" row text, with the value string
+    of each stored entry spliced in at its column, so a row costs Python
+    work only for its nonzero entries."""
+    inner = indent + "  "
+    cell = ",\n" + inner + "  "
+    zero_row = cell.join(['"0"'] * len(m))
+    step = len(cell) + 3
+    sep = "[\n" + inner
+    for row in m:
+        pieces = [sep, "[", cell[1:]]
+        pos = 0
+        for j in sorted(row):
+            start = j * step
+            pieces += (zero_row[pos:start], '"', str(Fraction(row[j], m.den)), '"')
+            pos = start + 3
+        pieces += (zero_row[pos:], "\n", inner, "]")
+        yield "".join(pieces)
+        sep = ",\n" + inner
+    yield "\n" + indent + "]"
+
+
+def _open_json(path: Optional[str]):
+    """The --json target: None without --json, stdout for '-', else the
+    file opened for writing.  Commands open it after their work and
+    before their first print, so an unwritable path exits 2 with nothing
+    printed."""
+    if path is None:
+        return None
+    if path == "-":
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write --json file {quote(path)}: "
+                         f"{exc.strerror or exc}") from None
+
+
+def _write_json(target, payload: dict):
+    """Write the payload's JSON text and a newline to an `_open_json`
+    target chunk by chunk, then close it unless it is stdout."""
+    if target is sys.stdout:
+        target.writelines(_render_json(payload))
+        target.write("\n")
+        return
+    try:
+        with target:
+            target.writelines(_render_json(payload))
+            target.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write --json file {quote(target.name)}: "
+                         f"{exc.strerror or exc}") from None
 
 
 def cmd_verify(args) -> int:
     _check_rank(args.n)
     names = list(relations.SUITES) if args.suite == "all" else [args.suite]
     reports = relations.run_suites(names, args.n)
+    target = _open_json(args.json)
     all_ok = True
     for rep in reports:
         print(rep.table())
@@ -287,19 +336,20 @@ def cmd_verify(args) -> int:
     total = sum(len(r.results) for r in reports)
     passed = sum(sum(x.ok for x in r.results) for r in reports)
     print(f"total: {passed}/{total} identities passed")
-    if args.json:
+    if target is not None:
         results = [entry for rep in reports for entry in rep.to_json()["results"]]
         payload = ({"suite": args.suite, "results": results}
                    if args.suite == "all" else reports[0].to_json())
-        _write_json(args.json, payload)
+        _write_json(target, payload)
     return 0 if all_ok else 1
 
 
 def cmd_compute(args) -> int:
     value = compute_expression(args.expr, args.n)
+    target = _open_json(args.json)
     print(value)
-    if args.json:
-        _write_json(args.json, {"expr": args.expr, "element": value.to_json()})
+    if target is not None:
+        _write_json(target, {"expr": args.expr, "element": value.to_json()})
     return 0
 
 
@@ -398,14 +448,15 @@ def cmd_gt(args) -> int:
                   for k in range(2, mod.n + 1)]
     # the report runs before any output, so a refused report prints nothing
     rep = report(mod) if args.check else None
+    target = _open_json(args.json)
     print("\n".join(lines))
     if rep is not None:
         print(rep.table())
-    if args.json:
+    if target is not None:
         payload = mod.to_json()
         if rep is not None:
             payload["report"] = rep.to_json()
-        _write_json(args.json, payload)
+        _write_json(target, payload)
     return 0 if rep is None or rep.ok else 1
 
 
@@ -416,13 +467,14 @@ def cmd_toy(args) -> int:
     spec = toy.ToySpec(toy.parse_univariate(ctx, args.f))
     c = toy.parse_inverse_target(args.target)
     trace = toy.witness_inverse(spec, c)
+    target = _open_json(args.json)
     print(f"f = {spec.f}")
     print(f"target: {args.target.replace(' ', '')}")
     print(f"word: {trace.word}  (multiplicity m = {trace.multiplicity})")
     print(trace.describe())
     print("verified: exact equality holds")
-    if args.json:
-        _write_json(args.json, {
+    if target is not None:
+        _write_json(target, {
             "f": str(spec.f),
             "target_c": c,
             "word": trace.word,
@@ -437,7 +489,7 @@ def cmd_toy(args) -> int:
 
 def cmd_export(args) -> int:
     value = compute_expression(args.expr, args.n)
-    _write_json(args.json, {"expr": args.expr, "n": args.n,
+    _write_json(_open_json(args.json), {"expr": args.expr, "n": args.n,
                             "element": value.to_json()})
     return 0
 

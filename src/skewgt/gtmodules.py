@@ -38,7 +38,8 @@ sums run on ints with one gcd pass per result.  They have the operators
 relation catalogues of `relations` and hold no relation of their own.
 A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
-not to dim^2.  The JSON export still writes every row in full.
+not to dim^2.  The JSON export writes every row in full, one row at a
+time, from the stored entries.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -398,25 +399,21 @@ class ModuleRealization:
         return [m.entry(i, i) for i in range(self.dim)]
 
     def to_json(self) -> dict:
+        """The module export.  `"matrices"` holds the `Matrix` objects
+        themselves, which `cli._render_json` writes as dense rows of
+        value strings straight from their sparse rows; ``json.dumps``
+        would not write them in that form."""
         body = {
             "n": self.n,
             "dim": self.dim,
             "basis": [[[str(v) for v in row] for row in p] for p in self.basis],
-            "matrices": {name: [_dense_strings(row, m.den, self.dim) for row in m]
-                         for name, m in sorted(self.matrices.items())},
+            "matrices": dict(self.matrices),
         }
         if self.top is not None:
             body["top"] = list(self.top)
         if self.interior is not None:
             body["interior"] = self.interior
         return body
-
-
-def _dense_strings(row: Row, den: int, dim: int) -> List[str]:
-    cells = ["0"] * dim
-    for j, v in row.items():
-        cells[j] = str(Fraction(v, den))
-    return cells
 
 
 def _realize(n: int, basis: List[Pattern],

@@ -49,10 +49,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    @property
-    def failures(self) -> List[IdentityResult]:
-        return [r for r in self.results if not r.ok]
-
     def table(self) -> str:
         lines = [f"suite {self.suite}: {sum(r.ok for r in self.results)}"
                  f"/{len(self.results)} identities passed"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewgt.gtmodules import Matrix
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt.skew import RowPermutation, SkewElement
@@ -16,6 +17,25 @@ def ctx2():
 @pytest.fixture
 def ctx3():
     return Context.triangle(3)
+
+
+def failures(rep) -> list:
+    """The keys of a verification report's failed results."""
+    return [r.key for r in rep.results if not r.ok]
+
+
+def dense(value):
+    """A JSON payload with every `Matrix` expanded, through
+    `Matrix.entry`, into the dense rows of value strings that
+    `cli._render_json` writes for it."""
+    if isinstance(value, Matrix):
+        return [[str(value.entry(i, j)) for j in range(len(value))]
+                for i in range(len(value))]
+    if isinstance(value, dict):
+        return {k: dense(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [dense(v) for v in value]
+    return value
 
 
 def den_poly(r: RatFunc) -> Poly:

@@ -15,7 +15,7 @@ from skewgt.polys import Context, Poly, elementary_symmetric, vandermonde
 from skewgt.ratfunc import RatFunc
 from skewgt.skew import RowPermutation, SkewElement, commutator, is_invariant
 
-from conftest import eq_cross, rand_poly, rand_ratfunc, rand_rowperm, rand_skew
+from conftest import eq_cross, failures, rand_poly, rand_ratfunc, rand_rowperm, rand_skew
 
 
 def _report(name: str, started: float, budget: float):
@@ -59,7 +59,7 @@ def test_criterion_2_gwa_presentation():
 def test_criterion_3_rank3_suite():
     start = time.monotonic()
     rep = relations.suite_gl3()
-    assert rep.ok, [r.key for r in rep.failures]
+    assert rep.ok, failures(rep)
     assert len(rep.results) >= 70
     _report("criterion 3: full rank-3 relation suite", start, 30.0)
 
@@ -67,14 +67,14 @@ def test_criterion_3_rank3_suite():
 def test_criterion_4_rational_invariants():
     start = time.monotonic()
     rep = relations.suite_invariants()
-    assert rep.ok, [r.key for r in rep.failures]
+    assert rep.ok, failures(rep)
     _report("criterion 4: rational product and fourfold invariant", start, 30.0)
 
 
 def test_criterion_5_localized_rewrites():
     start = time.monotonic()
     rep = relations.suite_localized()
-    assert rep.ok, [r.key for r in rep.failures]
+    assert rep.ok, failures(rep)
     _report("criterion 5: localized rewrites, both signs", start, 30.0)
 
 
@@ -98,7 +98,7 @@ def test_criterion_6_pattern_modules():
     assert mod.dim == 8
     assert len(gt.row_fillings(top)[2]) == 4
     rep = gt.module_relation_report(mod)
-    assert rep.ok, [r.key for r in rep.failures]
+    assert rep.ok, failures(rep)
     ctx = gln.triangle(3)
     for k in (2, 3):
         vk = vandermonde(ctx, k)

@@ -5,10 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules, relations, toy
+from skewgt.polys import quote
 from skewgt.skew import commutator
+
+from conftest import dense
 
 
 def run(capsys, argv):
@@ -469,32 +475,51 @@ def test_rank_must_be_positive(capsys):
         assert "needs n >= 1 (got n=0)" in err
 
 
-def test_closed_stdout_exits_quietly():
-    """A reader that closes the pipe early (`skewgt gt ... | head -1`)
-    gets no traceback: the console entry point exits with 141, the
-    status of a process ended by SIGPIPE, so 1 keeps meaning a failed
-    check."""
+def run_into_closed_pipe(argv):
+    """Run the console entry point with stdout a pipe whose read end is
+    already closed."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "skewgt.cli", "gt", "--top", "3,2,1,0", "--check"],
+        return subprocess.run(
+            [sys.executable, "-m", "skewgt.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, cwd=root, env=env, timeout=120)
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early (`skewgt gt ... | head -1`)
+    gets no traceback: the console entry point exits with 141, the
+    status of a process ended by SIGPIPE, so 1 keeps meaning a failed
+    check."""
+    proc = run_into_closed_pipe(["gt", "--top", "3,2,1,0", "--check"])
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
+def test_closed_stdout_while_streaming_json_exits_quietly():
+    """The same holds when the pipe breaks inside the streamed JSON."""
+    proc = run_into_closed_pipe(["gt", "--top", "4,2,1,0", "--check", "--json", "-"])
     assert proc.stderr == b""
     assert proc.returncode == 141
 
 
 def test_unwritable_json_path(capsys, tmp_path):
+    """The --json target is opened before the first print, so a bad path
+    exits 2 with nothing on stdout, and the path is quoted like any
+    refused entry."""
     path = str(tmp_path / "missing" / "out.json")
     for argv in (["verify", "--suite", "gl2"], ["compute", "--expr", "X11"],
                  ["export", "--expr", "X11"]):
-        code, _, err = run(capsys, argv + ["--json", path])
-        assert code == 2
-        assert f"cannot write --json file {path!r}" in err
+        code, out, err = run(capsys, argv + ["--json", path])
+        assert code == 2 and out == ""
+        assert f"cannot write --json file {quote(path)}" in err
+    code, out, err = run(capsys, ["compute", "--expr", "X11", "--json", "x" * 5000])
+    assert code == 2 and out == ""
+    assert f"cannot write --json file {quote('x' * 5000)}" in err and len(err) < 300
 
 
 # sha256 of stdout, recorded while every polynomial coefficient was still
@@ -526,21 +551,41 @@ def test_printed_forms_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-JSON_PAYLOAD_JOBS = [
-    ["gt", "--top", "2,1,0", "--check", "--json", "-"],
-    ["verify", "--suite", "gl3", "--json", "-"],
-    ["compute", "--expr", "c32", "--json", "-"],
-    ["toy", "--f", "3x^3+x+5", "--target", "1/(x-2)", "--json", "-"],
-]
+JSON_PAYLOAD_JOBS = {
+    "gt": ["gt", "--top", "2,1,0", "--check", "--json", "-"],
+    "verify": ["verify", "--suite", "gl3", "--json", "-"],
+    "compute": ["compute", "--expr", "c32", "--json", "-"],
+    "toy": ["toy", "--f", "3x^3+x+5", "--target", "1/(x-2)", "--json", "-"],
+    # Fraction entries and "interior"
+    "gt-generic": ["gt", "--generic=-1/3; 4/5, -3/7; 1, 1, -3", "--window", "1",
+                   "--check", "--json", "-"],
+}
 
 
-@pytest.mark.parametrize("argv", JSON_PAYLOAD_JOBS, ids=[argv[0] for argv in JSON_PAYLOAD_JOBS])
-def test_json_renderer_matches_json_dumps(capsys, monkeypatch, argv):
+def json_payload(capsys, monkeypatch, argv):
+    """The payload a job hands to `cli._write_json`."""
     payloads = []
-    monkeypatch.setattr(cli, "_write_json", lambda path, payload: payloads.append(payload))
+    monkeypatch.setattr(cli, "_write_json", lambda target, payload: payloads.append(payload))
     code, _, _ = run(capsys, argv)
     assert code == 0 and len(payloads) == 1
-    assert cli._render_json(payloads[0]) == json.dumps(payloads[0], indent=2, sort_keys=True)
+    return payloads[0]
+
+
+@pytest.mark.parametrize("argv", list(JSON_PAYLOAD_JOBS.values()), ids=list(JSON_PAYLOAD_JOBS))
+def test_json_renderer_matches_json_dumps(capsys, monkeypatch, argv):
+    payload = json_payload(capsys, monkeypatch, argv)
+    assert "".join(cli._render_json(payload)) == \
+        json.dumps(dense(payload), indent=2, sort_keys=True)
+
+
+def test_json_chunks_stay_small(capsys, monkeypatch):
+    """The dim-140 module (6.5 MB of JSON) is written in chunks of at
+    most one dense matrix row, never as one string."""
+    payload = json_payload(capsys, monkeypatch,
+                           ["gt", "--top", "4,2,1,0", "--check", "--json", "-"])
+    sizes = [len(chunk) for chunk in cli._render_json(payload)]
+    assert len(sizes) > 25 * 140
+    assert max(sizes) <= 4096
 
 
 def test_json_renderer_edge_cases():
@@ -554,4 +599,34 @@ def test_json_renderer_edge_cases():
         ["a", 'q"'], ["é"], ["a", 1], ["a", None],
     ]
     for value in cases:
-        assert cli._render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert "".join(cli._render_json(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def matrices(draw):
+    """Sparse matrices of dim 1-12 over a random denominator, mixing zero
+    rows, fully dense rows, rows with the first and last column set and
+    random sparse rows; or the zero matrix."""
+    dim = draw(st.integers(1, 12))
+    if draw(st.integers(0, 9)) == 0:
+        return gtmodules.zeros(dim)
+    den = draw(st.integers(1, 30))
+    rows = []
+    for _ in range(dim):
+        cols = draw(st.sampled_from([[], range(dim), {0, dim - 1}, None]))
+        if cols is None:
+            cols = draw(st.sets(st.integers(0, dim - 1)))
+        rows.append({j: Fraction(draw(st.integers(-99, 99).filter(bool)), den)
+                     for j in cols})
+    return gtmodules.from_values(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(matrices(), min_size=1, max_size=3))
+def test_matrix_rows_match_json_dumps(ms):
+    """A matrix is written as the dense rows of its value strings, at any
+    depth, between sibling keys that sort before and after it."""
+    value = {"a": 1, "m": ms[0], "n": {"0": "x", "m": ms[-1], "~": [ms[0], None]},
+             "~": ms}
+    for v in (value, ms[0], ms):
+        assert "".join(cli._render_json(v)) == json.dumps(dense(v), indent=2, sort_keys=True)

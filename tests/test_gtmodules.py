@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgt import gln, gtmodules as gt
+from skewgt import cli, gln, gtmodules as gt
 from skewgt.polys import vandermonde
 from skewgt.relations import single_shift_catalogue, suite_gl3
 from skewgt.skew import commutator
+
+from conftest import dense, failures
 
 
 def brute_force_patterns(top):
@@ -177,7 +180,7 @@ def test_standard_module_matches_defining_representation():
 def test_module_relation_reports_across_tops():
     for top in [(0, 0), (2, 1), (1, 1, 0), (2, 1, 0), (2, 2, 0)]:
         rep = gt.module_relation_report(gt.build_module(top))
-        assert rep.ok, (top, [r.key for r in rep.failures])
+        assert rep.ok, (top, failures(rep))
 
 
 def test_rank3_module_report_runs_the_gl3_catalogue():
@@ -401,7 +404,8 @@ def test_module_json():
     m = gt.build_module((1, 0))
     body = m.to_json()
     assert body["dim"] == 2
-    assert body["matrices"]["V2"] == [["2", "0"], ["0", "2"]]
+    assert dense(body["matrices"]["V2"]) == [["2", "0"], ["0", "2"]]
+    assert "".join(cli._render_json(body)) == json.dumps(dense(body), indent=2, sort_keys=True)
 
 
 # -- sparse matrix ops against a plain list-of-lists reference ----------
