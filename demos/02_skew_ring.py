@@ -2,7 +2,8 @@
 evaluation, supports, and the lattice generation test.
 """
 
-from skewgt import Context, Poly, RatFunc, SkewElement, commutator, supports_generate_group
+from skewgt import Context, Poly, RatFunc, SkewElement, commutator
+from skewgt.lattice import supports_generate_group
 
 ctx = Context.triangle(2)
 x11 = Poly.var(ctx, (1, 1))

@@ -10,7 +10,6 @@ from .polys import Context, Poly, elementary_symmetric, shifted_vandermonde, van
 from .ratfunc import LinearFactor, RatFunc, linear_factor
 from .skew import (RowPermutation, SkewElement, alt_generators, commutator,
                    is_invariant, sym_generators)
-from .lattice import lattice_spans_ambient, supports_generate_group
 from . import gln, gtmodules, relations, toy
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "LinearFactor", "RatFunc", "linear_factor",
     "RowPermutation", "SkewElement", "commutator", "is_invariant",
     "sym_generators", "alt_generators",
-    "lattice_spans_ambient", "supports_generate_group",
     "gln", "gtmodules", "relations", "toy",
 ]
 

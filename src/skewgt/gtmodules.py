@@ -51,7 +51,6 @@ matrix, which the relation report checks exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -159,14 +158,24 @@ def row_fillings(top: Sequence[int]) -> Dict[int, List[Tuple[int, ...]]]:
     return fillings
 
 
-@dataclass
 class SignData:
     """One sign per distinct row filling, for every row 2..n:
     `rows[k][filling]` is +1 or -1.  `fillings` is the `row_fillings`
-    walk the signs were chosen on, which the module's basis comes from."""
+    walk the signs were chosen on, which the module's basis comes from.
+    Two sign choices are equal when both fields are; being mutable,
+    they are not hashable."""
 
-    rows: Dict[int, Dict[Tuple[int, ...], int]]
-    fillings: Dict[int, List[Tuple[int, ...]]]
+    __slots__ = ("rows", "fillings")
+
+    def __init__(self, rows: Dict[int, Dict[Tuple[int, ...], int]],
+                 fillings: Dict[int, List[Tuple[int, ...]]]):
+        self.rows = rows
+        self.fillings = fillings
+
+    def __eq__(self, other):
+        if type(other) is not SignData:
+            return NotImplemented
+        return self.rows == other.rows and self.fillings == other.fillings
 
     @staticmethod
     def from_vectors(fillings: Dict[int, List[Tuple[int, ...]]],
@@ -379,16 +388,21 @@ def mat_is_zero(a: Matrix) -> bool:
     return not any(a)
 
 
-@dataclass
 class ModuleRealization:
     """A basis of patterns plus exact matrices for every generator."""
 
-    n: int
-    basis: List[Pattern]
-    matrices: Dict[str, Matrix]
-    top: Optional[Tuple[int, ...]] = None
-    signs: Optional[SignData] = None
-    interior: Optional[List[int]] = None
+    __slots__ = ("n", "basis", "matrices", "top", "signs", "interior")
+
+    def __init__(self, n: int, basis: List[Pattern], matrices: Dict[str, Matrix],
+                 top: Optional[Tuple[int, ...]] = None,
+                 signs: Optional[SignData] = None,
+                 interior: Optional[List[int]] = None):
+        self.n = n
+        self.basis = basis
+        self.matrices = matrices
+        self.top = top
+        self.signs = signs
+        self.interior = interior
 
     @property
     def dim(self) -> int:

@@ -33,20 +33,32 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple
 
 from .polys import Context, Poly, Ring, VarId, _as_fraction, _coeff
 
 
-@dataclass(frozen=True)
-class LinearFactor:
-    """(x_a - x_b + c) when b is present, else (x_a + c); always a < b."""
+class LinearFactor(tuple):
+    """(x_a - x_b + c) when b is present, else (x_a + c); always a < b.
 
-    a: VarId
-    b: Optional[VarId]
-    c: Fraction
+    An immutable triple (a, b, c): equality and hash are the tuple's."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: VarId, b: Optional[VarId], c: Fraction):
+        return tuple.__new__(cls, (a, b, c))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"LinearFactor(a={self[0]!r}, b={self[1]!r}, c={self[2]!r})"
 
     def sort_key(self):
         return (self.a, self.b if self.b is not None else (0, 0), self.c)

@@ -15,7 +15,6 @@ the matrices of a module (`gtmodules.module_relation_report`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -25,12 +24,15 @@ from .skew import RowPermutation, SkewElement, commutator, sym_generators
 from . import gln
 
 
-@dataclass
 class IdentityResult:
-    key: str
-    anchor: str
-    ok: bool
-    witness: Optional[SkewElement] = None
+    __slots__ = ("key", "anchor", "ok", "witness")
+
+    def __init__(self, key: str, anchor: str, ok: bool,
+                 witness: Optional[SkewElement] = None):
+        self.key = key
+        self.anchor = anchor
+        self.ok = ok
+        self.witness = witness
 
     @property
     def status(self) -> str:

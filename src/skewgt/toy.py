@@ -16,7 +16,6 @@ exact arithmetic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -39,17 +38,17 @@ def line_context() -> Context:
     return Context.line()
 
 
-@dataclass
 class ToySpec:
     """The defining polynomial; its constant term must not vanish."""
 
-    f: Poly
+    __slots__ = ("f",)
 
-    def __post_init__(self):
-        if self.f.ctx.kind != "line":
+    def __init__(self, f: Poly):
+        if f.ctx.kind != "line":
             raise ValueError("f must live in the one-variable context")
-        if self.f.constant_term() == 0:
+        if f.constant_term() == 0:
             raise ValueError("f(0) must be nonzero")
+        self.f = f
 
 
 def build_toy(spec: ToySpec) -> Tuple[SkewElement, SkewElement]:
@@ -86,18 +85,22 @@ def _multiplicity(p: Poly, c: int) -> int:
         m += 1
 
 
-@dataclass
 class WitnessTrace:
     """How an inverse was extracted: the word, the clearing polynomial,
     the division data, and the verified result."""
 
-    target_c: int
-    word: str
-    multiplicity: int
-    clear_poly: Poly
-    quotient: Poly
-    constant: Fraction
-    witness: SkewElement
+    __slots__ = ("target_c", "word", "multiplicity", "clear_poly", "quotient",
+                 "constant", "witness")
+
+    def __init__(self, target_c: int, word: str, multiplicity: int, clear_poly: Poly,
+                 quotient: Poly, constant: Fraction, witness: SkewElement):
+        self.target_c = target_c
+        self.word = word
+        self.multiplicity = multiplicity
+        self.clear_poly = clear_poly
+        self.quotient = quotient
+        self.constant = constant
+        self.witness = witness
 
     def describe(self) -> str:
         return (f"1/(x{self.target_c:+d})" if self.target_c else "1/x") + \

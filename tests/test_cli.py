@@ -630,3 +630,29 @@ def test_matrix_rows_match_json_dumps(ms):
              "~": ms}
     for v in (value, ms[0], ms):
         assert "".join(cli._render_json(v)) == json.dumps(dense(v), indent=2, sort_keys=True)
+
+
+COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+from skewgt import cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_introspection():
+    """`from skewgt import cli`, which every command pays for before its
+    work, loads the engine modules the commands use and none of the
+    introspection modules `dataclasses` pulls in (nor `lattice`, which
+    no command calls).  Engine modules imported late, inside a handler,
+    would fail the second assertion."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                         "skewgt.lattice"}
+    assert {"skewgt.gln", "skewgt.gtmodules", "skewgt.relations",
+            "skewgt.toy"} <= loaded

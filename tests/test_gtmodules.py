@@ -239,6 +239,24 @@ def test_sign_data_validation():
             gt.build_module(top, signs)
 
 
+def test_module_and_sign_types():
+    """`ModuleRealization` takes its fields by keyword; `SignData`
+    compares field by field and, being mutable, is unhashable."""
+    built = gt.build_module((1, 0))
+    m = gt.ModuleRealization(n=built.n, basis=built.basis, matrices=built.matrices,
+                             top=built.top, signs=built.signs, interior=None)
+    assert (m.n, m.dim, m.top, m.signs, m.interior) == (2, 2, (1, 0), built.signs, None)
+    assert m.to_json() == built.to_json()
+    bare = gt.ModuleRealization(2, built.basis, built.matrices)
+    assert (bare.top, bare.signs, bare.interior) == (None, None, None)
+    fillings = gt.row_fillings((2, 1, 0))
+    signs = gt.SignData.from_vectors(fillings)
+    assert signs == gt.SignData.from_vectors(fillings, {2: [1] * 4})
+    assert signs != gt.SignData.from_vectors(fillings, {3: [-1]})
+    with pytest.raises(TypeError):
+        hash(signs)
+
+
 def test_generic_module_gl2():
     m = gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=2)
     assert m.dim == 5 and len(m.interior) == 3

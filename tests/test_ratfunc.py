@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from collections import Counter
@@ -95,6 +96,35 @@ def test_shift_keeps_factor_class(ctx2):
     shifted = r.shifted({(2, 1): 1})
     assert shifted.den == (LinearFactor((2, 1), (2, 2), Fraction(-1)),)
     assert r.shifted({}) == r
+
+
+def test_linear_factor_value_semantics():
+    """A factor is an immutable value: equal fields give equal factors
+    with equal hashes, any differing field an unequal one."""
+    f = LinearFactor((1, 1), (2, 2), Fraction(1))
+    g = LinearFactor(a=(1, 1), b=(2, 2), c=Fraction(1))
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert (f.a, f.b, f.c) == ((1, 1), (2, 2), Fraction(1))
+    assert f != LinearFactor((1, 1), (2, 2), Fraction(2))
+    assert f != LinearFactor((1, 1), None, Fraction(1))
+    assert repr(f) == "LinearFactor(a=(1, 1), b=(2, 2), c=Fraction(1, 1))"
+    with pytest.raises(AttributeError):
+        f.a = (2, 1)
+    with pytest.raises(AttributeError):
+        f.d = 0
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_linear_factor_sort_order():
+    """`sort_key` orders by a, then b with None first, then c."""
+    x11, x21, x22 = (1, 1), (2, 1), (2, 2)
+    order = [LinearFactor(x11, None, Fraction(-1)), LinearFactor(x11, None, Fraction(2)),
+             LinearFactor(x11, x21, Fraction(0)), LinearFactor(x11, x22, Fraction(-3)),
+             LinearFactor(x21, None, Fraction(0)), LinearFactor(x21, x22, Fraction(-1, 2)),
+             LinearFactor(x21, x22, Fraction(1))]
+    shuffled = order[:]
+    random.Random(7).shuffle(shuffled)
+    assert sorted(shuffled, key=LinearFactor.sort_key) == order
 
 
 def test_zero_normal_form(ctx2):
