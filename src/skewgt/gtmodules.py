@@ -19,9 +19,10 @@ the evaluated square of the Vandermonde polynomial.
 
 Pattern entries are exact rationals stored like polynomial coefficients:
 an `int` when integral (every entry of a finite module, the top row of a
-generic one) and a `Fraction` otherwise.  Moves, basis lookups and
-staircase points then run on ints, and `Poly.evaluate` evaluates at an
-integral point without building a Fraction per coordinate.  Diagonal
+generic one) and a `Fraction` otherwise.  Staircase points then run on
+ints, and `Poly.evaluate` evaluates at an integral point without
+building a Fraction per coordinate.  Moves and basis lookups never touch
+a pattern: they run on integer keys (see `_realize`).  Diagonal
 eigenvalues and every matrix value read through `Matrix.entry` are
 `Fraction`.
 
@@ -217,12 +218,6 @@ def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
 
 def _xkk_value(k: int, p: Pattern) -> Fraction:
     return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
-
-
-def _moved(p: Pattern, k: int, i: int, delta: int) -> Pattern:
-    row = list(p[k - 1])
-    row[i - 1] += delta
-    return p[:k - 1] + (tuple(row),) + p[k:]
 
 
 # ----------------------------------------------------------------------
@@ -430,13 +425,17 @@ class ModuleRealization:
         return body
 
 
-def _realize(n: int, basis: List[Pattern],
+def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
              signs: Optional[SignData]) -> Dict[str, Matrix]:
     """Exact matrices of every generator on a basis of patterns.  Each
     ladder summand A_ki moves entry (k, i) by one, with its coefficient
     evaluated at the source's staircase point; targets outside the basis
-    are dropped."""
-    index = {p: j for j, p in enumerate(basis)}
+    are dropped.  `keys[j]` holds one int per entry of rows 1..n-1 of
+    `basis[j]` (its entries, or its window offset) in `shift_vars` order,
+    so A_ki+- adds +-1 at `shift_pos((k, i))` and no pattern is hashed.
+    A source's k summands of X_k+- reach k distinct targets, so X_k+- is
+    filled in the same pass, with no matrix sum."""
+    index = {key: j for j, key in enumerate(keys)}
     points = [pattern_point(p) for p in basis]
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
@@ -448,17 +447,17 @@ def _realize(n: int, basis: List[Pattern],
     ctx = gln.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
-            total = zeros(len(basis))
+            ladder = [{} for _ in basis]
             for i in range(1, k + 1):
                 rows = [{} for _ in basis]
                 coeff_fn = gln.a_coeff(ctx, k, i, sign)
-                for j, p in enumerate(basis):
-                    ti = index.get(_moved(p, k, i, sign))
+                pos = ctx.shift_pos((k, i))
+                for j, key in enumerate(keys):
+                    ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
                     if ti is not None:
-                        rows[ti][j] = coeff_fn.evaluate(points[j])
-                single = matrices[f"A{k}{i}{tag}"] = from_values(rows)
-                total = total + single
-            matrices[f"X{k}{tag}"] = total
+                        rows[ti][j] = ladder[ti][j] = coeff_fn.evaluate(points[j])
+                matrices[f"A{k}{i}{tag}"] = from_values(rows)
+            matrices[f"X{k}{tag}"] = from_values(ladder)
     return matrices
 
 
@@ -472,7 +471,8 @@ def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> Module
     if fillings[len(fillings)] != [top]:
         raise ValueError(f"sign data chosen under another top row than {top}")
     basis = _chains(fillings)
-    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, signs),
+    keys = [sum(p[:-1], ()) for p in basis]
+    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, keys, signs),
                              top=top, signs=signs)
 
 
@@ -540,18 +540,15 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
     if not is_regular_point(rows, n):
         raise ValueError("point is not regular: some staircase row "
                          "difference is an integer")
-    shift_vars = gln.triangle(n).shift_vars
-    offsets = sorted(itertools.product(range(-radius, radius + 1),
-                                       repeat=len(shift_vars)))
-    basis = []
-    for w in offsets:
-        q = p
-        for (k, i), m in zip(shift_vars, w):
-            q = _moved(q, k, i, m)
-        basis.append(q)
+    # one entry per variable of rows 1..n-1, in lexicographic order
+    offsets = list(itertools.product(range(-radius, radius + 1),
+                                     repeat=n * (n - 1) // 2))
+    basis = [tuple(tuple(v + m for v, m in zip(row, w[k * (k - 1) // 2:]))
+                   for k, row in enumerate(p[:-1], start=1)) + p[-1:]
+             for w in offsets]
     interior = [i for i, w in enumerate(offsets)
                 if all(abs(m) <= radius - 1 for m in w)] if radius >= 1 else []
-    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, None),
+    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, offsets, None),
                              interior=interior)
 
 

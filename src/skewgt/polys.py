@@ -532,9 +532,7 @@ class Poly(Ring):
             rows.setdefault(k, {})[key - k * unit_a] = coeff
         quot: dict = {}
         for k in range(max(rows, default=0), 0, -1):
-            q = rows.get(k)
-            if q is None:
-                continue
+            q = rows[k]
             # q is q_{k-1} = p_k + s*q_k: add s*q_{k-1} into row k-1
             below = rows.setdefault(k - 1, {})
             up = (k - 1) * unit_a

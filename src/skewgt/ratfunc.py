@@ -99,14 +99,12 @@ class LinearFactor(tuple):
         return "(" + s + ")"
 
 
-def linear_factor(a: VarId, b: Optional[VarId] = None, c=0) -> Tuple[LinearFactor, int]:
-    """Canonicalize a factor; returns (factor, sign) with sign in {+1,-1}.
+def linear_factor(a: VarId, b: VarId, c=0) -> Tuple[LinearFactor, int]:
+    """Canonicalize (x_a - x_b + c); returns (factor, sign) with sign in {+1,-1}.
 
-    (x_a - x_b + c) with a > b is stored as -(x_b - x_a - c).
-    """
+    With a > b it is stored as -(x_b - x_a - c); (x_a + c) is already
+    canonical as `LinearFactor(a, None, c)`."""
     c = _as_fraction(c)
-    if b is None:
-        return LinearFactor(a, None, c), 1
     if a == b:
         raise ValueError("degenerate difference factor")
     if a < b:

@@ -184,7 +184,11 @@ def parse_univariate(ctx: Context, text: str) -> Poly:
         if power > MAX_DEGREE:
             raise ValueError(f"power x^{power} exceeds the degree "
                              f"budget of {MAX_DEGREE}")
-        value = Fraction(coeff) if coeff else Fraction(1)
+        try:
+            value = Fraction(coeff) if coeff else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse polynomial {quote(text)}: bad coefficient "
+                             f"{quote(coeff)}: expected a nonzero denominator") from None
         terms[(power,)] = terms.get((power,), 0) + (value if sign == "+" else -value)
         pos = m.end()
     return Poly(ctx, terms)

@@ -103,6 +103,16 @@ def test_compute_bad_expression(capsys):
                 assert code == 2 and out == ""
                 assert err == f"error: --expr number 222222222222... has {digits} " \
                     f"digits, over the digit budget of {cli.MAX_DIGITS}\n"
+    # a binary sum, with and without the spaces that split a trailing sign
+    for expr in ("X11+X22", "X11 + X22"):
+        code, out, _ = run(capsys, ["compute", "--expr", expr])
+        assert code == 0 and out == "[x21 + x22 + 1] e\n"
+    for expr, message in (("X11/2", "cannot tokenize '/2'"),
+                          ("[X11 X22]", "expected ',', found 'X22'"),
+                          ("X11 X22", "trailing input at 'X22'"),
+                          ("X11 +", "unexpected end of expression")):
+        code, out, err = run(capsys, ["compute", "--expr", expr])
+        assert code == 2 and out == "" and err == f"error: {message}\n"
     code, out, _ = run(capsys, ["compute", "--expr", "2" * cli.MAX_DIGITS + "*X11", "--n", "2"])
     assert code == 0 and out.startswith("[" + "2" * cli.MAX_DIGITS + "*(x11)]")
     # an int flag past the digit budget is refused before int(), in a
@@ -432,6 +442,12 @@ def test_toy_cli(capsys):
     assert "verified: exact equality holds" in out
     code, _, err = run(capsys, ["toy", "--f", "x^2+x", "--target", "1/x"])
     assert code == 2 and "f(0)" in err
+    # a zero denominator names the entry, not a Fraction repr
+    for f, coeff in (("1/0", "1/0"), ("2/0x+1", "2/0")):
+        code, out, err = run(capsys, ["toy", "--f", f, "--target", "1/x"])
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse polynomial {f!r}: bad coefficient " \
+            f"{coeff!r}: expected a nonzero denominator\n"
     for target in ("1/(x+)", "1/(x-2.5)", "1/(x+-1)", "1/y"):
         code, out, err = run(capsys, ["toy", "--f", "x+1", "--target", target])
         assert code == 2 and out == ""

@@ -581,13 +581,17 @@ def diagonal_oracle(k, p):
 
 def test_ladder_matrices_match_per_pattern_action():
     """Every built ladder summand, ladder and diagonal matrix of the
-    (1,0), (2,1,0) and (2,1,0,0) modules, column by column, against
-    the closed-form coefficients evaluated with Fractions on the pattern
-    entries: A_ki(+-) sends p to p with entry (k, i) moved by +-1 when
-    that target is a basis pattern."""
-    for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]:
-        mod = gt.build_module(top)
-        n = len(top)
+    (1,0), (2,1,0) and (2,1,0,0) modules and of a radius-1 generic
+    window (dim 27), column by column, against the closed-form
+    coefficients evaluated with Fractions on the pattern entries: A_ki(+-)
+    sends p to p with entry (k, i) moved by +-1 when that target is a
+    basis pattern."""
+    generic = gt.build_generic_module(
+        [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)], 1)
+    assert generic.dim == 27
+    for mod in [gt.build_module(top) for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]] + [generic]:
+        top = mod.basis[0][-1]
+        n = mod.n
         index = {p: j for j, p in enumerate(mod.basis)}
         for m in mod.matrices.values():
             to_dense(m)
