@@ -22,6 +22,8 @@ vol. 2, 4.5.1):
   operand's numerator only;
 * ``+`` tries only the factors with equal multiplicity in both
   denominators;
+* ``RatFunc.sum`` of many operands tries only the factors whose top
+  multiplicity in the lcm is reached by two or more of them;
 * ``shifted`` and ``permuted`` are ring automorphisms over the integers
   and try none.
 
@@ -256,6 +258,43 @@ class RatFunc(Ring):
         # self.den is sorted, so the copies of each tried factor are adjacent
         tried = [f for f in self.den if d1[f] == d2[f]]
         rest = [f for f in (d1 | d2).elements() if d1[f] != d2[f]]
+        scale, prim, kept = _cancel(prim, tried, content / g)
+        return RatFunc._reduced(prim, rest + kept, scale)
+
+    @staticmethod
+    def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
+        """The sum of ``terms`` over the lcm of their denominators.
+
+        A factor f of top multiplicity m (in the lcm) is tried, at most
+        m times, only if two operands reach m: were it one, every other
+        cofactor would hold f, and f divides neither that operand's
+        numerator nor its cofactor."""
+        terms = [t for t in terms if not t.is_zero]
+        if len(terms) < 2:
+            return terms[0] if terms else RatFunc.zero(ctx)
+        dens = [Counter(t.den) for t in terms]
+        top = Counter()
+        for d in dens:
+            top |= d
+        reached = Counter(f for d in dens for f, m in d.items() if m == top[f])
+        polys = {f: f.to_poly(ctx) for f in top}
+        g = math.lcm(*(t.scale.denominator for t in terms))
+        total: dict = {}
+        for t, d in zip(terms, dens):
+            num = t.num
+            for f, m in (top - d).items():
+                for _ in range(m):
+                    num = num * polys[f]
+            k = t.scale.numerator * (g // t.scale.denominator)
+            for e, c in num.terms.items():
+                total[e] = total.get(e, 0) + c * k
+        total = Poly._from_packed(ctx, total)
+        if total.is_zero:
+            return RatFunc.zero(ctx)
+        content, prim = total.content_primitive()
+        tried = [f for f in sorted(top, key=LinearFactor.sort_key) if reached[f] > 1
+                 for _ in range(top[f])]
+        rest = [f for f in top.elements() if reached[f] == 1]
         scale, prim, kept = _cancel(prim, tried, content / g)
         return RatFunc._reduced(prim, rest + kept, scale)
 

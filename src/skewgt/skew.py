@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .polys import Context, Poly, Ring, VarId, _add_into
 from .ratfunc import RatFunc
@@ -218,6 +218,16 @@ class SkewElement(Ring):
     def _add(self, other: "SkewElement") -> "SkewElement":
         return SkewElement(self.ctx, _add_into(dict(self.terms), other.terms))
 
+    @staticmethod
+    def sum(ctx: Context, elements: Iterable["SkewElement"]) -> "SkewElement":
+        """The sum of ``elements``: one ``RatFunc.sum`` per shift key."""
+        groups: Dict[ShiftKey, list] = {}
+        for u in elements:
+            for key, coeff in u.terms.items():
+                groups.setdefault(key, []).append(coeff)
+        return SkewElement(ctx, {key: RatFunc.sum(ctx, coeffs)
+                                 for key, coeffs in groups.items()})
+
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
@@ -245,18 +255,14 @@ class SkewElement(Ring):
         """Apply the element to a field element: sum_mu mu(alpha_mu * a)
         with right coefficients alpha_mu."""
         a = _coerce_ratfunc(self.ctx, a)
-        total = RatFunc.zero(self.ctx)
-        for key, alpha in self.right_coefficients().items():
-            total = total + (alpha * a).shifted(_shift_map(self.ctx, key))
-        return total
+        return RatFunc.sum(self.ctx, [(alpha * a).shifted(_shift_map(self.ctx, key))
+                                      for key, alpha in self.right_coefficients().items()])
 
     def coevaluate(self, a) -> RatFunc:
         """The transposed action: sum_mu alpha_mu * mu^{-1}(a)."""
         a = _coerce_ratfunc(self.ctx, a)
-        total = RatFunc.zero(self.ctx)
-        for key, alpha in self.right_coefficients().items():
-            total = total + alpha * a.shifted(_neg_shift_map(self.ctx, key))
-        return total
+        return RatFunc.sum(self.ctx, [alpha * a.shifted(_neg_shift_map(self.ctx, key))
+                                      for key, alpha in self.right_coefficients().items()])
 
     # -- group action ------------------------------------------------------
 

@@ -77,12 +77,44 @@ def test_gelfand_rank1():
 
 
 def test_gelfand_rank3_images_are_central_coefficients(ctx3):
-    # images collapse to pure symmetric polynomial coefficients; degree 3
-    # sums 27 triple products of matrix-unit images
+    # images collapse to pure symmetric polynomial coefficients; the
+    # defining sum at degree 3 has 27 triple products of matrix-unit images
     for k in (1, 2, 3):
         c = gln.gelfand_invariant_image(ctx3, 3, k)
         assert c.support() == {SkewElement.identity_shift(ctx3)}
         assert gln.membership(c, "Gamma")
+
+
+def perelomov_popov(ctx, n, k):
+    """The Gelfand invariant c_nk as a symmetric function of the top row
+    (Perelomov & Popov, 1968), built with RatFunc arithmetic only:
+    sum_i m_i^k prod_{j != i} (m_i - m_j - 1)/(m_i - m_j) with
+    m_i = x_ni + n - 1."""
+    total = RatFunc.zero(ctx)
+    for i in range(1, n + 1):
+        term = RatFunc(x(ctx, n, i) + (n - 1)) ** k
+        for j in range(1, n + 1):
+            if j != i:
+                f, s = linear_factor((n, i), (n, j), 0)
+                term = term * RatFunc(x(ctx, n, i) - x(ctx, n, j) - 1, [f], s)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n, k", [(2, k) for k in range(1, 7)]
+                         + [(3, k) for k in range(1, 4)])
+def test_gelfand_images_match_perelomov_popov(n, k):
+    ctx = Context.triangle(n)
+    assert gln.gelfand_invariant_image(ctx, n, k) == \
+        SkewElement.from_coeff(perelomov_popov(ctx, n, k))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [1, 2])
+def test_gelfand_images_match_perelomov_popov_rank4(k):
+    ctx = Context.triangle(4)
+    assert gln.gelfand_invariant_image(ctx, 4, k) == \
+        SkewElement.from_coeff(perelomov_popov(ctx, 4, k))
 
 
 def test_shifted_vandermonde_is_a_shift(ctx3):

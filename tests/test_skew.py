@@ -140,6 +140,24 @@ def test_evaluate_matches_coevaluate_on_pure_coefficients(ctx2):
         assert pure.evaluate(a) == pure.coevaluate(a)
 
 
+def test_nary_sum_equals_the_fold(ctx3):
+    """SkewElement.sum sums each shift key's coefficients at once; it
+    equals the left fold of skew +."""
+    rng = random.Random(83)
+    assert SkewElement.sum(ctx3, []) == SkewElement.zero(ctx3)
+    met = 0
+    for _ in range(30):
+        u, v, w = (rand_skew(rng, ctx3, max_terms=3) for _ in range(3))
+        for elements in ([u], [u, v, -u], [u, v, w, u * v], [u, -u]):
+            total = SkewElement.zero(ctx3)
+            for e in elements:
+                total = total + e
+            assert SkewElement.sum(ctx3, elements) == total
+            keys = [k for e in elements for k in e.terms]
+            met += len(keys) > len(set(keys))
+    assert met >= 30
+
+
 def test_group_action_examples(ctx3):
     swap2 = RowPermutation.transposition(ctx3, 2, 1, 2)
     X2p = gln.gen_X(ctx3, 2, +1)
