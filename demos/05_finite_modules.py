@@ -2,8 +2,7 @@
 
 Builds the eight-dimensional module with top row (2,1,0), shows the
 diagonal spectra, checks every relation as an exact matrix identity,
-and exhibits the two-dimensional glued module whose Vandermonde action
-is not diagonalizable over the chosen line.
+and flips the sign of the row-2 Vandermonde on two row fillings.
 """
 
 from skewgt import gtmodules as gt
@@ -26,10 +25,3 @@ print("a sign flip changes the Vandermonde action only:")
 signs = gt.SignData.from_vectors(fillings, {2: [1, -1, 1, -1]})
 flipped = gt.build_module(top, signs)
 print("V2 spectrum now:", [str(v) for v in flipped.spectrum("V2")])
-print()
-
-print("the glued two-dimensional module:")
-ns = gt.example_nonsemisimple(1)
-v2 = ns.matrices["V2"]
-print("V2 matrix:", [[str(v2.entry(i, j)) for j in range(ns.dim)] for i in range(ns.dim)])
-print(gt.nonsemisimple_report(ns).table())

@@ -413,6 +413,12 @@ def _parse_point(text: str):
     return rows
 
 
+def _check_export_dim(json_path: Optional[str], dim: int) -> None:
+    if json_path is not None and dim > gtmodules.MAX_MODULE_DIM:
+        raise ValueError(f"module dimension {dim} exceeds the --json budget "
+                         f"of {gtmodules.MAX_MODULE_DIM}")
+
+
 def cmd_gt(args) -> int:
     for flag, base in (("signs", "generic"), ("window", "top")):
         if getattr(args, flag) is not None and getattr(args, base) is not None:
@@ -422,6 +428,7 @@ def cmd_gt(args) -> int:
         rows = _parse_point(args.generic)
         _check_rank(len(rows), "rank")
         window = 2 if args.window is None else args.window
+        _check_export_dim(args.json, gtmodules.generic_dim(len(rows), window))
         mod = gtmodules.build_generic_module(rows, window)
         report = gtmodules.generic_module_report
         lines = [f"generic point rows: {args.generic}",
@@ -438,6 +445,7 @@ def cmd_gt(args) -> int:
                 raise ValueError(f"bad top row entry {quote(v)}: expected an integer")
         top = tuple(map(int, entries))
         _check_rank(len(top), "rank")
+        _check_export_dim(args.json, gtmodules.weyl_dim(top))
         mod = gtmodules.build_module(top, _parse_signs(args.signs, top))
         report = gtmodules.module_relation_report
         fills = ", ".join(f"r[{k}] = {len(mod.signs.rows[k])}"

@@ -29,7 +29,8 @@ eigenvalues and every matrix value read through `Matrix.entry` are
 Both kinds of module come from one builder over a basis of patterns:
 the interlacing patterns under a top row, or a regular pattern moved by
 every shift in a window.  Builders refuse modules whose dimension
-exceeds `MAX_MODULE_DIM` before enumerating a basis.
+exceeds `MAX_CHECK_DIM` before enumerating a basis; `gt --json` refuses
+those above `MAX_MODULE_DIM` before building.
 
 Matrices are exact and sparse: a `Matrix` is a list of rows, each a dict
 from column to a nonzero `int` numerator, over one `int` denominator in
@@ -39,8 +40,12 @@ sums run on ints with one gcd pass per result.  They have the operators
 relation catalogues of `relations` and hold no relation of their own.
 A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
-not to dim^2.  The JSON export writes every row in full, one row at a
-time, from the stored entries.
+not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
+bracket with X_kk or V_k is one pass over the other operand's entries
+(`Matrix.commutator`), and a ladder coefficient, which reads two
+adjacent rows, is evaluated once per distinct filling of those rows.
+The JSON export writes every row in full, one row at a time, from the
+stored entries.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -64,18 +69,24 @@ from . import gln
 
 Pattern = Tuple[Tuple[Union[int, Fraction], ...], ...]
 
-# Largest module the builders accept.  The dimension is known from the
-# input alone (Weyl formula, window size), so a larger module is refused
-# before any pattern is enumerated.  The cap also bounds `gt --json`,
-# which writes every matrix densely: about 25 matrices of dim^2 cells at
-# rank 4.
+# Largest module the builders accept, and so the largest `gt --check`.
+# The dimension is known from the input alone (Weyl formula, window
+# size), so a larger module is refused before any pattern is enumerated.
+# Set from a ~10 s job limit: on a 2-core machine, `gt --check` on the
+# largest module under it takes 3.6-9.9 s at ranks 4-7 and 16 s at
+# rank 8 (the report has about 5 n^2 entries).
+MAX_CHECK_DIM = 10_000
+
+# Largest module `gt --json` exports, checked before the build: the
+# export writes every matrix densely, about 25 matrices of dim^2 cells
+# at rank 4 (6.5 MB at dimension 140).
 MAX_MODULE_DIM = 500
 
 
 def check_module_dim(dim: int) -> None:
-    if dim > MAX_MODULE_DIM:
+    if dim > MAX_CHECK_DIM:
         raise ValueError(f"module dimension {dim} exceeds the budget "
-                         f"of {MAX_MODULE_DIM}")
+                         f"of {MAX_CHECK_DIM}")
 
 
 def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
@@ -271,6 +282,32 @@ class Matrix(list):
     def __sub__(self, other):
         return mat_sub(self, other)
 
+    def commutator(self, other: "Matrix") -> "Matrix":
+        """self*other - other*self.  With a diagonal operand D, entry
+        (i, j) of [D, B] is (d_i - d_j) b_ij: one pass over B's stored
+        entries.  "Diagonal" is read off the stored rows each call, as a
+        `Matrix` is a mutable list; otherwise the two products."""
+        if len(self) != len(other):
+            raise ValueError(f"matrix sizes differ: {len(self)} and {len(other)}")
+        for d, b, sign in ((self, other, 1), (other, self, -1)):
+            diag = _diagonal(d)
+            if diag is not None:
+                return _lowest([Row({j: sign * (di - diag[j]) * x for j, x in row.items()
+                                     if di != diag[j]}) for di, row in zip(diag, b)],
+                               self.den * other.den)
+        return self * other - other * self
+
+
+def _diagonal(m: Matrix) -> Optional[List[int]]:
+    """The diagonal numerators of m, or None if it stores an entry off
+    the diagonal."""
+    out = []
+    for i, row in enumerate(m):
+        if len(row) > 1 or (row and i not in row):
+            return None
+        out.append(row.get(i, 0))
+    return out
+
 
 def from_values(rows: Iterable[Dict[int, Union[int, Fraction]]]) -> Matrix:
     """The matrix of one {column: exact rational} dict per row.  Over
@@ -425,6 +462,13 @@ class ModuleRealization:
         return body
 
 
+def _row_slices(keys: List[Tuple[int, ...]], lo: int, hi: int) -> List[Tuple[int, ...]]:
+    """Each key's entries of rows lo..hi; row n is in no key, as it is
+    the same in every basis pattern."""
+    start, stop = lo * (lo - 1) // 2, hi * (hi + 1) // 2
+    return [key[start:stop] for key in keys]
+
+
 def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
              signs: Optional[SignData]) -> Dict[str, Matrix]:
     """Exact matrices of every generator on a basis of patterns.  Each
@@ -434,28 +478,37 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     `basis[j]` (its entries, or its window offset) in `shift_vars` order,
     so A_ki+- adds +-1 at `shift_pos((k, i))` and no pattern is hashed.
     A source's k summands of X_k+- reach k distinct targets, so X_k+- is
-    filled in the same pass, with no matrix sum."""
+    filled in the same pass, with no matrix sum.  a(k, i, +-) reads rows
+    k and k+-1 only, and V_k row k only, so each is evaluated once per
+    distinct int slice of the keys over those rows."""
     index = {key: j for j, key in enumerate(keys)}
-    points = [pattern_point(p) for p in basis]
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
         matrices[f"X{k}{k}"] = diagonal([_xkk_value(k, p) for p in basis])
     for k in range(2, n + 1):
-        matrices[f"V{k}"] = diagonal([act_vandermonde(k, p, signs)
-                                      for p in basis])
+        parts = _row_slices(keys, k, k)
+        # one pattern, and so one signed row-k filling, per distinct part
+        one = dict(zip(parts, basis))
+        values = {part: act_vandermonde(k, p, signs) for part, p in one.items()}
+        matrices[f"V{k}"] = diagonal([values[part] for part in parts])
 
     ctx = gln.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
+            parts = _row_slices(keys, min(k, k + sign), max(k, k + sign))
             ladder = [{} for _ in basis]
             for i in range(1, k + 1):
                 rows = [{} for _ in basis]
                 coeff_fn = gln.a_coeff(ctx, k, i, sign)
                 pos = ctx.shift_pos((k, i))
+                memo = {}
                 for j, key in enumerate(keys):
                     ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
                     if ti is not None:
-                        rows[ti][j] = ladder[ti][j] = coeff_fn.evaluate(points[j])
+                        value = memo.get(parts[j])
+                        if value is None:
+                            value = memo[parts[j]] = coeff_fn.evaluate(pattern_point(basis[j]))
+                        rows[ti][j] = ladder[ti][j] = value
                 matrices[f"A{k}{i}{tag}"] = from_values(rows)
             matrices[f"X{k}{tag}"] = from_values(ladder)
     return matrices
@@ -484,6 +537,10 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     choice, the construction the classification produces, and at rank 3
     only: it holds at ranks 4 and 5 too, but its keys would change the
     `gt --top` outputs recorded in `perfbench/reference.json`.
+
+    Each side is a `Matrix` in canonical form, so a relation holds when
+    `lhs == rhs`; no difference is built.  The squared Vandermonde is
+    evaluated once per distinct row filling.
     """
     n = mod.n
     if n < 2:
@@ -492,19 +549,21 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     rep = VerificationReport(f"module:{'-'.join(map(str, mod.top or ()))}")
     M = mod.matrices
     zero = zeros(mod.dim)
-    points = [pattern_point(p) for p in mod.basis]
-    squares = (("module", f"module:V{k}sq-consistency",
+
+    def squares(k):
+        vk = vandermonde(gln.triangle(n), k)
+        one = {p[k - 1]: p for p in mod.basis}
+        values = {row: Fraction(vk.evaluate(pattern_point(p)) ** 2) for row, p in one.items()}
+        return diagonal([values[p[k - 1]] for p in mod.basis])
+
+    squared = (("module", f"module:V{k}sq-consistency",
                 f"V{k} eigenvalue squares match the evaluated squared Vandermonde",
-                M[f"V{k}"] * M[f"V{k}"],
-                diagonal([Fraction(v ** 2)
-                          for v in map(vandermonde(gln.triangle(n), k).evaluate, points)]))
-               for k in range(2, n + 1))
+                M[f"V{k}"] * M[f"V{k}"], squares(k)) for k in range(2, n + 1))
     all_plus = mod.signs is None or mod.signs.is_all_plus
     rank3 = single_shift_catalogue(3, M, zero) if n == 3 and all_plus else ()
     for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
-                                                    squares, rank3):
-        # lhs - zero would only copy lhs
-        rep.add(verify_predicate(key, anchor, mat_is_zero(lhs if rhs is zero else lhs - rhs)))
+                                                    squared, rank3):
+        rep.add(verify_predicate(key, anchor, lhs == rhs))
     return rep
 
 
@@ -578,34 +637,4 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
     for bracket, anchor, lhs, rhs in gln_weights(mod.n, M):
         rep.add(verify_predicate(f"generic:{bracket}", f"{anchor} on interior vectors",
                                  columns_zero(lhs - rhs, cols)))
-    return rep
-
-
-def example_nonsemisimple(alpha) -> ModuleRealization:
-    """Two copies of the trivial rank-2 module glued by a nondiagonal
-    Vandermonde action [[1, alpha], [0, -1]]; its square is the identity
-    and the first coordinate line is a submodule."""
-    alpha = _as_fraction(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero; zero gives the split action")
-    trivial = normalize_pattern([(0,), (0, 0)])
-    matrices = {
-        "X1+": zeros(2), "X1-": zeros(2),
-        "X11": zeros(2), "X22": zeros(2),
-        "V2": from_values([{0: 1, 1: alpha}, {1: -1}]),
-    }
-    return ModuleRealization(n=2, basis=[trivial, trivial], matrices=matrices,
-                             top=(0, 0))
-
-
-def nonsemisimple_report(mod: ModuleRealization) -> VerificationReport:
-    rep = VerificationReport("nonsemisimple")
-    v2 = mod.matrices["V2"]
-    rep.add(verify_predicate(
-        "v2-squared-identity", "the glued Vandermonde action squares to the identity",
-        mat_is_zero(v2 * v2 - eye(2))))
-    closed = all(mod.matrices[name].entry(1, 0) == 0 for name in sorted(mod.matrices))
-    rep.add(verify_predicate(
-        "first-line-submodule", "the first coordinate line is closed under all generators",
-        closed))
     return rep

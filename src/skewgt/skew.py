@@ -341,7 +341,10 @@ def _coerce_ratfunc(ctx: Context, a) -> RatFunc:
 
 
 def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
-    return a * b - b * a
+    """a*b - b*a; an operand with its own `commutator` method (a module
+    `Matrix`, which brackets a diagonal operand in one pass) uses it."""
+    bracket = getattr(a, "commutator", None)
+    return a * b - b * a if bracket is None else bracket(b)
 
 
 def is_invariant(u: SkewElement, group: str) -> bool:

@@ -277,12 +277,27 @@ def test_gt_generic_rank_one_check(capsys):
 
 def test_size_budgets(capsys, monkeypatch):
     # refused from the dimension, exponent or rank alone, before any work
-    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "1000"])
+    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "5000"])
     assert code == 2 and out == ""
-    assert "module dimension 2001 exceeds the budget" in err
+    assert f"module dimension 10001 exceeds the budget of {gtmodules.MAX_CHECK_DIM}" in err
     code, out, err = run(capsys, ["gt", "--top", "1000,0,0", "--signs", "all-minus"])
     assert code == 2 and out == ""
     assert f"module dimension {gtmodules.weyl_dim((1000, 0, 0))} exceeds" in err
+    # --json writes dense rows, so its budget is checked before the build
+    with monkeypatch.context() as m:
+        def no_build(*args):
+            raise AssertionError("built a module over the --json budget")
+        m.setattr(gtmodules, "build_module", no_build)
+        m.setattr(gtmodules, "build_generic_module", no_build)
+        for argv, dim in ((["--top", "6,4,2,0"], 729),
+                          (["--generic", "1/3; 1,0", "--window", "250"], 501)):
+            code, out, err = run(capsys, ["gt", *argv, "--check", "--json", "-"])
+            assert code == 2 and out == ""
+            assert f"module dimension {dim} exceeds the --json budget of " \
+                f"{gtmodules.MAX_MODULE_DIM}" in err
+    # the budget itself is accepted, and a larger module without --json
+    cli._check_export_dim("-", gtmodules.MAX_MODULE_DIM)
+    cli._check_export_dim(None, gtmodules.MAX_CHECK_DIM)
     code, out, err = run(capsys, ["compute", "--expr", "X1+^100000", "--n", "2"])
     assert code == 2 and out == ""
     assert f"power ^100000 exceeds the exponent budget of {cli.MAX_POWER}" in err

@@ -88,7 +88,7 @@ def test_row_fillings():
 
 def test_row_fillings_refuses_over_budget_before_walking(monkeypatch):
     top = (1000, 0, 0)
-    assert gt.weyl_dim(top) > gt.MAX_MODULE_DIM
+    assert gt.weyl_dim(top) > gt.MAX_CHECK_DIM
 
     def no_walk(row):
         raise AssertionError(f"walked below {row}")
@@ -206,6 +206,45 @@ def test_module_report_mixed_signs():
     signs = gt.SignData.from_vectors(gt.row_fillings((2, 1, 0)), {2: [1, -1, -1, 1]})
     rep = gt.module_relation_report(gt.build_module((2, 1, 0), signs))
     assert rep.ok
+
+
+def plant(m, i, j, delta):
+    """A copy of m with delta added at (i, j), rebuilt in lowest terms."""
+    rows = [{c: m.entry(r, c) for c in row} for r, row in enumerate(m)]
+    rows[i][j] = rows[i].get(j, 0) + delta
+    return gt.from_values(rows)
+
+
+def test_module_reports_fail_on_planted_faults():
+    """One wrong stored value of X1+, or one stray entry of X1+ on the
+    diagonal, fails the named entries of the finite (2,1,0) report and
+    of a generic window's report on interior columns: `==`, the
+    diagonal commutator and the product fallback each see the fault."""
+    finite = gt.build_module((2, 1, 0))
+    x = finite.matrices["X1+"]
+    i = next(r for r, row in enumerate(x) if row)
+    j = next(iter(x[i]))
+    chevalley = {"chevalley:[X1+,X1-]", "chevalley:[X1+,X2-]"}
+    weights = {"chevalley:[X11,X1+]", "chevalley:[X22,X1+]"}
+    serre = {"serre:X1+:X2+", "serre:X2+:X1+"}
+    for target, expected in (((i, j), chevalley | serre),
+                             ((i, i), chevalley | weights | serre)):
+        mod = gt.build_module((2, 1, 0))
+        mod.matrices["X1+"] = plant(x, *target, 1)
+        assert set(failures(gt.module_relation_report(mod))) == expected, target
+
+    point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
+    generic = gt.build_generic_module(point, 1)
+    assert gt.generic_module_report(generic).ok
+    x = generic.matrices["X1+"]
+    c = generic.interior[0]
+    r = next(r for r, row in enumerate(x) if c in row)
+    for target, expected in (((r, c), {"generic:[X1+,X1-]"}),
+                             ((c, c), {"generic:[X1+,X1-]", "generic:[X11,X1+]",
+                                       "generic:[X22,X1+]"})):
+        mod = gt.build_generic_module(point, 1)
+        mod.matrices["X1+"] = plant(x, *target, 1)
+        assert set(failures(gt.generic_module_report(mod))) == expected, target
 
 
 def test_restriction_spectrum():
@@ -336,22 +375,6 @@ def test_generic_module_rejects_nonregular():
     assert gt.is_regular_point([(Fraction(1, 3),), (1, 0)], 2)
 
 
-def test_nonsemisimple_example():
-    m = gt.example_nonsemisimple(1)
-    rep = gt.nonsemisimple_report(m)
-    assert rep.ok
-    v2 = m.matrices["V2"].entry
-    assert v2(0, 0) + v2(1, 1) == 0          # trace
-    assert v2(0, 0) * v2(1, 1) - v2(0, 1) * v2(1, 0) == -1   # determinant
-    with pytest.raises(ValueError):
-        gt.example_nonsemisimple(0)
-    v2 = gt.example_nonsemisimple(Fraction(1, 2)).matrices["V2"]
-    assert v2.entry(0, 1) == Fraction(1, 2) and type(v2.entry(0, 1)) is Fraction
-    assert [v2.entry(i, j) for i in (0, 1) for j in (0, 1)] == \
-        [1, Fraction(1, 2), 0, -1]
-    assert v2.den == 2 and [dict(row) for row in v2] == [{0: 2, 1: 1}, {1: -2}]
-
-
 def test_module_layer_refuses_floats():
     """A float would enter through its binary expansion (0.3 reads as
     5404319552844595/18014398509481984), so the module layer refuses
@@ -373,8 +396,6 @@ def test_module_layer_refuses_floats():
             gt.eye(2) * bad
         with pytest.raises(TypeError):
             gt.build_module((2, 1, bad))
-        with pytest.raises(TypeError):
-            gt.example_nonsemisimple(bad)
         with pytest.raises(TypeError):
             gt.diagonal([1, bad])
         with pytest.raises(TypeError):
@@ -552,11 +573,84 @@ def test_matrix_ops_property(pair, c):
     assert (a + b) - b == a
 
 
+@st.composite
+def commutator_operands(draw):
+    """Two n x n Fraction matrices, each diagonal (zero diagonal entries
+    included) or general as the drawn shape says."""
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(Fraction(0)), rationals)
+
+    def square(diagonal):
+        if diagonal:
+            d = draw(st.lists(cell, min_size=n, max_size=n))
+            return [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    shape = draw(st.sampled_from(["left", "right", "both", "neither"]))
+    return square(shape in ("left", "both")), square(shape in ("right", "both"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(commutator_operands())
+def test_commutator_kernel_property(pair):
+    """`Matrix.commutator`, and `commutator` on matrices, equal the two
+    products and their difference, in lowest terms and canonical form,
+    whether a diagonal operand stands left, right, on both sides or on
+    neither (the product fallback)."""
+    da, db = pair
+    a, b = to_sparse(da), to_sparse(db)
+    want = gt.mat_sub(gt.mat_mul(a, b), gt.mat_mul(b, a))
+    assert to_dense(a.commutator(b)) == to_dense(want)
+    assert a.commutator(b) == want == commutator(a, b)
+    assert to_dense(a) == da and to_dense(b) == db
+
+
+def test_commutator_kernel_dispatch(monkeypatch):
+    """A diagonal operand takes the one-pass kernel (no product); two
+    non-diagonal matrices take two products and a difference; skew
+    elements keep `a*b - b*a`; operands of different sizes are refused."""
+    calls = []
+    for name in ("mat_mul", "mat_sub"):
+        op = getattr(gt, name)
+        monkeypatch.setattr(gt, name, lambda a, b, op=op, name=name: (calls.append(name),
+                                                                      op(a, b))[1])
+    mod = gt.build_module((2, 1, 0))
+    M = mod.matrices
+    for a, b in ((M["X11"], M["X1+"]), (M["X2-"], M["V2"]), (M["V3"], M["X22"])):
+        commutator(a, b)
+    assert calls == []
+    # diagonal but for one entry
+    near = plant(M["X11"], 0, 1, 1)
+    commutator(near, M["X1+"])
+    assert calls == ["mat_mul", "mat_mul", "mat_sub"]
+    for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.zeros(2))):
+        with pytest.raises(ValueError, match="sizes differ"):
+            commutator(a, b)
+
+    ctx = gln.triangle(2)
+    x, y = gln.gen_X(ctx, 1, 1), gln.gen_Xkk(ctx, 1)
+    products = []
+    mul = type(x).__mul__
+    monkeypatch.setattr(type(x), "__mul__", lambda a, b: (products.append(1), mul(a, b))[1])
+    assert commutator(x, y) == x * y - y * x
+    assert len(products) == 4
+
+
 def test_identity_and_zero_matrices():
     for n in range(1, 5):
         assert to_dense(gt.eye(n)) == [[Fraction(int(i == j)) for j in range(n)]
                                        for i in range(n)]
         assert gt.mat_is_zero(gt.zeros(n)) and not gt.mat_is_zero(gt.eye(n))
+
+
+def test_from_values_storage():
+    """`from_values` stores Fraction values as int numerators over the
+    lcm of their denominators, and `entry` reads them back as Fractions."""
+    m = gt.from_values([{0: 1, 1: Fraction(1, 2)}, {1: -1}])
+    assert m.entry(0, 1) == Fraction(1, 2) and type(m.entry(0, 1)) is Fraction
+    assert [m.entry(i, j) for i in (0, 1) for j in (0, 1)] == \
+        [1, Fraction(1, 2), 0, -1]
+    assert m.den == 2 and [dict(row) for row in m] == [{0: 2, 1: 1}, {1: -2}]
 
 
 def ladder_oracle(p, k, i, s):
@@ -574,6 +668,16 @@ def ladder_oracle(p, k, i, s):
     return num / den
 
 
+def vandermonde_oracle(k, p, signs):
+    """V_k on a pattern: the sign chosen for its row-k filling (+1
+    without sign data) times prod_{i<j} (l_ki - l_kj)."""
+    l = [Fraction(v) - i for i, v in enumerate(p[k - 1])]
+    value = Fraction(1 if signs is None else signs.rows[k][p[k - 1]])
+    for i, j in itertools.combinations(range(k), 2):
+        value *= l[i] - l[j]
+    return value
+
+
 def diagonal_oracle(k, p):
     """X_kk on a pattern: row sum k minus row sum k-1."""
     return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
@@ -581,15 +685,21 @@ def diagonal_oracle(k, p):
 
 def test_ladder_matrices_match_per_pattern_action():
     """Every built ladder summand, ladder and diagonal matrix of the
-    (1,0), (2,1,0) and (2,1,0,0) modules and of a radius-1 generic
-    window (dim 27), column by column, against the closed-form
-    coefficients evaluated with Fractions on the pattern entries: A_ki(+-)
-    sends p to p with entry (k, i) moved by +-1 when that target is a
-    basis pattern."""
+    (1,0), (2,1,0) and (2,1,0,0) modules, of (2,1,0,0) with mixed signs
+    on rows 2 and 3, and of a radius-1 generic window (dim 27), column
+    by column, against the closed-form coefficients evaluated with
+    Fractions on the pattern entries: A_ki(+-) sends p to p with entry
+    (k, i) moved by +-1 when that target is a basis pattern, and V_k
+    acts by the sign of p's row-k filling times the Vandermonde."""
     generic = gt.build_generic_module(
         [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)], 1)
     assert generic.dim == 27
-    for mod in [gt.build_module(top) for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]] + [generic]:
+    fillings = gt.row_fillings((2, 1, 0, 0))
+    signed = gt.build_module((2, 1, 0, 0), gt.SignData.from_vectors(
+        fillings, {k: [(-1) ** (i // k) for i in range(len(fillings[k]))] for k in (2, 3)}))
+    assert {-1, 1} <= set(signed.signs.rows[3].values())
+    for mod in [gt.build_module(top) for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]] + \
+            [signed, generic]:
         top = mod.basis[0][-1]
         n = mod.n
         index = {p: j for j, p in enumerate(mod.basis)}
@@ -599,6 +709,10 @@ def test_ladder_matrices_match_per_pattern_action():
             for k in range(1, n + 1):
                 d = diagonal_oracle(k, p)
                 assert column(mod.matrices[f"X{k}{k}"], j) == ({j: d} if d else {})
+                if k >= 2:
+                    v = vandermonde_oracle(k, p, mod.signs)
+                    assert column(mod.matrices[f"V{k}"], j) == ({j: v} if v else {}), \
+                        (top, k, p)
             for k in range(1, n):
                 for s, tag in ((1, "+"), (-1, "-")):
                     total = {}
@@ -619,10 +733,11 @@ def test_module_size_budget():
     # dimension arithmetic only: nothing this large is ever built
     assert gt.weyl_dim((4, 2, 1, 0)) <= gt.MAX_MODULE_DIM
     assert gt.generic_dim(3, 2) <= gt.MAX_MODULE_DIM
+    assert gt.weyl_dim((4, 3, 2, 1, 0, 0)) <= gt.MAX_CHECK_DIM
     with pytest.raises(ValueError, match="exceeds the budget"):
         gt.build_module((100, 0, 0, 0))
-    with pytest.raises(ValueError, match="module dimension 2001 exceeds"):
-        gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=1000)
+    with pytest.raises(ValueError, match="module dimension 10001 exceeds"):
+        gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=5000)
 
 
 def test_generic_report_needs_rank_two():
