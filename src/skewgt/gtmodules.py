@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polys import VarId, _as_fraction, _coeff, vandermonde
+from .polys import VarId, _as_fraction, _coeff
 from .relations import (VerificationReport, gln_catalogue, gln_weights, single_shift_catalogue,
                         verify_predicate)
 from .skew import commutator
@@ -225,6 +225,16 @@ def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
     for i, j in itertools.combinations(range(len(row)), 2):
         val *= row[i] - row[j] + (j - i)
     return Fraction(val)
+
+
+def squared_vandermonde(k: int, point: Dict[VarId, Union[int, Fraction]]) -> Fraction:
+    """prod_{i<j} (x_ki - x_kj)^2 at a point, one factor at a time: the
+    value of `polys.vandermonde(ctx, k)` squared, without expanding its
+    k! terms."""
+    val = 1
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        val *= point[(k, i)] - point[(k, j)]
+    return Fraction(val * val)
 
 
 def _xkk_value(k: int, p: Pattern) -> Fraction:
@@ -540,7 +550,9 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
 
     Each side is a `Matrix` in canonical form, so a relation holds when
     `lhs == rhs`; no difference is built.  The squared Vandermonde is
-    evaluated once per distinct row filling.
+    evaluated once per distinct row filling, as a product of its factors
+    (`squared_vandermonde`), so a rank-9 report does not expand the 9!
+    terms of V_9.
     """
     n = mod.n
     if n < 2:
@@ -551,9 +563,8 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     zero = zeros(mod.dim)
 
     def squares(k):
-        vk = vandermonde(gln.triangle(n), k)
         one = {p[k - 1]: p for p in mod.basis}
-        values = {row: Fraction(vk.evaluate(pattern_point(p)) ** 2) for row, p in one.items()}
+        values = {row: squared_vandermonde(k, pattern_point(p)) for row, p in one.items()}
         return diagonal([values[p[k - 1]] for p in mod.basis])
 
     squared = (("module", f"module:V{k}sq-consistency",

@@ -47,7 +47,10 @@ summed as ints scaled by powers of L, and the one result is a Fraction.
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
 therefore unique, the remainder being the substitution x_a := x_b - c,
-and one Horner pass over the powers of x_a computes both.
+and one Horner pass over the powers of x_a computes both.  A trial
+division by (x_a + c) with an integral c computes the remainder alone
+first, since most trial divisions fail.  Shifts x_v -> x_v - s run
+Horner's scheme over the same rows of powers.
 """
 
 from __future__ import annotations
@@ -252,13 +255,21 @@ class Ring:
         return (-self) + other
 
     def __pow__(self, k: int):
-        """``one * self * ... * self`` with k factors, left to right."""
+        """``one * self * ... * self`` with k factors, by repeated
+        squaring (Knuth, TAOCP vol. 2, 4.6.3): about 2 log2(k) products
+        instead of k.  Powers of one element commute, so the order of the
+        products does not change the value, even in a ring that does not
+        commute.  k = 0 gives ``one``, k = 1 gives ``self`` itself."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = type(self).one(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return type(self).one(self.ctx) if out is None else out
 
 
 class Poly(Ring):
@@ -423,25 +434,41 @@ class Poly(Ring):
         return out
 
     def _shift_one(self, pos: int, s: int) -> "Poly":
-        offset, unit, mask = self.ctx._offsets[pos], self.ctx._units[pos], _MASK
-        # expansions[e]: (x - s)^e as (key decrement, coefficient) pairs,
-        # x^j taking j*unit off the key of x^e
-        expansions: dict = {}
-        out: dict = {}
-        get = out.get
+        """x_v -> x_v - s for the variable at `pos`: a Taylor shift by
+        t = -s, run as Horner's scheme over the rows of the powers of x_v
+        (von zur Gathen & Gerhard, ISSAC 1997).  Write p = sum_j R_j x_v^j
+        with every R_j free of x_v; for i = 0..d-1 and j = d-1 down to i,
+        R_j += t*R_{j+1} leaves the rows of p(x_v + t).  That is d(d+1)/2
+        row sums and no binomial coefficient.  A polynomial free of x_v
+        is returned as it is.  No key leaves the degree bound: row j only
+        ever receives terms of rows above it."""
+        ctx = self.ctx
+        offset, unit, mask = ctx._offsets[pos], ctx._units[pos], _MASK
+        # rows[j]: the terms of R_j x_v^j, keyed by their packed keys
+        buckets: dict = {}
         for key, coeff in self.terms.items():
-            e = (key >> offset) & mask
-            if e == 0:
-                out[key] = get(key, 0) + coeff
-                continue
-            expansion = expansions.get(e)
-            if expansion is None:
-                expansion = expansions[e] = [((e - j) * unit, math.comb(e, j) * (-s) ** (e - j))
-                                             for j in range(e + 1)]
-            for drop, c in expansion:
-                k = key - drop
-                out[k] = get(k, 0) + coeff * c
-        return Poly._from_packed(self.ctx, out)
+            j = (key >> offset) & mask
+            row = buckets.get(j)
+            if row is None:
+                buckets[j] = {key: coeff}
+            else:
+                row[key] = coeff
+        d = max(buckets, default=0)
+        if d == 0:
+            return self
+        t = -s
+        rows = [buckets.get(j, {}) for j in range(d + 1)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                row = rows[j]
+                get = row.get
+                for key, v in rows[j + 1].items():
+                    key -= unit
+                    row[key] = get(key, 0) + t * v
+        out = rows[0]
+        for row in rows[1:]:
+            out.update(row)
+        return Poly._from_packed(ctx, out)
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":
         """Rename variables; the mapping must be a bijection within rows."""
@@ -550,7 +577,34 @@ class Poly(Ring):
         return Poly._from_packed(ctx, quot), Poly._from_packed(ctx, rows.get(0, {}))
 
     def exact_div_linear(self, a: VarId, b: Optional[VarId], c: Fraction) -> Optional["Poly"]:
-        """Quotient when (x_a - x_b + c) divides exactly, else None."""
+        """Quotient when (x_a - x_b + c) or (x_a + c) divides exactly,
+        else None.
+
+        Most trial divisions fail, so for (x_a + c) with an integral c
+        the remainder p(x_a := -c) is computed first, in one pass that
+        builds no quotient, and a nonzero one returns None at once.  For
+        a difference (x_a - x_b + c) the remainder, a polynomial in x_b,
+        costs as much as the division, and a c that is not an integer
+        would make every power of -c a Fraction; both go straight to
+        `divmod_linear`.
+        """
+        c = _coeff(c)
+        if b is None and type(c) is int:
+            ctx = self.ctx
+            pa = ctx.var_pos(a)
+            offset, unit, mask = ctx._offsets[pa], ctx._units[pa], _MASK
+            # the remainder, keyed by the packed keys with x_a^k divided out
+            root, powers = -c, [1]
+            rem: dict = {}
+            get = rem.get
+            for key, coeff in self.terms.items():
+                k = (key >> offset) & mask
+                while len(powers) <= k:
+                    powers.append(powers[-1] * root)
+                key -= k * unit
+                rem[key] = get(key, 0) + coeff * powers[k]
+            if any(rem.values()):
+                return None
         q, r = self.divmod_linear(a, b, c)
         return q if r.is_zero else None
 

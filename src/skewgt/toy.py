@@ -28,8 +28,10 @@ X_VAR = (1, 1)
 # Largest exponent of x in `f` and largest |c| in a target 1/(x+c) the
 # parsers accept; a larger value is refused before any work starts.
 # A witness multiplies |c| shifted copies of f, so its cost grows with
-# the product: f = x^24 + x + 1 with c = 24 takes 2.6 s, with 32 and 32
-# 13 s, with 64 and 64 over a minute (2-core VM, Python 3.11).
+# the product: f = x^24 + x + 1 with c = 24 takes 0.45 s, with 32 and 32
+# 2.4 s, with 64 and 64 over four minutes, nearly all of it Taylor
+# shifts of numerators of degree up to 64*65 (in-process, 2-core VM,
+# Python 3.11).
 MAX_DEGREE = 24
 MAX_TRANSLATE = 24
 
@@ -115,17 +117,19 @@ def witness_inverse(spec: ToySpec, c: int) -> WitnessTrace:
     for c <= -1 (printed YX for c = 0 and XY for c = -1).  Over the
     shifts j in range(c), or range(c+1, 0) when c < 0, the clearing
     polynomial is the product of the (x+j) and m is the exact
-    multiplicity of (x+c) in the product of the f(x+j).
+    multiplicity of (x+c) in the product of the f(x+j).  Since x+c is
+    prime, m is the sum over j of its multiplicity in f(x+j), which is
+    that of x+c-j in f; the product is never expanded.
     """
     c = _translate(c)
     ctx = spec.f.ctx
     X, Y = build_toy(spec)
     x = Poly.var(ctx, X_VAR)
-    aux = clear = Poly.one(ctx)
+    clear = Poly.one(ctx)
+    m = 0
     for j in (range(c) if c >= 0 else range(c + 1, 0)):
-        aux = aux * spec.f.subs_shift({X_VAR: -j})  # f(x + j)
         clear = clear * (x + j)
-    m = _multiplicity(aux, c)
+        m += _multiplicity(spec.f, c - j)
     if c >= 0:
         word = "YX" if c == 0 else f"Y^{c + 1}(XY)^{m}X^{c + 1}"
         element = (Y ** (c + 1)) * ((X * Y) ** m) * (X ** (c + 1))

@@ -162,6 +162,28 @@ def test_vandermonde_squares_match_evaluation():
                 assert ev ** 2 == vk.evaluate(gt.pattern_point(p)) ** 2
 
 
+def test_squared_vandermonde_product_matches_the_expanded_polynomial():
+    # the report's V_k^2 entry multiplies the factors; the expanded
+    # Vandermonde polynomial is the oracle on every filling of each row
+    for top in [(2, 1, 0), (3, 1, 1), (2, 1, 0, 0), (2, 2, 1, 0), (1, 1, 0, 0, 0),
+                (2, 1, 0, 0, 0)]:
+        ctx = gln.triangle(len(top))
+        for k in range(2, len(top) + 1):
+            vk = vandermonde(ctx, k)
+            for p in gt.enumerate_patterns(top):
+                point = gt.pattern_point(p)
+                assert gt.squared_vandermonde(k, point) == vk.evaluate(point) ** 2
+
+
+def test_rank_nine_module_check_runs(capsys):
+    code = cli.main(["gt", "--top", "1,0,0,0,0,0,0,0,0", "--check"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "dimension: 9" in out
+    assert "[pass] module:V9sq-consistency" in out
+    assert "suite module:1-0-0-0-0-0-0-0-0: 433/433 identities passed" in out
+
+
 def test_standard_module_matches_defining_representation():
     m = gt.build_module((1, 0))
     assert m.dim == 2

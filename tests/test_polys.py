@@ -545,3 +545,98 @@ def test_packed_kernels_match_sympy(n, data):
         if tuples:
             assert r.leading()[0] == max(tuples, key=grlex_key)
             assert r.degree() == max(map(sum, tuples))
+
+
+# -- Taylor shifts by rows and remainder-first linear division -----------
+#
+# `_shift_one` runs Horner's scheme over the rows of one variable's
+# powers and returns a polynomial free of that variable as it is;
+# `exact_div_linear` screens (x_a + c) with an integral c by the
+# remainder alone.  sympy and `divmod_linear` are the oracles.
+
+LINE = Context.line()
+
+
+@st.composite
+def line_polys(draw, max_degree=60):
+    """Univariate polynomials up to degree `max_degree`, dense or sparse,
+    with int and Fraction coefficients."""
+    degree = draw(st.integers(0, max_degree))
+    exps = draw(st.lists(st.integers(0, degree), max_size=degree + 1)) + [degree]
+    return Poly(LINE, {(e,): draw(scalars) for e in exps})
+
+
+@st.composite
+def deep_monomials(draw, ctx):
+    exps = [0] * len(ctx.vars)
+    for pos, e in draw(st.dictionaries(st.integers(0, len(ctx.vars) - 1),
+                                       st.integers(1, 6), max_size=3)).items():
+        exps[pos] = e
+    return tuple(exps)
+
+
+@st.composite
+def deep_polys(draw, ctx):
+    """Sparse polynomials with exponents up to 6 in every variable and
+    up to three variables per term."""
+    return Poly(ctx, draw(st.dictionaries(deep_monomials(ctx), scalars, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_multivariate_subs_shift_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    ctx = ORACLE_CONTEXTS[3]
+    syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+    sym = dict(zip(ctx.vars, syms))
+    p = data.draw(deep_polys(ctx))
+    shift = {v: data.draw(st.integers(-6, 6)) for v in ctx.shift_vars}
+    expected = to_sympy(p, syms).xreplace({sym[v]: sym[v] - s for v, s in shift.items()})
+    assert sympy.expand(to_sympy(p.subs_shift(shift), syms) - expected) == 0
+    assert p.subs_shift(shift).subs_shift({v: -s for v, s in shift.items()}) == p
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p=line_polys(), s=st.integers(-30, 30))
+def test_line_subs_shift_matches_sympy_at_high_degree(p, s):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    shifted = p.subs_shift({(1, 1): s})
+    assert sympy.expand(to_sympy(shifted, [x]) - to_sympy(p, [x]).xreplace({x: x - s})) == 0
+    assert shifted.degree() == p.degree()
+    assert shifted.subs_shift({(1, 1): -s}) == p
+
+
+def test_shift_free_of_the_variable_returns_the_polynomial(ctx2):
+    p = x(ctx2, 2, 1) * x(ctx2, 2, 2) + 3
+    assert p.subs_shift({(1, 1): 4}) is p
+    assert Poly.zero(ctx2).subs_shift({(1, 1): 4}).is_zero
+
+
+def divisions(p, a, c):
+    q, r = p.divmod_linear(a, None, c)
+    return q if r.is_zero else None
+
+
+@st.composite
+def linear_roots(draw):
+    """A translate c of (x_a + c): an int, an integral Fraction or a
+    proper Fraction."""
+    num = draw(st.integers(-9, 9))
+    return draw(st.sampled_from([num, Fraction(num), Fraction(num, draw(st.sampled_from([2, 3, 7])))]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_exact_div_linear_agrees_with_divmod(data):
+    ctx = data.draw(st.sampled_from([LINE, ORACLE_CONTEXTS[3]]))
+    p = data.draw(line_polys(max_degree=12) if ctx is LINE else deep_polys(ctx))
+    a = data.draw(st.sampled_from(ctx.vars))
+    c = data.draw(linear_roots())
+    assert p.exact_div_linear(a, None, c) == divisions(p, a, c)
+    # a multiple of (x_a + c) always divides, back to the cofactor
+    product = p * (Poly.var(ctx, a) + c)
+    assert product.exact_div_linear(a, None, c) == p
+    # and a multiple of a root's neighbour only when it has the root
+    near = p * (Poly.var(ctx, a) + c + 1)
+    assert near.exact_div_linear(a, None, c) == divisions(near, a, c)

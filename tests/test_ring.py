@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewgt.polys import Context, Poly, Ring
 from skewgt.ratfunc import RatFunc
@@ -98,3 +99,57 @@ def test_act_keeps_terms_and_cycles_have_their_order():
         i, j = sorted(rng.sample(range(1, len(ctx.rows[row]) + 1), 2))
         t = RowPermutation.transposition(ctx, row, i, j)
         assert u.act(t).act(t) == u
+
+
+class CountingRing(Ring):
+    """Integers mod 2^61 - 1 under a `*` that records its operands, to
+    see the products `**` makes."""
+
+    __slots__ = ("v", "ctx", "log")
+    MOD = (1 << 61) - 1
+
+    def __init__(self, v, log):
+        self.v, self.ctx, self.log = v % self.MOD, log, log
+
+    @staticmethod
+    def one(log):
+        return CountingRing(1, log)
+
+    def _promote(self, other):
+        return other if isinstance(other, CountingRing) else None
+
+    def _mul(self, other):
+        self.log.append((self.v, other.v))
+        return CountingRing(self.v * other.v, self.log)
+
+
+def test_powers_square_through_the_product_operator():
+    for k, products in [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (15, 6), (64, 6)]:
+        log = []
+        a = CountingRing(3, log)
+        assert (a ** k).v == pow(3, k, CountingRing.MOD)
+        assert len(log) == products, k
+    assert (a ** 1) is a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["poly", "ratfunc", "skew"]),
+       k=st.integers(0, 9))
+def test_power_is_the_left_to_right_product(seed, kind, k):
+    """`a ** k` by squaring equals one * a * ... * a (k factors) on
+    every ring type, the skew elements drawn so that they do not
+    commute with a coordinate."""
+    rng = random.Random(seed)
+    ctx = Context.triangle(2)
+    if kind == "poly":
+        a = rand_poly(rng, ctx, max_terms=3, max_deg=2)
+    elif kind == "ratfunc":
+        a = rand_ratfunc(rng, ctx)
+    else:
+        a = rand_skew(rng, ctx, max_terms=2)
+        x11 = SkewElement.from_coeff(Poly.var(ctx, (1, 1)))
+        assume(a * x11 != x11 * a)
+    expected = type(a).one(ctx)
+    for _ in range(k):
+        expected = expected * a
+    assert a ** k == expected

@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgt import toy
 from skewgt.polys import Poly
@@ -187,3 +190,60 @@ def test_parsers(ctx):
     assert toy.parse_inverse_target("1/(x+3)") == 3
     with pytest.raises(ValueError):
         toy.parse_inverse_target("2/x")
+
+
+# -- the multiplicity m of the word -------------------------------------
+#
+# `witness_inverse` sums the multiplicity of x+c in each f(x+j); the
+# oracle expands the product of the f(x+j) and divides it by x+c until
+# a remainder appears.
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def expanded_multiplicity(f: Poly, c: int) -> int:
+    aux = Poly.one(f.ctx)
+    for j in (range(c) if c >= 0 else range(c + 1, 0)):
+        aux = aux * f.subs_shift({toy.X_VAR: -j})
+    m = 0
+    while True:
+        q, r = aux.divmod_linear(toy.X_VAR, None, c)
+        if not r.is_zero:
+            return m
+        aux, m = q, m + 1
+
+
+def test_multiplicity_on_the_rooted_witness_cells(ctx):
+    cells = [cell for cell in json.loads(REFERENCE.read_text())["witness_cells"]
+             if cell["integer_root"]]
+    assert cells
+    for cell in cells:
+        for text in cell["f"]:
+            f = toy.parse_univariate(ctx, text)
+            trace = toy.witness_inverse(toy.ToySpec(f), cell["c"])
+            assert trace.multiplicity == expanded_multiplicity(f, cell["c"]) == 1, text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_multiplicity_matches_the_expanded_product(data):
+    """f = prod (x - r) * g with integer roots r, repeated ones included,
+    and g(0) != 0.  x+c divides f(x+j) for a shift j of the word exactly
+    when r = j - c, so most roots are drawn on the side of 0 opposite
+    to c, where such a j exists."""
+    c = data.draw(st.integers(-6, 6))
+    side = -1 if c > 0 else 1
+    roots = data.draw(st.lists(st.one_of(st.integers(1, 6).map(lambda r: side * r),
+                                         st.integers(-6, 6).filter(bool)), max_size=3))
+    cofactor = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)
+                         .filter(lambda v: v[0]))
+    ctx = toy.line_context()
+    x = xvar(ctx)
+    f = Poly.zero(ctx)
+    for e, v in enumerate(cofactor):
+        f = f + v * x ** e
+    for r in roots:
+        f = f * (x - r)
+    trace = toy.witness_inverse(toy.ToySpec(f), c)
+    assert trace.multiplicity == expanded_multiplicity(f, c)
+    assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
