@@ -17,6 +17,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 from typing import List, Optional
 
@@ -269,11 +270,19 @@ def _scalar(value) -> str:
     return _encode_str(value) if isinstance(value, str) else json.dumps(value)
 
 
+def _value_text(x: int, den: int) -> str:
+    """``str(Fraction(x, den))`` for an int x over a positive int den,
+    with one gcd and no Fraction."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def _matrix_rows(m: gtmodules.Matrix, indent: str):
     """The chunks of `_render_json` for a matrix: one dense row each.
     Every row is sliced from one all-"0" row text, with the value string
-    of each stored entry spliced in at its column, so a row costs Python
-    work only for its nonzero entries."""
+    of each stored entry (`_value_text`) spliced in at its column, so a
+    row costs Python work only for its nonzero entries."""
+    den = m.den
     inner = indent + "  "
     cell = ",\n" + inner + "  "
     zero_row = cell.join(['"0"'] * len(m))
@@ -284,7 +293,7 @@ def _matrix_rows(m: gtmodules.Matrix, indent: str):
         pos = 0
         for j in sorted(row):
             start = j * step
-            pieces += (zero_row[pos:start], '"', str(Fraction(row[j], m.den)), '"')
+            pieces += (zero_row[pos:start], '"', _value_text(row[j], den), '"')
             pos = start + 3
         pieces += (zero_row[pos:], "\n", inner, "]")
         yield "".join(pieces)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence, Union
 from .polys import Context, Poly, quote, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, is_invariant
@@ -29,7 +30,13 @@ def triangle(n: int) -> Context:
 
 
 def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
-    """The rational coefficient attached to the shift d_ki in X_k^sign."""
+    """The rational coefficient attached to the shift d_ki in X_k^sign.
+
+    It is built in normal form, with no trial division: every numerator
+    factor holds a row-(k+sign) variable and no denominator factor does,
+    so nothing cancels, and the numerator, a product of linear factors
+    with leading coefficients +-1, is primitive with leading coefficient
+    +-1, whose sign goes into the scale."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not (1 <= i <= k <= ctx.n - 1):
@@ -45,7 +52,31 @@ def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
             f, s = linear_factor((k, j), (k, i), 0)
             den.append(f)
             scale *= s
-    return RatFunc(num, den, scale)
+    if num.leading()[1] < 0:
+        num, scale = -num, -scale
+    return RatFunc._reduced(num, den, scale)
+
+
+def a_value(row: Sequence, src: Sequence, i: int, sign: int) -> Union[int, Fraction]:
+    """a(k, i, sign) at a point, in closed form from the two rows it
+    reads: ``row`` = (x_k1, ..., x_kk) and ``src`` = (x_{k+sign,1}, ...),
+    empty for row 0, as ints or Fractions.  Every factor's numerator and
+    denominator is multiplied in as an int and the product divided once,
+    so the value is an int when integral, else a Fraction.  A vanishing
+    denominator factor raises ZeroDivisionError."""
+    xi = row[i - 1]
+    num, den = -sign, 1
+    for x in src:
+        d = x - xi
+        num *= d.numerator
+        den *= d.denominator
+    for j, x in enumerate(row, start=1):
+        if j != i:
+            d = x - xi
+            num *= d.denominator
+            den *= d.numerator
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:

@@ -2,9 +2,9 @@
 
 Finite-dimensional modules are built on the integral interlacing
 patterns under a fixed dominant top row; the ladder generators act by
-the evaluated shift coefficients, the diagonal generators by row sums,
-and each row Vandermonde acts diagonally with a sign choice per
-distinct row filling.
+the shift coefficients taken at each pattern, the diagonal generators
+by row sums, and each row Vandermonde acts diagonally with a sign
+choice per distinct row filling.
 
 The single bridge between pattern entries and the engine variables is
 the staircase substitution
@@ -20,10 +20,15 @@ the evaluated square of the Vandermonde polynomial.
 Pattern entries are exact rationals stored like polynomial coefficients:
 an `int` when integral (every entry of a finite module, the top row of a
 generic one) and a `Fraction` otherwise.  Staircase points then run on
-ints, and `Poly.evaluate` evaluates at an integral point without
-building a Fraction per coordinate.  Moves and basis lookups never touch
-a pattern: they run on integer keys (see `_realize`).  Diagonal
-eigenvalues and every matrix value read through `Matrix.entry` are
+ints.  A ladder coefficient a(k, i, +-) is a product of linear factors
+in the staircase entries of rows k and k+-1, so it is taken in closed
+form (`gln.a_value`) in int arithmetic; the symbolic `gln.a_coeff` is
+evaluated once per summand, to check the closed form.  A ladder value
+is an `int` whenever it is integral, and row sums and Vandermonde
+eigenvalues are ints on integral rows, so storing the matrices of a
+finite module makes no Fraction per entry.
+Moves and basis lookups never touch a pattern: they run on integer keys
+(see `_realize`).  Every matrix value read through `Matrix.entry` is a
 `Fraction`.
 
 Both kinds of module come from one builder over a basis of patterns:
@@ -43,9 +48,9 @@ and the relation reports cost time in proportion to the stored entries,
 not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
 bracket with X_kk or V_k is one pass over the other operand's entries
 (`Matrix.commutator`), and a ladder coefficient, which reads two
-adjacent rows, is evaluated once per distinct filling of those rows.
+adjacent rows, is computed once per distinct filling of those rows.
 The JSON export writes every row in full, one row at a time, from the
-stored entries.
+stored numerators, each reduced over `den` with one gcd.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -61,7 +66,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polys import VarId, _as_fraction, _coeff
+from .polys import Context, VarId, _as_fraction, _coeff
 from .relations import (VerificationReport, gln_catalogue, gln_weights, single_shift_catalogue,
                         verify_predicate)
 from .skew import commutator
@@ -101,10 +106,16 @@ def normalize_pattern(rows: Sequence[Sequence]) -> Pattern:
     return tuple(out)
 
 
+def staircase(p: Pattern, k: int) -> Tuple[Union[int, Fraction], ...]:
+    """Row k of the staircase point, (x_k1, ..., x_kk) with
+    x_ki = lambda_ki - i + 1; empty for k = 0."""
+    return tuple(v - i for i, v in enumerate(p[k - 1])) if k else ()
+
+
 def pattern_point(p: Pattern) -> Dict[VarId, Union[int, Fraction]]:
-    """Staircase evaluation point x_ki = lambda_ki - i + 1."""
-    return {(k, i): p[k - 1][i - 1] - i + 1
-            for k in range(1, len(p) + 1) for i in range(1, k + 1)}
+    """The staircase point as a map {(k, i): x_ki} over every row."""
+    return {(k, i): x for k in range(1, len(p) + 1)
+            for i, x in enumerate(staircase(p, k), start=1)}
 
 
 def _check_dominant(top: Sequence[int]) -> Tuple[int, ...]:
@@ -216,29 +227,30 @@ class SignData:
         return all(s == 1 for row in self.rows.values() for s in row.values())
 
 
-def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Fraction:
+def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Union[int, Fraction]:
     """Diagonal Vandermonde eigenvalue on a pattern: the chosen sign for
     the row filling (+1 without sign data) times
-    prod_{i<j} (lambda_ki - lambda_kj + j - i)."""
+    prod_{i<j} (lambda_ki - lambda_kj + j - i), an int on an integral row."""
     row = p[k - 1]
     val = 1 if signs is None else signs.rows[k][row]
     for i, j in itertools.combinations(range(len(row)), 2):
         val *= row[i] - row[j] + (j - i)
-    return Fraction(val)
+    return val
 
 
-def squared_vandermonde(k: int, point: Dict[VarId, Union[int, Fraction]]) -> Fraction:
-    """prod_{i<j} (x_ki - x_kj)^2 at a point, one factor at a time: the
-    value of `polys.vandermonde(ctx, k)` squared, without expanding its
-    k! terms."""
+def squared_vandermonde(k: int, p: Pattern) -> Union[int, Fraction]:
+    """prod_{i<j} (x_ki - x_kj)^2 at the staircase point of a pattern,
+    read off its row k, one factor at a time: the value of
+    `polys.vandermonde(ctx, k)` squared, without expanding its k! terms."""
+    x = staircase(p, k)
     val = 1
-    for i, j in itertools.combinations(range(1, k + 1), 2):
-        val *= point[(k, i)] - point[(k, j)]
-    return Fraction(val * val)
+    for i, j in itertools.combinations(range(k), 2):
+        val *= x[i] - x[j]
+    return val * val
 
 
-def _xkk_value(k: int, p: Pattern) -> Fraction:
-    return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
+def _xkk_value(k: int, p: Pattern) -> Union[int, Fraction]:
+    return sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0)
 
 
 # ----------------------------------------------------------------------
@@ -479,18 +491,32 @@ def _row_slices(keys: List[Tuple[int, ...]], lo: int, hi: int) -> List[Tuple[int
     return [key[start:stop] for key in keys]
 
 
+def _checked(ctx: Context, k: int, i: int, sign: int, p: Pattern,
+             value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """The closed-form value of a(k, i, sign) at p, once it is found
+    equal to the symbolic `gln.a_coeff` evaluated at p's staircase
+    point; ArithmeticError if the two differ."""
+    expected = gln.a_coeff(ctx, k, i, sign).evaluate(pattern_point(p))
+    if value != expected:
+        raise ArithmeticError(f"a({k},{i},{sign:+d}) at {p}: closed form gives {value}, "
+                              f"a_coeff gives {expected}")
+    return value
+
+
 def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
              signs: Optional[SignData]) -> Dict[str, Matrix]:
     """Exact matrices of every generator on a basis of patterns.  Each
     ladder summand A_ki moves entry (k, i) by one, with its coefficient
-    evaluated at the source's staircase point; targets outside the basis
-    are dropped.  `keys[j]` holds one int per entry of rows 1..n-1 of
-    `basis[j]` (its entries, or its window offset) in `shift_vars` order,
-    so A_ki+- adds +-1 at `shift_pos((k, i))` and no pattern is hashed.
-    A source's k summands of X_k+- reach k distinct targets, so X_k+- is
-    filled in the same pass, with no matrix sum.  a(k, i, +-) reads rows
-    k and k+-1 only, and V_k row k only, so each is evaluated once per
-    distinct int slice of the keys over those rows."""
+    a(k, i, +-) taken at the source's staircase point; targets outside
+    the basis are dropped.  `keys[j]` holds one int per entry of rows
+    1..n-1 of `basis[j]` (its entries, or its window offset) in
+    `shift_vars` order, so A_ki+- adds +-1 at `shift_pos((k, i))` and no
+    pattern is hashed.  A source's k summands of X_k+- reach k distinct
+    targets, so X_k+- is filled in the same pass, with no matrix sum.
+    a(k, i, +-) reads rows k and k+-1 only, and V_k row k only, so each
+    is computed once per distinct int slice of the keys over those rows,
+    a(k, i, +-) in closed form (`gln.a_value`), checked against the
+    symbolic `gln.a_coeff` at the first basis vector of each summand."""
     index = {key: j for j, key in enumerate(keys)}
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
@@ -505,19 +531,23 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     ctx = gln.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
-            parts = _row_slices(keys, min(k, k + sign), max(k, k + sign))
+            src = k + sign
+            parts = _row_slices(keys, min(k, src), max(k, src))
+            # staircase rows k and k+-1 of one pattern per distinct part
+            points = {part: (staircase(p, k), staircase(p, src))
+                      for part, p in dict(zip(parts, basis)).items()}
             ladder = [{} for _ in basis]
             for i in range(1, k + 1):
                 rows = [{} for _ in basis]
-                coeff_fn = gln.a_coeff(ctx, k, i, sign)
                 pos = ctx.shift_pos((k, i))
-                memo = {}
+                memo = {parts[0]: _checked(ctx, k, i, sign, basis[0],
+                                           gln.a_value(*points[parts[0]], i, sign))}
                 for j, key in enumerate(keys):
                     ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
                     if ti is not None:
                         value = memo.get(parts[j])
                         if value is None:
-                            value = memo[parts[j]] = coeff_fn.evaluate(pattern_point(basis[j]))
+                            value = memo[parts[j]] = gln.a_value(*points[parts[j]], i, sign)
                         rows[ti][j] = ladder[ti][j] = value
                 matrices[f"A{k}{i}{tag}"] = from_values(rows)
             matrices[f"X{k}{tag}"] = from_values(ladder)
@@ -564,7 +594,7 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
 
     def squares(k):
         one = {p[k - 1]: p for p in mod.basis}
-        values = {row: squared_vandermonde(k, pattern_point(p)) for row, p in one.items()}
+        values = {row: squared_vandermonde(k, p) for row, p in one.items()}
         return diagonal([values[p[k - 1]] for p in mod.basis])
 
     squared = (("module", f"module:V{k}sq-consistency",

@@ -41,8 +41,10 @@ arithmetic the cost of Fraction.  Never divide two coefficients with
 
 Evaluation at a point of exact rationals runs in integer arithmetic:
 the coordinates are brought over the lcm L of their denominators (L = 1
-at the integral staircase points of finite modules), the terms are
-summed as ints scaled by powers of L, and the one result is a Fraction.
+at an integral point), the terms are summed as ints scaled by powers of
+L, and the one result is a Fraction.  The module builders take ladder
+coefficients in closed form and evaluate a polynomial only to check
+that form, once per ladder summand (see `gtmodules._realize`).
 
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
@@ -493,8 +495,9 @@ class Poly(Ring):
         """The terms as (coefficient, ((pos, e), ...) over the nonzero
         exponents, total degree), unpacked on first use and kept."""
         if self._sparse is None:
-            unpack, top = self.ctx.unpack, self.ctx._deg_offset
-            self._sparse = [(coeff, tuple((pos, e) for pos, e in enumerate(unpack(key)) if e),
+            offsets, top = self.ctx._offsets, self.ctx._deg_offset
+            self._sparse = [(coeff, tuple((pos, e) for pos, offset in enumerate(offsets)
+                                          if (e := key >> offset & _MASK)),
                              key >> top)
                             for key, coeff in self.terms.items()]
         return self._sparse

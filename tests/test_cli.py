@@ -663,6 +663,28 @@ def test_matrix_rows_match_json_dumps(ms):
         assert "".join(cli._render_json(v)) == json.dumps(dense(v), indent=2, sort_keys=True)
 
 
+@st.composite
+def numerators_over_den(draw):
+    """An int numerator over a positive den, den == 1 included; half of
+    the numerators are multiples of den, so the value reduces to an int."""
+    den = draw(st.one_of(st.just(1), st.integers(2, 10 ** 4)))
+    x = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    if draw(st.booleans()):
+        x = draw(st.integers(-999, 999).filter(bool)) * den
+    return x, den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(numerators_over_den())
+def test_matrix_value_text_is_the_fraction_str(case):
+    """A stored numerator x over den is written as `str(Fraction(x, den))`,
+    negative, reducing to an int or over den == 1 alike."""
+    x, den = case
+    m = gtmodules.Matrix([gtmodules.Row({1: x}), gtmodules.Row()], den)
+    assert json.loads("".join(cli._matrix_rows(m, ""))) == [["0", str(Fraction(x, den))],
+                                                           ["0", "0"]]
+
+
 COLD_IMPORT = """
 import json, sys
 before = set(sys.modules)

@@ -24,6 +24,31 @@ def test_a_coeff_row2_lowering(ctx3):
     assert a == RatFunc(x(ctx3, 1, 1) - x(ctx3, 2, 1), [f], s)
 
 
+def test_a_coeff_is_built_in_reduced_form():
+    """`a_coeff` skips the trial divisions of the full reduction: for
+    every summand at n = 2..6 its fields, value and printed form equal
+    those of its own re-reduction and of the defining quotient, expanded
+    and then reduced."""
+    for n in range(2, 7):
+        ctx = Context.triangle(n)
+        for k in range(1, n):
+            for i in range(1, k + 1):
+                for s in (1, -1):
+                    a = gln.a_coeff(ctx, k, i, s)
+                    num = Poly.one(ctx) * -s
+                    for j in range(1, k + s + 1):
+                        num = num * (x(ctx, k + s, j) - x(ctx, k, i))
+                    den, scale = [], 1
+                    for j in range(1, k + 1):
+                        if j != i:
+                            f, sign = linear_factor((k, j), (k, i), 0)
+                            den.append(f)
+                            scale *= sign
+                    for b in (RatFunc(a.num, a.den, a.scale), RatFunc(num, den, scale)):
+                        assert (a.num, a.den, a.scale) == (b.num, b.den, b.scale)
+                        assert a == b and str(a) == str(b), (n, k, i, s)
+
+
 def test_a_coeff_range_errors(ctx3):
     with pytest.raises(ValueError):
         gln.a_coeff(ctx3, 3, 1, +1)

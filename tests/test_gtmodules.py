@@ -3,9 +3,10 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules as gt
 from skewgt.polys import vandermonde
@@ -172,7 +173,7 @@ def test_squared_vandermonde_product_matches_the_expanded_polynomial():
             vk = vandermonde(ctx, k)
             for p in gt.enumerate_patterns(top):
                 point = gt.pattern_point(p)
-                assert gt.squared_vandermonde(k, point) == vk.evaluate(point) ** 2
+                assert gt.squared_vandermonde(k, p) == vk.evaluate(point) ** 2
 
 
 def test_rank_nine_module_check_runs(capsys):
@@ -749,6 +750,70 @@ def test_ladder_matrices_match_per_pattern_action():
                         total.update(expected)
                     assert column(mod.matrices[f"X{k}{tag}"], j) == total, \
                         (top, f"X{k}{tag}", p)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def assert_closed_form_matches_a_coeff(n, patterns):
+    """`gln.a_value` on the two staircase rows each summand reads equals
+    `gln.a_coeff` evaluated at the whole staircase point, at every
+    pattern, and is an int exactly when that value is integral."""
+    ctx = gln.triangle(n)
+    for k in range(1, n):
+        for s in (1, -1):
+            for i in range(1, k + 1):
+                a = gln.a_coeff(ctx, k, i, s)
+                for p in patterns:
+                    value = gln.a_value(gt.staircase(p, k), gt.staircase(p, k + s), i, s)
+                    expected = a.evaluate(gt.pattern_point(p))
+                    assert value == expected, (p, k, i, s)
+                    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+def test_closed_form_ladder_values_on_finite_patterns():
+    for top in [(3, 1, 0, 0), (2, 1, 1, 0, 0), (2, 1, 0, 0, 0, 0)]:
+        assert_closed_form_matches_a_coeff(len(top), gt.enumerate_patterns(top))
+
+
+def test_closed_form_ladder_values_at_the_benchmark_generic_points():
+    """At each recorded generic point and its radius-1 window."""
+    points = json.loads(REFERENCE.read_text())["generic_points"]
+    assert len(points) == 16
+    for text in points:
+        mod = gt.build_generic_module(cli._parse_point(text), 1)
+        assert_closed_form_matches_a_coeff(mod.n, mod.basis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(*(
+    st.lists(st.fractions(-20, 5, max_denominator=12), min_size=k, max_size=k)
+    for k in range(1, n + 1)))))
+def test_closed_form_ladder_values_at_negative_rational_points(rows):
+    p = gt.normalize_pattern(rows)
+    n = len(p)
+    assume(all(len(set(gt.staircase(p, k))) == k for k in range(1, n)))
+    assert_closed_form_matches_a_coeff(n, [p])
+
+
+def test_builders_refuse_a_closed_form_that_disagrees_with_a_coeff(monkeypatch, capsys):
+    """`_realize` checks each summand's closed form against `gln.a_coeff`
+    at the first basis vector: a symbolic coefficient off by one in any
+    single summand makes both builders raise, and return no module, and
+    `gt` exit 2 with the message."""
+    true_a_coeff = gln.a_coeff
+    point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
+    for summand in [(k, i, s) for k in (1, 2) for i in range(1, k + 1) for s in (1, -1)]:
+        monkeypatch.setattr(gln, "a_coeff", lambda ctx, k, i, s: true_a_coeff(ctx, k, i, s)
+                            + ((k, i, s) == summand))
+        with pytest.raises(ArithmeticError, match="closed form"):
+            gt.build_module((2, 1, 0))
+        with pytest.raises(ArithmeticError, match="closed form"):
+            gt.build_generic_module(point, 1)
+    assert cli.main(["gt", "--top", "2,1,0", "--check"]) == 2
+    assert "error: a(2,2,-1) at" in capsys.readouterr().err
+    monkeypatch.setattr(gln, "a_coeff", true_a_coeff)
+    assert gt.module_relation_report(gt.build_module((2, 1, 0))).ok
 
 
 def test_module_size_budget():
