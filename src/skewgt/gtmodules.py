@@ -491,16 +491,14 @@ def _row_slices(keys: List[Tuple[int, ...]], lo: int, hi: int) -> List[Tuple[int
     return [key[start:stop] for key in keys]
 
 
-def _checked(ctx: Context, k: int, i: int, sign: int, p: Pattern,
-             value: Union[int, Fraction]) -> Union[int, Fraction]:
-    """The closed-form value of a(k, i, sign) at p, once it is found
-    equal to the symbolic `gln.a_coeff` evaluated at p's staircase
-    point; ArithmeticError if the two differ."""
+def _check(ctx: Context, k: int, i: int, sign: int, p: Pattern,
+           value: Union[int, Fraction]) -> None:
+    """ArithmeticError unless the closed-form value of a(k, i, sign) at p
+    equals the symbolic `gln.a_coeff` evaluated at p's staircase point."""
     expected = gln.a_coeff(ctx, k, i, sign).evaluate(pattern_point(p))
     if value != expected:
         raise ArithmeticError(f"a({k},{i},{sign:+d}) at {p}: closed form gives {value}, "
                               f"a_coeff gives {expected}")
-    return value
 
 
 def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
@@ -516,7 +514,9 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     a(k, i, +-) reads rows k and k+-1 only, and V_k row k only, so each
     is computed once per distinct int slice of the keys over those rows,
     a(k, i, +-) in closed form (`gln.a_value`), checked against the
-    symbolic `gln.a_coeff` at the first basis vector of each summand."""
+    symbolic `gln.a_coeff` at the first source where the summand's value
+    is nonzero (at the first basis vector if it is zero at every source),
+    since a wrong coefficient that keeps a vanishing factor agrees on 0."""
     index = {key: j for j, key in enumerate(keys)}
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
@@ -540,15 +540,20 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
             for i in range(1, k + 1):
                 rows = [{} for _ in basis]
                 pos = ctx.shift_pos((k, i))
-                memo = {parts[0]: _checked(ctx, k, i, sign, basis[0],
-                                           gln.a_value(*points[parts[0]], i, sign))}
+                memo = {}
+                checked = False
                 for j, key in enumerate(keys):
                     ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
                     if ti is not None:
                         value = memo.get(parts[j])
                         if value is None:
                             value = memo[parts[j]] = gln.a_value(*points[parts[j]], i, sign)
+                            if value and not checked:
+                                _check(ctx, k, i, sign, basis[j], value)
+                                checked = True
                         rows[ti][j] = ladder[ti][j] = value
+                if not checked:
+                    _check(ctx, k, i, sign, basis[0], gln.a_value(*points[parts[0]], i, sign))
                 matrices[f"A{k}{i}{tag}"] = from_values(rows)
             matrices[f"X{k}{tag}"] = from_values(ladder)
     return matrices

@@ -20,10 +20,9 @@ vol. 2, 4.5.1):
 
 * ``*`` tries the factors of each denominator against the other
   operand's numerator only;
-* ``+`` tries only the factors with equal multiplicity in both
-  denominators;
-* ``RatFunc.sum`` of many operands tries only the factors whose top
-  multiplicity in the lcm is reached by two or more of them;
+* ``RatFunc.sum`` tries only the factors whose top multiplicity in the
+  lcm is reached by two or more operands; ``+`` is its sum of two, which
+  tries only the factors with equal multiplicity in both denominators;
 * ``shifted`` and ``permuted`` are ring automorphisms over the integers
   and try none.
 
@@ -34,12 +33,11 @@ the numerator, and is the constructor for outside input.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .polys import Context, Poly, Ring, VarId, _as_fraction, _coeff
+from .polys import Context, Poly, Ring, VarId, _add_into, _as_fraction, _coeff
 
 
 class LinearFactor(tuple):
@@ -220,46 +218,8 @@ class RatFunc(Ring):
         return None
 
     def _add(self, other: "RatFunc") -> "RatFunc":
-        """Sum over the lcm of the denominators.
-
-        Only a factor f with the same multiplicity m in both
-        denominators is tried, at most m times.  If f has multiplicity
-        m1 > m2 (m2 possibly 0), the lcm carries f^m1, so the cofactor
-        of the second numerator holds f and the sum is congruent mod f
-        to the first numerator times a product of other factors; f
-        divides neither, since the first operand is reduced and distinct
-        canonical factors are non-associate primes.
-        """
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        ctx = self.ctx
-        d1, d2 = Counter(self.den), Counter(other.den)
-        # integer scales over the common denominator g of the two scales
-        s1, s2 = self.scale, other.scale
-        g = math.lcm(s1.denominator, s2.denominator)
-        k1 = s1.numerator * (g // s1.denominator)
-        k2 = s2.numerator * (g // s2.denominator)
-        n1 = self.num if k1 == 1 else self.num * k1
-        n2 = other.num if k2 == 1 else other.num * k2
-        for f, m in (d2 - d1).items():
-            fp = f.to_poly(ctx)
-            for _ in range(m):
-                n1 = n1 * fp
-        for f, m in (d1 - d2).items():
-            fp = f.to_poly(ctx)
-            for _ in range(m):
-                n2 = n2 * fp
-        total = n1 + n2
-        if total.is_zero:
-            return RatFunc.zero(ctx)
-        content, prim = total.content_primitive()
-        # self.den is sorted, so the copies of each tried factor are adjacent
-        tried = [f for f in self.den if d1[f] == d2[f]]
-        rest = [f for f in (d1 | d2).elements() if d1[f] != d2[f]]
-        scale, prim, kept = _cancel(prim, tried, content / g)
-        return RatFunc._reduced(prim, rest + kept, scale)
+        """The sum of two, by ``RatFunc.sum``'s rule."""
+        return RatFunc.sum(self.ctx, (self, other))
 
     @staticmethod
     def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
@@ -268,33 +228,51 @@ class RatFunc(Ring):
         A factor f of top multiplicity m (in the lcm) is tried, at most
         m times, only if two operands reach m: were it one, every other
         cofactor would hold f, and f divides neither that operand's
-        numerator nor its cofactor."""
+        numerator nor its cofactor.  Each numerator is multiplied once,
+        by the product of the powers of the factors it lacks."""
         terms = [t for t in terms if not t.is_zero]
         if len(terms) < 2:
             return terms[0] if terms else RatFunc.zero(ctx)
-        dens = [Counter(t.den) for t in terms]
-        top = Counter()
-        for d in dens:
-            top |= d
-        reached = Counter(f for d in dens for f, m in d.items() if m == top[f])
-        polys = {f: f.to_poly(ctx) for f in top}
-        g = math.lcm(*(t.scale.denominator for t in terms))
-        total: dict = {}
+        dens = []
+        top: dict = {}  # factor -> [top multiplicity, operands that reach it]
+        for t in terms:
+            d: dict = {}
+            for f in t.den:
+                d[f] = d.get(f, 0) + 1
+            dens.append(d)
+            for f, m in d.items():
+                r = top.get(f)
+                if r is None or m > r[0]:
+                    top[f] = [m, 1]
+                elif m == r[0]:
+                    r[1] += 1
+        g = math.lcm(*[t.scale.denominator for t in terms])
+        total = None
         for t, d in zip(terms, dens):
-            num = t.num
-            for f, m in (top - d).items():
-                for _ in range(m):
-                    num = num * polys[f]
             k = t.scale.numerator * (g // t.scale.denominator)
-            for e, c in num.terms.items():
-                total[e] = total.get(e, 0) + c * k
+            cofactor = None
+            for f, (m, _) in top.items():
+                e = m - d.get(f, 0)
+                if e:
+                    p = f.to_poly(ctx) ** e
+                    cofactor = p if cofactor is None else cofactor * p
+            num = t.num
+            if cofactor is not None:
+                # the integer scale rides on the small cofactor
+                num = num * (cofactor if k == 1 else cofactor * k)
+            elif k != 1:
+                num = num * k
+            if total is None:
+                total = dict(num.terms)
+            else:
+                _add_into(total, num.terms)
         total = Poly._from_packed(ctx, total)
         if total.is_zero:
             return RatFunc.zero(ctx)
         content, prim = total.content_primitive()
-        tried = [f for f in sorted(top, key=LinearFactor.sort_key) if reached[f] > 1
-                 for _ in range(top[f])]
-        rest = [f for f in top.elements() if reached[f] == 1]
+        tried, rest = [], []
+        for f, (m, reached) in top.items():
+            (tried if reached > 1 else rest).extend([f] * m)
         scale, prim, kept = _cancel(prim, tried, content / g)
         return RatFunc._reduced(prim, rest + kept, scale)
 

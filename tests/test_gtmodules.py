@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -814,6 +815,27 @@ def test_builders_refuse_a_closed_form_that_disagrees_with_a_coeff(monkeypatch, 
     assert "error: a(2,2,-1) at" in capsys.readouterr().err
     monkeypatch.setattr(gln, "a_coeff", true_a_coeff)
     assert gt.module_relation_report(gt.build_module((2, 1, 0))).ok
+
+
+def test_builders_check_each_summand_where_it_is_nonzero(monkeypatch):
+    """A symbolic coefficient scaled by 2 keeps every zero of the true
+    one, so a check where the summand vanishes cannot see it.  On
+    (2,1,0,0,0), a(1,1,+), a(2,1,+), a(2,1,-) and a(3,2,+) vanish at the
+    first basis vector; the check is made at the first source with a
+    nonzero value, so doubling any summand whose matrix is nonzero makes
+    the build raise."""
+    top = (2, 1, 0, 0, 0)
+    true_a_coeff = gln.a_coeff
+    matrices = gt.build_module(top).matrices
+    summands = [(k, i, s) for k in range(1, 5) for i in range(1, k + 1) for s in (1, -1)]
+    nonzero = [(k, i, s) for k, i, s in summands
+               if any(matrices[f"A{k}{i}{'+' if s > 0 else '-'}"])]
+    assert {(1, 1, 1), (2, 1, 1), (2, 1, -1), (3, 2, 1)} <= set(nonzero)
+    for summand in nonzero:
+        monkeypatch.setattr(gln, "a_coeff", lambda ctx, k, i, s: true_a_coeff(ctx, k, i, s)
+                            * (2 if (k, i, s) == summand else 1))
+        with pytest.raises(ArithmeticError, match=re.escape("a(%d,%d,%+d) at" % summand)):
+            gt.build_module(top)
 
 
 def test_module_size_budget():

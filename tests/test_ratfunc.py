@@ -1,3 +1,5 @@
+import hashlib
+import math
 import pickle
 import random
 import re
@@ -337,7 +339,9 @@ DIVISION_COUNTS = {
 }
 
 
-def test_division_counts(monkeypatch, capsys):
+def _count_divisions(monkeypatch):
+    """Count the calls of Poly.divmod_linear, and its hits (a zero
+    remainder), into the returned dict."""
     counts = {"calls": 0, "hits": 0}
     divmod_linear = Poly.divmod_linear
 
@@ -348,10 +352,42 @@ def test_division_counts(monkeypatch, capsys):
         return q, r
 
     monkeypatch.setattr(Poly, "divmod_linear", counted)
+    return counts
+
+
+def test_division_counts(monkeypatch, capsys):
+    counts = _count_divisions(monkeypatch)
     for argv, (calls, hits) in DIVISION_COUNTS.items():
         counts.update(calls=0, hits=0)
         assert cli.main(list(argv)) == 0
         capsys.readouterr()
+        assert counts["hits"] == hits, argv
+        assert counts["calls"] <= calls, argv
+
+
+# Two rank-4 jobs whose skew products gather many products under each
+# shift key: (stdout sha256, divmod_linear calls, hits).  The digests and
+# the bounds on the calls were recorded while each key was summed
+# pairwise, one left term at a time.  As one RatFunc.sum per key the
+# printed forms are the same and the calls drop (449 -> 436 and
+# 1 536 -> 1 482); so do the hits (19 -> 16 and 92 -> 82), because the
+# partial sums, and the cancellations inside them, no longer exist.
+RANK4_OUTPUTS = {
+    ("compute", "--expr", "E14*E41", "--n", "4"):
+        ("5cc2c275a4a6f70280b0b268074f1cf3612f114f7b1518081b290b744c4f84ce", 449, 16),
+    ("compute", "--expr", "c42", "--n", "4"):
+        ("fdeca317c991ee453892744547da1b61cb24206b3e4d4af270286e140074f3bf", 1536, 82),
+}
+
+
+@pytest.mark.slow
+def test_rank4_outputs_and_division_counts(monkeypatch, capsys):
+    counts = _count_divisions(monkeypatch)
+    for argv, (digest, calls, hits) in RANK4_OUTPUTS.items():
+        counts.update(calls=0, hits=0)
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
         assert counts["hits"] == hits, argv
         assert counts["calls"] <= calls, argv
 
@@ -415,6 +451,62 @@ def test_ratfunc_matches_sympy():
 @pytest.mark.slow
 def test_ratfunc_matches_sympy_long():
     _sympy_ratfunc_cases(seed=47, count=1000)
+
+
+def _sympy_nary_sum_cases(seed, count):
+    """RatFunc.sum of 3-5 operands at n=3 against sympy.
+
+    The operands share two factors f and g, each at multiplicity 0-2 in
+    each denominator, so a factor meets the others at equal and at
+    unequal multiplicity; some carry a third factor of their own.  The
+    scales have denominators 1, 2, 3, 5 and 7.  In every other case the
+    first two operands are p/f^m and (r f - p)/f^m, whose numerators sum
+    to a multiple of f.  Each sum must agree with sympy in value and be
+    the full reduction of the sum over the product of all denominators."""
+    sympy = pytest.importorskip("sympy")
+    ctx = Context.triangle(3)
+    syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
+    rng = random.Random(seed)
+    shapes = Counter()
+    for case in range(count):
+        f, g = rand_factor(rng, ctx), rand_factor(rng, ctx)
+        terms = []
+        for _ in range(rng.randint(3, 5)):
+            den = [f] * rng.randint(0, 2) + [g] * rng.randint(0, 2)
+            den += [rand_factor(rng, ctx) for _ in range(rng.randint(0, 1))]
+            scale = Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 5, 7]))
+            terms.append(RatFunc(_nonzero_poly(rng, ctx), den, scale))
+        if case % 2:
+            p, r = _nonzero_poly(rng, ctx), _nonzero_poly(rng, ctx)
+            m = rng.randint(1, 2)
+            s = Fraction(rng.choice([-1, 2]), rng.choice([3, 5]))
+            terms[:2] = [RatFunc(p, [f] * m, s), RatFunc(r * f.to_poly(ctx) - p, [f] * m, s)]
+        total = RatFunc.sum(ctx, terms)
+        expected = sum((to_sympy(t, syms) for t in terms), sympy.Integer(0))
+        num, _ = sympy.fraction(sympy.together(expected - to_sympy(total, syms)))
+        assert sympy.expand(num) == 0, terms
+        full = RatFunc(sum((t.num * t.scale * math.prod((den_poly(u) for u in terms if u is not t),
+                                                        start=Poly.one(ctx))
+                            for t in terms), Poly.zero(ctx)),
+                       [h for t in terms for h in t.den])
+        _assert_canonical(total, full)
+        # multiplicities of f and g in the operands that carry them
+        counts = [[m for m in (t.den.count(h) for t in terms) if m] for h in (f, g)]
+        shapes["equal"] += any(len(c) > len(set(c)) for c in counts)
+        shapes["unequal"] += any(len(set(c)) > 1 for c in counts)
+        shapes["cancelled"] += len(total.den) < sum(
+            max(t.den.count(h) for t in terms) for h in {h for t in terms for h in t.den})
+    assert shapes["equal"] >= count // 2 and shapes["unequal"] >= count // 2, shapes
+    assert shapes["cancelled"] >= count // 8, shapes
+
+
+def test_nary_sum_matches_sympy():
+    _sympy_nary_sum_cases(seed=83, count=24)
+
+
+@pytest.mark.slow
+def test_nary_sum_matches_sympy_long():
+    _sympy_nary_sum_cases(seed=89, count=400)
 
 
 def _sympy_evaluation_cases(seed, count):
