@@ -46,7 +46,7 @@ def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
     for j in range(1, src + 1):
         num = num * (Poly.var(ctx, (src, j)) - Poly.var(ctx, (k, i)))
     den = []
-    scale = Fraction(-sign)
+    scale = -sign
     for j in range(1, k + 1):
         if j != i:
             f, s = linear_factor((k, j), (k, i), 0)

@@ -36,8 +36,11 @@ its own ``*``, whose scalar case skips promotion.
 
 Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
 ``str``, storing ints shows in no printed form; it only spares integer
-arithmetic the cost of Fraction.  Never divide two coefficients with
-``/`` unless one of them is a Fraction: ``int / int`` is a float.
+arithmetic the cost of Fraction.  The same rule (``_coeff``) holds for
+every exact rational of the coefficient layer: the content returned by
+``Poly.content_primitive``, ``RatFunc.scale`` and ``LinearFactor.c``.
+Never divide two of them with ``/`` unless one is a Fraction:
+``int / int`` is a float.
 
 Evaluation at a point of exact rationals runs in integer arithmetic:
 the coordinates are brought over the lcm L of their denominators (L = 1
@@ -92,7 +95,7 @@ class Context:
     """
 
     __slots__ = ("kind", "n", "vars", "shift_vars", "rows", "_vpos", "_spos",
-                 "_offsets", "_units", "_deg_offset", "_key_limit")
+                 "_offsets", "_units", "_deg_offset", "_key_limit", "_fields")
 
     def __init__(self, kind: str, n: int, vars: Tuple[VarId, ...],
                  shift_vars: Tuple[VarId, ...]):
@@ -115,6 +118,8 @@ class Context:
         self._deg_offset = _WIDTH * nv
         self._units = tuple((1 << self._deg_offset) + (1 << o) for o in self._offsets)
         self._key_limit = DEGREE_BOUND << self._deg_offset
+        # (bit offset, printed name) of each variable, for rendering
+        self._fields = tuple(zip(self._offsets, map(self.var_name, vars)))
 
     @staticmethod
     def triangle(n: int) -> "Context":
@@ -352,23 +357,26 @@ class Poly(Ring):
         """The coefficient of the empty monomial, an int or a Fraction."""
         return self.terms.get(0, 0)
 
-    def content_primitive(self) -> Tuple[Fraction, "Poly"]:
+    def content_primitive(self) -> Tuple[Union[int, Fraction], "Poly"]:
         """Split into content * primitive part.
 
         The primitive part has coprime int coefficients and a positive
         leading coefficient, so it is a canonical representative of the
-        polynomial up to rational scaling.  The content is a Fraction.
+        polynomial up to rational scaling.  The content is stored as a
+        coefficient is: an int when integral (0 for the zero
+        polynomial), else a Fraction.
         """
         terms = self.terms
         if not terms:
-            return Fraction(0), self
+            return 0, self
         lcm = math.lcm(*[c.denominator for c in terms.values()])
         if lcm != 1:
             terms = {e: c.numerator * (lcm // c.denominator) for e, c in terms.items()}
         g = math.gcd(*terms.values())
         if terms[max(terms)] < 0:
             g = -g
-        return Fraction(g, lcm), Poly._from_packed(self.ctx, {e: v // g for e, v in terms.items()})
+        prim = Poly._from_packed(self.ctx, {e: v // g for e, v in terms.items()})
+        return (g if lcm == 1 else Fraction(g, lcm)), prim
 
     # -- arithmetic --------------------------------------------------
 
@@ -619,20 +627,17 @@ class Poly(Ring):
         unpack = self.ctx.unpack
         return [(unpack(key), self.terms[key]) for key in sorted(self.terms, reverse=True)]
 
-    def _monomial_str(self, exps) -> str:
-        parts = []
-        for pos, e in enumerate(exps):
-            if e:
-                name = self.ctx.var_name(self.ctx.vars[pos])
-                parts.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
+        """grlex-largest term first, each monomial read from its packed
+        key field by field."""
         if not self.terms:
             return "0"
+        fields = self.ctx._fields
         pieces = []
-        for i, (exps, coeff) in enumerate(self.sorted_terms()):
-            mono = self._monomial_str(exps)
+        for i, key in enumerate(sorted(self.terms, reverse=True)):
+            coeff = self.terms[key]
+            mono = "*".join([name if e == 1 else f"{name}^{e}"
+                             for offset, name in fields if (e := key >> offset & _MASK)])
             mag = abs(coeff)
             if mono:
                 body = mono if mag == 1 else f"{mag}*{mono}"

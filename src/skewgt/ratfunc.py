@@ -8,9 +8,12 @@ one exact linear division.
 
 A :class:`RatFunc` is stored fully reduced as ``scale * num / prod(den)``
 with ``num`` primitive (coprime coefficients, each stored as an ``int``,
-positive leading coefficient), ``scale`` a ``Fraction`` and ``den`` a
-sorted multiset of canonical factors, which makes structural equality
-coincide with mathematical equality.
+positive leading coefficient) and ``den`` a sorted multiset of canonical
+factors, which makes structural equality coincide with mathematical
+equality.  ``scale`` and each factor's constant ``c`` are stored as
+``polys._coeff`` stores a coefficient: an ``int`` when integral, else a
+``Fraction`` with denominator > 1.  Most scales are integral, so most
+products, sums, shifts and factor lookups run in int arithmetic.
 
 Canonical factors are monic of degree one in ``x_a``, so two distinct
 ones are non-associate primes.  Hence a reduced operand already proves
@@ -35,20 +38,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .polys import Context, Poly, Ring, VarId, _add_into, _as_fraction, _coeff
+from .polys import Context, Poly, Ring, VarId, _add_into, _coeff
 
 
 class LinearFactor(tuple):
     """(x_a - x_b + c) when b is present, else (x_a + c); always a < b.
 
-    An immutable triple (a, b, c): equality and hash are the tuple's."""
+    An immutable triple (a, b, c): equality and hash are the tuple's.
+    ``c`` is normalized here, on every path that makes a factor: an int
+    when integral, else a Fraction; a float raises TypeError."""
 
     __slots__ = ()
 
-    def __new__(cls, a: VarId, b: Optional[VarId], c: Fraction):
-        return tuple.__new__(cls, (a, b, c))
+    def __new__(cls, a: VarId, b: Optional[VarId], c: Union[int, Fraction]):
+        return tuple.__new__(cls, (a, b, c if type(c) is int else _coeff(c)))
 
     a = property(itemgetter(0))
     b = property(itemgetter(1))
@@ -82,7 +87,7 @@ class LinearFactor(tuple):
         b = mapping.get(self.b, self.b)
         return linear_factor(a, b, self.c)
 
-    def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
+    def evaluate(self, point: Mapping[VarId, Fraction]) -> Union[int, Fraction]:
         val = _coeff(point[self.a])
         if self.b is not None:
             val -= _coeff(point[self.b])
@@ -104,7 +109,7 @@ def linear_factor(a: VarId, b: VarId, c=0) -> Tuple[LinearFactor, int]:
 
     With a > b it is stored as -(x_b - x_a - c); (x_a + c) is already
     canonical as `LinearFactor(a, None, c)`."""
-    c = _as_fraction(c)
+    c = _coeff(c)
     if a == b:
         raise ValueError("degenerate difference factor")
     if a < b:
@@ -112,7 +117,7 @@ def linear_factor(a: VarId, b: VarId, c=0) -> Tuple[LinearFactor, int]:
     return LinearFactor(b, a, -c), -1
 
 
-def _cancel(prim: Poly, factors, scale: Fraction):
+def _cancel(prim: Poly, factors, scale):
     """Divide the primitive ``prim`` by each of ``factors`` that divides it.
 
     ``factors`` lists equal factors next to each other; once a copy
@@ -142,28 +147,33 @@ class RatFunc(Ring):
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
         """Full reduction of outside input: every factor of ``den`` is
-        tried against the numerator."""
-        scale = _as_fraction(scale)
+        tried against the numerator.  ``scale`` is an int or a Fraction
+        (a float raises TypeError) and is stored by ``_coeff``'s rule;
+        zero has scale 0."""
+        scale = _coeff(scale)
         if num.is_zero or scale == 0:
             self.num = Poly.zero(num.ctx)
             self.den = ()
-            self.scale = Fraction(0)
+            self.scale = 0
             return
         content, prim = num.content_primitive()
         den = sorted(den, key=LinearFactor.sort_key)
-        self.scale, self.num, kept = _cancel(prim, den, scale * content)
+        scale, self.num, kept = _cancel(prim, den, scale * content)
+        self.scale = scale if type(scale) is int else _coeff(scale)
         self.den = tuple(kept)
 
     @staticmethod
-    def _reduced(num: Poly, den: Iterable[LinearFactor], scale: Fraction) -> "RatFunc":
+    def _reduced(num: Poly, den: Iterable[LinearFactor], scale) -> "RatFunc":
         """Trusted constructor for a value already in normal form but for
-        the order of ``den``: ``num`` is primitive with a positive
-        leading coefficient, no factor of ``den`` divides it and
-        ``scale`` is a Fraction.  Only sorts ``den``."""
+        the order of ``den`` and the type of ``scale``: ``num`` is
+        primitive with a positive leading coefficient, no factor of
+        ``den`` divides it and ``scale`` is a nonzero int or Fraction.
+        Only sorts ``den`` and stores an integral ``scale`` as an int (a
+        product of Fractions can be integral)."""
         out = object.__new__(RatFunc)
         out.num = num
         out.den = tuple(sorted(den, key=LinearFactor.sort_key))
-        out.scale = scale
+        out.scale = scale if type(scale) is int else _coeff(scale)
         return out
 
     # -- constructors -------------------------------------------------
@@ -273,7 +283,8 @@ class RatFunc(Ring):
         tried, rest = [], []
         for f, (m, reached) in top.items():
             (tried if reached > 1 else rest).extend([f] * m)
-        scale, prim, kept = _cancel(prim, tried, content / g)
+        # content and g may both be ints, and int / int is a float
+        scale, prim, kept = _cancel(prim, tried, content if g == 1 else Fraction(content) / g)
         return RatFunc._reduced(prim, rest + kept, scale)
 
     def __neg__(self):
@@ -339,7 +350,8 @@ class RatFunc(Ring):
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """The value at a point, a Fraction: the numerators and the
         denominators of the scale, the numerator value and the factor
-        values are multiplied as ints and divided once."""
+        values (ints or Fractions) are multiplied as ints and divided
+        once."""
         if self.is_zero:
             return Fraction(0)
         val = self.num.evaluate(point)

@@ -221,7 +221,11 @@ class SkewElement(Ring):
     @staticmethod
     def sum(ctx: Context, elements: Iterable["SkewElement"]) -> "SkewElement":
         """The sum of ``elements``: one ``RatFunc.sum`` per shift key."""
-        return _sum_by_key(ctx, (term for u in elements for term in u.terms.items()))
+        groups: Dict[ShiftKey, list] = {}
+        for u in elements:
+            for key, coeff in u.terms.items():
+                groups.setdefault(key, []).append(coeff)
+        return SkewElement(ctx, {key: RatFunc.sum(ctx, coeffs) for key, coeffs in groups.items()})
 
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
@@ -229,18 +233,22 @@ class SkewElement(Ring):
     def _mul(self, other: "SkewElement") -> "SkewElement":
         """The product term by term, (a1 mu1)(a2 mu2) = a1 mu1(a2) mu1 mu2.
 
-        Every product is collected under its shift key mu1 mu2 and each
-        key is summed once, by ``RatFunc.sum``: it tries only the factors
-        that two products reach at their top multiplicity, where a
-        pairwise fold would try every factor of partial sums over equal
-        denominators."""
-        def products():
-            for k1, a1 in self.terms.items():
-                smap = _shift_map(self.ctx, k1)
-                for k2, a2 in other.terms.items():
-                    yield tuple(map(add, k1, k2)), a1 * a2.shifted(smap)
-
-        return _sum_by_key(self.ctx, products())
+        The pairs (mu1, mu2) are first grouped by their shift key
+        mu1 mu2; then each key's products are built and summed once, by
+        ``RatFunc.sum``, before the next key's are built, so only one
+        key's products are held at a time.  ``RatFunc.sum`` tries only
+        the factors that two products reach at their top multiplicity,
+        where a pairwise fold would try every factor of partial sums over
+        equal denominators."""
+        ctx, left, right = self.ctx, self.terms, other.terms
+        pairs: Dict[ShiftKey, list] = {}
+        for k1 in left:
+            for k2 in right:
+                pairs.setdefault(tuple(map(add, k1, k2)), []).append((k1, k2))
+        smaps = {k1: _shift_map(ctx, k1) for k1 in left}
+        return SkewElement(ctx, {
+            key: RatFunc.sum(ctx, [left[k1] * right[k2].shifted(smaps[k1]) for k1, k2 in ks])
+            for key, ks in pairs.items()})
 
     def __eq__(self, other):
         other = self._promote(other)
@@ -324,15 +332,6 @@ class SkewElement(Ring):
         return "  +  ".join(pieces)
 
     __repr__ = __str__
-
-
-def _sum_by_key(ctx: Context, terms: Iterable[Tuple[ShiftKey, RatFunc]]) -> SkewElement:
-    """The element sum of ``(shift key, coefficient)`` pairs, a key met
-    more than once summed by one ``RatFunc.sum``."""
-    groups: Dict[ShiftKey, list] = {}
-    for key, coeff in terms:
-        groups.setdefault(key, []).append(coeff)
-    return SkewElement(ctx, {key: RatFunc.sum(ctx, coeffs) for key, coeffs in groups.items()})
 
 
 def _shift_map(ctx: Context, key: ShiftKey) -> Dict[VarId, int]:

@@ -56,7 +56,7 @@ class ToySpec:
 def build_toy(spec: ToySpec) -> Tuple[SkewElement, SkewElement]:
     """The pair (X, Y) = (d * f(x)/x, d^{-1})."""
     ctx = spec.f.ctx
-    fx_over_x = RatFunc(spec.f, [LinearFactor(X_VAR, None, Fraction(0))])
+    fx_over_x = RatFunc(spec.f, [LinearFactor(X_VAR, None, 0)])
     X = SkewElement.from_right(ctx, {(1,): fx_over_x})
     Y = SkewElement(ctx, {(-1,): RatFunc.one(ctx)})
     return X, Y
@@ -73,7 +73,7 @@ def _translate(c) -> int:
 
 def target_ratfunc(ctx: Context, c: int) -> RatFunc:
     """1/(x + c)."""
-    return RatFunc(Poly.one(ctx), [LinearFactor(X_VAR, None, Fraction(_translate(c)))])
+    return RatFunc(Poly.one(ctx), [LinearFactor(X_VAR, None, _translate(c))])
 
 
 def _multiplicity(p: Poly, c: int) -> int:

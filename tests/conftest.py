@@ -38,6 +38,13 @@ def dense(value):
     return value
 
 
+def is_normal_rational(x) -> bool:
+    """Whether x is stored by the coefficient layer's rule: an int, or a
+    Fraction with denominator > 1; never a float, a bool or
+    Fraction(k, 1)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def den_poly(r: RatFunc) -> Poly:
     """The product of the denominator factors of r, expanded."""
     out = Poly.one(r.ctx)

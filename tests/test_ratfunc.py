@@ -7,13 +7,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt import cli, gln
+from skewgt.skew import SkewElement
 
-from conftest import (den_poly, eq_cross, rand_factor, rand_point, rand_poly,
-                      rand_ratfunc, rand_rowperm)
+from conftest import (den_poly, eq_cross, is_normal_rational, rand_factor, rand_point,
+                      rand_poly, rand_ratfunc, rand_rowperm)
 
 
 def x(ctx, k, i):
@@ -109,12 +111,52 @@ def test_linear_factor_value_semantics():
     assert (f.a, f.b, f.c) == ((1, 1), (2, 2), Fraction(1))
     assert f != LinearFactor((1, 1), (2, 2), Fraction(2))
     assert f != LinearFactor((1, 1), None, Fraction(1))
-    assert repr(f) == "LinearFactor(a=(1, 1), b=(2, 2), c=Fraction(1, 1))"
+    assert repr(f) == "LinearFactor(a=(1, 1), b=(2, 2), c=1)"
     with pytest.raises(AttributeError):
         f.a = (2, 1)
     with pytest.raises(AttributeError):
         f.d = 0
     assert pickle.loads(pickle.dumps(f)) == f
+
+
+def _stored_normally(r: RatFunc) -> bool:
+    return is_normal_rational(r.scale) and all(is_normal_rational(f.c) for f in r.den)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(-6, 6), q=st.sampled_from([1, 1, 2, 3]))
+def test_exact_rationals_are_stored_as_int_when_integral(seed, k, q):
+    """Every scale, factor constant and content that the coefficient
+    layer makes is an int, or a Fraction with denominator > 1: never a
+    float or Fraction(k, 1), whatever the operation and whatever
+    Fractions (integral ones included) it was given."""
+    ctx = Context.triangle(3)
+    rng = random.Random(seed)
+    a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
+    c = Fraction(k, q)
+    f, _ = linear_factor((2, 2), (2, 1), c)
+    shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
+    mapping = rand_rowperm(rng, ctx).var_mapping(ctx)
+    factors = [f, f.shifted(shift), f.permuted(mapping)[0], LinearFactor((1, 1), None, c),
+               linear_factor((1, 1), (3, 2), Fraction(2 * k, 2))[0], rand_factor(rng, ctx)]
+    values = [a + b, a - b, a * b, a ** 2, -a, a + c, a * c, a.shifted(shift),
+              a.permuted(mapping), RatFunc.sum(ctx, [a, b, a * b, b * c]),
+              RatFunc(a.num, list(a.den) + factors, c), RatFunc(Poly.const(ctx, c)),
+              RatFunc(a.num * q, a.den, Fraction(k * q, q)), RatFunc.from_json(ctx, b.to_json()),
+              gln.a_coeff(ctx, 2, rng.randint(1, 2), rng.choice([1, -1]))]
+    u, w = (SkewElement(ctx, {(rng.randint(-1, 1), 0, 0): a, (0, 1, 0): b * c}),
+            SkewElement(ctx, {(1, 0, 0): b, (0, 0, 0): RatFunc(Poly.one(ctx), factors, c)}))
+    values += list((u * w).terms.values()) + list((w * u - u).terms.values())
+    assert all(_stored_normally(r) for r in values)
+    assert all(is_normal_rational(g.c) for g in factors)
+    for p in (a.num * c, rand_poly(rng, ctx), Poly.zero(ctx), a.num * Fraction(2 * q, q)):
+        content, prim = p.content_primitive()
+        assert is_normal_rational(content) and content * prim == p
+    # the rule itself refuses Fraction(k, 1), floats and bools
+    planted = a * b
+    planted.scale = Fraction(planted.scale.numerator if planted.scale else 1, 1)
+    assert not _stored_normally(planted)
+    assert not any(is_normal_rational(x) for x in (Fraction(k, 1), float(k), True))
 
 
 def test_linear_factor_sort_order():
@@ -186,7 +228,7 @@ def _full_permute(a, mapping):
 
 def _assert_canonical(result, expected):
     assert result == expected
-    assert type(result.scale) is Fraction
+    assert is_normal_rational(result.scale)
     assert all(type(c) is int for c in result.num.terms.values())
     assert result.den == tuple(sorted(result.den, key=LinearFactor.sort_key))
 
@@ -418,14 +460,14 @@ def _sympy_ratfunc_cases(seed, count):
 
     Each result must agree with sympy in value (the numerator of the
     combined difference expands to 0) and be stored in normal form: int
-    numerator coefficients, a Fraction scale."""
+    numerator coefficients, an int or non-integral Fraction scale."""
     sympy = pytest.importorskip("sympy")
     ctx = Context.triangle(3)
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
 
     def agrees(expr, r):
         assert all(type(c) is int for c in r.num.terms.values())
-        assert type(r.scale) is Fraction
+        assert is_normal_rational(r.scale)
         num, _ = sympy.fraction(sympy.together(expr - to_sympy(r, syms)))
         return sympy.expand(num) == 0
 

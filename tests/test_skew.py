@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewgt.polys import Context, Poly, vandermonde
 from skewgt.ratfunc import RatFunc
@@ -9,7 +12,7 @@ from skewgt.skew import (RowPermutation, SkewElement, alt_generators,
                          commutator, is_invariant,
                          sym_generators)
 from skewgt.lattice import lattice_spans_ambient, supports_generate_group
-from skewgt import gln
+from skewgt import gln, skew
 
 from conftest import rand_rowperm, rand_skew
 
@@ -286,3 +289,238 @@ def test_json_roundtrip(ctx3):
     for _ in range(15):
         u = rand_skew(rng, ctx3)
         assert SkewElement.from_json(ctx3, u.to_json()) == u
+
+
+
+# -- an independent sympy model of the skew ring ------------------------------
+#
+# The model shares no code with the engine.  Its generators are written from
+# the conventions in `gln`'s docstring; an element is a dict from shift (the
+# pairs (v, m) with m != 0) to a sympy expression, the coefficient on the
+# left; a product twists by subs(x_v -> x_v - m).  `reduced` cancels each
+# coefficient and drops the zeros, and `same` compares with the engine
+# exactly.  Cancelling takes sympy seconds per product at n = 3 and minutes
+# at n = 4, so the tier-1 test compares the unreduced coefficients with the
+# engine's at random exact rational points (`same_at`): a wrong coefficient
+# or key passes only if it vanishes at every point drawn (Schwartz, JACM 27,
+# 1980), and `slow` runs `same`.
+
+
+class SkewModel:
+    def __init__(self, n):
+        self.sp = pytest.importorskip("sympy")
+        self.x = {(k, i): self.sp.Symbol(f"x{k}_{i}")
+                  for k in range(1, n + 1) for i in range(1, k + 1)}
+
+    def twist(self, expr, shift, sign=1):
+        """x_v -> x_v - sign*m for every (v, m) in the shift."""
+        return expr.subs({self.x[v]: self.x[v] - sign * m for v, m in shift},
+                         simultaneous=True)
+
+    def add(self, u, w, sign=1):
+        out = dict(u)
+        for s, c in w.items():
+            out[s] = out.get(s, 0) + sign * c
+        return out
+
+    def mul(self, u, w):
+        out = {}
+        for s1, a in u.items():
+            for s2, b in w.items():
+                s = dict(s1)
+                for v, m in s2:
+                    s[v] = s.get(v, 0) + m
+                s = frozenset((v, m) for v, m in s.items() if m)
+                out[s] = out.get(s, 0) + a * self.twist(b, s1)
+        return out
+
+    def element(self, name):
+        x, sp, d = self.x, self.sp, [int(ch) for ch in name if ch.isdigit()]
+        if name[-1] in "+-":          # A_ki^s = d_ki^s a(k,i,s); X_k^s sums them
+            s, k = (1 if name[-1] == "+" else -1), d[0]
+            out = {}
+            for i in d[1:] or range(1, k + 1):
+                a = -s * sp.Mul(*[x[k + s, j] - x[k, i] for j in range(1, k + s + 1)]) \
+                    / sp.Mul(*[x[k, j] - x[k, i] for j in range(1, k + 1) if j != i])
+                shift = frozenset({((k, i), s)})
+                out[shift] = self.twist(a, shift)    # the left coefficient d_ki^s(a)
+            return out
+        if name[0] == "X":
+            k = d[0]
+            return {frozenset(): sum(x[k, j] + j - 1 for j in range(1, k + 1))
+                    - sum(x[k - 1, i] + i - 1 for i in range(1, k))}
+        if name[0] == "V":
+            k = d[0]
+            return {frozenset(): sp.Mul(*[x[k, i] - x[k, j] for i in range(1, k + 1)
+                                          for j in range(i + 1, k + 1)])}
+        i, j = d                      # E_ij: a commutator along i, i+-1, ..., j
+        if abs(i - j) <= 1:
+            return self.element(f"X{i}{i}" if i == j else f"X{min(i, j)}{'+-'[j < i]}")
+        step = i + 1 if j > i else i - 1
+        first, rest = self.element(f"E{i}{step}"), self.element(f"E{step}{j}")
+        return self.add(self.mul(first, rest), self.mul(rest, first), -1)
+
+    def act(self, u, perms):
+        """perms[row] = images: x_ki -> x_k,g(i), and a shift's exponent at
+        v moves to g(v)."""
+        g = {(k, i): (k, images[i - 1]) for k, images in perms.items()
+             for i in range(1, len(images) + 1)}
+        rename = {self.x[v]: self.x[w] for v, w in g.items()}
+        return {frozenset((g.get(v, v), m) for v, m in s): c.subs(rename, simultaneous=True)
+                for s, c in u.items()}
+
+    def right(self, u):
+        """a mu = mu mu^-1(a): the right coefficient is mu^-1(a)."""
+        return {s: self.twist(c, s, -1) for s, c in u.items()}
+
+    def reduced(self, u):
+        u = {s: self.sp.cancel(c) for s, c in u.items()}
+        return {s: c for s, c in u.items() if c != 0}
+
+    def of_engine(self, terms, ctx):
+        """Engine terms {key: RatFunc} read field by field."""
+        sp, x = self.sp, self.x
+        q = lambda r: sp.Rational(r.numerator, r.denominator)
+        out = {}
+        for key, r in terms.items():
+            num = sp.Add(*[q(c) * sp.Mul(*[x[v] ** e for v, e in zip(ctx.vars, exps)])
+                           for exps, c in r.num.sorted_terms()])
+            den = sp.Mul(*[x[f.a] - (x[f.b] if f.b is not None else 0) + q(f.c) for f in r.den])
+            out[_shift_of(ctx, key)] = q(r.scale) * num / den
+        return out
+
+    def same(self, terms, ctx, u):
+        got, want = self.of_engine(terms, ctx), self.reduced(u)
+        sp = self.sp
+        return set(got) == set(want) and all(
+            sp.expand(sp.fraction(sp.together(got[s] - want[s]))[0]) == 0 for s in got)
+
+    def same_at(self, terms, ctx, u, points):
+        for point in points:
+            at = {self.x[v]: self.sp.Rational(q.numerator, q.denominator)
+                  for v, q in point.items()}
+            got = {_shift_of(ctx, key): _value_at(r, ctx, point) for key, r in terms.items()}
+            want = {s: c.xreplace(at) for s, c in u.items()}
+            if {s: c for s, c in got.items() if c} \
+                    != {s: Fraction(int(c.p), int(c.q)) for s, c in want.items() if c != 0}:
+                return False
+        return True
+
+
+def _shift_of(ctx, key):
+    return frozenset((ctx.shift_vars[p], m) for p, m in enumerate(key) if m)
+
+
+def _value_at(r, ctx, point):
+    """An engine RatFunc at a point, from its fields in Fraction arithmetic."""
+    num = sum(c * math.prod(point[v] ** e for v, e in zip(ctx.vars, exps))
+              for exps, c in r.num.sorted_terms())
+    den = math.prod(point[f.a] - (point[f.b] if f.b is not None else 0) + f.c for f in r.den)
+    return Fraction(r.scale) * num / den
+
+
+def oracle_names(n, commutators):
+    """The registry names of rank n: the generators, and with
+    `commutators` every matrix unit E_ij with |i - j| >= 2."""
+    names = [f"X{k}{s}" for k in range(1, n) for s in "+-"]
+    names += [f"A{k}{i}{s}" for k in range(1, n) for i in range(1, k + 1) for s in "+-"]
+    names += [f"X{k}{k}" for k in range(1, n + 1)] + [f"V{k}" for k in range(2, n + 1)]
+    if commutators:
+        names += [f"E{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
+                  if abs(i - j) >= 2]
+    return names
+
+
+def _word(ctx, model, word):
+    u, m = gln.element(ctx, word[0]), model.element(word[0])
+    for name in word[1:]:
+        u, m = u * gln.element(ctx, name), model.mul(m, model.element(name))
+    return u, m
+
+
+def _check_against_model(n, word, perms, points=None):
+    """The product, `act` under `perms`, and the right coefficients with
+    the round trip back, against the model: exactly, or at `points`."""
+    ctx, model = Context.triangle(n), SkewModel(n)
+    u, m = _word(ctx, model, word)
+    g = RowPermutation(perms)
+    right = u.right_coefficients()
+    for terms, expected in ((u.terms, m), (u.act(g).terms, model.act(m, g.perms)),
+                            (right, model.right(m))):
+        assert (model.same(terms, ctx, expected) if points is None else
+                model.same_at(terms, ctx, expected, points)), (word, perms)
+    assert SkewElement.from_right(ctx, right) == u
+
+
+@st.composite
+def oracle_cases(draw, ns, max_len, commutators_up_to, points):
+    n = draw(st.sampled_from(ns))
+    names = oracle_names(n, n <= commutators_up_to)
+    word = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_len))
+    perms = {k: tuple(draw(st.permutations(range(1, k + 1)))) for k in range(2, n + 1)}
+    ctx = Context.triangle(n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pts = [{v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+            for v in ctx.vars} for _ in range(points)]
+    return n, word, perms, pts or None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=oracle_cases(ns=(2, 3, 4), max_len=3, commutators_up_to=3, points=2))
+def test_skew_ring_matches_the_sympy_model(case):
+    """Words of length <= 3 in the registry names at n = 2..4, at two
+    random exact points."""
+    _check_against_model(*case)
+
+
+def test_sympy_model_catches_planted_faults(monkeypatch):
+    """A flipped shift sign in `_shift_map`, an `act` that skips the key
+    conjugation and a product that drops the last pair of a shift key
+    each fail the comparison with the model."""
+    rng = random.Random(97)
+    points = [{v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+               for v in Context.triangle(3).vars} for _ in range(2)]
+    cases = [(3, ["X2+", "X2-"], {2: (2, 1), 3: (1, 2, 3)}),
+             (3, ["A21+", "X1-"], {2: (2, 1), 3: (3, 1, 2)})]
+    for case in cases:
+        _check_against_model(*case, points)
+
+    def flipped_shift_map(ctx, key):
+        return {ctx.shift_vars[p]: -m for p, m in enumerate(key) if m}
+
+    def act_without_conjugation(self, g):
+        mapping = g.var_mapping(self.ctx)
+        return SkewElement(self.ctx, {k: c.permuted(mapping) for k, c in self.terms.items()})
+
+    def mul_dropping_last_pair(self, other):
+        products = {}
+        for k1, a1 in self.terms.items():
+            for k2, a2 in other.terms.items():
+                products.setdefault(tuple(map(add, k1, k2)), []).append(
+                    a1 * a2.shifted(skew._shift_map(self.ctx, k1)))
+        return SkewElement(self.ctx, {k: RatFunc.sum(self.ctx, ps[:-1] or ps)
+                                      for k, ps in products.items()})
+
+    for target, name, fault in ((skew, "_shift_map", flipped_shift_map),
+                                (SkewElement, "act", act_without_conjugation),
+                                (SkewElement, "_mul", mul_dropping_last_pair)):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, fault)
+            with pytest.raises(AssertionError):
+                for case in cases:
+                    _check_against_model(*case, points)
+
+
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=oracle_cases(ns=(2, 3), max_len=3, commutators_up_to=2, points=0))
+def test_skew_ring_matches_the_sympy_model_exactly(case):
+    """The same words at n = 2, 3, compared symbolically after cancel."""
+    _check_against_model(*case)
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=oracle_cases(ns=(3, 4), max_len=5, commutators_up_to=3, points=2))
+def test_skew_ring_matches_the_sympy_model_long_words(case):
+    _check_against_model(*case)
