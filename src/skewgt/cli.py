@@ -126,6 +126,8 @@ class _Parser:
             return commutator(lhs, rhs)
         if tok.isdigit():
             return SkewElement.from_coeff(Fraction(tok), self.ctx)
+        if not tok[0].isalpha():
+            raise ValueError(f"expected an operand, found {quote(tok)}")
         return gln.element(self.ctx, tok)
 
 

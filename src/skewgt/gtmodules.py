@@ -606,7 +606,7 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                 f"V{k} eigenvalue squares match the evaluated squared Vandermonde",
                 M[f"V{k}"] * M[f"V{k}"], squares(k)) for k in range(2, n + 1))
     all_plus = mod.signs is None or mod.signs.is_all_plus
-    rank3 = single_shift_catalogue(3, M, zero) if n == 3 and all_plus else ()
+    rank3 = single_shift_catalogue(3, M) if n == 3 and all_plus else ()
     for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
                                                     squared, rank3):
         rep.add(verify_predicate(key, anchor, lhs == rhs))

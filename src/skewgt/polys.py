@@ -52,10 +52,12 @@ that form, once per ladder summand (see `gtmodules._realize`).
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
 therefore unique, the remainder being the substitution x_a := x_b - c,
-and one Horner pass over the powers of x_a computes both.  A trial
-division by (x_a + c) with an integral c computes the remainder alone
-first, since most trial divisions fail.  Shifts x_v -> x_v - s run
-Horner's scheme over the same rows of powers.
+and one Horner pass over the powers of x_a computes both.  Most trial
+divisions fail, and `exact_div_linear` turns most failures away before
+that pass: a difference (x_a - x_b + c) by the top-degree form alone,
+which a multiple of it has as (x_a - x_b) times a form, so it vanishes
+under x_a := x_b; (x_a + c) with an integral c by the remainder alone.
+Shifts x_v -> x_v - s run Horner's scheme over the same rows of powers.
 """
 
 from __future__ import annotations
@@ -591,16 +593,22 @@ class Poly(Ring):
         """Quotient when (x_a - x_b + c) or (x_a + c) divides exactly,
         else None.
 
-        Most trial divisions fail, so for (x_a + c) with an integral c
-        the remainder p(x_a := -c) is computed first, in one pass that
-        builds no quotient, and a nonzero one returns None at once.  For
-        a difference (x_a - x_b + c) the remainder, a polynomial in x_b,
-        costs as much as the division, and a c that is not an integer
-        would make every power of -c a Fraction; both go straight to
-        `divmod_linear`.
+        Most trial divisions fail, so each is screened first.  For a
+        difference (x_a - x_b + c) the screen reads the top-degree form
+        alone: if p = q*(x_a - x_b + c), the top form of p is
+        (x_a - x_b) times the top form of q, so it vanishes under
+        x_a := x_b (`_top_form_vanishes`).  The screen is exact, never
+        refuses a true divisor, and does not depend on c.  For (x_a + c)
+        with an integral c the remainder p(x_a := -c) is computed first,
+        in one pass that builds no quotient, and a nonzero one returns
+        None at once; a c that is not an integer would make every power
+        of -c a Fraction, and goes straight to `divmod_linear`.
         """
         c = _coeff(c)
-        if b is None and type(c) is int:
+        if b is not None:
+            if not self._top_form_vanishes(a, b):
+                return None
+        elif type(c) is int:
             ctx = self.ctx
             pa = ctx.var_pos(a)
             offset, unit, mask = ctx._offsets[pa], ctx._units[pa], _MASK
@@ -618,6 +626,27 @@ class Poly(Ring):
                 return None
         q, r = self.divmod_linear(a, b, c)
         return q if r.is_zero else None
+
+    def _top_form_vanishes(self, a: VarId, b: VarId) -> bool:
+        """Whether the top-degree form of p vanishes under x_a := x_b,
+        as it does whenever (x_a - x_b + c) divides p, for any c.  The
+        substitution moves x_a's field of each top key into x_b's field
+        and keeps the total degree."""
+        terms = self.terms
+        if not terms:
+            return True
+        ctx = self.ctx
+        # the smallest key of the top degree: every key at or above it
+        top = max(terms) >> ctx._deg_offset << ctx._deg_offset
+        off_a, off_b = ctx._offsets[ctx.var_pos(a)], ctx._offsets[ctx.var_pos(b)]
+        form: dict = {}
+        get = form.get
+        for key, coeff in terms.items():
+            if key >= top:
+                e = key >> off_a & _MASK
+                key += (e << off_b) - (e << off_a)
+                form[key] = get(key, 0) + coeff
+        return not any(form.values())
 
     # -- rendering ----------------------------------------------------
 

@@ -110,7 +110,12 @@ def test_compute_bad_expression(capsys):
     for expr, message in (("X11/2", "cannot tokenize '/2'"),
                           ("[X11 X22]", "expected ',', found 'X22'"),
                           ("X11 X22", "trailing input at 'X22'"),
-                          ("X11 +", "unexpected end of expression")):
+                          ("X11 +", "unexpected end of expression"),
+                          # an operator where an operand belongs is not
+                          # looked up as a name
+                          ("X1+**3", "expected an operand, found '*'"),
+                          ("()", "expected an operand, found ')'"),
+                          ("[,X1+]", "expected an operand, found ','")):
         code, out, err = run(capsys, ["compute", "--expr", expr])
         assert code == 2 and out == "" and err == f"error: {message}\n"
     code, out, _ = run(capsys, ["compute", "--expr", "2" * cli.MAX_DIGITS + "*X11", "--n", "2"])

@@ -213,7 +213,7 @@ def test_rank3_module_report_runs_the_gl3_catalogue():
     checks the same entries under their family prefixes."""
     mod = gt.build_module((2, 1, 0))
     entries = [(family, key) for family, key, *_ in
-               single_shift_catalogue(3, mod.matrices, gt.zeros(mod.dim))]
+               single_shift_catalogue(3, mod.matrices)]
     assert len(entries) == 44
     mixed = gt.SignData.from_vectors(gt.row_fillings((2, 1, 0)), {2: [1, -1, -1, 1]})
     common = {r.key for r in gt.module_relation_report(

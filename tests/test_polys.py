@@ -640,3 +640,37 @@ def test_exact_div_linear_agrees_with_divmod(data):
     # and a multiple of a root's neighbour only when it has the root
     near = p * (Poly.var(ctx, a) + c + 1)
     assert near.exact_div_linear(a, None, c) == divisions(near, a, c)
+
+
+# -- the top-degree screen of a difference ------------------------------
+#
+# If (x_a - x_b + c) divides p, the top-degree form of p is (x_a - x_b)
+# times that of the quotient, so it vanishes under x_a := x_b, and
+# `exact_div_linear` turns a difference away on that form alone.  The
+# oracles: a multiple always gives its cofactor back, and whenever the
+# screen rejects, sympy finds a nonzero remainder.  Near misses carry the
+# same difference with another translate c': their top form passes the
+# screen and only the division can refuse them.
+
+@pytest.mark.parametrize("n", sorted(ORACLE_CONTEXTS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_top_form_screen_matches_sympy(n, data):
+    sympy = pytest.importorskip("sympy")
+    ctx = ORACLE_CONTEXTS[n]
+    syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+    a, b, c = data.draw(factors(ctx, True, data.draw(st.booleans())))
+    ia = ctx.var_pos(a)
+    f = factor_poly(ctx, a, b, c)
+    q = data.draw(oracle_polys(ctx))
+    if data.draw(st.booleans()):
+        q = q * factor_poly(ctx, a, b, c + data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 2)])))
+    assert (q * f).exact_div_linear(a, b, c) == q
+    near = q * f + data.draw(oracle_polys(ctx))
+    for p in (q, near):
+        quot, rem = p.divmod_linear(a, b, c)
+        assert p.exact_div_linear(a, b, c) == (quot if rem.is_zero else None)
+        if not p._top_form_vanishes(a, b):
+            srem = sympy.rem(to_sympy(p, syms), to_sympy(f, syms),
+                             syms[ia], *syms[:ia], *syms[ia + 1:])
+            assert sympy.expand(srem) != 0

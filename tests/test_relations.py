@@ -3,7 +3,9 @@ import json
 import pytest
 
 from skewgt import gln, gtmodules, relations
-from skewgt.skew import SkewElement
+from skewgt.polys import Poly
+from skewgt.ratfunc import RatFunc, linear_factor
+from skewgt.skew import SkewElement, commutator
 
 
 def test_verify_identity_pass_and_fail(ctx3):
@@ -14,6 +16,33 @@ def test_verify_identity_pass_and_fail(ctx3):
     bad = relations.verify_identity("diff", "distinct diagonals differ", X11, X22)
     assert not bad.ok
     assert bad.witness == X11 - X22
+
+
+def test_verify_identity_decides_a_non_canonical_operand_by_its_difference(ctx3):
+    """Equal values kept in two forms differ under `==`, and still pass:
+    3 x11 (x21 - x22) / (x21 - x22), built unreduced, is 3 x11."""
+    x = lambda k, i: Poly.var(ctx3, (k, i))
+    f, _ = linear_factor((2, 1), (2, 2), 0)
+    unreduced = SkewElement.from_coeff(RatFunc._reduced(x(1, 1) * (x(2, 1) - x(2, 2)), [f], 3))
+    reduced = SkewElement.from_coeff(3 * x(1, 1))
+    assert unreduced != reduced
+    for lhs, rhs in ((unreduced, reduced), (reduced, unreduced)):
+        result = relations.verify_identity("forms", "one value in two forms", lhs, rhs)
+        assert result.ok and result.witness is None
+
+
+def test_failing_vanishing_bracket_keeps_its_witness(ctx3):
+    """A vanishing bracket is checked as a*b against b*a; when it fails,
+    the witness is the bracket itself, with the JSON bytes the check of
+    [a, b] against zero gives."""
+    a, b = gln.element(ctx3, "A21+"), gln.element(ctx3, "A22+")
+    result = relations.verify_identity("k", "a", a * b, b * a)
+    assert not result.ok and result.witness == commutator(a, b)
+    old = relations.verify_identity("k", "a", commutator(a, b), SkewElement.zero(ctx3))
+    assert not old.ok
+    new_body, old_body = (json.dumps(r.witness.to_json(), sort_keys=True).encode()
+                          for r in (result, old))
+    assert new_body == old_body
 
 
 def test_suite_gl2_passes():
@@ -68,7 +97,7 @@ def test_single_shift_catalogue_holds_on_skew_elements(n, count):
     on the skew elements; at n = 3 they are suite gl3's families."""
     ctx = gln.triangle(n)
     E = {name: gln.element(ctx, name) for name in single_shift_names(n)}
-    entries = list(relations.single_shift_catalogue(n, E, SkewElement.zero(ctx)))
+    entries = list(relations.single_shift_catalogue(n, E))
     assert len(entries) == len({key for _, key, *_ in entries}) == count
     assert [key for _, key, _, lhs, rhs in entries if not (lhs - rhs).is_zero] == []
     if n == 3:
@@ -81,8 +110,7 @@ def test_single_shift_catalogue_holds_on_module_matrices(top):
     """The all-plus modules of rank 4 and 5 satisfy every entry, which
     the module report checks only at rank 3."""
     mod = gtmodules.build_module(top)
-    entries = list(relations.single_shift_catalogue(len(top), mod.matrices,
-                                                    gtmodules.zeros(mod.dim)))
+    entries = list(relations.single_shift_catalogue(len(top), mod.matrices))
     assert [key for _, key, _, lhs, rhs in entries
             if not gtmodules.mat_is_zero(lhs - rhs)] == []
 
