@@ -66,7 +66,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polys import Context, VarId, _as_fraction, _coeff
+from .polys import Context, VarId, _coeff
 from .relations import (VerificationReport, gln_catalogue, gln_weights, single_shift_catalogue,
                         verify_predicate)
 from .skew import commutator
@@ -430,7 +430,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    c = _as_fraction(c)
+    c = _coeff(c)
     if not c:
         return zeros(len(a))
     num = c.numerator

@@ -42,12 +42,12 @@ every exact rational of the coefficient layer: the content returned by
 Never divide two of them with ``/`` unless one is a Fraction:
 ``int / int`` is a float.
 
-Evaluation at a point of exact rationals runs in integer arithmetic:
-the coordinates are brought over the lcm L of their denominators (L = 1
-at an integral point), the terms are summed as ints scaled by powers of
-L, and the one result is a Fraction.  The module builders take ladder
-coefficients in closed form and evaluate a polynomial only to check
-that form, once per ladder summand (see `gtmodules._realize`).
+Evaluation at a point of exact rationals is the plain sum of the
+terms, each exponent read from its field of the packed key, in int and
+Fraction arithmetic.  Nothing hot evaluates: the module builders take
+ladder values in closed form and evaluate only to check that form, once
+per ladder summand (`gtmodules._realize`: 56 calls per benchmark pass
+of the module jobs, none on the symbolic ones).
 
 Division is only ever by an affine-linear factor (x_a - x_b + c) or
 (x_a + c), monic of degree one in x_a.  Quotient and remainder are
@@ -213,14 +213,6 @@ def _coeff(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
 class Ring:
     """The arithmetic operators of an exact ring type, built from the
     subclass's own ``_promote`` (the operand in its type, or None),
@@ -284,7 +276,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_sparse")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -315,7 +307,6 @@ class Poly(Ring):
         elif 0 in values:
             terms = {e: c for e, c in terms.items() if c}
         self.terms = terms
-        self._sparse = None
 
     # -- constructors ------------------------------------------------
 
@@ -501,43 +492,22 @@ class Poly(Ring):
             out[new] = coeff
         return Poly._from_packed(ctx, out)
 
-    def _sparse_terms(self):
-        """The terms as (coefficient, ((pos, e), ...) over the nonzero
-        exponents, total degree), unpacked on first use and kept."""
-        if self._sparse is None:
-            offsets, top = self.ctx._offsets, self.ctx._deg_offset
-            self._sparse = [(coeff, tuple((pos, e) for pos, offset in enumerate(offsets)
-                                          if (e := key >> offset & _MASK)),
-                             key >> top)
-                            for key, coeff in self.terms.items()]
-        return self._sparse
-
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
-        """The value at a point of exact rationals, always a Fraction.
-
-        Every coordinate is written as a_v / L over the lcm L of the
-        coordinates' denominators, so p(point) = N / L^deg with
-        N = sum_e c_e * prod_v a_v^e_v * L^(deg - |e|) summed in integer
-        arithmetic; only the result is a Fraction.  A coordinate that is
-        not an int or a Fraction raises TypeError, a variable the
-        polynomial needs and the point lacks raises KeyError.
-        """
-        vals = {self.ctx.var_pos(v): q if type(q) is int else _coeff(q)
-                for v, q in point.items()}
-        lcm = math.lcm(*[q.denominator for q in vals.values()])
-        deg = 0
-        if lcm != 1:
-            deg = max(self.degree(), 0)
-            vals = {pos: q.numerator * (lcm // q.denominator)
-                    for pos, q in vals.items()}
+        """The value at a point of exact rationals, always a Fraction:
+        the plain sum of the terms, each exponent read from its packed
+        field; only checks of closed forms evaluate, so no faster path
+        is kept.  A coordinate that is not an int or a Fraction raises
+        TypeError (``_coeff``); a variable the polynomial needs and the
+        point lacks raises KeyError."""
+        ctx = self.ctx
+        vals = {ctx.var_pos(v): _coeff(q) for v, q in point.items()}
         total = 0
-        for coeff, powers, d in self._sparse_terms():
-            for pos, e in powers:
-                coeff *= vals[pos] ** e
-            if deg:
-                coeff *= lcm ** (deg - d)
+        for key, coeff in self.terms.items():
+            for pos, offset in enumerate(ctx._offsets):
+                if e := key >> offset & _MASK:
+                    coeff *= vals[pos] ** e
             total += coeff
-        return Fraction(total, lcm ** deg)
+        return Fraction(total)
 
     # -- division by affine-linear factors ----------------------------
 
@@ -714,12 +684,12 @@ def shifted_vandermonde(ctx: Context, k: int, offsets) -> Poly:
     row = ctx.rows.get(k)
     if row is None:
         raise ValueError(f"row {k} not in context")
-    offsets = [_as_fraction(o) for o in offsets]
+    offsets = [_coeff(o) for o in offsets]
     if len(offsets) != len(row) - 1:
         raise ValueError("need one offset per consecutive pair in the row")
     out = Poly.one(ctx)
     for i in range(len(row)):
         for j in range(i + 1, len(row)):
-            gap = sum(offsets[i:j], Fraction(0))
+            gap = sum(offsets[i:j])
             out = out * (Poly.var(ctx, row[i]) - Poly.var(ctx, row[j]) + gap)
     return out

@@ -348,23 +348,19 @@ class RatFunc(Ring):
         return RatFunc._reduced(num, den, scale)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
-        """The value at a point, a Fraction: the numerators and the
-        denominators of the scale, the numerator value and the factor
-        values (ints or Fractions) are multiplied as ints and divided
-        once."""
-        if self.is_zero:
-            return Fraction(0)
-        val = self.num.evaluate(point)
-        num = self.scale.numerator * val.numerator
-        den = self.scale.denominator * val.denominator
+        """The value at a point, always a Fraction: scale times the
+        numerator's value over each factor's value, in plain Fraction
+        arithmetic, which suffices as for `Poly.evaluate`.  Zero takes
+        the same path, so an inexact coordinate raises TypeError there
+        too; a factor that vanishes at the point raises ZeroDivisionError."""
+        val = self.scale * self.num.evaluate(point)
         for f in self.den:
             d = f.evaluate(point)
             if d == 0:
                 raise ZeroDivisionError(
                     f"denominator factor {f.render(self.ctx)} vanishes at the point")
-            num *= d.denominator
-            den *= d.numerator
-        return Fraction(num, den)
+            val /= d
+        return val
 
     # -- i/o --------------------------------------------------------------
 

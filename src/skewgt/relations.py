@@ -377,7 +377,6 @@ def suite_localized() -> VerificationReport:
         A21 = gln.gen_A(ctx, 2, 1, sign)
         A22 = gln.gen_A(ctx, 2, 2, sign)
         f, s = linear_factor((2, 1), (2, 2), Fraction(sign))
-        inv_vs = RatFunc(Poly.one(ctx), [f], Fraction(s))  # 1/(V2 + sign)
         coeff_comm = RatFunc(Poly.const(ctx, 2 * sign), [f], Fraction(s))
         rep.add(verify_identity(
             f"rewrite:commutator:{tag}",

@@ -188,6 +188,8 @@ def test_evaluate_and_pole(ctx2):
         r.evaluate({(1, 1): Fraction(2), (2, 1): Fraction(3), (2, 2): Fraction(3)})
     with pytest.raises(TypeError):
         r.evaluate({(1, 1): 2, (2, 1): 5.0, (2, 2): 3})
+    with pytest.raises(TypeError):
+        RatFunc.zero(ctx2).evaluate({(1, 1): 2, (2, 1): 5.0, (2, 2): 3})
 
 
 def test_json_roundtrip(ctx3):
