@@ -1,12 +1,14 @@
-"""Command-line front end: verify, compute, gt, toy, export.
+"""Command-line front end: verify, compute, gt, toy.
 
 Every command and flag is an entry of COMMANDS, from which `parse_args`
 reads argv and `-h` is rendered.  A flag is named exactly or by a unique
 prefix (`--gen` for `--generic`), takes its value as `--flag value` or
 `--flag=value` (the value may start with '-'), and the last of a repeated
-flag wins.  Output is deterministic for fixed flags: tables are printed
-in the suites' fixed order and JSON bodies carry no timestamps.  Exit
-codes: 0 all requested checks pass, 1 verification failure, 2 usage error.
+flag wins.  A command's handler only computes: it returns its text and
+its JSON body, and `main` alone writes them.  Output is deterministic
+for fixed flags: tables are printed in the suites' fixed order and JSON
+bodies carry no timestamps.  Exit codes: 0 all requested checks pass, 1
+verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ MAX_POWER = 8
 # parsed.
 MAX_DEPTH = 16
 
-# Largest --n accepted by compute, export and verify, and largest top
-# row or generic point accepted by gt.  Generator and matrix names
-# address rows 1-9 only, a context builds all n(n+1)/2 variables before
-# the expression is parsed, and a module builds every a(k,i,+/-), whose
+# Largest --n accepted by compute and verify, and largest top row or
+# generic point accepted by gt.  Generator and matrix names address rows
+# 1-9 only, a context builds all n(n+1)/2 variables before the
+# expression is parsed, and a module builds every a(k,i,+/-), whose
 # numerator expands to about 2^(k+1) terms whatever the dimension.
 MAX_RANK = 9
 
@@ -305,9 +307,9 @@ def _matrix_rows(m: gtmodules.Matrix, indent: str):
 
 def _open_json(path: Optional[str]):
     """The --json target: None without --json, stdout for '-', else the
-    file opened for writing.  Commands open it after their work and
-    before their first print, so an unwritable path exits 2 with nothing
-    printed."""
+    file opened for writing.  `main` opens it after the handler's work
+    and before the first print, so an unwritable path exits 2 with
+    nothing printed."""
     if path is None:
         return None
     if path == "-":
@@ -335,33 +337,22 @@ def _write_json(target, payload: dict):
                          f"{exc.strerror or exc}") from None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     _check_rank(args.n)
     names = list(relations.SUITES) if args.suite == "all" else [args.suite]
     reports = relations.run_suites(names, args.n)
-    target = _open_json(args.json)
-    all_ok = True
-    for rep in reports:
-        print(rep.table())
-        all_ok = all_ok and rep.ok
     total = sum(len(r.results) for r in reports)
     passed = sum(sum(x.ok for x in r.results) for r in reports)
-    print(f"total: {passed}/{total} identities passed")
-    if target is not None:
-        results = [entry for rep in reports for entry in rep.to_json()["results"]]
-        payload = ({"suite": args.suite, "results": results}
-                   if args.suite == "all" else reports[0].to_json())
-        _write_json(target, payload)
-    return 0 if all_ok else 1
+    text = "\n".join([rep.table() for rep in reports]
+                     + [f"total: {passed}/{total} identities passed"])
+    payload = reports[0].to_json if args.suite != "all" else lambda: {
+        "suite": "all", "results": [e for rep in reports for e in rep.to_json()["results"]]}
+    return text, payload, 0 if all(rep.ok for rep in reports) else 1
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args):
     value = compute_expression(args.expr, args.n)
-    target = _open_json(args.json)
-    print(value)
-    if target is not None:
-        _write_json(target, {"expr": args.expr, "element": value.to_json()})
-    return 0
+    return str(value), lambda: {"expr": args.expr, "element": value.to_json()}, 0
 
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -430,7 +421,7 @@ def _check_export_dim(json_path: Optional[str], dim: int) -> None:
                          f"of {gtmodules.MAX_MODULE_DIM}")
 
 
-def cmd_gt(args) -> int:
+def cmd_gt(args):
     for flag, base in (("signs", "generic"), ("window", "top")):
         if getattr(args, flag) is not None and getattr(args, base) is not None:
             raise ValueError(f"--{flag} does not apply to --{base}")
@@ -465,57 +456,48 @@ def cmd_gt(args) -> int:
                  f"row fillings: {fills}"]
         lines += [f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}")))
                   for k in range(2, mod.n + 1)]
-    # the report runs before any output, so a refused report prints nothing
     rep = report(mod) if args.check else None
-    target = _open_json(args.json)
-    print("\n".join(lines))
     if rep is not None:
-        print(rep.table())
-    if target is not None:
-        payload = mod.to_json()
+        lines.append(rep.table())
+
+    def payload():
+        body = mod.to_json()
         if rep is not None:
-            payload["report"] = rep.to_json()
-        _write_json(target, payload)
-    return 0 if rep is None or rep.ok else 1
+            body["report"] = rep.to_json()
+        return body
+    return "\n".join(lines), payload, 0 if rep is None or rep.ok else 1
 
 
-def cmd_toy(args) -> int:
+def cmd_toy(args):
     _check_digits(args.f, "--f")
     _check_digits(args.target, "--target")
     ctx = toy.line_context()
     spec = toy.ToySpec(toy.parse_univariate(ctx, args.f))
     c = toy.parse_inverse_target(args.target)
     trace = toy.witness_inverse(spec, c)
-    target = _open_json(args.json)
-    print(f"f = {spec.f}")
-    print(f"target: {args.target.replace(' ', '')}")
-    print(f"word: {trace.word}  (multiplicity m = {trace.multiplicity})")
-    print(trace.describe())
-    print("verified: exact equality holds")
-    if target is not None:
-        _write_json(target, {
-            "f": str(spec.f),
-            "target_c": c,
-            "word": trace.word,
-            "multiplicity": trace.multiplicity,
-            "clear_poly": str(trace.clear_poly),
-            "quotient": str(trace.quotient),
-            "constant": str(trace.constant),
-            "witness": trace.witness.to_json(),
-        })
-    return 0
-
-
-def cmd_export(args) -> int:
-    value = compute_expression(args.expr, args.n)
-    _write_json(_open_json(args.json), {"expr": args.expr, "n": args.n,
-                            "element": value.to_json()})
-    return 0
+    text = "\n".join([f"f = {spec.f}",
+                      f"target: {args.target.replace(' ', '')}",
+                      f"word: {trace.word}  (multiplicity m = {trace.multiplicity})",
+                      trace.describe(),
+                      "verified: exact equality holds"])
+    return text, lambda: {
+        "f": str(spec.f),
+        "target_c": c,
+        "word": trace.word,
+        "multiplicity": trace.multiplicity,
+        "clear_poly": str(trace.clear_poly),
+        "quotient": str(trace.quotient),
+        "constant": str(trace.constant),
+        "witness": trace.witness.to_json(),
+    }, 0
 
 
 # ----------------------------------------------------------------------
 # command table: {command: (handler, help, {flag: Flag})}, which
-# `parse_args` reads argv from and -h renders.  A flag's kind converts its
+# `parse_args` reads argv from and -h renders.  A handler takes the parsed
+# args, prints nothing and returns (text, payload, code): the text `main`
+# prints, a zero-argument callable building the JSON body, called only
+# with --json, and the exit code.  A flag's kind converts its
 # value: `str`, `integer`, a tuple of choices, or `bool` for a switch (no
 # value; True when given).  Of the flags sharing a nonempty `need`,
 # exactly one must be given.
@@ -523,16 +505,16 @@ def cmd_export(args) -> int:
 Flag = namedtuple("Flag", "kind default need help", defaults=(str, None, "", ""))
 _SUITES = (*relations.SUITES, "all")
 _JSON = Flag(help="write a JSON report to this path ('-' for stdout)")
-_EXPR = Flag(need="expr", help="required; e.g. \"[V2, A21+]\" or \"X1+*X1- - X1-*X1+\"")
-_RANK = Flag(integer, 3, help="rank n of the context (default 3)")
 
 COMMANDS = {
     "verify": (cmd_verify, "run identity suites", {
         "--suite": Flag(_SUITES, "all", help=f"one of {', '.join(_SUITES)} (default all)"),
         "--n": Flag(integer, help="context size (gl2 suite)"),
         "--json": _JSON}),
-    "compute": (cmd_compute, "evaluate a registry expression",
-                {"--expr": _EXPR, "--n": _RANK, "--json": _JSON}),
+    "compute": (cmd_compute, "evaluate a registry expression", {
+        "--expr": Flag(need="expr", help="required; e.g. \"[V2, A21+]\" or \"X1+*X1- - X1-*X1+\""),
+        "--n": Flag(integer, 3, help="rank n of the context (default 3)"),
+        "--json": _JSON}),
     "gt": (cmd_gt, "build pattern modules", {
         "--top": Flag(need="base", help="dominant top row, e.g. 2,1,0 (or --generic)"),
         "--generic": Flag(need="base", help="rows split by ';', e.g. '1/3; 1,0' (or --top)"),
@@ -544,9 +526,6 @@ COMMANDS = {
         "--f": Flag(need="f", help="required; a polynomial with nonzero constant term"),
         "--target": Flag(need="target", help="required; 1/x, 1/(x-2), 1/(x+3), ..."),
         "--json": _JSON}),
-    "export": (cmd_export, "JSON form of a registry expression", {
-        "--expr": _EXPR, "--n": _RANK,
-        "--json": _JSON._replace(default="-", help="output path (default '-', stdout)")}),
 }
 
 
@@ -629,7 +608,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
+        text, payload, code = args.func(args)
+        target = _open_json(args.json)
+        print(text)
+        if target is not None:
+            _write_json(target, payload())
+        return code
     except (ValueError, KeyError, ZeroDivisionError, ArithmeticError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

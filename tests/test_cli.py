@@ -97,12 +97,11 @@ def test_compute_bad_expression(capsys):
     # numbers past the digit budget, in an exponent or a coefficient
     for expr in ("X11^{}", "{}*X11", "(X11^2)^{}"):
         for digits in (cli.MAX_DIGITS + 1, 5000):
-            for cmd in ("compute", "export"):
-                code, out, err = run(capsys, [cmd, "--expr", expr.format("2" * digits),
-                                              "--n", "2"])
-                assert code == 2 and out == ""
-                assert err == f"error: --expr number 222222222222... has {digits} " \
-                    f"digits, over the digit budget of {cli.MAX_DIGITS}\n"
+            code, out, err = run(capsys, ["compute", "--expr", expr.format("2" * digits),
+                                          "--n", "2"])
+            assert code == 2 and out == ""
+            assert err == f"error: --expr number 222222222222... has {digits} " \
+                f"digits, over the digit budget of {cli.MAX_DIGITS}\n"
     # a binary sum, with and without the spaces that split a trailing sign
     for expr in ("X11+X22", "X11 + X22"):
         code, out, _ = run(capsys, ["compute", "--expr", expr])
@@ -122,7 +121,7 @@ def test_compute_bad_expression(capsys):
     assert code == 0 and out.startswith("[" + "2" * cli.MAX_DIGITS + "*(x11)]")
     # an int flag past the digit budget is refused before int(), in a
     # message that quotes only its first digits
-    for cmd in ("compute", "export", "verify"):
+    for cmd in ("compute", "verify"):
         extra = [] if cmd == "verify" else ["--expr", "X11"]
         for digits in (cli.MAX_DIGITS + 1, 5000):
             code, out, err = run(capsys, [cmd, *extra, "--n", "1" * digits])
@@ -361,8 +360,7 @@ def test_size_budgets(capsys, monkeypatch):
         raise AssertionError(f"context of rank {n} built")
     monkeypatch.setattr(gln, "triangle", no_context)
     for n in ("10", "100000"):
-        for argv in (["compute", "--expr", "X11"], ["export", "--expr", "X11"],
-                     ["verify", "--suite", "gl2"]):
+        for argv in (["compute", "--expr", "X11"], ["verify", "--suite", "gl2"]):
             code, out, err = run(capsys, argv + ["--n", n])
             assert code == 2 and out == ""
             assert f"--n {n} exceeds the rank budget of {cli.MAX_RANK}" in err
@@ -410,16 +408,15 @@ def test_nesting_budget(capsys):
     # refused before parsing
     depth = cli.MAX_DEPTH
     for open_, close, inner in (("(", ")", "X11"), ("[X11, ", "]", "X11")):
-        for cmd in ("compute", "export"):
-            expr = open_ * depth + inner + close * depth
-            code, out, _ = run(capsys, [cmd, "--expr", expr, "--n", "2"])
-            assert code == 0 and out
-            for expr in (open_ * (depth + 1) + inner + close * (depth + 1),
-                         open_ * 250 + inner + close * 250, open_ * 300 + inner):
-                code, out, err = run(capsys, [cmd, "--expr", expr, "--n", "2"])
-                assert code == 2 and out == ""
-                assert f"groups nested {depth + 1} deep exceed the nesting budget " \
-                    f"of {depth}" in err
+        expr = open_ * depth + inner + close * depth
+        code, out, _ = run(capsys, ["compute", "--expr", expr, "--n", "2"])
+        assert code == 0 and out
+        for expr in (open_ * (depth + 1) + inner + close * (depth + 1),
+                     open_ * 250 + inner + close * 250, open_ * 300 + inner):
+            code, out, err = run(capsys, ["compute", "--expr", expr, "--n", "2"])
+            assert code == 2 and out == ""
+            assert f"groups nested {depth + 1} deep exceed the nesting budget " \
+                f"of {depth}" in err
 
 
 def test_toy_refuses_malformed_f(capsys):
@@ -488,8 +485,10 @@ def test_toy_cli(capsys):
 
 
 def test_export_roundtrip(capsys, tmp_path):
+    """The "element" body `compute --json` writes reads back as the same
+    skew element."""
     path = tmp_path / "el.json"
-    code, _, _ = run(capsys, ["export", "--expr", "X2+", "--n", "3",
+    code, _, _ = run(capsys, ["compute", "--expr", "X2+", "--n", "3",
                               "--json", str(path)])
     assert code == 0
     body = json.loads(path.read_text())
@@ -498,17 +497,10 @@ def test_export_roundtrip(capsys, tmp_path):
     assert SkewElement.from_json(ctx, body["element"]) == gln.element(ctx, "X2+")
 
 
-def test_export_stdout_deterministic(capsys):
-    code1, out1, _ = run(capsys, ["export", "--expr", "c22", "--n", "2"])
-    code2, out2, _ = run(capsys, ["export", "--expr", "c22", "--n", "2"])
-    assert code1 == code2 == 0 and out1 == out2
-
-
 def test_rank_must_be_positive(capsys):
-    for cmd in ("compute", "export"):
-        code, out, err = run(capsys, [cmd, "--expr", "X11", "--n", "0"])
-        assert code == 2 and out == ""
-        assert "needs n >= 1 (got n=0)" in err
+    code, out, err = run(capsys, ["compute", "--expr", "X11", "--n", "0"])
+    assert code == 2 and out == ""
+    assert "needs n >= 1 (got n=0)" in err
 
 
 def run_into_closed_pipe(argv):
@@ -549,13 +541,34 @@ def test_unwritable_json_path(capsys, tmp_path):
     refused entry."""
     path = str(tmp_path / "missing" / "out.json")
     for argv in (["verify", "--suite", "gl2"], ["compute", "--expr", "X11"],
-                 ["export", "--expr", "X11"]):
+                 ["gt", "--top", "2,1,0"], ["toy", "--f", "x+2", "--target", "1/(x-3)"]):
         code, out, err = run(capsys, argv + ["--json", path])
         assert code == 2 and out == ""
         assert f"cannot write --json file {quote(path)}" in err
     code, out, err = run(capsys, ["compute", "--expr", "X11", "--json", "x" * 5000])
     assert code == 2 and out == ""
     assert f"cannot write --json file {quote('x' * 5000)}" in err and len(err) < 300
+
+
+HANDLER_JOBS = {
+    "verify": ["verify", "--suite", "gl2", "--n", "2"],
+    "compute": ["compute", "--expr", "X11", "--n", "2"],
+    "gt": ["gt", "--top", "1,0", "--check"],
+    "toy": ["toy", "--f", "x+2", "--target", "1/(x-3)"],
+}
+
+
+def test_handlers_print_nothing(capsys):
+    """Every handler only computes: it writes nothing itself and returns
+    (text, payload, code), leaving `cli.main` the one output path."""
+    assert set(HANDLER_JOBS) == set(cli.COMMANDS)
+    for argv in HANDLER_JOBS.values():
+        args = cli.parse_args(argv + ["--json", "-"])
+        text, payload, code = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(text, str) and text
+        assert callable(payload) and isinstance(payload(), dict)
+        assert isinstance(code, int) and code == 0
 
 
 # sha256 of stdout, recorded while every polynomial coefficient was still

@@ -57,12 +57,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="1/x, 1/(x-2), 1/(x+3), ...")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=cli.cmd_toy)
-
-    p = sub.add_parser("export", help="JSON form of a registry expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=cli.integer, default=3)
-    p.add_argument("--json", metavar="PATH", default="-")
-    p.set_defaults(func=cli.cmd_export)
     return parser
 
 
@@ -89,7 +83,7 @@ def run(capsys, argv):
 # valid and invalid command lines, drawn from the command table
 
 # Flags that must appear once (one of a group, for gt's --top/--generic).
-REQUIRED = {"compute": ["--expr"], "export": ["--expr"], "toy": ["--f", "--target"]}
+REQUIRED = {"compute": ["--expr"], "toy": ["--f", "--target"]}
 GROUP = ["--top", "--generic"]
 
 # a value that argparse reads as one too after a space: no leading '-'
@@ -160,7 +154,6 @@ def mutations(command: str) -> list:
     out = ["unknown flag", "stray token", "no value at the end"]
     out += {"verify": ["bad suite", "non-integer --n"],
             "compute": ["missing required", "non-integer --n"],
-            "export": ["missing required", "non-integer --n"],
             "toy": ["missing required"],
             "gt": ["both of --top/--generic", "neither of --top/--generic",
                    "non-integer --window", "--check=1"]}[command]
@@ -263,7 +256,7 @@ import json, sys
 from skewgt import cli
 jobs = [["verify", "--suite", "gl2"], ["compute", "--expr", "c22", "--n", "2"],
         ["gt", "--top", "2,1,0", "--check"], ["toy", "--f", "x+2", "--target", "1/(x-3)"],
-        ["export", "--expr", "X11", "--n", "2"], ["toy", "-h"], ["toy", "--n", "1"]]
+        ["toy", "-h"], ["toy", "--n", "1"]]
 codes = [cli.main(job) for job in jobs]
 print(json.dumps([codes, [m for m in ("argparse", "gettext", "locale") if m in sys.modules]]))
 """
@@ -277,5 +270,5 @@ def test_cold_start_imports_no_argparse():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 2]
+    assert codes == [0, 0, 0, 0, 0, 2]
     assert loaded == []
