@@ -8,14 +8,13 @@ and a rank-one shift algebra with effective centralizer witnesses.
 
 from .polys import Context, Poly, elementary_symmetric, shifted_vandermonde, vandermonde
 from .ratfunc import LinearFactor, RatFunc, linear_factor
-from .skew import (RowPermutation, SkewElement, alt_generators, commutator,
-                   is_invariant, sym_generators)
+from .skew import SkewElement, alt_generators, commutator, is_invariant, sym_generators
 from . import gln, gtmodules, relations, toy
 
 __all__ = [
     "Context", "Poly", "elementary_symmetric", "vandermonde", "shifted_vandermonde",
     "LinearFactor", "RatFunc", "linear_factor",
-    "RowPermutation", "SkewElement", "commutator", "is_invariant",
+    "SkewElement", "commutator", "is_invariant",
     "sym_generators", "alt_generators",
     "gln", "gtmodules", "relations", "toy",
 ]

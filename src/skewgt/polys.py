@@ -474,7 +474,13 @@ class Poly(Ring):
         return Poly._from_packed(ctx, out)
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":
-        """Rename variables; the mapping must be a bijection within rows."""
+        """Rename variables by ``mapping``, fixing those it leaves out.  A
+        mapping that is not a bijection within rows would write two
+        fields into one packed key, so it raises ValueError."""
+        if mapping.keys() != set(mapping.values()):
+            raise ValueError(f"{mapping!r} is not a bijection of its variables")
+        if any(v[0] != w[0] for v, w in mapping.items()):
+            raise ValueError(f"{mapping!r} moves a variable to another row")
         ctx = self.ctx
         moves = [(ctx._offsets[ctx.var_pos(a)], ctx._offsets[ctx.var_pos(b)])
                  for a, b in mapping.items()]

@@ -324,7 +324,8 @@ class RatFunc(Ring):
         return RatFunc._reduced(num, den, self.scale)
 
     def permuted(self, mapping: Mapping[VarId, VarId]) -> "RatFunc":
-        """Rename variables by ``mapping``, a bijection within rows.
+        """Rename variables by ``mapping``, a bijection within rows;
+        ``Poly.permute`` refuses any other mapping with ValueError.
 
         A renaming is a ring automorphism that keeps the coefficients,
         so the numerator stays primitive and no factor divides it;

@@ -11,14 +11,16 @@ factor's shift:
 
 Row permutations act on everything: on coefficients by permuting the
 variables of each row, and on shifts by conjugation, which permutes the
-shift exponents within each row.
+shift exponents within each row.  A row permutation is the variable
+mapping that ``Poly.permute`` takes, and refuses with ValueError unless
+it is a bijection within rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .polys import Context, Poly, Ring, VarId, _add_into
 from .ratfunc import RatFunc
@@ -26,93 +28,10 @@ from .ratfunc import RatFunc
 ShiftKey = Tuple[int, ...]
 
 
-class RowPermutation:
-    """A permutation of each row's variable indices (rows act independently)."""
-
-    __slots__ = ("perms",)
-
-    def __init__(self, perms: Mapping[int, Tuple[int, ...]]):
-        clean = {}
-        for row, images in perms.items():
-            images = tuple(images)
-            if sorted(images) != list(range(1, len(images) + 1)):
-                raise ValueError(f"row {row}: not a permutation of 1..{len(images)}")
-            if images != tuple(range(1, len(images) + 1)):
-                clean[row] = images
-        self.perms = clean
-
-    @staticmethod
-    def identity() -> "RowPermutation":
-        return RowPermutation({})
-
-    @staticmethod
-    def transposition(ctx: Context, row: int, i: int, j: int) -> "RowPermutation":
-        return RowPermutation.cycle(ctx, row, (i, j))
-
-    @staticmethod
-    def cycle(ctx: Context, row: int, cycle: Tuple[int, ...]) -> "RowPermutation":
-        size = len(ctx.rows[row])
-        images = list(range(1, size + 1))
-        for pos, cur in enumerate(cycle):
-            images[cur - 1] = cycle[(pos + 1) % len(cycle)]
-        return RowPermutation({row: tuple(images)})
-
-    def image(self, row: int, i: int) -> int:
-        p = self.perms.get(row)
-        return p[i - 1] if p is not None else i
-
-    def of_var(self, v: VarId) -> VarId:
-        return (v[0], self.image(v[0], v[1]))
-
-    def var_mapping(self, ctx: Context) -> Dict[VarId, VarId]:
-        out = {}
-        for row in self.perms:
-            for v in ctx.rows.get(row, ()):
-                out[v] = self.of_var(v)
-        return out
-
-    def compose(self, other: "RowPermutation") -> "RowPermutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        rows = set(self.perms) | set(other.perms)
-        out = {}
-        for row in rows:
-            size = len(self.perms.get(row, ())) or len(other.perms.get(row, ()))
-            out[row] = tuple(self.image(row, other.image(row, i))
-                             for i in range(1, size + 1))
-        return RowPermutation(out)
-
-    def row_parity(self, row: int) -> int:
-        """0 for even, 1 for odd."""
-        images = self.perms.get(row)
-        if images is None:
-            return 0
-        inv = 0
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if images[i] > images[j]:
-                    inv += 1
-        return inv % 2
-
-    @property
-    def is_even_product(self) -> bool:
-        return all(self.row_parity(row) == 0 for row in self.perms)
-
-    def __eq__(self, other):
-        return isinstance(other, RowPermutation) and self.perms == other.perms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.perms.items())))
-
-    def __repr__(self):
-        if not self.perms:
-            return "RowPermutation(id)"
-        body = ", ".join(f"{row}:{images}" for row, images in sorted(self.perms.items()))
-        return f"RowPermutation({body})"
-
-
-def _consecutive_cycles(ctx: Context, length: int):
-    """The cycles (i, i+1, ..., i+length-1) of each row, rows in order."""
-    return [RowPermutation.cycle(ctx, row, tuple(range(i, i + length)))
+def _consecutive_cycles(ctx: Context, length: int) -> List[Dict[VarId, VarId]]:
+    """The cycles x_{k,i} -> x_{k,i+1} -> ... -> x_{k,i+length-1} -> x_{k,i}
+    of each row k, as variable mappings, rows in order."""
+    return [{(row, i + j): (row, i + (j + 1) % length) for j in range(length)}
             for row in sorted(ctx.rows)
             for i in range(1, len(ctx.rows[row]) - length + 2)]
 
@@ -276,22 +195,23 @@ class SkewElement(Ring):
 
     # -- group action ------------------------------------------------------
 
-    def act(self, g: RowPermutation) -> "SkewElement":
-        """Automorphism induced by a row permutation: coefficients are
-        permuted and each shift is conjugated (its exponents move within
+    def act(self, mapping: Mapping[VarId, VarId]) -> "SkewElement":
+        """Automorphism induced by a row permutation ``mapping``:
+        coefficients are permuted (first, so ``Poly.permute`` checks the
+        mapping) and each shift is conjugated (its exponents move within
         their row).  Conjugation is a bijection on shift keys, so no two
         terms meet."""
-        mapping = g.var_mapping(self.ctx)
         out: Dict[ShiftKey, RatFunc] = {}
         for key, coeff in self.terms.items():
-            # conjugated shift: exponent at g(v) = old exponent at v
+            coeff = coeff.permuted(mapping)
+            # conjugated shift: exponent at mapping(v) = old exponent at v
             new_key = [0] * len(key)
             for pos, m in enumerate(key):
                 if m:
                     v = self.ctx.shift_vars[pos]
                     w = mapping.get(v, v)
                     new_key[self.ctx.shift_pos(w)] = m
-            out[tuple(new_key)] = coeff.permuted(mapping)
+            out[tuple(new_key)] = coeff
         return SkewElement(self.ctx, out)
 
     # -- i/o ------------------------------------------------------------------

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from skewgt.gtmodules import Matrix
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
-from skewgt.skew import RowPermutation, SkewElement
+from skewgt.skew import SkewElement
 
 
 @pytest.fixture
@@ -114,10 +115,35 @@ def rand_skew(rng: random.Random, ctx: Context, max_terms=2) -> SkewElement:
     return SkewElement(ctx, terms)
 
 
-def rand_rowperm(rng: random.Random, ctx: Context) -> RowPermutation:
-    perms = {}
-    for row, vars in ctx.rows.items():
-        images = list(range(1, len(vars) + 1))
+# A row permutation is the variable mapping that `Poly.permute`,
+# `RatFunc.permuted` and `SkewElement.act` take: {x_ki: x_kj}, a
+# bijection within each row, fixed variables optional.
+
+def rand_rowperm(rng: random.Random, ctx: Context) -> dict:
+    """Every row shuffled at random."""
+    mapping = {}
+    for row in ctx.rows.values():
+        images = list(row)
         rng.shuffle(images)
-        perms[row] = tuple(images)
-    return RowPermutation(perms)
+        mapping.update(zip(row, images))
+    return mapping
+
+
+@st.composite
+def row_permutations(draw, ctx):
+    """Every row permuted, drawn by hypothesis."""
+    mapping = {}
+    for row in ctx.rows.values():
+        mapping.update(zip(row, draw(st.permutations(row))))
+    return mapping
+
+
+def compose(g: dict, h: dict) -> dict:
+    """g after h, v -> g(h(v)), with its fixed variables left out."""
+    out = {}
+    for v in g.keys() | h.keys():
+        w = h.get(v, v)
+        w = g.get(w, w)
+        if w != v:
+            out[v] = w
+    return out

@@ -9,7 +9,7 @@ from skewgt import cli, toy
 from skewgt.polys import (DEGREE_BOUND, Context, Poly, elementary_symmetric,
                           shifted_vandermonde, vandermonde)
 
-from conftest import is_normal_rational, rand_point, rand_poly
+from conftest import is_normal_rational, rand_point, rand_poly, row_permutations
 
 
 def x(ctx, k, i):
@@ -351,15 +351,6 @@ def assert_normalized(p):
 
 scalars = st.one_of(st.integers(-5, 5),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
-
-
-@st.composite
-def row_permutations(draw, ctx):
-    mapping = {}
-    for row in ctx.rows.values():
-        images = draw(st.permutations(row))
-        mapping.update(zip(row, images))
-    return mapping
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -136,7 +136,7 @@ def test_exact_rationals_are_stored_as_int_when_integral(seed, k, q):
     c = Fraction(k, q)
     f, _ = linear_factor((2, 2), (2, 1), c)
     shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-    mapping = rand_rowperm(rng, ctx).var_mapping(ctx)
+    mapping = rand_rowperm(rng, ctx)
     factors = [f, f.shifted(shift), f.permuted(mapping)[0], LinearFactor((1, 1), None, c),
                linear_factor((1, 1), (3, 2), Fraction(2 * k, 2))[0], rand_factor(rng, ctx)]
     values = [a + b, a - b, a * b, a ** 2, -a, a + c, a * c, a.shifted(shift),
@@ -267,7 +267,7 @@ def _check_canonical_forms(seed, count):
         pairs = [(rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx))]
         pairs += _cancelling_pairs(rng, ctx)
         shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-        mapping = rand_rowperm(rng, ctx).var_mapping(ctx)
+        mapping = rand_rowperm(rng, ctx)
         for a, b in pairs:
             for u, v in ((a, b), (b, a), (a, -a)):
                 _assert_canonical(u + v, _full_sum(u, v))
@@ -488,7 +488,7 @@ def _sympy_ratfunc_cases(seed, count):
         assert agrees(sa * sb, a * b)
         moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
         assert agrees(moved, a.shifted(shift))
-        mapping = rand_rowperm(perm_rng, ctx).var_mapping(ctx)
+        mapping = rand_rowperm(perm_rng, ctx)
         renamed = sa.xreplace({syms[v]: syms[w] for v, w in mapping.items()})
         assert agrees(renamed, a.permuted(mapping))
 
