@@ -184,6 +184,16 @@ class Context:
         """The exponent tuple of a packed key."""
         return tuple((key >> offset) & _MASK for offset in self._offsets)
 
+    def check_row_mapping(self, mapping: Mapping[VarId, VarId]):
+        """Refuse with ValueError a variable mapping that is not a
+        bijection within the rows of this context's variables."""
+        if mapping.keys() != set(mapping.values()):
+            raise ValueError(f"{mapping!r} is not a bijection of its variables")
+        if any(v[0] != w[0] for v, w in mapping.items()):
+            raise ValueError(f"{mapping!r} moves a variable to another row")
+        if not mapping.keys() <= self._vpos.keys():
+            raise ValueError(f"{mapping!r} names a variable outside {self!r}")
+
     def __eq__(self, other):
         return (isinstance(other, Context)
                 and self.kind == other.kind and self.n == other.n)
@@ -276,7 +286,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_top", "_hash")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -298,8 +308,11 @@ class Poly(Ring):
         # The only zero filter of the polynomial layer.  A product or sum
         # of Fractions can be integral and is stored as an int.  A map of
         # ints only (most maps: primitive numerators) is scanned in C and
-        # kept as it is when it holds no zero.
+        # kept as it is when it holds no zero.  A polynomial is never
+        # changed after this, so the top-degree terms and the hash are
+        # filled in on first use and kept.
         self.ctx = ctx
+        self._top = self._hash = None
         values = terms.values()
         if not set(map(type, values)) <= {int}:
             terms = {e: c if type(c) is int else _coeff(c)
@@ -424,7 +437,10 @@ class Poly(Ring):
         return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        # kept: a numerator part is hashed by every sum and equality it meets
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     # -- substitutions -----------------------------------------------
 
@@ -475,13 +491,11 @@ class Poly(Ring):
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":
         """Rename variables by ``mapping``, fixing those it leaves out.  A
-        mapping that is not a bijection within rows would write two
-        fields into one packed key, so it raises ValueError."""
-        if mapping.keys() != set(mapping.values()):
-            raise ValueError(f"{mapping!r} is not a bijection of its variables")
-        if any(v[0] != w[0] for v, w in mapping.items()):
-            raise ValueError(f"{mapping!r} moves a variable to another row")
+        mapping that is not a bijection within the rows of the context
+        would write two fields into one packed key, so it raises
+        ValueError (``Context.check_row_mapping``)."""
         ctx = self.ctx
+        ctx.check_row_mapping(mapping)
         moves = [(ctx._offsets[ctx.var_pos(a)], ctx._offsets[ctx.var_pos(b)])
                  for a, b in mapping.items()]
         # clear every target field, then copy each source field into its
@@ -607,21 +621,20 @@ class Poly(Ring):
         """Whether the top-degree form of p vanishes under x_a := x_b,
         as it does whenever (x_a - x_b + c) divides p, for any c.  The
         substitution moves x_a's field of each top key into x_b's field
-        and keeps the total degree."""
-        terms = self.terms
-        if not terms:
-            return True
-        ctx = self.ctx
-        # the smallest key of the top degree: every key at or above it
-        top = max(terms) >> ctx._deg_offset << ctx._deg_offset
+        and keeps the total degree.  The top-degree terms are picked out
+        on the first call and kept, so each later trial scans only them."""
+        ctx, top = self.ctx, self._top
+        if top is None:
+            # the smallest key of the top degree: every key at or above it
+            low = max(self.terms, default=0) >> ctx._deg_offset << ctx._deg_offset
+            top = self._top = [(key, coeff) for key, coeff in self.terms.items() if key >= low]
         off_a, off_b = ctx._offsets[ctx.var_pos(a)], ctx._offsets[ctx.var_pos(b)]
         form: dict = {}
         get = form.get
-        for key, coeff in terms.items():
-            if key >= top:
-                e = key >> off_a & _MASK
-                key += (e << off_b) - (e << off_a)
-                form[key] = get(key, 0) + coeff
+        for key, coeff in top:
+            e = key >> off_a & _MASK
+            key += (e << off_b) - (e << off_a)
+            form[key] = get(key, 0) + coeff
         return not any(form.values())
 
     # -- rendering ----------------------------------------------------

@@ -15,27 +15,42 @@ equality.  ``scale`` and each factor's constant ``c`` are stored as
 ``Fraction`` with denominator > 1.  Most scales are integral, so most
 products, sums, shifts and factor lookups run in int arithmetic.
 
+The numerator is kept as ``parts``: primitive, nonconstant polynomials
+with positive leading coefficients, none divisible by a factor of
+``den``, whose product is ``num`` (Gauss's lemma keeps the product
+primitive, and a monomial order its leading coefficient positive).  The
+generator coefficients are products of linear forms, and so are most
+numerators a product meets, so a product joins two lists of small parts
+where it would multiply and divide two expanded numerators.  ``num`` is
+multiplied out on its first read and kept; printing, JSON and ``hash``
+read it, so the parts show in no printed form, and ``==`` compares what
+is left of two numerators once the parts they share are cancelled.
+
 Canonical factors are monic of degree one in ``x_a``, so two distinct
-ones are non-associate primes.  Hence a reduced operand already proves
-most factors cannot cancel, and each operation tries only the rest
-(Henrici's rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP
+ones are non-associate primes, and a factor divides a product of parts
+exactly when it divides one of them.  Hence a reduced operand already
+proves most factors cannot cancel, and each operation tries only the
+rest (Henrici's rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP
 vol. 2, 4.5.1):
 
 * ``*`` tries the factors of each denominator against the other
-  operand's numerator only;
-* ``RatFunc.sum`` tries only the factors whose top multiplicity in the
-  lcm is reached by two or more operands; ``+`` is its sum of two, which
-  tries only the factors with equal multiplicity in both denominators;
-* ``shifted`` and ``permuted`` are ring automorphisms over the integers
-  and try none.
+  operand's parts only;
+* ``RatFunc.sum`` keeps the parts every operand shares, multiplies out
+  the rest into one new part, and tries against it only the factors
+  whose top multiplicity in the lcm is reached by two or more operands;
+  ``+`` is its sum of two, which tries only the factors with equal
+  multiplicity in both denominators;
+* ``shifted`` and ``permuted`` are ring automorphisms over the integers,
+  map each part and try none.
 
 :class:`RatFunc` itself runs the full reduction, every factor against
-the numerator, and is the constructor for outside input.
+the numerator as one part, and is the constructor for outside input.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -69,10 +84,11 @@ class LinearFactor(tuple):
         return (self.a, self.b if self.b is not None else (0, 0), self.c)
 
     def to_poly(self, ctx: Context) -> Poly:
-        p = Poly.var(ctx, self.a) + self.c
+        units = ctx._units
+        terms = {units[ctx.var_pos(self.a)]: 1, 0: self.c}
         if self.b is not None:
-            p = p - Poly.var(ctx, self.b)
-        return p
+            terms[units[ctx.var_pos(self.b)]] = -1
+        return Poly._from_packed(ctx, terms)
 
     def shifted(self, shift: Mapping[VarId, int]) -> "LinearFactor":
         c = self.c - shift.get(self.a, 0)
@@ -117,70 +133,97 @@ def linear_factor(a: VarId, b: VarId, c=0) -> Tuple[LinearFactor, int]:
     return LinearFactor(b, a, -c), -1
 
 
-def _cancel(prim: Poly, factors, scale):
-    """Divide the primitive ``prim`` by each of ``factors`` that divides it.
+def _cancel(parts, factors, scale):
+    """Divide the product of ``parts`` by each of ``factors`` that divides it.
 
-    ``factors`` lists equal factors next to each other; once a copy
-    fails, the rest of its run is kept untried (a factor that does not
-    divide ``prim`` does not divide a quotient of it either).  Returns
-    ``(scale, prim, kept)`` with the contents of the quotients folded
-    into ``scale`` and the factors that did not cancel in ``kept``.
+    A canonical factor is prime, so it divides the product exactly when
+    it divides one part: each copy is tried against the parts in order
+    and cancels from the first it divides.  ``factors`` lists equal
+    factors next to each other; the next copy starts at the part where
+    the last one cancelled, and once a copy fails, the rest of its run is
+    kept untried (a factor that divides no part divides no quotient of
+    one either).  Returns ``(scale, parts, kept)``: the contents of the
+    quotients folded into ``scale``, a constant quotient dropped from the
+    parts, and the factors that did not cancel in ``kept``.
     """
+    parts = list(parts)
     kept = []
-    missed = None
+    run, start = None, 0
     for f in factors:
-        if f != missed:
-            q = prim.exact_div_linear(f.a, f.b, f.c)
+        if f != run:
+            run, start = f, 0
+        elif start is None:
+            kept.append(f)
+            continue
+        for i in range(start, len(parts)):
+            q = parts[i].exact_div_linear(f.a, f.b, f.c)
             if q is not None:
-                content, prim = q.content_primitive()
+                content, q = q.content_primitive()
                 scale *= content
-                continue
-            missed = f
-        kept.append(f)
-    return scale, prim, kept
+                if q.degree() > 0:
+                    parts[i] = q
+                else:
+                    del parts[i]
+                start = i
+                break
+        else:
+            start = None
+            kept.append(f)
+    return scale, parts, kept
+
+
+def _expand(ctx: Context, polys, k=1) -> Poly:
+    """``k`` times the product of ``polys``, smallest first, with the
+    integer ``k`` on the smallest; a single one with k = 1 is returned as
+    it is."""
+    out = None
+    for p in sorted(polys, key=lambda p: len(p.terms)):
+        out = (p if k == 1 else p * k) if out is None else out * p
+    return Poly.const(ctx, k) if out is None else out
 
 
 class RatFunc(Ring):
     """Reduced rational function with factored denominator."""
 
-    __slots__ = ("num", "den", "scale")
+    __slots__ = ("ctx", "parts", "den", "scale", "_num")
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
-        """Full reduction of outside input: every factor of ``den`` is
-        tried against the numerator.  ``scale`` is an int or a Fraction
-        (a float raises TypeError) and is stored by ``_coeff``'s rule;
-        zero has scale 0."""
+        """Full reduction of outside input into one part: every factor of
+        ``den`` is tried against the numerator.  ``scale`` is an int or a
+        Fraction (a float raises TypeError) and is stored by ``_coeff``'s
+        rule; zero has scale 0."""
         scale = _coeff(scale)
+        ctx = num.ctx
         if num.is_zero or scale == 0:
-            self.num = Poly.zero(num.ctx)
-            self.den = ()
-            self.scale = 0
+            self._own(ctx, (), (), 0, Poly.zero(ctx))
             return
         content, prim = num.content_primitive()
         den = sorted(den, key=LinearFactor.sort_key)
-        scale, self.num, kept = _cancel(prim, den, scale * content)
+        scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], den, scale * content)
+        self._own(ctx, parts, kept, scale, None)
+
+    def _own(self, ctx: Context, parts, den, scale, num: Optional[Poly]):
+        self.ctx = ctx
+        self.parts = tuple(parts)
+        self.den = tuple(sorted(den, key=LinearFactor.sort_key))
         self.scale = scale if type(scale) is int else _coeff(scale)
-        self.den = tuple(kept)
+        self._num = num
 
     @staticmethod
-    def _reduced(num: Poly, den: Iterable[LinearFactor], scale) -> "RatFunc":
+    def _from_parts(ctx: Context, parts, den: Iterable[LinearFactor], scale,
+                    num: Optional[Poly] = None) -> "RatFunc":
         """Trusted constructor for a value already in normal form but for
-        the order of ``den`` and the type of ``scale``: ``num`` is
-        primitive with a positive leading coefficient, no factor of
-        ``den`` divides it and ``scale`` is a nonzero int or Fraction.
-        Only sorts ``den`` and stores an integral ``scale`` as an int (a
-        product of Fractions can be integral)."""
+        the order of ``den`` and the type of ``scale``: each of ``parts``
+        is primitive, nonconstant, with a positive leading coefficient,
+        no factor of ``den`` divides any of them, and ``scale`` is a
+        nonzero int or Fraction.  Only sorts ``den`` and stores an
+        integral ``scale`` as an int (a product of Fractions can be
+        integral).  ``num``, when given, is the product of the parts."""
         out = object.__new__(RatFunc)
-        out.num = num
-        out.den = tuple(sorted(den, key=LinearFactor.sort_key))
-        out.scale = scale if type(scale) is int else _coeff(scale)
+        out._own(ctx, parts, den, scale, num)
         return out
 
     # -- constructors -------------------------------------------------
-
-    @property
-    def ctx(self) -> Context:
-        return self.num.ctx
 
     @staticmethod
     def zero(ctx: Context) -> "RatFunc":
@@ -197,6 +240,14 @@ class RatFunc(Ring):
     # -- structure ----------------------------------------------------
 
     @property
+    def num(self) -> Poly:
+        """The numerator expanded: the product of the parts, built on the
+        first read and kept."""
+        if self._num is None:
+            self._num = _expand(self.ctx, self.parts)
+        return self._num
+
+    @property
     def is_zero(self) -> bool:
         return self.scale == 0
 
@@ -205,11 +256,17 @@ class RatFunc(Ring):
         return not self.den
 
     def __eq__(self, other):
+        """Equal scales, factors and numerators.  Z[x] has no zero
+        divisors, so the parts both numerators have are cancelled first,
+        and only the rest is multiplied out (none, when the parts agree)."""
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return (self.scale == other.scale and self.den == other.den
-                and self.num == other.num)
+        if self.scale != other.scale or self.den != other.den:
+            return False
+        mine, theirs = Counter(self.parts), Counter(other.parts)
+        return (_expand(self.ctx, (mine - theirs).elements())
+                == _expand(self.ctx, (theirs - mine).elements()))
 
     def __hash__(self):
         return hash((self.scale, self.den, self.num))
@@ -235,11 +292,16 @@ class RatFunc(Ring):
     def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
         """The sum of ``terms`` over the lcm of their denominators.
 
-        A factor f of top multiplicity m (in the lcm) is tried, at most
-        m times, only if two operands reach m: were it one, every other
-        cofactor would hold f, and f divides neither that operand's
-        numerator nor its cofactor.  Each numerator is multiplied once,
-        by the product of the powers of the factors it lacks."""
+        The parts every operand has are kept as they are; each operand's
+        other parts are multiplied out with the powers of the factors it
+        lacks, each power built once per sum, and the products summed
+        into one new primitive part.  A factor f of top multiplicity m
+        (in the lcm) is tried against that part, at most m times, only if
+        two operands reach m: were it one, every other cofactor would
+        hold f, and f divides neither that operand's numerator nor its
+        cofactor.  No factor is tried against a shared part: every
+        factor sits below some operand, and that operand has the shared
+        parts among its own, none of which its factors divide."""
         terms = [t for t in terms if not t.is_zero]
         if len(terms) < 2:
             return terms[0] if terms else RatFunc.zero(ctx)
@@ -256,22 +318,29 @@ class RatFunc(Ring):
                     top[f] = [m, 1]
                 elif m == r[0]:
                     r[1] += 1
+        shared = Counter(terms[0].parts)
+        for t in terms[1:]:
+            if not shared:
+                break
+            shared &= Counter(t.parts)
         g = math.lcm(*[t.scale.denominator for t in terms])
+        powers: dict = {}
         total = None
         for t, d in zip(terms, dens):
+            # the integer scale rides on the smallest polynomial
             k = t.scale.numerator * (g // t.scale.denominator)
-            cofactor = None
+            if shared:
+                polys = list((Counter(t.parts) - shared).elements())
+            else:
+                polys = list(t.parts) if t._num is None else [t._num]
             for f, (m, _) in top.items():
                 e = m - d.get(f, 0)
                 if e:
-                    p = f.to_poly(ctx) ** e
-                    cofactor = p if cofactor is None else cofactor * p
-            num = t.num
-            if cofactor is not None:
-                # the integer scale rides on the small cofactor
-                num = num * (cofactor if k == 1 else cofactor * k)
-            elif k != 1:
-                num = num * k
+                    p = powers.get((f, e))
+                    if p is None:
+                        p = powers[f, e] = f.to_poly(ctx) ** e
+                    polys.append(p)
+            num = _expand(ctx, polys, k)
             if total is None:
                 total = dict(num.terms)
             else:
@@ -284,28 +353,29 @@ class RatFunc(Ring):
         for f, (m, reached) in top.items():
             (tried if reached > 1 else rest).extend([f] * m)
         # content and g may both be ints, and int / int is a float
-        scale, prim, kept = _cancel(prim, tried, content if g == 1 else Fraction(content) / g)
-        return RatFunc._reduced(prim, rest + kept, scale)
+        scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], tried,
+                                     content if g == 1 else Fraction(content) / g)
+        return RatFunc._from_parts(ctx, list(shared.elements()) + parts, rest + kept, scale)
 
     def __neg__(self):
-        return RatFunc._reduced(self.num, self.den, -self.scale)
+        return RatFunc._from_parts(self.ctx, self.parts, self.den, -self.scale, self._num)
 
     def _mul(self, other: "RatFunc") -> "RatFunc":
-        """Cross-cancel, then multiply the numerators.
+        """Cross-cancel, then join the parts.
 
-        The factors of ``other.den`` are tried against ``self.num`` only,
-        and those of ``self.den`` against ``other.num`` only: each
-        operand is reduced and a linear factor is prime, so no factor
-        divides the numerator over its own denominator.  The two
-        primitive quotients multiply to a primitive numerator (Gauss's
-        lemma) whose leading coefficient is positive (grlex is a
-        monomial order), so the product itself is never divided.
+        The factors of ``other.den`` are tried against the parts of
+        ``self`` only, and those of ``self.den`` against the parts of
+        ``other`` only: each operand is reduced and a linear factor is
+        prime, so no factor divides a part over its own denominator.  The
+        quotients stay primitive with positive leading coefficients, and
+        the product's parts are the two lists joined, with no polynomial
+        product.
         """
         if self.is_zero or other.is_zero:
             return RatFunc.zero(self.ctx)
-        scale, n1, kept1 = _cancel(self.num, other.den, self.scale * other.scale)
-        scale, n2, kept2 = _cancel(other.num, self.den, scale)
-        return RatFunc._reduced(n1 * n2, kept1 + kept2, scale)
+        scale, p1, kept1 = _cancel(self.parts, other.den, self.scale * other.scale)
+        scale, p2, kept2 = _cancel(other.parts, self.den, scale)
+        return RatFunc._from_parts(self.ctx, p1 + p2, kept1 + kept2, scale)
 
     # -- actions --------------------------------------------------------
 
@@ -313,48 +383,54 @@ class RatFunc(Ring):
         """Apply x_v -> x_v - shift[v]; the factor class is closed under this.
 
         An integer shift is a ring automorphism of Z[x] that keeps the
-        top-degree part, so the shifted numerator is still primitive
-        with the same leading term, and no shifted factor divides it.
+        top-degree part, so each shifted part is still primitive with
+        the same leading term, and no shifted factor divides it.
         Nothing is divided; the shifted factors are only re-sorted.
         """
         if self.is_zero or not shift:
             return self
-        num = self.num.subs_shift(shift)
+        parts = [p.subs_shift(shift) for p in self.parts]
         den = [f.shifted(shift) for f in self.den]
-        return RatFunc._reduced(num, den, self.scale)
+        return RatFunc._from_parts(self.ctx, parts, den, self.scale)
 
     def permuted(self, mapping: Mapping[VarId, VarId]) -> "RatFunc":
         """Rename variables by ``mapping``, a bijection within rows;
-        ``Poly.permute`` refuses any other mapping with ValueError.
+        ``Context.check_row_mapping`` refuses any other mapping with
+        ValueError, through ``Poly.permute`` or, with no parts, at once.
 
         A renaming is a ring automorphism that keeps the coefficients,
-        so the numerator stays primitive and no factor divides it;
-        nothing is divided.  It can move the leading term, so the sign
-        is renormalized: a negative leading coefficient negates the
-        numerator and the scale.
+        so each part stays primitive and no factor divides it; nothing is
+        divided.  It can move the leading term, so the sign is
+        renormalized: a part with a negative leading coefficient is
+        negated, and so is the scale.
         """
         if self.is_zero:
             return self
-        num = self.num.permute(mapping)
+        if not self.parts:
+            self.ctx.check_row_mapping(mapping)
         scale = self.scale
+        parts = []
+        for p in self.parts:
+            p = p.permute(mapping)
+            if p.terms[max(p.terms)] < 0:
+                p, scale = -p, -scale
+            parts.append(p)
         den = []
         for f in self.den:
             g, s = f.permuted(mapping)
             den.append(g)
             if s < 0:
                 scale = -scale
-        if num.leading()[1] < 0:
-            num = -num
-            scale = -scale
-        return RatFunc._reduced(num, den, scale)
+        return RatFunc._from_parts(self.ctx, parts, den, scale)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """The value at a point, always a Fraction: scale times the
-        numerator's value over each factor's value, in plain Fraction
-        arithmetic, which suffices as for `Poly.evaluate`.  Zero takes
-        the same path, so an inexact coordinate raises TypeError there
-        too; a factor that vanishes at the point raises ZeroDivisionError."""
-        val = self.scale * self.num.evaluate(point)
+        parts' values over each factor's value, in plain Fraction
+        arithmetic, which suffices as for `Poly.evaluate`.  With no parts
+        the numerator (zero or one) is evaluated, so an inexact
+        coordinate raises TypeError there too; a factor that vanishes at
+        the point raises ZeroDivisionError."""
+        val = self.scale * math.prod([p.evaluate(point) for p in self.parts or (self.num,)])
         for f in self.den:
             d = f.evaluate(point)
             if d == 0:

@@ -28,10 +28,10 @@ X_VAR = (1, 1)
 # Largest exponent of x in `f` and largest |c| in a target 1/(x+c) the
 # parsers accept; a larger value is refused before any work starts.
 # A witness multiplies |c| shifted copies of f, so its cost grows with
-# the product: f = x^24 + x + 1 with c = 24 takes 0.45 s, with 32 and 32
-# 2.4 s, with 64 and 64 over four minutes, nearly all of it Taylor
-# shifts of numerators of degree up to 64*65 (in-process, 2-core VM,
-# Python 3.11).
+# the product: f = x^24 + x + 1 with c = 24 takes 0.10 s, with 32 and 32
+# 0.4 s, with 64 and 64 about 24 s, nearly all of it multiplying out the
+# cleared numerator, of degree up to 64*65, to divide it (in-process,
+# 2-core VM, Python 3.11).
 MAX_DEGREE = 24
 MAX_TRANSLATE = 24
 

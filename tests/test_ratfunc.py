@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgt.polys import Context, Poly
+from skewgt.polys import Context, Poly, vandermonde
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt import cli, gln
 from skewgt.skew import SkewElement
@@ -297,6 +297,81 @@ def test_cancelling_pairs_do_cancel():
             sums += len((a + b).den) < sum(lcm.values())
             products += len((a * b).den) < len(a.den) + len(b.den)
     assert sums >= 70 and products >= 30
+
+
+# -- numerator parts --------------------------------------------------------
+#
+# A numerator is kept as parts whose product it is.  Each part must be
+# primitive, nonconstant, with a positive leading coefficient, and no
+# denominator factor may divide it: a product cancels a factor from the
+# part it divides, so a part left divisible would leave the fraction
+# unreduced.
+
+def _parts_in_normal_form(r: RatFunc) -> bool:
+    if r.is_zero:
+        return r.parts == () and r.num.is_zero
+    if math.prod(r.parts, start=Poly.one(r.ctx)) != r.num:
+        return False
+    for p in r.parts:
+        content, _ = p.content_primitive()
+        if content != 1 or p.degree() < 1:
+            return False
+        if any(p.divmod_linear(f.a, f.b, f.c)[1].is_zero for f in r.den):
+            return False
+    return True
+
+
+def _part_values(seed, ops):
+    """Random values, the cancelling pairs and a pair that cancels a
+    square from one part, with their products, the coefficients
+    a(2,i,+-) and the Vandermondes V2, V3 (an odd permutation negates
+    them), then one new value per entry of ``ops`` from two earlier
+    ones."""
+    ctx = Context.triangle(3)
+    rng = random.Random(seed)
+    values = [rand_ratfunc(rng, ctx) for _ in range(3)]
+    f = rand_factor(rng, ctx)
+    square = (RatFunc(_nonzero_poly(rng, ctx) * f.to_poly(ctx) ** 2),
+              RatFunc(_nonzero_poly(rng, ctx), [f, f]))
+    for a, b in [*_cancelling_pairs(rng, ctx), square]:
+        values += [a, b, a * b]
+    values += [gln.a_coeff(ctx, 2, i, s) for i in (1, 2) for s in (1, -1)]
+    values += [RatFunc(vandermonde(ctx, k)) for k in (2, 3)]
+    for op in ops:
+        a, b = rng.choice(values), rng.choice(values)
+        if op == "mul":
+            values.append(a * b)
+        elif op == "shift":
+            values.append(a.shifted({v: rng.randint(-2, 2) for v in ctx.shift_vars}))
+        elif op == "permute":
+            values.append(a.permuted(rand_rowperm(rng, ctx)))
+        elif op == "sum":
+            values.append(RatFunc.sum(ctx, [a, b, a * b]))
+        else:
+            values.append(-a)
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32),
+       ops=st.lists(st.sampled_from(["mul", "shift", "permute", "sum", "neg"]), max_size=8))
+def test_parts_stay_in_normal_form(seed, ops):
+    _check_parts(seed, ops)
+
+
+def _check_parts(seed, ops):
+    assert all(_parts_in_normal_form(r) for r in _part_values(seed, ops))
+
+
+def test_parts_check_catches_an_uncancelled_part(monkeypatch):
+    """With the cancellation planted away, the products of the cancelling
+    pairs keep a part that their own denominator divides, and the
+    check of the property test above fails on the first example."""
+    from skewgt import ratfunc
+    monkeypatch.setattr(ratfunc, "_cancel", lambda parts, factors, scale:
+                        (scale, list(parts), list(factors)))
+    with pytest.raises(AssertionError):
+        _check_parts(0, [])
 
 
 # -- n-ary sums -------------------------------------------------------------

@@ -171,17 +171,22 @@ def test_group_action_examples(ctx3):
 
 
 def test_bad_row_mappings_are_refused(ctx3):
-    """A mapping that is not a bijection within rows would corrupt a
-    packed key: `Poly.permute` refuses it, and `RatFunc.permuted` and
-    `act` refuse it through it.  The empty mapping is the identity."""
+    """A mapping that is not a bijection within the rows of the context
+    would corrupt a packed key, or name none: `Poly.permute` refuses it,
+    and `RatFunc.permuted` and `act` refuse it through it, a constant
+    with no part to permute included.  The empty mapping is the
+    identity."""
     x21 = Poly.var(ctx3, (2, 1))
     r = RatFunc(x21 * Poly.var(ctx3, (3, 1)) + 1)
+    const = RatFunc.const(ctx3, 2)
     u = SkewElement.from_coeff(r) * SkewElement.shift_gen(ctx3, (2, 1))
-    for bad in ({(2, 1): (2, 2)}, {(2, 1): (3, 1), (3, 1): (2, 1)}):
-        for apply in (x21.permute, r.permuted, u.act):
+    for bad in ({(2, 1): (2, 2)}, {(2, 1): (3, 1), (3, 1): (2, 1)},
+                {(4, 1): (4, 2), (4, 2): (4, 1)}):
+        for apply in (x21.permute, r.permuted, const.permuted, u.act):
             with pytest.raises(ValueError):
                 apply(bad)
     assert x21.permute({}) == x21 and r.permuted({}) == r and u.act({}) == u
+    assert const.permuted({}) == const
 
 
 def test_group_action_is_algebra_homomorphism(ctx3):
