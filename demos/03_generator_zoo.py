@@ -3,10 +3,10 @@ single-shift summands, matrix-unit images, Gelfand invariant images,
 and the membership tests for the coefficient rings.
 """
 
-from skewgt import gln, is_invariant
+from skewgt import Context, gln, is_invariant
 from skewgt.skew import commutator
 
-ctx = gln.triangle(3)
+ctx = Context.triangle(3)
 
 print("a(2,1,-) =", gln.a_coeff(ctx, 2, 1, -1))
 print("X2+ =", gln.gen_X(ctx, 2, +1))

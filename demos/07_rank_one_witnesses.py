@@ -7,9 +7,9 @@ all verified exactly.
 """
 
 from skewgt import toy
-from skewgt.polys import Poly
+from skewgt.polys import Context, Poly
 
-ctx = toy.line_context()
+ctx = Context.line()
 x = Poly.var(ctx, toy.X_VAR)
 
 for f in (x + 2, x ** 2 + 1, 3 * x ** 3 + x + 5):

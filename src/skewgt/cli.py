@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from typing import List, Optional
 
 from . import gln, gtmodules, relations, toy
-from .polys import quote
+from .polys import Context, quote
 from .skew import SkewElement, commutator
 
 
@@ -222,7 +222,7 @@ def compute_expression(text: str, n: int) -> SkewElement:
     _check_digits(text, "--expr")
     tokens = _tokenize(text)
     _check_powers(tokens)
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     return _Parser(tokens, ctx).parse()
 
 
@@ -401,8 +401,6 @@ def _parse_point(text: str):
         entries = []
         for v in row.split(","):
             v = v.strip()
-            if not v:
-                continue
             if not _POINT_ENTRY_RE.fullmatch(v):
                 raise ValueError(f"bad point entry {quote(v)}: expected an integer, "
                                  f"a/b or a plain decimal")
@@ -471,7 +469,7 @@ def cmd_gt(args):
 def cmd_toy(args):
     _check_digits(args.f, "--f")
     _check_digits(args.target, "--target")
-    ctx = toy.line_context()
+    ctx = Context.line()
     spec = toy.ToySpec(toy.parse_univariate(ctx, args.f))
     c = toy.parse_inverse_target(args.target)
     trace = toy.witness_inverse(spec, c)

@@ -25,10 +25,6 @@ from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, is_invariant
 
 
-def triangle(n: int) -> Context:
-    return Context.triangle(n)
-
-
 def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
     """The rational coefficient attached to the shift d_ki in X_k^sign.
 

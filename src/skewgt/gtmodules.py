@@ -256,20 +256,14 @@ def _xkk_value(k: int, p: Pattern) -> Union[int, Fraction]:
 # ----------------------------------------------------------------------
 # exact sparse matrices: int numerators over one denominator per matrix
 
-class Row(dict):
-    """One matrix row: {column: nonzero int numerator over the `den` of
-    its matrix}; an absent column is a zero entry."""
-
-    __slots__ = ()
-
-
 class Matrix(list):
-    """`Row`s of int numerators over one positive int denominator `den`,
-    in lowest terms: gcd(den, every entry) = 1, no zero is stored, and
-    the zero matrix has den 1, so `==` compares `den` and the rows.
-    `m.entry(i, j)` reads one value as a Fraction.  Operators: `a * b`,
-    `a + b`, `a += b`, `a - b`, `c * a` and `a * c`; operands of
-    different sizes raise ValueError.  Each operator calls the
+    """Rows of int numerators over one positive int denominator `den`,
+    each a plain dict {column: numerator} in which an absent column is a
+    zero entry; in lowest terms: gcd(den, every entry) = 1, no zero is
+    stored, and the zero matrix has den 1, so `==` compares `den` and the
+    rows.  `m.entry(i, j)` reads one value as a Fraction.  Operators:
+    `a * b`, `a + b`, `a += b`, `a - b`, `c * a` and `a * c`; operands
+    of different sizes raise ValueError.  Each operator calls the
     module-level `mat_*` function, looked up at call time, so a wrapper
     installed on those names sees every call."""
 
@@ -314,8 +308,8 @@ class Matrix(list):
         for d, b, sign in ((self, other, 1), (other, self, -1)):
             diag = _diagonal(d)
             if diag is not None:
-                return _lowest([Row({j: sign * (di - diag[j]) * x for j, x in row.items()
-                                     if di != diag[j]}) for di, row in zip(diag, b)],
+                return _lowest([{j: sign * (di - diag[j]) * x for j, x in row.items()
+                                 if di != diag[j]} for di, row in zip(diag, b)],
                                self.den * other.den)
         return self * other - other * self
 
@@ -342,7 +336,7 @@ def from_values(rows: Iterable[Dict[int, Union[int, Fraction]]]) -> Matrix:
         raise TypeError("matrix values must be int or Fraction") from None
     out = Matrix((), den)
     for row in rows:
-        numerators = Row()
+        numerators = {}
         for j, v in row.items():
             if v:
                 numerators[j] = v.numerator * (den // v.denominator)
@@ -350,7 +344,7 @@ def from_values(rows: Iterable[Dict[int, Union[int, Fraction]]]) -> Matrix:
     return out
 
 
-def _lowest(rows: List[Row], den: int) -> Matrix:
+def _lowest(rows: List[dict], den: int) -> Matrix:
     """Freshly built rows over den, divided in place by their gcd with
     den; zero gets den 1."""
     if den != 1:
@@ -364,7 +358,7 @@ def _lowest(rows: List[Row], den: int) -> Matrix:
 
 
 def zeros(n: int) -> Matrix:
-    return Matrix(Row() for _ in range(n))
+    return Matrix({} for _ in range(n))
 
 
 def eye(n: int) -> Matrix:
@@ -380,7 +374,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
     rows = []
     for ai in a:
-        row = Row()
+        row = {}
         for k, c in ai.items():
             for j, x in b[k].items():
                 if j in row:
@@ -405,7 +399,7 @@ def _combine(a: Matrix, b: Matrix, negate: bool) -> Matrix:
         sb = -sb
     rows = []
     for ra, rb in zip(a, b):
-        row = Row(ra)
+        row = dict(ra)
         if sa != 1:
             for j in row:
                 row[j] *= sa
@@ -434,7 +428,7 @@ def mat_scale(c, a: Matrix) -> Matrix:
     if not c:
         return zeros(len(a))
     num = c.numerator
-    return _lowest([Row({j: num * x for j, x in row.items()}) for row in a],
+    return _lowest([{j: num * x for j, x in row.items()} for row in a],
                    a.den * c.denominator)
 
 
@@ -528,7 +522,7 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
         values = {part: act_vandermonde(k, p, signs) for part, p in one.items()}
         matrices[f"V{k}"] = diagonal([values[part] for part in parts])
 
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
             src = k + sign

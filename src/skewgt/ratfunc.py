@@ -22,16 +22,20 @@ primitive, and a monomial order its leading coefficient positive).  The
 generator coefficients are products of linear forms, and so are most
 numerators a product meets, so a product joins two lists of small parts
 where it would multiply and divide two expanded numerators.  ``num`` is
-multiplied out on its first read and kept; printing, JSON and ``hash``
-read it, so the parts show in no printed form, and ``==`` compares what
-is left of two numerators once the parts they share are cancelled.
+multiplied out on its first read and kept; printing, ``to_json`` and
+``hash`` read it, so the parts show in no printed form, and ``==``
+compares what is left of two numerators once the parts they share are
+cancelled.
 
 Canonical factors are monic of degree one in ``x_a``, so two distinct
 ones are non-associate primes, and a factor divides a product of parts
-exactly when it divides one of them.  Hence a reduced operand already
-proves most factors cannot cancel, and each operation tries only the
-rest (Henrici's rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP
-vol. 2, 4.5.1):
+exactly when it divides one of them.  Cancellation is one plain loop,
+``_cancel``: each factor is tried against the parts in order and
+cancels from the first it divides, or is kept; a factor that fails on a
+part fails on every quotient of it, so the order of the factors does
+not matter.  A reduced operand already proves most factors cannot
+cancel, and each operation hands ``_cancel`` only the rest (Henrici's
+rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1):
 
 * ``*`` tries the factors of each denominator against the other
   operand's parts only;
@@ -137,26 +141,17 @@ def _cancel(parts, factors, scale):
     """Divide the product of ``parts`` by each of ``factors`` that divides it.
 
     A canonical factor is prime, so it divides the product exactly when
-    it divides one part: each copy is tried against the parts in order
-    and cancels from the first it divides.  ``factors`` lists equal
-    factors next to each other; the next copy starts at the part where
-    the last one cancelled, and once a copy fails, the rest of its run is
-    kept untried (a factor that divides no part divides no quotient of
-    one either).  Returns ``(scale, parts, kept)``: the contents of the
-    quotients folded into ``scale``, a constant quotient dropped from the
-    parts, and the factors that did not cancel in ``kept``.
+    it divides one part: each factor is tried against the parts in order
+    and cancels from the first it divides, or is kept.  Returns
+    ``(scale, parts, kept)``: the contents of the quotients folded into
+    ``scale``, a constant quotient dropped from the parts, and the
+    factors that did not cancel in ``kept``.
     """
     parts = list(parts)
     kept = []
-    run, start = None, 0
     for f in factors:
-        if f != run:
-            run, start = f, 0
-        elif start is None:
-            kept.append(f)
-            continue
-        for i in range(start, len(parts)):
-            q = parts[i].exact_div_linear(f.a, f.b, f.c)
+        for i, p in enumerate(parts):
+            q = p.exact_div_linear(f.a, f.b, f.c)
             if q is not None:
                 content, q = q.content_primitive()
                 scale *= content
@@ -164,10 +159,8 @@ def _cancel(parts, factors, scale):
                     parts[i] = q
                 else:
                     del parts[i]
-                start = i
                 break
         else:
-            start = None
             kept.append(f)
     return scale, parts, kept
 
@@ -198,7 +191,6 @@ class RatFunc(Ring):
             self._own(ctx, (), (), 0, Poly.zero(ctx))
             return
         content, prim = num.content_primitive()
-        den = sorted(den, key=LinearFactor.sort_key)
         scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], den, scale * content)
         self._own(ctx, parts, kept, scale, None)
 
@@ -451,24 +443,6 @@ class RatFunc(Ring):
                 "c": str(f.c)}
                for f in self.den]
         return {"num": num, "den": den, "scale": str(self.scale)}
-
-    @staticmethod
-    def from_json(ctx: Context, data: dict) -> "RatFunc":
-        def parse_var(s: str) -> VarId:
-            k, i = s.split(",")
-            return (int(k), int(i))
-
-        terms = {}
-        for entry in data["num"]:
-            exps = [0] * len(ctx.vars)
-            for key, e in entry["exps"].items():
-                exps[ctx.var_pos(parse_var(key))] = int(e)
-            terms[tuple(exps)] = Fraction(entry["coeff"])
-        den = []
-        for entry in data["den"]:
-            b = parse_var(entry["b"]) if "b" in entry else None
-            den.append(LinearFactor(parse_var(entry["a"]), b, Fraction(entry["c"])))
-        return RatFunc(Poly(ctx, terms), den, Fraction(data["scale"]))
 
     def __str__(self):
         if self.is_zero:

@@ -26,7 +26,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .polys import Poly, elementary_symmetric, vandermonde
+from .polys import Context, Poly, elementary_symmetric, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, sym_generators
 from . import gln
@@ -105,7 +105,7 @@ def suite_gl2(n: int = 2) -> VerificationReport:
     sign action of the row-2 swap."""
     if n < 2:
         raise ValueError(f"suite gl2 needs n >= 2 (got n={n})")
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     rep = VerificationReport("gl2")
     x = lambda k, i: Poly.var(ctx, (k, i))
 
@@ -262,7 +262,7 @@ def suite_gl3() -> VerificationReport:
     """The rank-3 catalogue: all nine relation families among the
     single-shift generators, both signs and all indices, plus the
     ladder/V2 commutator and cross-checks through matrix-unit images."""
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     rep = VerificationReport("gl3")
     gen_order = ["X11", "X22", "X33", "A11+", "A11-", "A21+", "A21-",
                  "A22+", "A22-", "V2", "V3"]
@@ -310,7 +310,7 @@ def suite_gl3() -> VerificationReport:
 def suite_invariants() -> VerificationReport:
     """Non-polynomial central coefficients at rank 3: the rational
     product of the row-2 summands and the symmetric fourfold product."""
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     rep = VerificationReport("invariants")
     x = lambda k, i: Poly.var(ctx, (k, i))
 
@@ -369,7 +369,7 @@ def suite_invariants() -> VerificationReport:
 
 def suite_localized() -> VerificationReport:
     """Rewritten braid relations once V2 plus or minus 1 is invertible."""
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     rep = VerificationReport("localized")
     V2_poly = vandermonde(ctx, 2)
 

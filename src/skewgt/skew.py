@@ -224,17 +224,6 @@ class SkewElement(Ring):
             terms.append({"shift": shift, "coeff": self.terms[key].to_json()})
         return {"terms": terms}
 
-    @staticmethod
-    def from_json(ctx: Context, data: dict) -> "SkewElement":
-        out = {}
-        for entry in data["terms"]:
-            key = [0] * ctx.shift_rank
-            for skey, m in entry["shift"].items():
-                k, i = skey.split(",")
-                key[ctx.shift_pos((int(k), int(i)))] = int(m)
-            out[tuple(key)] = RatFunc.from_json(ctx, entry["coeff"])
-        return SkewElement(ctx, out)
-
     def _shift_str(self, key: ShiftKey) -> str:
         parts = []
         for pos, m in enumerate(key):

@@ -36,10 +36,6 @@ MAX_DEGREE = 24
 MAX_TRANSLATE = 24
 
 
-def line_context() -> Context:
-    return Context.line()
-
-
 class ToySpec:
     """The defining polynomial; its constant term must not vanish."""
 

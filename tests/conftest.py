@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from skewgt.gtmodules import Matrix
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt.skew import SkewElement
+
+# Every property test runs the same examples on every run, with no
+# per-example time limit and no example database; each test picks only
+# its own max_examples.
+settings.register_profile("exact", deadline=None, derandomize=True, database=None)
+settings.load_profile("exact")
 
 
 @pytest.fixture
@@ -37,6 +43,73 @@ def dense(value):
     if isinstance(value, (list, tuple)):
         return [dense(v) for v in value]
     return value
+
+
+# A sympy oracle for the JSON bodies, which the package writes and reads
+# none of.  One expression is built from a body's text fields alone,
+# another from a value's parts, factors and scale, never from its
+# expanded numerator, and the two must agree.
+
+def _var_id(key: str):
+    """The variable (k, i) of a JSON key "k,i"."""
+    k, i = key.split(",")
+    return int(k), int(i)
+
+
+def _symbol(v):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Symbol("x%d_%d" % v)
+
+
+def _linear(a, b, c):
+    """(x_a - x_b + c), or (x_a + c) when b is None."""
+    return _symbol(a) - (_symbol(b) if b is not None else 0) + c
+
+
+def sympy_of_body(body: dict):
+    """The rational function a `RatFunc.to_json` body writes, from its
+    "num", "den" and "scale" text."""
+    sympy = pytest.importorskip("sympy")
+    num = sum((sympy.Rational(t["coeff"])
+               * sympy.Mul(*[_symbol(_var_id(v)) ** e for v, e in t["exps"].items()])
+               for t in body["num"]), sympy.Integer(0))
+    den = sympy.Mul(*[_linear(_var_id(f["a"]), _var_id(f["b"]) if "b" in f else None,
+                              sympy.Rational(f["c"])) for f in body["den"]])
+    return sympy.Rational(body["scale"]) * num / den
+
+
+def sympy_of_parts(r: RatFunc):
+    """r from its parts, den and scale; the parts' product is never
+    expanded by the package."""
+    sympy = pytest.importorskip("sympy")
+    value = sympy.Rational(str(r.scale))
+    for p in r.parts:
+        value *= sum((sympy.Rational(str(c))
+                      * sympy.Mul(*[_symbol(v) ** e for v, e in zip(r.ctx.vars, exps)])
+                      for exps, c in p.sorted_terms()), sympy.Integer(0))
+    for f in r.den:
+        value /= _linear(f.a, f.b, sympy.Rational(str(f.c)))
+    return value
+
+
+def assert_body_matches(r: RatFunc, body: dict) -> None:
+    sympy = pytest.importorskip("sympy")
+    assert sympy.cancel(sympy_of_body(body) - sympy_of_parts(r)) == 0, (str(r), body)
+
+
+def assert_skew_body_matches(u: SkewElement, body: dict) -> None:
+    """A `SkewElement.to_json` body lists u's shifts, each once, with
+    a coefficient equal to u's there."""
+    coeffs = {}
+    for entry in body["terms"]:
+        key = [0] * u.ctx.shift_rank
+        for v, m in entry["shift"].items():
+            key[u.ctx.shift_pos(_var_id(v))] = m
+        assert tuple(key) not in coeffs
+        coeffs[tuple(key)] = entry["coeff"]
+    assert coeffs.keys() == u.terms.keys()
+    for key, coeff in coeffs.items():
+        assert_body_matches(u.terms[key], coeff)
 
 
 def is_normal_rational(x) -> bool:

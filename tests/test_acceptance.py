@@ -26,7 +26,7 @@ def _report(name: str, started: float, budget: float):
 
 def test_criterion_1_rank2_center():
     start = time.monotonic()
-    ctx = gln.triangle(2)
+    ctx = Context.triangle(2)
     x = lambda k, i: Poly.var(ctx, (k, i))
     c21 = gln.gelfand_invariant_image(ctx, 2, 1)
     c22 = gln.gelfand_invariant_image(ctx, 2, 2)
@@ -40,7 +40,7 @@ def test_criterion_1_rank2_center():
 
 def test_criterion_2_gwa_presentation():
     start = time.monotonic()
-    ctx = gln.triangle(2)
+    ctx = Context.triangle(2)
     X1p, X1m = gln.gen_X(ctx, 1, +1), gln.gen_X(ctx, 1, -1)
     e11 = elementary_symmetric(ctx, 1, 1)
     e21 = elementary_symmetric(ctx, 2, 1)
@@ -99,7 +99,7 @@ def test_criterion_6_pattern_modules():
     assert len(gt.row_fillings(top)[2]) == 4
     rep = gt.module_relation_report(mod)
     assert rep.ok, failures(rep)
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     for k in (2, 3):
         vk = vandermonde(ctx, k)
         for j, p in enumerate(mod.basis):
@@ -119,7 +119,7 @@ def test_criterion_7_generic_window():
 
 def test_criterion_8_rank_one_witnesses():
     start = time.monotonic()
-    ctx = toy.line_context()
+    ctx = Context.line()
     x = Poly.var(ctx, toy.X_VAR)
     for f in (x + 2, x ** 2 + 1, 3 * x ** 3 + x + 5):
         spec = toy.ToySpec(f)
@@ -176,7 +176,7 @@ def test_criterion_9_randomized_property_suites():
 def test_criterion_10_invariance_census():
     start = time.monotonic()
     for n in range(1, 5):
-        ctx = gln.triangle(n)
+        ctx = Context.triangle(n)
         for name in gln.generator_names(n):
             u = gln.element(ctx, name)
             assert is_invariant(u, "A"), (n, name)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules, relations, toy
-from skewgt.polys import quote
+from skewgt.polys import Context, quote
 from skewgt.skew import commutator
 
-from conftest import dense
+from conftest import assert_skew_body_matches, dense
 
 
 def run(capsys, argv):
@@ -66,12 +66,12 @@ def test_verify_usage_error(capsys):
 def test_compute_commutator(capsys):
     code, out, _ = run(capsys, ["compute", "--expr", "[V2, A21+]"])
     assert code == 0
-    expected = gln.element(gln.triangle(3), "A21+")
+    expected = gln.element(Context.triangle(3), "A21+")
     assert out.strip() == str(expected)
 
 
 def test_compute_expression_grammar():
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     value = cli.compute_expression("X1+*X1- - X1-*X1+", 3)
     assert value == commutator(gln.element(ctx, "X1+"), gln.element(ctx, "X1-"))
     assert cli.compute_expression("2*X11 - X11 - X11", 3).is_zero
@@ -220,6 +220,12 @@ def test_gt_bad_inputs(capsys):
     code, out, err = run(capsys, ["gt", "--generic", "1/0; 1,0"])
     assert code == 2 and out == ""
     assert err == "error: bad point entry '1/0': expected a nonzero denominator\n"
+    # an empty point entry is refused: it used to be dropped, so each of
+    # these was read as "1/3; 1,0"
+    for generic in ("1/3; 1,,0", "1/3; 1,0,", ",1/3; 1,0", "1/3; 1,0;"):
+        code, out, err = run(capsys, ["gt", f"--generic={generic}"])
+        assert code == 2 and out == ""
+        assert err == "error: bad point entry '': expected an integer, a/b or a plain decimal\n"
     code, out, err = run(capsys, ["gt", "--top", "0", "--check"])
     assert code == 2 and out == ""
     assert "top row of length n >= 2 (got n=1)" in err
@@ -316,7 +322,7 @@ def test_size_budgets(capsys, monkeypatch):
         code, out, _ = run(capsys, ["compute", "--expr", expr, "--n", "2"])
         assert code == 0 and out
     # toy degrees and translates over the budget never reach a witness
-    assert toy.parse_univariate(toy.line_context(), f"x^{toy.MAX_DEGREE} + 1").degree() \
+    assert toy.parse_univariate(Context.line(), f"x^{toy.MAX_DEGREE} + 1").degree() \
         == toy.MAX_DEGREE
     assert toy.parse_inverse_target(f"1/(x-{toy.MAX_TRANSLATE})") == -toy.MAX_TRANSLATE
     with monkeypatch.context() as m:
@@ -358,7 +364,7 @@ def test_size_budgets(capsys, monkeypatch):
     # a rank over the budget never reaches a context
     def no_context(n):
         raise AssertionError(f"context of rank {n} built")
-    monkeypatch.setattr(gln, "triangle", no_context)
+    monkeypatch.setattr(Context, "triangle", staticmethod(no_context))
     for n in ("10", "100000"):
         for argv in (["compute", "--expr", "X11"], ["verify", "--suite", "gl2"]):
             code, out, err = run(capsys, argv + ["--n", n])
@@ -485,16 +491,14 @@ def test_toy_cli(capsys):
 
 
 def test_export_roundtrip(capsys, tmp_path):
-    """The "element" body `compute --json` writes reads back as the same
-    skew element."""
+    """The "element" body `compute --json` writes is the skew element,
+    by sympy."""
     path = tmp_path / "el.json"
     code, _, _ = run(capsys, ["compute", "--expr", "X2+", "--n", "3",
                               "--json", str(path)])
     assert code == 0
     body = json.loads(path.read_text())
-    ctx = gln.triangle(3)
-    from skewgt.skew import SkewElement
-    assert SkewElement.from_json(ctx, body["element"]) == gln.element(ctx, "X2+")
+    assert_skew_body_matches(gln.element(Context.triangle(3), "X2+"), body["element"])
 
 
 def test_rank_must_be_positive(capsys):
@@ -670,7 +674,7 @@ def matrices(draw):
     return gtmodules.from_values(rows)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.lists(matrices(), min_size=1, max_size=3))
 def test_matrix_rows_match_json_dumps(ms):
     """A matrix is written as the dense rows of its value strings, at any
@@ -692,13 +696,13 @@ def numerators_over_den(draw):
     return x, den
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(numerators_over_den())
 def test_matrix_value_text_is_the_fraction_str(case):
     """A stored numerator x over den is written as `str(Fraction(x, den))`,
     negative, reducing to an int or over den == 1 alike."""
     x, den = case
-    m = gtmodules.Matrix([gtmodules.Row({1: x}), gtmodules.Row()], den)
+    m = gtmodules.Matrix([{1: x}, {}], den)
     assert json.loads("".join(cli._matrix_rows(m, ""))) == [["0", str(Fraction(x, den))],
                                                            ["0", "0"]]
 

@@ -140,7 +140,7 @@ def flat(command, groups):
     return [command] + [token for group in groups for token in group]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_table_parser_matches_argparse_on_valid_argv(data):
     command = data.draw(st.sampled_from(list(cli.COMMANDS)))
@@ -160,7 +160,7 @@ def mutations(command: str) -> list:
     return out
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_table_parser_matches_argparse_on_invalid_argv(data):
     command = data.draw(st.sampled_from(list(cli.COMMANDS)))

@@ -199,7 +199,7 @@ def test_nested_commutator_intermediate_value(ctx3):
 
 def test_invariance_census_small():
     for n in (2, 3):
-        ctx = gln.triangle(n)
+        ctx = Context.triangle(n)
         for name in gln.generator_names(n):
             u = gln.element(ctx, name)
             assert is_invariant(u, "A"), name

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules as gt
-from skewgt.polys import vandermonde
+from skewgt.polys import Context, vandermonde
 from skewgt.relations import single_shift_catalogue, suite_gl3
 from skewgt.skew import commutator
 
@@ -156,7 +156,7 @@ def test_vandermonde_action():
 def test_vandermonde_squares_match_evaluation():
     for top in [(1, 0), (2, 1, 0), (2, 2, 0)]:
         signs = gt.SignData.from_vectors(gt.row_fillings(top))
-        ctx = gln.triangle(len(top))
+        ctx = Context.triangle(len(top))
         for k in range(2, len(top) + 1):
             vk = vandermonde(ctx, k)
             for p in gt.enumerate_patterns(top):
@@ -169,7 +169,7 @@ def test_squared_vandermonde_product_matches_the_expanded_polynomial():
     # Vandermonde polynomial is the oracle on every filling of each row
     for top in [(2, 1, 0), (3, 1, 1), (2, 1, 0, 0), (2, 2, 1, 0), (1, 1, 0, 0, 0),
                 (2, 1, 0, 0, 0)]:
-        ctx = gln.triangle(len(top))
+        ctx = Context.triangle(len(top))
         for k in range(2, len(top) + 1):
             vk = vandermonde(ctx, k)
             for p in gt.enumerate_patterns(top):
@@ -342,7 +342,7 @@ def test_generic_diagonals_match_polynomial_evaluation():
     as polynomials at each staircase point."""
     point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
     m = gt.build_generic_module(point, radius=1)
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     for k in range(1, 4):
         poly = gln.gen_Xkk(ctx, k).identity_coefficient()
         assert m.spectrum(f"X{k}{k}") == [poly.evaluate(gt.pattern_point(p))
@@ -369,7 +369,7 @@ def test_module_layer_types():
     for p in generic.basis:
         assert all(type(v) is Fraction for row in p[:-1] for v in row)
         assert all(type(v) is int for v in p[-1])
-    ctx = gln.triangle(3)
+    ctx = Context.triangle(3)
     for mod in (finite, generic):
         for name, m in mod.matrices.items():
             assert_lowest_terms(m)
@@ -498,7 +498,7 @@ def assert_lowest_terms(m):
     n = len(m)
     assert type(m.den) is int and m.den > 0
     for row in m:
-        assert type(row) is gt.Row
+        assert type(row) is dict
         assert all(type(v) is int and v for v in row.values()), row
         assert all(0 <= j < n for j in row), row
     assert math.gcd(m.den, *(v for row in m for v in row.values())) == 1, m.den
@@ -573,7 +573,7 @@ def sparse_dense_pairs(draw):
     return da, db
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(sparse_dense_pairs(), rationals)
 def test_matrix_ops_property(pair, c):
     """`*`, `+`, `-` and `c * a` agree with a dense Fraction reference,
@@ -614,7 +614,7 @@ def commutator_operands(draw):
     return square(shape in ("left", "both")), square(shape in ("right", "both"))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(commutator_operands())
 def test_commutator_kernel_property(pair):
     """`Matrix.commutator`, and `commutator` on matrices, equal the two
@@ -651,7 +651,7 @@ def test_commutator_kernel_dispatch(monkeypatch):
         with pytest.raises(ValueError, match="sizes differ"):
             commutator(a, b)
 
-    ctx = gln.triangle(2)
+    ctx = Context.triangle(2)
     x, y = gln.gen_X(ctx, 1, 1), gln.gen_Xkk(ctx, 1)
     products = []
     mul = type(x).__mul__
@@ -760,7 +760,7 @@ def assert_closed_form_matches_a_coeff(n, patterns):
     """`gln.a_value` on the two staircase rows each summand reads equals
     `gln.a_coeff` evaluated at the whole staircase point, at every
     pattern, and is an int exactly when that value is integral."""
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     for k in range(1, n):
         for s in (1, -1):
             for i in range(1, k + 1):
@@ -786,7 +786,7 @@ def test_closed_form_ladder_values_at_the_benchmark_generic_points():
         assert_closed_form_matches_a_coeff(mod.n, mod.basis)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(*(
     st.lists(st.fractions(-20, 5, max_denominator=12), min_size=k, max_size=k)
     for k in range(1, n + 1)))))

@@ -110,7 +110,7 @@ def sparse_polys(draw, ctx, strip=None):
 
 @pytest.mark.parametrize("n", sorted(CONTEXTS))
 @pytest.mark.parametrize("with_b,integral_c", FACTOR_SHAPES)
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_divmod_oracle(n, with_b, integral_c, data):
     ctx = CONTEXTS[n]
@@ -353,7 +353,7 @@ scalars = st.one_of(st.integers(-5, 5),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_operations_store_normalized_coefficients(data):
     ctx = CONTEXTS[3]
@@ -377,7 +377,7 @@ def test_operations_store_normalized_coefficients(data):
         assert_normalized(r)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(p=sparse_polys(CONTEXTS[3]))
 def test_primitive_part_has_int_coefficients(p):
     content, prim = p.content_primitive()
@@ -386,7 +386,7 @@ def test_primitive_part_has_int_coefficients(p):
     assert content * prim == p
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(k=st.integers(-9, 9), exps=st.tuples(*[st.integers(0, 3)] * 3))
 def test_integral_fraction_and_int_build_the_same_poly(k, exps):
     ctx = CONTEXTS[2]
@@ -498,7 +498,7 @@ def oracle_polys(draw, ctx):
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE_CONTEXTS))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_packed_kernels_match_sympy(n, data):
     sympy = pytest.importorskip("sympy")
@@ -573,7 +573,7 @@ def deep_polys(draw, ctx):
     return Poly(ctx, draw(st.dictionaries(deep_monomials(ctx), scalars, max_size=6)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_multivariate_subs_shift_matches_sympy(data):
     sympy = pytest.importorskip("sympy")
@@ -587,7 +587,7 @@ def test_multivariate_subs_shift_matches_sympy(data):
     assert p.subs_shift(shift).subs_shift({v: -s for v, s in shift.items()}) == p
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(p=line_polys(), s=st.integers(-30, 30))
 def test_line_subs_shift_matches_sympy_at_high_degree(p, s):
     sympy = pytest.importorskip("sympy")
@@ -617,7 +617,7 @@ def linear_roots(draw):
     return draw(st.sampled_from([num, Fraction(num), Fraction(num, draw(st.sampled_from([2, 3, 7])))]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_exact_div_linear_agrees_with_divmod(data):
     ctx = data.draw(st.sampled_from([LINE, ORACLE_CONTEXTS[3]]))
@@ -644,7 +644,7 @@ def test_exact_div_linear_agrees_with_divmod(data):
 # screen and only the division can refuse them.
 
 @pytest.mark.parametrize("n", sorted(ORACLE_CONTEXTS))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_top_form_screen_matches_sympy(n, data):
     sympy = pytest.importorskip("sympy")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from skewgt import gln, gtmodules, relations
-from skewgt.polys import Poly
+from skewgt.polys import Context, Poly
 from skewgt.ratfunc import RatFunc, linear_factor
 from skewgt.skew import SkewElement, commutator
 
@@ -75,7 +75,7 @@ def test_suite_gl3_passes():
 def test_gln_catalogue_holds_on_skew_elements(n, count):
     """The rank-n catalogue the module report runs on matrices holds on
     the skew elements of the same names, entry for entry."""
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     mod = gtmodules.build_module((1,) + (0,) * (n - 1))
     E = {name: gln.element(ctx, name) for name in mod.matrices}
     entries = list(relations.gln_catalogue(n, E, SkewElement.zero(ctx)))
@@ -96,7 +96,7 @@ def single_shift_names(n):
 def test_single_shift_catalogue_holds_on_skew_elements(n, count):
     """Families iii-ix, written once for every rank, hold entry for entry
     on the skew elements; at n = 3 they are suite gl3's families."""
-    ctx = gln.triangle(n)
+    ctx = Context.triangle(n)
     E = {name: gln.element(ctx, name) for name in single_shift_names(n)}
     entries = list(relations.single_shift_catalogue(n, E))
     assert len(entries) == len({key for _, key, *_ in entries}) == count
@@ -120,7 +120,7 @@ def test_v3_braid_is_refused():
     """A planted false relation: the braid of family ix with V3 in place
     of V2, A32± V3 A31± = A31± V3 A32± at n = 4, is refused on skew
     elements and on module matrices.  This is why ix stops at k = 2."""
-    ctx = gln.triangle(4)
+    ctx = Context.triangle(4)
 
     def braids(E):
         return [(E[f"A32{t}"] * E["V3"] * E[f"A31{t}"],
@@ -158,7 +158,7 @@ def test_report_json_schema():
     for entry in body["results"]:
         assert set(entry) >= {"id", "status", "anchor"}
         assert entry["status"] == "pass"
-    X11 = gln.gen_Xkk(gln.triangle(3), 1)
+    X11 = gln.gen_Xkk(Context.triangle(3), 1)
     failing = relations.VerificationReport("demo")
     failing.add(relations.verify_identity("k", "a", X11, SkewElement.zero(X11.ctx)))
     entry = failing.to_json()["results"][0]

@@ -132,7 +132,7 @@ def test_powers_square_through_the_product_operator():
     assert (a ** 1) is a
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["poly", "ratfunc", "skew"]),
        k=st.integers(0, 9))
 def test_power_is_the_left_to_right_product(seed, kind, k):

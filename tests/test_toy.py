@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgt import toy
-from skewgt.polys import Poly
+from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc
 from skewgt.skew import SkewElement
 from skewgt.lattice import supports_generate_group
@@ -16,7 +16,7 @@ from skewgt.lattice import supports_generate_group
 
 @pytest.fixture
 def ctx():
-    return toy.line_context()
+    return Context.line()
 
 
 def xvar(ctx):
@@ -224,7 +224,7 @@ def test_multiplicity_on_the_rooted_witness_cells(ctx):
             assert trace.multiplicity == expanded_multiplicity(f, cell["c"]) == 1, text
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(data=st.data())
 def test_multiplicity_matches_the_expanded_product(data):
     """f = prod (x - r) * g with integer roots r, repeated ones included,
@@ -237,7 +237,7 @@ def test_multiplicity_matches_the_expanded_product(data):
                                          st.integers(-6, 6).filter(bool)), max_size=3))
     cofactor = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)
                          .filter(lambda v: v[0]))
-    ctx = toy.line_context()
+    ctx = Context.line()
     x = xvar(ctx)
     f = Poly.zero(ctx)
     for e, v in enumerate(cofactor):
