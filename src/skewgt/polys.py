@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Mapping, Optional, Tuple, Union
 
 VarId = Tuple[int, int]
@@ -286,7 +288,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_top", "_hash")
+    __slots__ = ("ctx", "terms", "_top", "_hash", "_keys_or")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -309,10 +311,10 @@ class Poly(Ring):
         # of Fractions can be integral and is stored as an int.  A map of
         # ints only (most maps: primitive numerators) is scanned in C and
         # kept as it is when it holds no zero.  A polynomial is never
-        # changed after this, so the top-degree terms and the hash are
-        # filled in on first use and kept.
+        # changed after this, so the top-degree terms, the hash and the
+        # OR of the keys are filled in on first use and kept.
         self.ctx = ctx
-        self._top = self._hash = None
+        self._top = self._hash = self._keys_or = None
         values = terms.values()
         if not set(map(type, values)) <= {int}:
             terms = {e: c if type(c) is int else _coeff(c)
@@ -616,6 +618,15 @@ class Poly(Ring):
                 return None
         q, r = self.divmod_linear(a, b, c)
         return q if r.is_zero else None
+
+    def holds(self, v: VarId) -> bool:
+        """Whether x_v occurs in some term.  A field of the OR of the
+        packed keys is nonzero exactly when some key's is; the OR is
+        taken on the first call and kept."""
+        keys = self._keys_or
+        if keys is None:
+            keys = self._keys_or = reduce(or_, self.terms, 0)
+        return bool(keys >> self.ctx._offsets[self.ctx.var_pos(v)] & _MASK)
 
     def _top_form_vanishes(self, a: VarId, b: VarId) -> bool:
         """Whether the top-degree form of p vanishes under x_a := x_b,

@@ -142,7 +142,11 @@ def _cancel(parts, factors, scale):
 
     A canonical factor is prime, so it divides the product exactly when
     it divides one part: each factor is tried against the parts in order
-    and cancels from the first it divides, or is kept.  Returns
+    and cancels from the first it divides, or is kept.  A difference
+    (x_a - x_b + c) skips a part without x_a untried, as it divides no
+    nonzero polynomial free of x_a; a factor (x_a + c), which only `toy`
+    makes, over one variable that every nonconstant part holds, tries
+    each part.  Returns
     ``(scale, parts, kept)``: the contents of the quotients folded into
     ``scale``, a constant quotient dropped from the parts, and the
     factors that did not cancel in ``kept``.
@@ -150,8 +154,9 @@ def _cancel(parts, factors, scale):
     parts = list(parts)
     kept = []
     for f in factors:
+        a, b, c = f
         for i, p in enumerate(parts):
-            q = p.exact_div_linear(f.a, f.b, f.c)
+            q = None if b is not None and not p.holds(a) else p.exact_div_linear(a, b, c)
             if q is not None:
                 content, q = q.content_primitive()
                 scale *= content

@@ -9,6 +9,12 @@ factor's shift:
 
     (a * mu) (b * nu) = (a * mu(b)) * (mu nu).
 
+Products are formed by one kernel, ``SkewElement.sum_of_products``,
+which sums c*a*b over a list of triples and reduces each shift key's
+products once, by ``RatFunc.sum``.  A product is its case of one triple,
+a commutator its case of two, and a Gelfand row entry (``gln``) its case
+of rank triples, so no partial product or partial sum is reduced.
+
 Row permutations act on everything: on coefficients by permuting the
 variables of each row, and on shifts by conjugation, which permutes the
 shift exponents within each row.  A row permutation is the variable
@@ -149,25 +155,34 @@ class SkewElement(Ring):
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
-    def _mul(self, other: "SkewElement") -> "SkewElement":
-        """The product term by term, (a1 mu1)(a2 mu2) = a1 mu1(a2) mu1 mu2.
+    @staticmethod
+    def sum_of_products(ctx: Context, triples: Iterable[tuple]) -> "SkewElement":
+        """The sum of c*a*b over ``triples`` (c, a, b) of an exact
+        rational c and two elements, each product term by term:
+        (a1 mu1)(a2 mu2) = a1 mu1(a2) mu1 mu2.
 
-        The pairs (mu1, mu2) are first grouped by their shift key
-        mu1 mu2; then each key's products are built and summed once, by
-        ``RatFunc.sum``, before the next key's are built, so only one
-        key's products are held at a time.  ``RatFunc.sum`` tries only
-        the factors that two products reach at their top multiplicity,
-        where a pairwise fold would try every factor of partial sums over
-        equal denominators."""
-        ctx, left, right = self.ctx, self.terms, other.terms
+        The term pairs (mu1, mu2) of every triple are first grouped by
+        their shift key mu1 mu2; then each key's products are built and
+        summed once, by ``RatFunc.sum``, before the next key's are built,
+        so only one key's products are held at a time.  ``RatFunc.sum``
+        tries only the factors that two products reach at their top
+        multiplicity, where a chain of partial sums would try every
+        factor of partial sums over equal denominators."""
         pairs: Dict[ShiftKey, list] = {}
-        for k1 in left:
-            for k2 in right:
-                pairs.setdefault(tuple(map(add, k1, k2)), []).append((k1, k2))
-        smaps = {k1: _shift_map(ctx, k1) for k1 in left}
+        for c, a, b in triples:
+            for k1, a1 in a.terms.items():
+                if c != 1:
+                    a1 = a1 * c
+                smap = _shift_map(ctx, k1)
+                for k2, a2 in b.terms.items():
+                    pairs.setdefault(tuple(map(add, k1, k2)), []).append((a1, a2, smap))
         return SkewElement(ctx, {
-            key: RatFunc.sum(ctx, [left[k1] * right[k2].shifted(smaps[k1]) for k1, k2 in ks])
-            for key, ks in pairs.items()})
+            key: RatFunc.sum(ctx, [a1 * a2.shifted(smap) for a1, a2, smap in ps])
+            for key, ps in pairs.items()})
+
+    def _mul(self, other: "SkewElement") -> "SkewElement":
+        """The product: ``sum_of_products`` of the one triple (1, self, other)."""
+        return SkewElement.sum_of_products(self.ctx, [(1, self, other)])
 
     def __eq__(self, other):
         other = self._promote(other)
@@ -259,11 +274,22 @@ def _coerce_ratfunc(ctx: Context, a) -> RatFunc:
     return RatFunc.const(ctx, a)
 
 
-def commutator(a: SkewElement, b: SkewElement) -> SkewElement:
-    """a*b - b*a; an operand with its own `commutator` method (a module
-    `Matrix`, which brackets a diagonal operand in one pass) uses it."""
+def commutator(a, b):
+    """a*b - b*a.  An operand with its own `commutator` method (a module
+    `Matrix`, which brackets a diagonal operand in one pass) uses it.
+    Where either operand is a skew element, both are promoted as `*`
+    promotes them and the two products are one ``sum_of_products``, so
+    each shift key is summed once."""
     bracket = getattr(a, "commutator", None)
-    return a * b - b * a if bracket is None else bracket(b)
+    if bracket is not None:
+        return bracket(b)
+    u = a if isinstance(a, SkewElement) else b
+    if not isinstance(u, SkewElement):
+        return a * b - b * a
+    x, y = u._promote(a), u._promote(b)
+    if x is None or y is None:
+        raise TypeError(f"cannot bracket {type(a).__name__} with {type(b).__name__}")
+    return SkewElement.sum_of_products(u.ctx, [(1, x, y), (-1, y, x)])
 
 
 def is_invariant(u: SkewElement, group: str) -> bool:

@@ -375,6 +375,27 @@ def test_parts_check_catches_an_uncancelled_part(monkeypatch):
         _check_parts(0, [])
 
 
+def test_cancel_tries_a_difference_only_on_parts_that_hold_x_a(monkeypatch):
+    """`Poly.holds` reads the exponent fields of the packed keys, and
+    `_cancel` hands `exact_div_linear` a difference (x_a - x_b + c) only
+    with the parts that hold x_a (`test_operations_return_the_full_reduction`
+    checks that no cancellation is missed)."""
+    ctx = Context.triangle(3)
+    rng = random.Random(67)
+    tried = []
+    exact_div_linear = Poly.exact_div_linear
+    monkeypatch.setattr(Poly, "exact_div_linear", lambda self, a, b, c: (
+        b is None or tried.append(self.holds(a)), exact_div_linear(self, a, b, c))[1])
+    for _ in range(40):
+        p = rand_poly(rng, ctx)
+        exps = [e for e, _ in p.sorted_terms()]
+        assert [p.holds(v) for v in ctx.vars] == [any(e[i] for e in exps)
+                                                 for i in range(len(ctx.vars))]
+        for a, b in _cancelling_pairs(rng, ctx):
+            a * b, a + b
+    assert len(tried) > 100 and all(tried)
+
+
 # -- n-ary sums -------------------------------------------------------------
 
 def _fold(ctx, terms):
@@ -455,10 +476,14 @@ def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
 # sums, and the cancellations inside them, no longer exist.
 # `exact_div_linear` screens each difference by its top-degree form,
 # which turns away all but a few failing trials before `divmod_linear`
-# runs, so the calls are close to the hits.
+# runs, so the calls are close to the hits.  They were (14, 14) and
+# (39, 27) while each skew product and each sum of products was reduced
+# on its own; as one `SkewElement.sum_of_products` per commutator and
+# per Gelfand row entry, each shift key is summed once, and the
+# cancellations inside the reduced products no longer happen.
 DIVISION_COUNTS = {
-    ("compute", "--expr", "c33"): (14, 14),
-    ("verify", "--suite", "gl3"): (39, 27),
+    ("compute", "--expr", "c33"): (10, 10),
+    ("verify", "--suite", "gl3"): (37, 25),
 }
 
 
@@ -488,7 +513,7 @@ def test_division_counts(monkeypatch, capsys):
         assert counts["calls"] <= calls, argv
 
 
-# Two rank-4 jobs whose skew products gather many products under each
+# Rank-4 jobs whose skew products gather many products under each
 # shift key: (stdout sha256, divmod_linear calls, hits).  The digests and
 # the bounds on the calls were recorded while each key was summed
 # pairwise, one left term at a time.  As one RatFunc.sum per key the
@@ -496,12 +521,19 @@ def test_division_counts(monkeypatch, capsys):
 # 1 536 -> 1 482); so do the hits (19 -> 16 and 92 -> 82), because the
 # partial sums, and the cancellations inside them, no longer exist.  The
 # top-degree screen of `exact_div_linear` leaves 20 and 90 calls with the
-# same hits.
+# same hits.  Summing each Gelfand row entry of E^m, and the closing
+# trace, as one `SkewElement.sum_of_products` drops the reductions of
+# the single products: c42 falls from (90, 82) to (12, 12), while
+# E14*E41, one product of two commutators, keeps (20, 16).  c43, the
+# largest image `compute` accepts, was pinned with this kernel in place;
+# its digest is the one recorded before it, where it made (296, 272).
 RANK4_OUTPUTS = {
     ("compute", "--expr", "E14*E41", "--n", "4"):
         ("5cc2c275a4a6f70280b0b268074f1cf3612f114f7b1518081b290b744c4f84ce", 20, 16),
     ("compute", "--expr", "c42", "--n", "4"):
-        ("fdeca317c991ee453892744547da1b61cb24206b3e4d4af270286e140074f3bf", 90, 82),
+        ("fdeca317c991ee453892744547da1b61cb24206b3e4d4af270286e140074f3bf", 12, 12),
+    ("compute", "--expr", "c43", "--n", "4"):
+        ("eba4a4ee61c7e7b873d74662b5a2eeb89eeb943cc6049fa5ddeff2c9fd9fa147", 152, 136),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgt.polys import Context, Poly, vandermonde
-from skewgt.ratfunc import RatFunc
+from skewgt.ratfunc import RatFunc, linear_factor
 from skewgt.skew import SkewElement, alt_generators, commutator, is_invariant, sym_generators
 from skewgt.lattice import lattice_spans_ambient, supports_generate_group
 from skewgt import gln, skew
@@ -21,6 +21,32 @@ def unit_key(ctx, v, power=1):
     key = [0] * ctx.shift_rank
     key[ctx.shift_pos(v)] = power
     return tuple(key)
+
+
+def test_commutator_promotes_mixed_operands(ctx3, monkeypatch):
+    """With one skew operand, `commutator` promotes the other (a Poly,
+    RatFunc, int or Fraction) as `*` does, on either side, and equals
+    a*b - b*a; matrices keep `Matrix.commutator` and never reach the
+    skew kernel."""
+    from skewgt import gtmodules as gt
+    X = gln.gen_X(ctx3, 2, +1)
+    x = Poly.var(ctx3, (2, 1))
+    f = RatFunc(x + 1, [linear_factor((2, 1), (2, 2), 1)[0]])
+    for other in (x, f, 3, Fraction(-2, 5)):
+        for a, b in ((X, other), (other, X)):
+            assert commutator(a, b) == a * b - b * a, (a, b)
+    assert not commutator(X, x).is_zero and not commutator(f, X).is_zero
+    assert commutator(X, 3).is_zero and commutator(Fraction(1, 2), X).is_zero
+
+    M = gt.build_module((2, 1, 0)).matrices
+    brackets = []
+    method = gt.Matrix.commutator
+    monkeypatch.setattr(gt.Matrix, "commutator",
+                        lambda a, b: (brackets.append(1), method(a, b))[1])
+    monkeypatch.setattr(SkewElement, "sum_of_products", None)
+    assert commutator(M["X1+"], M["X1-"]) == M["X1+"] * M["X1-"] - M["X1-"] * M["X1+"]
+    assert commutator(M["X11"], M["X1+"]) == M["X11"] * M["X1+"] - M["X1+"] * M["X11"]
+    assert len(brackets) == 2
 
 
 def test_skew_square_twists_coefficient(ctx2):
@@ -466,9 +492,18 @@ def oracle_names(n, commutators):
 
 
 def _word(ctx, model, word):
-    u, m = gln.element(ctx, word[0]), model.element(word[0])
-    for name in word[1:]:
-        u, m = u * gln.element(ctx, name), model.mul(m, model.element(name))
+    """The product of a word's entries, in the engine and in the model:
+    each entry a registry name, or a pair of words, their commutator."""
+    def entry(e):
+        if isinstance(e, str):
+            return gln.element(ctx, e), model.element(e)
+        (u1, m1), (u2, m2) = (_word(ctx, model, w) for w in e)
+        return commutator(u1, u2), model.add(model.mul(m1, m2), model.mul(m2, m1), -1)
+
+    u, m = entry(word[0])
+    for e in word[1:]:
+        v, w = entry(e)
+        u, m = u * v, model.mul(m, w)
     return u, m
 
 
@@ -507,16 +542,34 @@ def test_skew_ring_matches_the_sympy_model(case):
     _check_against_model(*case)
 
 
+@st.composite
+def bracket_cases(draw, ns, max_len):
+    n, w1, g, pts = draw(oracle_cases(ns=ns, max_len=max_len, commutators_up_to=0, points=2))
+    w2 = draw(st.lists(st.sampled_from(oracle_names(n, False)), min_size=1, max_size=max_len))
+    return n, [(w1, w2)], g, pts
+
+
+@settings(max_examples=30)
+@given(case=bracket_cases(ns=(2, 3), max_len=2))
+def test_bracket_words_match_the_sympy_model(case):
+    """Brackets [w1, w2] of words of length <= 2 at n = 2, 3, each one
+    `sum_of_products` of two triples, against the model's two products
+    and difference at two random exact points."""
+    _check_against_model(*case)
+
+
 def test_sympy_model_catches_planted_faults(monkeypatch):
     """A flipped shift sign in `_shift_map`, an `act` that skips the key
-    conjugation and a product that drops the last pair of a shift key
-    each fail the comparison with the model."""
+    conjugation, a product that drops the last pair of a shift key and a
+    `sum_of_products` that ignores the sign of a -1 triple (so E13 sums
+    E12*E23 + E23*E12) each fail the comparison with the model."""
     rng = random.Random(97)
     points = [{v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
                for v in Context.triangle(3).vars} for _ in range(2)]
     cases = [(3, ["X2+", "X2-"], {(2, 1): (2, 2), (2, 2): (2, 1)}),
              (3, ["A21+", "X1-"], {(2, 1): (2, 2), (2, 2): (2, 1),
-                                   (3, 1): (3, 3), (3, 2): (3, 1), (3, 3): (3, 2)})]
+                                   (3, 1): (3, 3), (3, 2): (3, 1), (3, 3): (3, 2)}),
+             (3, ["E13", "X11"], {(3, 1): (3, 2), (3, 2): (3, 1)})]
     for case in cases:
         _check_against_model(*case, points)
 
@@ -535,9 +588,16 @@ def test_sympy_model_catches_planted_faults(monkeypatch):
         return SkewElement(self.ctx, {k: RatFunc.sum(self.ctx, ps[:-1] or ps)
                                       for k, ps in products.items()})
 
+    sum_of_products = SkewElement.sum_of_products
+
+    def kernel_ignoring_signs(ctx, triples):
+        return sum_of_products(ctx, [(abs(c), a, b) for c, a, b in triples])
+
     for target, name, fault in ((skew, "_shift_map", flipped_shift_map),
                                 (SkewElement, "act", act_without_conjugation),
-                                (SkewElement, "_mul", mul_dropping_last_pair)):
+                                (SkewElement, "_mul", mul_dropping_last_pair),
+                                (SkewElement, "sum_of_products",
+                                 staticmethod(kernel_ignoring_signs))):
         with monkeypatch.context() as m:
             m.setattr(target, name, fault)
             with pytest.raises(AssertionError):
