@@ -132,7 +132,7 @@ def matrix_unit_image(ctx: Context, i: int, j: int) -> SkewElement:
 # c43 fits and c44, c99 do not.  The image itself sums rank*((k-2)*rank^2
 # + rank) skew products in rank^2*(k-2) + 1 calls of
 # `SkewElement.sum_of_products`: 80 products in 17 calls for c43, about
-# 10 s and 96 MB at n=4 on a 2-core machine (in-process, Python 3.11).
+# 5 s and 50 MB at n=4 on a 2-core machine (in-process, Python 3.11).
 MAX_GELFAND_TUPLES = 64
 
 

@@ -20,8 +20,10 @@ is graded lexicographic order with row-major variable precedence, which
 fixes a unique printed form (and the sign of the primitive part) for
 every polynomial; division does not depend on it.  The guard: no total
 degree reaches B, so no field ever carries into its neighbour.  The
-public constructor refuses such an exponent tuple, and ``*`` refuses a
-product of that degree before it multiplies.  ``Context.pack`` and
+public constructor refuses such an exponent tuple, and the one product
+loop, ``_mul_terms``, refuses a product of that degree before it
+multiplies; ``*`` and the sums of ``ratfunc`` run every product through
+it, on plain term maps.  ``Context.pack`` and
 ``Context.unpack`` convert between keys and exponent tuples, and
 ``sorted_terms`` reads the terms as tuples.  The zero polynomial is the
 empty map.  ``Poly._from_packed`` is the only place that drops zero
@@ -213,6 +215,36 @@ def _add_into(dst: dict, src: dict) -> dict:
         t = dst.get(e)
         dst[e] = v if t is None else t + v
     return dst
+
+
+def _mul_terms(ctx: Context, a: dict, b: dict, out: Optional[dict] = None) -> dict:
+    """Add the product of the packed term maps `a` and `b` into `out`, or
+    into a fresh map when `out` is None, and return it; zero sums are
+    kept, as in `_add_into`.  The one product loop of the polynomial
+    layer: the shorter operand runs the rows, and a fresh map takes its
+    first row in one comprehension, as no two of that row's keys meet.
+    A product of total degree DEGREE_BOUND or more raises ValueError
+    before anything is added, as packed keys add without carries only
+    below it."""
+    if not a or not b:
+        return {} if out is None else out
+    if len(a) > len(b):
+        a, b = b, a
+    top_a, top_b = max(a), max(b)
+    if top_a + top_b >= ctx._key_limit:
+        deg = (top_a >> ctx._deg_offset) + (top_b >> ctx._deg_offset)
+        raise ValueError(f"product of degree {deg}: degrees stay below {DEGREE_BOUND}")
+    right = list(b.items())
+    rows = iter(a.items())
+    if out is None:
+        e1, c1 = next(rows)
+        out = {e1 + e2: c1 * c2 for e2, c2 in right}
+    get = out.get
+    for e1, c1 in rows:
+        for e2, c2 in right:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 def _coeff(x):
@@ -413,21 +445,7 @@ class Poly(Ring):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        ctx = self.ctx
-        a, b = self.terms, other.terms
-        # packed keys add without carries while the degree stays in bounds
-        if a and b and max(a) + max(b) >= ctx._key_limit:
-            deg = (max(a) >> ctx._deg_offset) + (max(b) >> ctx._deg_offset)
-            raise ValueError(f"product of degree {deg}: degrees stay below "
-                             f"{DEGREE_BOUND}")
-        out: dict = {}
-        get = out.get
-        right = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in right:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return Poly._from_packed(ctx, out)
+        return Poly._from_packed(self.ctx, _mul_terms(self.ctx, self.terms, other.terms))
 
     __rmul__ = __mul__
 

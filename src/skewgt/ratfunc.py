@@ -39,11 +39,14 @@ rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1):
 
 * ``*`` tries the factors of each denominator against the other
   operand's parts only;
-* ``RatFunc.sum`` keeps the parts every operand shares, multiplies out
-  the rest into one new part, and tries against it only the factors
-  whose top multiplicity in the lcm is reached by two or more operands;
-  ``+`` is its sum of two, which tries only the factors with equal
-  multiplicity in both denominators;
+* ``RatFunc.sum`` keeps the parts every operand shares and multiplies
+  out the rest into one new part, on plain term maps: operands over one
+  denominator add their numerators first and multiply the powers of the
+  factors they lack once, and the last product of every chain
+  accumulates straight into the running total.  It tries against the
+  new part only the factors whose top multiplicity in the lcm is
+  reached by two or more operands; ``+`` is its sum of two, which tries
+  only the factors with equal multiplicity in both denominators;
 * ``shifted`` and ``permuted`` are ring automorphisms over the integers,
   map each part and try none.
 
@@ -59,7 +62,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .polys import Context, Poly, Ring, VarId, _add_into, _coeff
+from .polys import Context, Poly, Ring, VarId, _add_into, _coeff, _mul_terms
 
 
 class LinearFactor(tuple):
@@ -170,14 +173,32 @@ def _cancel(parts, factors, scale):
     return scale, parts, kept
 
 
-def _expand(ctx: Context, polys, k=1) -> Poly:
-    """``k`` times the product of ``polys``, smallest first, with the
-    integer ``k`` on the smallest; a single one with k = 1 is returned as
-    it is."""
-    out = None
-    for p in sorted(polys, key=lambda p: len(p.terms)):
-        out = (p if k == 1 else p * k) if out is None else out * p
-    return Poly.const(ctx, k) if out is None else out
+def _expand(ctx: Context, maps, k=1, out: Optional[dict] = None) -> dict:
+    """Add ``k`` times the product of the term maps ``maps`` into ``out``,
+    or into a fresh map when ``out`` is None, and return it.
+
+    The chain runs smallest first on plain term maps, with the integer
+    ``k`` on the smallest, and its last product accumulates straight
+    into ``out`` (`polys._mul_terms`), so no intermediate polynomial is
+    built and no second pass adds the product in.  No map of ``maps``
+    is changed; zero sums are kept for `Poly._from_packed` to drop."""
+    maps = sorted(maps, key=len)
+    if not maps:
+        return _add_into({} if out is None else out, {0: k})
+    acc = maps[0] if k == 1 else {e: c * k for e, c in maps[0].items()}
+    if len(maps) == 1:
+        return dict(acc) if out is None else _add_into(out, acc)
+    for m in maps[1:-1]:
+        acc = _mul_terms(ctx, acc, m)
+    return _mul_terms(ctx, acc, maps[-1], out)
+
+
+def _product(ctx: Context, polys) -> Poly:
+    """The product of ``polys``; a single one is returned as it is."""
+    polys = list(polys)
+    if len(polys) == 1:
+        return polys[0]
+    return Poly._from_packed(ctx, _expand(ctx, [p.terms for p in polys]))
 
 
 class RatFunc(Ring):
@@ -241,7 +262,7 @@ class RatFunc(Ring):
         """The numerator expanded: the product of the parts, built on the
         first read and kept."""
         if self._num is None:
-            self._num = _expand(self.ctx, self.parts)
+            self._num = _product(self.ctx, self.parts)
         return self._num
 
     @property
@@ -262,8 +283,8 @@ class RatFunc(Ring):
         if self.scale != other.scale or self.den != other.den:
             return False
         mine, theirs = Counter(self.parts), Counter(other.parts)
-        return (_expand(self.ctx, (mine - theirs).elements())
-                == _expand(self.ctx, (theirs - mine).elements()))
+        return (_product(self.ctx, (mine - theirs).elements())
+                == _product(self.ctx, (theirs - mine).elements()))
 
     def __hash__(self):
         return hash((self.scale, self.den, self.num))
@@ -289,60 +310,79 @@ class RatFunc(Ring):
     def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
         """The sum of ``terms`` over the lcm of their denominators.
 
-        The parts every operand has are kept as they are; each operand's
-        other parts are multiplied out with the powers of the factors it
-        lacks, each power built once per sum, and the products summed
-        into one new primitive part.  A factor f of top multiplicity m
-        (in the lcm) is tried against that part, at most m times, only if
-        two operands reach m: were it one, every other cofactor would
-        hold f, and f divides neither that operand's numerator nor its
-        cofactor.  No factor is tried against a shared part: every
-        factor sits below some operand, and that operand has the shared
-        parts among its own, none of which its factors divide."""
+        The parts every operand has are kept as they are; the rest is
+        multiplied out on plain term maps into one new primitive part.
+        The operands are grouped by denominator, and each group lacks
+        the same powers of factors, each built once per sum.  A group of
+        two or more that lacks some factor sums its members' other parts
+        (times their integer scales) into one map first and multiplies
+        that map by its lacked powers once; any other operand multiplies
+        its own.  The last product of every chain accumulates straight
+        into the running total (`_expand`).  A factor f of top
+        multiplicity m (in the lcm) is tried against the new part, at
+        most m times, only if two operands reach m: were it one, every
+        other cofactor would hold f, and f divides neither that
+        operand's numerator nor its cofactor.  No factor is tried
+        against a shared part: every factor sits below some operand, and
+        that operand has the shared parts among its own, none of which
+        its factors divide."""
         terms = [t for t in terms if not t.is_zero]
         if len(terms) < 2:
             return terms[0] if terms else RatFunc.zero(ctx)
+        groups: dict = {}  # den -> the operands over it
+        for t in terms:
+            groups.setdefault(t.den, []).append(t)
         dens = []
         top: dict = {}  # factor -> [top multiplicity, operands that reach it]
-        for t in terms:
+        for den, group in groups.items():
             d: dict = {}
-            for f in t.den:
+            for f in den:
                 d[f] = d.get(f, 0) + 1
             dens.append(d)
             for f, m in d.items():
                 r = top.get(f)
                 if r is None or m > r[0]:
-                    top[f] = [m, 1]
+                    top[f] = [m, len(group)]
                 elif m == r[0]:
-                    r[1] += 1
+                    r[1] += len(group)
         shared = Counter(terms[0].parts)
         for t in terms[1:]:
             if not shared:
                 break
             shared &= Counter(t.parts)
         g = math.lcm(*[t.scale.denominator for t in terms])
+
+        def own(t):
+            # the operand's parts outside the shared ones, and its integer scale
+            if shared:
+                polys = (Counter(t.parts) - shared).elements()
+            else:
+                polys = t.parts if t._num is None else (t._num,)
+            return [p.terms for p in polys], t.scale.numerator * (g // t.scale.denominator)
+
         powers: dict = {}
         total = None
-        for t, d in zip(terms, dens):
-            # the integer scale rides on the smallest polynomial
-            k = t.scale.numerator * (g // t.scale.denominator)
-            if shared:
-                polys = list((Counter(t.parts) - shared).elements())
-            else:
-                polys = list(t.parts) if t._num is None else [t._num]
+        for group, d in zip(groups.values(), dens):
+            cofactor = []
             for f, (m, _) in top.items():
                 e = m - d.get(f, 0)
                 if e:
                     p = powers.get((f, e))
                     if p is None:
-                        p = powers[f, e] = f.to_poly(ctx) ** e
-                    polys.append(p)
-            num = _expand(ctx, polys, k)
-            if total is None:
-                total = dict(num.terms)
+                        p = powers[f, e] = (f.to_poly(ctx) ** e).terms
+                    cofactor.append(p)
+            if cofactor and len(group) > 1:
+                acc = None
+                for t in group:
+                    acc = _expand(ctx, *own(t), acc)
+                acc = Poly._from_packed(ctx, acc).terms
+                if acc:
+                    total = _expand(ctx, [acc] + cofactor, 1, total)
             else:
-                _add_into(total, num.terms)
-        total = Poly._from_packed(ctx, total)
+                for t in group:
+                    maps, k = own(t)
+                    total = _expand(ctx, maps + cofactor, k, total)
+        total = Poly._from_packed(ctx, total or {})
         if total.is_zero:
             return RatFunc.zero(ctx)
         content, prim = total.content_primitive()

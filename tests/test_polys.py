@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewgt import cli, toy
-from skewgt.polys import (DEGREE_BOUND, Context, Poly, elementary_symmetric,
+from skewgt.polys import (DEGREE_BOUND, Context, Poly, _mul_terms, elementary_symmetric,
                           shifted_vandermonde, vandermonde)
+from skewgt.ratfunc import RatFunc, linear_factor
 
 from conftest import is_normal_rational, rand_point, rand_poly, row_permutations
 
@@ -454,6 +455,49 @@ def test_product_degree_is_bounded(ctx2):
             a * b
     assert (top * 2).degree() == DEGREE_BOUND - 1
     assert (top * Poly.zero(ctx2)).is_zero
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_mul_terms_accumulates_into_a_map(data):
+    # `_mul_terms(a, b, out)` against a product written on exponent
+    # tuples; (p + q)(p - q) makes cross terms that cancel to zero in the
+    # map, and `out` may hold the negated product, which cancels it all
+    ctx = CONTEXTS[3]
+    p, q, r = (data.draw(sparse_polys(ctx)) for _ in range(3))
+    a, b = (p + q, p - q) if data.draw(st.booleans()) else (p, q)
+    expected = {e: c for e, c in r.sorted_terms()}
+    for ea, ca in a.sorted_terms():
+        for eb, cb in b.sorted_terms():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            expected[e] = expected.get(e, 0) + ca * cb
+    expected = Poly(ctx, expected)
+    if data.draw(st.booleans()):
+        r, expected = r - a * b, r
+    out = dict(r.terms)
+    before = dict(a.terms), dict(b.terms)
+    assert _mul_terms(ctx, a.terms, b.terms, out) is out
+    assert Poly._from_packed(ctx, out) == expected
+    assert (dict(a.terms), dict(b.terms)) == before
+    assert Poly._from_packed(ctx, _mul_terms(ctx, a.terms, b.terms)) == expected - r
+
+
+def test_sum_cofactor_keeps_the_degree_bound(ctx2):
+    # a sum multiplies each part by the factors its operand lacks on term
+    # maps; that product is refused past the bound as `*` refuses it
+    top = Poly(ctx2, {(DEGREE_BOUND - 1, 0, 0): 1})
+    f, _ = linear_factor((2, 1), (2, 2), 0)
+    g, _ = linear_factor((2, 1), (2, 2), 1)
+    with pytest.raises(ValueError) as err:
+        top * g.to_poly(ctx2)
+    message = str(err.value)
+    assert message == f"product of degree {DEGREE_BOUND}: degrees stay below {DEGREE_BOUND}"
+    lone = RatFunc(Poly.one(ctx2), [g])
+    # one operand over f, and a group of two over f whose sum is multiplied once
+    for over_f in ([RatFunc(top, [f])], [RatFunc(top, [f]), RatFunc(x(ctx2, 1, 1), [f])]):
+        with pytest.raises(ValueError) as err:
+            RatFunc.sum(ctx2, over_f + [lone])
+        assert str(err.value) == message
 
 
 def test_exponent_bound_through_the_cli(capsys, monkeypatch):

@@ -618,8 +618,12 @@ def _sympy_nary_sum_cases(seed, count):
     unequal multiplicity; some carry a third factor of their own.  The
     scales have denominators 1, 2, 3, 5 and 7.  In every other case the
     first two operands are p/f^m and (r f - p)/f^m, whose numerators sum
-    to a multiple of f.  Each sum must agree with sympy in value and be
-    the full reduction of the sum over the product of all denominators."""
+    to a multiple of f.  In half the cases four operands over two new
+    denominators join them at random places: two over h, and two over fh
+    whose numerators cancel, so a sum groups operands over equal
+    denominators beside operands over others.  Each sum must agree with
+    sympy in value and be the full reduction of the sum over the product
+    of all denominators."""
     sympy = pytest.importorskip("sympy")
     ctx = Context.triangle(3)
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
@@ -638,6 +642,13 @@ def _sympy_nary_sum_cases(seed, count):
             m = rng.randint(1, 2)
             s = Fraction(rng.choice([-1, 2]), rng.choice([3, 5]))
             terms[:2] = [RatFunc(p, [f] * m, s), RatFunc(r * f.to_poly(ctx) - p, [f] * m, s)]
+        if case % 4 < 2:
+            h = rand_factor(rng, ctx)
+            p, q = _nonzero_poly(rng, ctx), _nonzero_poly(rng, ctx)
+            s = Fraction(rng.choice([-1, 2]), rng.choice([1, 3]))
+            for t in (RatFunc(p, [h], s), RatFunc(q, [h], 2),
+                      RatFunc(q, [f, h], s), RatFunc(q * -2, [f, h], s / 2)):
+                terms.insert(rng.randint(0, len(terms)), t)
         total = RatFunc.sum(ctx, terms)
         expected = sum((to_sympy(t, syms) for t in terms), sympy.Integer(0))
         num, _ = sympy.fraction(sympy.together(expected - to_sympy(total, syms)))
@@ -653,8 +664,15 @@ def _sympy_nary_sum_cases(seed, count):
         shapes["unequal"] += any(len(set(c)) > 1 for c in counts)
         shapes["cancelled"] += len(total.den) < sum(
             max(t.den.count(h) for t in terms) for h in {h for t in terms for h in t.den})
+        # two or more operands over one denominator beside others, in
+        # groups one of which sums to zero
+        groups = Counter(t.den for t in terms)
+        shapes["grouped"] += len(groups) > 1 and any(
+            k > 1 and sum((t.num * t.scale for t in terms if t.den == den), Poly.zero(ctx)).is_zero
+            for den, k in groups.items())
     assert shapes["equal"] >= count // 2 and shapes["unequal"] >= count // 2, shapes
     assert shapes["cancelled"] >= count // 8, shapes
+    assert shapes["grouped"] >= count // 4, shapes
 
 
 def test_nary_sum_matches_sympy():
