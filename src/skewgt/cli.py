@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from typing import List, Optional
 
 from . import gln, gtmodules, relations, toy
-from .polys import Context, quote
+from .polys import Context, is_integer, quote
 from .skew import SkewElement, commutator
 
 
@@ -32,7 +32,7 @@ from .skew import SkewElement, commutator
 # tiny expression grammar: names, + - *, [a,b], integer powers
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*[+-]?)"
-                       r"|(?P<int>\d+)"
+                       r"|(?P<int>[0-9]+)"
                        r"|(?P<op>[-+*^()\[\],·]))")
 
 
@@ -134,8 +134,10 @@ class _Parser:
 
 
 # Largest exponent `^N` accepted.  Powers are repeated skew products
-# whose coefficients grow with every factor (X2+^4 at n=3 already takes
-# seconds), so a larger exponent is refused before anything is computed.
+# whose coefficients grow with every factor: at n=3, X2+^4 takes 0.04 s
+# and prints 248 kB, X2+^8 takes 2.4 s at a 90 MB peak and prints 12 MB
+# (in-process, Python 3.11, 2-core machine).  A larger exponent is
+# refused before anything is computed.
 # An exponent applied to a bracketed group multiplies every exponent
 # inside it: (X11^8)^8 counts as ^64.
 MAX_POWER = 8
@@ -176,13 +178,13 @@ def _check_digits(text: str, name: str) -> None:
 
 def integer(text: str) -> int:
     """The kind of the int flags: a number longer than MAX_DIGITS is
-    refused before int() converts it, and other refused text is quoted
-    through `quote`, so the message stays short whatever the input."""
+    refused first, then anything `is_integer` refuses (spaces stripped),
+    quoted through `quote`, so the message stays short whatever the
+    input, and only then does int() convert it."""
     _check_digits(text, "the")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid integer value: {quote(text)}") from None
+    if not is_integer(text.strip()):
+        raise ValueError(f"invalid integer value: {quote(text)}")
+    return int(text)
 
 
 def _check_powers(tokens: List[str]) -> None:
@@ -441,7 +443,7 @@ def cmd_gt(args):
         _check_digits(args.top, "--top")
         entries = [v.strip() for v in args.top.split(",")]
         for v in entries:
-            if not re.fullmatch(r"[+-]?\d+", v):
+            if not is_integer(v):
                 raise ValueError(f"bad top row entry {quote(v)}: expected an integer")
         top = tuple(map(int, entries))
         _check_rank(len(top), "rank")

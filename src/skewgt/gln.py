@@ -76,11 +76,13 @@ def a_value(row: Sequence, src: Sequence, i: int, sign: int) -> Union[int, Fract
 
 
 def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:
-    """Ladder element X_k^sign = sum_i d_ki^sign a(k,i,sign)."""
+    """Ladder element X_k^sign = sum_i d_ki^sign a(k,i,sign): a skew `+`
+    of single-term summands on distinct shift keys, so nothing is
+    reduced."""
     if not (1 <= k <= ctx.n - 1):
         raise ValueError(f"X{k}{'+' if sign > 0 else '-'} out of range for "
                          f"n={ctx.n}: needs 1 <= k <= n-1 = {ctx.n - 1}")
-    return SkewElement.sum(ctx, [gen_A(ctx, k, i, sign) for i in range(1, k + 1)])
+    return sum((gen_A(ctx, k, i, sign) for i in range(1, k + 1)), SkewElement.zero(ctx))
 
 
 def gen_A(ctx: Context, k: int, i: int, sign: int) -> SkewElement:
@@ -129,10 +131,11 @@ def matrix_unit_image(ctx: Context, i: int, j: int) -> SkewElement:
 
 
 # Most index tuples a Gelfand image's defining sum may have (rank^k), so
-# c43 fits and c44, c99 do not.  The image itself sums rank*((k-2)*rank^2
-# + rank) skew products in rank^2*(k-2) + 1 calls of
-# `SkewElement.sum_of_products`: 80 products in 17 calls for c43, about
-# 5 s and 50 MB at n=4 on a 2-core machine (in-process, Python 3.11).
+# c43 fits and c44, c99 do not.  For k >= 2 the image itself sums the
+# skew products of rank*((k-2)*rank^2 + rank) pairs in rank^2*(k-2) + 1
+# calls of `SkewElement.sum_of_products`: 80 pairs in 17 calls for c43,
+# about 7 s at a 44 MB peak at n=4 on a 2-core machine (in-process,
+# Python 3.11).  For k = 1 it is a skew `+` of rank diagonal images.
 MAX_GELFAND_TUPLES = 64
 
 
@@ -141,9 +144,10 @@ def gelfand_invariant_image(ctx: Context, rank: int, k: int) -> SkewElement:
     E_{i1 i2} E_{i2 i3} ... E_{ik i1} over all index tuples in [rank]^k,
     refused before any work if there are over MAX_GELFAND_TUPLES.  It is
     built as tr(E^k), row i of E^m as row i of E^(m-1) times E: each row
-    entry, and the closing trace, is one `SkewElement.sum_of_products`,
-    which reduces each shift key once and holds one key's products at a
-    time."""
+    entry, and the closing trace, is one `SkewElement.sum_of_products` of
+    rank pairs, which reduces each shift key once and holds one key's
+    products at a time.  At k = 1 the trace is a skew `+` of the diagonal
+    images, whose polynomial coefficients meet at the identity shift."""
     if rank > ctx.n:
         raise ValueError(f"rank {rank} exceeds context n={ctx.n}")
     if k < 1:
@@ -153,15 +157,15 @@ def gelfand_invariant_image(ctx: Context, rank: int, k: int) -> SkewElement:
                          f"over the budget of {MAX_GELFAND_TUPLES}")
     idx = range(1, rank + 1)
     if k == 1:
-        return SkewElement.sum(ctx, [matrix_unit_image(ctx, i, i) for i in idx])
+        return sum((matrix_unit_image(ctx, i, i) for i in idx), SkewElement.zero(ctx))
     E = {(a, b): matrix_unit_image(ctx, a, b) for a in idx for b in idx}
     trace = []
     for i in idx:
         row = [E[i, j] for j in idx]
         for _ in range(k - 2):
-            row = [SkewElement.sum_of_products(ctx, [(1, row[l - 1], E[l, j]) for l in idx])
+            row = [SkewElement.sum_of_products(ctx, [(row[l - 1], E[l, j]) for l in idx])
                    for j in idx]
-        trace += [(1, row[l - 1], E[l, i]) for l in idx]
+        trace += [(row[l - 1], E[l, i]) for l in idx]
     return SkewElement.sum_of_products(ctx, trace)
 
 

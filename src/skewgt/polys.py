@@ -22,8 +22,8 @@ every polynomial; division does not depend on it.  The guard: no total
 degree reaches B, so no field ever carries into its neighbour.  The
 public constructor refuses such an exponent tuple, and the one product
 loop, ``_mul_terms``, refuses a product of that degree before it
-multiplies; ``*`` and the sums of ``ratfunc`` run every product through
-it, on plain term maps.  ``Context.pack`` and
+multiplies; ``*`` (``Poly._mul``) and the sums of ``ratfunc`` run every
+product through it, on plain term maps.  ``Context.pack`` and
 ``Context.unpack`` convert between keys and exponent tuples, and
 ``sorted_terms`` reads the terms as tuples.  The zero polynomial is the
 empty map.  ``Poly._from_packed`` is the only place that drops zero
@@ -33,8 +33,8 @@ accumulate into a plain packed map and hand it over.
 The operators ``+``, ``*``, ``-``, their reflections and ``**`` are
 written once, on :class:`Ring`: it promotes the other operand into the
 type, then calls the type's own ``_add`` or ``_mul``.  :class:`Poly`,
-``RatFunc`` and ``SkewElement`` inherit them; only :class:`Poly` keeps
-its own ``*``, whose scalar case skips promotion.
+``RatFunc`` and ``SkewElement`` inherit them all: a scalar factor is
+promoted to a constant of the type like any other operand.
 
 Since ``3`` and ``Fraction(3)`` agree under ``==``, ``hash`` and
 ``str``, storing ints shows in no printed form; it only spares integer
@@ -66,8 +66,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Mapping, Optional, Tuple, Union
 
 VarId = Tuple[int, int]
@@ -90,6 +88,15 @@ def quote(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT // 2]!r}... ({len(text)} characters)"
+
+
+def is_integer(text: str) -> bool:
+    """Whether ``text`` is an integer as the parsers of outside text
+    (the command line, `toy`) take one: an optional sign, then ASCII
+    digits.  int() alone would also take any Unicode decimal digit, '_'
+    between digits and surrounding whitespace."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdecimal()
 
 
 class Context:
@@ -320,7 +327,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_top", "_hash", "_keys_or")
+    __slots__ = ("ctx", "terms", "_top", "_hash")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -343,10 +350,10 @@ class Poly(Ring):
         # of Fractions can be integral and is stored as an int.  A map of
         # ints only (most maps: primitive numerators) is scanned in C and
         # kept as it is when it holds no zero.  A polynomial is never
-        # changed after this, so the top-degree terms, the hash and the
-        # OR of the keys are filled in on first use and kept.
+        # changed after this, so the top-degree terms and the hash are
+        # filled in on first use and kept.
         self.ctx = ctx
-        self._top = self._hash = self._keys_or = None
+        self._top = self._hash = None
         values = terms.values()
         if not set(map(type, values)) <= {int}:
             terms = {e: c if type(c) is int else _coeff(c)
@@ -438,16 +445,8 @@ class Poly(Ring):
     def __neg__(self):
         return Poly._from_packed(self.ctx, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _coeff(other)
-            return Poly._from_packed(self.ctx, {e: c * q for e, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
+    def _mul(self, other: "Poly") -> "Poly":
         return Poly._from_packed(self.ctx, _mul_terms(self.ctx, self.terms, other.terms))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -636,15 +635,6 @@ class Poly(Ring):
                 return None
         q, r = self.divmod_linear(a, b, c)
         return q if r.is_zero else None
-
-    def holds(self, v: VarId) -> bool:
-        """Whether x_v occurs in some term.  A field of the OR of the
-        packed keys is nonzero exactly when some key's is; the OR is
-        taken on the first call and kept."""
-        keys = self._keys_or
-        if keys is None:
-            keys = self._keys_or = reduce(or_, self.terms, 0)
-        return bool(keys >> self.ctx._offsets[self.ctx.var_pos(v)] & _MASK)
 
     def _top_form_vanishes(self, a: VarId, b: VarId) -> bool:
         """Whether the top-degree form of p vanishes under x_a := x_b,

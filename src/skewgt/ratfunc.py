@@ -41,9 +41,9 @@ rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1):
   operand's parts only;
 * ``RatFunc.sum`` keeps the parts every operand shares and multiplies
   out the rest into one new part, on plain term maps: operands over one
-  denominator add their numerators first and multiply the powers of the
-  factors they lack once, and the last product of every chain
-  accumulates straight into the running total.  It tries against the
+  denominator add their numerators into one map, which is multiplied
+  by the powers of the factors they lack once, and every product
+  accumulates straight into its map.  It tries against the
   new part only the factors whose top multiplicity in the lcm is
   reached by two or more operands; ``+`` is its sum of two, which tries
   only the factors with equal multiplicity in both denominators;
@@ -144,22 +144,20 @@ def _cancel(parts, factors, scale):
     """Divide the product of ``parts`` by each of ``factors`` that divides it.
 
     A canonical factor is prime, so it divides the product exactly when
-    it divides one part: each factor is tried against the parts in order
-    and cancels from the first it divides, or is kept.  A difference
-    (x_a - x_b + c) skips a part without x_a untried, as it divides no
-    nonzero polynomial free of x_a; a factor (x_a + c), which only `toy`
-    makes, over one variable that every nonconstant part holds, tries
-    each part.  Returns
-    ``(scale, parts, kept)``: the contents of the quotients folded into
-    ``scale``, a constant quotient dropped from the parts, and the
-    factors that did not cancel in ``kept``.
+    it divides one part: each factor, of either kind, is tried against
+    the parts in order through `Poly.exact_div_linear` and cancels from
+    the first it divides, or is kept.  The screens there turn away a
+    part that lacks x_a: a difference in one scan of the part's kept
+    top-degree terms, and (x_a + c) with an integral c by its remainder.
+    Returns ``(scale, parts, kept)``: the contents of the quotients
+    folded into ``scale``, a constant quotient dropped from the parts,
+    and the factors that did not cancel in ``kept``.
     """
     parts = list(parts)
     kept = []
     for f in factors:
-        a, b, c = f
         for i, p in enumerate(parts):
-            q = None if b is not None and not p.holds(a) else p.exact_div_linear(a, b, c)
+            q = p.exact_div_linear(*f)
             if q is not None:
                 content, q = q.content_primitive()
                 scale *= content
@@ -312,17 +310,16 @@ class RatFunc(Ring):
 
         The parts every operand has are kept as they are; the rest is
         multiplied out on plain term maps into one new primitive part.
-        The operands are grouped by denominator, and each group lacks
-        the same powers of factors, each built once per sum.  A group of
-        two or more that lacks some factor sums its members' other parts
-        (times their integer scales) into one map first and multiplies
-        that map by its lacked powers once; any other operand multiplies
-        its own.  The last product of every chain accumulates straight
-        into the running total (`_expand`).  A factor f of top
-        multiplicity m (in the lcm) is tried against the new part, at
-        most m times, only if two operands reach m: were it one, every
-        other cofactor would hold f, and f divides neither that
-        operand's numerator nor its cofactor.  No factor is tried
+        The operands are grouped by denominator, and each group is one
+        loop over its members' other parts (times their integer
+        scales), each product accumulating straight into a map
+        (`_expand`): the running total when the group lacks no factor
+        of the lcm, else a fresh map, which is then multiplied by the
+        powers of the factors the group lacks once, into the total.  A
+        factor f of top multiplicity m (in the lcm) is tried against the
+        new part, at most m times, only if two operands reach m: were it
+        one, every other cofactor would hold f, and f divides neither
+        that operand's numerator nor its cofactor.  No factor is tried
         against a shared part: every factor sits below some operand, and
         that operand has the shared parts among its own, none of which
         its factors divide."""
@@ -360,28 +357,17 @@ class RatFunc(Ring):
                 polys = t.parts if t._num is None else (t._num,)
             return [p.terms for p in polys], t.scale.numerator * (g // t.scale.denominator)
 
-        powers: dict = {}
         total = None
         for group, d in zip(groups.values(), dens):
-            cofactor = []
-            for f, (m, _) in top.items():
-                e = m - d.get(f, 0)
-                if e:
-                    p = powers.get((f, e))
-                    if p is None:
-                        p = powers[f, e] = (f.to_poly(ctx) ** e).terms
-                    cofactor.append(p)
-            if cofactor and len(group) > 1:
-                acc = None
-                for t in group:
-                    acc = _expand(ctx, *own(t), acc)
-                acc = Poly._from_packed(ctx, acc).terms
-                if acc:
-                    total = _expand(ctx, [acc] + cofactor, 1, total)
-            else:
-                for t in group:
-                    maps, k = own(t)
-                    total = _expand(ctx, maps + cofactor, k, total)
+            cofactor = [(f.to_poly(ctx) ** e).terms
+                        for f, (m, _) in top.items() if (e := m - d.get(f, 0))]
+            acc = None if cofactor else total
+            for t in group:
+                acc = _expand(ctx, *own(t), acc)
+            if not cofactor:
+                total = acc
+            elif acc := Poly._from_packed(ctx, acc).terms:
+                total = _expand(ctx, [acc] + cofactor, 1, total)
         total = Poly._from_packed(ctx, total or {})
         if total.is_zero:
             return RatFunc.zero(ctx)

@@ -10,10 +10,11 @@ factor's shift:
     (a * mu) (b * nu) = (a * mu(b)) * (mu nu).
 
 Products are formed by one kernel, ``SkewElement.sum_of_products``,
-which sums c*a*b over a list of triples and reduces each shift key's
-products once, by ``RatFunc.sum``.  A product is its case of one triple,
-a commutator its case of two, and a Gelfand row entry (``gln``) its case
-of rank triples, so no partial product or partial sum is reduced.
+which sums a*b over a list of pairs (a, b) and reduces each shift key's
+products once, by ``RatFunc.sum``.  A product is its case of one pair,
+a commutator its case of two, (a, b) and (-b, a), and a Gelfand row
+entry (``gln``) its case of rank pairs, so no partial product or
+partial sum is reduced.  Any other sum is skew ``+``.
 
 Row permutations act on everything: on coefficients by permuting the
 variables of each row, and on shifts by conjugation, which permutes the
@@ -143,46 +144,34 @@ class SkewElement(Ring):
     def _add(self, other: "SkewElement") -> "SkewElement":
         return SkewElement(self.ctx, _add_into(dict(self.terms), other.terms))
 
-    @staticmethod
-    def sum(ctx: Context, elements: Iterable["SkewElement"]) -> "SkewElement":
-        """The sum of ``elements``: one ``RatFunc.sum`` per shift key."""
-        groups: Dict[ShiftKey, list] = {}
-        for u in elements:
-            for key, coeff in u.terms.items():
-                groups.setdefault(key, []).append(coeff)
-        return SkewElement(ctx, {key: RatFunc.sum(ctx, coeffs) for key, coeffs in groups.items()})
-
     def __neg__(self):
         return SkewElement(self.ctx, {k: -c for k, c in self.terms.items()})
 
     @staticmethod
-    def sum_of_products(ctx: Context, triples: Iterable[tuple]) -> "SkewElement":
-        """The sum of c*a*b over ``triples`` (c, a, b) of an exact
-        rational c and two elements, each product term by term:
-        (a1 mu1)(a2 mu2) = a1 mu1(a2) mu1 mu2.
+    def sum_of_products(ctx: Context, pairs: Iterable[tuple]) -> "SkewElement":
+        """The sum of a*b over ``pairs`` (a, b) of two elements, each
+        product term by term: (a1 mu1)(a2 mu2) = a1 mu1(a2) mu1 mu2.
 
-        The term pairs (mu1, mu2) of every triple are first grouped by
+        The term pairs (mu1, mu2) of every pair are first grouped by
         their shift key mu1 mu2; then each key's products are built and
         summed once, by ``RatFunc.sum``, before the next key's are built,
         so only one key's products are held at a time.  ``RatFunc.sum``
         tries only the factors that two products reach at their top
         multiplicity, where a chain of partial sums would try every
         factor of partial sums over equal denominators."""
-        pairs: Dict[ShiftKey, list] = {}
-        for c, a, b in triples:
+        by_key: Dict[ShiftKey, list] = {}
+        for a, b in pairs:
             for k1, a1 in a.terms.items():
-                if c != 1:
-                    a1 = a1 * c
                 smap = _shift_map(ctx, k1)
                 for k2, a2 in b.terms.items():
-                    pairs.setdefault(tuple(map(add, k1, k2)), []).append((a1, a2, smap))
+                    by_key.setdefault(tuple(map(add, k1, k2)), []).append((a1, a2, smap))
         return SkewElement(ctx, {
             key: RatFunc.sum(ctx, [a1 * a2.shifted(smap) for a1, a2, smap in ps])
-            for key, ps in pairs.items()})
+            for key, ps in by_key.items()})
 
     def _mul(self, other: "SkewElement") -> "SkewElement":
-        """The product: ``sum_of_products`` of the one triple (1, self, other)."""
-        return SkewElement.sum_of_products(self.ctx, [(1, self, other)])
+        """The product: ``sum_of_products`` of the one pair (self, other)."""
+        return SkewElement.sum_of_products(self.ctx, [(self, other)])
 
     def __eq__(self, other):
         other = self._promote(other)
@@ -278,8 +267,9 @@ def commutator(a, b):
     """a*b - b*a.  An operand with its own `commutator` method (a module
     `Matrix`, which brackets a diagonal operand in one pass) uses it.
     Where either operand is a skew element, both are promoted as `*`
-    promotes them and the two products are one ``sum_of_products``, so
-    each shift key is summed once."""
+    promotes them and the two products are one ``sum_of_products`` of
+    the pairs (a, b) and (-b, a), so each shift key is summed once;
+    negation only flips the sign of each coefficient's scale."""
     bracket = getattr(a, "commutator", None)
     if bracket is not None:
         return bracket(b)
@@ -289,7 +279,7 @@ def commutator(a, b):
     x, y = u._promote(a), u._promote(b)
     if x is None or y is None:
         raise TypeError(f"cannot bracket {type(a).__name__} with {type(b).__name__}")
-    return SkewElement.sum_of_products(u.ctx, [(1, x, y), (-1, y, x)])
+    return SkewElement.sum_of_products(u.ctx, [(x, y), (-y, x)])
 
 
 def is_invariant(u: SkewElement, group: str) -> bool:

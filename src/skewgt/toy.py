@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Tuple
 
-from .polys import Context, Poly, _coeff, quote
+from .polys import Context, Poly, _coeff, is_integer, quote
 from .ratfunc import LinearFactor, RatFunc
 from .skew import SkewElement
 
@@ -203,7 +203,7 @@ def parse_inverse_target(text: str) -> int:
         body = s[4:-1]
         if body == "":
             return 0
-        if body[0] in "+-" and body[1:].isdecimal():
+        if body[0] in "+-" and is_integer(body):
             c = int(body)
             if abs(c) > MAX_TRANSLATE:
                 raise ValueError(f"target translate {c:+d} exceeds the "

@@ -107,6 +107,9 @@ def test_compute_bad_expression(capsys):
         code, out, _ = run(capsys, ["compute", "--expr", expr])
         assert code == 0 and out == "[x21 + x22 + 1] e\n"
     for expr, message in (("X11/2", "cannot tokenize '/2'"),
+                          # a number is ASCII digits: int() used to read
+                          # this as 2*X1+
+                          ("\u0662*X1+", "cannot tokenize '\u0662*X1+'"),
                           ("[X11 X22]", "expected ',', found 'X22'"),
                           ("X11 X22", "trailing input at 'X22'"),
                           ("X11 +", "unexpected end of expression"),
@@ -133,6 +136,11 @@ def test_compute_bad_expression(capsys):
         assert err.endswith(f"exceeds the rank budget of {cli.MAX_RANK}\n")
     code, _, err = run(capsys, ["compute", "--expr", "X11", "--n", "two"])
     assert code == 2 and "argument --n: invalid integer value: 'two'" in err
+    # an int flag takes a sign and ASCII digits only: int() read '1_0'
+    # as 10, and the refusal read it back as "--n 10"
+    code, out, err = run(capsys, ["verify", "--n", "1_0"])
+    assert code == 2 and out == ""
+    assert "argument --n: invalid integer value: '1_0'\n" in err and "10" not in err
 
 
 def test_gt_finite(capsys, tmp_path):
@@ -213,13 +221,19 @@ def test_gt_bad_inputs(capsys):
     assert code == 2
     # a conversion error names the entry: int() and Fraction() used to
     # print "invalid literal ..." and "Fraction(1, 0)"
-    for top, entry in (("2.5,1", "2.5"), ("2,,0", ""), ("1_000,0", "1_000")):
+    # and an entry of Unicode digits is refused: int() read both as 3,2,0
+    for top, entry in (("2.5,1", "2.5"), ("2,,0", ""), ("1_000,0", "1_000"),
+                       ("\u0663,\u0662,\u0660", "\u0663"), ("\uff13,2,0", "\uff13")):
         code, out, err = run(capsys, ["gt", "--top", top])
         assert code == 2 and out == ""
         assert err == f"error: bad top row entry {entry!r}: expected an integer\n"
     code, out, err = run(capsys, ["gt", "--generic", "1/0; 1,0"])
     assert code == 2 and out == ""
     assert err == "error: bad point entry '1/0': expected a nonzero denominator\n"
+    # '0_1' used to build the window of radius 1
+    code, out, err = run(capsys, ["gt", "--generic", "1/3; 1,0", "--window", "0_1"])
+    assert code == 2 and out == ""
+    assert "argument --window: invalid integer value: '0_1'\n" in err
     # an empty point entry is refused: it used to be dropped, so each of
     # these was read as "1/3; 1,0"
     for generic in ("1/3; 1,,0", "1/3; 1,0,", ",1/3; 1,0", "1/3; 1,0;"):
@@ -471,7 +485,8 @@ def test_toy_cli(capsys):
         assert code == 2 and out == ""
         assert err == f"error: cannot parse polynomial {f!r}: bad coefficient " \
             f"{coeff!r}: expected a nonzero denominator\n"
-    for target in ("1/(x+)", "1/(x-2.5)", "1/(x+-1)", "1/y"):
+    # "1/(x+\u0663)" used to be solved as 1/(x+3)
+    for target in ("1/(x+)", "1/(x-2.5)", "1/(x+-1)", "1/y", "1/(x+\u0663)"):
         code, out, err = run(capsys, ["toy", "--f", "x+1", "--target", target])
         assert code == 2 and out == ""
         assert err == f"error: cannot parse inverse target {target!r}: " \

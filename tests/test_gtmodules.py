@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules as gt
 from skewgt.polys import Context, vandermonde
+from skewgt.ratfunc import RatFunc
 from skewgt.relations import single_shift_catalogue, suite_gl3
 from skewgt.skew import commutator
 
@@ -632,8 +633,9 @@ def test_commutator_kernel_property(pair):
 def test_commutator_kernel_dispatch(monkeypatch):
     """A diagonal operand takes the one-pass kernel (no product); two
     non-diagonal matrices take two products and a difference; skew
-    elements take one fused sum of the two products, with no `*`, equal
-    to `a*b - b*a`; operands of different sizes are refused."""
+    elements take one fused sum of the two products, with no skew `*`
+    and no coefficient multiplied by a scalar, equal to `a*b - b*a`;
+    operands of different sizes are refused."""
     calls = []
     for name in ("mat_mul", "mat_sub"):
         op = getattr(gt, name)
@@ -654,11 +656,14 @@ def test_commutator_kernel_dispatch(monkeypatch):
 
     ctx = Context.triangle(2)
     x, y = gln.gen_X(ctx, 1, 1), gln.gen_Xkk(ctx, 1)
-    products = []
+    products, operands = [], []
     mul = type(x).__mul__
     monkeypatch.setattr(type(x), "__mul__", lambda a, b: (products.append(1), mul(a, b))[1])
+    rmul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: (operands.append(b), rmul(a, b))[1])
     bracket = commutator(x, y)
     assert products == []
+    assert operands and all(type(b) is RatFunc for b in operands)
     assert bracket == x * y - y * x
 
 

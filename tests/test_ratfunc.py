@@ -375,27 +375,6 @@ def test_parts_check_catches_an_uncancelled_part(monkeypatch):
         _check_parts(0, [])
 
 
-def test_cancel_tries_a_difference_only_on_parts_that_hold_x_a(monkeypatch):
-    """`Poly.holds` reads the exponent fields of the packed keys, and
-    `_cancel` hands `exact_div_linear` a difference (x_a - x_b + c) only
-    with the parts that hold x_a (`test_operations_return_the_full_reduction`
-    checks that no cancellation is missed)."""
-    ctx = Context.triangle(3)
-    rng = random.Random(67)
-    tried = []
-    exact_div_linear = Poly.exact_div_linear
-    monkeypatch.setattr(Poly, "exact_div_linear", lambda self, a, b, c: (
-        b is None or tried.append(self.holds(a)), exact_div_linear(self, a, b, c))[1])
-    for _ in range(40):
-        p = rand_poly(rng, ctx)
-        exps = [e for e, _ in p.sorted_terms()]
-        assert [p.holds(v) for v in ctx.vars] == [any(e[i] for e in exps)
-                                                 for i in range(len(ctx.vars))]
-        for a, b in _cancelling_pairs(rng, ctx):
-            a * b, a + b
-    assert len(tried) > 100 and all(tried)
-
-
 # -- n-ary sums -------------------------------------------------------------
 
 def _fold(ctx, terms):
