@@ -160,6 +160,9 @@ MAX_RANK = 9
 # and far shorter numbers already make exact arithmetic slow.
 MAX_DIGITS = 100
 
+# compiled at import, so no job compiles it
+_DIGITS_RE = re.compile(r"\d+")
+
 
 def _check_rank(n: Optional[int], name: str = "--n") -> None:
     if n is not None and n > MAX_RANK:
@@ -169,7 +172,7 @@ def _check_rank(n: Optional[int], name: str = "--n") -> None:
 def _check_digits(text: str, name: str) -> None:
     """Refuse a number in ``text`` longer than MAX_DIGITS digits, before
     any parser converts it."""
-    for m in re.finditer(r"\d+", text):
+    for m in _DIGITS_RE.finditer(text):
         if len(m.group()) > MAX_DIGITS:
             raise ValueError(f"{name} number {m.group()[:12]}... has "
                              f"{len(m.group())} digits, over the digit budget "

@@ -47,8 +47,12 @@ A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
 not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
 bracket with X_kk or V_k is one pass over the other operand's entries
-(`Matrix.commutator`), and a ladder coefficient, which reads two
-adjacent rows, is computed once per distinct filling of those rows.
+(`Matrix.commutator`); any other bracket adds both products into one
+set of rows with one gcd pass, as `SkewElement.sum_of_products` does.
+The kernels loop over each row's stored entries and skip empty rows:
+most ladder rows hold one or two.  A ladder coefficient, which reads
+two adjacent rows, is computed and scaled to the matrix denominator
+once per distinct filling of those rows.
 The JSON export writes every row in full, one row at a time, from the
 stored numerators, each reduced over `den` with one gcd.
 
@@ -78,8 +82,8 @@ Pattern = Tuple[Tuple[Union[int, Fraction], ...], ...]
 # The dimension is known from the input alone (Weyl formula, window
 # size), so a larger module is refused before any pattern is enumerated.
 # Set from a ~10 s job limit: on a 2-core machine, `gt --check` on the
-# largest module under it takes 3.6-9.9 s at ranks 4-7 and 16 s at
-# rank 8 (the report has about 5 n^2 entries).
+# largest module under it takes 1.4-4.5 s at ranks 4-7 and 5.0-5.6 s
+# at ranks 8-9 (the report has about 5 n^2 entries).
 MAX_CHECK_DIM = 10_000
 
 # Largest module `gt --json` exports, checked before the build: the
@@ -302,16 +306,31 @@ class Matrix(list):
         """self*other - other*self.  With a diagonal operand D, entry
         (i, j) of [D, B] is (d_i - d_j) b_ij: one pass over B's stored
         entries.  "Diagonal" is read off the stored rows each call, as a
-        `Matrix` is a mutable list; otherwise the two products."""
+        `Matrix` is a mutable list.  Otherwise both products are added
+        into one set of rows over their shared denominator
+        self.den * other.den, the second negated, with one gcd pass at
+        the end: no product matrix and no difference is built."""
         if len(self) != len(other):
             raise ValueError(f"matrix sizes differ: {len(self)} and {len(other)}")
         for d, b, sign in ((self, other, 1), (other, self, -1)):
             diag = _diagonal(d)
             if diag is not None:
-                return _lowest([{j: sign * (di - diag[j]) * x for j, x in row.items()
-                                 if di != diag[j]} for di, row in zip(diag, b)],
-                               self.den * other.den)
-        return self * other - other * self
+                if sign < 0:
+                    diag = [-v for v in diag]
+                rows = []
+                for di, row in zip(diag, b):
+                    out = {}
+                    if row:
+                        for j, x in row.items():
+                            dj = diag[j]
+                            if di != dj:
+                                out[j] = (di - dj) * x
+                    rows.append(out)
+                return _lowest(rows, self.den * other.den)
+        rows = [{} for _ in self]
+        _mul_into(rows, self, other, 1)
+        _mul_into(rows, other, self, -1)
+        return _lowest(rows, self.den * other.den)
 
 
 def _diagonal(m: Matrix) -> Optional[List[int]]:
@@ -319,9 +338,12 @@ def _diagonal(m: Matrix) -> Optional[List[int]]:
     the diagonal."""
     out = []
     for i, row in enumerate(m):
-        if len(row) > 1 or (row and i not in row):
-            return None
-        out.append(row.get(i, 0))
+        if row:
+            if len(row) != 1 or i not in row:
+                return None
+            out.append(row[i])
+        else:
+            out.append(0)
     return out
 
 
@@ -369,23 +391,29 @@ def diagonal(values: Sequence[Union[int, Fraction]]) -> Matrix:
     return from_values({i: v} for i, v in enumerate(values))
 
 
+def _mul_into(rows: List[dict], a: Matrix, b: Matrix, sign: int) -> None:
+    """Add sign * (the numerators of a*b) into rows, row by row; an
+    entry that cancels is deleted."""
+    for ai, row in zip(a, rows):
+        if ai:
+            for k, c in ai.items():
+                c *= sign
+                for j, x in b[k].items():
+                    if j in row:
+                        v = row[j] + c * x
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+                    else:
+                        row[j] = c * x
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a) != len(b):
         raise ValueError(f"matrix sizes differ: {len(a)} and {len(b)}")
-    rows = []
-    for ai in a:
-        row = {}
-        for k, c in ai.items():
-            for j, x in b[k].items():
-                if j in row:
-                    v = row[j] + c * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                else:
-                    row[j] = c * x
-        rows.append(row)
+    rows = [{} for _ in a]
+    _mul_into(rows, a, b, 1)
     return _lowest(rows, a.den * b.den)
 
 
@@ -428,8 +456,14 @@ def mat_scale(c, a: Matrix) -> Matrix:
     if not c:
         return zeros(len(a))
     num = c.numerator
-    return _lowest([{j: num * x for j, x in row.items()} for row in a],
-                   a.den * c.denominator)
+    rows = []
+    for row in a:
+        out = {}
+        if row:
+            for j, x in row.items():
+                out[j] = num * x
+        rows.append(out)
+    return _lowest(rows, a.den * c.denominator)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -510,7 +544,10 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     a(k, i, +-) in closed form (`gln.a_value`), checked against the
     symbolic `gln.a_coeff` at the first source where the summand's value
     is nonzero (at the first basis vector if it is zero at every source),
-    since a wrong coefficient that keeps a vanishing factor agrees on 0."""
+    since a wrong coefficient that keeps a vanishing factor agrees on 0.
+    Each summand's denominator is the lcm of the values it stores, and
+    X_k+-'s the lcm of its summands'; a value's numerator is scaled to
+    both once per slice, so the matrices are in lowest terms as built."""
     index = {key: j for j, key in enumerate(keys)}
     matrices: Dict[str, Matrix] = {}
     for k in range(1, n + 1):
@@ -530,26 +567,40 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
             # staircase rows k and k+-1 of one pattern per distinct part
             points = {part: (staircase(p, k), staircase(p, src))
                       for part, p in dict(zip(parts, basis)).items()}
-            ladder = [{} for _ in basis]
+            summands = []
             for i in range(1, k + 1):
-                rows = [{} for _ in basis]
                 pos = ctx.shift_pos((k, i))
-                memo = {}
+                memo, moves = {}, []
                 checked = False
                 for j, key in enumerate(keys):
                     ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
                     if ti is not None:
-                        value = memo.get(parts[j])
-                        if value is None:
-                            value = memo[parts[j]] = gln.a_value(*points[parts[j]], i, sign)
+                        part = parts[j]
+                        if part not in memo:
+                            value = memo[part] = gln.a_value(*points[part], i, sign)
                             if value and not checked:
                                 _check(ctx, k, i, sign, basis[j], value)
                                 checked = True
-                        rows[ti][j] = ladder[ti][j] = value
+                        moves.append((ti, j, part))
                 if not checked:
                     _check(ctx, k, i, sign, basis[0], gln.a_value(*points[parts[0]], i, sign))
-                matrices[f"A{k}{i}{tag}"] = from_values(rows)
-            matrices[f"X{k}{tag}"] = from_values(ladder)
+                summands.append((lcm(*(v.denominator for v in memo.values())), memo, moves))
+            ladder_den = lcm(*(den for den, _, _ in summands))
+            ladder = [{} for _ in basis]
+            for i, (den, memo, moves) in enumerate(summands, start=1):
+                step = ladder_den // den
+                scaled = {}
+                for part, v in memo.items():
+                    if v:
+                        num = v.numerator * (den // v.denominator)
+                        scaled[part] = (num, num * step)
+                rows = [{} for _ in basis]
+                for ti, j, part in moves:
+                    nums = scaled.get(part)
+                    if nums is not None:
+                        rows[ti][j], ladder[ti][j] = nums
+                matrices[f"A{k}{i}{tag}"] = Matrix(rows, den)
+            matrices[f"X{k}{tag}"] = Matrix(ladder, ladder_den)
     return matrices
 
 

@@ -601,7 +601,9 @@ def test_matrix_ops_property(pair, c):
 @st.composite
 def commutator_operands(draw):
     """Two n x n Fraction matrices, each diagonal (zero diagonal entries
-    included) or general as the drawn shape says."""
+    included) or general as the drawn shape says, or a general a with
+    b = a, a*a or c*a + d*I, which commute, so that the bracket cancels
+    exactly to the zero matrix."""
     n = draw(st.integers(1, 6))
     cell = st.one_of(st.just(Fraction(0)), rationals)
 
@@ -611,7 +613,18 @@ def commutator_operands(draw):
             return [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
 
-    shape = draw(st.sampled_from(["left", "right", "both", "neither"]))
+    shape = draw(st.sampled_from(["left", "right", "both", "neither",
+                                  "equal", "square", "affine"]))
+    if shape == "equal":
+        da = square(False)
+        return da, da
+    if shape == "square":
+        da = square(False)
+        return da, dense_mul(da, da)
+    if shape == "affine":
+        da, c, d = square(False), draw(rationals), draw(rationals)
+        return da, [[c * x + (d if i == j else 0) for j, x in enumerate(row)]
+                    for i, row in enumerate(da)]
     return square(shape in ("left", "both")), square(shape in ("right", "both"))
 
 
@@ -632,24 +645,29 @@ def test_commutator_kernel_property(pair):
 
 def test_commutator_kernel_dispatch(monkeypatch):
     """A diagonal operand takes the one-pass kernel (no product); two
-    non-diagonal matrices take two products and a difference; skew
-    elements take one fused sum of the two products, with no skew `*`
-    and no coefficient multiplied by a scalar, equal to `a*b - b*a`;
-    operands of different sizes are refused."""
-    calls = []
-    for name in ("mat_mul", "mat_sub"):
+    non-diagonal matrices add both products into one set of rows, the
+    second negated, with no `mat_*` call; skew elements take one fused
+    sum of the two products, with no skew `*` and no coefficient
+    multiplied by a scalar, equal to `a*b - b*a`; operands of different
+    sizes are refused."""
+    calls, fused = [], []
+    for name in ("mat_mul", "mat_add", "mat_sub"):
         op = getattr(gt, name)
         monkeypatch.setattr(gt, name, lambda a, b, op=op, name=name: (calls.append(name),
                                                                       op(a, b))[1])
+    mul_into = gt._mul_into
+    monkeypatch.setattr(gt, "_mul_into", lambda rows, a, b, sign: (fused.append(sign),
+                                                                   mul_into(rows, a, b, sign))[1])
     mod = gt.build_module((2, 1, 0))
     M = mod.matrices
     for a, b in ((M["X11"], M["X1+"]), (M["X2-"], M["V2"]), (M["V3"], M["X22"])):
         commutator(a, b)
-    assert calls == []
+    assert calls == [] and fused == []
     # diagonal but for one entry
     near = plant(M["X11"], 0, 1, 1)
-    commutator(near, M["X1+"])
-    assert calls == ["mat_mul", "mat_mul", "mat_sub"]
+    bracket = commutator(near, M["X1+"])
+    assert calls == [] and fused == [1, -1]
+    assert bracket == near * M["X1+"] - M["X1+"] * near
     for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.zeros(2))):
         with pytest.raises(ValueError, match="sizes differ"):
             commutator(a, b)
@@ -804,6 +822,53 @@ def test_closed_form_ladder_values_at_negative_rational_points(rows):
     assert_closed_form_matches_a_coeff(n, [p])
 
 
+def own_entries(m):
+    """m rebuilt by `from_values` from its own stored entries, each read
+    through `Matrix.entry`."""
+    return gt.from_values({j: m.entry(i, j) for j in row} for i, row in enumerate(m))
+
+
+def test_ladder_matrices_are_built_as_from_values_builds_them():
+    """Every A_ki+- and X_k+- equals `from_values` of its own entries, so
+    it is over the lcm of its values' denominators, in lowest terms, on
+    finite top rows and on a recorded generic point's radius-1 window."""
+    point = json.loads(REFERENCE.read_text())["generic_points"][0]
+    mods = [gt.build_module(top) for top in [(3, 2, 1, 0), (2, 1, 0, 0, 0), (4, 2, 1, 0),
+                                             (2, 1, 1, 0, 0)]]
+    mods.append(gt.build_generic_module(cli._parse_point(point), 1))
+    for mod in mods:
+        ladders = {name: m for name, m in mod.matrices.items() if name[-1] in "+-"}
+        assert len(ladders) == mod.n * (mod.n - 1) + 2 * (mod.n - 1)
+        assert any(m.den > 1 for m in ladders.values())
+        for name, m in ladders.items():
+            assert_lowest_terms(m)
+            assert m == own_entries(m), (mod.top, name)
+
+
+def test_a_ladder_value_that_vanishes_inside_the_window_is_not_stored():
+    """At a regular point with x_11 = x_21, a(1,1,+) and a(2,1,-) vanish
+    at sources whose target lies inside the window: no entry is stored
+    there, and the denominator is the lcm of the values stored, as
+    `from_values` gives it, in A_ki and in X_k."""
+    mod = gt.build_generic_module([(Fraction(1, 3),), (Fraction(1, 3), Fraction(1, 5)),
+                                   (2, 1, 0)], 1)
+    index = {p: j for j, p in enumerate(mod.basis)}
+    for k, i, s, tag in ((1, 1, 1, "+"), (2, 1, -1, "-")):
+        vanishing = 0
+        for j, p in enumerate(mod.basis):
+            row = list(p[k - 1])
+            row[i - 1] += s
+            target = index.get(p[:k - 1] + (tuple(row),) + p[k:])
+            if target is not None and ladder_oracle(p, k, i, s) == 0:
+                vanishing += 1
+                assert j not in mod.matrices[f"A{k}{i}{tag}"][target]
+                assert j not in mod.matrices[f"X{k}{tag}"][target]
+        assert vanishing
+        for name in (f"A{k}{i}{tag}", f"X{k}{tag}"):
+            m = mod.matrices[name]
+            assert m.den > 1 and m == own_entries(m), name
+
+
 def test_builders_refuse_a_closed_form_that_disagrees_with_a_coeff(monkeypatch, capsys):
     """`_realize` checks each summand's closed form against `gln.a_coeff`
     at the first basis vector: a symbolic coefficient off by one in any
@@ -830,7 +895,8 @@ def test_builders_check_each_summand_where_it_is_nonzero(monkeypatch):
     (2,1,0,0,0), a(1,1,+), a(2,1,+), a(2,1,-) and a(3,2,+) vanish at the
     first basis vector; the check is made at the first source with a
     nonzero value, so doubling any summand whose matrix is nonzero makes
-    the build raise."""
+    the build raise.  A summand that vanishes at every source, as
+    a(4,4,+) does, is the zero matrix, whose den is 1."""
     top = (2, 1, 0, 0, 0)
     true_a_coeff = gln.a_coeff
     matrices = gt.build_module(top).matrices
@@ -838,6 +904,12 @@ def test_builders_check_each_summand_where_it_is_nonzero(monkeypatch):
     nonzero = [(k, i, s) for k, i, s in summands
                if any(matrices[f"A{k}{i}{'+' if s > 0 else '-'}"])]
     assert {(1, 1, 1), (2, 1, 1), (2, 1, -1), (3, 2, 1)} <= set(nonzero)
+    zero = [f"A{k}{i}{'+' if s > 0 else '-'}" for k, i, s in summands
+            if (k, i, s) not in nonzero]
+    assert "A44+" in zero
+    assert all(ladder_oracle(p, 4, 4, 1) == 0 for p in gt.enumerate_patterns(top))
+    for name in zero:
+        assert matrices[name] == gt.zeros(len(matrices[name]))
     for summand in nonzero:
         monkeypatch.setattr(gln, "a_coeff", lambda ctx, k, i, s: true_a_coeff(ctx, k, i, s)
                             * (2 if (k, i, s) == summand else 1))
