@@ -47,14 +47,18 @@ A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
 not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
 bracket with X_kk or V_k is one pass over the other operand's entries
-(`Matrix.commutator`); any other bracket adds both products into one
-set of rows with one gcd pass, as `SkewElement.sum_of_products` does.
+(`Matrix.commutator`); whether an operand is diagonal is read off its
+rows on its first bracket only and kept, as no matrix is changed once
+built.  Any other bracket adds both products into one set of rows with
+one gcd pass, as `SkewElement.sum_of_products` does.
 The kernels loop over each row's stored entries and skip empty rows:
 most ladder rows hold one or two.  A ladder coefficient, which reads
 two adjacent rows, is computed and scaled to the matrix denominator
 once per distinct filling of those rows.
 The JSON export writes every row in full, one row at a time, from the
-stored numerators, each reduced over `den` with one gcd.
+stored numerators, each reduced over `den` with one gcd; the text of an
+empty row is built once per matrix and written again for every empty
+row, and a `--json` file is written through a 256 KiB buffer.
 
 Ladder terms whose target leaves the interlacing polytope are dropped.
 Some of those dropped terms carry nonzero coefficients (only crossings
@@ -269,9 +273,14 @@ class Matrix(list):
     `a * b`, `a + b`, `a += b`, `a - b`, `c * a` and `a * c`; operands
     of different sizes raise ValueError.  Each operator calls the
     module-level `mat_*` function, looked up at call time, so a wrapper
-    installed on those names sees every call."""
+    installed on those names sees every call.
 
-    __slots__ = ("den",)
+    No `Matrix` is changed once built: every operator and builder
+    returns a new one, and its rows are filled before it is wrapped.
+    That is what lets `_diagonal` keep its scan in the `_diag` slot,
+    which stays unset until a matrix's first bracket."""
+
+    __slots__ = ("den", "_diag")
 
     def __init__(self, rows=(), den: int = 1):
         super().__init__(rows)
@@ -305,15 +314,19 @@ class Matrix(list):
     def commutator(self, other: "Matrix") -> "Matrix":
         """self*other - other*self.  With a diagonal operand D, entry
         (i, j) of [D, B] is (d_i - d_j) b_ij: one pass over B's stored
-        entries.  "Diagonal" is read off the stored rows each call, as a
-        `Matrix` is a mutable list.  Otherwise both products are added
-        into one set of rows over their shared denominator
-        self.den * other.den, the second negated, with one gcd pass at
-        the end: no product matrix and no difference is built."""
+        entries.  Each operand's rows are scanned for a diagonal on its
+        first bracket only (`_diagonal`); later brackets read the kept
+        result.  Otherwise both products are added into one set of rows
+        over their shared denominator self.den * other.den, the second
+        negated, with one gcd pass at the end: no product matrix and no
+        difference is built."""
         if len(self) != len(other):
             raise ValueError(f"matrix sizes differ: {len(self)} and {len(other)}")
         for d, b, sign in ((self, other, 1), (other, self, -1)):
-            diag = _diagonal(d)
+            try:
+                diag = d._diag
+            except AttributeError:
+                diag = _diagonal(d)
             if diag is not None:
                 if sign < 0:
                     diag = [-v for v in diag]
@@ -335,15 +348,19 @@ class Matrix(list):
 
 def _diagonal(m: Matrix) -> Optional[List[int]]:
     """The diagonal numerators of m, or None if it stores an entry off
-    the diagonal."""
+    the diagonal; the result is kept in m's `_diag` slot, which
+    `Matrix.commutator` reads before calling this, so each matrix is
+    scanned once however many brackets it enters."""
     out = []
     for i, row in enumerate(m):
         if row:
             if len(row) != 1 or i not in row:
-                return None
+                out = None
+                break
             out.append(row[i])
         else:
             out.append(0)
+    m._diag = out
     return out
 
 

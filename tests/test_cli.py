@@ -656,6 +656,42 @@ def test_json_chunks_stay_small(capsys, monkeypatch):
     assert max(sizes) <= 4096
 
 
+def assert_empty_rows_shared(m):
+    """Every empty row of m after row 0 is written as one shared string,
+    and the rows still join to `json.dumps` of the dense matrix.
+    Returns how many empty rows shared it."""
+    chunks = list(cli._matrix_rows(m, ""))
+    assert "".join(chunks) == json.dumps(dense(m), indent=2, sort_keys=True)
+    empty = [chunks[i] for i, row in enumerate(m) if i and not row]
+    assert all(chunk is empty[0] for chunk in empty)
+    return len(empty)
+
+
+def test_empty_rows_are_rendered_once_per_matrix(capsys, monkeypatch):
+    """An all-zero row's text is built once per matrix (and once more
+    for row 0, which opens the matrix with "["), then written as that
+    same string for every empty row: the 1 260 empty rows of the dim-140
+    export."""
+    payload = json_payload(capsys, monkeypatch,
+                           ["gt", "--top", "4,2,1,0", "--check", "--json", "-"])
+    assert "".join(cli._render_json(payload)) == \
+        json.dumps(dense(payload), indent=2, sort_keys=True)
+    ms = list(payload["matrices"].values())
+    assert ms and all(isinstance(m, gtmodules.Matrix) for m in ms)
+    assert sum(map(assert_empty_rows_shared, ms)) > 1000
+
+
+def test_empty_rows_at_the_edges_share_one_string():
+    """A matrix whose first row, last row and a run of middle rows are
+    empty: row 0 opens the matrix with "[", every later empty row is the
+    one shared ","-led string, at any indent."""
+    m = gtmodules.from_values([{}, {0: Fraction(1, 2), 3: -2}, {}, {}, {}, {5: 7}, {}])
+    assert assert_empty_rows_shared(m) == 4
+    chunks = list(cli._matrix_rows(m, "  "))
+    assert chunks[0].startswith("[") and chunks[2].startswith(",")
+    assert "".join(chunks) == json.dumps(dense(m), indent=2).replace("\n", "\n  ")
+
+
 def test_json_renderer_edge_cases():
     cases = [
         {}, [], "", 0, -7, True, False, None, 2.5, "naïve ∑ \"q\"\n",

@@ -685,6 +685,43 @@ def test_commutator_kernel_dispatch(monkeypatch):
     assert bracket == x * y - y * x
 
 
+def spy_on_diagonal_scans(monkeypatch):
+    """Wrap `gt._diagonal`; the returned list holds every matrix it
+    scans, so no scanned matrix is freed and its id stays its own."""
+    scanned = []
+    scan = gt._diagonal
+    monkeypatch.setattr(gt, "_diagonal", lambda m: (scanned.append(m), scan(m))[1])
+    return scanned
+
+
+def test_each_matrix_is_scanned_for_its_diagonal_once(monkeypatch):
+    """In one relation report every bracketed matrix is scanned for a
+    diagonal at most once, however many brackets it enters: X_kk enters
+    one per weight relation and V_4 one per central relation."""
+    mod = gt.build_module((3, 2, 1, 0))
+    scanned = spy_on_diagonal_scans(monkeypatch)
+    assert gt.module_relation_report(mod).ok
+    ids = [id(m) for m in scanned]
+    assert {id(mod.matrices[name]) for name in ("V4", "X22", "X2+")} <= set(ids)
+    assert len(ids) == len(set(ids))
+
+
+def test_a_kept_diagonal_gives_the_same_bracket(monkeypatch):
+    """A second bracket with the same operand reads the kept scan, on
+    either side and whether the operand is diagonal or not, and equals
+    a*b - b*a; negating a right-hand diagonal leaves the kept one as it
+    was."""
+    M = gt.build_module((2, 1, 0)).matrices
+    operands = (M["X11"], M["V2"], plant(M["X11"], 0, 1, 1))
+    for d in operands:
+        M["X1+"].commutator(d)
+    scanned = spy_on_diagonal_scans(monkeypatch)
+    for d in operands:
+        for a, b in ((d, M["X2-"]), (M["X2+"], d), (d, M["X1+"]), (M["X1+"], d)):
+            assert a.commutator(b) == gt.mat_sub(gt.mat_mul(a, b), gt.mat_mul(b, a))
+    assert not any(m is d for m in scanned for d in operands)
+
+
 def test_identity_and_zero_matrices():
     for n in range(1, 5):
         assert to_dense(gt.eye(n)) == [[Fraction(int(i == j)) for j in range(n)]
