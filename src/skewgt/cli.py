@@ -286,6 +286,13 @@ def _value_text(x: int, den: int) -> str:
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
+def _diagonal_text(m: gtmodules.Matrix, distinct: bool = False) -> str:
+    """`str` of each diagonal value of m from its numerators, in row order,
+    or once each in increasing order (den > 0, so numerators sort alike)."""
+    nums = [row.get(i, 0) for i, row in enumerate(m)]
+    return ", ".join(_value_text(x, m.den) for x in (sorted(set(nums)) if distinct else nums))
+
+
 def _matrix_rows(m: gtmodules.Matrix, indent: str):
     """The chunks of `_render_json` for a matrix: one dense row each.
     Every row is sliced from one all-"0" row text, with the value string
@@ -450,8 +457,7 @@ def cmd_gt(args):
         lines = [f"generic point rows: {args.generic}",
                  f"window radius: {window}",
                  f"dimension: {mod.dim} ({len(mod.interior)} interior)"]
-        lines += [f"V{k} values: "
-                  + ", ".join(map(str, sorted(set(mod.spectrum(f"V{k}")))))
+        lines += [f"V{k} values: " + _diagonal_text(mod.matrices[f"V{k}"], distinct=True)
                   for k in range(2, mod.n + 1)]
     else:
         _check_digits(args.top, "--top")
@@ -468,7 +474,7 @@ def cmd_gt(args):
                           for k in range(2, mod.n + 1))
         lines = [f"top row: {','.join(map(str, top))}", f"dimension: {mod.dim}",
                  f"row fillings: {fills}"]
-        lines += [f"V{k} spectrum: " + ", ".join(map(str, mod.spectrum(f"V{k}")))
+        lines += [f"V{k} spectrum: " + _diagonal_text(mod.matrices[f"V{k}"])
                   for k in range(2, mod.n + 1)]
     rep = report(mod) if args.check else None
     if rep is not None:

@@ -18,17 +18,19 @@ lambda_ki - lambda_kj + j - i over i < j; its square always agrees with
 the evaluated square of the Vandermonde polynomial.
 
 Pattern entries are exact rationals stored like polynomial coefficients:
-an `int` when integral (every entry of a finite module, the top row of a
-generic one) and a `Fraction` otherwise.  Staircase points then run on
-ints.  A ladder coefficient a(k, i, +-) is a product of linear factors
-in the staircase entries of rows k and k+-1, so it is taken in closed
-form (`gln.a_value`) in int arithmetic; the symbolic `gln.a_coeff` is
-evaluated once per summand, to check the closed form.  A ladder value
-is an `int` whenever it is integral, and row sums and Vandermonde
-eigenvalues are ints on integral rows, so storing the matrices of a
-finite module makes no Fraction per entry.
-Moves and basis lookups never touch a pattern: they run on integer keys
-(see `_realize`).  Every matrix value read through `Matrix.entry` is a
+an `int` when integral (every entry of a finite module) and a `Fraction`
+otherwise.  The builder runs on ints: it scales the point by L, the lcm
+of its entries' denominators (1 for a finite module), so each basis
+vector is an int key and a move adds +-L (see `_realize`).  A ladder
+coefficient a(k, i, +-) is a product of linear factors in the staircase
+entries of rows k and k+-1, so it is taken in closed form
+(`gln.a_value`) on the scaled rows, where it is L^2 times the true value
+for + and the true value for -; the symbolic `gln.a_coeff` is evaluated
+at the true pattern once per summand, to check the closed form.  Row
+sums and Vandermonde eigenvalues are read off the keys over L and
+L^(k(k-1)/2).  So a build makes Fractions only for the basis patterns
+and for `gln.a_value`'s non-integral values, one per distinct slice of
+the rows it reads; every matrix value read through `Matrix.entry` is a
 `Fraction`.
 
 Both kinds of module come from one builder over a basis of patterns:
@@ -235,30 +237,26 @@ class SignData:
         return all(s == 1 for row in self.rows.values() for s in row.values())
 
 
+def _vandermonde(x: Sequence) -> Union[int, Fraction]:
+    """prod_{i<j} (x_i - x_j), one factor at a time."""
+    val = 1
+    for i, j in itertools.combinations(range(len(x)), 2):
+        val *= x[i] - x[j]
+    return val
+
+
 def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Union[int, Fraction]:
     """Diagonal Vandermonde eigenvalue on a pattern: the chosen sign for
     the row filling (+1 without sign data) times
     prod_{i<j} (lambda_ki - lambda_kj + j - i), an int on an integral row."""
-    row = p[k - 1]
-    val = 1 if signs is None else signs.rows[k][row]
-    for i, j in itertools.combinations(range(len(row)), 2):
-        val *= row[i] - row[j] + (j - i)
-    return val
+    return (1 if signs is None else signs.rows[k][p[k - 1]]) * _vandermonde(staircase(p, k))
 
 
 def squared_vandermonde(k: int, p: Pattern) -> Union[int, Fraction]:
     """prod_{i<j} (x_ki - x_kj)^2 at the staircase point of a pattern,
     read off its row k, one factor at a time: the value of
     `polys.vandermonde(ctx, k)` squared, without expanding its k! terms."""
-    x = staircase(p, k)
-    val = 1
-    for i, j in itertools.combinations(range(k), 2):
-        val *= x[i] - x[j]
-    return val * val
-
-
-def _xkk_value(k: int, p: Pattern) -> Union[int, Fraction]:
-    return sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0)
+    return _vandermonde(staircase(p, k)) ** 2
 
 
 # ----------------------------------------------------------------------
@@ -529,11 +527,22 @@ class ModuleRealization:
         return body
 
 
-def _row_slices(keys: List[Tuple[int, ...]], lo: int, hi: int) -> List[Tuple[int, ...]]:
-    """Each key's entries of rows lo..hi; row n is in no key, as it is
-    the same in every basis pattern."""
-    start, stop = lo * (lo - 1) // 2, hi * (hi + 1) // 2
-    return [key[start:stop] for key in keys]
+def _rows(lo: int, hi: int) -> slice:
+    """The slice of rows lo..hi of a pattern's entries laid out flat; a
+    key holds rows 1..n-1, as row n is the same in every basis pattern."""
+    return slice(lo * (lo - 1) // 2, hi * (hi + 1) // 2)
+
+
+def _ladder_value(rows, i: int, sign: int, square: int) -> Tuple[int, int]:
+    """(num, den) in lowest terms of a(k, i, sign) at a point, from its
+    two staircase rows scaled by L: a(k, i, +) has two more numerator
+    factors than denominator factors, so its value is divided by L^2."""
+    value = gln.a_value(*rows, i, sign)
+    num, den = value.numerator, value.denominator
+    if sign > 0:
+        g = gcd(num, square)
+        num, den = num // g, den * (square // g)
+    return num, den
 
 
 def _check(ctx: Context, k: int, i: int, sign: int, p: Pattern,
@@ -547,71 +556,81 @@ def _check(ctx: Context, k: int, i: int, sign: int, p: Pattern,
 
 
 def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
-             signs: Optional[SignData]) -> Dict[str, Matrix]:
-    """Exact matrices of every generator on a basis of patterns.  Each
-    ladder summand A_ki moves entry (k, i) by one, with its coefficient
-    a(k, i, +-) taken at the source's staircase point; targets outside
-    the basis are dropped.  `keys[j]` holds one int per entry of rows
-    1..n-1 of `basis[j]` (its entries, or its window offset) in
-    `shift_vars` order, so A_ki+- adds +-1 at `shift_pos((k, i))` and no
-    pattern is hashed.  A source's k summands of X_k+- reach k distinct
-    targets, so X_k+- is filled in the same pass, with no matrix sum.
-    a(k, i, +-) reads rows k and k+-1 only, and V_k row k only, so each
-    is computed once per distinct int slice of the keys over those rows,
-    a(k, i, +-) in closed form (`gln.a_value`), checked against the
-    symbolic `gln.a_coeff` at the first source where the summand's value
-    is nonzero (at the first basis vector if it is zero at every source),
+             top: Tuple[int, ...], scale: int, signs: Optional[SignData]) -> Dict[str, Matrix]:
+    """Exact matrices of every generator on a basis of patterns, built
+    from ints on the lattice scaled by an int L (1 for a finite module):
+    `keys[j]` holds L times each entry of rows 1..n-1 of `basis[j]` in
+    `shift_vars` order, and `top` L times the top row.  Each ladder
+    summand A_ki moves entry (k, i) by one, so A_ki+- adds +-L at
+    `shift_pos((k, i))`, with its coefficient a(k, i, +-) taken at the
+    source; targets outside the basis are dropped.  A source's k
+    summands of X_k+- reach k distinct targets, so X_k+- is filled in
+    the same pass, with no matrix sum.  X_kk is a row-sum difference over
+    L, and V_k the Vandermonde of the scaled staircase row over
+    L^(k(k-1)/2).  a(k, i, +-) reads rows k and k+-1 only, and V_k
+    row k only, so each is computed once per distinct slice of the keys
+    over those rows, a(k, i, +-) in closed form (`_ladder_value`).  That
+    is checked against the symbolic `gln.a_coeff` (`_check`), the one
+    reader of `basis`, at the first source where the summand's value is
+    nonzero (at the first basis vector if it is zero at every source),
     since a wrong coefficient that keeps a vanishing factor agrees on 0.
     Each summand's denominator is the lcm of the values it stores, and
     X_k+-'s the lcm of its summands'; a value's numerator is scaled to
     both once per slice, so the matrices are in lowest terms as built."""
     index = {key: j for j, key in enumerate(keys)}
     matrices: Dict[str, Matrix] = {}
+    # row k of each basis vector; the top row is in no key
+    row_k = [[key[span] or top for key in keys] for span in [_rows(k, k) for k in range(1, n + 1)]]
+    sums = [[0] * len(keys)] + [list(map(sum, rows)) for rows in row_k]
     for k in range(1, n + 1):
-        matrices[f"X{k}{k}"] = diagonal([_xkk_value(k, p) for p in basis])
+        matrices[f"X{k}{k}"] = _lowest([{j: x} if x else {} for j, x in
+                                        enumerate(map(int.__sub__, sums[k], sums[k - 1]))], scale)
     for k in range(2, n + 1):
-        parts = _row_slices(keys, k, k)
-        # one pattern, and so one signed row-k filling, per distinct part
-        one = dict(zip(parts, basis))
-        values = {part: act_vandermonde(k, p, signs) for part, p in one.items()}
-        matrices[f"V{k}"] = diagonal([values[part] for part in parts])
+        values = {row: (1 if signs is None else signs.rows[k][row])
+                  * _vandermonde([v - scale * i for i, v in enumerate(row)])
+                  for row in dict.fromkeys(row_k[k - 1])}
+        matrices[f"V{k}"] = _lowest([{j: values[row]} if values[row] else {}
+                                     for j, row in enumerate(row_k[k - 1])],
+                                    scale ** (k * (k - 1) // 2))
 
     ctx = Context.triangle(n)
     for k in range(1, n):
         for sign, tag in ((1, "+"), (-1, "-")):
-            src = k + sign
-            parts = _row_slices(keys, min(k, src), max(k, src))
-            # staircase rows k and k+-1 of one pattern per distinct part
-            points = {part: (staircase(p, k), staircase(p, src))
-                      for part, p in dict(zip(parts, basis)).items()}
+            src, move = k + sign, sign * scale
+            span = _rows(min(k, src), max(k, src))
+            parts = [key[span] for key in keys]
+            # scaled staircase rows k and k+-1 of one key per distinct part
+            points = {part: [[v - scale * i for i, v in enumerate((key + top)[_rows(r, r)])]
+                             for r in (k, src)]
+                      for part, key in dict(zip(parts, keys)).items()}
             summands = []
             for i in range(1, k + 1):
                 pos = ctx.shift_pos((k, i))
-                memo, moves = {}, []
-                checked = False
+                memo, moves, checked = {}, [], False
                 for j, key in enumerate(keys):
-                    ti = index.get(key[:pos] + (key[pos] + sign,) + key[pos + 1:])
+                    ti = index.get(key[:pos] + (key[pos] + move,) + key[pos + 1:])
                     if ti is not None:
                         part = parts[j]
                         if part not in memo:
-                            value = memo[part] = gln.a_value(*points[part], i, sign)
-                            if value and not checked:
-                                _check(ctx, k, i, sign, basis[j], value)
+                            value = memo[part] = _ladder_value(points[part], i, sign, scale ** 2)
+                            if value[0] and not checked:
+                                _check(ctx, k, i, sign, basis[j], Fraction(*value))
                                 checked = True
                         moves.append((ti, j, part))
                 if not checked:
-                    _check(ctx, k, i, sign, basis[0], gln.a_value(*points[parts[0]], i, sign))
-                summands.append((lcm(*(v.denominator for v in memo.values())), memo, moves))
+                    value = _ladder_value(points[parts[0]], i, sign, scale ** 2)
+                    _check(ctx, k, i, sign, basis[0], Fraction(*value))
+                summands.append((lcm(*(den for _, den in memo.values())), memo, moves))
             ladder_den = lcm(*(den for den, _, _ in summands))
-            ladder = [{} for _ in basis]
+            ladder = [{} for _ in keys]
             for i, (den, memo, moves) in enumerate(summands, start=1):
                 step = ladder_den // den
                 scaled = {}
-                for part, v in memo.items():
-                    if v:
-                        num = v.numerator * (den // v.denominator)
+                for part, (num, d) in memo.items():
+                    if num:
+                        num *= den // d
                         scaled[part] = (num, num * step)
-                rows = [{} for _ in basis]
+                rows = [{} for _ in keys]
                 for ti, j, part in moves:
                     nums = scaled.get(part)
                     if nums is not None:
@@ -632,7 +651,7 @@ def build_module(top: Sequence[int], signs: Optional[SignData] = None) -> Module
         raise ValueError(f"sign data chosen under another top row than {top}")
     basis = _chains(fillings)
     keys = [sum(p[:-1], ()) for p in basis]
-    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, keys, signs),
+    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, keys, top, 1, signs),
                              top=top, signs=signs)
 
 
@@ -678,10 +697,18 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
 # ----------------------------------------------------------------------
 # generic modules on a shifted lattice window
 
+def _on_lattice(p: Pattern) -> Tuple[int, Tuple[Tuple[int, ...], ...], bool]:
+    """(L, p times L, whether p is regular) for L the lcm of p's
+    denominators: a staircase difference on rows 1..n-1 is an integer
+    exactly when L divides the scaled difference."""
+    scale = lcm(*(v.denominator for row in p for v in row))
+    point = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in p)
+    return scale, point, all((a - b) % scale for row in point[:-1]
+                             for a, b in itertools.combinations(row, 2))
+
+
 def is_regular_point(rows: Sequence[Sequence], n: int) -> bool:
-    point = pattern_point(normalize_pattern(rows))
-    return all((point[(k, i)] - point[(k, j)]).denominator != 1 for k in range(1, n)
-               for i, j in itertools.combinations(range(1, k + 1), 2))
+    return _on_lattice(normalize_pattern(rows)[:n])[2]
 
 
 def generic_dim(n: int, radius: int) -> int:
@@ -704,19 +731,21 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
     if radius < 0:
         raise ValueError("window radius must be nonnegative")
     check_module_dim(generic_dim(n, radius))
-    if not is_regular_point(rows, n):
+    scale, point, regular = _on_lattice(p)
+    if not regular:
         raise ValueError("point is not regular: some staircase row "
                          "difference is an integer")
-    # one entry per variable of rows 1..n-1, in lexicographic order
-    offsets = list(itertools.product(range(-radius, radius + 1),
-                                     repeat=n * (n - 1) // 2))
-    basis = [tuple(tuple(v + m for v, m in zip(row, w[k * (k - 1) // 2:]))
-                   for k, row in enumerate(p[:-1], start=1)) + p[-1:]
-             for w in offsets]
-    interior = [i for i, w in enumerate(offsets)
+    # each entry of rows 1..n-1 over the window, in lexicographic order
+    window = range(-radius, radius + 1)
+    keys = list(itertools.product(*([v + scale * m for m in window]
+                                    for v in sum(point[:-1], ()))))
+    spans = [_rows(k, k) for k in range(1, n)]
+    basis = [tuple(e[span] for span in spans) + p[-1:]
+             for e in itertools.product(*([v + m for m in window] for v in sum(p[:-1], ())))]
+    interior = [i for i, w in enumerate(itertools.product(window, repeat=len(keys[0])))
                 if all(abs(m) <= radius - 1 for m in w)] if radius >= 1 else []
-    return ModuleRealization(n=n, basis=basis, matrices=_realize(n, basis, offsets, None),
-                             interior=interior)
+    return ModuleRealization(n=n, basis=basis, interior=interior,
+                             matrices=_realize(n, basis, keys, point[-1], scale, None))
 
 
 def columns_zero(m: Matrix, cols: Sequence[int]) -> bool:

@@ -619,6 +619,29 @@ def test_printed_forms_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of generic `--json -` exports, recorded while the
+# generic builder still ran on Fraction patterns, before it moved to the
+# integer lattice: the basis strings, "interior", every matrix and the
+# report must stay byte-identical.
+GENERIC_EXPORT_DIGESTS = {
+    "fractional-top": (["gt", "--generic", "1/3; 1/5, 2/7; 1/2, 1, 1", "--window", "1",
+                        "--check", "--json", "-"],
+                       "87dcd454b9a5d7ec996fc145c3749d7812e0d0fe3644f63f63275a9456505fda"),
+    # a recorded benchmark point at the benchmark's radius
+    "benchmark-point": (["gt", "--generic=-1/3; 4/5, -3/7; 1, 1, -3", "--window", "2",
+                         "--json", "-"],
+                        "9af9b7f970fb21fbd58e15bdb50d5145b66fb5816d4f8500b8e4db77ecda2b1e"),
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(GENERIC_EXPORT_DIGESTS.values()),
+                         ids=list(GENERIC_EXPORT_DIGESTS))
+def test_generic_exports_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 JSON_PAYLOAD_JOBS = {
     "gt": ["gt", "--top", "2,1,0", "--check", "--json", "-"],
     "verify": ["verify", "--suite", "gl3", "--json", "-"],

@@ -769,14 +769,45 @@ def diagonal_oracle(k, p):
     return Fraction(sum(p[k - 1]) - (sum(p[k - 2]) if k >= 2 else 0))
 
 
+def assert_matches_per_pattern_action(mod):
+    """Every built ladder summand, ladder, diagonal and Vandermonde
+    matrix of mod, column by column, against the closed-form values
+    evaluated with Fractions on the pattern entries: A_ki(+-) sends p to
+    p with entry (k, i) moved by +-1 when that target is a basis pattern,
+    and V_k acts by the sign of p's row-k filling times the Vandermonde."""
+    top = mod.basis[0][-1]
+    n = mod.n
+    index = {p: j for j, p in enumerate(mod.basis)}
+    for m in mod.matrices.values():
+        to_dense(m)
+    for j, p in enumerate(mod.basis):
+        for k in range(1, n + 1):
+            d = diagonal_oracle(k, p)
+            assert column(mod.matrices[f"X{k}{k}"], j) == ({j: d} if d else {})
+            if k >= 2:
+                v = vandermonde_oracle(k, p, mod.signs)
+                assert column(mod.matrices[f"V{k}"], j) == ({j: v} if v else {}), \
+                    (top, k, p)
+        for k in range(1, n):
+            for s, tag in ((1, "+"), (-1, "-")):
+                total = {}
+                for i in range(1, k + 1):
+                    row = list(p[k - 1])
+                    row[i - 1] += s
+                    target = index.get(p[:k - 1] + (tuple(row),) + p[k:])
+                    c = ladder_oracle(p, k, i, s) if target is not None else 0
+                    expected = {target: c} if c else {}
+                    assert column(mod.matrices[f"A{k}{i}{tag}"], j) == expected, \
+                        (top, f"A{k}{i}{tag}", p)
+                    total.update(expected)
+                assert column(mod.matrices[f"X{k}{tag}"], j) == total, \
+                    (top, f"X{k}{tag}", p)
+
+
 def test_ladder_matrices_match_per_pattern_action():
-    """Every built ladder summand, ladder and diagonal matrix of the
-    (1,0), (2,1,0) and (2,1,0,0) modules, of (2,1,0,0) with mixed signs
-    on rows 2 and 3, and of a radius-1 generic window (dim 27), column
-    by column, against the closed-form coefficients evaluated with
-    Fractions on the pattern entries: A_ki(+-) sends p to p with entry
-    (k, i) moved by +-1 when that target is a basis pattern, and V_k
-    acts by the sign of p's row-k filling times the Vandermonde."""
+    """`assert_matches_per_pattern_action` on the (1,0), (2,1,0) and
+    (2,1,0,0) modules, on (2,1,0,0) with mixed signs on rows 2 and 3, and
+    on a radius-1 generic window (dim 27)."""
     generic = gt.build_generic_module(
         [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)], 1)
     assert generic.dim == 27
@@ -786,33 +817,47 @@ def test_ladder_matrices_match_per_pattern_action():
     assert {-1, 1} <= set(signed.signs.rows[3].values())
     for mod in [gt.build_module(top) for top in [(1, 0), (2, 1, 0), (2, 1, 0, 0)]] + \
             [signed, generic]:
-        top = mod.basis[0][-1]
-        n = mod.n
-        index = {p: j for j, p in enumerate(mod.basis)}
-        for m in mod.matrices.values():
-            to_dense(m)
-        for j, p in enumerate(mod.basis):
-            for k in range(1, n + 1):
-                d = diagonal_oracle(k, p)
-                assert column(mod.matrices[f"X{k}{k}"], j) == ({j: d} if d else {})
-                if k >= 2:
-                    v = vandermonde_oracle(k, p, mod.signs)
-                    assert column(mod.matrices[f"V{k}"], j) == ({j: v} if v else {}), \
-                        (top, k, p)
-            for k in range(1, n):
-                for s, tag in ((1, "+"), (-1, "-")):
-                    total = {}
-                    for i in range(1, k + 1):
-                        row = list(p[k - 1])
-                        row[i - 1] += s
-                        target = index.get(p[:k - 1] + (tuple(row),) + p[k:])
-                        c = ladder_oracle(p, k, i, s) if target is not None else 0
-                        expected = {target: c} if c else {}
-                        assert column(mod.matrices[f"A{k}{i}{tag}"], j) == expected, \
-                            (top, f"A{k}{i}{tag}", p)
-                        total.update(expected)
-                    assert column(mod.matrices[f"X{k}{tag}"], j) == total, \
-                        (top, f"X{k}{tag}", p)
+        assert_matches_per_pattern_action(mod)
+
+
+# A large prime denominator, so that the lattice scale L is far beyond
+# any product of small denominators
+LARGE_PRIME = 2 ** 61 - 1
+
+
+@st.composite
+def regular_points(draw):
+    """A point of rank 2 or 3 whose rows 1..n-1 have no integral
+    same-row difference (checked on Fractions), with denominators up to
+    10^4 or LARGE_PRIME and entries of either sign; the top row is
+    integral or, about half the time, has a non-integral entry, and small
+    integral top rows make some V_n vanish."""
+    def entry():
+        den = draw(st.one_of(st.integers(1, 10 ** 4), st.just(LARGE_PRIME)))
+        return Fraction(draw(st.integers(-5 * den, 5 * den)), den)
+
+    n = draw(st.integers(2, 3))
+    rows = [[entry() for _ in range(k)] for k in range(1, n)]
+    assume(all((a - b).denominator != 1 for row in rows
+               for a, b in itertools.combinations(row, 2)))
+    top = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        v = entry()
+        assume(v.denominator != 1)
+        top[draw(st.integers(0, n - 1))] = v
+    return rows + [top]
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_points())
+def test_generic_lattice_matches_per_pattern_action(rows):
+    """The generic builder works on the point scaled to an integer
+    lattice; every matrix column of its radius-1 window equals the
+    closed-form values evaluated with Fractions on the true patterns."""
+    mod = gt.build_generic_module(rows, 1)
+    assert mod.dim == 3 ** (mod.n * (mod.n - 1) // 2)
+    assert mod.basis[(mod.dim - 1) // 2] == gt.normalize_pattern(rows)
+    assert_matches_per_pattern_action(mod)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"

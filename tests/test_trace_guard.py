@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 JOBS = [
     ["compute", "--expr", "c22", "--n", "2"],
     ["gt", "--top", "2,1,0", "--check"],
+    ["gt", "--generic", "1/3; 1,0", "--window", "1", "--check"],
     ["verify", "--suite", "gl2", "--json", "-"],
     ["toy", "--f", "x+2", "--target", "1/(x-3)"],
 ]
