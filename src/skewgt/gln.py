@@ -18,8 +18,7 @@ Conventions, fixed once:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence, Tuple
 from .polys import Context, Poly, quote, vandermonde
 from .ratfunc import RatFunc, linear_factor
 from .skew import SkewElement, commutator, is_invariant
@@ -53,26 +52,22 @@ def a_coeff(ctx: Context, k: int, i: int, sign: int) -> RatFunc:
     return RatFunc._from_parts(ctx, parts, den, scale)
 
 
-def a_value(row: Sequence, src: Sequence, i: int, sign: int) -> Union[int, Fraction]:
-    """a(k, i, sign) at a point, in closed form from the two rows it
-    reads: ``row`` = (x_k1, ..., x_kk) and ``src`` = (x_{k+sign,1}, ...),
-    empty for row 0, as ints or Fractions.  Every factor's numerator and
-    denominator is multiplied in as an int and the product divided once,
-    so the value is an int when integral, else a Fraction.  A vanishing
-    denominator factor raises ZeroDivisionError."""
+def a_value(row: Sequence[int], src: Sequence[int], i: int, sign: int) -> Tuple[int, int]:
+    """a(k, i, sign) = num / den at an integral point, in closed form from
+    the int rows it reads, ``row`` = (x_k1, ..., x_kk) and ``src`` =
+    (x_{k+sign,1}, ...), empty for row 0: the unreduced products of the
+    factors, den of either sign.  A vanishing denominator factor raises
+    ZeroDivisionError."""
     xi = row[i - 1]
     num, den = -sign, 1
     for x in src:
-        d = x - xi
-        num *= d.numerator
-        den *= d.denominator
+        num *= x - xi
     for j, x in enumerate(row, start=1):
         if j != i:
-            d = x - xi
-            num *= d.denominator
-            den *= d.numerator
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+            den *= x - xi
+    if not den:
+        raise ZeroDivisionError(f"a(k,{i},{sign:+d}): equal entries in row {list(row)}")
+    return num, den
 
 
 def gen_X(ctx: Context, k: int, sign: int) -> SkewElement:

@@ -24,14 +24,13 @@ of its entries' denominators (1 for a finite module), so each basis
 vector is an int key and a move adds +-L (see `_realize`).  A ladder
 coefficient a(k, i, +-) is a product of linear factors in the staircase
 entries of rows k and k+-1, so it is taken in closed form
-(`gln.a_value`) on the scaled rows, where it is L^2 times the true value
-for + and the true value for -; the symbolic `gln.a_coeff` is evaluated
-at the true pattern once per summand, to check the closed form.  Row
-sums and Vandermonde eigenvalues are read off the keys over L and
-L^(k(k-1)/2).  So a build makes Fractions only for the basis patterns
-and for `gln.a_value`'s non-integral values, one per distinct slice of
-the rows it reads; every matrix value read through `Matrix.entry` is a
-`Fraction`.
+(`gln.a_value`) on the scaled rows as an int numerator and denominator,
+L^2 times the true value for + and the true value for -, reduced once
+(`_ladder_value`); the symbolic `gln.a_coeff` is evaluated at the true
+pattern once per summand, to check it.  Row sums and Vandermonde
+eigenvalues are read off the keys over L and L^(k(k-1)/2).  So a build
+makes Fractions only for the basis patterns and that check; every
+matrix value read through `Matrix.entry` is a `Fraction`.
 
 Both kinds of module come from one builder over a basis of patterns:
 the interlacing patterns under a top row, or a regular pattern moved by
@@ -44,7 +43,9 @@ from column to a nonzero `int` numerator, over one `int` denominator in
 lowest terms (as a `RatFunc` keeps an `int` numerator), so products and
 sums run on ints with one gcd pass per result.  They have the operators
 `*`, `+`, `-` and `c * a` of skew elements, so the reports run the
-relation catalogues of `relations` and hold no relation of their own.
+relation catalogues of `relations` and hold no relation of their own;
+each compares a relation's two sides (the generic one on the interior
+columns, `columns_equal`) and builds no difference.
 A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
 not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
@@ -243,13 +244,6 @@ def _vandermonde(x: Sequence) -> Union[int, Fraction]:
     for i, j in itertools.combinations(range(len(x)), 2):
         val *= x[i] - x[j]
     return val
-
-
-def act_vandermonde(k: int, p: Pattern, signs: Optional[SignData]) -> Union[int, Fraction]:
-    """Diagonal Vandermonde eigenvalue on a pattern: the chosen sign for
-    the row filling (+1 without sign data) times
-    prod_{i<j} (lambda_ki - lambda_kj + j - i), an int on an integral row."""
-    return (1 if signs is None else signs.rows[k][p[k - 1]]) * _vandermonde(staircase(p, k))
 
 
 def squared_vandermonde(k: int, p: Pattern) -> Union[int, Fraction]:
@@ -534,15 +528,14 @@ def _rows(lo: int, hi: int) -> slice:
 
 
 def _ladder_value(rows, i: int, sign: int, square: int) -> Tuple[int, int]:
-    """(num, den) in lowest terms of a(k, i, sign) at a point, from its
-    two staircase rows scaled by L: a(k, i, +) has two more numerator
-    factors than denominator factors, so its value is divided by L^2."""
-    value = gln.a_value(*rows, i, sign)
-    num, den = value.numerator, value.denominator
-    if sign > 0:
-        g = gcd(num, square)
-        num, den = num // g, den * (square // g)
-    return num, den
+    """(num, den) in lowest terms, den > 0, of a(k, i, sign) at a point,
+    from `gln.a_value` on its two staircase rows scaled by L: a(k, i, +)
+    has two more numerator factors than denominator factors, so its den
+    takes L^2 = square before the one gcd."""
+    num, den = gln.a_value(*rows, i, sign)
+    den *= square if sign > 0 else 1
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _check(ctx: Context, k: int, i: int, sign: int, p: Pattern,
@@ -748,13 +741,26 @@ def build_generic_module(rows: Sequence[Sequence], radius: int) -> ModuleRealiza
                              matrices=_realize(n, basis, keys, point[-1], scale, None))
 
 
-def columns_zero(m: Matrix, cols: Sequence[int]) -> bool:
+def columns_equal(a: Matrix, b: Matrix, cols: Iterable[int]) -> bool:
+    """Whether a and b agree on the columns cols, read off their stored
+    entries, each cross-multiplied by the other's `den`, up to the first
+    mismatch: no difference is built."""
     cols = set(cols)
-    return not any(cols.intersection(row) for row in m)
+    da, db = a.den, b.den
+    for ra, rb in zip(a, b):
+        for j, x in ra.items():
+            if j in cols and x * db != rb.get(j, 0) * da:
+                return False
+        for j in rb:
+            if j in cols and j not in ra:
+                return False
+    return True
 
 
 def generic_module_report(mod: ModuleRealization) -> VerificationReport:
-    """Ladder commutators against Cartan differences on interior columns."""
+    """[X_k+, X_k-] = X_kk - X_{k+1,k+1}, then `relations.gln_weights`,
+    each two sides compared on the interior columns (`columns_equal`),
+    where the window truncates no term of either side."""
     if mod.n < 2:
         raise ValueError(f"the generic relation report needs a point with "
                          f"n >= 2 rows (got n={mod.n})")
@@ -764,14 +770,10 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
     rep = VerificationReport("generic-module")
     M = mod.matrices
     cols = mod.interior
-    for k in range(1, mod.n):
-        res = commutator(M[f"X{k}+"], M[f"X{k}-"]) \
-            - (M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
-        rep.add(verify_predicate(
-            f"generic:[X{k}+,X{k}-]",
-            f"[X{k}+, X{k}-] = X{k}{k} - X{k + 1}{k + 1} on interior vectors",
-            columns_zero(res, cols)))
-    for bracket, anchor, lhs, rhs in gln_weights(mod.n, M):
+    ladders = ((f"[X{k}+,X{k}-]", f"[X{k}+, X{k}-] = X{k}{k} - X{k + 1}{k + 1}",
+                commutator(M[f"X{k}+"], M[f"X{k}-"]), M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
+               for k in range(1, mod.n))
+    for bracket, anchor, lhs, rhs in itertools.chain(ladders, gln_weights(mod.n, M)):
         rep.add(verify_predicate(f"generic:{bracket}", f"{anchor} on interior vectors",
-                                 columns_zero(lhs - rhs, cols)))
+                                 columns_equal(lhs, rhs, cols)))
     return rep

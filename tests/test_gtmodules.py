@@ -142,26 +142,33 @@ def test_trivial_module_acts_by_zero():
     assert m.spectrum("X11") == [Fraction(0)]
 
 
+def vandermonde_at(top, signs, p):
+    """The V_2 diagonal entry of the module built under top at the basis
+    pattern p."""
+    mod = gt.build_module(top, signs)
+    return mod.spectrum("V2")[mod.basis.index(p)]
+
+
 def test_vandermonde_action():
-    signs = gt.SignData.from_vectors(gt.row_fillings((1, 0)))
+    fillings = gt.row_fillings((1, 0))
     hi = gt.normalize_pattern([(1,), (1, 0)])
-    assert gt.act_vandermonde(2, hi, signs) == 2
-    assert gt.act_vandermonde(2, hi, None) == 2
-    flipped = gt.SignData.from_vectors(gt.row_fillings((1, 0)), {2: [-1]})
-    assert gt.act_vandermonde(2, hi, flipped) == -2
+    assert vandermonde_at((1, 0), gt.SignData.from_vectors(fillings), hi) == 2
+    assert vandermonde_at((1, 0), None, hi) == 2
+    flipped = gt.SignData.from_vectors(fillings, {2: [-1]})
+    assert vandermonde_at((1, 0), flipped, hi) == -2
     same = gt.normalize_pattern([(3,), (3, 3)])
     s33 = gt.SignData.from_vectors(gt.row_fillings((3, 3)))
-    assert gt.act_vandermonde(2, same, s33) == 1
+    assert vandermonde_at((3, 3), s33, same) == 1
 
 
 def test_vandermonde_squares_match_evaluation():
     for top in [(1, 0), (2, 1, 0), (2, 2, 0)]:
-        signs = gt.SignData.from_vectors(gt.row_fillings(top))
+        mod = gt.build_module(top, gt.SignData.from_vectors(gt.row_fillings(top)))
+        assert mod.basis == gt.enumerate_patterns(top)
         ctx = Context.triangle(len(top))
         for k in range(2, len(top) + 1):
             vk = vandermonde(ctx, k)
-            for p in gt.enumerate_patterns(top):
-                ev = gt.act_vandermonde(k, p, signs)
+            for p, ev in zip(mod.basis, mod.spectrum(f"V{k}")):
                 assert ev ** 2 == vk.evaluate(gt.pattern_point(p)) ** 2
 
 
@@ -549,9 +556,15 @@ def test_sparse_ops_match_dense_reference():
         assert to_dense(commutator(a, b)) == comm
         for m, dm in ((a, da), (commutator(a, b), comm)):
             assert gt.mat_is_zero(m) == all(not x for row in dm for x in row)
-            cols = rng.sample(range(n), rng.randint(0, n))
-            assert gt.columns_zero(m, cols) == all(not dm[r][c]
-                                                   for c in cols for r in range(n))
+        # the generic report's comparison; `mixed` is a on cols and b
+        # elsewhere, so it agrees with a on cols, often over another den
+        cols = rng.sample(range(n), rng.randint(0, n))
+        dmixed = [[x if c in cols else y for c, (x, y) in enumerate(zip(ra, rb))]
+                  for ra, rb in zip(da, db)]
+        pairs = [(a, da), (b, db), (to_sparse(dmixed), dmixed), (gt.zeros(n), [[0] * n] * n)]
+        for (x, dx), (y, dy) in itertools.product(pairs, repeat=2):
+            assert gt.columns_equal(x, y, cols) == all(dx[r][c] == dy[r][c]
+                                                       for c in cols for r in range(n))
         # inputs are left untouched
         assert to_dense(a) == da and to_dense(b) == db
 
@@ -860,23 +873,95 @@ def test_generic_lattice_matches_per_pattern_action(rows):
     assert_matches_per_pattern_action(mod)
 
 
+def generic_oracle_failures(mod):
+    """The keys of the generic report's relations whose two sides differ
+    on some interior column, from dense Fraction matrices read through
+    `Matrix.entry`: [X_k+, X_k-] against X_kk - X_{k+1,k+1}, and
+    [X_kk, X_l+-] against +-w X_l+-, w = 1 for k = l, -1 for k = l + 1
+    and 0 otherwise.  Only the interior columns of each side are formed."""
+    D = {name: to_dense(m) for name, m in mod.matrices.items()}
+
+    def col(a, c):
+        return [row[c] for row in a]
+
+    def bracket(a, b, c):
+        ac, bc = col(a, c), col(b, c)
+        return [sum(x * y for x, y in zip(ra, bc)) - sum(x * y for x, y in zip(rb, ac))
+                for ra, rb in zip(a, b)]
+
+    relations = []
+    for k in range(1, mod.n):
+        relations.append((f"generic:[X{k}+,X{k}-]", D[f"X{k}+"], D[f"X{k}-"],
+                          lambda c, k=k: [x - y for x, y in zip(col(D[f"X{k}{k}"], c),
+                                                                col(D[f"X{k + 1}{k + 1}"], c))]))
+    for k in range(1, mod.n + 1):
+        for l in range(1, mod.n):
+            for sign, tag in ((1, "+"), (-1, "-")):
+                w = sign * ((k == l) - (k == l + 1))
+                x = D[f"X{l}{tag}"]
+                relations.append((f"generic:[X{k}{k},X{l}{tag}]", D[f"X{k}{k}"], x,
+                                  lambda c, x=x, w=w: [w * v for v in col(x, c)]))
+    return {key for key, a, b, rhs in relations
+            if any(bracket(a, b, c) != rhs(c) for c in mod.interior)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_points(), st.data())
+def test_generic_report_matches_a_dense_oracle_on_a_planted_entry(rows, data):
+    """One entry planted in a random X matrix, at a random row and at an
+    interior or any column, fails exactly the relations whose two sides
+    differ on an interior column by the dense oracle, at radius 1 or 2
+    (radius 2 at rank 2 only, to keep the dense oracle small)."""
+    n = len(rows)
+    mod = gt.build_generic_module(rows, data.draw(st.integers(1, 2 if n == 2 else 1)))
+    assert gt.generic_module_report(mod).ok and not generic_oracle_failures(mod)
+    name = data.draw(st.sampled_from(sorted(k for k in mod.matrices if k[0] == "X")))
+    row = data.draw(st.integers(0, mod.dim - 1))
+    column = data.draw(st.one_of(st.sampled_from(mod.interior), st.integers(0, mod.dim - 1)))
+    delta = data.draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+    mod.matrices[name] = plant(mod.matrices[name], row, column, delta)
+    assert set(failures(gt.generic_module_report(mod))) == generic_oracle_failures(mod)
+
+
+def test_generic_report_subtracts_only_the_cartan_differences(monkeypatch, capsys):
+    """The rank-3 radius-2 `gt --generic --check` job compares the two
+    sides of each relation: the only matrix sums are the two Cartan
+    differences X_kk - X_{k+1,k+1}, and no product is formed outside
+    `Matrix.commutator`."""
+    calls = []
+    for name in ("mat_add", "mat_sub", "mat_mul"):
+        def spy(a, b, name=name, real=getattr(gt, name)):
+            calls.append(name)
+            return real(a, b)
+        monkeypatch.setattr(gt, name, spy)
+    assert cli.main(["gt", "--generic", "-1/3; 4/5, -3/7; 1, 1, -3", "--window", "2",
+                     "--check"]) == 0
+    assert "14/14 identities passed" in capsys.readouterr().out
+    assert calls == ["mat_sub", "mat_sub"]
+
+
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def assert_closed_form_matches_a_coeff(n, patterns):
-    """`gln.a_value` on the two staircase rows each summand reads equals
-    `gln.a_coeff` evaluated at the whole staircase point, at every
-    pattern, and is an int exactly when that value is integral."""
+    """`gln.a_value` on the two staircase rows each summand reads, scaled
+    by L, the lcm of the pattern's denominators, to ints as `_realize`
+    scales them, gives num / den equal to `gln.a_coeff` evaluated at the
+    whole staircase point, times L^2 for a raising summand."""
     ctx = Context.triangle(n)
     for k in range(1, n):
         for s in (1, -1):
             for i in range(1, k + 1):
                 a = gln.a_coeff(ctx, k, i, s)
                 for p in patterns:
-                    value = gln.a_value(gt.staircase(p, k), gt.staircase(p, k + s), i, s)
-                    expected = a.evaluate(gt.pattern_point(p))
-                    assert value == expected, (p, k, i, s)
-                    assert type(value) is (int if expected.denominator == 1 else Fraction)
+                    scale = math.lcm(*(Fraction(v).denominator for row in p for v in row))
+                    rows = [[int(scale * x) for x in gt.staircase(p, r)] for r in (k, k + s)]
+                    assert all(scale * x == v for r, row in zip((k, k + s), rows)
+                               for x, v in zip(gt.staircase(p, r), row))
+                    num, den = gln.a_value(*rows, i, s)
+                    assert type(num) is int and type(den) is int
+                    expected = a.evaluate(gt.pattern_point(p)) * (scale ** 2 if s > 0 else 1)
+                    assert Fraction(num, den) == expected, (p, k, i, s)
 
 
 def test_closed_form_ladder_values_on_finite_patterns():
@@ -902,6 +987,22 @@ def test_closed_form_ladder_values_at_negative_rational_points(rows):
     n = len(p)
     assume(all(len(set(gt.staircase(p, k))) == k for k in range(1, n)))
     assert_closed_form_matches_a_coeff(n, [p])
+
+
+def test_closed_form_ladder_value_refuses_equal_entries_in_its_row():
+    """A vanishing denominator factor, x_kj = x_ki for some j != i,
+    raises ZeroDivisionError for either sign; at an entry that equals no
+    other entry of its row, the value is defined."""
+    for row in ((2, 2), (5, -1, 5), (0, 7, 7, 3)):
+        for s in (1, -1):
+            src = tuple(range(3, 3 + len(row) + s))
+            for i, x in enumerate(row, start=1):
+                if row.count(x) > 1:
+                    with pytest.raises(ZeroDivisionError):
+                        gln.a_value(row, src, i, s)
+                else:
+                    num, den = gln.a_value(row, src, i, s)
+                    assert den
 
 
 def own_entries(m):
