@@ -58,8 +58,11 @@ and one Horner pass over the powers of x_a computes both.  Most trial
 divisions fail, and `exact_div_linear` turns most failures away before
 that pass: a difference (x_a - x_b + c) by the top-degree form alone,
 which a multiple of it has as (x_a - x_b) times a form, so it vanishes
-under x_a := x_b; (x_a + c) with an integral c by the remainder alone.
-Shifts x_v -> x_v - s run Horner's scheme over the same rows of powers.
+under x_a := x_b; (x_a + c) with an integral c by three kept integers,
+the values of an integral p at 0, at (1, ..., 1) and at (-1, ..., -1),
+which c, 1 + c and c - 1 divide whenever (x_a + c) does.  Shifts
+x_v -> x_v - s run Horner's scheme on the coefficient list of each
+x_v-free monomial.
 """
 
 from __future__ import annotations
@@ -311,13 +314,16 @@ class Ring:
         squaring (Knuth, TAOCP vol. 2, 4.6.3): about 2 log2(k) products
         instead of k.  Powers of one element commute, so the order of the
         products does not change the value, even in a ring that does not
-        commute.  k = 0 gives ``one``, k = 1 gives ``self`` itself."""
+        commute.  Each product is ``base * out``: ``out`` holds the lower
+        power, and the skew product shifts the coefficients of its right
+        operand, so the smaller operand is the one shifted.  k = 0 gives
+        ``one``, k = 1 gives ``self`` itself."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be nonnegative integers")
         out, base = None, self
         while k:
             if k & 1:
-                out = base if out is None else out * base
+                out = base if out is None else base * out
             k >>= 1
             if k:
                 base = base * base
@@ -327,7 +333,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_top", "_hash")
+    __slots__ = ("ctx", "terms", "_top", "_values", "_hash")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -350,10 +356,10 @@ class Poly(Ring):
         # of Fractions can be integral and is stored as an int.  A map of
         # ints only (most maps: primitive numerators) is scanned in C and
         # kept as it is when it holds no zero.  A polynomial is never
-        # changed after this, so the top-degree terms and the hash are
-        # filled in on first use and kept.
+        # changed after this, so the top-degree terms, the screen's
+        # values and the hash are filled in on first use and kept.
         self.ctx = ctx
-        self._top = self._hash = None
+        self._top = self._values = self._hash = None
         values = terms.values()
         if not set(map(type, values)) <= {int}:
             terms = {e: c if type(c) is int else _coeff(c)
@@ -473,39 +479,40 @@ class Poly(Ring):
 
     def _shift_one(self, pos: int, s: int) -> "Poly":
         """x_v -> x_v - s for the variable at `pos`: a Taylor shift by
-        t = -s, run as Horner's scheme over the rows of the powers of x_v
-        (von zur Gathen & Gerhard, ISSAC 1997).  Write p = sum_j R_j x_v^j
-        with every R_j free of x_v; for i = 0..d-1 and j = d-1 down to i,
-        R_j += t*R_{j+1} leaves the rows of p(x_v + t).  That is d(d+1)/2
-        row sums and no binomial coefficient.  A polynomial free of x_v
-        is returned as it is.  No key leaves the degree bound: row j only
-        ever receives terms of rows above it."""
+        t = -s, run as Horner's scheme (von zur Gathen & Gerhard, ISSAC
+        1997) on plain coefficient lists.  Write p = sum_m m * C_m(x_v)
+        over the x_v-free monomials m, and C_m = sum_j a_j x_v^j; for
+        i = 0..d-1 and j = d-1 down to i, a_j += t*a_{j+1} leaves the
+        coefficients of C_m(x_v + t).  That is d(d+1)/2 multiply-adds per
+        column and no binomial coefficient.  A polynomial free of x_v is
+        returned as it is.  No key leaves the degree bound: a term only
+        ever moves to a lower power of x_v."""
         ctx = self.ctx
         offset, unit, mask = ctx._offsets[pos], ctx._units[pos], _MASK
-        # rows[j]: the terms of R_j x_v^j, keyed by their packed keys
-        buckets: dict = {}
+        # columns[m]: the coefficients of x_v^0, x_v^1, ... of C_m, keyed
+        # by the packed key of m
+        columns: dict = {}
         for key, coeff in self.terms.items():
-            j = (key >> offset) & mask
-            row = buckets.get(j)
-            if row is None:
-                buckets[j] = {key: coeff}
-            else:
-                row[key] = coeff
-        d = max(buckets, default=0)
-        if d == 0:
+            j = key >> offset & mask
+            base = key - j * unit
+            col = columns.get(base)
+            if col is None:
+                col = columns[base] = [0] * (j + 1)
+            elif len(col) <= j:
+                col.extend([0] * (j + 1 - len(col)))
+            col[j] = coeff
+        if all(len(col) == 1 for col in columns.values()):
             return self
         t = -s
-        rows = [buckets.get(j, {}) for j in range(d + 1)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                row = rows[j]
-                get = row.get
-                for key, v in rows[j + 1].items():
-                    key -= unit
-                    row[key] = get(key, 0) + t * v
-        out = rows[0]
-        for row in rows[1:]:
-            out.update(row)
+        out: dict = {}
+        for base, col in columns.items():
+            d = len(col) - 1
+            for i in range(d):
+                acc = col[d]
+                for j in range(d - 1, i - 1, -1):
+                    acc = col[j] = col[j] + t * acc
+            for j, coeff in enumerate(col):
+                out[base + j * unit] = coeff
         return Poly._from_packed(ctx, out)
 
     def permute(self, mapping: Mapping[VarId, VarId]) -> "Poly":
@@ -602,39 +609,53 @@ class Poly(Ring):
         """Quotient when (x_a - x_b + c) or (x_a + c) divides exactly,
         else None.
 
-        Most trial divisions fail, so each is screened first.  For a
-        difference (x_a - x_b + c) the screen reads the top-degree form
-        alone: if p = q*(x_a - x_b + c), the top form of p is
-        (x_a - x_b) times the top form of q, so it vanishes under
-        x_a := x_b (`_top_form_vanishes`).  The screen is exact, never
-        refuses a true divisor, and does not depend on c.  For (x_a + c)
-        with an integral c the remainder p(x_a := -c) is computed first,
-        in one pass that builds no quotient, and a nonzero one returns
-        None at once; a c that is not an integer would make every power
-        of -c a Fraction, and goes straight to `divmod_linear`.
+        Most trial divisions fail, so each is screened first, and only a
+        pair the screen passes goes to `divmod_linear`.  For a difference
+        (x_a - x_b + c) the screen reads the top-degree form alone: if
+        p = q*(x_a - x_b + c), the top form of p is (x_a - x_b) times the
+        top form of q, so it vanishes under x_a := x_b
+        (`_top_form_vanishes`).  That screen is exact and does not depend
+        on c.  For (x_a + c) with an integral c and a p with int
+        coefficients, q has int coefficients too (Gauss's lemma: the
+        divisor is monic), so evaluating p = q*(x_a + c) at 0, at
+        (1, ..., 1) and at (-1, ..., -1) shows that c divides p(0), 1 + c
+        divides p(1, ..., 1) and c - 1 divides p(-1, ..., -1), a zero
+        divisor meaning the value is 0 (`_screen_values`).  Three
+        remainders of kept integers, so a failing trial costs O(1); the
+        screen never refuses a true divisor, and the few failures it
+        passes are refused by the division.  A c that is not an integer,
+        or a p with a Fraction coefficient, is not screened.
         """
         c = _coeff(c)
         if b is not None:
             if not self._top_form_vanishes(a, b):
                 return None
         elif type(c) is int:
-            ctx = self.ctx
-            pa = ctx.var_pos(a)
-            offset, unit, mask = ctx._offsets[pa], ctx._units[pa], _MASK
-            # the remainder, keyed by the packed keys with x_a^k divided out
-            root, powers = -c, [1]
-            rem: dict = {}
-            get = rem.get
-            for key, coeff in self.terms.items():
-                k = (key >> offset) & mask
-                while len(powers) <= k:
-                    powers.append(powers[-1] * root)
-                key -= k * unit
-                rem[key] = get(key, 0) + coeff * powers[k]
-            if any(rem.values()):
-                return None
+            values = self._values
+            if values is None:
+                values = self._values = self._screen_values()
+            if values:
+                at_zero, at_ones, at_minus_ones = values
+                if (at_zero % c if c else at_zero) \
+                        or (at_ones % (c + 1) if c != -1 else at_ones) \
+                        or (at_minus_ones % (c - 1) if c != 1 else at_minus_ones):
+                    return None
         q, r = self.divmod_linear(a, b, c)
         return q if r.is_zero else None
+
+    def _screen_values(self) -> tuple:
+        """(p(0), p(1, ..., 1), p(-1, ..., -1)) for a p with int
+        coefficients, else (): the integers `exact_div_linear` screens a
+        factor (x_a + c) on.  A term's value at (-1, ..., -1) is its
+        coefficient times (-1)^(total degree), the degree read from the
+        packed key's degree field."""
+        terms = self.terms
+        if not set(map(type, terms.values())) <= {int}:
+            return ()
+        shift = self.ctx._deg_offset
+        at_ones = sum(terms.values())
+        odd = sum([coeff for key, coeff in terms.items() if key >> shift & 1])
+        return terms.get(0, 0), at_ones, at_ones - 2 * odd
 
     def _top_form_vanishes(self, a: VarId, b: VarId) -> bool:
         """Whether the top-degree form of p vanishes under x_a := x_b,

@@ -146,9 +146,11 @@ def _cancel(parts, factors, scale):
     A canonical factor is prime, so it divides the product exactly when
     it divides one part: each factor, of either kind, is tried against
     the parts in order through `Poly.exact_div_linear` and cancels from
-    the first it divides, or is kept.  The screens there turn away a
-    part that lacks x_a: a difference in one scan of the part's kept
-    top-degree terms, and (x_a + c) with an integral c by its remainder.
+    the first it divides, or is kept.  The screens there turn away most
+    parts a factor does not divide: a difference in one scan of the
+    part's kept top-degree terms, and (x_a + c) with an integral c by
+    three remainders of the part's kept values at 0, (1, ..., 1) and
+    (-1, ..., -1).
     Returns ``(scale, parts, kept)``: the contents of the quotients
     folded into ``scale``, a constant quotient dropped from the parts,
     and the factors that did not cancel in ``kept``.

@@ -28,8 +28,8 @@ X_VAR = (1, 1)
 # Largest exponent of x in `f` and largest |c| in a target 1/(x+c) the
 # parsers accept; a larger value is refused before any work starts.
 # A witness multiplies |c| shifted copies of f, so its cost grows with
-# the product: f = x^24 + x + 1 with c = 24 takes 0.10 s, with 32 and 32
-# 0.4 s, with 64 and 64 about 24 s, nearly all of it multiplying out the
+# the product: f = x^24 + x + 1 with c = 24 takes 0.05 s, with 32 and 32
+# 0.26 s, with 64 and 64 about 20 s, nearly all of it multiplying out the
 # cleared numerator, of degree up to 64*65, to divide it (in-process,
 # 2-core VM, Python 3.11).
 MAX_DEGREE = 24
@@ -184,11 +184,16 @@ def parse_univariate(ctx: Context, text: str) -> Poly:
         if power > MAX_DEGREE:
             raise ValueError(f"power x^{power} exceeds the degree "
                              f"budget of {MAX_DEGREE}")
-        try:
-            value = Fraction(coeff) if coeff else Fraction(1)
-        except ZeroDivisionError:
-            raise ValueError(f"cannot parse polynomial {quote(text)}: bad coefficient "
-                             f"{quote(coeff)}: expected a nonzero denominator") from None
+        if not coeff:
+            value = 1
+        elif "/" not in coeff:
+            value = int(coeff)
+        else:
+            try:
+                value = Fraction(coeff)
+            except ZeroDivisionError:
+                raise ValueError(f"cannot parse polynomial {quote(text)}: bad coefficient "
+                                 f"{quote(coeff)}: expected a nonzero denominator") from None
         terms[(power,)] = terms.get((power,), 0) + (value if sign == "+" else -value)
         pos = m.end()
     return Poly(ctx, terms)

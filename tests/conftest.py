@@ -26,6 +26,19 @@ def ctx3():
     return Context.triangle(3)
 
 
+def spy_on_poly(monkeypatch, name: str) -> list:
+    """Wrap the `Poly` method `name` for the rest of the test; the list
+    returned receives the result of every call."""
+    method, log = getattr(Poly, name), []
+
+    def spy(self, *args):
+        out = method(self, *args)
+        log.append(out)
+        return out
+    monkeypatch.setattr(Poly, name, spy)
+    return log
+
+
 def failures(rep) -> list:
     """The keys of a verification report's failed results."""
     return [r.key for r in rep.results if not r.ok]

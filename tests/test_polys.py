@@ -10,7 +10,7 @@ from skewgt.polys import (DEGREE_BOUND, Context, Poly, _mul_terms, elementary_sy
                           shifted_vandermonde, vandermonde)
 from skewgt.ratfunc import RatFunc, linear_factor
 
-from conftest import is_normal_rational, rand_point, rand_poly, row_permutations
+from conftest import is_normal_rational, rand_point, rand_poly, row_permutations, spy_on_poly
 
 
 def x(ctx, k, i):
@@ -582,12 +582,13 @@ def test_packed_kernels_match_sympy(n, data):
             assert r.degree() == max(map(sum, tuples))
 
 
-# -- Taylor shifts by rows and remainder-first linear division -----------
+# -- Taylor shifts by columns and the value screen of linear division -----
 #
-# `_shift_one` runs Horner's scheme over the rows of one variable's
-# powers and returns a polynomial free of that variable as it is;
-# `exact_div_linear` screens (x_a + c) with an integral c by the
-# remainder alone.  sympy and `divmod_linear` are the oracles.
+# `_shift_one` runs Horner's scheme on the coefficient list of each
+# monomial free of the shifted variable and returns a polynomial free of
+# that variable as it is; `exact_div_linear` screens (x_a + c) with an
+# integral c by the values of p at 0, (1, ..., 1) and (-1, ..., -1).
+# sympy and `divmod_linear` are the oracles.
 
 LINE = Context.line()
 
@@ -675,6 +676,89 @@ def test_exact_div_linear_agrees_with_divmod(data):
     # and a multiple of a root's neighbour only when it has the root
     near = p * (Poly.var(ctx, a) + c + 1)
     assert near.exact_div_linear(a, None, c) == divisions(near, a, c)
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_CONTEXTS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_shift_one_matches_sympy_on_each_variable(n, data):
+    """One variable at a time, any variable of the context, exponents
+    up to 6: the column shift against sympy's substitution, and the
+    shift by -s undoing the shift by s."""
+    sympy = pytest.importorskip("sympy")
+    ctx = ORACLE_CONTEXTS[n]
+    syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+    p = data.draw(deep_polys(ctx))
+    v = data.draw(st.sampled_from(ctx.vars))
+    s = data.draw(st.integers(-9, 9).filter(bool))
+    xv = syms[ctx.var_pos(v)]
+    shifted = p.subs_shift({v: s})
+    assert sympy.expand(to_sympy(shifted, syms) - to_sympy(p, syms).subs(xv, xv - s)) == 0
+    assert shifted.subs_shift({v: -s}) == p
+
+
+# -- the value screen of (x_a + c) ----------------------------------------
+#
+# With int coefficients, (x_a + c) | p forces c | p(0), (1 + c) | p(1, ..., 1)
+# and (c - 1) | p(-1, ..., -1), a zero divisor meaning a zero value.  The
+# oracles: a multiple always gives its cofactor back, for every c in
+# [-15, 15], 0 and +-1 included, and the screen's answer is always the
+# division's.  Near misses add a constant or a monomial to a multiple,
+# so they pass some of the three tests and fail others.
+
+SCREEN_CONTEXTS = [LINE, ORACLE_CONTEXTS[3], ORACLE_CONTEXTS[4]]
+
+
+@st.composite
+def screen_cases(draw):
+    ctx = draw(st.sampled_from(SCREEN_CONTEXTS))
+    q = draw(line_polys(max_degree=8) if ctx is LINE else deep_polys(ctx))
+    a = draw(st.sampled_from(ctx.vars))
+    c = draw(st.integers(-15, 15))
+    return ctx, q, a, c
+
+
+@settings(max_examples=150)
+@given(case=screen_cases())
+def test_value_screen_keeps_every_divisor(case):
+    ctx, q, a, c = case
+    product = q * (Poly.var(ctx, a) + c)
+    assert product.exact_div_linear(a, None, c) == q
+    assert product.exact_div_linear(a, None, Fraction(c)) == q
+
+
+@settings(max_examples=150)
+@given(case=screen_cases(), data=st.data())
+def test_value_screen_agrees_with_the_division(case, data):
+    ctx, q, a, c = case
+    p = q * (Poly.var(ctx, a) + c)
+    if data.draw(st.booleans()):
+        p = p + Poly(ctx, {data.draw(deep_monomials(ctx)): data.draw(scalars)})
+    # the quotient exactly when the remainder is zero, else None
+    assert p.exact_div_linear(a, None, c) == divisions(p, a, c)
+    values = p._screen_values()
+    if all(type(v) is int for v in p.terms.values()):
+        assert values == tuple(p.evaluate({v: k for v in ctx.vars}) for k in (0, 1, -1))
+    else:
+        assert values == ()
+
+
+@pytest.mark.parametrize("c", [0, 1, -1])
+def test_value_screen_is_exact_on_the_line_at_zero_and_one(c, monkeypatch):
+    """On one variable x + c divides p exactly when p(-c) = 0, which is
+    the screen's zero-divisor test for c = 0 (p(0)), c = -1 (p(1)) and
+    c = 1 (p(-1)): no failing trial there reaches the division."""
+    divisions_run = spy_on_poly(monkeypatch, "divmod_linear")
+    rng = random.Random(41 + c)
+    xv = Poly.var(LINE, (1, 1))
+    for _ in range(60):
+        p = Poly(LINE, {(e,): rng.randint(-9, 9) for e in range(rng.randint(0, 6))})
+        if rng.random() < 0.3:
+            p = p * (xv + c)
+        divisions_run.clear()
+        q = p.exact_div_linear((1, 1), None, c)
+        assert (q is not None) == (p.evaluate({(1, 1): -c}) == 0)
+        assert len(divisions_run) == (q is not None)
 
 
 # -- the top-degree screen of a difference ------------------------------

@@ -13,6 +13,8 @@ from skewgt.ratfunc import LinearFactor, RatFunc
 from skewgt.skew import SkewElement
 from skewgt.lattice import supports_generate_group
 
+from conftest import spy_on_poly
+
 
 @pytest.fixture
 def ctx():
@@ -192,6 +194,19 @@ def test_parsers(ctx):
         toy.parse_inverse_target("2/x")
 
 
+def test_parsed_coefficients_are_ints_unless_written_as_fractions(ctx):
+    """A coefficient written without '/' is read as an int, and a/b as a
+    Fraction that the polynomial stores as an int when it is integral;
+    the printed form does not depend on which."""
+    p = toy.parse_univariate(ctx, "3x^5 - 12x^2 + 7")
+    assert [type(c) for c in p.terms.values()] == [int] * 3
+    assert str(p) == "3*x^5 - 12*x^2 + 7"
+    assert toy.parse_univariate(ctx, "4/2x + 1") == toy.parse_univariate(ctx, "2x + 1")
+    q = toy.parse_univariate(ctx, "x^2 + 1/2")
+    assert sorted(map(type, q.terms.values()), key=str) == [Fraction, int]
+    assert str(q) == "x^2 + 1/2"
+
+
 # -- the multiplicity m of the word -------------------------------------
 #
 # `witness_inverse` sums the multiplicity of x+c in each f(x+j); the
@@ -247,3 +262,45 @@ def test_multiplicity_matches_the_expanded_product(data):
     trace = toy.witness_inverse(toy.ToySpec(f), c)
     assert trace.multiplicity == expanded_multiplicity(f, c)
     assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
+
+
+# -- the work a witness does ----------------------------------------------
+#
+# Spies on `Poly` count the kernel calls of one witness: failed trial
+# divisions are settled by the value screen of `exact_div_linear`, and
+# a power shifts the coefficients of its lower-power operand.
+
+@pytest.mark.parametrize("c", [12, -12])
+def test_failed_trial_divisions_never_reach_the_division(ctx, c, monkeypatch):
+    """f = x^3 + 2x + 5 has no integer root.  Every trial of the witness
+    that fails is refused by the screen, so `divmod_linear` runs once
+    per division that succeeds, plus the final division by x + c."""
+    tried = spy_on_poly(monkeypatch, "exact_div_linear")
+    divided = spy_on_poly(monkeypatch, "divmod_linear")
+    trace = toy.witness_inverse(toy.ToySpec(toy.parse_univariate(ctx, "x^3+2x+5")), c)
+    assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
+    successes = sum(q is not None for q in tried)
+    assert len(tried) > successes > 0
+    assert len(divided) == successes + 1
+
+
+def power_with_the_lower_power_on_the_left(a, k):
+    """`a ** k` by squaring, each product written ``out * base``."""
+    out, base = None, a
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def test_powers_shift_the_lower_power(ctx, monkeypatch):
+    X, _ = toy.build_toy(toy.ToySpec(toy.parse_univariate(ctx, "x^3+2x+5")))
+    shifts = spy_on_poly(monkeypatch, "subs_shift")
+    power = X ** 13
+    ours = len(shifts)
+    shifts.clear()
+    assert power_with_the_lower_power_on_the_left(X, 13) == power
+    assert ours < len(shifts)
