@@ -133,11 +133,13 @@ class _Parser:
         return gln.element(self.ctx, tok)
 
 
-# Largest exponent `^N` accepted.  Powers are repeated skew products
-# whose coefficients grow with every factor: at n=3, X2+^4 takes 0.04 s
-# and prints 248 kB, X2+^8 takes 2.4 s at a 90 MB peak and prints 12 MB
-# (in-process, Python 3.11, 2-core machine).  A larger exponent is
-# refused before anything is computed.
+# Largest exponent `^N` accepted.  The budget bounds what is printed:
+# a power's numerators stay factored, so it is cheap to build, but its
+# text multiplies them out and grows with every factor.  At n=3, X2+^4
+# builds in 0.003 s and renders 248 kB in 0.03 s; X2+^8 builds in
+# 0.02 s and renders 12 MB in 1.9-2.9 s at a 90 MB peak (in-process,
+# Python 3.11, 2-core machine).  A larger exponent is refused before
+# anything is computed.
 # An exponent applied to a bracketed group multiplies every exponent
 # inside it: (X11^8)^8 counts as ^64.
 MAX_POWER = 8
@@ -375,7 +377,19 @@ def cmd_verify(args):
 
 def cmd_compute(args):
     value = compute_expression(args.expr, args.n)
-    return str(value), lambda: {"expr": args.expr, "element": value.to_json()}, 0
+
+    def render(text):
+        try:
+            return text()
+        except ValueError:
+            # the one ValueError rendering raises: an int past Python's str limit
+            raise ValueError(f"the value of --expr {quote(args.expr)} holds a number "
+                             f"longer than {sys.get_int_max_str_digits()} digits, the "
+                             "limit sys.get_int_max_str_digits() sets on printing an "
+                             "int") from None
+
+    return render(value.__str__), lambda: {"expr": args.expr,
+                                           "element": render(value.to_json)}, 0
 
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}

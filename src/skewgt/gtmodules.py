@@ -50,10 +50,10 @@ A ladder matrix has at most k nonzeros per column, so products, sums
 and the relation reports cost time in proportion to the stored entries,
 not to dim^2.  The Gelfand-Tsetlin subalgebra acts diagonally, so a
 bracket with X_kk or V_k is one pass over the other operand's entries
-(`Matrix.commutator`); whether an operand is diagonal is read off its
-rows on its first bracket only and kept, as no matrix is changed once
-built.  Any other bracket adds both products into one set of rows with
-one gcd pass, as `SkewElement.sum_of_products` does.
+(`Matrix.commutator`), read off the diagonal numerators the builder
+keeps on each of them (`Matrix.diag`).  Any other bracket adds both
+products into one set of rows with one gcd pass, as
+`SkewElement.sum_of_products` does.
 The kernels loop over each row's stored entries and skip empty rows:
 most ladder rows hold one or two.  A ladder coefficient, which reads
 two adjacent rows, is computed and scaled to the matrix denominator
@@ -165,8 +165,9 @@ def _chains(fillings: Dict[int, List[Tuple[int, ...]]]) -> List[Pattern]:
 
 
 def weyl_dim(top: Sequence[int]) -> int:
-    """Weyl dimension formula; used as an order-of-battle check against
-    plain enumeration."""
+    """The dimension of the module under `top`, by the Weyl dimension
+    formula, so a builder can size a module before it enumerates the
+    basis."""
     top = _check_dominant(top)
     n = len(top)
     dim = Fraction(1)
@@ -269,14 +270,16 @@ class Matrix(list):
 
     No `Matrix` is changed once built: every operator and builder
     returns a new one, and its rows are filled before it is wrapped.
-    That is what lets `_diagonal` keep its scan in the `_diag` slot,
-    which stays unset until a matrix's first bracket."""
+    `diag` holds the diagonal numerators of a matrix built diagonal
+    (`diagonal`, and every X_kk and V_k of `_realize`), and is None on
+    any other, diagonal or not."""
 
-    __slots__ = ("den", "_diag")
+    __slots__ = ("den", "diag")
 
     def __init__(self, rows=(), den: int = 1):
         super().__init__(rows)
         self.den = den
+        self.diag: Optional[List[int]] = None
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self[i].get(j, 0), self.den)
@@ -306,19 +309,15 @@ class Matrix(list):
     def commutator(self, other: "Matrix") -> "Matrix":
         """self*other - other*self.  With a diagonal operand D, entry
         (i, j) of [D, B] is (d_i - d_j) b_ij: one pass over B's stored
-        entries.  Each operand's rows are scanned for a diagonal on its
-        first bracket only (`_diagonal`); later brackets read the kept
-        result.  Otherwise both products are added into one set of rows
-        over their shared denominator self.den * other.den, the second
-        negated, with one gcd pass at the end: no product matrix and no
-        difference is built."""
+        entries; D is an operand that carries its `diag`.  Otherwise both
+        products are added into one set of rows over their shared
+        denominator self.den * other.den, the second negated, with one
+        gcd pass at the end: no product matrix and no difference is
+        built."""
         if len(self) != len(other):
             raise ValueError(f"matrix sizes differ: {len(self)} and {len(other)}")
         for d, b, sign in ((self, other, 1), (other, self, -1)):
-            try:
-                diag = d._diag
-            except AttributeError:
-                diag = _diagonal(d)
+            diag = d.diag
             if diag is not None:
                 if sign < 0:
                     diag = [-v for v in diag]
@@ -336,24 +335,6 @@ class Matrix(list):
         _mul_into(rows, self, other, 1)
         _mul_into(rows, other, self, -1)
         return _lowest(rows, self.den * other.den)
-
-
-def _diagonal(m: Matrix) -> Optional[List[int]]:
-    """The diagonal numerators of m, or None if it stores an entry off
-    the diagonal; the result is kept in m's `_diag` slot, which
-    `Matrix.commutator` reads before calling this, so each matrix is
-    scanned once however many brackets it enters."""
-    out = []
-    for i, row in enumerate(m):
-        if row:
-            if len(row) != 1 or i not in row:
-                out = None
-                break
-            out.append(row[i])
-        else:
-            out.append(0)
-    m._diag = out
-    return out
 
 
 def from_values(rows: Iterable[Dict[int, Union[int, Fraction]]]) -> Matrix:
@@ -397,7 +378,13 @@ def eye(n: int) -> Matrix:
 
 
 def diagonal(values: Sequence[Union[int, Fraction]]) -> Matrix:
-    return from_values({i: v} for i, v in enumerate(values))
+    return _keep_diagonal(from_values({i: v} for i, v in enumerate(values)))
+
+
+def _keep_diagonal(m: Matrix) -> Matrix:
+    """m, built diagonal, with its diagonal numerators kept in `diag`."""
+    m.diag = [row.get(i, 0) for i, row in enumerate(m)]
+    return m
 
 
 def _mul_into(rows: List[dict], a: Matrix, b: Matrix, sign: int) -> None:
@@ -560,7 +547,8 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     summands of X_k+- reach k distinct targets, so X_k+- is filled in
     the same pass, with no matrix sum.  X_kk is a row-sum difference over
     L, and V_k the Vandermonde of the scaled staircase row over
-    L^(k(k-1)/2).  a(k, i, +-) reads rows k and k+-1 only, and V_k
+    L^(k(k-1)/2); both keep their diagonal numerators in `diag`.
+    a(k, i, +-) reads rows k and k+-1 only, and V_k
     row k only, so each is computed once per distinct slice of the keys
     over those rows, a(k, i, +-) in closed form (`_ladder_value`).  That
     is checked against the symbolic `gln.a_coeff` (`_check`), the one
@@ -576,15 +564,16 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     row_k = [[key[span] or top for key in keys] for span in [_rows(k, k) for k in range(1, n + 1)]]
     sums = [[0] * len(keys)] + [list(map(sum, rows)) for rows in row_k]
     for k in range(1, n + 1):
-        matrices[f"X{k}{k}"] = _lowest([{j: x} if x else {} for j, x in
-                                        enumerate(map(int.__sub__, sums[k], sums[k - 1]))], scale)
+        matrices[f"X{k}{k}"] = _keep_diagonal(_lowest(
+            [{j: x} if x else {} for j, x in enumerate(map(int.__sub__, sums[k], sums[k - 1]))],
+            scale))
     for k in range(2, n + 1):
         values = {row: (1 if signs is None else signs.rows[k][row])
                   * _vandermonde([v - scale * i for i, v in enumerate(row)])
                   for row in dict.fromkeys(row_k[k - 1])}
-        matrices[f"V{k}"] = _lowest([{j: values[row]} if values[row] else {}
-                                     for j, row in enumerate(row_k[k - 1])],
-                                    scale ** (k * (k - 1) // 2))
+        matrices[f"V{k}"] = _keep_diagonal(_lowest([{j: values[row]} if values[row] else {}
+                                                    for j, row in enumerate(row_k[k - 1])],
+                                                   scale ** (k * (k - 1) // 2)))
 
     ctx = Context.triangle(n)
     for k in range(1, n):
@@ -669,7 +658,6 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                          f"n >= 2 (got n={n})")
     rep = VerificationReport(f"module:{'-'.join(map(str, mod.top or ()))}")
     M = mod.matrices
-    zero = zeros(mod.dim)
 
     def squares(k):
         one = {p[k - 1]: p for p in mod.basis}
@@ -681,7 +669,7 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
                 M[f"V{k}"] * M[f"V{k}"], squares(k)) for k in range(2, n + 1))
     all_plus = mod.signs is None or mod.signs.is_all_plus
     rank3 = single_shift_catalogue(3, M) if n == 3 and all_plus else ()
-    for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M, zero),
+    for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M),
                                                     squared, rank3):
         rep.add(verify_predicate(key, anchor, lhs == rhs))
     return rep

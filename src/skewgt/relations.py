@@ -163,23 +163,34 @@ def suite_gl2(n: int = 2) -> VerificationReport:
 # ----------------------------------------------------------------------
 # rank n
 
+def _weight(H, X, w: int, zero):
+    """[H, X] = w X for a weight w of -1, 0 or 1 as `(lhs, rhs)`, with no
+    multiple of X built: w = -1 is written [X, H] = X."""
+    if w == 1:
+        return commutator(H, X), X
+    if w == -1:
+        return commutator(X, H), X
+    return commutator(H, X), zero
+
+
 def gln_weights(n: int, E):
     """The diagonal weights of the ladder generators as
     `(bracket, anchor, lhs, rhs)`: [X_kk, X_l±] = ±w X_l±, where w is
     +1 for k = l, -1 for k = l + 1 and 0 otherwise."""
+    zero = 0 * E["X11"]
     for k in range(1, n + 1):
         for l in range(1, n):
             for sign, tag in ((1, "+"), (-1, "-")):
                 weight = (1 if k == l else 0) - (1 if k == l + 1 else 0)
-                X = E[f"X{l}{tag}"]
                 yield (f"[X{k}{k},X{l}{tag}]", f"diagonal commutation with X{l}{tag}",
-                       commutator(E[f"X{k}{k}"], X), Fraction(sign * weight) * X)
+                       *_weight(E[f"X{k}{k}"], E[f"X{l}{tag}"], sign * weight, zero))
 
 
-def gln_catalogue(n: int, E, zero):
+def gln_catalogue(n: int, E):
     """The rank-n relations over a name -> element map, as `(family,
     key, anchor, lhs, rhs)`: [X_k+, X_l-], the weights, Serre and far
     commutation, and V_n central over E."""
+    zero = 0 * E["X11"]
     for k, l in itertools.product(range(1, n), repeat=2):
         yield ("chevalley", f"chevalley:[X{k}+,X{l}-]",
                f"[X{k}+, X{l}-] is {'the Cartan difference' if k == l else 'zero'}",
@@ -216,6 +227,7 @@ def single_shift_catalogue(n: int, E):
     = X_kk - X_k+1,k+1, viii Serre between rows k-1 and k, and ix the
     V2 braid (with V_k, k >= 3, it fails)."""
     cells = [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+    zero = 0 * E["X11"]
     for k, i in cells:
         for sign, tag in ((+1, "+"), (-1, "-")):
             A = E[f"A{k}{i}{tag}"]
@@ -225,8 +237,7 @@ def single_shift_catalogue(n: int, E):
                 else:
                     w = sign * (3 - 2 * i) if h == "V2" and k == 2 else 0
                 yield ("iii", f"weight:{h}:A{k}{i}{tag}",
-                       f"[{h}, A{k}{i}{tag}] = {w} A{k}{i}{tag}",
-                       commutator(E[h], A), Fraction(w) * A)
+                       f"[{h}, A{k}{i}{tag}] = {w} A{k}{i}{tag}", *_weight(E[h], A, w, zero))
 
     for family, same_row in (("iv", True), ("v", False)):
         for (l, i), (k, j) in itertools.combinations(cells, 2):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules, relations, toy
 from skewgt.polys import Context, quote
-from skewgt.skew import commutator
+from skewgt.skew import SkewElement, commutator
 
 from conftest import assert_skew_body_matches, dense
 
@@ -61,6 +61,24 @@ def test_verify_usage_error(capsys):
         assert f"runs at n=3 only (got --n {n})" in err
     code, _, _ = run(capsys, ["verify", "--suite", "invariants", "--n", "3"])
     assert code == 0
+
+
+def test_compute_names_the_input_past_the_str_limit(capsys, monkeypatch):
+    """A value with an int longer than Python prints exits 2 in a message
+    that names --expr and the limit, from the text, before anything is
+    printed, and from the --json body alike."""
+    N = "9" * cli.MAX_DIGITS
+    expr = f"({'*'.join([N] * 10)})^8*({'*'.join([N] * 5)})^8"
+    message = (f"error: the value of --expr {quote(expr)} holds a number longer than "
+               f"{sys.get_int_max_str_digits()} digits, the limit "
+               "sys.get_int_max_str_digits() sets on printing an int\n")
+    code, out, err = run(capsys, ["compute", "--expr", expr, "--n", "2"])
+    assert code == 2 and out == "" and err == message
+    # the --json body renders the same numbers: with the text cut short,
+    # its own render fails in the same message
+    monkeypatch.setattr(SkewElement, "__str__", lambda self: "")
+    code, out, err = run(capsys, ["compute", "--expr", expr, "--n", "2", "--json", "-"])
+    assert code == 2 and out == "\n" and err == message
 
 
 def test_compute_commutator(capsys):
@@ -792,16 +810,14 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 def test_cli_import_loads_no_introspection():
     """`from skewgt import cli`, which every command pays for before its
     work, loads the engine modules the commands use and none of the
-    introspection modules `dataclasses` pulls in (nor `lattice`, which
-    no command calls).  Engine modules imported late, inside a handler,
-    would fail the second assertion."""
+    introspection modules `dataclasses` pulls in.  Engine modules
+    imported late, inside a handler, would fail the second assertion."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, cwd=root,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                         "skewgt.lattice"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert {"skewgt.gln", "skewgt.gtmodules", "skewgt.relations",
             "skewgt.toy"} <= loaded

@@ -613,18 +613,23 @@ def test_matrix_ops_property(pair, c):
 
 @st.composite
 def commutator_operands(draw):
-    """Two n x n Fraction matrices, each diagonal (zero diagonal entries
-    included) or general as the drawn shape says, or a general a with
-    b = a, a*a or c*a + d*I, which commute, so that the bracket cancels
-    exactly to the zero matrix."""
+    """Two n x n matrices with their dense Fraction values, each built
+    by `gt.diagonal` (zero diagonal entries included) or general as the
+    drawn shape says, or a general a with b = a, a*a or c*a + d*I, which
+    commute, so that the bracket cancels exactly to the zero matrix."""
     n = draw(st.integers(1, 6))
     cell = st.one_of(st.just(Fraction(0)), rationals)
 
     def square(diagonal):
         if diagonal:
             d = draw(st.lists(cell, min_size=n, max_size=n))
-            return [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        return draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+            return [[d[i] if i == j else Fraction(0) for j in range(n)]
+                    for i in range(n)], gt.diagonal(d)
+        return general(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                     min_size=n, max_size=n)))
+
+    def general(dense):
+        return dense, to_sparse(dense)
 
     shape = draw(st.sampled_from(["left", "right", "both", "neither",
                                   "equal", "square", "affine"]))
@@ -633,11 +638,11 @@ def commutator_operands(draw):
         return da, da
     if shape == "square":
         da = square(False)
-        return da, dense_mul(da, da)
+        return da, general(dense_mul(da[0], da[0]))
     if shape == "affine":
         da, c, d = square(False), draw(rationals), draw(rationals)
-        return da, [[c * x + (d if i == j else 0) for j, x in enumerate(row)]
-                    for i, row in enumerate(da)]
+        return da, general([[c * x + (d if i == j else 0) for j, x in enumerate(row)]
+                            for i, row in enumerate(da[0])])
     return square(shape in ("left", "both")), square(shape in ("right", "both"))
 
 
@@ -646,13 +651,15 @@ def commutator_operands(draw):
 def test_commutator_kernel_property(pair):
     """`Matrix.commutator`, and `commutator` on matrices, equal the two
     products and their difference, in lowest terms and canonical form,
-    whether a diagonal operand stands left, right, on both sides or on
-    neither (the product fallback)."""
-    da, db = pair
-    a, b = to_sparse(da), to_sparse(db)
+    whether an operand built by `gt.diagonal` stands left, right, on both
+    sides or on neither (the product fallback).  The same values from
+    `from_values`, which keep no `diag`, take the product fallback and
+    give the same bracket."""
+    (da, a), (db, b) = pair
     want = gt.mat_sub(gt.mat_mul(a, b), gt.mat_mul(b, a))
     assert to_dense(a.commutator(b)) == to_dense(want)
     assert a.commutator(b) == want == commutator(a, b)
+    assert to_sparse(da).commutator(to_sparse(db)) == want
     assert to_dense(a) == da and to_dense(b) == db
 
 
@@ -698,41 +705,45 @@ def test_commutator_kernel_dispatch(monkeypatch):
     assert bracket == x * y - y * x
 
 
-def spy_on_diagonal_scans(monkeypatch):
-    """Wrap `gt._diagonal`; the returned list holds every matrix it
-    scans, so no scanned matrix is freed and its id stays its own."""
-    scanned = []
-    scan = gt._diagonal
-    monkeypatch.setattr(gt, "_diagonal", lambda m: (scanned.append(m), scan(m))[1])
-    return scanned
+def test_built_diagonals_carry_their_numerators():
+    """Every X_kk and V_k of a finite and of a generic module keeps its
+    diagonal numerators in `diag`, equal to its rows after the module's
+    report has bracketed it on either side, so a bracket with it takes
+    the one-pass kernel with no scan; a matrix from `from_values`,
+    `plant` or an operator keeps none, diagonal or not."""
+    finite = gt.build_module((3, 2, 1, 0))
+    generic = gt.build_generic_module([(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)),
+                                       (2, 1, 0)], 1)
+    for mod, report in ((finite, gt.module_relation_report),
+                        (generic, gt.generic_module_report)):
+        assert report(mod).ok
+        M = mod.matrices
+        built = {f"X{k}{k}" for k in range(1, mod.n + 1)} | {f"V{k}" for k in range(2, mod.n + 1)}
+        for name, m in M.items():
+            if name in built:
+                assert m.diag == [row.get(i, 0) for i, row in enumerate(m)], name
+                assert all(set(row) <= {i} for i, row in enumerate(m)), name
+            else:
+                assert m.diag is None, name
+        X11 = M["X11"]
+        for m in (gt.from_values({i: X11.entry(i, i)} for i in range(mod.dim)),
+                  plant(X11, 0, 0, 1), X11 * X11, X11 + X11, X11 - M["X22"], 2 * X11):
+            assert m.diag is None
+    assert gt.diagonal([1, Fraction(1, 2), 0]).diag == [2, 1, 0]
 
 
-def test_each_matrix_is_scanned_for_its_diagonal_once(monkeypatch):
-    """In one relation report every bracketed matrix is scanned for a
-    diagonal at most once, however many brackets it enters: X_kk enters
-    one per weight relation and V_4 one per central relation."""
-    mod = gt.build_module((3, 2, 1, 0))
-    scanned = spy_on_diagonal_scans(monkeypatch)
-    assert gt.module_relation_report(mod).ok
-    ids = [id(m) for m in scanned]
-    assert {id(mod.matrices[name]) for name in ("V4", "X22", "X2+")} <= set(ids)
-    assert len(ids) == len(set(ids))
-
-
-def test_a_kept_diagonal_gives_the_same_bracket(monkeypatch):
-    """A second bracket with the same operand reads the kept scan, on
-    either side and whether the operand is diagonal or not, and equals
-    a*b - b*a; negating a right-hand diagonal leaves the kept one as it
-    was."""
-    M = gt.build_module((2, 1, 0)).matrices
-    operands = (M["X11"], M["V2"], plant(M["X11"], 0, 1, 1))
-    for d in operands:
-        M["X1+"].commutator(d)
-    scanned = spy_on_diagonal_scans(monkeypatch)
-    for d in operands:
-        for a, b in ((d, M["X2-"]), (M["X2+"], d), (d, M["X1+"]), (M["X1+"], d)):
-            assert a.commutator(b) == gt.mat_sub(gt.mat_mul(a, b), gt.mat_mul(b, a))
-    assert not any(m is d for m in scanned for d in operands)
+def test_reports_scale_no_matrix(monkeypatch):
+    """The weight relations [H, X] = w X have w in {-1, 0, 1}, so the
+    module reports write them as [H, X] = X, [X, H] = X or [H, X] = 0:
+    `mat_scale` runs only for the zero matrix, never on a copy of X."""
+    scalars = []
+    scale = gt.mat_scale
+    monkeypatch.setattr(gt, "mat_scale", lambda c, a: (scalars.append(c), scale(c, a))[1])
+    for top in ((2, 1, 0), (3, 2, 1, 0)):
+        assert gt.module_relation_report(gt.build_module(top)).ok
+    point = [(Fraction(1, 2),), (Fraction(1, 3), Fraction(-1, 7)), (2, 1, 0)]
+    assert gt.generic_module_report(gt.build_generic_module(point, 1)).ok
+    assert scalars and not any(scalars)
 
 
 def test_identity_and_zero_matrices():

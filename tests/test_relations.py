@@ -78,7 +78,7 @@ def test_gln_catalogue_holds_on_skew_elements(n, count):
     ctx = Context.triangle(n)
     mod = gtmodules.build_module((1,) + (0,) * (n - 1))
     E = {name: gln.element(ctx, name) for name in mod.matrices}
-    entries = list(relations.gln_catalogue(n, E, SkewElement.zero(ctx)))
+    entries = list(relations.gln_catalogue(n, E))
     assert len(entries) == count
     assert [key for _, key, _, lhs, rhs in entries if not (lhs - rhs).is_zero] == []
     report = gtmodules.module_relation_report(mod)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from skewgt.polys import Context, Poly, vandermonde
 from skewgt.ratfunc import RatFunc, linear_factor
 from skewgt.skew import SkewElement, alt_generators, commutator, is_invariant, sym_generators
-from skewgt.lattice import lattice_spans_ambient, supports_generate_group
 from skewgt import gln, skew
 
 from conftest import assert_skew_body_matches, compose, rand_rowperm, rand_skew, row_permutations
@@ -274,57 +273,20 @@ def test_generator_lists():
     assert sym_generators(Context.line()) == alt_generators(Context.line()) == []
 
 
-def test_lattice_span_examples():
-    assert supports_generate_group({(1,), (-1,)}, 1)
-    assert not supports_generate_group({(2,), (-2,)}, 1)
-    assert supports_generate_group({(1, 0), (-1, 0), (1, 1), (-1, -1)}, 2)
-    with pytest.raises(ValueError):
-        supports_generate_group({(1, 0)}, 2)
-
-
-def test_ladder_supports_span_lattice(ctx3):
-    vecs = set()
-    for k in (1, 2):
-        for s in (1, -1):
-            vecs |= gln.gen_X(ctx3, k, s).support()
-    assert supports_generate_group(vecs, ctx3.shift_rank)
-
-
-def test_lattice_elimination_edge_cases():
-    assert lattice_spans_ambient([], 0)
-    assert not lattice_spans_ambient([], 1)
-    assert lattice_spans_ambient([(2, 1), (1, 1)], 2)
-    assert not lattice_spans_ambient([(2, 0), (0, 3)], 2)
-
-
-def _brute_spans(vectors, rank, box=4):
-    # oracle: search bounded integer combinations for every unit vector
-    import itertools
-    vecs = []
-    for v in sorted(set(v for v in vectors if any(v))):
-        if tuple(-x for x in v) not in vecs:
-            vecs.append(v)
-    vecs = vecs[:4]
-    if not vecs:
-        return rank == 0
-    units = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    hit = set()
-    for combo in itertools.product(range(-box, box + 1), repeat=len(vecs)):
-        v = tuple(sum(c * vec[j] for c, vec in zip(combo, vecs))
-                  for j in range(rank))
-        if v in units:
-            hit.add(v)
-    return hit == units
-
-
-def test_lattice_elimination_against_brute_force():
-    rng = random.Random(5)
-    for _ in range(60):
-        rank = rng.randint(1, 3)
-        base = [tuple(rng.randint(-2, 2) for _ in range(rank))
-                for _ in range(rng.randint(1, 3))]
-        vecs = base + [tuple(-x for x in v) for v in base]
-        assert lattice_spans_ambient(vecs, rank) == _brute_spans(base, rank), base
+def test_ladder_supports_span_lattice():
+    """At n = 2..6, X_k+ shifts by e_ki and X_k- by -e_ki, i = 1..k, so
+    the ladder supports are the signed unit vectors of every shiftable
+    variable: they generate the whole shift lattice Z^shift_rank, the
+    support condition of Futorny-Ovsienko's Galois-ring criterion."""
+    for n in range(2, 7):
+        ctx = Context.triangle(n)
+        supports = set()
+        for k in range(1, n):
+            for s in (1, -1):
+                support = gln.gen_X(ctx, k, s).support()
+                assert support == {unit_key(ctx, (k, i), s) for i in range(1, k + 1)}, (n, k, s)
+                supports |= support
+        assert supports == {unit_key(ctx, v, s) for v in ctx.shift_vars for s in (1, -1)}
 
 
 def test_json_roundtrip(ctx3):
