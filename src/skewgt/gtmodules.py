@@ -373,10 +373,6 @@ def zeros(n: int) -> Matrix:
     return Matrix({} for _ in range(n))
 
 
-def eye(n: int) -> Matrix:
-    return diagonal([1] * n)
-
-
 def diagonal(values: Sequence[Union[int, Fraction]]) -> Matrix:
     return _keep_diagonal(from_values({i: v} for i, v in enumerate(values)))
 
@@ -460,10 +456,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
                 out[j] = num * x
         rows.append(out)
     return _lowest(rows, a.den * c.denominator)
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return not any(a)
 
 
 class ModuleRealization:

@@ -398,14 +398,6 @@ class Poly(Ring):
             return -1
         return max(self.terms) >> self.ctx._deg_offset
 
-    def leading(self) -> Tuple[Tuple[int, ...], Union[int, Fraction]]:
-        """The grlex-largest term as (exponents, coefficient); the
-        coefficient is an int or a Fraction."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms)
-        return self.ctx.unpack(key), self.terms[key]
-
     def constant_term(self) -> Union[int, Fraction]:
         """The coefficient of the empty monomial, an int or a Fraction."""
         return self.terms.get(0, 0)

@@ -187,13 +187,13 @@ class SkewElement(Ring):
     def evaluate(self, a) -> RatFunc:
         """Apply the element to a field element: sum_mu mu(alpha_mu * a)
         with right coefficients alpha_mu."""
-        a = _coerce_ratfunc(self.ctx, a)
+        a = SkewElement.from_coeff(a, self.ctx).identity_coefficient()
         return RatFunc.sum(self.ctx, [(alpha * a).shifted(_shift_map(self.ctx, key))
                                       for key, alpha in self.right_coefficients().items()])
 
     def coevaluate(self, a) -> RatFunc:
         """The transposed action: sum_mu alpha_mu * mu^{-1}(a)."""
-        a = _coerce_ratfunc(self.ctx, a)
+        a = SkewElement.from_coeff(a, self.ctx).identity_coefficient()
         return RatFunc.sum(self.ctx, [alpha * a.shifted(_neg_shift_map(self.ctx, key))
                                       for key, alpha in self.right_coefficients().items()])
 
@@ -253,14 +253,6 @@ def _shift_map(ctx: Context, key: ShiftKey) -> Dict[VarId, int]:
 
 def _neg_shift_map(ctx: Context, key: ShiftKey) -> Dict[VarId, int]:
     return {ctx.shift_vars[p]: -m for p, m in enumerate(key) if m}
-
-
-def _coerce_ratfunc(ctx: Context, a) -> RatFunc:
-    if isinstance(a, RatFunc):
-        return a
-    if isinstance(a, Poly):
-        return RatFunc(a)
-    return RatFunc.const(ctx, a)
 
 
 def commutator(a, b):

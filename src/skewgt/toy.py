@@ -27,11 +27,14 @@ X_VAR = (1, 1)
 
 # Largest exponent of x in `f` and largest |c| in a target 1/(x+c) the
 # parsers accept; a larger value is refused before any work starts.
-# A witness multiplies |c| shifted copies of f, so its cost grows with
-# the product: f = x^24 + x + 1 with c = 24 takes 0.05 s, with 32 and 32
-# 0.26 s, with 64 and 64 about 20 s, nearly all of it multiplying out the
-# cleared numerator, of degree up to 64*65, to divide it (in-process,
-# 2-core VM, Python 3.11).
+# The two bound different costs, so they stay two budgets: |c| sets how
+# many shifted copies of f a witness multiplies and how many parts
+# `_cancel` tries against each other, the degree only how large each
+# copy is.  With both lifted, a linear f with c = 192 takes 0.055 s and
+# f = x^24 + x + 1 with c = 24 0.047 s, but x^192 + x + 1 with c = 1
+# 0.007 s; with 32 and 32 a witness takes 0.26 s, with 64 and 64 about
+# 20 s, nearly all of it multiplying out the cleared numerator, of degree
+# up to 64*65, to divide it (in-process, 2-core VM, Python 3.11).
 MAX_DEGREE = 24
 MAX_TRANSLATE = 24
 

@@ -1,8 +1,9 @@
-import random
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import example, settings, strategies as st
 
 from skewgt.gtmodules import Matrix
 from skewgt.polys import Context, Poly
@@ -146,82 +147,185 @@ def eq_cross(a: RatFunc, b: RatFunc) -> bool:
     return a.num * a.scale * den_poly(b) == b.num * b.scale * den_poly(a)
 
 
-def rand_poly(rng: random.Random, ctx: Context, max_terms=3, max_deg=2) -> Poly:
-    terms = {}
-    nv = len(ctx.vars)
-    for _ in range(rng.randint(0, max_terms)):
-        exps = [0] * nv
-        for _ in range(rng.randint(0, max_deg)):
-            exps[rng.randrange(nv)] += 1
-        coeff = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Poly(ctx, terms)
+# -- strategies for the exact values -----------------------------------------
+#
+# Small ranges, so that sums and products cancel often.  Each term,
+# factor, scale, coordinate and shift key is drawn by `sampled_from` from
+# a list that starts with the simplest choice, so a failing value shrinks
+# towards fewer terms, lower degrees and smaller numbers, and a value
+# costs a few draws: hypothesis spends tens of microseconds per draw.
+# The strategies are built once per context.  `edge_cases` pins the
+# values that draws reach only by chance: the zero, a constant, a
+# one-term value and a single shift.
+
+@functools.lru_cache(maxsize=None)
+def chance(tenths: int):
+    """True about `tenths` times in ten; shrinks towards True."""
+    return st.integers(0, 9).map(lambda k: k < tenths)
 
 
-def rand_point(rng: random.Random, ctx: Context) -> dict:
+# k/q with k in [-4, 4] and q in {1, 2, 3}, zero left out
+COEFFS = [Fraction(k * sign, q) for q in (1, 2, 3) for k in range(1, 5) for sign in (1, -1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _terms(ctx: Context, max_deg: int) -> list:
+    """(exponents, coefficient) for every monomial of degree <= max_deg
+    and every coefficient in COEFFS, lower degrees first."""
+    monomials = sorted((e for e in itertools.product(range(max_deg + 1), repeat=len(ctx.vars))
+                        if sum(e) <= max_deg), key=lambda e: (sum(e), e[::-1]))
+    return [(e, c) for e in monomials for c in COEFFS]
+
+
+def _sum_terms(ctx: Context, terms) -> Poly:
+    out = {}
+    for exps, c in terms:
+        out[exps] = out.get(exps, 0) + c
+    return Poly(ctx, out)
+
+
+@functools.lru_cache(maxsize=None)
+def polys(ctx: Context, max_terms=3, max_deg=2):
+    """Up to `max_terms` monomials of degree <= `max_deg`, each with a
+    coefficient in COEFFS; equal monomials add up, so a sum may cancel
+    to fewer terms or to zero."""
+    return st.lists(st.sampled_from(_terms(ctx, max_deg)), max_size=max_terms).map(
+        lambda terms: _sum_terms(ctx, terms))
+
+
+# Coordinates in [-4, 4]: integral ones as an int or a Fraction, and
+# otherwise over the denominators 2, 3, 4, 6 and 7.
+INTEGRAL_COORDS = [x for k in (0, 1, -1, 2, -2, 3, -3, 4, -4) for x in (k, Fraction(k))]
+COORDS = INTEGRAL_COORDS + sorted({Fraction(k, q) for k in range(-4, 5) for q in (2, 3, 4, 6, 7)}
+                                  - set(range(-4, 5)), key=lambda q: (abs(q), q < 0))
+
+
+@functools.lru_cache(maxsize=None)
+def points(ctx: Context):
     """A point with coordinates in [-4, 4] over mixed denominators, zero
     and negative ones included; integral coordinates are ints or
-    Fractions at random, and about a third of the points are all
-    integral."""
-    dens = [1] if rng.random() < 0.3 else [1, 1, 2, 3, 4, 6, 7]
-    point = {}
-    for v in ctx.vars:
-        q = Fraction(rng.randint(-4, 4), rng.choice(dens))
-        point[v] = q.numerator if q.denominator == 1 and rng.random() < 0.5 else q
-    return point
+    Fractions, and about a third of the points are all integral."""
+    integral, mixed = (st.fixed_dictionaries({v: st.sampled_from(coords) for v in ctx.vars})
+                       for coords in (INTEGRAL_COORDS, COORDS))
+
+    @st.composite
+    def point(draw):
+        return draw(integral if draw(chance(3)) else mixed)
+    return point()
 
 
-def rand_factor(rng: random.Random, ctx: Context) -> LinearFactor:
-    c = Fraction(rng.randint(-2, 2))
-    if len(ctx.vars) == 1 or rng.random() < 0.3:
-        return LinearFactor(ctx.vars[0], None, c)
-    a, b = rng.sample(range(len(ctx.vars)), 2)
-    f, _ = linear_factor(ctx.vars[a], ctx.vars[b], c)
-    return f
+@functools.lru_cache(maxsize=None)
+def linear_factors(ctx: Context):
+    """(x11 + c) about three times in ten, else (x_a - x_b + c) for two
+    distinct variables; c in [-2, 2]."""
+    cs = [0, 1, -1, 2, -2]
+    single = st.sampled_from([LinearFactor(ctx.vars[0], None, c) for c in cs])
+    if len(ctx.vars) == 1:
+        return single
+    differences = st.sampled_from([linear_factor(a, b, c)[0] for c in cs
+                                   for a, b in itertools.permutations(ctx.vars, 2)])
+    return st.builds(lambda one, f, g: f if one else g, chance(3), single, differences)
 
 
-def rand_ratfunc(rng: random.Random, ctx: Context) -> RatFunc:
-    num = rand_poly(rng, ctx)
-    if num.is_zero and rng.random() < 0.7:
-        num = Poly.one(ctx)
-    den = [rand_factor(rng, ctx) for _ in range(rng.randint(0, 2))]
-    scale = Fraction(rng.choice([-2, -1, 1, 1, 2]), rng.choice([1, 2]))
-    return RatFunc(num, den, scale)
+SCALES = [Fraction(k) for k in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
 
-def rand_shift(rng: random.Random, ctx: Context):
-    return tuple(rng.randint(-1, 1) for _ in range(ctx.shift_rank))
+@functools.lru_cache(maxsize=None)
+def ratfuncs(ctx: Context):
+    """A `polys` numerator, a zero one mostly replaced by 1, over 0-2
+    `linear_factors`, with a scale in {-2, -1, 1, 2} / {1, 2}."""
+    def ratfunc(num, one, den, scale):
+        return RatFunc(Poly.one(ctx) if num.is_zero and one else num, den, scale)
+    return st.builds(ratfunc, polys(ctx), chance(7), st.lists(linear_factors(ctx), max_size=2),
+                     st.sampled_from(SCALES))
 
 
-def rand_skew(rng: random.Random, ctx: Context, max_terms=2) -> SkewElement:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[rand_shift(rng, ctx)] = rand_ratfunc(rng, ctx)
-    return SkewElement(ctx, terms)
+@functools.lru_cache(maxsize=None)
+def _shift_keys(rank: int) -> list:
+    return sorted(itertools.product((0, 1, -1), repeat=rank), key=lambda k: sum(map(abs, k)))
+
+
+def shift_keys(ctx: Context):
+    """Shift keys with exponents in [-1, 1], the identity first."""
+    return st.sampled_from(_shift_keys(ctx.shift_rank))
+
+
+@functools.lru_cache(maxsize=None)
+def skew_elements(ctx: Context, max_terms=2):
+    """Up to `max_terms` `ratfuncs` coefficients on `shift_keys`; a key
+    drawn twice keeps its last coefficient."""
+    return st.lists(st.tuples(shift_keys(ctx), ratfuncs(ctx)), max_size=max_terms).map(
+        lambda terms: SkewElement(ctx, dict(terms)))
+
+
+@functools.lru_cache(maxsize=None)
+def shifts(ctx: Context):
+    """Shift maps {v: m} on every shiftable variable, m in [-2, 2]."""
+    return st.fixed_dictionaries({v: st.integers(-2, 2) for v in ctx.shift_vars})
+
+
+# `toy.MAX_DEGREE` and `toy.MAX_TRANSLATE` are two budgets because they
+# bound different costs (see their comment in toy.py): |c| sets how many
+# parts `_cancel` tries against each other, the degree of f only how
+# large each shifted copy is.  The toy inputs below stay far inside both.
+
+def toy_polys():
+    """f = k0 + k1 x + ... + k4 x^4 on the line, k0 in [1, 4] so that
+    the constant term never vanishes, the others in [-3, 3]."""
+    ctx = Context.line()
+    return st.builds(lambda k0, ks: Poly(ctx, {(d,): k for d, k in enumerate([k0] + ks)}),
+                     st.integers(1, 4), st.lists(st.integers(-3, 3), max_size=4))
+
+
+def edge_polys(ctx: Context) -> list:
+    """The zero, a constant and a one-term polynomial."""
+    return [Poly.zero(ctx), Poly.const(ctx, Fraction(-3, 2)),
+            2 * Poly.var(ctx, ctx.vars[-1]) ** 2]
+
+
+def edge_ratfuncs(ctx: Context) -> list:
+    """The zero, a constant and a one-term value over (x11 - x22 + 1),
+    a factor whose second variable `single_shift` moves at n = 3."""
+    over, sign = linear_factor((1, 1), (2, 2), 1)
+    return [RatFunc.zero(ctx), RatFunc.const(ctx, Fraction(-3, 2)),
+            RatFunc(Poly.var(ctx, ctx.vars[-1]), [over], Fraction(sign, 2))]
+
+
+def edge_skews(ctx: Context) -> list:
+    """The zero, a constant, a one-term coefficient at the identity
+    shift, and a single shift."""
+    return ([SkewElement.from_coeff(r, ctx) for r in edge_ratfuncs(ctx)]
+            + [SkewElement.shift_gen(ctx, ctx.shift_vars[0])])
+
+
+def single_shift(ctx: Context) -> dict:
+    """A shift map moving the last shiftable variable by one."""
+    return {ctx.shift_vars[-1]: 1}
+
+
+def edge_cases(values, names, **fixed):
+    """One `@example` per edge value: `names[0]` takes the value and each
+    later name the values after it in the list, cyclically; `fixed`
+    gives the other arguments of every example."""
+    def apply(test):
+        for i in range(len(values)):
+            drawn = {name: values[(i + j) % len(values)] for j, name in enumerate(names)}
+            test = example(**drawn, **fixed)(test)
+        return test
+    return apply
 
 
 # A row permutation is the variable mapping that `Poly.permute`,
 # `RatFunc.permuted` and `SkewElement.act` take: {x_ki: x_kj}, a
 # bijection within each row, fixed variables optional.
 
-def rand_rowperm(rng: random.Random, ctx: Context) -> dict:
-    """Every row shuffled at random."""
-    mapping = {}
-    for row in ctx.rows.values():
-        images = list(row)
-        rng.shuffle(images)
-        mapping.update(zip(row, images))
-    return mapping
-
-
-@st.composite
-def row_permutations(draw, ctx):
-    """Every row permuted, drawn by hypothesis."""
-    mapping = {}
-    for row in ctx.rows.values():
-        mapping.update(zip(row, draw(st.permutations(row))))
-    return mapping
+@functools.lru_cache(maxsize=None)
+def row_permutations(ctx: Context):
+    """Every row permuted, one draw per row; shrinks towards the
+    identity."""
+    rows = list(ctx.rows.values())
+    return st.tuples(*[st.sampled_from(list(itertools.permutations(row))) for row in rows]).map(
+        lambda images: {v: w for row, image in zip(rows, images) for v, w in zip(row, image)})
 
 
 def compose(g: dict, h: dict) -> dict:

@@ -5,16 +5,18 @@ criterion.
 """
 
 import itertools
-import random
 import time
 from fractions import Fraction
+
+from hypothesis import given, settings
 
 from skewgt import gln, gtmodules as gt, relations, toy
 from skewgt.polys import Context, Poly, elementary_symmetric, vandermonde
 from skewgt.ratfunc import RatFunc
 from skewgt.skew import SkewElement, commutator, is_invariant
 
-from conftest import eq_cross, failures, rand_poly, rand_ratfunc, rand_rowperm, rand_skew
+from conftest import (edge_cases, edge_polys, edge_ratfuncs, edge_skews, eq_cross, failures,
+                      polys, ratfuncs, row_permutations, skew_elements)
 
 
 def _report(name: str, started: float, budget: float):
@@ -133,42 +135,52 @@ def test_criterion_8_rank_one_witnesses():
 
 def test_criterion_9_randomized_property_suites():
     start = time.monotonic()
-    rng = random.Random(2024)
     ctx = Context.triangle(2)
-    checked = 0
-    for _ in range(250):
-        a, b, c = (rand_poly(rng, ctx) for _ in range(3))
+    checked = []
+
+    @settings(max_examples=250)
+    @given(a=polys(ctx), b=polys(ctx), c=polys(ctx))
+    @edge_cases(edge_polys(ctx), ["a", "b", "c"])
+    def poly_ring_axioms(a, b, c):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        checked += 1
-    for _ in range(250):
-        a, b, c = (rand_ratfunc(rng, ctx) for _ in range(3))
+        checked.append(a)
+
+    @settings(max_examples=250)
+    @given(a=ratfuncs(ctx), b=ratfuncs(ctx), c=ratfuncs(ctx))
+    @edge_cases(edge_ratfuncs(ctx), ["a", "b", "c"])
+    def ratfunc_field_axioms(a, b, c):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        checked += 1
-    shift = {(1, 1): 1, (2, 1): -1}
-    for _ in range(250):
-        a = rand_ratfunc(rng, ctx)
-        b = rand_ratfunc(rng, ctx)
-        mapping = rand_rowperm(rng, ctx)
+        checked.append(a)
+
+    @settings(max_examples=250)
+    @given(a=ratfuncs(ctx), b=ratfuncs(ctx), mapping=row_permutations(ctx))
+    @edge_cases(edge_ratfuncs(ctx), ["a", "b"], mapping={(2, 1): (2, 2), (2, 2): (2, 1)})
+    def shift_and_permutation_homomorphisms(a, b, mapping):
+        shift = {(1, 1): 1, (2, 1): -1}
         assert (a * b).shifted(shift) == a.shifted(shift) * b.shifted(shift)
         assert (a + b).shifted(shift) == a.shifted(shift) + b.shifted(shift)
         assert (a * b).permuted(mapping) == a.permuted(mapping) * b.permuted(mapping)
-        checked += 1
-    for _ in range(250):
-        r = rand_ratfunc(rng, ctx)
+        checked.append(a)
+
+    @settings(max_examples=250)
+    @given(r=ratfuncs(ctx), s=ratfuncs(ctx), u=skew_elements(ctx), v=skew_elements(ctx),
+           w=skew_elements(ctx))
+    @edge_cases(edge_skews(ctx), ["u", "v", "w"], r=RatFunc.zero(ctx), s=RatFunc.zero(ctx))
+    def normal_forms_and_skew_associativity(r, s, u, v, w):
         assert RatFunc(r.num, r.den, r.scale) == r
-        s = rand_ratfunc(rng, ctx)
         assert (r == s) == eq_cross(r, s)
-        u = rand_skew(rng, ctx)
-        v = rand_skew(rng, ctx)
-        w = rand_skew(rng, ctx)
         assert (u * v) * w == u * (v * w)
-        checked += 1
-    assert checked >= 1000
-    _report(f"criterion 9: property suites over {checked} randomized inputs",
+        checked.append(u)
+
+    for suite in (poly_ring_axioms, ratfunc_field_axioms, shift_and_permutation_homomorphisms,
+                  normal_forms_and_skew_associativity):
+        suite()
+    assert len(checked) >= 1000
+    _report(f"criterion 9: property suites over {len(checked)} randomized inputs",
             start, 60.0)
 
 

@@ -1,13 +1,12 @@
 import itertools
 import json
 import math
-import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from skewgt import cli, gln, gtmodules as gt
 from skewgt.polys import Context, vandermonde
@@ -15,7 +14,7 @@ from skewgt.ratfunc import RatFunc
 from skewgt.relations import single_shift_catalogue, suite_gl3
 from skewgt.skew import commutator
 
-from conftest import dense, failures
+from conftest import chance, dense, failures
 
 
 def brute_force_patterns(top):
@@ -137,8 +136,7 @@ def test_ladder_round_trip_on_standard_module():
 def test_trivial_module_acts_by_zero():
     m = gt.build_module((0, 0))
     assert m.dim == 1
-    assert gt.mat_is_zero(m.matrices["X1+"])
-    assert gt.mat_is_zero(m.matrices["X1-"])
+    assert m.matrices["X1+"] == m.matrices["X1-"] == gt.zeros(1)
     assert m.spectrum("X11") == [Fraction(0)]
 
 
@@ -203,8 +201,7 @@ def test_standard_module_matches_defining_representation():
     # traces and eigenvalues of the defining 2-dimensional representation
     assert sorted(m.spectrum("X11")) == [0, 1]
     assert sorted(m.spectrum("X22")) == [0, 1]
-    assert gt.mat_is_zero(gt.mat_mul(e, e))
-    assert gt.mat_is_zero(gt.mat_mul(f, f))
+    assert gt.mat_mul(e, e) == gt.mat_mul(f, f) == gt.zeros(m.dim)
     ef = commutator(e, f)
     assert ef == gt.mat_sub(h1, m.matrices["X22"])
 
@@ -393,9 +390,8 @@ def test_module_layer_types():
 def test_generic_module_radius_zero():
     m = gt.build_generic_module([(Fraction(1, 3),), (1, 0)], radius=0)
     assert m.dim == 1 and m.interior == []
-    assert gt.mat_is_zero(m.matrices["X1+"])
-    assert gt.mat_is_zero(m.matrices["X1-"])
-    assert not gt.mat_is_zero(m.matrices["X11"])
+    assert m.matrices["X1+"] == m.matrices["X1-"] == gt.zeros(1)
+    assert m.matrices["X11"] != gt.zeros(1)
 
 
 def test_generic_module_rejects_nonregular():
@@ -411,6 +407,7 @@ def test_module_layer_refuses_floats():
     """A float would enter through its binary expansion (0.3 reads as
     5404319552844595/18014398509481984), so the module layer refuses
     it wherever it takes a rational, as `Poly` does."""
+    one = gt.diagonal([1, 1])
     for bad in (0.3, 0.5, 1.0, 0.0, -0.0):
         with pytest.raises(TypeError):
             gt.normalize_pattern([(bad,), (1, 0)])
@@ -421,20 +418,20 @@ def test_module_layer_refuses_floats():
         with pytest.raises(TypeError):
             gt.build_generic_module([(bad,), (1, 0)], radius=1)
         with pytest.raises(TypeError):
-            gt.mat_scale(bad, gt.eye(2))
+            gt.mat_scale(bad, one)
         with pytest.raises(TypeError):
-            bad * gt.eye(2)
+            bad * one
         with pytest.raises(TypeError):
-            gt.eye(2) * bad
+            one * bad
         with pytest.raises(TypeError):
             gt.build_module((2, 1, bad))
         with pytest.raises(TypeError):
             gt.diagonal([1, bad])
         with pytest.raises(TypeError):
             gt.from_values([{0: Fraction(1, 3)}, {0: bad}])
-    half = gt.mat_scale(Fraction(1, 2), gt.eye(2))
+    half = gt.mat_scale(Fraction(1, 2), one)
     assert half == gt.diagonal([Fraction(1, 2)] * 2)
-    assert gt.mat_scale(3, gt.eye(2)) == gt.diagonal([Fraction(3)] * 2)
+    assert gt.mat_scale(3, one) == gt.diagonal([Fraction(3)] * 2)
     assert half.den == 2 and [dict(row) for row in half] == [{0: 1}, {1: 1}]
     assert half.entry(1, 1) == Fraction(1, 2) and half.entry(0, 1) == 0
     assert gt.build_module((Fraction(2), 1, 0)).dim == 8
@@ -443,11 +440,12 @@ def test_module_layer_refuses_floats():
 def test_matrix_scalar_on_either_side_and_sizes():
     """`m * c` scales as `c * m` does, and operands of different sizes
     are refused instead of cut to the shorter one."""
-    assert gt.eye(2) * 2 == gt.diagonal([Fraction(2)] * 2) == 2 * gt.eye(2)
-    assert gt.eye(2) * Fraction(1, 2) == gt.diagonal([Fraction(1, 2)] * 2)
+    one2, one3 = gt.diagonal([1] * 2), gt.diagonal([1] * 3)
+    assert one2 * 2 == gt.diagonal([Fraction(2)] * 2) == 2 * one2
+    assert one2 * Fraction(1, 2) == gt.diagonal([Fraction(1, 2)] * 2)
     # same numerators, other denominator
-    assert gt.eye(2) * Fraction(1, 2) != gt.eye(2)
-    for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.eye(2))):
+    assert one2 * Fraction(1, 2) != one2
+    for a, b in ((one2, one3), (one3, one2)):
         for op in (gt.mat_mul, gt.mat_add, gt.mat_sub):
             with pytest.raises(ValueError, match="sizes differ"):
                 op(a, b)
@@ -467,8 +465,9 @@ def test_iadd_adds_matrices():
     assert m == a + b and len(m) == mod.dim
     assert ([dict(row) for row in a], a.den) == before
     z = gt.zeros(2)
-    z += gt.eye(2)
-    assert z == gt.eye(2) and len(z) == 2
+    one = gt.diagonal([1, 1])
+    z += one
+    assert z == one and len(z) == 2
 
 
 def test_module_json():
@@ -523,50 +522,72 @@ def to_dense(m):
 ENTRIES = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
 
 
-def random_dense(rng, n, density):
-    return [[rng.choice(ENTRIES) if rng.random() < density else Fraction(0)
-             for _ in range(n)] for _ in range(n)]
+# the cells a matrix of each density draws from: one of the six ENTRIES
+# about `density` of the time, else zero
+CELLS = {0.0: [Fraction(0)], 0.1: [Fraction(0)] * 54 + ENTRIES,
+         0.3: [Fraction(0)] * 14 + ENTRIES, 1.0: ENTRIES}
 
 
-def test_sparse_ops_match_dense_reference():
-    rng = random.Random(20261018)
-    for case in range(120):
-        n = rng.randint(1, 12)
-        da, db = (random_dense(rng, n, rng.choice([0.0, 0.1, 0.3, 1.0]))
-                  for _ in range(2))
-        if case % 5 == 0:
-            db = [[-v for v in row] for row in da]   # a + b cancels exactly
-        a, b = to_sparse(da), to_sparse(db)
-        assert to_dense(a) == da and to_dense(b) == db
-        assert to_dense(gt.mat_mul(a, b)) == dense_mul(da, db)
-        assert to_dense(gt.mat_add(a, b)) == [[x + y for x, y in zip(ra, rb)]
-                                              for ra, rb in zip(da, db)]
-        assert to_dense(gt.mat_sub(a, b)) == dense_sub(da, db)
-        assert to_dense(gt.mat_sub(a, a)) == [[0] * n for _ in range(n)]
-        c = rng.choice(ENTRIES)
-        assert to_dense(gt.mat_scale(c, a)) == [[c * x for x in row] for row in da]
-        # the operators are the same ops
-        assert to_dense(a * b) == dense_mul(da, db)
-        assert to_dense(a + b) == [[x + y for x, y in zip(ra, rb)]
-                                   for ra, rb in zip(da, db)]
-        assert to_dense(a - b) == dense_sub(da, db)
-        assert to_dense(c * a) == [[c * x for x in row] for row in da]
-        assert to_dense(gt.mat_scale(0, a)) == [[0] * n for _ in range(n)]
-        comm = dense_sub(dense_mul(da, db), dense_mul(db, da))
-        assert to_dense(commutator(a, b)) == comm
-        for m, dm in ((a, da), (commutator(a, b), comm)):
-            assert gt.mat_is_zero(m) == all(not x for row in dm for x in row)
-        # the generic report's comparison; `mixed` is a on cols and b
-        # elsewhere, so it agrees with a on cols, often over another den
-        cols = rng.sample(range(n), rng.randint(0, n))
-        dmixed = [[x if c in cols else y for c, (x, y) in enumerate(zip(ra, rb))]
-                  for ra, rb in zip(da, db)]
-        pairs = [(a, da), (b, db), (to_sparse(dmixed), dmixed), (gt.zeros(n), [[0] * n] * n)]
-        for (x, dx), (y, dy) in itertools.product(pairs, repeat=2):
-            assert gt.columns_equal(x, y, cols) == all(dx[r][c] == dy[r][c]
-                                                       for c in cols for r in range(n))
-        # inputs are left untouched
-        assert to_dense(a) == da and to_dense(b) == db
+@st.composite
+def dense_squares(draw, n):
+    cells = st.sampled_from(CELLS[draw(st.sampled_from(sorted(CELLS)))])
+    flat = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+@st.composite
+def dense_reference_cases(draw):
+    """Two n x n matrices, n in [1, 12], each of density 0, 0.1, 0.3 or
+    1; about one in five times the second is the negated first, so that
+    a + b cancels exactly.  With them a scalar and a set of columns."""
+    n = draw(st.integers(1, 12))
+    da = draw(dense_squares(n))
+    db = [[-v for v in row] for row in da] if draw(chance(2)) else draw(dense_squares(n))
+    cols = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return da, db, draw(st.sampled_from(ENTRIES)), cols
+
+
+def _scalar_matrix(n, v):
+    return [[Fraction(v) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120)
+@given(case=dense_reference_cases())
+@example(case=(_scalar_matrix(3, 0), _scalar_matrix(3, 2), Fraction(1, 2), [0, 2]))
+@example(case=(_scalar_matrix(2, -1), [[0, 0], [Fraction(1, 2), 0]], Fraction(-2), [1]))
+@example(case=([[0, 2], [0, 0]], [[0, 0], [1, 0]], Fraction(2), []))
+def test_sparse_ops_match_dense_reference(case):
+    da, db, c, cols = case
+    n = len(da)
+    a, b = to_sparse(da), to_sparse(db)
+    assert to_dense(a) == da and to_dense(b) == db
+    assert to_dense(gt.mat_mul(a, b)) == dense_mul(da, db)
+    assert to_dense(gt.mat_add(a, b)) == [[x + y for x, y in zip(ra, rb)]
+                                          for ra, rb in zip(da, db)]
+    assert to_dense(gt.mat_sub(a, b)) == dense_sub(da, db)
+    assert to_dense(gt.mat_sub(a, a)) == [[0] * n for _ in range(n)]
+    assert to_dense(gt.mat_scale(c, a)) == [[c * x for x in row] for row in da]
+    # the operators are the same ops
+    assert to_dense(a * b) == dense_mul(da, db)
+    assert to_dense(a + b) == [[x + y for x, y in zip(ra, rb)]
+                               for ra, rb in zip(da, db)]
+    assert to_dense(a - b) == dense_sub(da, db)
+    assert to_dense(c * a) == [[c * x for x in row] for row in da]
+    assert to_dense(gt.mat_scale(0, a)) == [[0] * n for _ in range(n)]
+    comm = dense_sub(dense_mul(da, db), dense_mul(db, da))
+    assert to_dense(commutator(a, b)) == comm
+    for m, dm in ((a, da), (commutator(a, b), comm)):
+        assert (m == gt.zeros(n)) == all(not x for row in dm for x in row)
+    # the generic report's comparison; `mixed` is a on cols and b
+    # elsewhere, so it agrees with a on cols, often over another den
+    dmixed = [[x if c in cols else y for c, (x, y) in enumerate(zip(ra, rb))]
+              for ra, rb in zip(da, db)]
+    pairs = [(a, da), (b, db), (to_sparse(dmixed), dmixed), (gt.zeros(n), [[0] * n] * n)]
+    for (x, dx), (y, dy) in itertools.product(pairs, repeat=2):
+        assert gt.columns_equal(x, y, cols) == all(dx[r][c] == dy[r][c]
+                                                   for c in cols for r in range(n))
+    # inputs are left untouched
+    assert to_dense(a) == da and to_dense(b) == db
 
 
 # denominators of the generic points (3, 5, 7 and their products), so
@@ -688,7 +709,8 @@ def test_commutator_kernel_dispatch(monkeypatch):
     bracket = commutator(near, M["X1+"])
     assert calls == [] and fused == [1, -1]
     assert bracket == near * M["X1+"] - M["X1+"] * near
-    for a, b in ((gt.eye(2), gt.eye(3)), (gt.eye(3), gt.zeros(2))):
+    one2, one3 = gt.diagonal([1] * 2), gt.diagonal([1] * 3)
+    for a, b in ((one2, one3), (one3, gt.zeros(2))):
         with pytest.raises(ValueError, match="sizes differ"):
             commutator(a, b)
 
@@ -748,9 +770,10 @@ def test_reports_scale_no_matrix(monkeypatch):
 
 def test_identity_and_zero_matrices():
     for n in range(1, 5):
-        assert to_dense(gt.eye(n)) == [[Fraction(int(i == j)) for j in range(n)]
-                                       for i in range(n)]
-        assert gt.mat_is_zero(gt.zeros(n)) and not gt.mat_is_zero(gt.eye(n))
+        one = gt.diagonal([1] * n)
+        assert to_dense(one) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert to_dense(gt.zeros(n)) == [[0] * n for _ in range(n)]
+        assert one != gt.zeros(n) and not any(gt.zeros(n))
 
 
 def test_from_values_storage():

@@ -1,16 +1,18 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewgt import cli, toy
 from skewgt.polys import (DEGREE_BOUND, Context, Poly, _mul_terms, elementary_symmetric,
                           shifted_vandermonde, vandermonde)
 from skewgt.ratfunc import RatFunc, linear_factor
 
-from conftest import is_normal_rational, rand_point, rand_poly, row_permutations, spy_on_poly
+from conftest import (chance, edge_cases, edge_polys, is_normal_rational, points, polys,
+                      row_permutations, spy_on_poly)
+
+CTX2, CTX3 = Context.triangle(2), Context.triangle(3)
 
 
 def x(ctx, k, i):
@@ -46,15 +48,15 @@ def test_exact_division_product_factor(ctx2):
     assert q == x(ctx2, 2, 2) - x(ctx2, 2, 1)
 
 
-def test_divmod_random_roundtrip(ctx2):
-    rng = random.Random(7)
+@settings(max_examples=50)
+@given(p=polys(CTX2, max_terms=4, max_deg=3))
+@edge_cases(edge_polys(CTX2), ["p"])
+def test_divmod_random_roundtrip(p):
     fac = (1, 1), (2, 2), Fraction(-2)
-    fac_poly = x(ctx2, 1, 1) - x(ctx2, 2, 2) - 2
-    for _ in range(50):
-        p = rand_poly(rng, ctx2, max_terms=4, max_deg=3)
-        q, r = p.divmod_linear(*fac)
-        assert q * fac_poly + r == p
-        assert (p * fac_poly).exact_div_linear(*fac) == p
+    fac_poly = x(CTX2, 1, 1) - x(CTX2, 2, 2) - 2
+    q, r = p.divmod_linear(*fac)
+    assert q * fac_poly + r == p
+    assert (p * fac_poly).exact_div_linear(*fac) == p
 
 
 # -- division oracles ------------------------------------------------
@@ -155,40 +157,55 @@ def to_sympy(poly, syms):
                 for e, v in poly.sorted_terms()), sympy.Integer(0))
 
 
-def _sympy_division_cases(seed, count):
+@st.composite
+def sympy_division_cases(draw):
+    """A polynomial of up to six terms of degree <= 5 at n = 2 or 3, and
+    a factor (x_a - x_b + c), b after a, about seven times in ten where
+    some b exists, else (x_a + c); c = k/q, k in [-4, 4], q in {1, 2, 3}."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    ia = draw(st.integers(0, len(ctx.vars) - 1))
+    b = None
+    if ia + 1 < len(ctx.vars) and draw(chance(7)):
+        b = ctx.vars[draw(st.integers(ia + 1, len(ctx.vars) - 1))]
+    c = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
+    return draw(polys(ctx, max_terms=6, max_deg=5)), ctx.vars[ia], b, c
+
+
+def _check_division_against_sympy(p, a, b, c):
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(seed)
-    for _ in range(count):
-        ctx = CONTEXTS[rng.choice(sorted(CONTEXTS))]
-        syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
-        ia = rng.randrange(len(ctx.vars))
-        b = None
-        if ia + 1 < len(ctx.vars) and rng.random() < 0.7:
-            b = ctx.vars[rng.randrange(ia + 1, len(ctx.vars))]
-        c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-        p = rand_poly(rng, ctx, max_terms=6, max_deg=5)
-        f = factor_poly(ctx, ctx.vars[ia], b, c)
-        # lex order with x_a first: the leading term of f is x_a
-        gens = [syms[ia]] + syms[:ia] + syms[ia + 1:]
-        sq, sr = sympy.div(to_sympy(p, syms), to_sympy(f, syms), *gens)
-        q, r = p.divmod_linear(ctx.vars[ia], b, c)
-        assert sympy.expand(to_sympy(q, syms) - sq) == 0
-        assert sympy.expand(to_sympy(r, syms) - sr) == 0
+    ctx = p.ctx
+    syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
+    ia = ctx.var_pos(a)
+    f = factor_poly(ctx, a, b, c)
+    # lex order with x_a first: the leading term of f is x_a
+    gens = [syms[ia]] + syms[:ia] + syms[ia + 1:]
+    sq, sr = sympy.div(to_sympy(p, syms), to_sympy(f, syms), *gens)
+    q, r = p.divmod_linear(a, b, c)
+    assert sympy.expand(to_sympy(q, syms) - sq) == 0
+    assert sympy.expand(to_sympy(r, syms) - sr) == 0
 
 
-def test_divmod_matches_sympy():
-    _sympy_division_cases(seed=17, count=40)
+@settings(max_examples=40)
+@given(case=sympy_division_cases())
+@edge_cases([(p, (1, 1), (2, 2), Fraction(1, 2)) for p in edge_polys(CTX2)]
+            + [(p, (2, 1), None, -3) for p in edge_polys(CTX3)], ["case"])
+def test_divmod_matches_sympy(case):
+    _check_division_against_sympy(*case)
 
 
 @pytest.mark.slow
-def test_divmod_matches_sympy_long():
-    _sympy_division_cases(seed=29, count=3000)
+@settings(max_examples=3000)
+@given(case=sympy_division_cases())
+def test_divmod_matches_sympy_long(case):
+    _check_division_against_sympy(*case)
 
 
-def test_shift_substitution(ctx2):
-    v2 = x(ctx2, 2, 1) - x(ctx2, 2, 2)
+@settings(max_examples=20)
+@given(p=polys(CTX2))
+@edge_cases(edge_polys(CTX2), ["p"])
+def test_shift_substitution(p):
+    v2 = x(CTX2, 2, 1) - x(CTX2, 2, 2)
     assert v2.subs_shift({(2, 1): 1}) == v2 - 1
-    p = rand_poly(random.Random(3), ctx2)
     assert p.subs_shift({(1, 1): 0}) == p
 
 
@@ -201,14 +218,16 @@ def test_shift_product_oracle(ctx2):
     assert shifted == oracle
 
 
-def test_permutation_examples(ctx3):
+@settings(max_examples=20)
+@given(p=polys(CTX3))
+@edge_cases(edge_polys(CTX3), ["p"])
+def test_permutation_examples(p):
     swap = {(2, 1): (2, 2), (2, 2): (2, 1)}
-    v2 = x(ctx3, 2, 1) - x(ctx3, 2, 2)
+    v2 = x(CTX3, 2, 1) - x(CTX3, 2, 2)
     assert v2.permute(swap) == -v2
-    e31 = elementary_symmetric(ctx3, 3, 1)
+    e31 = elementary_symmetric(CTX3, 3, 1)
     cyc = {(3, 1): (3, 2), (3, 2): (3, 3), (3, 3): (3, 1)}
     assert e31.permute(cyc) == e31
-    p = rand_poly(random.Random(5), ctx3)
     assert p.permute({}) == p
 
 
@@ -263,23 +282,21 @@ def test_vandermonde_parity(ctx3):
         assert sq.permute(swap) == sq
 
 
-def test_ring_axioms_random(ctx2):
-    rng = random.Random(11)
-    for _ in range(60):
-        a = rand_poly(rng, ctx2)
-        b = rand_poly(rng, ctx2)
-        c = rand_poly(rng, ctx2)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+@settings(max_examples=60)
+@given(a=polys(CTX2), b=polys(CTX2), c=polys(CTX2))
+@edge_cases(edge_polys(CTX2), ["a", "b", "c"])
+def test_ring_axioms_random(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 def test_content_primitive(ctx2):
     p = 6 * x(ctx2, 2, 1) - Fraction(9, 2)
     content, prim = p.content_primitive()
     assert content * prim == p
-    assert prim.leading()[1] > 0
+    assert prim.sorted_terms()[0][1] > 0
     nums = [c.numerator for c in prim.terms.values()]
     import math
     assert math.gcd(*nums) == 1
@@ -300,38 +317,49 @@ def test_evaluate(ctx2):
         p.evaluate({(2, 1): 3})
 
 
-def _sympy_evaluation_cases(seed, count):
-    """Poly.evaluate against sympy's subs at rational points with mixed
-    denominators (see conftest.rand_point), on int and Fraction
-    coefficients, the zero and the constant polynomials included."""
+@st.composite
+def sympy_evaluation_cases(draw):
+    """A point (see conftest.points) and a polynomial of up to six terms
+    of degree <= 5 at n = 2 or 3: one in ten the zero, one in ten a
+    constant k/q, k in [-9, 9], q in {1, 4}, and four in ten of the rest
+    its primitive part, with int coefficients only."""
+    ctx = CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))]
+    p = draw(polys(ctx, max_terms=6, max_deg=5))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        p = Poly.zero(ctx)
+    elif kind == 1:
+        p = Poly.const(ctx, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 4]))))
+    elif draw(chance(4)):
+        p = p.content_primitive()[1]
+    return p, draw(points(ctx))
+
+
+def _check_evaluation_against_sympy(p, point):
+    """Poly.evaluate against sympy's subs at a rational point."""
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(seed)
-    for case in range(count):
-        ctx = CONTEXTS[rng.choice(sorted(CONTEXTS))]
-        syms = [sympy.Symbol(ctx.var_name(v)) for v in ctx.vars]
-        p = rand_poly(rng, ctx, max_terms=6, max_deg=5)
-        if case % 10 == 0:
-            p = Poly.zero(ctx)
-        elif case % 10 == 1:
-            p = Poly.const(ctx, Fraction(rng.randint(-9, 9), rng.choice([1, 4])))
-        elif rng.random() < 0.4:
-            p = p.content_primitive()[1]  # int coefficients only
-        point = rand_point(rng, ctx)
-        val = p.evaluate(point)
-        assert type(val) is Fraction
-        expected = to_sympy(p, syms).subs(
-            {s: sympy.Rational(point[v].numerator, point[v].denominator)
-             for s, v in zip(syms, ctx.vars)})
-        assert sympy.Rational(val.numerator, val.denominator) == expected, (p, point)
+    syms = [sympy.Symbol(p.ctx.var_name(v)) for v in p.ctx.vars]
+    val = p.evaluate(point)
+    assert type(val) is Fraction
+    expected = to_sympy(p, syms).subs(
+        {s: sympy.Rational(point[v].numerator, point[v].denominator)
+         for s, v in zip(syms, p.ctx.vars)})
+    assert sympy.Rational(val.numerator, val.denominator) == expected, (p, point)
 
 
-def test_evaluate_matches_sympy():
-    _sympy_evaluation_cases(seed=53, count=60)
+@settings(max_examples=60)
+@given(case=sympy_evaluation_cases())
+@edge_cases([(p, {v: Fraction(-7, 6) for v in CTX3.vars}) for p in edge_polys(CTX3)]
+            + [(p, {v: 3 for v in CTX2.vars}) for p in edge_polys(CTX2)], ["case"])
+def test_evaluate_matches_sympy(case):
+    _check_evaluation_against_sympy(*case)
 
 
 @pytest.mark.slow
-def test_evaluate_matches_sympy_long():
-    _sympy_evaluation_cases(seed=59, count=3000)
+@settings(max_examples=3000)
+@given(case=sympy_evaluation_cases())
+def test_evaluate_matches_sympy_long(case):
+    _check_evaluation_against_sympy(*case)
 
 
 def test_str_deterministic(ctx2):
@@ -578,7 +606,7 @@ def test_packed_kernels_match_sympy(n, data):
         assert [ctx.pack(e) for e in tuples] == sorted(r.terms)
         assert [e for e, _ in r.sorted_terms()] == tuples[::-1]
         if tuples:
-            assert r.leading()[0] == max(tuples, key=grlex_key)
+            assert r.sorted_terms()[0][0] == max(tuples, key=grlex_key)
             assert r.degree() == max(map(sum, tuples))
 
 
@@ -749,16 +777,23 @@ def test_value_screen_is_exact_on_the_line_at_zero_and_one(c, monkeypatch):
     the screen's zero-divisor test for c = 0 (p(0)), c = -1 (p(1)) and
     c = 1 (p(-1)): no failing trial there reaches the division."""
     divisions_run = spy_on_poly(monkeypatch, "divmod_linear")
-    rng = random.Random(41 + c)
     xv = Poly.var(LINE, (1, 1))
-    for _ in range(60):
-        p = Poly(LINE, {(e,): rng.randint(-9, 9) for e in range(rng.randint(0, 6))})
-        if rng.random() < 0.3:
+
+    @settings(max_examples=60)
+    @given(coeffs=st.lists(st.integers(-9, 9), max_size=6), multiple=chance(3))
+    @example(coeffs=[], multiple=False)
+    @example(coeffs=[5], multiple=False)
+    @example(coeffs=[0, 0, 4], multiple=True)
+    def check(coeffs, multiple):
+        p = Poly(LINE, {(e,): k for e, k in enumerate(coeffs)})
+        if multiple:
             p = p * (xv + c)
         divisions_run.clear()
         q = p.exact_div_linear((1, 1), None, c)
         assert (q is not None) == (p.evaluate({(1, 1): -c}) == 0)
         assert len(divisions_run) == (q is not None)
+
+    check()
 
 
 # -- the top-degree screen of a difference ------------------------------

@@ -1,21 +1,24 @@
+import functools
 import hashlib
 import math
 import pickle
-import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from skewgt.polys import Context, Poly, vandermonde
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt import cli, gln
 from skewgt.skew import SkewElement
 
-from conftest import (assert_body_matches, den_poly, eq_cross, is_normal_rational,
-                      rand_factor, rand_point, rand_poly, rand_ratfunc, rand_rowperm)
+from conftest import (assert_body_matches, den_poly, edge_cases, edge_ratfuncs, eq_cross,
+                      is_normal_rational, linear_factors, points, polys, ratfuncs,
+                      row_permutations, shifts, single_shift)
+
+CTX2, CTX3 = Context.triangle(2), Context.triangle(3)
 
 
 def x(ctx, k, i):
@@ -49,49 +52,44 @@ def test_product_against_cross_multiplication_oracle():
     assert lhs == rhs
 
 
-def test_normalization_idempotent_and_canonical(ctx2):
-    rng = random.Random(23)
-    for _ in range(80):
-        r = rand_ratfunc(rng, ctx2)
-        again = RatFunc(r.num, r.den, r.scale)
-        assert again == r
-        # inflate by a common factor: the reduced form must not change
-        f = LinearFactor((1, 1), (2, 2), Fraction(1))
-        inflated = RatFunc(r.num * f.to_poly(ctx2), list(r.den) + [f], r.scale)
-        assert inflated == r
-        assert eq_cross(inflated, r)
+@settings(max_examples=80)
+@given(r=ratfuncs(CTX2))
+@edge_cases(edge_ratfuncs(CTX2), ["r"])
+def test_normalization_idempotent_and_canonical(r):
+    again = RatFunc(r.num, r.den, r.scale)
+    assert again == r
+    # inflate by a common factor: the reduced form must not change
+    f = LinearFactor((1, 1), (2, 2), Fraction(1))
+    inflated = RatFunc(r.num * f.to_poly(CTX2), list(r.den) + [f], r.scale)
+    assert inflated == r
+    assert eq_cross(inflated, r)
 
 
-def test_equality_matches_cross_multiplication(ctx2):
-    rng = random.Random(29)
-    agree = 0
-    for _ in range(120):
-        a = rand_ratfunc(rng, ctx2)
-        b = rand_ratfunc(rng, ctx2)
-        assert (a == b) == eq_cross(a, b)
-        agree += 1
-    assert agree == 120
+@settings(max_examples=120)
+@given(a=ratfuncs(CTX2), b=ratfuncs(CTX2))
+@edge_cases(edge_ratfuncs(CTX2), ["a", "b"])
+@example(a=edge_ratfuncs(CTX2)[2], b=edge_ratfuncs(CTX2)[2])
+def test_equality_matches_cross_multiplication(a, b):
+    assert (a == b) == eq_cross(a, b)
 
 
-def test_shift_is_ring_homomorphism(ctx2):
-    rng = random.Random(31)
-    shift = {(1, 1): 1, (2, 2): -2}
-    for _ in range(40):
-        a = rand_ratfunc(rng, ctx2)
-        b = rand_ratfunc(rng, ctx2)
+@settings(max_examples=40)
+@given(a=ratfuncs(CTX2), b=ratfuncs(CTX2))
+@edge_cases(edge_ratfuncs(CTX2), ["a", "b"])
+def test_shift_is_ring_homomorphism(a, b):
+    for shift in ({(1, 1): 1, (2, 2): -2}, single_shift(CTX2)):
         assert (a * b).shifted(shift) == a.shifted(shift) * b.shifted(shift)
         assert (a + b).shifted(shift) == a.shifted(shift) + b.shifted(shift)
 
 
-def test_permutation_is_ring_homomorphism(ctx3):
-    rng = random.Random(37)
+@settings(max_examples=40)
+@given(a=ratfuncs(CTX3), b=ratfuncs(CTX3))
+@edge_cases(edge_ratfuncs(CTX3), ["a", "b"])
+def test_permutation_is_ring_homomorphism(a, b):
     mapping = {(3, 1): (3, 2), (3, 2): (3, 3), (3, 3): (3, 1),
                (2, 1): (2, 2), (2, 2): (2, 1)}
-    for _ in range(40):
-        a = rand_ratfunc(rng, ctx3)
-        b = rand_ratfunc(rng, ctx3)
-        assert (a * b).permuted(mapping) == a.permuted(mapping) * b.permuted(mapping)
-        assert (a + b).permuted(mapping) == a.permuted(mapping) + b.permuted(mapping)
+    assert (a * b).permuted(mapping) == a.permuted(mapping) * b.permuted(mapping)
+    assert (a + b).permuted(mapping) == a.permuted(mapping) + b.permuted(mapping)
 
 
 def test_shift_keeps_factor_class(ctx2):
@@ -124,34 +122,35 @@ def _stored_normally(r: RatFunc) -> bool:
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32), k=st.integers(-6, 6), q=st.sampled_from([1, 1, 2, 3]))
-def test_exact_rationals_are_stored_as_int_when_integral(seed, k, q):
+@given(a=ratfuncs(CTX3), b=ratfuncs(CTX3), shift=shifts(CTX3), mapping=row_permutations(CTX3),
+       g=linear_factors(CTX3), p=polys(CTX3), i=st.integers(1, 2), s=st.sampled_from([1, -1]),
+       key=st.integers(-1, 1), k=st.integers(-6, 6), q=st.sampled_from([1, 2, 3]))
+@edge_cases(edge_ratfuncs(CTX3), ["a", "b"], shift=single_shift(CTX3), mapping={},
+            g=LinearFactor((1, 1), None, 0), p=Poly.zero(CTX3), i=1, s=1, key=0, k=4, q=2)
+def test_exact_rationals_are_stored_as_int_when_integral(a, b, shift, mapping, g, p, i, s, key,
+                                                         k, q):
     """Every scale, factor constant and content that the coefficient
     layer makes is an int, or a Fraction with denominator > 1: never a
     float or Fraction(k, 1), whatever the operation and whatever
     Fractions (integral ones included) it was given."""
-    ctx = Context.triangle(3)
-    rng = random.Random(seed)
-    a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
+    ctx = CTX3
     c = Fraction(k, q)
     f, _ = linear_factor((2, 2), (2, 1), c)
-    shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-    mapping = rand_rowperm(rng, ctx)
     factors = [f, f.shifted(shift), f.permuted(mapping)[0], LinearFactor((1, 1), None, c),
-               linear_factor((1, 1), (3, 2), Fraction(2 * k, 2))[0], rand_factor(rng, ctx)]
+               linear_factor((1, 1), (3, 2), Fraction(2 * k, 2))[0], g]
     values = [a + b, a - b, a * b, a ** 2, -a, a + c, a * c, a.shifted(shift),
               a.permuted(mapping), RatFunc.sum(ctx, [a, b, a * b, b * c]),
               RatFunc(a.num, list(a.den) + factors, c), RatFunc(Poly.const(ctx, c)),
               RatFunc(a.num * q, a.den, Fraction(k * q, q)),
-              gln.a_coeff(ctx, 2, rng.randint(1, 2), rng.choice([1, -1]))]
-    u, w = (SkewElement(ctx, {(rng.randint(-1, 1), 0, 0): a, (0, 1, 0): b * c}),
+              gln.a_coeff(ctx, 2, i, s)]
+    u, w = (SkewElement(ctx, {(key, 0, 0): a, (0, 1, 0): b * c}),
             SkewElement(ctx, {(1, 0, 0): b, (0, 0, 0): RatFunc(Poly.one(ctx), factors, c)}))
     values += list((u * w).terms.values()) + list((w * u - u).terms.values())
     assert all(_stored_normally(r) for r in values)
-    assert all(is_normal_rational(g.c) for g in factors)
-    for p in (a.num * c, rand_poly(rng, ctx), Poly.zero(ctx), a.num * Fraction(2 * q, q)):
-        content, prim = p.content_primitive()
-        assert is_normal_rational(content) and content * prim == p
+    assert all(is_normal_rational(h.c) for h in factors)
+    for r in (a.num * c, p, Poly.zero(ctx), a.num * Fraction(2 * q, q)):
+        content, prim = r.content_primitive()
+        assert is_normal_rational(content) and content * prim == r
     # the rule itself refuses Fraction(k, 1), floats and bools
     planted = a * b
     planted.scale = Fraction(planted.scale.numerator if planted.scale else 1, 1)
@@ -159,16 +158,19 @@ def test_exact_rationals_are_stored_as_int_when_integral(seed, k, q):
     assert not any(is_normal_rational(x) for x in (Fraction(k, 1), float(k), True))
 
 
-def test_linear_factor_sort_order():
+x11, x21, x22 = (1, 1), (2, 1), (2, 2)
+FACTOR_ORDER = [LinearFactor(x11, None, Fraction(-1)), LinearFactor(x11, None, Fraction(2)),
+                LinearFactor(x11, x21, Fraction(0)), LinearFactor(x11, x22, Fraction(-3)),
+                LinearFactor(x21, None, Fraction(0)), LinearFactor(x21, x22, Fraction(-1, 2)),
+                LinearFactor(x21, x22, Fraction(1))]
+
+
+@settings(max_examples=20)
+@given(shuffled=st.permutations(FACTOR_ORDER))
+@example(shuffled=FACTOR_ORDER[::-1])
+def test_linear_factor_sort_order(shuffled):
     """`sort_key` orders by a, then b with None first, then c."""
-    x11, x21, x22 = (1, 1), (2, 1), (2, 2)
-    order = [LinearFactor(x11, None, Fraction(-1)), LinearFactor(x11, None, Fraction(2)),
-             LinearFactor(x11, x21, Fraction(0)), LinearFactor(x11, x22, Fraction(-3)),
-             LinearFactor(x21, None, Fraction(0)), LinearFactor(x21, x22, Fraction(-1, 2)),
-             LinearFactor(x21, x22, Fraction(1))]
-    shuffled = order[:]
-    random.Random(7).shuffle(shuffled)
-    assert sorted(shuffled, key=LinearFactor.sort_key) == order
+    assert sorted(shuffled, key=LinearFactor.sort_key) == FACTOR_ORDER
 
 
 def test_zero_normal_form(ctx2):
@@ -192,12 +194,12 @@ def test_evaluate_and_pole(ctx2):
         RatFunc.zero(ctx2).evaluate({(1, 1): 2, (2, 1): 5.0, (2, 2): 3})
 
 
-def test_json_roundtrip(ctx3):
+@settings(max_examples=20)
+@given(r=ratfuncs(CTX3))
+@edge_cases(edge_ratfuncs(CTX3), ["r"])
+def test_json_roundtrip(r):
     """The body `to_json` writes is the value, by sympy."""
-    rng = random.Random(41)
-    for _ in range(20):
-        r = rand_ratfunc(rng, ctx3)
-        assert_body_matches(r, r.to_json())
+    assert_body_matches(r, r.to_json())
 
 
 # -- canonical form: each operation against the full reduction ----------
@@ -236,68 +238,81 @@ def _assert_canonical(result, expected):
     assert result.den == tuple(sorted(result.den, key=LinearFactor.sort_key))
 
 
-def _nonzero_poly(rng, ctx):
-    p = rand_poly(rng, ctx)
-    return Poly.one(ctx) if p.is_zero else p
+@functools.lru_cache(maxsize=None)
+def nonzero_polys(ctx):
+    """`polys`, with the zero replaced by 1."""
+    return polys(ctx).map(lambda p: Poly.one(ctx) if p.is_zero else p)
 
 
-def _cancelling_pairs(rng, ctx):
+@st.composite
+def cancelling_pairs(draw, ctx):
     """Operand pairs whose sum or product must cancel a factor."""
-    f, g = rand_factor(rng, ctx), rand_factor(rng, ctx)
+    f, g = draw(linear_factors(ctx)), draw(linear_factors(ctx))
     fp, gp = f.to_poly(ctx), g.to_poly(ctx)
-    p, q, r = (_nonzero_poly(rng, ctx) for _ in range(3))
-    s, t = (Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(2))
-    extra = [rand_factor(rng, ctx) for _ in range(rng.randint(0, 1))]
-    m = rng.randint(1, 2)
-    # each numerator carries a factor of the other operand's denominator
-    yield RatFunc(p * fp, [g], s), RatFunc(q * gp, [f], t)
-    # a shared factor with equal multiplicity, then with unequal multiplicity
-    yield RatFunc(p, [f] * m + extra, s), RatFunc(q, [f] * m, t)
-    yield RatFunc(p, [f] * (m + 1), s), RatFunc(q, [f] * m + extra, t)
-    # the summed numerator vanishes on the shared factor f^m, to order
-    # k <= m, and to order m + 1 beside a second factor
-    k = rng.randint(1, m)
-    yield RatFunc(p, [f] * m, s), RatFunc(r * fp ** k - p, [f] * m, s)
-    yield RatFunc(p, [f] * m + [g], s), RatFunc(r * fp ** (m + 1) - p, [f] * m + [g], s)
+    p, q, r = (draw(nonzero_polys(ctx)) for _ in range(3))
+    s, t = (Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.sampled_from([1, 2])))
+            for _ in range(2))
+    extra = draw(st.lists(linear_factors(ctx), max_size=1))
+    m = draw(st.integers(1, 2))
+    k = draw(st.integers(1, m))
+    return [
+        # each numerator carries a factor of the other operand's denominator
+        (RatFunc(p * fp, [g], s), RatFunc(q * gp, [f], t)),
+        # a shared factor with equal multiplicity, then with unequal multiplicity
+        (RatFunc(p, [f] * m + extra, s), RatFunc(q, [f] * m, t)),
+        (RatFunc(p, [f] * (m + 1), s), RatFunc(q, [f] * m + extra, t)),
+        # the summed numerator vanishes on the shared factor f^m, to order
+        # k <= m, and to order m + 1 beside a second factor
+        (RatFunc(p, [f] * m, s), RatFunc(r * fp ** k - p, [f] * m, s)),
+        (RatFunc(p, [f] * m + [g], s), RatFunc(r * fp ** (m + 1) - p, [f] * m + [g], s))]
 
 
-def _check_canonical_forms(seed, count):
-    ctx = Context.triangle(3)
-    rng = random.Random(seed)
-    for _ in range(count):
-        pairs = [(rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx))]
-        pairs += _cancelling_pairs(rng, ctx)
-        shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-        mapping = rand_rowperm(rng, ctx)
-        for a, b in pairs:
-            for u, v in ((a, b), (b, a), (a, -a)):
-                _assert_canonical(u + v, _full_sum(u, v))
-                _assert_canonical(u * v, _full_product(u, v))
-            for u in (a, b, a + b, a * b):
-                _assert_canonical(u.shifted(shift), _full_shift(u, shift))
-                _assert_canonical(u.permuted(mapping), _full_permute(u, mapping))
+# the operand pairs of the canonical-form tests, with one drawn shift and
+# row permutation
+canonical_cases = st.tuples(ratfuncs(CTX3), ratfuncs(CTX3), cancelling_pairs(CTX3),
+                            shifts(CTX3), row_permutations(CTX3))
+CANONICAL_EDGES = [(a, b, [], single_shift(CTX3), {})
+                   for a, b in zip(edge_ratfuncs(CTX3), edge_ratfuncs(CTX3)[::-1])]
 
 
-def test_operations_return_the_full_reduction():
-    _check_canonical_forms(seed=53, count=60)
+def _check_canonical_forms(a, b, pairs, shift, mapping):
+    for a, b in [(a, b)] + pairs:
+        for u, v in ((a, b), (b, a), (a, -a)):
+            _assert_canonical(u + v, _full_sum(u, v))
+            _assert_canonical(u * v, _full_product(u, v))
+        for u in (a, b, a + b, a * b):
+            _assert_canonical(u.shifted(shift), _full_shift(u, shift))
+            _assert_canonical(u.permuted(mapping), _full_permute(u, mapping))
+
+
+@settings(max_examples=60)
+@given(case=canonical_cases)
+@edge_cases(CANONICAL_EDGES, ["case"])
+def test_operations_return_the_full_reduction(case):
+    _check_canonical_forms(*case)
 
 
 @pytest.mark.slow
-def test_operations_return_the_full_reduction_long():
-    _check_canonical_forms(seed=59, count=1500)
+@settings(max_examples=1500)
+@given(case=canonical_cases)
+def test_operations_return_the_full_reduction_long(case):
+    _check_canonical_forms(*case)
 
 
 def test_cancelling_pairs_do_cancel():
     """The generated pairs reach the cancelling branches of + and *."""
-    ctx = Context.triangle(3)
-    rng = random.Random(61)
-    sums = products = 0
-    for _ in range(40):
-        for a, b in _cancelling_pairs(rng, ctx):
+    sums, products = [], []
+
+    @settings(max_examples=40)
+    @given(pairs=cancelling_pairs(CTX3))
+    def count(pairs):
+        for a, b in pairs:
             lcm = Counter(a.den) | Counter(b.den)
-            sums += len((a + b).den) < sum(lcm.values())
-            products += len((a * b).den) < len(a.den) + len(b.den)
-    assert sums >= 70 and products >= 30
+            sums.append(len((a + b).den) < sum(lcm.values()))
+            products.append(len((a * b).den) < len(a.den) + len(b.den))
+
+    count()
+    assert sum(sums) >= 70 and sum(products) >= 30
 
 
 # -- numerator parts --------------------------------------------------------
@@ -322,30 +337,30 @@ def _parts_in_normal_form(r: RatFunc) -> bool:
     return True
 
 
-def _part_values(seed, ops):
+@st.composite
+def part_values(draw):
     """Random values, the cancelling pairs and a pair that cancels a
     square from one part, with their products, the coefficients
     a(2,i,+-) and the Vandermondes V2, V3 (an odd permutation negates
-    them), then one new value per entry of ``ops`` from two earlier
-    ones."""
-    ctx = Context.triangle(3)
-    rng = random.Random(seed)
-    values = [rand_ratfunc(rng, ctx) for _ in range(3)]
-    f = rand_factor(rng, ctx)
-    square = (RatFunc(_nonzero_poly(rng, ctx) * f.to_poly(ctx) ** 2),
-              RatFunc(_nonzero_poly(rng, ctx), [f, f]))
-    for a, b in [*_cancelling_pairs(rng, ctx), square]:
+    them), then up to eight new values, each from two earlier ones."""
+    ctx = CTX3
+    values = [draw(ratfuncs(ctx)) for _ in range(3)]
+    f = draw(linear_factors(ctx))
+    square = (RatFunc(draw(nonzero_polys(ctx)) * f.to_poly(ctx) ** 2),
+              RatFunc(draw(nonzero_polys(ctx)), [f, f]))
+    for a, b in [*draw(cancelling_pairs(ctx)), square]:
         values += [a, b, a * b]
     values += [gln.a_coeff(ctx, 2, i, s) for i in (1, 2) for s in (1, -1)]
     values += [RatFunc(vandermonde(ctx, k)) for k in (2, 3)]
-    for op in ops:
-        a, b = rng.choice(values), rng.choice(values)
+    for op in draw(st.lists(st.sampled_from(["mul", "shift", "permute", "sum", "neg"]),
+                            max_size=8)):
+        a, b = draw(st.sampled_from(values)), draw(st.sampled_from(values))
         if op == "mul":
             values.append(a * b)
         elif op == "shift":
-            values.append(a.shifted({v: rng.randint(-2, 2) for v in ctx.shift_vars}))
+            values.append(a.shifted(draw(shifts(ctx))))
         elif op == "permute":
-            values.append(a.permuted(rand_rowperm(rng, ctx)))
+            values.append(a.permuted(draw(row_permutations(ctx))))
         elif op == "sum":
             values.append(RatFunc.sum(ctx, [a, b, a * b]))
         else:
@@ -354,14 +369,14 @@ def _part_values(seed, ops):
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32),
-       ops=st.lists(st.sampled_from(["mul", "shift", "permute", "sum", "neg"]), max_size=8))
-def test_parts_stay_in_normal_form(seed, ops):
-    _check_parts(seed, ops)
+@given(values=part_values())
+@edge_cases([edge_ratfuncs(CTX3)], ["values"])
+def test_parts_stay_in_normal_form(values):
+    _check_parts(values)
 
 
-def _check_parts(seed, ops):
-    assert all(_parts_in_normal_form(r) for r in _part_values(seed, ops))
+def _check_parts(values):
+    assert all(_parts_in_normal_form(r) for r in values)
 
 
 def test_parts_check_catches_an_uncancelled_part(monkeypatch):
@@ -371,8 +386,14 @@ def test_parts_check_catches_an_uncancelled_part(monkeypatch):
     from skewgt import ratfunc
     monkeypatch.setattr(ratfunc, "_cancel", lambda parts, factors, scale:
                         (scale, list(parts), list(factors)))
+
+    @settings(max_examples=1, phases=[Phase.generate])
+    @given(values=part_values())
+    def check(values):
+        _check_parts(values)
+
     with pytest.raises(AssertionError):
-        _check_parts(0, [])
+        check()
 
 
 # -- n-ary sums -------------------------------------------------------------
@@ -384,40 +405,47 @@ def _fold(ctx, terms):
     return out
 
 
-def _sum_lists(rng, ctx):
+def sum_lists(a, b, c, pairs):
     """Term lists for RatFunc.sum: one term, lists that cancel to zero,
     scales over different denominators, and the cancelling pairs with a
     third operand beside them."""
-    a, b, c = (rand_ratfunc(rng, ctx) for _ in range(3))
     yield [a]
     yield [a, b, -a, -b]
     yield [a, b, c]
     yield [a * Fraction(1, 3), b * Fraction(-2, 5), c * Fraction(5, 7), a]
-    for p, q in _cancelling_pairs(rng, ctx):
+    for p, q in pairs:
         yield [p, q]
         yield [p, c, q]
         yield [p, q, -p, a]
 
 
+sum_cases = st.tuples(ratfuncs(CTX3), ratfuncs(CTX3), ratfuncs(CTX3), cancelling_pairs(CTX3))
+SUM_EDGES = [(*edge_ratfuncs(CTX3), []), (*edge_ratfuncs(CTX3)[::-1], [])]
+
+
 def test_nary_sum_equals_the_fold():
-    ctx = Context.triangle(3)
-    rng = random.Random(71)
+    ctx = CTX3
     assert RatFunc.sum(ctx, []) == RatFunc.zero(ctx)
-    zeros = 0
-    for _ in range(30):
-        for terms in _sum_lists(rng, ctx):
+    zeros = []
+
+    @settings(max_examples=30)
+    @given(case=sum_cases)
+    @edge_cases(SUM_EDGES, ["case"])
+    def check(case):
+        for terms in sum_lists(*case):
             total = RatFunc.sum(ctx, terms)
             _assert_canonical(total, _fold(ctx, terms))
-            zeros += total.is_zero
-    assert zeros >= 30
+            zeros.append(total.is_zero)
+
+    check()
+    assert sum(zeros) >= 30
 
 
 def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
     """A factor whose top multiplicity (in the lcm of the denominators)
     only one operand reaches is never tried; the others are tried at
     most that many times."""
-    ctx = Context.triangle(3)
-    rng = random.Random(73)
+    ctx = CTX3
     tried = Counter()
     exact_div_linear = Poly.exact_div_linear
 
@@ -425,9 +453,13 @@ def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
         tried[LinearFactor(a, b, c)] += 1
         return exact_div_linear(self, a, b, c)
 
-    skipped = hits = 0
-    for _ in range(30):
-        for terms in _sum_lists(rng, ctx):
+    skipped, hits = [], []
+
+    @settings(max_examples=30)
+    @given(case=sum_cases)
+    @edge_cases(SUM_EDGES, ["case"])
+    def check(case):
+        for terms in sum_lists(*case):
             dens = [Counter(t.den) for t in terms]
             top = Counter()
             for d in dens:
@@ -438,10 +470,12 @@ def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
             total = RatFunc.sum(ctx, terms)
             monkeypatch.undo()
             assert all(reached[f] >= 2 and m <= top[f] for f, m in tried.items())
-            skipped += sum(reached[f] == 1 for f in top)
+            skipped.append(sum(reached[f] == 1 for f in top))
             if not total.is_zero:
-                hits += sum(top.values()) - len(total.den)
-    assert skipped >= 300 and hits >= 100
+                hits.append(sum(top.values()) - len(total.den))
+
+    check()
+    assert sum(skipped) >= 300 and sum(hits) >= 100
 
 
 # -- linear divisions tried by two CLI jobs ------------------------------
@@ -548,7 +582,7 @@ def to_sympy(r, syms):
     return rational(r.scale) * num / den
 
 
-def _sympy_ratfunc_cases(seed, count):
+def _check_ratfunc_against_sympy(a, b, shift, mapping):
     """RatFunc +, *, shifted and permuted at n=3 against sympy's rational
     functions.
 
@@ -556,8 +590,7 @@ def _sympy_ratfunc_cases(seed, count):
     combined difference expands to 0) and be stored in normal form: int
     numerator coefficients, an int or non-integral Fraction scale."""
     sympy = pytest.importorskip("sympy")
-    ctx = Context.triangle(3)
-    syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
+    syms = {v: sympy.Symbol(CTX3.var_name(v)) for v in CTX3.vars}
 
     def agrees(expr, r):
         assert all(type(c) is int for c in r.num.terms.values())
@@ -565,69 +598,85 @@ def _sympy_ratfunc_cases(seed, count):
         num, _ = sympy.fraction(sympy.together(expr - to_sympy(r, syms)))
         return sympy.expand(num) == 0
 
-    rng = random.Random(seed)
-    perm_rng = random.Random(-seed)
-    for _ in range(count):
-        a, b = rand_ratfunc(rng, ctx), rand_ratfunc(rng, ctx)
-        shift = {v: rng.randint(-2, 2) for v in ctx.shift_vars}
-        sa, sb = to_sympy(a, syms), to_sympy(b, syms)
-        assert agrees(sa + sb, a + b)
-        assert agrees(sa * sb, a * b)
-        moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
-        assert agrees(moved, a.shifted(shift))
-        mapping = rand_rowperm(perm_rng, ctx)
-        renamed = sa.xreplace({syms[v]: syms[w] for v, w in mapping.items()})
-        assert agrees(renamed, a.permuted(mapping))
+    sa, sb = to_sympy(a, syms), to_sympy(b, syms)
+    assert agrees(sa + sb, a + b)
+    assert agrees(sa * sb, a * b)
+    moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
+    assert agrees(moved, a.shifted(shift))
+    renamed = sa.xreplace({syms[v]: syms[w] for v, w in mapping.items()})
+    assert agrees(renamed, a.permuted(mapping))
 
 
-def test_ratfunc_matches_sympy():
-    _sympy_ratfunc_cases(seed=43, count=40)
+sympy_ratfunc_cases = dict(a=ratfuncs(CTX3), b=ratfuncs(CTX3), shift=shifts(CTX3),
+                           mapping=row_permutations(CTX3))
+
+
+@settings(max_examples=40)
+@given(**sympy_ratfunc_cases)
+@edge_cases(edge_ratfuncs(CTX3), ["a", "b"], shift=single_shift(CTX3),
+            mapping={(2, 1): (2, 2), (2, 2): (2, 1)})
+def test_ratfunc_matches_sympy(a, b, shift, mapping):
+    _check_ratfunc_against_sympy(a, b, shift, mapping)
 
 
 @pytest.mark.slow
-def test_ratfunc_matches_sympy_long():
-    _sympy_ratfunc_cases(seed=47, count=1000)
+@settings(max_examples=1000)
+@given(**sympy_ratfunc_cases)
+def test_ratfunc_matches_sympy_long(a, b, shift, mapping):
+    _check_ratfunc_against_sympy(a, b, shift, mapping)
 
 
-def _sympy_nary_sum_cases(seed, count):
-    """RatFunc.sum of 3-5 operands at n=3 against sympy.
+@st.composite
+def nary_sum_cases(draw, paired, grouped):
+    """3-5 operands at n=3 and the factors f, g they share.
 
-    The operands share two factors f and g, each at multiplicity 0-2 in
-    each denominator, so a factor meets the others at equal and at
-    unequal multiplicity; some carry a third factor of their own.  The
-    scales have denominators 1, 2, 3, 5 and 7.  In every other case the
-    first two operands are p/f^m and (r f - p)/f^m, whose numerators sum
-    to a multiple of f.  In half the cases four operands over two new
-    denominators join them at random places: two over h, and two over fh
-    whose numerators cancel, so a sum groups operands over equal
-    denominators beside operands over others.  Each sum must agree with
-    sympy in value and be the full reduction of the sum over the product
-    of all denominators."""
+    Each denominator holds f and g at multiplicity 0-2 each, so a factor
+    meets the others at equal and at unequal multiplicity; some carry a
+    third factor of their own.  The scales have denominators 1, 2, 3, 5
+    and 7.  If `paired`, the first two operands are p/f^m and
+    (r f - p)/f^m, whose numerators sum to a multiple of f.  If
+    `grouped`, four operands over two new denominators join them at drawn
+    places: two over h, and two over fh whose numerators cancel, so a sum
+    groups operands over equal denominators beside operands over others."""
+    ctx = CTX3
+    f, g = draw(linear_factors(ctx)), draw(linear_factors(ctx))
+    multiplicity = st.integers(0, 2)
+    terms = []
+    for _ in range(draw(st.integers(3, 5))):
+        den = [f] * draw(multiplicity) + [g] * draw(multiplicity)
+        den += draw(st.lists(linear_factors(ctx), max_size=1))
+        scale = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 4])),
+                         draw(st.sampled_from([1, 2, 3, 5, 7])))
+        terms.append(RatFunc(draw(nonzero_polys(ctx)), den, scale))
+    if paired:
+        p, r = draw(nonzero_polys(ctx)), draw(nonzero_polys(ctx))
+        m = draw(st.integers(1, 2))
+        s = Fraction(draw(st.sampled_from([-1, 2])), draw(st.sampled_from([3, 5])))
+        terms[:2] = [RatFunc(p, [f] * m, s), RatFunc(r * f.to_poly(ctx) - p, [f] * m, s)]
+    if grouped:
+        h = draw(linear_factors(ctx))
+        p, q = draw(nonzero_polys(ctx)), draw(nonzero_polys(ctx))
+        s = Fraction(draw(st.sampled_from([-1, 2])), draw(st.sampled_from([1, 3])))
+        for t in (RatFunc(p, [h], s), RatFunc(q, [h], 2),
+                  RatFunc(q, [f, h], s), RatFunc(q * -2, [f, h], s / 2)):
+            terms.insert(draw(st.integers(0, len(terms))), t)
+    return terms, f, g
+
+
+def _check_nary_sums_against_sympy(count):
+    """RatFunc.sum on `count` drawn `nary_sum_cases`, a quarter of them
+    with each choice of `paired` and `grouped`, against sympy.
+
+    Each sum must agree with sympy in value and be the full reduction of
+    the sum over the product of all denominators; the cases must reach
+    each shape of the docstring above often enough."""
     sympy = pytest.importorskip("sympy")
-    ctx = Context.triangle(3)
+    ctx = CTX3
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
-    rng = random.Random(seed)
     shapes = Counter()
-    for case in range(count):
-        f, g = rand_factor(rng, ctx), rand_factor(rng, ctx)
-        terms = []
-        for _ in range(rng.randint(3, 5)):
-            den = [f] * rng.randint(0, 2) + [g] * rng.randint(0, 2)
-            den += [rand_factor(rng, ctx) for _ in range(rng.randint(0, 1))]
-            scale = Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 5, 7]))
-            terms.append(RatFunc(_nonzero_poly(rng, ctx), den, scale))
-        if case % 2:
-            p, r = _nonzero_poly(rng, ctx), _nonzero_poly(rng, ctx)
-            m = rng.randint(1, 2)
-            s = Fraction(rng.choice([-1, 2]), rng.choice([3, 5]))
-            terms[:2] = [RatFunc(p, [f] * m, s), RatFunc(r * f.to_poly(ctx) - p, [f] * m, s)]
-        if case % 4 < 2:
-            h = rand_factor(rng, ctx)
-            p, q = _nonzero_poly(rng, ctx), _nonzero_poly(rng, ctx)
-            s = Fraction(rng.choice([-1, 2]), rng.choice([1, 3]))
-            for t in (RatFunc(p, [h], s), RatFunc(q, [h], 2),
-                      RatFunc(q, [f, h], s), RatFunc(q * -2, [f, h], s / 2)):
-                terms.insert(rng.randint(0, len(terms)), t)
+
+    def check(case):
+        terms, f, g = case
         total = RatFunc.sum(ctx, terms)
         expected = sum((to_sympy(t, syms) for t in terms), sympy.Integer(0))
         num, _ = sympy.fraction(sympy.together(expected - to_sympy(total, syms)))
@@ -649,50 +698,58 @@ def _sympy_nary_sum_cases(seed, count):
         shapes["grouped"] += len(groups) > 1 and any(
             k > 1 and sum((t.num * t.scale for t in terms if t.den == den), Poly.zero(ctx)).is_zero
             for den, k in groups.items())
+
+    for paired in (False, True):
+        for grouped in (False, True):
+            settings(max_examples=count // 4)(given(nary_sum_cases(paired, grouped))(check))()
     assert shapes["equal"] >= count // 2 and shapes["unequal"] >= count // 2, shapes
     assert shapes["cancelled"] >= count // 8, shapes
     assert shapes["grouped"] >= count // 4, shapes
 
 
 def test_nary_sum_matches_sympy():
-    _sympy_nary_sum_cases(seed=83, count=24)
+    _check_nary_sums_against_sympy(count=24)
 
 
 @pytest.mark.slow
 def test_nary_sum_matches_sympy_long():
-    _sympy_nary_sum_cases(seed=89, count=400)
+    _check_nary_sums_against_sympy(count=400)
 
 
-def _sympy_evaluation_cases(seed, count):
-    """RatFunc.evaluate at n=3 against sympy's subs at rational points
-    with mixed denominators; at a pole, the first vanishing factor (found
-    by sympy) must be named in the ZeroDivisionError."""
+def _check_evaluation_against_sympy(count):
+    """RatFunc.evaluate at n=3 against sympy's subs at `count` drawn
+    rational points with mixed denominators; at a pole, the first
+    vanishing factor (found by sympy) must be named in the
+    ZeroDivisionError, and some draws must be poles."""
     sympy = pytest.importorskip("sympy")
-    ctx = Context.triangle(3)
+    ctx = CTX3
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
-    rng = random.Random(seed)
-    poles = 0
-    for _ in range(count):
-        r = rand_ratfunc(rng, ctx)
-        point = rand_point(rng, ctx)
+    poles = []
+
+    @settings(max_examples=count)
+    @given(r=ratfuncs(ctx), point=points(ctx))
+    @edge_cases(edge_ratfuncs(ctx), ["r"], point={v: Fraction(-1, 2) for v in ctx.vars})
+    def check(r, point):
         values = {syms[v]: rational(q) for v, q in point.items()}
         vanishing = [f for f in r.den if factor_to_sympy(f, syms).subs(values) == 0]
         if vanishing:
-            poles += 1
+            poles.append(point)
             message = f"denominator factor {vanishing[0].render(ctx)} vanishes at the point"
             with pytest.raises(ZeroDivisionError, match=re.escape(message)):
                 r.evaluate(point)
-            continue
+            return
         val = r.evaluate(point)
         assert type(val) is Fraction
         assert rational(val) == to_sympy(r, syms).subs(values), (r, point)
+
+    check()
     assert poles
 
 
 def test_evaluate_matches_sympy():
-    _sympy_evaluation_cases(seed=61, count=80)
+    _check_evaluation_against_sympy(count=80)
 
 
 @pytest.mark.slow
 def test_evaluate_matches_sympy_long():
-    _sympy_evaluation_cases(seed=67, count=3000)
+    _check_evaluation_against_sympy(count=3000)

@@ -1,27 +1,35 @@
 """The operators `Ring` writes for every exact ring type: `+`, `*`,
 `-`, their reflections and `**`, checked against each other and against
-the types' own `_add`, `_mul` and unary `-` on seeded `Poly`, `RatFunc`
+the types' own `_add`, `_mul` and unary `-` on drawn `Poly`, `RatFunc`
 and `SkewElement` values."""
 
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewgt.polys import Context, Poly, Ring
 from skewgt.ratfunc import RatFunc
 from skewgt.skew import SkewElement
 
-from conftest import rand_poly, rand_ratfunc, rand_rowperm, rand_skew
+from conftest import (edge_cases, edge_polys, edge_ratfuncs, edge_skews, polys, ratfuncs,
+                      row_permutations, skew_elements)
+
+CONTEXTS = [Context.triangle(2), Context.triangle(3)]
+KINDS = [polys, ratfuncs, skew_elements]
 
 
-def _cases(seed, count):
-    rng = random.Random(seed)
-    for case in range(count):
-        ctx = Context.triangle(rng.choice([2, 3]))
-        make = (rand_poly, rand_ratfunc, rand_skew)[case % 3]
-        yield make(rng, ctx), make(rng, ctx), rng
+@st.composite
+def same_kind_pairs(draw):
+    """Two values of one ring type over one of CONTEXTS."""
+    values = draw(st.sampled_from(KINDS))(draw(st.sampled_from(CONTEXTS)))
+    return draw(values), draw(values)
+
+
+EDGE_PAIRS = [pair for ctx in CONTEXTS for edges in (edge_polys(ctx), edge_ratfuncs(ctx),
+                                                        edge_skews(ctx))
+              for pair in zip(edges, edges[1:] + edges[:1])]
+FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([2, 5]))
 
 
 def test_types_share_one_protocol():
@@ -32,69 +40,92 @@ def test_types_share_one_protocol():
             assert op not in vars(cls) and getattr(cls, op) is vars(Ring)[op]
 
 
-def test_derived_operators_agree_with_the_primitive_ones():
-    for a, b, rng in _cases(seed=71, count=45):
-        one = type(a).one(a.ctx)
-        assert a - b == a + (-b)
-        assert (a - a).is_zero
-        for c in (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.choice([2, 5]))):
-            assert c - a == -(a - c)
-            assert a - c == a + (-c)
-            assert c + a == a + c
-            if isinstance(a, SkewElement):
-                assert c * a == a * c
-        assert a ** 3 == a * a * a
-        assert a ** 1 == one * a
-        assert a ** 0 == one
-        with pytest.raises(ValueError):
-            a ** -1
-        with pytest.raises(ValueError):
-            a ** Fraction(1, 2)
-        assert a.__sub__("x") is NotImplemented
+@settings(max_examples=45)
+@given(pair=same_kind_pairs(), scalars=st.tuples(st.integers(-3, 3), FRACTIONS))
+@edge_cases(EDGE_PAIRS, ["pair"], scalars=(0, Fraction(-3, 2)))
+def test_derived_operators_agree_with_the_primitive_ones(pair, scalars):
+    a, b = pair
+    one = type(a).one(a.ctx)
+    assert a - b == a + (-b)
+    assert (a - a).is_zero
+    for c in scalars:
+        assert c - a == -(a - c)
+        assert a - c == a + (-c)
+        assert c + a == a + c
+        if isinstance(a, SkewElement):
+            assert c * a == a * c
+    assert a ** 3 == a * a * a
+    assert a ** 1 == one * a
+    assert a ** 0 == one
+    with pytest.raises(ValueError):
+        a ** -1
+    with pytest.raises(ValueError):
+        a ** Fraction(1, 2)
+    assert a.__sub__("x") is NotImplemented
+    with pytest.raises(TypeError):
+        a - "x"
+    with pytest.raises(TypeError):
+        "x" - a
+    for op in (lambda: a + "x", lambda: "x" + a,
+               lambda: a * "x", lambda: "x" * a):
         with pytest.raises(TypeError):
-            a - "x"
-        with pytest.raises(TypeError):
-            "x" - a
-        for op in (lambda: a + "x", lambda: "x" + a,
-                   lambda: a * "x", lambda: "x" * a):
-            with pytest.raises(TypeError):
-                op()
+            op()
 
 
-def test_skew_products_promote_coefficients():
+@st.composite
+def promotion_cases(draw):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    return draw(skew_elements(ctx)), draw(polys(ctx)), draw(ratfuncs(ctx))
+
+
+@settings(max_examples=30)
+@given(case=promotion_cases())
+@edge_cases([case for ctx in CONTEXTS
+             for case in zip(edge_skews(ctx), edge_polys(ctx) * 2, edge_ratfuncs(ctx)[::-1] * 2)],
+            ["case"])
+def test_skew_products_promote_coefficients(case):
     """A coefficient times a skew element is the product with the
     coefficient embedded at the identity shift, on either side; the
     left and right products differ in general."""
-    rng = random.Random(72)
-    for _ in range(30):
-        ctx = Context.triangle(rng.choice([2, 3]))
-        u, p = rand_skew(rng, ctx), rand_poly(rng, ctx)
-        e = SkewElement.from_coeff(p)
-        assert p * u == e * u
-        assert u * p == u * e
-        r = rand_ratfunc(rng, ctx)
-        assert r * u == SkewElement.from_coeff(r) * u
-        assert u + p == p + u == u + e
+    u, p, r = case
+    e = SkewElement.from_coeff(p)
+    assert p * u == e * u
+    assert u * p == u * e
+    assert r * u == SkewElement.from_coeff(r) * u
+    assert u + p == p + u == u + e
 
 
-def test_act_keeps_terms_and_cycles_have_their_order():
+@st.composite
+def act_cases(draw):
+    """An element with up to four terms at n = 3 or 4, a row permutation,
+    a 3-cycle of consecutive variables of a row with at least three, and
+    a transposition of two variables of a row with at least two."""
+    ctx = draw(st.sampled_from([Context.triangle(3), Context.triangle(4)]))
+    row = draw(st.sampled_from([k for k in ctx.rows if k >= 3]))
+    i = draw(st.integers(1, len(ctx.rows[row]) - 2))
+    c3 = {(row, i): (row, i + 1), (row, i + 1): (row, i + 2), (row, i + 2): (row, i)}
+    row = draw(st.sampled_from([k for k in ctx.rows if k >= 2]))
+    i, j = sorted(draw(st.lists(st.integers(1, len(ctx.rows[row])), min_size=2, max_size=2,
+                                unique=True)))
+    t = {(row, i): (row, j), (row, j): (row, i)}
+    return draw(skew_elements(ctx, max_terms=4)), draw(row_permutations(ctx)), c3, t
+
+
+ACT_EDGES = [(u, {}, {(3, 1): (3, 2), (3, 2): (3, 3), (3, 3): (3, 1)},
+              {(2, 1): (2, 2), (2, 2): (2, 1)}) for u in edge_skews(Context.triangle(3))]
+
+
+@settings(max_examples=30)
+@given(case=act_cases())
+@edge_cases(ACT_EDGES, ["case"])
+def test_act_keeps_terms_and_cycles_have_their_order(case):
     """Conjugation by a row permutation is a bijection on shift keys, so
     `act` keeps the number of terms; a 3-cycle applied three times and
     a transposition applied twice give the element back."""
-    rng = random.Random(73)
-    for _ in range(30):
-        ctx = Context.triangle(rng.choice([3, 4]))
-        u = rand_skew(rng, ctx, max_terms=4)
-        g = rand_rowperm(rng, ctx)
-        assert len(u.act(g).terms) == len(u.terms)
-        row = rng.choice([k for k in ctx.rows if k >= 3])
-        i = rng.randint(1, len(ctx.rows[row]) - 2)
-        c3 = {(row, i): (row, i + 1), (row, i + 1): (row, i + 2), (row, i + 2): (row, i)}
-        assert u.act(c3).act(c3).act(c3) == u
-        row = rng.choice([k for k in ctx.rows if k >= 2])
-        i, j = sorted(rng.sample(range(1, len(ctx.rows[row]) + 1), 2))
-        t = {(row, i): (row, j), (row, j): (row, i)}
-        assert u.act(t).act(t) == u
+    u, g, c3, t = case
+    assert len(u.act(g).terms) == len(u.terms)
+    assert u.act(c3).act(c3).act(c3) == u
+    assert u.act(t).act(t) == u
 
 
 class CountingRing(Ring):
@@ -128,23 +159,20 @@ def test_powers_square_through_the_product_operator():
     assert (a ** 1) is a
 
 
+CTX2 = Context.triangle(2)
+X11 = SkewElement.from_coeff(Poly.var(CTX2, (1, 1)))
+
+
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(["poly", "ratfunc", "skew"]),
+@given(a=st.one_of(polys(CTX2), ratfuncs(CTX2),
+                   skew_elements(CTX2).filter(lambda a: a * X11 != X11 * a)),
        k=st.integers(0, 9))
-def test_power_is_the_left_to_right_product(seed, kind, k):
+@edge_cases(edge_polys(CTX2) + edge_ratfuncs(CTX2) + edge_skews(CTX2)[-1:], ["a"], k=5)
+def test_power_is_the_left_to_right_product(a, k):
     """`a ** k` by squaring equals one * a * ... * a (k factors) on
     every ring type, the skew elements drawn so that they do not
     commute with a coordinate."""
-    rng = random.Random(seed)
-    ctx = Context.triangle(2)
-    if kind == "poly":
-        a = rand_poly(rng, ctx, max_terms=3, max_deg=2)
-    elif kind == "ratfunc":
-        a = rand_ratfunc(rng, ctx)
-    else:
-        a = rand_skew(rng, ctx, max_terms=2)
-        x11 = SkewElement.from_coeff(Poly.var(ctx, (1, 1)))
-        assume(a * x11 != x11 * a)
+    ctx = CTX2
     expected = type(a).one(ctx)
     for _ in range(k):
         expected = expected * a

@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +12,11 @@ from skewgt.ratfunc import RatFunc, linear_factor
 from skewgt.skew import SkewElement, alt_generators, commutator, is_invariant, sym_generators
 from skewgt import gln, skew
 
-from conftest import assert_skew_body_matches, compose, rand_rowperm, rand_skew, row_permutations
+from conftest import (assert_skew_body_matches, compose, edge_cases, edge_skews,
+                      row_permutations, skew_elements)
+
+CTX2, CTX3 = Context.triangle(2), Context.triangle(3)
+EDGES2, EDGES3 = edge_skews(CTX2), edge_skews(CTX3)
 
 
 def unit_key(ctx, v, power=1):
@@ -66,23 +69,21 @@ def test_ladder_commutator_hand_oracle(ctx2):
     assert commutator(X1p, X1p).is_zero
 
 
-def test_identity_shift_is_unit(ctx2):
-    rng = random.Random(43)
-    one = SkewElement.one(ctx2)
-    for _ in range(30):
-        u = rand_skew(rng, ctx2)
-        assert one * u == u
-        assert u * one == u
+@settings(max_examples=30)
+@given(u=skew_elements(CTX2))
+@edge_cases(EDGES2, ["u"])
+def test_identity_shift_is_unit(u):
+    one = SkewElement.one(CTX2)
+    assert one * u == u
+    assert u * one == u
 
 
-def test_skew_mul_associative_random(ctx2):
-    rng = random.Random(47)
-    for _ in range(40):
-        a = rand_skew(rng, ctx2)
-        b = rand_skew(rng, ctx2)
-        c = rand_skew(rng, ctx2)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+@settings(max_examples=40)
+@given(a=skew_elements(CTX2), b=skew_elements(CTX2), c=skew_elements(CTX2))
+@edge_cases(EDGES2, ["a", "b", "c"])
+def test_skew_mul_associative_random(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
 
 
 def test_convert_coefficients(ctx2):
@@ -96,11 +97,11 @@ def test_convert_coefficients(ctx2):
     assert v.right_coefficients()[e] == RatFunc(x11 - 2)
 
 
-def test_right_left_roundtrip_random(ctx3):
-    rng = random.Random(53)
-    for _ in range(30):
-        u = rand_skew(rng, ctx3)
-        assert SkewElement.from_right(ctx3, u.right_coefficients()) == u
+@settings(max_examples=30)
+@given(u=skew_elements(CTX3))
+@edge_cases(EDGES3, ["u"])
+def test_right_left_roundtrip_random(u):
+    assert SkewElement.from_right(CTX3, u.right_coefficients()) == u
 
 
 def test_support(ctx3):
@@ -149,23 +150,22 @@ def test_ladder_coevaluation_preserves_symmetric_ring(ctx3):
                 assert gln.membership(out, "Gamma"), (k, s, kk, ii)
 
 
-def test_evaluation_is_a_module_action(ctx2):
-    rng = random.Random(79)
-    for _ in range(20):
-        u = rand_skew(rng, ctx2)
-        v = rand_skew(rng, ctx2)
-        a = rand_skew(rng, ctx2).identity_coefficient()
-        assert (u * v).evaluate(a) == u.evaluate(v.evaluate(a))
-        assert (u * v).coevaluate(a) == v.coevaluate(u.coevaluate(a))
+@settings(max_examples=20)
+@given(u=skew_elements(CTX2), v=skew_elements(CTX2), w=skew_elements(CTX2))
+@edge_cases(EDGES2, ["u", "v", "w"])
+def test_evaluation_is_a_module_action(u, v, w):
+    a = w.identity_coefficient()
+    assert (u * v).evaluate(a) == u.evaluate(v.evaluate(a))
+    assert (u * v).coevaluate(a) == v.coevaluate(u.coevaluate(a))
 
 
-def test_evaluate_matches_coevaluate_on_pure_coefficients(ctx2):
-    rng = random.Random(59)
-    for _ in range(25):
-        u = rand_skew(rng, ctx2)
-        pure = SkewElement.from_coeff(u.identity_coefficient())
-        a = rand_skew(rng, ctx2).identity_coefficient()
-        assert pure.evaluate(a) == pure.coevaluate(a)
+@settings(max_examples=25)
+@given(u=skew_elements(CTX2), w=skew_elements(CTX2))
+@edge_cases(EDGES2, ["u", "w"])
+def test_evaluate_matches_coevaluate_on_pure_coefficients(u, w):
+    pure = SkewElement.from_coeff(u.identity_coefficient())
+    a = w.identity_coefficient()
+    assert pure.evaluate(a) == pure.coevaluate(a)
 
 
 def test_group_action_examples(ctx3):
@@ -196,36 +196,34 @@ def test_bad_row_mappings_are_refused(ctx3):
     assert const.permuted({}) == const
 
 
-def test_group_action_is_algebra_homomorphism(ctx3):
-    rng = random.Random(61)
-    for _ in range(20):
-        u = rand_skew(rng, ctx3)
-        v = rand_skew(rng, ctx3)
-        g = rand_rowperm(rng, ctx3)
-        assert (u * v).act(g) == u.act(g) * v.act(g)
-        assert (u + v).act(g) == u.act(g) + v.act(g)
+SWAP2 = {(2, 1): (2, 2), (2, 2): (2, 1)}
+CYCLE3 = {(3, 1): (3, 2), (3, 2): (3, 3), (3, 3): (3, 1)}
 
 
-def test_rowperm_group_axioms(ctx3):
-    rng = random.Random(67)
-    for _ in range(40):
-        g = rand_rowperm(rng, ctx3)
-        h = rand_rowperm(rng, ctx3)
-        k = rand_rowperm(rng, ctx3)
-        assert compose(compose(g, h), k) == compose(g, compose(h, k))
-        inverse = {w: v for v, w in g.items()}
-        moved = {v: w for v, w in g.items() if w != v}
-        assert compose(g, {}) == compose({}, g) == moved
-        assert compose(g, inverse) == compose(inverse, g) == {}
+@settings(max_examples=20)
+@given(u=skew_elements(CTX3), v=skew_elements(CTX3), g=row_permutations(CTX3))
+@edge_cases(EDGES3, ["u", "v"], g={**SWAP2, **CYCLE3})
+def test_group_action_is_algebra_homomorphism(u, v, g):
+    assert (u * v).act(g) == u.act(g) * v.act(g)
+    assert (u + v).act(g) == u.act(g) + v.act(g)
 
 
-def test_action_composition(ctx3):
-    rng = random.Random(71)
-    for _ in range(20):
-        g = rand_rowperm(rng, ctx3)
-        h = rand_rowperm(rng, ctx3)
-        u = rand_skew(rng, ctx3)
-        assert u.act(compose(g, h)) == u.act(h).act(g)
+@settings(max_examples=40)
+@given(g=row_permutations(CTX3), h=row_permutations(CTX3), k=row_permutations(CTX3))
+@edge_cases([{}, SWAP2, CYCLE3], ["g", "h", "k"])
+def test_rowperm_group_axioms(g, h, k):
+    assert compose(compose(g, h), k) == compose(g, compose(h, k))
+    inverse = {w: v for v, w in g.items()}
+    moved = {v: w for v, w in g.items() if w != v}
+    assert compose(g, {}) == compose({}, g) == moved
+    assert compose(g, inverse) == compose(inverse, g) == {}
+
+
+@settings(max_examples=20)
+@given(g=row_permutations(CTX3), h=row_permutations(CTX3), u=skew_elements(CTX3))
+@edge_cases(EDGES3, ["u"], g=SWAP2, h=CYCLE3)
+def test_action_composition(g, h, u):
+    assert u.act(compose(g, h)) == u.act(h).act(g)
 
 
 def test_invariance(ctx3):
@@ -289,12 +287,12 @@ def test_ladder_supports_span_lattice():
         assert supports == {unit_key(ctx, v, s) for v in ctx.shift_vars for s in (1, -1)}
 
 
-def test_json_roundtrip(ctx3):
+@settings(max_examples=15)
+@given(u=skew_elements(CTX3))
+@edge_cases(EDGES3, ["u"])
+def test_json_roundtrip(u):
     """The body `to_json` writes is the element, by sympy."""
-    rng = random.Random(73)
-    for _ in range(15):
-        u = rand_skew(rng, ctx3)
-        assert_skew_body_matches(u, u.to_json())
+    assert_skew_body_matches(u, u.to_json())
 
 
 
@@ -465,6 +463,27 @@ def _check_against_model(n, word, g, points=None):
     assert SkewElement.from_right(ctx, right) == u
 
 
+# One prime per variable through n = 4.  A coordinate m + r/p with
+# 0 < r < p is never an integer, and two of them never differ by one,
+# so no factor (x_a - x_b + c) or (x_a + c) with an integral c, the only
+# kind the generators and the model have, vanishes at such a point.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def exact_point(ctx, whole, residues):
+    """The point x_v = whole_v + residue_v / p_v, p_v the v-th prime."""
+    return {v: m + Fraction(r, p) for v, m, r, p in zip(ctx.vars, whole, residues, PRIMES)}
+
+
+@st.composite
+def exact_points(draw, ctx):
+    """Points off every pole of the generators, with coordinates of
+    magnitude up to 10^6."""
+    whole = [draw(st.integers(-10 ** 6, 10 ** 6)) for _ in ctx.vars]
+    residues = [draw(st.integers(1, p - 1)) for p in PRIMES[:len(ctx.vars)]]
+    return exact_point(ctx, whole, residues)
+
+
 @st.composite
 def oracle_cases(draw, ns, max_len, commutators_up_to, points):
     n = draw(st.sampled_from(ns))
@@ -472,9 +491,7 @@ def oracle_cases(draw, ns, max_len, commutators_up_to, points):
     word = draw(st.lists(st.sampled_from(names), min_size=1, max_size=max_len))
     ctx = Context.triangle(n)
     g = draw(row_permutations(ctx))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    pts = [{v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
-            for v in ctx.vars} for _ in range(points)]
+    pts = [draw(exact_points(ctx)) for _ in range(points)]
     return n, word, g, pts or None
 
 
@@ -508,9 +525,9 @@ def test_sympy_model_catches_planted_faults(monkeypatch):
     `SkewElement.__neg__` that returns its operand (so the bracket's
     second product keeps its sign and E13 sums E12*E23 + E23*E12) each
     fail the comparison with the model."""
-    rng = random.Random(97)
-    points = [{v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
-               for v in Context.triangle(3).vars} for _ in range(2)]
+    ctx = Context.triangle(3)
+    points = [exact_point(ctx, (-401207, 77512, 938104, -5063, 260418, -719990), [1] * 6),
+              exact_point(ctx, (13, -888121, 40440, 612377, -99, 351), (1, 2, 4, 3, 7, 12))]
     cases = [(3, ["X2+", "X2-"], {(2, 1): (2, 2), (2, 2): (2, 1)}),
              (3, ["A21+", "X1-"], {(2, 1): (2, 2), (2, 2): (2, 1),
                                    (3, 1): (3, 3), (3, 2): (3, 1), (3, 3): (3, 2)}),

@@ -1,18 +1,17 @@
 import itertools
 import json
-import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewgt import toy
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc
 from skewgt.skew import SkewElement
 
-from conftest import spy_on_poly
+from conftest import spy_on_poly, toy_polys
 
 
 @pytest.fixture
@@ -102,20 +101,15 @@ def test_witnesses_for_all_required_targets(ctx):
             assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
 
 
-def test_witnesses_random_polynomials(ctx):
-    rng = random.Random(97)
-    x = xvar(ctx)
-    done = 0
-    while done < 12:
-        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
-        f = Poly.const(ctx, rng.randint(1, 4))
-        for d, c in enumerate(coeffs, start=1):
-            f = f + c * x ** d
-        spec = toy.ToySpec(f)
-        c = rng.choice([0, -1, 1, 2, -2])
-        trace = toy.witness_inverse(spec, c)
-        assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
-        done += 1
+@settings(max_examples=12)
+@given(f=toy_polys(), c=st.sampled_from([0, -1, 1, 2, -2]))
+@example(f=Poly.const(Context.line(), 3), c=2)
+@example(f=Poly(Context.line(), {(3,): -2, (0,): 1}), c=-2)
+@example(f=Poly(Context.line(), {(1,): 1, (0,): 4}), c=1)
+def test_witnesses_random_polynomials(f, c):
+    ctx = f.ctx
+    trace = toy.witness_inverse(toy.ToySpec(f), c)
+    assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
 
 
 def test_translate_must_be_an_integer(ctx):
