@@ -136,8 +136,8 @@ class _Parser:
 # Largest exponent `^N` accepted.  The budget bounds what is printed:
 # a power's numerators stay factored, so it is cheap to build, but its
 # text multiplies them out and grows with every factor.  At n=3, X2+^4
-# builds in 0.003 s and renders 248 kB in 0.03 s; X2+^8 builds in
-# 0.02 s and renders 12 MB in 1.9-2.9 s at a 90 MB peak (in-process,
+# builds in 0.003 s and renders 248 kB in 0.04 s; X2+^8 builds in
+# 0.02 s and renders 12 MB in 2.2 s at a 48 MB peak (a fresh process,
 # Python 3.11, 2-core machine).  A larger exponent is refused before
 # anything is computed.
 # An exponent applied to a bracketed group multiplies every exponent

@@ -56,7 +56,7 @@ products into one set of rows with one gcd pass, as
 `SkewElement.sum_of_products` does.
 The kernels loop over each row's stored entries and skip empty rows:
 most ladder rows hold one or two.  A ladder coefficient, which reads
-two adjacent rows, is computed and scaled to the matrix denominator
+two adjacent rows, is computed and scaled to its family's denominator
 once per distinct filling of those rows.
 The JSON export writes every row in full, one row at a time, from the
 stored numerators, each reduced over `den` with one gcd; the text of an
@@ -547,9 +547,9 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
     reader of `basis`, at the first source where the summand's value is
     nonzero (at the first basis vector if it is zero at every source),
     since a wrong coefficient that keeps a vanishing factor agrees on 0.
-    Each summand's denominator is the lcm of the values it stores, and
-    X_k+-'s the lcm of its summands'; a value's numerator is scaled to
-    both once per slice, so the matrices are in lowest terms as built."""
+    A value's numerator is scaled once per slice to the lcm of the value
+    denominators of its (k, +-) family, and A_ki+- and X_k+- are filled
+    from it and put into lowest terms by `_lowest`."""
     index = {key: j for j, key in enumerate(keys)}
     matrices: Dict[str, Matrix] = {}
     # row k of each basis vector; the top row is in no key
@@ -594,23 +594,18 @@ def _realize(n: int, basis: List[Pattern], keys: List[Tuple[int, ...]],
                 if not checked:
                     value = _ladder_value(points[parts[0]], i, sign, scale ** 2)
                     _check(ctx, k, i, sign, basis[0], Fraction(*value))
-                summands.append((lcm(*(den for _, den in memo.values())), memo, moves))
-            ladder_den = lcm(*(den for den, _, _ in summands))
+                summands.append((memo, moves))
+            den = lcm(*(d for memo, _ in summands for _, d in memo.values()))
             ladder = [{} for _ in keys]
-            for i, (den, memo, moves) in enumerate(summands, start=1):
-                step = ladder_den // den
-                scaled = {}
-                for part, (num, d) in memo.items():
-                    if num:
-                        num *= den // d
-                        scaled[part] = (num, num * step)
+            for i, (memo, moves) in enumerate(summands, start=1):
+                scaled = {part: num * (den // d) for part, (num, d) in memo.items() if num}
                 rows = [{} for _ in keys]
                 for ti, j, part in moves:
-                    nums = scaled.get(part)
-                    if nums is not None:
-                        rows[ti][j], ladder[ti][j] = nums
-                matrices[f"A{k}{i}{tag}"] = Matrix(rows, den)
-            matrices[f"X{k}{tag}"] = Matrix(ladder, ladder_den)
+                    num = scaled.get(part)
+                    if num is not None:
+                        rows[ti][j] = ladder[ti][j] = num
+                matrices[f"A{k}{i}{tag}"] = _lowest(rows, den)
+            matrices[f"X{k}{tag}"] = _lowest(ladder, den)
     return matrices
 
 

@@ -22,10 +22,10 @@ primitive, and a monomial order its leading coefficient positive).  The
 generator coefficients are products of linear forms, and so are most
 numerators a product meets, so a product joins two lists of small parts
 where it would multiply and divide two expanded numerators.  ``num`` is
-multiplied out on its first read and kept; printing, ``to_json`` and
-``hash`` read it, so the parts show in no printed form, and ``==``
-compares what is left of two numerators once the parts they share are
-cancelled.
+the parts multiplied out on each read, and nothing keeps it: printing,
+``to_json`` and ``hash`` read it, so the parts show in no printed form,
+and ``==`` compares what is left of two numerators once the parts they
+share are cancelled.  No ``RatFunc`` changes once it is built.
 
 Canonical factors are monic of degree one in ``x_a``, so two distinct
 ones are non-associate primes, and a factor divides a product of parts
@@ -204,7 +204,7 @@ def _product(ctx: Context, polys) -> Poly:
 class RatFunc(Ring):
     """Reduced rational function with factored denominator."""
 
-    __slots__ = ("ctx", "parts", "den", "scale", "_num")
+    __slots__ = ("ctx", "parts", "den", "scale")
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
         """Full reduction of outside input into one part: every factor of
@@ -214,31 +214,30 @@ class RatFunc(Ring):
         scale = _coeff(scale)
         ctx = num.ctx
         if num.is_zero or scale == 0:
-            self._own(ctx, (), (), 0, Poly.zero(ctx))
+            self._own(ctx, (), (), 0)
             return
         content, prim = num.content_primitive()
         scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], den, scale * content)
-        self._own(ctx, parts, kept, scale, None)
+        self._own(ctx, parts, kept, scale)
 
-    def _own(self, ctx: Context, parts, den, scale, num: Optional[Poly]):
+    def _own(self, ctx: Context, parts, den, scale):
         self.ctx = ctx
         self.parts = tuple(parts)
         self.den = tuple(sorted(den, key=LinearFactor.sort_key))
         self.scale = scale if type(scale) is int else _coeff(scale)
-        self._num = num
 
     @staticmethod
-    def _from_parts(ctx: Context, parts, den: Iterable[LinearFactor], scale,
-                    num: Optional[Poly] = None) -> "RatFunc":
+    def _from_parts(ctx: Context, parts, den: Iterable[LinearFactor], scale) -> "RatFunc":
         """Trusted constructor for a value already in normal form but for
         the order of ``den`` and the type of ``scale``: each of ``parts``
         is primitive, nonconstant, with a positive leading coefficient,
         no factor of ``den`` divides any of them, and ``scale`` is a
         nonzero int or Fraction.  Only sorts ``den`` and stores an
         integral ``scale`` as an int (a product of Fractions can be
-        integral).  ``num``, when given, is the product of the parts."""
+        integral).  A single part may be an expanded numerator, which
+        `num` then returns as it is."""
         out = object.__new__(RatFunc)
-        out._own(ctx, parts, den, scale, num)
+        out._own(ctx, parts, den, scale)
         return out
 
     # -- constructors -------------------------------------------------
@@ -259,11 +258,11 @@ class RatFunc(Ring):
 
     @property
     def num(self) -> Poly:
-        """The numerator expanded: the product of the parts, built on the
-        first read and kept."""
-        if self._num is None:
-            self._num = _product(self.ctx, self.parts)
-        return self._num
+        """The numerator expanded: the product of the parts, multiplied out
+        on each read and not kept; zero has the zero polynomial."""
+        if self.scale == 0:
+            return Poly.zero(self.ctx)
+        return _product(self.ctx, self.parts)
 
     @property
     def is_zero(self) -> bool:
@@ -353,10 +352,7 @@ class RatFunc(Ring):
 
         def own(t):
             # the operand's parts outside the shared ones, and its integer scale
-            if shared:
-                polys = (Counter(t.parts) - shared).elements()
-            else:
-                polys = t.parts if t._num is None else (t._num,)
+            polys = (Counter(t.parts) - shared).elements() if shared else t.parts
             return [p.terms for p in polys], t.scale.numerator * (g // t.scale.denominator)
 
         total = None
@@ -383,7 +379,7 @@ class RatFunc(Ring):
         return RatFunc._from_parts(ctx, list(shared.elements()) + parts, rest + kept, scale)
 
     def __neg__(self):
-        return RatFunc._from_parts(self.ctx, self.parts, self.den, -self.scale, self._num)
+        return RatFunc._from_parts(self.ctx, self.parts, self.den, -self.scale)
 
     def _mul(self, other: "RatFunc") -> "RatFunc":
         """Cross-cancel, then join the parts.
@@ -478,11 +474,9 @@ class RatFunc(Ring):
         return {"num": num, "den": den, "scale": str(self.scale)}
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        if self.is_poly and self.scale == 1:
-            return str(self.num)
         num = str(self.num)
+        if self.is_zero or (self.is_poly and self.scale == 1):
+            return num
         if self.scale != 1:
             num = f"{self.scale}*({num})" if num != "1" else str(self.scale)
         elif self.den:

@@ -145,13 +145,19 @@ def witness_inverse(spec: ToySpec, c: int) -> WitnessTrace:
         raise ArithmeticError(
             f"cleared coefficient should have exactly one factor x{c:+d} "
             f"below, got {coeff}")
-    quotient, remainder = coeff.num.divmod_linear(X_VAR, None, c)
+    num = coeff.num
+    quotient, remainder = num.divmod_linear(X_VAR, None, c)
     if remainder.degree() > 0:
         raise ArithmeticError("division remainder is not a constant")
     constant = coeff.scale * remainder.constant_term()
     if constant == 0:
         raise ArithmeticError("division left no constant term to solve for")
     quotient_poly = quotient * coeff.scale
+    # the check reuses the one expansion, a valid single part: it is
+    # primitive with a positive leading coefficient, and x+c does not
+    # divide it, as the constant is nonzero
+    cleared = SkewElement.from_coeff(RatFunc._from_parts(
+        ctx, [num] if num.degree() > 0 else [], coeff.den, coeff.scale))
     witness = Fraction(1, 1) / constant * (
         cleared - SkewElement.from_coeff(quotient_poly))
 

@@ -68,6 +68,18 @@ FAULTS = [
      "sa, sb = den // a.den, den // b.den",
      "sa, sb = den // b.den, den // a.den",
      ["tests/test_gtmodules.py::test_sparse_ops_match_dense_reference"]),
+    ("num multiplies all but the last part", "ratfunc.py",
+     "return _product(self.ctx, self.parts)",
+     "return _product(self.ctx, self.parts[:-1])",
+     ["tests/test_ratfunc.py::test_json_roundtrip"]),
+    ("ladder family denominator from the first summand only", "gtmodules.py",
+     "for memo, _ in summands for _, d in memo.values()",
+     "for memo, _ in summands[:1] for _, d in memo.values()",
+     ["tests/test_gtmodules.py::test_ladder_matrices_match_per_pattern_action"]),
+    ("toy check reuses the expansion at a wrong scale", "toy.py",
+     "coeff.den, coeff.scale))",
+     "coeff.den, 2 * coeff.scale))",
+     ["tests/test_toy.py::test_witnesses_random_polynomials"]),
 ]
 
 

@@ -202,6 +202,17 @@ def test_json_roundtrip(r):
     assert_body_matches(r, r.to_json())
 
 
+@settings(max_examples=40)
+@given(r=ratfuncs(CTX3))
+@edge_cases(edge_ratfuncs(CTX3), ["r"])
+def test_reading_a_value_changes_none_of_its_slots(r):
+    """`str`, `to_json`, `hash` and `num` keep nothing: every slot holds
+    the identical object afterwards, so no expansion outlives its read."""
+    before = {name: getattr(r, name) for name in RatFunc.__slots__}
+    str(r), r.to_json(), hash(r), r.num
+    assert all(getattr(r, name) is value for name, value in before.items())
+
+
 # -- canonical form: each operation against the full reduction ----------
 #
 # +, *, shifted and permuted try only the factors that can cancel.  Each

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skewgt import toy
+from skewgt import ratfunc, toy
 from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc
 from skewgt.skew import SkewElement
@@ -276,6 +276,29 @@ def test_failed_trial_divisions_never_reach_the_division(ctx, c, monkeypatch):
     successes = sum(q is not None for q in tried)
     assert len(tried) > successes > 0
     assert len(divided) == successes + 1
+
+
+@pytest.mark.parametrize("c", [12, -12])
+def test_the_cleared_coefficient_is_multiplied_out_once(ctx, c, monkeypatch):
+    """The division and the check share one expansion of the cleared
+    coefficient's parts: `ratfunc._expand` sees those parts once."""
+    coeffs, expanded = [], []
+    identity_coefficient, expand = SkewElement.identity_coefficient, ratfunc._expand
+
+    def coeff_spy(self):
+        coeffs.append(identity_coefficient(self))
+        return coeffs[-1]
+
+    def expand_spy(ctx, maps, *args):
+        expanded.append(sorted(map(id, maps)))
+        return expand(ctx, maps, *args)
+    monkeypatch.setattr(SkewElement, "identity_coefficient", coeff_spy)
+    monkeypatch.setattr(ratfunc, "_expand", expand_spy)
+    trace = toy.witness_inverse(toy.ToySpec(toy.parse_univariate(ctx, "x^3+2x+5")), c)
+    assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
+    [coeff] = coeffs
+    assert len(coeff.parts) > 1
+    assert expanded.count(sorted(id(p.terms) for p in coeff.parts)) == 1
 
 
 def power_with_the_lower_power_on_the_left(a, k):
