@@ -247,8 +247,8 @@ def _render_json(value, indent: str = ""):
     A `gtmodules.Matrix` is written as its list of dense rows of value
     strings ("0" for an absent entry), one row per chunk, from the
     matrix's sparse rows (`_matrix_rows`).  Dict keys must be strings; a
-    string goes to the C string encoder, any other scalar to
-    ``json.dumps``.
+    string goes to the C string encoder, a plain int to ``int.__repr__``,
+    any other scalar to ``json.dumps`` (`_scalar`).
     """
     if isinstance(value, gtmodules.Matrix):
         yield from _matrix_rows(value, indent)
@@ -278,6 +278,10 @@ def _render_json(value, indent: str = ""):
 
 
 def _scalar(value) -> str:
+    """``json.dumps(value)``; a plain int (a bool is not one) is its
+    ``repr``, which is what ``json.dumps`` writes, without the call."""
+    if type(value) is int:
+        return int.__repr__(value)
     return _encode_str(value) if isinstance(value, str) else json.dumps(value)
 
 

@@ -4,7 +4,7 @@ Every denominator that arises in this engine is a product of factors of
 the shape (x_a - x_b + c) or (x_a + c) with c an exact rational.  The
 class is closed under shifts, row permutations, sums and products, so
 reduction never needs a general multivariate gcd: cancelling a factor is
-one exact linear division.
+one lookup or one exact linear division.
 
 A :class:`RatFunc` is stored fully reduced as ``scale * num / prod(den)``
 with ``num`` primitive (coprime coefficients, each stored as an ``int``,
@@ -15,43 +15,60 @@ equality.  ``scale`` and each factor's constant ``c`` are stored as
 ``Fraction`` with denominator > 1.  Most scales are integral, so most
 products, sums, shifts and factor lookups run in int arithmetic.
 
-The numerator is kept as ``parts``: primitive, nonconstant polynomials
-with positive leading coefficients, none divisible by a factor of
-``den``, whose product is ``num`` (Gauss's lemma keeps the product
-primitive, and a monomial order its leading coefficient positive).  The
-generator coefficients are products of linear forms, and so are most
-numerators a product meets, so a product joins two lists of small parts
-where it would multiply and divide two expanded numerators.  ``num`` is
-the parts multiplied out on each read, and nothing keeps it: printing,
-``to_json`` and ``hash`` read it, so the parts show in no printed form,
-and ``==`` compares what is left of two numerators once the parts they
-share are cancelled.  No ``RatFunc`` changes once it is built.
+The numerator is kept factored, as ``lin`` and ``parts``, whose
+product is ``num``.  ``lin`` holds the atoms: the numerator factors
+x_a + c and x_a - x_b + c with an int c, each stored as the
+:class:`LinearFactor` it equals, in the canonical orientation ``den``
+uses.  ``parts`` holds every other factor: primitive, nonconstant
+polynomials with positive leading coefficients.  No factor of ``den``
+divides a part or equals an atom (Gauss's lemma keeps the product
+primitive, and a monomial order its leading coefficient positive).  An
+atom and its polynomial are the same primitive polynomial, as canonical
+``a < b`` puts the +1 on the variable packed into the higher bits, so
+``scale`` and ``num`` do not depend on where a linear factor is kept.
+The generator coefficients are products of linear forms, and so are
+most numerators a product meets, so a product joins two lists of atoms
+and small parts where it would multiply and divide two expanded
+numerators.  A part takes atom shape only where it is made, so only
+there is it classified (`_split`): in ``RatFunc(...)``, for the new part
+of a sum, for a quotient in `_cancel`, and for the one-part coefficient
+`toy.witness_inverse` checks.  ``num`` is the atoms and
+parts multiplied out on each read, and nothing keeps it: printing,
+``to_json`` and ``hash`` read it, so neither shows in any printed form,
+and ``==`` compares what is left of two numerators once the atoms and
+parts they share are cancelled.  No ``RatFunc`` changes once it is
+built.
 
 Canonical factors are monic of degree one in ``x_a``, so two distinct
-ones are non-associate primes, and a factor divides a product of parts
-exactly when it divides one of them.  Cancellation is one plain loop,
-``_cancel``: each factor is tried against the parts in order and
-cancels from the first it divides, or is kept; a factor that fails on a
-part fails on every quotient of it, so the order of the factors does
-not matter.  A reduced operand already proves most factors cannot
-cancel, and each operation hands ``_cancel`` only the rest (Henrici's
-rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1):
+ones are non-associate primes, and a factor divides a product of atoms
+and parts exactly when it equals an atom or divides a part.
+Cancellation is one plain loop, ``_cancel``: each factor removes an
+equal atom, a multiset lookup, or else is tried against the parts in
+order and cancels from the first it divides, or is kept; a factor that
+fails on a part fails on every quotient of it, so the order of the
+factors does not matter.  A reduced operand already proves most factors
+cannot cancel, and each operation hands ``_cancel`` only the rest
+(Henrici's rule for fractions, Henrici, JACM 3, 1956; Knuth, TAOCP vol.
+2, 4.5.1):
 
 * ``*`` tries the factors of each denominator against the other
-  operand's parts only;
-* ``RatFunc.sum`` keeps the parts every operand shares and multiplies
-  out the rest into one new part, on plain term maps: operands over one
-  denominator add their numerators into one map, which is multiplied
-  by the powers of the factors they lack once, and every product
-  accumulates straight into its map.  It tries against the
-  new part only the factors whose top multiplicity in the lcm is
-  reached by two or more operands; ``+`` is its sum of two, which tries
-  only the factors with equal multiplicity in both denominators;
+  operand's atoms and parts only;
+* ``RatFunc.sum`` keeps the atoms and parts every operand shares and
+  multiplies out the rest into one new part, on plain term maps:
+  operands over one denominator add their numerators into one map,
+  every product accumulating straight into its map, and a factor that
+  several of these maps lack is multiplied into their sum once
+  (`_lacking_sum`).  It tries against the new part only the factors
+  whose top multiplicity in the lcm is reached by two or more operands;
+  ``+`` is its sum of two, which tries only the factors with equal
+  multiplicity in both denominators;
 * ``shifted`` and ``permuted`` are ring automorphisms over the integers,
-  map each part and try none.
+  map each atom as a factor, with no Taylor shift, and each part, and
+  try none.
 
 :class:`RatFunc` itself runs the full reduction, every factor against
-the numerator as one part, and is the constructor for outside input.
+the numerator as one part or atom, and is the constructor for outside
+input.
 """
 
 from __future__ import annotations
@@ -140,37 +157,59 @@ def linear_factor(a: VarId, b: VarId, c=0) -> Tuple[LinearFactor, int]:
     return LinearFactor(b, a, -c), -1
 
 
-def _cancel(parts, factors, scale):
-    """Divide the product of ``parts`` by each of ``factors`` that divides it.
+def _split(p: Poly):
+    """``(parts, lin)`` for a primitive polynomial p with a positive
+    leading coefficient: ``([], [atom])`` when p is x_a + c or
+    x_a - x_b + c (a < b) with an int c, ``([], [])`` when p is
+    constant, else ``([p], [])``.  Canonical ``a < b`` puts the +1 on the
+    variable packed into the higher bits, so the atom is p itself."""
+    terms = p.terms
+    ctx = p.ctx
+    deg = max(terms) >> ctx._deg_offset
+    if deg != 1 or len(terms) > 3:
+        return ([p] if deg > 0 else []), []
+    top = sorted([key for key in terms if key], reverse=True)
+    if [terms[key] for key in top] in ([1], [1, -1]):
+        a, *b = [ctx.vars[ctx._units.index(key)] for key in top]
+        return [], [LinearFactor(a, b[0] if b else None, terms.get(0, 0))]
+    return [p], []
 
-    A canonical factor is prime, so it divides the product exactly when
-    it divides one part: each factor, of either kind, is tried against
-    the parts in order through `Poly.exact_div_linear` and cancels from
-    the first it divides, or is kept.  The screens there turn away most
-    parts a factor does not divide: a difference in one scan of the
-    part's kept top-degree terms, and (x_a + c) with an integral c by
-    three remainders of the part's kept values at 0, (1, ..., 1) and
-    (-1, ..., -1).
-    Returns ``(scale, parts, kept)``: the contents of the quotients
-    folded into ``scale``, a constant quotient dropped from the parts,
-    and the factors that did not cancel in ``kept``.
+
+def _cancel(parts, lin, factors, scale):
+    """Divide the product of ``parts`` and the atoms ``lin`` by each of
+    ``factors`` that divides it.
+
+    A canonical factor is prime, and an atom is prime of the same
+    canonical form, so a factor divides an atom exactly when it equals
+    it.  Each factor first removes an equal atom, a multiset lookup;
+    only if none matches is it tried against the parts in order through
+    `Poly.exact_div_linear`, and it cancels from the first it divides,
+    or is kept.  The screens there turn away most parts a factor does
+    not divide: a difference in one scan of the part's kept top-degree
+    terms, and (x_a + c) with an integral c by three remainders of the
+    part's kept values at 0, (1, ..., 1) and (-1, ..., -1).
+    Returns ``(scale, parts, lin, kept)``: the contents of the quotients
+    folded into ``scale``, a quotient of atom shape moved to the atoms
+    (`_split`) and a constant one dropped, and the factors that did not
+    cancel in ``kept``.
     """
-    parts = list(parts)
+    parts, lin = list(parts), list(lin)
     kept = []
     for f in factors:
+        if lin and f in lin:
+            lin.remove(f)
+            continue
         for i, p in enumerate(parts):
             q = p.exact_div_linear(*f)
             if q is not None:
                 content, q = q.content_primitive()
                 scale *= content
-                if q.degree() > 0:
-                    parts[i] = q
-                else:
-                    del parts[i]
+                parts[i:i + 1], atoms = _split(q)
+                lin += atoms
                 break
         else:
             kept.append(f)
-    return scale, parts, kept
+    return scale, parts, lin, kept
 
 
 def _expand(ctx: Context, maps, k=1, out: Optional[dict] = None) -> dict:
@@ -201,43 +240,91 @@ def _product(ctx: Context, polys) -> Poly:
     return Poly._from_packed(ctx, _expand(ctx, [p.terms for p in polys]))
 
 
+def _lacking_sum(ctx: Context, lacking, own, maps, out: Optional[dict], pull: bool):
+    """Add to ``out`` (a fresh map when None; None when there is
+    nothing to add) the sum over ``lacking``, pairs (group, {f: e}) of
+    the operands over one denominator and the factors of the lcm it
+    lacks, of each operand's own numerator (``own``) times prod(f^e);
+    ``maps`` gives the term maps of factors.
+
+    With ``pull``, while two or more groups lack one factor, the factor
+    the most groups lack is pulled out: those groups are summed on their
+    own, recursively, each lacking one power less, zero terms are
+    dropped, and the sum is multiplied by the factor once.  Then each
+    group's products accumulate straight into ``out`` when it lacks
+    nothing, else into a fresh map, which is multiplied by the factors
+    it lacks into ``out``.  Only the lacked factors are read before a
+    group is summed, so one group's sum and the partial sums of the
+    pulled factors are held at a time."""
+    while pull and len(lacking) > 1:
+        f, k = max(Counter(f for _, missing in lacking for f in missing).items(),
+                   key=itemgetter(1))
+        if k < 2:
+            break
+        inner, rest = [], []
+        for group, missing in lacking:
+            if f in missing:
+                missing = {**missing, f: missing[f] - 1}
+                if not missing[f]:
+                    del missing[f]
+                inner.append((group, missing))
+            else:
+                rest.append((group, missing))
+        inner = _lacking_sum(ctx, inner, own, maps, None, True)
+        if inner := Poly._from_packed(ctx, inner or {}).terms:
+            out = _expand(ctx, [inner, *maps([f])], 1, out)
+        lacking = rest
+    for group, missing in lacking:
+        acc = None if missing else out
+        for t in group:
+            acc = _expand(ctx, *own(t), acc)
+        if not missing:
+            out = acc
+        elif acc := Poly._from_packed(ctx, acc).terms:
+            out = _expand(ctx, [acc, *maps([f for f, e in missing.items() for _ in range(e)])],
+                          1, out)
+    return out
+
+
 class RatFunc(Ring):
     """Reduced rational function with factored denominator."""
 
-    __slots__ = ("ctx", "parts", "den", "scale")
+    __slots__ = ("ctx", "parts", "lin", "den", "scale")
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
-        """Full reduction of outside input into one part: every factor of
-        ``den`` is tried against the numerator.  ``scale`` is an int or a
-        Fraction (a float raises TypeError) and is stored by ``_coeff``'s
-        rule; zero has scale 0."""
+        """Full reduction of outside input into one part or one atom:
+        every factor of ``den`` is tried against the numerator.  ``scale``
+        is an int or a Fraction (a float raises TypeError) and is stored
+        by ``_coeff``'s rule; zero has scale 0."""
         scale = _coeff(scale)
         ctx = num.ctx
         if num.is_zero or scale == 0:
-            self._own(ctx, (), (), 0)
+            self._own(ctx, (), (), (), 0)
             return
         content, prim = num.content_primitive()
-        scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], den, scale * content)
-        self._own(ctx, parts, kept, scale)
+        scale, parts, lin, kept = _cancel(*_split(prim), den, scale * content)
+        self._own(ctx, parts, lin, kept, scale)
 
-    def _own(self, ctx: Context, parts, den, scale):
+    def _own(self, ctx: Context, parts, lin, den, scale):
         self.ctx = ctx
         self.parts = tuple(parts)
+        self.lin = tuple(lin)
         self.den = tuple(sorted(den, key=LinearFactor.sort_key))
         self.scale = scale if type(scale) is int else _coeff(scale)
 
     @staticmethod
-    def _from_parts(ctx: Context, parts, den: Iterable[LinearFactor], scale) -> "RatFunc":
+    def _from_parts(ctx: Context, parts, lin, den: Iterable[LinearFactor], scale) -> "RatFunc":
         """Trusted constructor for a value already in normal form but for
         the order of ``den`` and the type of ``scale``: each of ``parts``
-        is primitive, nonconstant, with a positive leading coefficient,
-        no factor of ``den`` divides any of them, and ``scale`` is a
-        nonzero int or Fraction.  Only sorts ``den`` and stores an
+        is primitive, nonconstant, not of atom shape (`_split`), with a
+        positive leading coefficient, each of ``lin`` is an atom, no
+        factor of ``den`` divides a part or equals an atom, and ``scale``
+        is a nonzero int or Fraction.  Only sorts ``den`` and stores an
         integral ``scale`` as an int (a product of Fractions can be
         integral).  A single part may be an expanded numerator, which
         `num` then returns as it is."""
         out = object.__new__(RatFunc)
-        out._own(ctx, parts, den, scale)
+        out._own(ctx, parts, lin, den, scale)
         return out
 
     # -- constructors -------------------------------------------------
@@ -258,11 +345,17 @@ class RatFunc(Ring):
 
     @property
     def num(self) -> Poly:
-        """The numerator expanded: the product of the parts, multiplied out
-        on each read and not kept; zero has the zero polynomial."""
+        """The numerator expanded: the product of the parts and the atoms,
+        multiplied out on each read and not kept; zero has the zero
+        polynomial."""
         if self.scale == 0:
             return Poly.zero(self.ctx)
-        return _product(self.ctx, self.parts)
+        return self._expanded(self.parts + self.lin)
+
+    def _expanded(self, factors) -> Poly:
+        """The product of ``factors``, parts and atoms, multiplied out."""
+        return _product(self.ctx, [f.to_poly(self.ctx) if type(f) is LinearFactor else f
+                                   for f in factors])
 
     @property
     def is_zero(self) -> bool:
@@ -274,16 +367,17 @@ class RatFunc(Ring):
 
     def __eq__(self, other):
         """Equal scales, factors and numerators.  Z[x] has no zero
-        divisors, so the parts both numerators have are cancelled first,
-        and only the rest is multiplied out (none, when the parts agree)."""
+        divisors, so the parts and atoms both numerators have are
+        cancelled first, and only the rest is multiplied out (none, when
+        they agree)."""
         other = self._promote(other)
         if other is None:
             return NotImplemented
         if self.scale != other.scale or self.den != other.den:
             return False
-        mine, theirs = Counter(self.parts), Counter(other.parts)
-        return (_product(self.ctx, (mine - theirs).elements())
-                == _product(self.ctx, (theirs - mine).elements()))
+        mine, theirs = Counter(self.parts + self.lin), Counter(other.parts + other.lin)
+        return (self._expanded((mine - theirs).elements())
+                == self._expanded((theirs - mine).elements()))
 
     def __hash__(self):
         return hash((self.scale, self.den, self.num))
@@ -309,21 +403,23 @@ class RatFunc(Ring):
     def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
         """The sum of ``terms`` over the lcm of their denominators.
 
-        The parts every operand has are kept as they are; the rest is
-        multiplied out on plain term maps into one new primitive part.
-        The operands are grouped by denominator, and each group is one
-        loop over its members' other parts (times their integer
-        scales), each product accumulating straight into a map
-        (`_expand`): the running total when the group lacks no factor
-        of the lcm, else a fresh map, which is then multiplied by the
-        powers of the factors the group lacks once, into the total.  A
-        factor f of top multiplicity m (in the lcm) is tried against the
-        new part, at most m times, only if two operands reach m: were it
-        one, every other cofactor would hold f, and f divides neither
-        that operand's numerator nor its cofactor.  No factor is tried
-        against a shared part: every factor sits below some operand, and
-        that operand has the shared parts among its own, none of which
-        its factors divide."""
+        The parts and atoms every operand has are kept as they are; the
+        rest is multiplied out on plain term maps into one new primitive
+        part, or atom.  The operands are grouped by denominator, and each
+        group is one loop over its members' other parts and atoms (times
+        their integer scales), each product accumulating straight into a
+        map (`_expand`): the running total when the group lacks no factor
+        of the lcm, else a fresh map, which is multiplied by the factors
+        the group lacks, a factor that several groups lack into their sum
+        once (`_lacking_sum`).  Over two denominators no factor is lacked
+        twice, so a sum of two counts nothing.  A factor f of top
+        multiplicity m (in the lcm) is tried against the new part, at
+        most m times, only if two operands reach m: were it one, every
+        other cofactor would hold f, and f divides neither that
+        operand's numerator nor its cofactor.  No factor is tried against
+        a shared part or atom: every factor sits below some operand, and
+        that operand has them among its own, none of which its factors
+        divide."""
         terms = [t for t in terms if not t.is_zero]
         if len(terms) < 2:
             return terms[0] if terms else RatFunc.zero(ctx)
@@ -348,24 +444,36 @@ class RatFunc(Ring):
             if not shared:
                 break
             shared &= Counter(t.parts)
+        shared_lin = Counter(terms[0].lin) if terms[0].lin else None
+        for t in terms[1:]:
+            if not shared_lin:
+                break
+            shared_lin &= Counter(t.lin)
         g = math.lcm(*[t.scale.denominator for t in terms])
+        linear: dict = {}  # factor -> its term map
+
+        def maps(factors):
+            out = []
+            for f in factors:
+                m = linear.get(f)
+                if m is None:
+                    m = linear[f] = f.to_poly(ctx).terms
+                out.append(m)
+            return out
 
         def own(t):
-            # the operand's parts outside the shared ones, and its integer scale
+            # the operand's parts and atoms outside the shared ones, and
+            # its integer scale
             polys = (Counter(t.parts) - shared).elements() if shared else t.parts
-            return [p.terms for p in polys], t.scale.numerator * (g // t.scale.denominator)
+            out = [p.terms for p in polys]
+            if t.lin:
+                out += maps((Counter(t.lin) - shared_lin).elements() if shared_lin else t.lin)
+            return out, t.scale.numerator * (g // t.scale.denominator)
 
-        total = None
-        for group, d in zip(groups.values(), dens):
-            cofactor = [(f.to_poly(ctx) ** e).terms
-                        for f, (m, _) in top.items() if (e := m - d.get(f, 0))]
-            acc = None if cofactor else total
-            for t in group:
-                acc = _expand(ctx, *own(t), acc)
-            if not cofactor:
-                total = acc
-            elif acc := Poly._from_packed(ctx, acc).terms:
-                total = _expand(ctx, [acc] + cofactor, 1, total)
+        # each group with the power of each factor of the lcm it lacks
+        lacking = [(group, {f: e for f, (m, _) in top.items() if (e := m - d.get(f, 0))})
+                   for group, d in zip(groups.values(), dens)]
+        total = _lacking_sum(ctx, lacking, own, maps, None, len(groups) > 2)
         total = Poly._from_packed(ctx, total or {})
         if total.is_zero:
             return RatFunc.zero(ctx)
@@ -374,29 +482,32 @@ class RatFunc(Ring):
         for f, (m, reached) in top.items():
             (tried if reached > 1 else rest).extend([f] * m)
         # content and g may both be ints, and int / int is a float
-        scale, parts, kept = _cancel([prim] if prim.degree() > 0 else [], tried,
-                                     content if g == 1 else Fraction(content) / g)
-        return RatFunc._from_parts(ctx, list(shared.elements()) + parts, rest + kept, scale)
+        scale, parts, lin, kept = _cancel(*_split(prim), tried,
+                                          content if g == 1 else Fraction(content) / g)
+        if shared_lin:
+            lin += shared_lin.elements()
+        return RatFunc._from_parts(ctx, [*shared.elements(), *parts], lin, rest + kept, scale)
 
     def __neg__(self):
-        return RatFunc._from_parts(self.ctx, self.parts, self.den, -self.scale)
+        return RatFunc._from_parts(self.ctx, self.parts, self.lin, self.den, -self.scale)
 
     def _mul(self, other: "RatFunc") -> "RatFunc":
-        """Cross-cancel, then join the parts.
+        """Cross-cancel, then join the parts and the atoms.
 
-        The factors of ``other.den`` are tried against the parts of
-        ``self`` only, and those of ``self.den`` against the parts of
+        The factors of ``other.den`` are tried against the atoms and parts
+        of ``self`` only, and those of ``self.den`` against those of
         ``other`` only: each operand is reduced and a linear factor is
-        prime, so no factor divides a part over its own denominator.  The
-        quotients stay primitive with positive leading coefficients, and
-        the product's parts are the two lists joined, with no polynomial
-        product.
+        prime, so no factor divides a part or equals an atom over its own
+        denominator.  The quotients stay primitive with positive leading
+        coefficients, and the product's parts and atoms are the two
+        lists joined, with no polynomial product.
         """
         if self.is_zero or other.is_zero:
             return RatFunc.zero(self.ctx)
-        scale, p1, kept1 = _cancel(self.parts, other.den, self.scale * other.scale)
-        scale, p2, kept2 = _cancel(other.parts, self.den, scale)
-        return RatFunc._from_parts(self.ctx, p1 + p2, kept1 + kept2, scale)
+        scale, p1, l1, kept1 = _cancel(self.parts, self.lin, other.den,
+                                       self.scale * other.scale)
+        scale, p2, l2, kept2 = _cancel(other.parts, other.lin, self.den, scale)
+        return RatFunc._from_parts(self.ctx, p1 + p2, l1 + l2, kept1 + kept2, scale)
 
     # -- actions --------------------------------------------------------
 
@@ -405,14 +516,17 @@ class RatFunc(Ring):
 
         An integer shift is a ring automorphism of Z[x] that keeps the
         top-degree part, so each shifted part is still primitive with
-        the same leading term, and no shifted factor divides it.
-        Nothing is divided; the shifted factors are only re-sorted.
+        the same leading term and no atom shape, and no shifted factor
+        divides it.  An atom is shifted as a factor is, in its constant,
+        with no Taylor shift.  Nothing is divided; the shifted factors
+        are only re-sorted.
         """
         if self.is_zero or not shift:
             return self
         parts = [p.subs_shift(shift) for p in self.parts]
+        lin = [f.shifted(shift) for f in self.lin]
         den = [f.shifted(shift) for f in self.den]
-        return RatFunc._from_parts(self.ctx, parts, den, self.scale)
+        return RatFunc._from_parts(self.ctx, parts, lin, den, self.scale)
 
     def permuted(self, mapping: Mapping[VarId, VarId]) -> "RatFunc":
         """Rename variables by ``mapping``, a bijection within rows;
@@ -420,10 +534,12 @@ class RatFunc(Ring):
         ValueError, through ``Poly.permute`` or, with no parts, at once.
 
         A renaming is a ring automorphism that keeps the coefficients,
-        so each part stays primitive and no factor divides it; nothing is
-        divided.  It can move the leading term, so the sign is
-        renormalized: a part with a negative leading coefficient is
-        negated, and so is the scale.
+        so each part stays primitive, of no atom shape, and no factor
+        divides it; nothing is divided.  It can move the leading term,
+        so the sign is renormalized: a part with a negative leading
+        coefficient is negated, and so is the scale; an atom or a factor
+        is re-oriented by `LinearFactor.permuted`, its sign folded into
+        the scale.
         """
         if self.is_zero:
             return self
@@ -436,22 +552,24 @@ class RatFunc(Ring):
             if p.terms[max(p.terms)] < 0:
                 p, scale = -p, -scale
             parts.append(p)
-        den = []
-        for f in self.den:
-            g, s = f.permuted(mapping)
-            den.append(g)
-            if s < 0:
-                scale = -scale
-        return RatFunc._from_parts(self.ctx, parts, den, scale)
+        lin, den = [], []
+        for factors, out in ((self.lin, lin), (self.den, den)):
+            for f in factors:
+                g, s = f.permuted(mapping)
+                out.append(g)
+                if s < 0:
+                    scale = -scale
+        return RatFunc._from_parts(self.ctx, parts, lin, den, scale)
 
     def evaluate(self, point: Mapping[VarId, Fraction]) -> Fraction:
         """The value at a point, always a Fraction: scale times the
-        parts' values over each factor's value, in plain Fraction
-        arithmetic, which suffices as for `Poly.evaluate`.  With no parts
-        the numerator (zero or one) is evaluated, so an inexact
-        coordinate raises TypeError there too; a factor that vanishes at
-        the point raises ZeroDivisionError."""
-        val = self.scale * math.prod([p.evaluate(point) for p in self.parts or (self.num,)])
+        parts' and atoms' values over each factor's value, in plain
+        Fraction arithmetic, which suffices as for `Poly.evaluate`.  With
+        no parts and no atoms the numerator (zero or one) is evaluated,
+        so an inexact coordinate raises TypeError there too; a factor
+        that vanishes at the point raises ZeroDivisionError."""
+        values = [p.evaluate(point) for p in self.parts] + [f.evaluate(point) for f in self.lin]
+        val = self.scale * math.prod(values or [self.num.evaluate(point)], start=Fraction(1))
         for f in self.den:
             d = f.evaluate(point)
             if d == 0:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .polys import Context, Poly, _coeff, is_integer, quote
-from .ratfunc import LinearFactor, RatFunc
+from .ratfunc import LinearFactor, RatFunc, _split
 from .skew import SkewElement
 
 X_VAR = (1, 1)
@@ -153,11 +153,11 @@ def witness_inverse(spec: ToySpec, c: int) -> WitnessTrace:
     if constant == 0:
         raise ArithmeticError("division left no constant term to solve for")
     quotient_poly = quotient * coeff.scale
-    # the check reuses the one expansion, a valid single part: it is
-    # primitive with a positive leading coefficient, and x+c does not
-    # divide it, as the constant is nonzero
+    # the check reuses the one expansion, a valid single part or atom:
+    # it is primitive with a positive leading coefficient, and x+c does
+    # not divide it, as the constant is nonzero
     cleared = SkewElement.from_coeff(RatFunc._from_parts(
-        ctx, [num] if num.degree() > 0 else [], coeff.den, coeff.scale))
+        ctx, *_split(num), coeff.den, coeff.scale))
     witness = Fraction(1, 1) / constant * (
         cleared - SkewElement.from_coeff(quotient_poly))
 

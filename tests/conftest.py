@@ -93,10 +93,12 @@ def sympy_of_body(body: dict):
 
 
 def sympy_of_parts(r: RatFunc):
-    """r from its parts, den and scale; the parts' product is never
-    expanded by the package."""
+    """r from its parts, atoms, den and scale; the product of the parts
+    and atoms is never expanded by the package."""
     sympy = pytest.importorskip("sympy")
     value = sympy.Rational(str(r.scale))
+    for f in r.lin:
+        value *= _linear(f.a, f.b, sympy.Rational(str(f.c)))
     for p in r.parts:
         value *= sum((sympy.Rational(str(c))
                       * sympy.Mul(*[_symbol(v) ** e for v, e in zip(r.ctx.vars, exps)])

@@ -69,8 +69,8 @@ FAULTS = [
      "sa, sb = den // b.den, den // a.den",
      ["tests/test_gtmodules.py::test_sparse_ops_match_dense_reference"]),
     ("num multiplies all but the last part", "ratfunc.py",
-     "return _product(self.ctx, self.parts)",
-     "return _product(self.ctx, self.parts[:-1])",
+     "return self._expanded(self.parts + self.lin)",
+     "return self._expanded((self.parts + self.lin)[:-1])",
      ["tests/test_ratfunc.py::test_json_roundtrip"]),
     ("ladder family denominator from the first summand only", "gtmodules.py",
      "for memo, _ in summands for _, d in memo.values()",
@@ -80,6 +80,14 @@ FAULTS = [
      "coeff.den, coeff.scale))",
      "coeff.den, 2 * coeff.scale))",
      ["tests/test_toy.py::test_witnesses_random_polynomials"]),
+    ("_cancel removes an atom that does not equal the factor", "ratfunc.py",
+     "            lin.remove(f)",
+     "            lin.pop()",
+     ["tests/test_ratfunc.py::test_a_factor_cancels_the_atom_it_equals"]),
+    ("factored sum skips the multiplication by the pulled-out factor", "ratfunc.py",
+     "out = _expand(ctx, [inner, *maps([f])], 1, out)",
+     "out = _expand(ctx, [inner], 1, out)",
+     ["tests/test_ratfunc.py::test_sum_multiplies_a_factor_many_groups_lack_in_once"]),
 ]
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import operator
 import pickle
 import re
 from collections import Counter
@@ -14,9 +15,9 @@ from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt import cli, gln
 from skewgt.skew import SkewElement
 
-from conftest import (assert_body_matches, den_poly, edge_cases, edge_ratfuncs, eq_cross,
+from conftest import (assert_body_matches, chance, den_poly, edge_cases, edge_ratfuncs, eq_cross,
                       is_normal_rational, linear_factors, points, polys, ratfuncs,
-                      row_permutations, shifts, single_shift)
+                      row_permutations, shifts, single_shift, spy_on_poly)
 
 CTX2, CTX3 = Context.triangle(2), Context.triangle(3)
 
@@ -328,20 +329,36 @@ def test_cancelling_pairs_do_cancel():
 
 # -- numerator parts --------------------------------------------------------
 #
-# A numerator is kept as parts whose product it is.  Each part must be
-# primitive, nonconstant, with a positive leading coefficient, and no
-# denominator factor may divide it: a product cancels a factor from the
-# part it divides, so a part left divisible would leave the fraction
-# unreduced.
+# A numerator is kept as parts and atoms whose product it is.  Each part
+# must be primitive, nonconstant, with a positive leading coefficient,
+# not of atom shape, and no denominator factor may divide it; each atom
+# must be x_a + c or x_a - x_b + c with an int c, and equal no
+# denominator factor: a product cancels a factor from the part it
+# divides or the atom it equals, so a part left divisible, or an atom
+# left beside its factor, would leave the fraction unreduced.
+
+def _atom_shaped(p: Poly) -> bool:
+    """Whether p is x_a + c or x_a - x_b + c, a < b, with an int c."""
+    ctx = p.ctx
+    linear = {v: p.terms.get(ctx.pack([int(w == v) for w in ctx.vars]), 0) for v in ctx.vars}
+    coeffs = [linear[v] for v in ctx.vars if linear[v]]
+    return (p.degree() == 1 and len(p.terms) == len(coeffs) + (0 in p.terms)
+            and coeffs in ([1], [1, -1]) and type(p.constant_term()) is int)
+
 
 def _parts_in_normal_form(r: RatFunc) -> bool:
     if r.is_zero:
-        return r.parts == () and r.num.is_zero
-    if math.prod(r.parts, start=Poly.one(r.ctx)) != r.num:
+        return r.parts == () and r.lin == () and r.num.is_zero
+    atoms = [f.to_poly(r.ctx) for f in r.lin]
+    if math.prod(r.parts + tuple(atoms), start=Poly.one(r.ctx)) != r.num:
+        return False
+    if not all(_atom_shaped(p) and type(f.c) is int for f, p in zip(r.lin, atoms)):
+        return False
+    if any(f in r.den for f in r.lin):
         return False
     for p in r.parts:
         content, _ = p.content_primitive()
-        if content != 1 or p.degree() < 1:
+        if content != 1 or p.degree() < 1 or _atom_shaped(p):
             return False
         if any(p.divmod_linear(f.a, f.b, f.c)[1].is_zero for f in r.den):
             return False
@@ -390,13 +407,29 @@ def _check_parts(values):
     assert all(_parts_in_normal_form(r) for r in values)
 
 
+def test_a_factor_cancels_the_atom_it_equals(monkeypatch):
+    """a(2,1,+) V3 at n = 3 has the atoms (x3j - x21) and the part V3.
+    Dividing it by any one atom removes that atom, by lookup: no trial
+    division, and the value is the full reduction."""
+    ctx = CTX3
+    value = gln.a_coeff(ctx, 2, 1, +1) * RatFunc(vandermonde(ctx, 3))
+    assert len(value.lin) == 3 and len(value.parts) == 1
+    tried = spy_on_poly(monkeypatch, "exact_div_linear")
+    for f in value.lin:
+        quotient = value * RatFunc(Poly.one(ctx), [f])
+        assert tried == []
+        assert Counter(quotient.lin) == Counter(value.lin) - Counter([f])
+        _assert_canonical(quotient, RatFunc(value.num, value.den + (f,), value.scale))
+        tried.clear()
+
+
 def test_parts_check_catches_an_uncancelled_part(monkeypatch):
     """With the cancellation planted away, the products of the cancelling
     pairs keep a part that their own denominator divides, and the
     check of the property test above fails on the first example."""
     from skewgt import ratfunc
-    monkeypatch.setattr(ratfunc, "_cancel", lambda parts, factors, scale:
-                        (scale, list(parts), list(factors)))
+    monkeypatch.setattr(ratfunc, "_cancel", lambda parts, lin, factors, scale:
+                        (scale, list(parts), list(lin), list(factors)))
 
     @settings(max_examples=1, phases=[Phase.generate])
     @given(values=part_values())
@@ -452,6 +485,70 @@ def test_nary_sum_equals_the_fold():
     assert sum(zeros) >= 30
 
 
+@st.composite
+def lacking_sums(draw):
+    """4-5 operands at n=3 over denominators that lack factors of the
+    lcm in common: three distinct factors f, g, h and operands over [f],
+    [g], [h] and a drawn pair of them, so that two or more groups lack
+    each factor.  Each operand is multiplied by a drawn atom, all of
+    them, about half the time, by one more, and a drawn `ratfuncs`
+    operand joins them, about half the time."""
+    ctx = CTX3
+    f, g, h = draw(st.lists(linear_factors(ctx), min_size=3, max_size=3, unique=True))
+
+    def atom():
+        return RatFunc(draw(linear_factors(ctx)).to_poly(ctx))
+    common = atom() if draw(chance(5)) else 1
+    terms = []
+    for den in ([f], [g], [h], draw(st.sampled_from([[f, g], [g, h], [f, f]]))):
+        scale = Fraction(draw(st.sampled_from([-3, -1, 1, 2])), draw(st.sampled_from([1, 2, 3])))
+        terms.append(RatFunc(draw(nonzero_polys(ctx)), den, scale) * atom() * common)
+    if draw(chance(5)):
+        terms.insert(draw(st.integers(0, len(terms))), draw(ratfuncs(ctx)))
+    return terms
+
+
+def test_sum_multiplies_a_factor_many_groups_lack_in_once(monkeypatch):
+    """Over denominators that lack a factor of the lcm in common,
+    `RatFunc.sum` pulls the factor out (`_lacking_sum` recurses), and the
+    sum agrees with sympy and is the pairwise fold's full reduction."""
+    sympy = pytest.importorskip("sympy")
+    from skewgt import ratfunc
+    ctx = CTX3
+    ring, *gens = sympy.ring(",".join(map(ctx.var_name, ctx.vars)), sympy.QQ)
+    x = dict(zip(ctx.vars, gens))
+
+    def over(r, lcm):
+        # r times lcm, a multiple of its denominator, in sympy's QQ[x],
+        # from its parts, atoms, den and scale
+        value = ring(sympy.Rational(str(r.scale)))
+        for f in [*r.lin, *(lcm - Counter(r.den)).elements()]:
+            value *= x[f.a] - (x[f.b] if f.b is not None else 0) + sympy.Rational(str(f.c))
+        for p in r.parts:
+            value *= ring.from_dict({exps: int(c) for exps, c in p.sorted_terms()})
+        return value
+
+    lacking_sum, calls, pulled = ratfunc._lacking_sum, [], []
+
+    def spy(*args):
+        calls.append(args)
+        return lacking_sum(*args)
+    monkeypatch.setattr(ratfunc, "_lacking_sum", spy)
+
+    @settings(max_examples=40)
+    @given(terms=lacking_sums())
+    def check(terms):
+        calls.clear()
+        total = RatFunc.sum(ctx, terms)
+        pulled.append(len(calls) > 1)
+        lcm = functools.reduce(operator.or_, [Counter(t.den) for t in terms])
+        assert sum((over(t, lcm) for t in terms), ring.zero) == over(total, lcm), terms
+        _assert_canonical(total, _fold(ctx, terms))
+
+    check()
+    assert sum(pulled) >= 30, pulled
+
+
 def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
     """A factor whose top multiplicity (in the lcm of the denominators)
     only one operand reaches is never tried; the others are tried at
@@ -504,10 +601,13 @@ def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
 # (39, 27) while each skew product and each sum of products was reduced
 # on its own; as one `SkewElement.sum_of_products` per commutator and
 # per Gelfand row entry, each shift key is summed once, and the
-# cancellations inside the reduced products no longer happen.
+# cancellations inside the reduced products no longer happen.  gl3 was
+# (37, 25) while each linear numerator factor was a part: a factor that
+# equals an atom now cancels by lookup, with no division, which leaves
+# the 9 hits on the parts a sum makes.
 DIVISION_COUNTS = {
     ("compute", "--expr", "c33"): (10, 10),
-    ("verify", "--suite", "gl3"): (37, 25),
+    ("verify", "--suite", "gl3"): (9, 9),
 }
 
 
@@ -571,6 +671,28 @@ def test_rank4_outputs_and_division_counts(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
         assert counts["hits"] == hits, argv
         assert counts["calls"] <= calls, argv
+
+
+def test_c42_multiplies_each_lacked_factor_in_once(monkeypatch, capsys):
+    """`compute --expr c42 --n 4` prints its RANK4_OUTPUTS digest in at
+    most 460 000 `polys._mul_terms` term pairs.  It made 2 176 444 while
+    `RatFunc.sum` multiplied every factor a group lacks into that group's
+    sum, and the closing trace's sum has many groups that lack the same
+    factors; 443 971 once each such factor is multiplied in once."""
+    from skewgt import polys, ratfunc
+    pairs = [0]
+    mul_terms = polys._mul_terms
+
+    def counted(ctx, a, b, out=None):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(ctx, a, b, out)
+    monkeypatch.setattr(polys, "_mul_terms", counted)
+    monkeypatch.setattr(ratfunc, "_mul_terms", counted)
+    argv = ("compute", "--expr", "c42", "--n", "4")
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RANK4_OUTPUTS[argv][0]
+    assert pairs[0] <= 460_000, pairs
 
 
 # -- differential oracle against sympy ----------------------------------

@@ -24,7 +24,7 @@ def test_verify_identity_decides_a_non_canonical_operand_by_its_difference(ctx3)
     x = lambda k, i: Poly.var(ctx3, (k, i))
     f, _ = linear_factor((2, 1), (2, 2), 0)
     unreduced = SkewElement.from_coeff(
-        RatFunc._from_parts(ctx3, [x(1, 1) * (x(2, 1) - x(2, 2))], [f], 3))
+        RatFunc._from_parts(ctx3, [x(1, 1) * (x(2, 1) - x(2, 2))], (), [f], 3))
     reduced = SkewElement.from_coeff(3 * x(1, 1))
     assert unreduced != reduced
     for lhs, rhs in ((unreduced, reduced), (reduced, unreduced)):
