@@ -196,7 +196,7 @@ def _cancel(parts, lin, factors, scale):
     parts, lin = list(parts), list(lin)
     kept = []
     for f in factors:
-        if lin and f in lin:
+        if f in lin:
             lin.remove(f)
             continue
         for i, p in enumerate(parts):
@@ -240,23 +240,37 @@ def _product(ctx: Context, polys) -> Poly:
     return Poly._from_packed(ctx, _expand(ctx, [p.terms for p in polys]))
 
 
-def _lacking_sum(ctx: Context, lacking, own, maps, out: Optional[dict], pull: bool):
+def _group_sums(ctx: Context, lacking, own, term_map, out: Optional[dict] = None):
     """Add to ``out`` (a fresh map when None; None when there is
     nothing to add) the sum over ``lacking``, pairs (group, {f: e}) of
     the operands over one denominator and the factors of the lcm it
     lacks, of each operand's own numerator (``own``) times prod(f^e);
-    ``maps`` gives the term maps of factors.
+    ``term_map`` gives the term map of a factor.
 
-    With ``pull``, while two or more groups lack one factor, the factor
-    the most groups lack is pulled out: those groups are summed on their
-    own, recursively, each lacking one power less, zero terms are
-    dropped, and the sum is multiplied by the factor once.  Then each
-    group's products accumulate straight into ``out`` when it lacks
+    Each group's products accumulate straight into ``out`` when it lacks
     nothing, else into a fresh map, which is multiplied by the factors
-    it lacks into ``out``.  Only the lacked factors are read before a
-    group is summed, so one group's sum and the partial sums of the
-    pulled factors are held at a time."""
-    while pull and len(lacking) > 1:
+    it lacks into ``out``."""
+    for group, missing in lacking:
+        acc = None if missing else out
+        for t in group:
+            acc = _expand(ctx, *own(t), acc)
+        if not missing:
+            out = acc
+        elif acc := Poly._from_packed(ctx, acc).terms:
+            out = _expand(ctx, [acc, *[term_map(f) for f, e in missing.items()
+                                       for _ in range(e)]], 1, out)
+    return out
+
+
+def _lacking_sum(ctx: Context, lacking, own, term_map, out: Optional[dict] = None):
+    """`_group_sums`, but while two or more groups lack one factor, the
+    factor the most groups lack is pulled out first: those groups are
+    summed on their own, recursively, each lacking one power less, zero
+    terms are dropped, and the sum is multiplied by the factor once.
+    Only the lacked factors are read before a group is summed, so one
+    group's sum and the partial sums of the pulled factors are held at
+    a time."""
+    while len(lacking) > 1:
         f, k = max(Counter(f for _, missing in lacking for f in missing).items(),
                    key=itemgetter(1))
         if k < 2:
@@ -270,20 +284,11 @@ def _lacking_sum(ctx: Context, lacking, own, maps, out: Optional[dict], pull: bo
                 inner.append((group, missing))
             else:
                 rest.append((group, missing))
-        inner = _lacking_sum(ctx, inner, own, maps, None, True)
+        inner = _lacking_sum(ctx, inner, own, term_map)
         if inner := Poly._from_packed(ctx, inner or {}).terms:
-            out = _expand(ctx, [inner, *maps([f])], 1, out)
+            out = _expand(ctx, [inner, term_map(f)], 1, out)
         lacking = rest
-    for group, missing in lacking:
-        acc = None if missing else out
-        for t in group:
-            acc = _expand(ctx, *own(t), acc)
-        if not missing:
-            out = acc
-        elif acc := Poly._from_packed(ctx, acc).terms:
-            out = _expand(ctx, [acc, *maps([f for f, e in missing.items() for _ in range(e)])],
-                          1, out)
-    return out
+    return _group_sums(ctx, lacking, own, term_map, out)
 
 
 class RatFunc(Ring):
@@ -411,15 +416,16 @@ class RatFunc(Ring):
         map (`_expand`): the running total when the group lacks no factor
         of the lcm, else a fresh map, which is multiplied by the factors
         the group lacks, a factor that several groups lack into their sum
-        once (`_lacking_sum`).  Over two denominators no factor is lacked
-        twice, so a sum of two counts nothing.  A factor f of top
-        multiplicity m (in the lcm) is tried against the new part, at
-        most m times, only if two operands reach m: were it one, every
-        other cofactor would hold f, and f divides neither that
-        operand's numerator nor its cofactor.  No factor is tried against
-        a shared part or atom: every factor sits below some operand, and
-        that operand has them among its own, none of which its factors
-        divide."""
+        once (`_lacking_sum`).  Of two denominators one reaches each
+        factor's top multiplicity, so no factor is lacked twice, and a
+        sum over two (every ``+``) skips that count (`_group_sums`).  A
+        factor f of top multiplicity m (in the lcm) is tried against the
+        new part, at most m times, only if two operands reach m: were it
+        one, every other cofactor would hold f, and f divides neither
+        that operand's numerator nor its cofactor.  No factor is tried
+        against a shared part or atom: every factor sits below some
+        operand, and that operand has them among its own, none of which
+        its factors divide."""
         terms = [t for t in terms if not t.is_zero]
         if len(terms) < 2:
             return terms[0] if terms else RatFunc.zero(ctx)
@@ -439,41 +445,33 @@ class RatFunc(Ring):
                     top[f] = [m, len(group)]
                 elif m == r[0]:
                     r[1] += len(group)
-        shared = Counter(terms[0].parts)
+        shared = Counter(terms[0].parts + terms[0].lin)
         for t in terms[1:]:
             if not shared:
                 break
-            shared &= Counter(t.parts)
-        shared_lin = Counter(terms[0].lin) if terms[0].lin else None
-        for t in terms[1:]:
-            if not shared_lin:
-                break
-            shared_lin &= Counter(t.lin)
+            shared &= Counter(t.parts + t.lin)
         g = math.lcm(*[t.scale.denominator for t in terms])
-        linear: dict = {}  # factor -> its term map
+        linear: dict = {}  # atom or factor -> its term map
 
-        def maps(factors):
-            out = []
-            for f in factors:
-                m = linear.get(f)
-                if m is None:
-                    m = linear[f] = f.to_poly(ctx).terms
-                out.append(m)
-            return out
+        def term_map(f):
+            if type(f) is not LinearFactor:
+                return f.terms
+            m = linear.get(f)
+            if m is None:
+                m = linear[f] = f.to_poly(ctx).terms
+            return m
 
         def own(t):
-            # the operand's parts and atoms outside the shared ones, and
-            # its integer scale
-            polys = (Counter(t.parts) - shared).elements() if shared else t.parts
-            out = [p.terms for p in polys]
-            if t.lin:
-                out += maps((Counter(t.lin) - shared_lin).elements() if shared_lin else t.lin)
-            return out, t.scale.numerator * (g // t.scale.denominator)
+            # the term maps of the operand's parts and atoms outside the
+            # shared ones, and its integer scale
+            mine = (Counter(t.parts + t.lin) - shared).elements() if shared else t.parts + t.lin
+            return [term_map(f) for f in mine], t.scale.numerator * (g // t.scale.denominator)
 
         # each group with the power of each factor of the lcm it lacks
         lacking = [(group, {f: e for f, (m, _) in top.items() if (e := m - d.get(f, 0))})
                    for group, d in zip(groups.values(), dens)]
-        total = _lacking_sum(ctx, lacking, own, maps, None, len(groups) > 2)
+        summed = _lacking_sum if len(groups) > 2 else _group_sums
+        total = summed(ctx, lacking, own, term_map)
         total = Poly._from_packed(ctx, total or {})
         if total.is_zero:
             return RatFunc.zero(ctx)
@@ -484,9 +482,10 @@ class RatFunc(Ring):
         # content and g may both be ints, and int / int is a float
         scale, parts, lin, kept = _cancel(*_split(prim), tried,
                                           content if g == 1 else Fraction(content) / g)
-        if shared_lin:
-            lin += shared_lin.elements()
-        return RatFunc._from_parts(ctx, [*shared.elements(), *parts], lin, rest + kept, scale)
+        shared_parts = []
+        for f in shared.elements():
+            (lin if type(f) is LinearFactor else shared_parts).append(f)
+        return RatFunc._from_parts(ctx, shared_parts + parts, lin, rest + kept, scale)
 
     def __neg__(self):
         return RatFunc._from_parts(self.ctx, self.parts, self.lin, self.den, -self.scale)

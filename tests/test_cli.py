@@ -833,6 +833,19 @@ def test_printing_holds_one_coefficient_expansion_at_a_time():
     assert peak_mb(["compute", "--expr", "X2+^8", "--n", "3"]) < base + 50
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_factored_sum_of_c43_stays_within_its_memory():
+    """c43's closing sum holds one partial sum per level of pulled
+    factors (`ratfunc._lacking_sum`), of up to about 100 000 terms each.
+    That trade for half the time keeps its peak within 45 MB of that of
+    c32 (36 MB above it on Python 3.11, 26 MB when each group's sum was
+    multiplied by all the factors it lacks); one more held level of
+    that size, about 12 MB, would break the bound."""
+    base = peak_mb(["compute", "--expr", "c32"])
+    assert peak_mb(["compute", "--expr", "c43", "--n", "4"]) < base + 45
+
+
 COLD_IMPORT = """
 import json, sys
 before = set(sys.modules)

@@ -85,7 +85,7 @@ FAULTS = [
      "            lin.pop()",
      ["tests/test_ratfunc.py::test_a_factor_cancels_the_atom_it_equals"]),
     ("factored sum skips the multiplication by the pulled-out factor", "ratfunc.py",
-     "out = _expand(ctx, [inner, *maps([f])], 1, out)",
+     "out = _expand(ctx, [inner, term_map(f)], 1, out)",
      "out = _expand(ctx, [inner], 1, out)",
      ["tests/test_ratfunc.py::test_sum_multiplies_a_factor_many_groups_lack_in_once"]),
 ]
