@@ -54,14 +54,14 @@ cannot cancel, and each operation hands ``_cancel`` only the rest
 * ``*`` tries the factors of each denominator against the other
   operand's atoms and parts only;
 * ``RatFunc.sum`` keeps the atoms and parts every operand shares and
-  multiplies out the rest into one new part, on plain term maps:
-  operands over one denominator add their numerators into one map,
-  every product accumulating straight into its map, and a factor that
-  several of these maps lack is multiplied into their sum once
-  (`_lacking_sum`).  It tries against the new part only the factors
-  whose top multiplicity in the lcm is reached by two or more operands;
-  ``+`` is its sum of two, which tries only the factors with equal
-  multiplicity in both denominators;
+  multiplies out the rest into one new part: each operand is handed on
+  as data, the term maps of its other parts and atoms (`_term_map`)
+  and its integer scale, operands over one denominator add their
+  products into one map, and a factor that several of these maps lack
+  is multiplied into their sum once (`_lacking_sum`).  It tries against
+  the new part only the factors whose top multiplicity in the lcm is
+  reached by two or more operands; ``+`` is its sum of two, which tries
+  only the factors with equal multiplicity in both denominators;
 * ``shifted`` and ``permuted`` are ring automorphisms over the integers,
   map each atom as a factor, with no Taylor shift, and each part, and
   try none.
@@ -232,68 +232,69 @@ def _expand(ctx: Context, maps, k=1, out: Optional[dict] = None) -> dict:
     return _mul_terms(ctx, acc, maps[-1], out)
 
 
-def _product(ctx: Context, polys) -> Poly:
-    """The product of ``polys``; a single one is returned as it is."""
-    polys = list(polys)
-    if len(polys) == 1:
-        return polys[0]
-    return Poly._from_packed(ctx, _expand(ctx, [p.terms for p in polys]))
+def _term_map(ctx: Context, f) -> dict:
+    """The term map of ``f``: a part's own map, or a fresh one for an
+    atom or a denominator factor (a `LinearFactor`)."""
+    return f.to_poly(ctx).terms if type(f) is LinearFactor else f.terms
 
 
-def _group_sums(ctx: Context, lacking, own, term_map, out: Optional[dict] = None):
+def _group_sums(ctx: Context, lacking, out: Optional[dict] = None):
     """Add to ``out`` (a fresh map when None; None when there is
-    nothing to add) the sum over ``lacking``, pairs (group, {f: e}) of
-    the operands over one denominator and the factors of the lcm it
-    lacks, of each operand's own numerator (``own``) times prod(f^e);
-    ``term_map`` gives the term map of a factor.
+    nothing to add) the sum over ``lacking``, pairs (operands, {f: e})
+    of a denominator group, its operands as (term maps, integer scale)
+    pairs, and the factors of the lcm it lacks, of each operand's scale
+    times the product of its maps times prod(f^e).
 
     Each group's products accumulate straight into ``out`` when it lacks
     nothing, else into a fresh map, which is multiplied by the factors
     it lacks into ``out``."""
-    for group, missing in lacking:
+    for operands, missing in lacking:
         acc = None if missing else out
-        for t in group:
-            acc = _expand(ctx, *own(t), acc)
+        for maps, k in operands:
+            acc = _expand(ctx, maps, k, acc)
         if not missing:
             out = acc
         elif acc := Poly._from_packed(ctx, acc).terms:
-            out = _expand(ctx, [acc, *[term_map(f) for f, e in missing.items()
+            out = _expand(ctx, [acc, *[_term_map(ctx, f) for f, e in missing.items()
                                        for _ in range(e)]], 1, out)
     return out
 
 
-def _lacking_sum(ctx: Context, lacking, own, term_map, out: Optional[dict] = None):
-    """`_group_sums`, but while two or more groups lack one factor, the
-    factor the most groups lack is pulled out first: those groups are
-    summed on their own, recursively, each lacking one power less, zero
-    terms are dropped, and the sum is multiplied by the factor once.
-    Only the lacked factors are read before a group is summed, so one
-    group's sum and the partial sums of the pulled factors are held at
-    a time."""
+def _lacking_sum(ctx: Context, lacking, out: Optional[dict] = None):
+    """`_group_sums` on the same data, but while two or more groups lack
+    one factor, the factor the most groups lack is pulled out first:
+    those groups are summed on their own, recursively, each lacking one
+    power less, zero terms are dropped, and the sum is multiplied by the
+    factor once.  Only the lacked factors are read before a group is
+    summed, so one group's sum and the partial sums of the pulled
+    factors are held at a time."""
     while len(lacking) > 1:
         f, k = max(Counter(f for _, missing in lacking for f in missing).items(),
                    key=itemgetter(1))
         if k < 2:
             break
         inner, rest = [], []
-        for group, missing in lacking:
+        for operands, missing in lacking:
             if f in missing:
                 missing = {**missing, f: missing[f] - 1}
                 if not missing[f]:
                     del missing[f]
-                inner.append((group, missing))
+                inner.append((operands, missing))
             else:
-                rest.append((group, missing))
-        inner = _lacking_sum(ctx, inner, own, term_map)
+                rest.append((operands, missing))
+        inner = _lacking_sum(ctx, inner)
         if inner := Poly._from_packed(ctx, inner or {}).terms:
-            out = _expand(ctx, [inner, term_map(f)], 1, out)
+            out = _expand(ctx, [inner, _term_map(ctx, f)], 1, out)
         lacking = rest
-    return _group_sums(ctx, lacking, own, term_map, out)
+    return _group_sums(ctx, lacking, out)
 
 
 class RatFunc(Ring):
     """Reduced rational function with factored denominator."""
 
+    # the atoms are a slot of their own: kept among the parts, `_cancel`'s
+    # atom lookup made about 58 more `Poly.__eq__` calls per witness job,
+    # and `witnesses` wall_probes read +1.2 to +3.7 % (four pairs)
     __slots__ = ("ctx", "parts", "lin", "den", "scale")
 
     def __init__(self, num: Poly, den: Iterable[LinearFactor] = (), scale=1):
@@ -358,9 +359,12 @@ class RatFunc(Ring):
         return self._expanded(self.parts + self.lin)
 
     def _expanded(self, factors) -> Poly:
-        """The product of ``factors``, parts and atoms, multiplied out."""
-        return _product(self.ctx, [f.to_poly(self.ctx) if type(f) is LinearFactor else f
-                                   for f in factors])
+        """The product of ``factors``, parts and atoms, multiplied out; a
+        single part is returned as it is."""
+        ctx, factors = self.ctx, list(factors)
+        if len(factors) == 1 and type(factors[0]) is Poly:
+            return factors[0]
+        return Poly._from_packed(ctx, _expand(ctx, [_term_map(ctx, f) for f in factors]))
 
     @property
     def is_zero(self) -> bool:
@@ -411,12 +415,13 @@ class RatFunc(Ring):
         The parts and atoms every operand has are kept as they are; the
         rest is multiplied out on plain term maps into one new primitive
         part, or atom.  The operands are grouped by denominator, and each
-        group is one loop over its members' other parts and atoms (times
-        their integer scales), each product accumulating straight into a
-        map (`_expand`): the running total when the group lacks no factor
-        of the lcm, else a fresh map, which is multiplied by the factors
-        the group lacks, a factor that several groups lack into their sum
-        once (`_lacking_sum`).  Of two denominators one reaches each
+        group is handed on as data: per operand, the term maps of its
+        other parts and atoms (`_term_map`) and its integer scale.  A
+        group is summed in one loop, each product accumulating straight
+        into a map (`_expand`): the running total when the group lacks no
+        factor of the lcm, else a fresh map, which is multiplied by the
+        factors the group lacks, a factor that several groups lack into
+        their sum once (`_lacking_sum`).  Of two denominators one reaches each
         factor's top multiplicity, so no factor is lacked twice, and a
         sum over two (every ``+``) skips that count (`_group_sums`).  A
         factor f of top multiplicity m (in the lcm) is tried against the
@@ -451,27 +456,21 @@ class RatFunc(Ring):
                 break
             shared &= Counter(t.parts + t.lin)
         g = math.lcm(*[t.scale.denominator for t in terms])
-        linear: dict = {}  # atom or factor -> its term map
-
-        def term_map(f):
-            if type(f) is not LinearFactor:
-                return f.terms
-            m = linear.get(f)
-            if m is None:
-                m = linear[f] = f.to_poly(ctx).terms
-            return m
-
-        def own(t):
-            # the term maps of the operand's parts and atoms outside the
-            # shared ones, and its integer scale
-            mine = (Counter(t.parts + t.lin) - shared).elements() if shared else t.parts + t.lin
-            return [term_map(f) for f in mine], t.scale.numerator * (g // t.scale.denominator)
-
-        # each group with the power of each factor of the lcm it lacks
-        lacking = [(group, {f: e for f, (m, _) in top.items() if (e := m - d.get(f, 0))})
-                   for group, d in zip(groups.values(), dens)]
+        # per group: each operand's term maps outside the shared parts and
+        # atoms with its integer scale, and the power of each factor it lacks
+        lacking = []
+        for group, d in zip(groups.values(), dens):
+            operands = []
+            for t in group:
+                own = (Counter(t.parts + t.lin) - shared).elements() if shared else t.parts + t.lin
+                operands.append(([_term_map(ctx, f) for f in own],
+                                 t.scale.numerator * (g // t.scale.denominator)))
+            lacking.append((operands, {f: e for f, (m, _) in top.items()
+                                       if (e := m - d.get(f, 0))}))
+        # counting the lacked factors on every sum, `+` included, read
+        # `witnesses` wall_probes +3.2 to +3.7 % (three alternating pairs)
         summed = _lacking_sum if len(groups) > 2 else _group_sums
-        total = summed(ctx, lacking, own, term_map)
+        total = summed(ctx, lacking)
         total = Poly._from_packed(ctx, total or {})
         if total.is_zero:
             return RatFunc.zero(ctx)

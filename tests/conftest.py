@@ -235,11 +235,16 @@ SCALES = [Fraction(k) for k in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2
 @functools.lru_cache(maxsize=None)
 def ratfuncs(ctx: Context):
     """A `polys` numerator, a zero one mostly replaced by 1, over 0-2
-    `linear_factors`, with a scale in {-2, -1, 1, 2} / {1, 2}."""
-    def ratfunc(num, one, den, scale):
-        return RatFunc(Poly.one(ctx) if num.is_zero and one else num, den, scale)
+    `linear_factors`, with a scale in {-2, -1, 1, 2} / {1, 2}, times 0-3
+    more `linear_factors`, which the product keeps as atoms where they
+    do not cancel, so a value may hold several atoms."""
+    def ratfunc(num, one, den, scale, atoms):
+        r = RatFunc(Poly.one(ctx) if num.is_zero and one else num, den, scale)
+        for f in atoms:
+            r = r * RatFunc(f.to_poly(ctx))
+        return r
     return st.builds(ratfunc, polys(ctx), chance(7), st.lists(linear_factors(ctx), max_size=2),
-                     st.sampled_from(SCALES))
+                     st.sampled_from(SCALES), st.lists(linear_factors(ctx), max_size=3))
 
 
 @functools.lru_cache(maxsize=None)

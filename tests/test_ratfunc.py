@@ -709,8 +709,8 @@ def factor_to_sympy(f, syms):
 def to_sympy(r, syms):
     sympy = pytest.importorskip("sympy")
     ctx = r.ctx
-    num = sum((rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
-               for e, c in r.num.sorted_terms()), sympy.Integer(0))
+    num = sympy.Add(*[rational(c) * sympy.Mul(*[syms[v] ** k for v, k in zip(ctx.vars, e)])
+                      for e, c in r.num.sorted_terms()])
     den = sympy.Mul(*[factor_to_sympy(f, syms) for f in r.den])
     return rational(r.scale) * num / den
 
@@ -719,25 +719,37 @@ def _check_ratfunc_against_sympy(a, b, shift, mapping):
     """RatFunc +, *, shifted and permuted at n=3 against sympy's rational
     functions.
 
-    Each result must agree with sympy in value (the numerator of the
-    combined difference expands to 0) and be stored in normal form: int
+    Each result must agree with sympy in value (n/d and the result's
+    numerator and denominator cross-multiply to equal polynomials of
+    sympy's sparse ring over QQ) and be stored in normal form: int
     numerator coefficients, an int or non-integral Fraction scale."""
     sympy = pytest.importorskip("sympy")
-    syms = {v: sympy.Symbol(CTX3.var_name(v)) for v in CTX3.vars}
+    ring, *xs = sympy.ring([CTX3.var_name(v) for v in CTX3.vars], sympy.QQ)
+    gens = dict(zip(CTX3.vars, xs))
 
-    def agrees(expr, r):
+    def qq(q):
+        return sympy.QQ(q.numerator, q.denominator)
+
+    def fraction(r):
+        num = ring.from_dict({e: qq(c) for e, c in r.num.sorted_terms()})
+        den = ring.one
+        for f in r.den:
+            den *= gens[f.a] - (gens[f.b] if f.b is not None else 0) + qq(f.c)
+        return num * qq(r.scale), den
+
+    def agrees(expected, r):
         assert all(type(c) is int for c in r.num.terms.values())
         assert is_normal_rational(r.scale)
-        num, _ = sympy.fraction(sympy.together(expr - to_sympy(r, syms)))
-        return sympy.expand(num) == 0
+        (n, d), (rn, rd) = expected, fraction(r)
+        return n * rd == rn * d
 
-    sa, sb = to_sympy(a, syms), to_sympy(b, syms)
-    assert agrees(sa + sb, a + b)
-    assert agrees(sa * sb, a * b)
-    moved = sa.xreplace({syms[v]: syms[v] - s for v, s in shift.items()})
-    assert agrees(moved, a.shifted(shift))
-    renamed = sa.xreplace({syms[v]: syms[w] for v, w in mapping.items()})
-    assert agrees(renamed, a.permuted(mapping))
+    (na, da), (nb, db) = fraction(a), fraction(b)
+    assert agrees((na * db + nb * da, da * db), a + b)
+    assert agrees((na * nb, da * db), a * b)
+    moved = [(gens[v], gens[v] - s) for v, s in shift.items()]
+    assert agrees((na.compose(moved), da.compose(moved)), a.shifted(shift))
+    renamed = [(gens[v], gens[w]) for v, w in mapping.items()]
+    assert agrees((na.compose(renamed), da.compose(renamed)), a.permuted(mapping))
 
 
 sympy_ratfunc_cases = dict(a=ratfuncs(CTX3), b=ratfuncs(CTX3), shift=shifts(CTX3),
@@ -853,16 +865,23 @@ def _check_evaluation_against_sympy(count):
     """RatFunc.evaluate at n=3 against sympy's subs at `count` drawn
     rational points with mixed denominators; at a pole, the first
     vanishing factor (found by sympy) must be named in the
-    ZeroDivisionError, and some draws must be poles."""
+    ZeroDivisionError, and some draws must be poles.  About three draws
+    in ten move the point onto the zero set of the value's last factor,
+    so poles do not rest on a drawn point meeting one by chance (one
+    seed in five drew none in 80)."""
     sympy = pytest.importorskip("sympy")
     ctx = CTX3
     syms = {v: sympy.Symbol(ctx.var_name(v)) for v in ctx.vars}
     poles = []
 
     @settings(max_examples=count)
-    @given(r=ratfuncs(ctx), point=points(ctx))
-    @edge_cases(edge_ratfuncs(ctx), ["r"], point={v: Fraction(-1, 2) for v in ctx.vars})
-    def check(r, point):
+    @given(r=ratfuncs(ctx), point=points(ctx), on_pole=chance(3))
+    @edge_cases(edge_ratfuncs(ctx), ["r"], point={v: Fraction(-1, 2) for v in ctx.vars},
+                on_pole=False)
+    def check(r, point, on_pole):
+        if on_pole and r.den:
+            f = r.den[-1]
+            point = {**point, f.a: (point[f.b] if f.b is not None else 0) - f.c}
         values = {syms[v]: rational(q) for v, q in point.items()}
         vanishing = [f for f in r.den if factor_to_sympy(f, syms).subs(values) == 0]
         if vanishing:

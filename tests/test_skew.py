@@ -180,20 +180,24 @@ def test_group_action_examples(ctx3):
 def test_bad_row_mappings_are_refused(ctx3):
     """A mapping that is not a bijection within the rows of the context
     would corrupt a packed key, or name none: `Poly.permute` refuses it,
-    and `RatFunc.permuted` and `act` refuse it through it, a constant
-    with no part to permute included.  The empty mapping is the
-    identity."""
+    and `RatFunc.permuted` and `act` refuse it through it.  A value with
+    no part to permute is refused by `RatFunc.permuted` itself: a
+    constant, and values with atoms only, (x21 - x22) and a(2, 1, +),
+    whose atoms `LinearFactor.permuted` would map to factors across
+    rows.  The empty mapping is the identity."""
     x21 = Poly.var(ctx3, (2, 1))
     r = RatFunc(x21 * Poly.var(ctx3, (3, 1)) + 1)
-    const = RatFunc.const(ctx3, 2)
+    unpermuted = [RatFunc.const(ctx3, 2), RatFunc(x21 - Poly.var(ctx3, (2, 2))),
+                  gln.a_coeff(ctx3, 2, 1, +1)]
+    assert all(not v.parts for v in unpermuted)
     u = SkewElement.from_coeff(r) * SkewElement.shift_gen(ctx3, (2, 1))
     for bad in ({(2, 1): (2, 2)}, {(2, 1): (3, 1), (3, 1): (2, 1)},
                 {(4, 1): (4, 2), (4, 2): (4, 1)}):
-        for apply in (x21.permute, r.permuted, const.permuted, u.act):
+        for apply in (x21.permute, r.permuted, u.act, *[v.permuted for v in unpermuted]):
             with pytest.raises(ValueError):
                 apply(bad)
     assert x21.permute({}) == x21 and r.permuted({}) == r and u.act({}) == u
-    assert const.permuted({}) == const
+    assert all(v.permuted({}) == v for v in unpermuted)
 
 
 SWAP2 = {(2, 1): (2, 2), (2, 2): (2, 1)}
