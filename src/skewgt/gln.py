@@ -129,7 +129,7 @@ def matrix_unit_image(ctx: Context, i: int, j: int) -> SkewElement:
 # c43 fits and c44, c99 do not.  For k >= 2 the image itself sums the
 # skew products of rank*((k-2)*rank^2 + rank) pairs in rank^2*(k-2) + 1
 # calls of `SkewElement.sum_of_products`: 80 pairs in 17 calls for c43,
-# about 2.6 s at a 62 MB peak at n=4 on a 2-core machine (in-process,
+# 2.5-2.8 s at a 58 MB peak at n=4 on a 2-core machine (fresh process,
 # Python 3.11).  For k = 1 it is a skew `+` of rank diagonal images.
 MAX_GELFAND_TUPLES = 64
 

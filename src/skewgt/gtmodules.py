@@ -78,8 +78,8 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .polys import Context, VarId, _coeff
-from .relations import (VerificationReport, gln_catalogue, gln_weights, single_shift_catalogue,
-                        verify_predicate)
+from .relations import (IdentityResult, VerificationReport, gln_catalogue, gln_weights,
+                        single_shift_catalogue)
 from .skew import commutator
 from . import gln
 
@@ -89,8 +89,9 @@ Pattern = Tuple[Tuple[Union[int, Fraction], ...], ...]
 # The dimension is known from the input alone (Weyl formula, window
 # size), so a larger module is refused before any pattern is enumerated.
 # Set from a ~10 s job limit: on a 2-core machine, `gt --check` on the
-# largest module under it takes 1.4-4.5 s at ranks 4-7 and 5.0-5.6 s
-# at ranks 8-9 (the report has about 5 n^2 entries).
+# largest module under it takes 1.3-2.3 s at ranks 4-7 and 2.7-3.7 s
+# at ranks 8-9, at 92-153 MB peaks (fresh process, Python 3.11; the
+# report has about 5 n^2 entries).
 MAX_CHECK_DIM = 10_000
 
 # Largest module `gt --json` exports, checked before the build: the
@@ -658,7 +659,7 @@ def module_relation_report(mod: ModuleRealization) -> VerificationReport:
     rank3 = single_shift_catalogue(3, M) if n == 3 and all_plus else ()
     for _, key, anchor, lhs, rhs in itertools.chain(gln_catalogue(n, M),
                                                     squared, rank3):
-        rep.add(verify_predicate(key, anchor, lhs == rhs))
+        rep.add(IdentityResult(key, anchor, lhs == rhs))
     return rep
 
 
@@ -749,6 +750,6 @@ def generic_module_report(mod: ModuleRealization) -> VerificationReport:
                 commutator(M[f"X{k}+"], M[f"X{k}-"]), M[f"X{k}{k}"] - M[f"X{k + 1}{k + 1}"])
                for k in range(1, mod.n))
     for bracket, anchor, lhs, rhs in itertools.chain(ladders, gln_weights(mod.n, M)):
-        rep.add(verify_predicate(f"generic:{bracket}", f"{anchor} on interior vectors",
-                                 columns_equal(lhs, rhs, cols)))
+        rep.add(IdentityResult(f"generic:{bracket}", f"{anchor} on interior vectors",
+                               columns_equal(lhs, rhs, cols)))
     return rep

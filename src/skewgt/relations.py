@@ -48,9 +48,9 @@ class IdentityResult:
 
 
 class VerificationReport:
-    def __init__(self, suite: str, results: Optional[List[IdentityResult]] = None):
+    def __init__(self, suite: str):
         self.suite = suite
-        self.results = results or []
+        self.results: List[IdentityResult] = []
 
     def add(self, result: IdentityResult):
         self.results.append(result)
@@ -90,10 +90,6 @@ def verify_identity(key: str, anchor: str, lhs: SkewElement, rhs: SkewElement) -
     diff = lhs - rhs
     ok = diff.is_zero
     return IdentityResult(key, anchor, ok, None if ok else diff)
-
-
-def verify_predicate(key: str, anchor: str, ok: bool) -> IdentityResult:
-    return IdentityResult(key, anchor, bool(ok))
 
 
 # ----------------------------------------------------------------------
@@ -335,13 +331,13 @@ def suite_invariants() -> VerificationReport:
     rep.add(verify_identity(
         "product:display", "A21+ A21- equals the reduced rational function",
         prod, SkewElement.from_coeff(display)))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "product:identity-support", "A21+ A21- is a pure coefficient",
         prod.support() == frozenset({SkewElement.identity_shift(ctx)})))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "product:not-gammatilde", "A21+ A21- has a true denominator",
         not gln.membership(prod, "GammaTilde")))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "product:in-localized", "A21+ A21- lies in the localized coefficient ring",
         gln.membership(prod, "S_localized")))
 
@@ -365,13 +361,13 @@ def suite_invariants() -> VerificationReport:
             f"fourfold:sym-invariant:{idx}",
             "the fourfold product is fixed by a symmetric generator",
             four.act(g), four))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "fourfold:identity-support", "the fourfold product is a pure coefficient",
         four.support() == frozenset({SkewElement.identity_shift(ctx)})))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "fourfold:denominator", "its reduced denominator is nonempty",
         len(four.identity_coefficient().den) > 0))
-    rep.add(verify_predicate(
+    rep.add(IdentityResult(
         "fourfold:outside-polynomial-invariants",
         "hence it avoids the polynomial invariant ring",
         not gln.membership(four, "Gamma")))

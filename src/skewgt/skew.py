@@ -26,7 +26,7 @@ it is a bijection within rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .polys import Context, Poly, Ring, VarId, _add_into
@@ -115,18 +115,15 @@ class SkewElement(Ring):
 
     def right_coefficients(self) -> Dict[ShiftKey, RatFunc]:
         """Re-express each term as mu * alpha; round trips with from_right."""
-        return {key: coeff.shifted(_neg_shift_map(self.ctx, key))
+        return {key: coeff.shifted(_shift_map(self.ctx, tuple(map(neg, key))))
                 for key, coeff in self.terms.items()}
-
-    def coefficient(self, key: ShiftKey) -> RatFunc:
-        return self.terms.get(key, RatFunc.zero(self.ctx))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def identity_coefficient(self) -> RatFunc:
-        return self.coefficient(SkewElement.identity_shift(self.ctx))
+        return self.terms.get(SkewElement.identity_shift(self.ctx), RatFunc.zero(self.ctx))
 
     # -- ring operations ---------------------------------------------------
 
@@ -135,9 +132,7 @@ class SkewElement(Ring):
             if other.ctx != self.ctx:
                 raise ValueError("elements from different contexts")
             return other
-        if isinstance(other, (RatFunc, Poly)):
-            return SkewElement.from_coeff(other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (RatFunc, Poly, int, Fraction)):
             return SkewElement.from_coeff(other, self.ctx)
         return None
 
@@ -194,7 +189,7 @@ class SkewElement(Ring):
     def coevaluate(self, a) -> RatFunc:
         """The transposed action: sum_mu alpha_mu * mu^{-1}(a)."""
         a = SkewElement.from_coeff(a, self.ctx).identity_coefficient()
-        return RatFunc.sum(self.ctx, [alpha * a.shifted(_neg_shift_map(self.ctx, key))
+        return RatFunc.sum(self.ctx, [alpha * a.shifted(_shift_map(self.ctx, tuple(map(neg, key))))
                                       for key, alpha in self.right_coefficients().items()])
 
     # -- group action ------------------------------------------------------
@@ -249,10 +244,6 @@ class SkewElement(Ring):
 
 def _shift_map(ctx: Context, key: ShiftKey) -> Dict[VarId, int]:
     return {ctx.shift_vars[p]: m for p, m in enumerate(key) if m}
-
-
-def _neg_shift_map(ctx: Context, key: ShiftKey) -> Dict[VarId, int]:
-    return {ctx.shift_vars[p]: -m for p, m in enumerate(key) if m}
 
 
 def commutator(a, b):

@@ -104,8 +104,13 @@ class WitnessTrace:
         self.witness = witness
 
     def describe(self) -> str:
+        """The witness as text; a non-integral constant is parenthesized,
+        (1/(1/2)), so the factor cannot be read as (1/1)/2."""
+        constant = str(self.constant)
+        if "/" in constant:
+            constant = f"({constant})"
         return (f"1/(x{self.target_c:+d})" if self.target_c else "1/x") + \
-            f" = (1/{self.constant}) * ( ({self.clear_poly}) * {self.word}" \
+            f" = (1/{constant}) * ( ({self.clear_poly}) * {self.word}" \
             f" - ({self.quotient}) )"
 
 

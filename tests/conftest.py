@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, settings, strategies as st
+from hypothesis import Phase, example, settings, strategies as st
 
 from skewgt.gtmodules import Matrix
 from skewgt.polys import Context, Poly
@@ -15,6 +15,11 @@ from skewgt.skew import SkewElement
 # its own max_examples.
 settings.register_profile("exact", deadline=None, derandomize=True, database=None)
 settings.load_profile("exact")
+# The same examples without the shrink phase, which the planted-fault
+# runs select (`--hypothesis-profile=unshrunk`): a kill needs a failing
+# example, not the smallest one.
+settings.register_profile("unshrunk", settings.get_profile("exact"),
+                          phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from skewgt.skew import SkewElement, alt_generators, commutator, is_invariant, s
 from skewgt import gln, skew
 
 from conftest import (assert_skew_body_matches, compose, edge_cases, edge_skews,
-                      row_permutations, skew_elements)
+                      ratfuncs, row_permutations, shift_keys, skew_elements)
 
 CTX2, CTX3 = Context.triangle(2), Context.triangle(3)
 EDGES2, EDGES3 = edge_skews(CTX2), edge_skews(CTX3)
@@ -104,6 +104,17 @@ def test_right_left_roundtrip_random(u):
     assert SkewElement.from_right(CTX3, u.right_coefficients()) == u
 
 
+@settings(max_examples=25)
+@given(a=ratfuncs(CTX3), b=ratfuncs(CTX3), key=shift_keys(CTX3).filter(any))
+def test_identity_coefficient_reads_the_identity_shift(a, b, key):
+    """The identity coefficient of a + b*mu, mu not the identity, is a
+    whichever term is stored first, and that of b*mu alone is zero."""
+    pure, shifted = SkewElement.from_coeff(a), SkewElement(CTX3, {key: b})
+    for u in (pure + shifted, shifted + pure):
+        assert u.identity_coefficient() == a
+    assert shifted.identity_coefficient().is_zero
+
+
 def test_support(ctx3):
     X2p = gln.gen_X(ctx3, 2, +1)
     assert X2p.support() == {unit_key(ctx3, (2, 1)), unit_key(ctx3, (2, 2))}
@@ -116,6 +127,9 @@ def test_evaluate_examples(ctx2):
     x11 = Poly.var(ctx2, (1, 1))
     u = SkewElement.from_right(ctx2, {unit_key(ctx2, (1, 1)): RatFunc(x11)})
     assert u.evaluate(x11) == RatFunc((x11 - 1) ** 2)
+    # d11 sends x11 to x11 - 1; the transposed action shifts by d11^{-1}
+    d = SkewElement.shift_gen(ctx2, (1, 1))
+    assert d.evaluate(x11) == RatFunc(x11 - 1) and d.coevaluate(x11) == RatFunc(x11 + 1)
     gamma = vandermonde(ctx2, 2)
     g = SkewElement.from_coeff(gamma)
     assert g.evaluate(1) == RatFunc(gamma)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,6 +111,21 @@ def test_witnesses_random_polynomials(f, c):
     ctx = f.ctx
     trace = toy.witness_inverse(toy.ToySpec(f), c)
     assert trace.witness == SkewElement.from_coeff(toy.target_ratfunc(ctx, c))
+
+
+@pytest.mark.parametrize("f,target", [("x^2+1/2", "1/x"), ("2x+3/4", "1/(x-2)"),
+                                      ("1/3x^2-5/2", "1/x"), ("x-3", "1/x"),
+                                      ("3x^3+x+5", "1/(x-2)")])
+def test_printed_factor_reads_back_as_one_over_the_constant(ctx, f, target):
+    """The factor `describe` prints before the bracket, read as written
+    (division left to right), is 1/constant: a non-integral constant is
+    parenthesized, (1/(1/2)), where (1/1/2) would read as 1/2."""
+    trace = toy.witness_inverse(toy.ToySpec(toy.parse_univariate(ctx, f)),
+                                toy.parse_inverse_target(target))
+    factor = re.search(r" = (\(.*?\)) \* \( ", trace.describe()).group(1)
+    assert re.fullmatch(r"[-()/0-9]+", factor), factor
+    read = eval(re.sub(r"[0-9]+", r"Fraction(\g<0>)", factor), {"Fraction": Fraction})
+    assert read == 1 / Fraction(trace.constant), (factor, trace.constant)
 
 
 def test_translate_must_be_an_integer(ctx):
