@@ -136,10 +136,11 @@ class _Parser:
 # Largest exponent `^N` accepted.  The budget bounds what is printed:
 # a power's numerators stay factored, so it is cheap to build, but its
 # text multiplies them out and grows with every factor.  At n=3, X2+^4
-# builds in 0.003 s and renders 248 kB in 0.04 s; X2+^8 builds in
-# 0.02 s and renders 12 MB in 2.2 s at a 48 MB peak (a fresh process,
-# Python 3.11, 2-core machine).  A larger exponent is refused before
-# anything is computed.
+# builds in 0.001 s and renders 247 kB in 0.02 s; X2+^8 builds in
+# 0.005 s and renders 12 MB in 1.2-1.3 s, about half of it multiplying
+# out the numerators, at a 46 MB peak (fresh processes, stdout to
+# /dev/null, Python 3.11, 2-core machine).  A larger exponent is refused
+# before anything is computed.
 # An exponent applied to a bracketed group multiplies every exponent
 # inside it: (X11^8)^8 counts as ^64.
 MAX_POWER = 8

@@ -39,6 +39,14 @@ and ``==`` compares what is left of two numerators once the atoms and
 parts they share are cancelled.  No ``RatFunc`` changes once it is
 built.
 
+Factors are matched as multisets on plain lists (`_take`, `_apart`),
+atoms against atoms and parts against parts: an atom by the list's own
+search, which tries each entry for identity before the tuple ``==``,
+and a part by identity or by its term map, so matching builds no
+``Counter`` and runs no ``Poly ==``.  A product joins its operands'
+lists without copying a factor, so the factors two values share are
+mostly the same objects, and the identity test settles most matches.
+
 Canonical factors are monic of degree one in ``x_a``, so two distinct
 ones are non-associate primes, and a factor divides a product of atoms
 and parts exactly when it equals an atom or divides a part.
@@ -53,7 +61,8 @@ cannot cancel, and each operation hands ``_cancel`` only the rest
 
 * ``*`` tries the factors of each denominator against the other
   operand's atoms and parts only;
-* ``RatFunc.sum`` keeps the atoms and parts every operand shares and
+* ``RatFunc.sum`` keeps the atoms and parts every operand shares, as
+  a multiset (a factor every operand holds twice is kept twice), and
   multiplies out the rest into one new part: each operand is handed on
   as data, the term maps of its other parts and atoms (`_term_map`)
   and its integer scale, operands over one denominator add their
@@ -74,7 +83,6 @@ input.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -212,6 +220,36 @@ def _cancel(parts, lin, factors, scale):
     return scale, parts, lin, kept
 
 
+def _take(pool: list, f) -> bool:
+    """Remove from ``pool`` one factor equal to ``f``, and say whether
+    there was one.  ``pool`` holds atoms when ``f`` is an atom, parts
+    when it is a part.  An atom is found by the list's own search,
+    which tries each entry for identity before the tuple ``==``; a part
+    by identity or by its term map, so no ``Poly ==`` runs."""
+    if type(f) is LinearFactor:
+        found = f in pool
+        if found:
+            pool.remove(f)
+        return found
+    terms = f.terms
+    for i, g in enumerate(pool):
+        if g is f or g.terms == terms:
+            del pool[i]
+            return True
+    return False
+
+
+def _apart(mine, theirs):
+    """``(mine_rest, theirs_rest)``: the factors of each of two tuples
+    of parts, or of atoms, left once every factor they share is
+    cancelled, each rest in its own order (multiset differences)."""
+    rest, own = list(theirs), []
+    for f in mine:
+        if not _take(rest, f):
+            own.append(f)
+    return own, rest
+
+
 def _expand(ctx: Context, maps, k=1, out: Optional[dict] = None) -> dict:
     """Add ``k`` times the product of the term maps ``maps`` into ``out``,
     or into a fresh map when ``out`` is None, and return it.
@@ -262,15 +300,20 @@ def _group_sums(ctx: Context, lacking, out: Optional[dict] = None):
 
 def _lacking_sum(ctx: Context, lacking, out: Optional[dict] = None):
     """`_group_sums` on the same data, but while two or more groups lack
-    one factor, the factor the most groups lack is pulled out first:
-    those groups are summed on their own, recursively, each lacking one
-    power less, zero terms are dropped, and the sum is multiplied by the
-    factor once.  Only the lacked factors are read before a group is
-    summed, so one group's sum and the partial sums of the pulled
-    factors are held at a time."""
+    one factor, the factor the most groups lack is pulled out first,
+    the first lacked among equals (`max` keeps the first maximum, and
+    the count's dict the order factors are first met): those groups
+    are summed on their own, recursively, each lacking one power less,
+    zero terms are dropped, and the sum is multiplied by the factor
+    once.  Only the lacked factors are read before a group is summed,
+    so one group's sum and the partial sums of the pulled factors are
+    held at a time."""
     while len(lacking) > 1:
-        f, k = max(Counter(f for _, missing in lacking for f in missing).items(),
-                   key=itemgetter(1))
+        counts: dict = {}  # factor -> groups that lack it, first lacked first
+        for _, missing in lacking:
+            for f in missing:
+                counts[f] = counts.get(f, 0) + 1
+        f, k = max(counts.items(), key=itemgetter(1))
         if k < 2:
             break
         inner, rest = [], []
@@ -377,16 +420,22 @@ class RatFunc(Ring):
     def __eq__(self, other):
         """Equal scales, factors and numerators.  Z[x] has no zero
         divisors, so the parts and atoms both numerators have are
-        cancelled first, and only the rest is multiplied out (none, when
-        they agree)."""
+        cancelled first, as multisets (`_apart`), and only the rest is
+        multiplied out (none, when they agree).  Two values that hold
+        the same parts tuple and the same atoms tuple (values with none
+        share the empty tuple) are equal at once."""
         other = self._promote(other)
         if other is None:
             return NotImplemented
         if self.scale != other.scale or self.den != other.den:
             return False
-        mine, theirs = Counter(self.parts + self.lin), Counter(other.parts + other.lin)
-        return (self._expanded((mine - theirs).elements())
-                == self._expanded((theirs - mine).elements()))
+        if self.parts is other.parts and self.lin is other.lin:
+            return True
+        mine, theirs = _apart(self.parts, other.parts)
+        mine_lin, theirs_lin = _apart(self.lin, other.lin)
+        if not (mine or theirs or mine_lin or theirs_lin):
+            return True
+        return self._expanded(mine + mine_lin) == self._expanded(theirs + theirs_lin)
 
     def __hash__(self):
         return hash((self.scale, self.den, self.num))
@@ -412,17 +461,19 @@ class RatFunc(Ring):
     def sum(ctx: Context, terms: Iterable["RatFunc"]) -> "RatFunc":
         """The sum of ``terms`` over the lcm of their denominators.
 
-        The parts and atoms every operand has are kept as they are; the
-        rest is multiplied out on plain term maps into one new primitive
-        part, or atom.  The operands are grouped by denominator, and each
+        The parts and atoms every operand has are kept as they are, a
+        multiset intersection on plain lists (`_take`) in the first
+        operand's order; the rest of each operand (`_apart`) is
+        multiplied out on plain term maps into one new primitive part,
+        or atom.  The operands are grouped by denominator, and each
         group is handed on as data: per operand, the term maps of its
         other parts and atoms (`_term_map`) and its integer scale.  A
         group is summed in one loop, each product accumulating straight
         into a map (`_expand`): the running total when the group lacks no
         factor of the lcm, else a fresh map, which is multiplied by the
         factors the group lacks, a factor that several groups lack into
-        their sum once (`_lacking_sum`).  Of two denominators one reaches each
-        factor's top multiplicity, so no factor is lacked twice, and a
+        their sum once (`_lacking_sum`).  Of two denominators one reaches
+        each factor's top multiplicity, so no factor is lacked twice, and a
         sum over two (every ``+``) skips that count (`_group_sums`).  A
         factor f of top multiplicity m (in the lcm) is tried against the
         new part, at most m times, only if two operands reach m: were it
@@ -450,11 +501,13 @@ class RatFunc(Ring):
                     top[f] = [m, len(group)]
                 elif m == r[0]:
                     r[1] += len(group)
-        shared = Counter(terms[0].parts + terms[0].lin)
+        shared, shared_lin = list(terms[0].parts), list(terms[0].lin)
         for t in terms[1:]:
-            if not shared:
+            if not (shared or shared_lin):
                 break
-            shared &= Counter(t.parts + t.lin)
+            pool, pool_lin = list(t.parts), list(t.lin)
+            shared = [f for f in shared if _take(pool, f)]
+            shared_lin = [f for f in shared_lin if _take(pool_lin, f)]
         g = math.lcm(*[t.scale.denominator for t in terms])
         # per group: each operand's term maps outside the shared parts and
         # atoms with its integer scale, and the power of each factor it lacks
@@ -462,7 +515,9 @@ class RatFunc(Ring):
         for group, d in zip(groups.values(), dens):
             operands = []
             for t in group:
-                own = (Counter(t.parts + t.lin) - shared).elements() if shared else t.parts + t.lin
+                own = t.parts + t.lin
+                if shared or shared_lin:
+                    own = _apart(shared, t.parts)[1] + _apart(shared_lin, t.lin)[1]
                 operands.append(([_term_map(ctx, f) for f in own],
                                  t.scale.numerator * (g // t.scale.denominator)))
             lacking.append((operands, {f: e for f, (m, _) in top.items()
@@ -481,10 +536,7 @@ class RatFunc(Ring):
         # content and g may both be ints, and int / int is a float
         scale, parts, lin, kept = _cancel(*_split(prim), tried,
                                           content if g == 1 else Fraction(content) / g)
-        shared_parts = []
-        for f in shared.elements():
-            (lin if type(f) is LinearFactor else shared_parts).append(f)
-        return RatFunc._from_parts(ctx, shared_parts + parts, lin, rest + kept, scale)
+        return RatFunc._from_parts(ctx, shared + parts, lin + shared_lin, rest + kept, scale)
 
     def __neg__(self):
         return RatFunc._from_parts(self.ctx, self.parts, self.lin, self.den, -self.scale)

@@ -10,9 +10,16 @@ from skewgt.polys import Context, Poly
 from skewgt.ratfunc import LinearFactor, RatFunc, linear_factor
 from skewgt.skew import SkewElement
 
-# Every property test runs the same examples on every run, with no
-# per-example time limit and no example database; each test picks only
-# its own max_examples.
+# No per-example time limit and no example database; each test picks
+# only its own max_examples.  `derandomize` seeds each test from the test
+# itself, but hypothesis also draws literal constants it collects from
+# every local module loaded, test modules included.  So a test draws the
+# same examples on every run that loads the same test modules, and other
+# examples when run with fewer or more of them: run alone, the examples
+# of `test_skew.py::test_evaluation_is_a_module_action` differ from those
+# it draws once `test_ratfunc.py` is collected too, and agree again when
+# the constants are switched off.  A planted fault must be killed by its
+# named tests run on their own (tests/test_planted_faults.py).
 settings.register_profile("exact", deadline=None, derandomize=True, database=None)
 settings.load_profile("exact")
 # The same examples without the shrink phase, which the planted-fault

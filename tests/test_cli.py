@@ -660,6 +660,30 @@ def test_generic_exports_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded while `Poly.__str__` still read every
+# monomial field by field: its text, now joined from memoized blocks of
+# four packed variable fields, must not change by one byte when a
+# monomial spans several blocks.  E14*E41 has 10 variables (3 blocks,
+# the last of two fields; also pinned in RANK4_OUTPUTS under `slow`),
+# A41+*A41- at n = 5 has 15 (4 blocks) and X8+ at n = 9 has 45 (12).
+BLOCK_SPANNING_DIGESTS = {
+    "E14*E41": (["compute", "--expr", "E14*E41", "--n", "4"],
+                "5cc2c275a4a6f70280b0b268074f1cf3612f114f7b1518081b290b744c4f84ce"),
+    "A41+*A41-": (["compute", "--expr", "A41+*A41-", "--n", "5"],
+                  "4891d3c6a46294868f1a29915d7b1b25286e2d7a859f282ebec231a81ed2f5c2"),
+    "X8+": (["compute", "--expr", "X8+", "--n", "9"],
+            "0e980ec32d2d463ad6b3a26a8d0b881e410bd7f37b16ea770e0debe3c3f0a08f"),
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(BLOCK_SPANNING_DIGESTS.values()),
+                         ids=list(BLOCK_SPANNING_DIGESTS))
+def test_block_spanning_monomials_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 JSON_PAYLOAD_JOBS = {
     "gt": ["gt", "--top", "2,1,0", "--check", "--json", "-"],
     "verify": ["verify", "--suite", "gl3", "--json", "-"],

@@ -142,6 +142,18 @@ FAULTS = [
      "at_ones % (c + 1)",
      "at_ones % (c - 1)",
      ["tests/test_polys.py::test_value_screen_agrees_with_the_division"]),
+    ("block boundary off by one field", "polys.py",
+     "for i in range(0, nv, _BLOCK):",
+     "for i in range(0, nv, _BLOCK + 1):",
+     ["tests/test_polys.py::test_block_renderer_matches_field_by_field"]),
+    ("a shared factor counted once too many", "ratfunc.py",
+     "shared = [f for f in shared if _take(pool, f)]",
+     "shared = [f for f in shared if _take(list(pool), f)]",
+     ["tests/test_ratfunc.py::test_sum_keeps_the_shared_factor_multiset"]),
+    ("equality shortcut compares the parts but not the atoms", "ratfunc.py",
+     "if self.parts is other.parts and self.lin is other.lin:",
+     "if self.parts is other.parts:",
+     ["tests/test_ratfunc.py::test_equality_cancels_shared_factors_as_multisets"]),
     ("diagonal kept negated", "gtmodules.py",
      "m.diag = [row.get(i, 0)",
      "m.diag = [-row.get(i, 0)",

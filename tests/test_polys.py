@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,104 @@ def test_evaluate_matches_sympy_long(case):
 def test_str_deterministic(ctx2):
     p = x(ctx2, 2, 2) - 2 * x(ctx2, 1, 1) ** 2 + Fraction(1, 2)
     assert str(p) == "-2*x11^2 + x22 + 1/2"
+
+
+# -- rendering -----------------------------------------------------------
+#
+# `Poly.__str__` joins each monomial from the memoized texts of blocks of
+# four packed variable fields.  The oracle is the renderer it replaced,
+# which reads every field of every key and keeps nothing.
+
+def field_by_field(p: Poly) -> str:
+    """grlex-largest term first, each monomial built from its exponent
+    tuple variable by variable, with no memo."""
+    if p.is_zero:
+        return "0"
+    names = [p.ctx.var_name(v) for v in p.ctx.vars]
+    pieces = []
+    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(names, exps) if e])
+        mag = abs(coeff)
+        if mono:
+            body = mono if mag == 1 else f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if i == 0:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+# 1, 3, 6, 10, 15 and 45 variables: one block, then one, two, three,
+# four and twelve, the last block short of four fields in each; the
+# line and triangle(2) print different names from the same packed
+# block, so a memo shared between contexts would show
+RENDER_CONTEXTS = [Context.line(), Context.triangle(2), Context.triangle(3),
+                   Context.triangle(4), Context.triangle(5), Context.triangle(9)]
+# small exponents, two-digit ones, and exponents at the 16-bit field edge
+RENDER_EXPONENTS = [1, 2, 3, 10, 11, 99, DEGREE_BOUND - 2, DEGREE_BOUND - 1]
+
+
+@st.composite
+def rendered_polys(draw, ctx):
+    """Up to 6 terms over `ctx`, each on 0-4 drawn variables with
+    exponents from RENDER_EXPONENTS, total degree kept below
+    DEGREE_BOUND, and a coefficient of either sign, ±1 included."""
+    nv = len(ctx.vars)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = [0] * nv
+        for pos in draw(st.lists(st.integers(0, nv - 1), max_size=4)):
+            exps[pos] = draw(st.sampled_from(RENDER_EXPONENTS))
+        while sum(exps) >= DEGREE_BOUND:
+            exps[exps.index(max(exps))] = 1
+        coeff = draw(st.sampled_from([1, -1, 2, -7, 10, Fraction(1, 2), Fraction(-3, 10)]))
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return Poly(ctx, terms)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_block_renderer_matches_field_by_field(data):
+    """One polynomial drawn per context of RENDER_CONTEXTS, rendered in
+    turn, so calls on different contexts alternate, and each rendered
+    twice."""
+    drawn = [data.draw(rendered_polys(ctx)) for ctx in RENDER_CONTEXTS]
+    for p in drawn:
+        assert str(p) == field_by_field(p), sorted(p.terms.items())
+    assert [str(p) for p in drawn] == [field_by_field(p) for p in drawn]
+
+
+def test_block_renderer_prints_each_variable_and_the_field_edge():
+    """Each variable of every context of RENDER_CONTEXTS alone, to the
+    first power and to the largest one a field holds, the zero and the
+    constants."""
+    cases = [Poly.var(ctx, v) ** e for ctx in RENDER_CONTEXTS for v in ctx.vars
+             for e in (1, DEGREE_BOUND - 1)]
+    cases += [Poly.zero(CTX2), Poly.one(CTX2), Poly.const(CTX2, Fraction(-1, 3))]
+    for p in cases:
+        assert str(p) == field_by_field(p)
+
+
+def test_printing_keeps_no_block_text():
+    """Block texts are memoized for one call: once the text of a
+    polynomial with 1 000 terms and 110 distinct blocks is dropped, the
+    memory traced during the call is all freed again (a memo kept on the
+    context would hold about 15 kB of it)."""
+    ctx = Context.triangle(3)
+    p = sum((x(ctx, 1, 1) ** a * x(ctx, 2, 2) ** b * x(ctx, 3, 3) ** c
+             for a in range(10) for b in range(10) for c in range(10)), Poly.zero(ctx))
+    assert str(x(CTX3, 1, 1) - 1) == "x11 - 1"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(str(p)) > 10_000
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2_000, kept
 
 
 # -- coefficient storage ----------------------------------------------

@@ -586,6 +586,146 @@ def test_nary_sum_tries_only_factors_reached_twice(monkeypatch):
     assert sum(skipped) >= 300 and sum(hits) >= 100
 
 
+def test_lacking_sum_pulls_the_first_most_lacked_factor(monkeypatch):
+    """Of the factors two or more groups lack, `_lacking_sum` pulls out
+    the one the most groups lack, the first lacked among equals, as
+    `Counter.most_common` orders them: its first recursive call sums
+    exactly the groups that lack that factor, each lacking one power
+    less."""
+    from skewgt import ratfunc
+    lacking_sum, log, ties = ratfunc._lacking_sum, [], []
+
+    def spy(ctx, lacking, out=None):
+        log.append([(operands, dict(missing)) for operands, missing in lacking])
+        return lacking_sum(ctx, lacking, out)
+    monkeypatch.setattr(ratfunc, "_lacking_sum", spy)
+
+    @settings(max_examples=40)
+    @given(terms=lacking_sums())
+    def check(terms):
+        log.clear()
+        RatFunc.sum(CTX3, terms)
+        for outer, inner in zip(log, log[1:]):
+            counts = Counter(f for _, missing in outer for f in missing).most_common()
+            if len(outer) < 2 or counts[0][1] < 2:
+                continue
+            f, k = counts[0]
+            ties.append(len(counts) > 1 and counts[1][1] == k)
+            lacking_f = [(ops, missing) for ops, missing in outer if f in missing]
+            assert [ops for ops, _ in inner] == [ops for ops, _ in lacking_f]
+            for (_, was), (_, now) in zip(lacking_f, inner):
+                assert Counter(was) - Counter([f]) == Counter(now)
+
+    check()
+    assert sum(ties) >= 10, ties
+
+
+# -- factor multisets ------------------------------------------------------
+#
+# `RatFunc.sum` keeps the parts and atoms every operand has, and `==`
+# cancels those two values share, as multisets: a factor every operand
+# holds twice is shared twice.  The values below repeat parts and atoms,
+# list them in drawn orders, and hold each factor either as the pool's
+# object or as an equal copy.  The parts are distinct irreducible
+# quadratics that no denominator factor divides, so two values of one
+# scale and denominator are equal exactly when their factors agree as
+# `Counter`s, the oracle here beside cross multiplication.
+
+MULTISET_PARTS = [x(CTX3, 1, 1) ** 2 + 1, x(CTX3, 2, 1) * x(CTX3, 2, 2) + 2,
+                  x(CTX3, 3, 1) ** 2 + x(CTX3, 3, 2) ** 2 + 1]
+MULTISET_ATOMS = [LinearFactor((1, 1), None, 2), linear_factor((2, 1), (2, 2), 1)[0],
+                  linear_factor((3, 1), (3, 3), -1)[0]]
+MULTISET_DENS = [linear_factor((1, 1), (2, 1), 0)[0], LinearFactor((3, 2), None, -1)]
+
+
+def _copy(f):
+    """An equal factor that is not the same object."""
+    if type(f) is LinearFactor:
+        return LinearFactor(*f)
+    return Poly._from_packed(f.ctx, dict(f.terms))
+
+
+@st.composite
+def factor_lists(draw, pool, base=()):
+    """``base`` and 0-3 more draws from ``pool``, repeats allowed, in a
+    drawn order, each the pool's object or, about half the time, an
+    equal copy."""
+    factors = list(base) + draw(st.lists(st.sampled_from(pool), max_size=3))
+    factors = draw(st.permutations(factors))
+    return [_copy(f) if draw(chance(5)) else f for f in factors]
+
+
+@st.composite
+def multiset_values(draw, parts=(), atoms=(), den=None, scale=None):
+    """A value over CTX3 whose parts and atoms are `factor_lists` on
+    ``parts`` and ``atoms``, over ``den`` (else 0-2 drawn factors of
+    MULTISET_DENS) with ``scale`` (else a drawn one)."""
+    if den is None:
+        den = draw(st.lists(st.sampled_from(MULTISET_DENS), max_size=2))
+    if scale is None:
+        scale = Fraction(draw(st.sampled_from([1, -1, 2, -3])), draw(st.sampled_from([1, 2])))
+    return RatFunc._from_parts(CTX3, draw(factor_lists(MULTISET_PARTS, parts)),
+                               draw(factor_lists(MULTISET_ATOMS, atoms)), den, scale)
+
+
+def _factors(r: RatFunc) -> Counter:
+    return Counter(r.parts + r.lin)
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_sum_keeps_the_shared_factor_multiset(data):
+    """2-4 operands that all hold a drawn multiset of parts and atoms,
+    repeats included, each with more of its own: the sum holds every
+    factor the operands share as often as each operand holds it, and
+    equals the operands' sum by cross multiplication over the lcm."""
+    parts = data.draw(st.lists(st.sampled_from(MULTISET_PARTS), max_size=3))
+    atoms = data.draw(st.lists(st.sampled_from(MULTISET_ATOMS), max_size=3))
+    terms = data.draw(st.lists(multiset_values(parts, atoms), min_size=2, max_size=4))
+    total = RatFunc.sum(CTX3, terms)
+    shared = functools.reduce(operator.and_, map(_factors, terms))
+    assert shared >= Counter(parts + atoms)
+    if not total.is_zero:
+        assert not shared - _factors(total), (terms, total)
+    lcm = functools.reduce(operator.or_, [Counter(r.den) for r in terms + [total]])
+
+    def over(r):
+        out = r.num * r.scale
+        for f in (lcm - Counter(r.den)).elements():
+            out = out * f.to_poly(CTX3)
+        return out
+    assert sum(map(over, terms), Poly.zero(CTX3)) == over(total)
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_equality_cancels_shared_factors_as_multisets(data):
+    """Two values of one scale and denominator, built on a common drawn
+    multiset: equal exactly when their factors agree as Counters, which
+    cross multiplication confirms.  About a third of the pairs list one
+    multiset in two orders."""
+    den = data.draw(st.lists(st.sampled_from(MULTISET_DENS), max_size=2))
+    a = data.draw(multiset_values(den=den, scale=1))
+    if data.draw(chance(3)):
+        b = RatFunc._from_parts(CTX3, data.draw(st.permutations(a.parts)),
+                                data.draw(st.permutations(a.lin)), den, 1)
+    else:
+        b = data.draw(multiset_values(den=den, scale=1))
+    assert (a == b) == (_factors(a) == _factors(b)) == eq_cross(a, b), (a.parts, a.lin,
+                                                                         b.parts, b.lin)
+    assert a == RatFunc._from_parts(CTX3, a.parts, a.lin, den, 1)
+
+
+def test_equality_reads_the_atoms_of_values_with_no_parts():
+    """Values with no parts share the empty parts tuple, so equal
+    scales, denominators and parts leave only the atoms to tell them
+    apart."""
+    f, g = MULTISET_ATOMS[:2]
+    a, b = (RatFunc._from_parts(CTX3, [], lin, MULTISET_DENS, 2) for lin in ([f], [g]))
+    assert a.parts is b.parts
+    assert a != b and a * b == b * a and a * a != a * b
+
+
 # -- linear divisions tried by two CLI jobs ------------------------------
 
 # (calls, hits) of Poly.divmod_linear per job.  Every operation reducing
