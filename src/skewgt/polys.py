@@ -2,8 +2,11 @@
 
 Polynomials live in a small fixed variable universe described by a
 :class:`Context`.  Two universes are used: the triangular family
-``x_{ki}`` (one variable per index pair ``1 <= i <= k <= n``) and a
-single variable ``x`` for rank-one shift algebras.  Coefficients are
+``x_{ki}`` (one variable per index pair ``1 <= i <= k <= n``), made by
+``Context.triangle(n)``, and a single variable ``x`` for rank-one shift
+algebras, made by ``Context.line()``.  Each universe is one object for
+the life of the process, pickle and copy included, so two contexts are
+compared by identity.  Coefficients are
 exact rationals: every stored coefficient is an ``int`` when it is
 integral and a :class:`fractions.Fraction` with denominator > 1
 otherwise.  There is no floating point anywhere.
@@ -32,7 +35,8 @@ accumulate into a plain packed map and hand it over.
 
 The operators ``+``, ``*``, ``-``, their reflections and ``**`` are
 written once, on :class:`Ring`: it promotes the other operand into the
-type, then calls the type's own ``_add`` or ``_mul``.  :class:`Poly`,
+type, refuses it with ValueError when it is then of another universe,
+and calls the type's own ``_add`` or ``_mul``.  :class:`Poly`,
 ``RatFunc`` and ``SkewElement`` inherit them all: a scalar factor is
 promoted to a constant of the type like any other operand.
 
@@ -67,6 +71,7 @@ x_v-free monomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
@@ -110,7 +115,11 @@ class Context:
 
     ``triangle(n)`` has variables x_ki for 1 <= i <= k <= n; the shift
     lattice moves the variables of rows 1..n-1.  ``line()`` has the
-    single variable x, which is itself shiftable.
+    single variable x, which is itself shiftable.  These two are the
+    constructors: each builds its universe on the first call and returns
+    that one object after, and ``__reduce__`` hands pickle, ``copy`` and
+    ``deepcopy`` the same object, so a context equals and hashes by
+    identity alone.
     """
 
     __slots__ = ("kind", "n", "vars", "shift_vars", "rows", "_vpos", "_spos",
@@ -149,8 +158,11 @@ class Context:
                            tuple((offset - low, name) for offset, name in block)))
         self._blocks = tuple(blocks)
 
+    # n is positional only: the cache would key triangle(n=3) apart
+    # from triangle(3) and build a second object of one universe
     @staticmethod
-    def triangle(n: int) -> "Context":
+    @functools.cache
+    def triangle(n: int, /) -> "Context":
         if n < 1:
             raise ValueError(f"triangle context needs n >= 1 (got n={n})")
         vars = tuple((k, i) for k in range(1, n + 1) for i in range(1, k + 1))
@@ -158,6 +170,7 @@ class Context:
         return Context("triangle", n, vars, shift_vars)
 
     @staticmethod
+    @functools.cache
     def line() -> "Context":
         return Context("line", 1, ((1, 1),), ((1, 1),))
 
@@ -220,12 +233,8 @@ class Context:
         if not mapping.keys() <= self._vpos.keys():
             raise ValueError(f"{mapping!r} names a variable outside {self!r}")
 
-    def __eq__(self, other):
-        return (isinstance(other, Context)
-                and self.kind == other.kind and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.kind, self.n))
+    def __reduce__(self):
+        return (Context.line, ()) if self.kind == "line" else (Context.triangle, (self.n,))
 
     def __repr__(self):
         return f"Context({self.kind!r}, n={self.n})"
@@ -284,7 +293,9 @@ class Ring:
     subclass's own ``_promote`` (the operand in its type, or None),
     ``_add`` and ``_mul`` (on an operand already promoted), unary ``-``,
     ``ctx`` and ``one(ctx)``.  An operand that does not promote gives
-    ``NotImplemented``.  Addition commutes, so reflected ``+`` is ``+``;
+    ``NotImplemented``; one whose promoted ``ctx`` is another universe
+    raises ValueError (``_coerce``, the one place an operand of another
+    universe is refused).  Addition commutes, so reflected ``+`` is ``+``;
     the skew product does not, so reflected ``*`` is ``other * self``.
     ``-``, reflected ``*`` and ``**`` apply ``+`` and ``*`` as operators,
     so a wrapper installed on the subclass sees every call.
@@ -292,8 +303,21 @@ class Ring:
 
     __slots__ = ()
 
-    def __add__(self, other):
+    def _coerce(self, other):
+        """``other`` promoted into the type (``_promote``), or None when
+        it does not promote.  The one check of the universe rule: an
+        operand whose promoted ``ctx`` is not this value's raises
+        ValueError, whatever its type.  The operators, ``==`` of
+        ``RatFunc`` and ``SkewElement`` and ``skew.commutator`` promote
+        through it."""
         other = self._promote(other)
+        if other is not None and other.ctx is not self.ctx:
+            raise ValueError(f"operands from different universes: "
+                             f"{self.ctx!r} and {other.ctx!r}")
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self._add(other)
@@ -301,19 +325,19 @@ class Ring:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._promote(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self._mul(other)
 
     def __rmul__(self, other):
-        other = self._promote(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other * self
 
     def __sub__(self, other):
-        other = self._promote(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -345,7 +369,7 @@ class Ring:
 class Poly(Ring):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("ctx", "terms", "_top", "_values", "_hash")
+    __slots__ = ("ctx", "terms", "_top", "_values")
 
     def __init__(self, ctx: Context, terms: Mapping[Tuple[int, ...], Fraction]):
         """Outside input: ``terms`` maps exponent tuples to exact
@@ -368,10 +392,10 @@ class Poly(Ring):
         # of Fractions can be integral and is stored as an int.  A map of
         # ints only (most maps: primitive numerators) is scanned in C and
         # kept as it is when it holds no zero.  A polynomial is never
-        # changed after this, so the top-degree terms, the screen's
-        # values and the hash are filled in on first use and kept.
+        # changed after this, so the top-degree terms and the screen's
+        # values are filled in on first use and kept.
         self.ctx = ctx
-        self._top = self._values = self._hash = None
+        self._top = self._values = None
         values = terms.values()
         if not set(map(type, values)) <= {int}:
             terms = {e: c if type(c) is int else _coeff(c)
@@ -437,13 +461,8 @@ class Poly(Ring):
 
     # -- arithmetic --------------------------------------------------
 
-    def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
-            raise ValueError("polynomials from different variable universes")
-
     def _promote(self, other) -> Optional["Poly"]:
         if isinstance(other, Poly):
-            self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.ctx, other)
@@ -463,13 +482,10 @@ class Poly(Ring):
             other = Poly.const(self.ctx, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        # kept: a numerator part is hashed by every sum and equality it meets
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     # -- substitutions -----------------------------------------------
 

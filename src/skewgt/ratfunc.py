@@ -298,7 +298,7 @@ def _group_sums(ctx: Context, lacking, out: Optional[dict] = None):
     return out
 
 
-def _lacking_sum(ctx: Context, lacking, out: Optional[dict] = None):
+def _lacking_sum(ctx: Context, lacking):
     """`_group_sums` on the same data, but while two or more groups lack
     one factor, the factor the most groups lack is pulled out first,
     the first lacked among equals (`max` keeps the first maximum, and
@@ -308,6 +308,7 @@ def _lacking_sum(ctx: Context, lacking, out: Optional[dict] = None):
     once.  Only the lacked factors are read before a group is summed,
     so one group's sum and the partial sums of the pulled factors are
     held at a time."""
+    out = None
     while len(lacking) > 1:
         counts: dict = {}  # factor -> groups that lack it, first lacked first
         for _, missing in lacking:
@@ -424,7 +425,7 @@ class RatFunc(Ring):
         multiplied out (none, when they agree).  Two values that hold
         the same parts tuple and the same atoms tuple (values with none
         share the empty tuple) are equal at once."""
-        other = self._promote(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.scale != other.scale or self.den != other.den:
@@ -444,8 +445,6 @@ class RatFunc(Ring):
 
     def _promote(self, other) -> Optional["RatFunc"]:
         if isinstance(other, RatFunc):
-            if other.ctx != self.ctx:
-                raise ValueError("rational functions from different universes")
             return other
         if isinstance(other, Poly):
             return RatFunc(other)

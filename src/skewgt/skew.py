@@ -129,8 +129,6 @@ class SkewElement(Ring):
 
     def _promote(self, other) -> Optional["SkewElement"]:
         if isinstance(other, SkewElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements from different contexts")
             return other
         if isinstance(other, (RatFunc, Poly, int, Fraction)):
             return SkewElement.from_coeff(other, self.ctx)
@@ -169,7 +167,7 @@ class SkewElement(Ring):
         return SkewElement.sum_of_products(self.ctx, [(self, other)])
 
     def __eq__(self, other):
-        other = self._promote(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.terms == other.terms
@@ -259,7 +257,7 @@ def commutator(a, b):
     u = a if isinstance(a, SkewElement) else b
     if not isinstance(u, SkewElement):
         return a * b - b * a
-    x, y = u._promote(a), u._promote(b)
+    x, y = u._coerce(a), u._coerce(b)
     if x is None or y is None:
         raise TypeError(f"cannot bracket {type(a).__name__} with {type(b).__name__}")
     return SkewElement.sum_of_products(u.ctx, [(x, y), (-y, x)])

@@ -158,6 +158,14 @@ FAULTS = [
      "m.diag = [row.get(i, 0)",
      "m.diag = [-row.get(i, 0)",
      ["tests/test_gtmodules.py::test_rank_nine_module_check_runs"]),
+    ("universe check never fires", "polys.py",
+     "if other is not None and other.ctx is not self.ctx:",
+     "if other is not None and other.ctx is not other.ctx:",
+     ["tests/test_ring.py::test_operands_of_two_universes_are_refused"]),
+    ("unpickling builds a fresh context", "polys.py",
+     'return (Context.line, ()) if self.kind == "line" else (Context.triangle, (self.n,))',
+     "return (Context, (self.kind, self.n, self.vars, self.shift_vars))",
+     ["tests/test_ring.py::test_pickle_and_copy_keep_the_universe"]),
 ]
 
 

@@ -595,9 +595,9 @@ def test_lacking_sum_pulls_the_first_most_lacked_factor(monkeypatch):
     from skewgt import ratfunc
     lacking_sum, log, ties = ratfunc._lacking_sum, [], []
 
-    def spy(ctx, lacking, out=None):
+    def spy(ctx, lacking):
         log.append([(operands, dict(missing)) for operands, missing in lacking])
-        return lacking_sum(ctx, lacking, out)
+        return lacking_sum(ctx, lacking)
     monkeypatch.setattr(ratfunc, "_lacking_sum", spy)
 
     @settings(max_examples=40)

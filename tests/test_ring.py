@@ -3,14 +3,18 @@
 the types' own `_add`, `_mul` and unary `-` on drawn `Poly`, `RatFunc`
 and `SkewElement` values."""
 
+import copy
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewgt import gln
 from skewgt.polys import Context, Poly, Ring
 from skewgt.ratfunc import RatFunc
-from skewgt.skew import SkewElement
+from skewgt.skew import SkewElement, commutator
 
 from conftest import (edge_cases, edge_polys, edge_ratfuncs, edge_skews, polys, ratfuncs,
                       row_permutations, skew_elements)
@@ -177,3 +181,48 @@ def test_power_is_the_left_to_right_product(a, k):
     for _ in range(k):
         expected = expected * a
     assert a ** k == expected
+
+
+def _one_of_each(ctx):
+    """A Poly, its RatFunc and the skew element X11 of one universe."""
+    p = Poly.var(ctx, (1, 1)) + 1
+    return [p, RatFunc(p), gln.element(ctx, "X11")]
+
+
+def test_operands_of_two_universes_are_refused():
+    """Each universe is one object.  Every `+`, `-` and `*` between a
+    Poly, a RatFunc and a skew element of rank 3 and one of rank 2, in
+    both orders, raises ValueError naming both universes, whichever
+    type promotes which; `==` raises or is False, and a bracket raises."""
+    big, small = Context.triangle(3), Context.triangle(2)
+    assert big is Context.triangle(3) and Context.line() is Context.line()
+    with pytest.raises(TypeError):
+        Context.triangle(n=3)
+    for a in _one_of_each(big):
+        for b in _one_of_each(small):
+            for x, y in ((a, b), (b, a)):
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises(ValueError, match="different universes") as err:
+                        op(x, y)
+                    assert repr(big) in str(err.value) and repr(small) in str(err.value)
+                try:
+                    assert (x == y) is False
+                except ValueError:
+                    pass
+                if isinstance(x, SkewElement) or isinstance(y, SkewElement):
+                    with pytest.raises(ValueError):
+                        commutator(x, y)
+
+
+def test_pickle_and_copy_keep_the_universe():
+    """A value pickled, copied or deep-copied equals the original, hashes
+    alike, and keeps the one context object of its universe."""
+    ctx = Context.triangle(3)
+    for value in _one_of_each(ctx)[:2] + [gln.element(ctx, "A21+")]:
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert clone == value and hash(clone) == hash(value)
+            assert clone.ctx is ctx
+    for ctx in (Context.triangle(3), Context.line()):
+        assert pickle.loads(pickle.dumps(ctx)) is ctx
+        assert copy.copy(ctx) is ctx and copy.deepcopy(ctx) is ctx
